@@ -43,7 +43,27 @@ let time label f =
   Format.printf "[%s: %.1fs]@." label dt;
   r
 
+(* [time] plus the wall-clock as a value. *)
+let timed label f =
+  let t0 = Unix.gettimeofday () in
+  let r = time label f in
+  (r, Unix.gettimeofday () -. t0)
+
 let pct a b = if b = 0 then 0.0 else 100.0 *. float_of_int a /. float_of_int b
+
+module Runtime = Simulator.Runtime
+
+(* Run [f] under the ambient knobs as changed by [update], restoring
+   them afterwards.  [Ownership.ensure] brings the RD_CHECK hook in line
+   with the check field both ways. *)
+let with_runtime update f =
+  let prior = Runtime.current () in
+  let apply rt =
+    Runtime.set rt;
+    Analysis.Ownership.ensure ()
+  in
+  apply (update prior);
+  Fun.protect ~finally:(fun () -> apply prior) f
 
 (* ------------------------------------------------------------------ *)
 (* Experiments                                                         *)
@@ -316,9 +336,7 @@ let experiment_t6 prepared ~seed =
 let experiment_ablations conf =
   (* Ablations run on their own (smaller) world so that the runtime
      stays reasonable even in full mode. *)
-  let world = Netgen.Groundtruth.build conf in
-  let data = Netgen.Groundtruth.observe world in
-  let prepared = Core.prepare data in
+  let prepared = Core.prepare (snd (Core.generate ~conf ())) in
   let splits = Core.split ~seed:7 prepared in
   let training = splits.Evaluation.Split.training in
   let validation = splits.Evaluation.Split.validation in
@@ -420,8 +438,7 @@ let experiment_robustness ~ases =
         List.map
           (fun seed ->
             let conf = conf_of family seed in
-            let world = Netgen.Groundtruth.build conf in
-            let data = Netgen.Groundtruth.observe world in
+            let world, data = Core.generate ~conf () in
             let prepared = Core.prepare data in
             let splits = Core.split ~seed:7 prepared in
             let result =
@@ -558,9 +575,7 @@ let experiment_sweep base_conf =
   (* How prediction accuracy scales with vantage points: train on a
      growing subset of the training observation points. *)
   section "SWEEP" "prediction accuracy vs number of training vantage points";
-  let world = Netgen.Groundtruth.build base_conf in
-  let data = Netgen.Groundtruth.observe world in
-  let prepared = Core.prepare data in
+  let prepared = Core.prepare (snd (Core.generate ~conf:base_conf ())) in
   let splits = Core.split ~seed:7 prepared in
   let train_points = Rib.observation_points splits.Evaluation.Split.training in
   let validation = splits.Evaluation.Split.validation in
@@ -612,14 +627,11 @@ let experiment_faults conf =
      must complete and report the damage as quarantine/unresolved
      tallies instead of raising). *)
   section "FAULT" "pipeline resilience under injected faults (RD_FAULTS)";
-  let world = Netgen.Groundtruth.build conf in
-  let data = Netgen.Groundtruth.observe world in
-  let prepared = Core.prepare data in
+  let prepared = Core.prepare (snd (Core.generate ~conf ())) in
   let splits = Core.split ~seed:7 prepared in
   let validation = splits.Evaluation.Split.validation in
-  let ambient = Simulator.Faultinject.current () in
   let run label faults =
-    Simulator.Faultinject.set faults;
+    with_runtime (fun rt -> { rt with faults }) @@ fun () ->
     let result =
       time label (fun () ->
           Core.build
@@ -635,17 +647,14 @@ let experiment_faults conf =
     in
     (result, prediction)
   in
-  let inject rate scope =
-    Some { Simulator.Faultinject.rate; seed = 42; scope }
-  in
+  let inject rate scope = Some { Runtime.Fault.rate; seed = 42; scope } in
   let clean_r, clean_p = run "FAULT off" None in
   let trans_r, trans_p =
-    run "FAULT transient 0.05:42" (inject 0.05 Simulator.Faultinject.Transient)
+    run "FAULT transient 0.05:42" (inject 0.05 Runtime.Fault.Transient)
   in
   let full_r, full_p =
-    run "FAULT full 0.05:42:full" (inject 0.05 Simulator.Faultinject.Full)
+    run "FAULT full 0.05:42:full" (inject 0.05 Runtime.Fault.Full)
   in
-  Simulator.Faultinject.set ambient;
   let row label (r : Refine.Refiner.result) (p : Evaluation.Predict.report) =
     let pool = Simulator.Pool.merge r.Refine.Refiner.pool p.Evaluation.Predict.pool in
     [
@@ -707,38 +716,45 @@ let experiment_warm prepared =
   section "WARM" "warm-start re-simulation vs cold (RD_WARM)";
   let splits = Core.split ~seed:7 prepared in
   let training = splits.Evaluation.Split.training in
-  let run label mode jobs =
-    let prior = Simulator.Warm.current () in
-    Simulator.Warm.set mode;
-    Simulator.Warm.reset_stats ();
-    Fun.protect
-      ~finally:(fun () -> Simulator.Warm.set prior)
-      (fun () ->
-        let a0 = Gc.allocated_bytes () in
-        let t0 = Unix.gettimeofday () in
-        let result =
-          time label (fun () ->
-              Core.build
-                ~options:
-                  {
-                    Refine.Refiner.default_options with
-                    max_iterations = Some 14;
-                    jobs;
-                  }
-                prepared ~training)
-        in
-        let wall = Unix.gettimeofday () -. t0 in
-        let alloc = Gc.allocated_bytes () -. a0 in
-        (result, wall, alloc, Simulator.Warm.stats ()))
+  let run label warm jobs =
+    with_runtime (fun rt -> { rt with warm }) @@ fun () ->
+    (* The warm.* registry counters only go up: a run's counts are the
+       difference across it. *)
+    let w0 = Simulator.Warm.stats () in
+    let a0 = Gc.allocated_bytes () in
+    let t0 = Unix.gettimeofday () in
+    let result =
+      time label (fun () ->
+          Core.build
+            ~options:
+              {
+                Refine.Refiner.default_options with
+                max_iterations = Some 14;
+                jobs;
+              }
+            prepared ~training)
+    in
+    let wall = Unix.gettimeofday () -. t0 in
+    let alloc = Gc.allocated_bytes () -. a0 in
+    let w1 = Simulator.Warm.stats () in
+    ( result,
+      wall,
+      alloc,
+      {
+        Simulator.Warm.warm_runs = w1.warm_runs - w0.warm_runs;
+        cold_runs = w1.cold_runs - w0.cold_runs;
+        verified = w1.verified - w0.verified;
+        divergences = w1.divergences - w0.divergences;
+      } )
   in
   let cold_r, cold_wall, cold_alloc, _ =
-    run "WARM cold jobs=1" Simulator.Warm.Off (Some 1)
+    run "WARM cold jobs=1" Runtime.Warm_mode.Off (Some 1)
   in
   let warm_r, warm_wall, warm_alloc, warm_stats =
-    run "WARM warm jobs=1" Simulator.Warm.On (Some 1)
+    run "WARM warm jobs=1" Runtime.Warm_mode.On (Some 1)
   in
   let verify_r, _, _, verify_stats =
-    run "WARM verify" Simulator.Warm.Verify None
+    run "WARM verify" Runtime.Warm_mode.Verify None
   in
   let identical =
     cold_r.Refine.Refiner.matched = warm_r.Refine.Refiner.matched
@@ -810,35 +826,24 @@ let experiment_check prepared (warm : warm_report) =
   section "CHECK" "mutation-discipline checker overhead (RD_CHECK)";
   let splits = Core.split ~seed:7 prepared in
   let training = splits.Evaluation.Split.training in
-  let run label mode =
-    let prior_check = Analysis.Ownership.current () in
-    let prior_warm = Simulator.Warm.current () in
-    Analysis.Ownership.set mode;
-    Simulator.Warm.set Simulator.Warm.On;
-    Fun.protect
-      ~finally:(fun () ->
-        Analysis.Ownership.set prior_check;
-        Simulator.Warm.set prior_warm)
-      (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let result =
-          time label (fun () ->
-              Core.build
-                ~options:
-                  {
-                    Refine.Refiner.default_options with
-                    max_iterations = Some 14;
-                    jobs = Some 1;
-                  }
-                prepared ~training)
-        in
-        (result, Unix.gettimeofday () -. t0))
+  let run label check =
+    with_runtime (fun rt -> { rt with check; warm = Runtime.Warm_mode.On })
+    @@ fun () ->
+    timed label (fun () ->
+        Core.build
+          ~options:
+            {
+              Refine.Refiner.default_options with
+              max_iterations = Some 14;
+              jobs = Some 1;
+            }
+          prepared ~training)
   in
-  let _, off1 = run "CHECK off jobs=1 (1/2)" Analysis.Ownership.Off in
-  let _, off2 = run "CHECK off jobs=1 (2/2)" Analysis.Ownership.Off in
+  let _, off1 = run "CHECK off jobs=1 (1/2)" Runtime.Check_mode.Off in
+  let _, off2 = run "CHECK off jobs=1 (2/2)" Runtime.Check_mode.Off in
   let off_wall = Float.min off1 off2 in
   Analysis.Ownership.reset ();
-  let on_r, on_wall = run "CHECK on jobs=1" Analysis.Ownership.On in
+  let on_r, on_wall = run "CHECK on jobs=1" Runtime.Check_mode.On in
   let check_violations = Analysis.Ownership.violation_count () in
   let lint_errors =
     Analysis.Report.error_count (Analysis.Lint.check on_r.Refine.Refiner.model)
@@ -848,7 +853,7 @@ let experiment_check prepared (warm : warm_report) =
      records the honest price of RD_CHECK=race on the same workload and
      gates on it finding nothing in a clean run. *)
   Analysis.Race.reset ();
-  let _, race_wall = run "CHECK race jobs=1" Analysis.Ownership.Race in
+  let _, race_wall = run "CHECK race jobs=1" Runtime.Check_mode.Race in
   let race_findings =
     Analysis.Race.race_count () + Analysis.Ownership.violation_count ()
   in
@@ -899,29 +904,18 @@ let experiment_obs prepared (warm : warm_report) =
   section "OBS" "observability overhead (RD_TRACE) and metrics snapshot";
   let splits = Core.split ~seed:7 prepared in
   let training = splits.Evaluation.Split.training in
-  let run label mode =
-    let prior_trace = Simulator.Runtime.trace () in
-    let prior_warm = Simulator.Warm.current () in
-    Simulator.Runtime.set_trace mode;
-    Simulator.Warm.set Simulator.Warm.On;
-    Fun.protect
-      ~finally:(fun () ->
-        Simulator.Runtime.set_trace prior_trace;
-        Simulator.Warm.set prior_warm)
-      (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let result =
-          time label (fun () ->
-              Core.build
-                ~options:
-                  {
-                    Refine.Refiner.default_options with
-                    max_iterations = Some 14;
-                    jobs = Some 1;
-                  }
-                prepared ~training)
-        in
-        (result, Unix.gettimeofday () -. t0))
+  let run label trace =
+    with_runtime (fun rt -> { rt with trace; warm = Runtime.Warm_mode.On })
+    @@ fun () ->
+    timed label (fun () ->
+        Core.build
+          ~options:
+            {
+              Refine.Refiner.default_options with
+              max_iterations = Some 14;
+              jobs = Some 1;
+            }
+          prepared ~training)
   in
   let _, off1 = run "OBS trace=off jobs=1 (1/2)" Obs.Trace.Off in
   let _, off2 = run "OBS trace=off jobs=1 (2/2)" Obs.Trace.Off in
@@ -1143,24 +1137,18 @@ let experiment_churn prepared =
      Each run gets a fresh model: replay mutates the live net. *)
   section "CHURN" "event-stream replay: warm reconvergence vs cold (lib/stream)";
   let run label mode faults =
-    let ambient = Simulator.Faultinject.current () in
-    Simulator.Faultinject.set faults;
-    Fun.protect
-      ~finally:(fun () -> Simulator.Faultinject.set ambient)
-      (fun () ->
-        let model = Asmodel.Qrmodel.initial prepared.Core.graph in
-        let stream =
-          Stream.Streamgen.mixed ~events:48 model (Random.State.make [| 42 |])
-        in
-        time label (fun () -> snd (Stream.Replay.run ~mode model stream)))
+    with_runtime (fun rt -> { rt with faults }) @@ fun () ->
+    let model = Asmodel.Qrmodel.initial prepared.Core.graph in
+    let stream =
+      Stream.Streamgen.mixed ~events:48 model (Random.State.make [| 42 |])
+    in
+    time label (fun () -> snd (Stream.Replay.run ~mode model stream))
   in
-  let warm = run "CHURN warm" Simulator.Warm.On None in
-  let cold = run "CHURN cold" Simulator.Warm.Off None in
+  let warm = run "CHURN warm" Runtime.Warm_mode.On None in
+  let cold = run "CHURN cold" Runtime.Warm_mode.Off None in
   let faulted =
-    run "CHURN warm faults=0.05:42" Simulator.Warm.On
-      (Some
-         { Simulator.Faultinject.rate = 0.05; seed = 42;
-           scope = Simulator.Faultinject.Transient })
+    run "CHURN warm faults=0.05:42" Runtime.Warm_mode.On
+      (Some { Runtime.Fault.rate = 0.05; seed = 42; scope = Transient })
   in
   let sum f (r : Stream.Replay.report) =
     List.fold_left (fun acc (_, cs) -> acc + f cs) 0 r.Stream.Replay.classes
@@ -1224,12 +1212,6 @@ let experiment_churn prepared =
 (* ------------------------------------------------------------------ *)
 (* §TOPO: the topology-fidelity battery across generator families      *)
 (* ------------------------------------------------------------------ *)
-
-(* [time] plus the wall-clock as a value. *)
-let timed label f =
-  let t0 = Unix.gettimeofday () in
-  let r = time label f in
-  (r, Unix.gettimeofday () -. t0)
 
 type topo_family_row = {
   tf_family : string;
@@ -1423,8 +1405,7 @@ let experiment_scale ~ases ~seed =
              (fun i (p, anchors) ->
                let t0 = Unix.gettimeofday () in
                let st =
-                 Simulator.Engine_reference.simulate net ~prefix:p
-                   ~originators:anchors
+                 Engine_reference.simulate net ~prefix:p ~originators:anchors
                in
                let w = Unix.gettimeofday () -. t0 in
                if w < ref_min.(i) then ref_min.(i) <- w;
@@ -1458,7 +1439,7 @@ let experiment_scale ~ases ~seed =
   let flat_wall = Array.fold_left ( +. ) 0.0 flat_min in
   let ref_events =
     List.fold_left
-      (fun acc st -> acc + Simulator.Engine_reference.events st)
+      (fun acc st -> acc + Engine_reference.events st)
       0 ref_states
   in
   let flat_events =
@@ -1468,12 +1449,10 @@ let experiment_scale ~ases ~seed =
     ref_events = flat_events
     && List.for_all2
          (fun rst fst_ ->
-           Simulator.Engine_reference.state_fingerprint rst
+           Engine_reference.state_fingerprint rst
            = Simulator.Engine.state_fingerprint fst_
-           && Simulator.Engine_reference.events rst
-              = Simulator.Engine.events fst_
-           && Simulator.Engine_reference.converged rst
-              = Simulator.Engine.converged fst_)
+           && Engine_reference.events rst = Simulator.Engine.events fst_
+           && Engine_reference.converged rst = Simulator.Engine.converged fst_)
          ref_states flat_states
   in
   (* Warm resumption: one per-prefix import-MED override (which marks
@@ -1497,7 +1476,7 @@ let experiment_scale ~ases ~seed =
           (fun (p, anchors) (rst, fst_) ->
             Simulator.Net.set_import_med net touch_node 0 p 7;
             let rw =
-              Simulator.Engine_reference.simulate net ~from:rst ~prefix:p
+              Engine_reference.simulate net ~from:rst ~prefix:p
                 ~originators:anchors
             in
             let fw =
@@ -1508,10 +1487,9 @@ let experiment_scale ~ases ~seed =
             Simulator.Net.clear_touched net p;
             incr warm_pairs;
             if
-              Simulator.Engine_reference.state_fingerprint rw
+              Engine_reference.state_fingerprint rw
               <> Simulator.Engine.state_fingerprint fw
-              || Simulator.Engine_reference.events rw
-                 <> Simulator.Engine.events fw
+              || Engine_reference.events rw <> Simulator.Engine.events fw
             then warm_identical := false)
           samples
           (List.combine ref_states flat_states))
@@ -1891,12 +1869,10 @@ let () =
      arguments. *)
   let args =
     match
-      Simulator.Runtime.with_argv
-        (Simulator.Runtime.of_env ())
-        (List.tl (Array.to_list Sys.argv))
+      Runtime.with_argv (Runtime.of_env ()) (List.tl (Array.to_list Sys.argv))
     with
     | Ok (rt, rest) ->
-        Simulator.Runtime.set rt;
+        Runtime.set rt;
         rest
     | Error msg ->
         prerr_endline msg;
@@ -1928,9 +1904,8 @@ let () =
         exit 1
   in
   Format.printf "simulation workers: %d (RD_JOBS/--jobs to change)@."
-    (Simulator.Pool.default_jobs ());
-  Format.printf "runtime: %a@." Simulator.Runtime.pp
-    (Simulator.Runtime.current ());
+    (Runtime.jobs ());
+  Format.printf "runtime: %a@." Runtime.pp (Runtime.current ());
   let t_start = Unix.gettimeofday () in
   let warm_report = ref None in
   let build_world () =
@@ -2018,7 +1993,7 @@ let () =
   write_bench_json
     (value "--json" "BENCH.json")
     ~scale ~seed
-    ~jobs:(Simulator.Pool.default_jobs ())
+    ~jobs:(Runtime.jobs ())
     !warm_report !check_report !obs_report !serve_report !churn_report
     !scale_report !topo_report;
   Obs.Trace.flush std;

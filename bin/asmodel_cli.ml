@@ -47,7 +47,7 @@ let std = Format.std_formatter
 (* Simulation worker count, shared by every subcommand that simulates.
    Precedence: --jobs flag > RD_JOBS env > Domain.recommended_domain_count.
    An explicit flag deserves a hard failure: reject 0 and negatives here
-   instead of letting Pool.set_default_jobs clamp them silently. *)
+   instead of letting Runtime.jobs clamp them silently. *)
 let positive_int_conv =
   let parse s =
     match int_of_string_opt (String.trim s) with
@@ -68,22 +68,21 @@ let jobs_arg =
            identical for every value.")
 
 let apply_jobs = function
-  | Some j -> Simulator.Pool.set_default_jobs j
+  | Some j -> Simulator.Runtime.set_jobs (Some j)
   | None -> ()
+
+(* A cmdliner converter over one of the Runtime knob parsers. *)
+let knob_conv parse print =
+  Arg.conv ((fun s -> Result.map_error (fun msg -> `Msg msg) (parse s)), print)
+
+let string_printer to_string ppf v = Format.pp_print_string ppf (to_string v)
 
 (* Deterministic fault injection (testing the pipeline's resilience).
    Precedence: --faults flag > RD_FAULTS env. *)
 let faults_conv =
-  let parse s =
-    match Simulator.Faultinject.parse s with
-    | Ok t -> Ok t
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf = function
+  knob_conv Simulator.Runtime.Fault.parse (fun ppf -> function
     | None -> Format.pp_print_string ppf "off"
-    | Some t -> Simulator.Faultinject.pp ppf t
-  in
-  Arg.conv (parse, print)
+    | Some t -> Simulator.Runtime.Fault.pp ppf t)
 
 let faults_arg =
   Arg.(
@@ -97,19 +96,14 @@ let faults_arg =
            failures and shrunk engine budgets; $(b,off) disables.")
 
 let apply_faults = function
-  | Some t -> Simulator.Faultinject.set t
+  | Some t -> Simulator.Runtime.set_faults t
   | None -> ()
 
 (* Warm-start re-simulation in the refinement loop.
    Precedence: --warm flag > RD_WARM env > on. *)
 let warm_conv =
-  let parse s =
-    match Simulator.Warm.parse s with
-    | Ok m -> Ok m
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf m = Format.pp_print_string ppf (Simulator.Warm.mode_to_string m) in
-  Arg.conv (parse, print)
+  knob_conv Simulator.Runtime.Warm_mode.parse
+    (string_printer Simulator.Runtime.Warm_mode.to_string)
 
 let warm_arg =
   Arg.(
@@ -124,17 +118,13 @@ let warm_arg =
            simulates from scratch.")
 
 let apply_warm = function
-  | Some m -> Simulator.Warm.set m
+  | Some m -> Simulator.Runtime.set_warm m
   | None -> ()
 
 (* Span tracing and metrics (the observability layer).
    Precedence: --trace flag > RD_TRACE env > off. *)
 let trace_conv =
-  let parse s =
-    match Obs.Trace.parse s with Ok m -> Ok m | Error msg -> Error (`Msg msg)
-  in
-  let print ppf m = Format.pp_print_string ppf (Obs.Trace.mode_to_string m) in
-  Arg.conv (parse, print)
+  knob_conv Obs.Trace.parse (string_printer Obs.Trace.mode_to_string)
 
 let trace_arg =
   Arg.(
@@ -153,15 +143,8 @@ let apply_trace = function
 
 (* Mutation-discipline checking. Precedence: --check flag > RD_CHECK env. *)
 let check_conv =
-  let parse s =
-    match Simulator.Runtime.Check_mode.parse s with
-    | Ok m -> Ok m
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf m =
-    Format.pp_print_string ppf (Simulator.Runtime.Check_mode.to_string m)
-  in
-  Arg.conv (parse, print)
+  knob_conv Simulator.Runtime.Check_mode.parse
+    (string_printer Simulator.Runtime.Check_mode.to_string)
 
 let check_arg =
   Arg.(

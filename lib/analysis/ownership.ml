@@ -2,12 +2,6 @@ module Net = Simulator.Net
 module Pool = Simulator.Pool
 module Runtime = Simulator.Runtime
 
-type mode = Runtime.Check_mode.t = Off | On | Race
-
-let parse s = Result.to_option (Runtime.Check_mode.parse s)
-
-let mode_to_string = Runtime.Check_mode.to_string
-
 type violation = {
   rule : string;
   domain : int;
@@ -109,13 +103,13 @@ let uninstall () =
 (* [Race] is a strict superset of [On]: the mutation-discipline hook
    stays installed and the happens-before detector's probe hook comes
    up beside it (Race.sync). *)
-let sync m =
+let sync (m : Runtime.Check_mode.t) =
   (match m with On | Race -> install () | Off -> uninstall ());
   Race.sync m
 
-let set m =
-  Runtime.set_check m;
-  sync m
+let set check =
+  Runtime.set { (Runtime.current ()) with check };
+  sync check
 
 let current () =
   let m = Runtime.check () in

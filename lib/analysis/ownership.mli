@@ -22,26 +22,18 @@
     [RD_CHECK=off] (the default) no hook is installed and mutators pay
     one load and a branch. *)
 
-type mode = Simulator.Runtime.Check_mode.t = Off | On | Race
-
-val parse : string -> mode option
-(** ["off"]/["0"]/["false"]/[""], ["on"]/["1"]/["true"] and
-    ["race"]/["hb"]. *)
-
-val mode_to_string : mode -> string
-
-val set : mode -> unit
-(** Process-wide override (wired to tests and the bench driver):
-    records the mode in {!Simulator.Runtime} and installs or removes
+val set : Simulator.Runtime.Check_mode.t -> unit
+(** The one setter of the check knob (CLI flag, tests, bench): writes
+    the mode through {!Simulator.Runtime.set} and installs or removes
     the {!Simulator.Net} hook accordingly.  [Race] keeps this hook and
     additionally installs the {!Race} happens-before detector's
     {!Obs.Probe} hook — a strict superset of [On]. *)
 
-val current : unit -> mode
-(** The mode in force, read from {!Simulator.Runtime} (the value set
-    via either API, else [RD_CHECK] from the environment, else {!Off})
-    — and the hook is synced to it, so a mode set through
-    [Runtime.set_check] takes effect here. *)
+val current : unit -> Simulator.Runtime.Check_mode.t
+(** The mode in force, read from {!Simulator.Runtime} ([RD_CHECK] from
+    the environment unless set, else [Off]) — and the hook is synced to
+    it, so a mode restored with a whole-record [Runtime.set] takes
+    effect here. *)
 
 val ensure : unit -> unit
 (** Resolve the mode (and install the hook if needed) — called at

@@ -16,10 +16,11 @@
     sees them (they count in {!benign_count}) but they produce no
     finding.  {e Anything undeclared fails.}
 
-    Like {!Ownership}, the detector records rather than raises, and is
-    synced to the ambient {!Simulator.Runtime.Check_mode} by
-    [Ownership.sync] — [Race] installs both the ownership hook and
-    this one (a strict superset of [on]). *)
+    Like {!Ownership}, the detector records rather than raises.  The
+    check mode lives in {!Simulator.Runtime}; {!Ownership.set},
+    {!Ownership.current} and {!Ownership.ensure} sync this hook to it —
+    [Race] installs both the ownership hook and this one (a strict
+    superset of [on]). *)
 
 type access = { site : string; domain : int }
 
@@ -36,8 +37,9 @@ val allowlist : (string * string) list
     {!benign_count} instead of reported. *)
 
 val sync : Simulator.Runtime.Check_mode.t -> unit
-(** Install the probe hook for [Race], remove it otherwise.  Called by
-    [Ownership.sync]; callers normally go through [Ownership.set]. *)
+(** Install the probe hook for [Race], remove it otherwise.  Called
+    from {!Ownership} whenever it syncs its own hook; callers set the
+    mode with {!Ownership.set}. *)
 
 val races : unit -> race list
 (** Non-benign races since the last {!reset}, oldest first,

@@ -109,33 +109,35 @@ let disable_as_link ?prefixes (model : Qrmodel.t) a b =
 
 let enable_as_link ?prefixes (model : Qrmodel.t) a b =
   let net = model.Qrmodel.net in
-  let prefixes =
-    match prefixes with
-    | Some ps -> ps
-    | None -> List.map fst model.Qrmodel.prefixes
-  in
-  let halves = sessions_between model a b @ sessions_between model b a in
   let pair = norm_pair a b in
+  let mine e = e.sd_net == net && e.sd_pair = pair in
   let entry =
-    Mutex.lock saved_mu;
-    let e = List.find_opt (fun e -> e.sd_net == net && e.sd_pair = pair) !saved in
-    saved := List.filter (fun e -> not (e.sd_net == net && e.sd_pair = pair)) !saved;
-    Mutex.unlock saved_mu;
-    e
+    Mutex.protect saved_mu (fun () ->
+        let e = List.find_opt mine !saved in
+        saved := List.filter (fun e -> not (mine e)) !saved;
+        e)
   in
-  let keep n s p =
-    match entry with
-    | None -> false (* no record: legacy behavior, clear everything *)
-    | Some e -> List.exists (fun (n', s', p') ->
-        n = n' && s = s' && Prefix.equal p p') e.sd_pre
-  in
-  List.iter
-    (fun (n, s) ->
+  match entry with
+  | None -> 0
+  | Some e ->
+      let prefixes =
+        match prefixes with
+        | Some ps -> ps
+        | None -> List.map fst model.Qrmodel.prefixes
+      in
+      let halves = sessions_between model a b @ sessions_between model b a in
+      let pre n s p =
+        List.exists
+          (fun (n', s', p') -> n = n' && s = s' && Prefix.equal p p')
+          e.sd_pre
+      in
       List.iter
-        (fun p -> if not (keep n s p) then Net.allow_export net n s p)
-        prefixes)
-    halves;
-  List.length halves
+        (fun (n, s) ->
+          List.iter
+            (fun p -> if not (pre n s p) then Net.allow_export net n s p)
+            prefixes)
+        halves;
+      List.length halves
 
 type change = {
   prefix : Prefix.t;

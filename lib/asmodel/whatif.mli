@@ -39,9 +39,9 @@ val enable_as_link :
 (** Revert a {!disable_as_link} (pass the same [prefixes]): remove the
     per-prefix denies it added on sessions between the two ASes while
     keeping any deny that pre-existed (refiner-placed filters survive
-    the round trip).  Without a matching [disable_as_link] record —
-    e.g. across a process restart — falls back to clearing every deny
-    on those sessions.  Returns the number of half-sessions touched. *)
+    the round trip).  Returns the number of half-sessions touched.
+    Without a matching [disable_as_link] record (none was made, or it
+    was already reverted) nothing is touched and the result is [0]. *)
 
 type change = {
   prefix : Prefix.t;

@@ -46,7 +46,7 @@ val evaluate :
   report
 (** Grade against pre-computed states; prefixes without a state are
     first simulated in one parallel batch ([jobs] workers, default
-    {!Simulator.Pool.default_jobs}) and memoized into [states].  The
+    {!Simulator.Runtime.jobs}) and memoized into [states].  The
     report is identical for every job count. *)
 
 val down_to_tie_break_fraction : report -> float

@@ -587,8 +587,6 @@ let of_family family conf rng =
   | Family.Glp p -> generate_glp p conf rng
   | Family.Fattree p -> generate_fattree p conf rng
 
-let generate (conf : Conf.t) rng = of_family conf.Conf.family conf rng
-
 let ases t = Asn.Map.fold (fun a _ acc -> a :: acc) t.tiers [] |> List.rev
 
 let tier_of t a = Asn.Map.find a t.tiers

@@ -48,14 +48,6 @@ val of_family : Family.t -> Conf.t -> Random.State.t -> t
     selection, parallel links and IGP coordinates follow the same Conf
     knobs as the paper family. *)
 
-val generate : Conf.t -> Random.State.t -> t
-(** @deprecated [generate conf rng] is the pre-dispatcher entry point,
-    kept for one release as a delegating shim for
-    [of_family conf.family conf rng] (equivalently
-    {!Netgen.generate}).  With the default [conf.family = Paper] it
-    behaves exactly as before.  New callers should use
-    {!Netgen.generate}. *)
-
 val ases : t -> Asn.t list
 (** All ASNs, ascending. *)
 

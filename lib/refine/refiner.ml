@@ -3,6 +3,7 @@ module Net = Simulator.Net
 module Engine = Simulator.Engine
 module Pool = Simulator.Pool
 module Warm = Simulator.Warm
+module Runtime = Simulator.Runtime
 module Qrmodel = Asmodel.Qrmodel
 
 type ranking = Med_ranking | Lpref_ranking
@@ -182,8 +183,10 @@ let refine ?(options = default_options) ?on_iteration model ~training =
     Hashtbl.create (List.length work)
   in
   let dirty : (Prefix.t, unit) Hashtbl.t = Hashtbl.create 64 in
-  let jobs = match options.jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
-  let warm_mode = Warm.current () in
+  let jobs =
+    match options.jobs with Some j -> max 1 j | None -> Runtime.jobs ()
+  in
+  let warm_mode = Runtime.warm () in
   let simulate_cold prefix =
     Warm.note_cold ();
     Qrmodel.simulate model prefix
@@ -198,14 +201,14 @@ let refine ?(options = default_options) ?on_iteration model ~training =
      fall back to a cold run. *)
   let simulate prefix =
     match warm_mode with
-    | Warm.Off -> simulate_cold prefix
-    | Warm.On -> (
+    | Runtime.Warm_mode.Off -> simulate_cold prefix
+    | On -> (
         match Hashtbl.find_opt states prefix with
         | Some prev when Engine.resumable net prev ->
             Warm.note_warm ();
             Qrmodel.simulate model ~from:prev prefix
         | _ -> simulate_cold prefix)
-    | Warm.Verify -> (
+    | Verify -> (
         match Hashtbl.find_opt states prefix with
         | Some prev when Engine.resumable net prev ->
             Warm.note_warm ();
@@ -500,8 +503,8 @@ let refine ?(options = default_options) ?on_iteration model ~training =
      cannot be trusted, so it is reported loudly (but not raised: the
      checker observes, callers and CI decide). *)
   (match Analysis.Ownership.current () with
-  | Analysis.Ownership.Off -> ()
-  | Analysis.Ownership.On | Analysis.Ownership.Race ->
+  | Runtime.Check_mode.Off -> ()
+  | On | Race ->
       let fresh =
         Analysis.Ownership.violation_count () - violations_before
       in

@@ -53,7 +53,7 @@ type options = {
   ranking : ranking;  (** default {!Med_ranking}. *)
   jobs : int option;
       (** worker count for the parallel simulation phases; default
-          {!Simulator.Pool.default_jobs} ([RD_JOBS] / domain count).
+          {!Simulator.Runtime.jobs} ([RD_JOBS] / domain count).
           Results are bit-identical for every value. *)
 }
 

@@ -1,21 +1,9 @@
-type scope = Runtime.Fault.scope = Transient | Full
-
-type t = Runtime.Fault.t = { rate : float; seed : int; scope : scope }
-
 exception Injected of int
 
 let () =
   Printexc.register_printer (function
     | Injected i -> Some (Printf.sprintf "Faultinject.Injected(task %d)" i)
     | _ -> None)
-
-let parse = Runtime.Fault.parse
-
-let set t = Runtime.set_faults t
-
-let current () = Runtime.faults ()
-
-let enabled () = current () <> None
 
 (* Streams keep the three decision kinds independent: the same seed and
    rate must not make every thrown task also a killed task. *)
@@ -28,18 +16,18 @@ let stream_shrink = 2
 (* Deterministic in (seed, stream, key) only — no ambient RNG state, so
    a faulted run is reproducible regardless of scheduling, job count or
    call order. *)
-let chosen t ~stream ~rate key =
+let chosen (t : Runtime.Fault.t) ~stream ~rate key =
   let st = Random.State.make [| t.seed; stream; key |] in
   Random.State.float st 1.0 < rate
 
 let wrap_tasks ~n f =
-  match current () with
+  match Runtime.faults () with
   | None -> fun _ x -> f x
   | Some t ->
       let thrown = Array.make (max n 1) false in
       fun i x ->
         if
-          t.scope = Full
+          t.scope = Runtime.Fault.Full
           && chosen t ~stream:stream_kill ~rate:(t.rate /. 4.0) i
         then raise (Injected i)
         else if
@@ -51,10 +39,8 @@ let wrap_tasks ~n f =
         else f x
 
 let shrink_budget ~key budget =
-  match current () with
+  match Runtime.faults () with
   | Some ({ scope = Full; _ } as t)
     when chosen t ~stream:stream_shrink ~rate:t.rate key ->
       1
   | Some _ | None -> budget
-
-let pp = Runtime.Fault.pp

@@ -8,6 +8,14 @@
     shrunk, so that a faulted run is reproducible bit for bit and a run
     with faults disabled is exactly the un-instrumented pipeline.
 
+    The configuration is the [faults] field of {!Runtime} (a
+    {!Runtime.Fault.t}: the [RD_FAULTS] environment variable, the
+    CLI/bench [--faults] flag, or {!Runtime.set_faults}); every hook
+    below reads it and is the identity when it is [None] (the default).
+    Knob syntax: [RATE:SEED] for transient scope, [RATE:SEED:full] for
+    full scope, [0], [off] or the empty string to disable.  Example:
+    [RD_FAULTS=0.05:42].
+
     Two injection scopes exist:
 
     - [Transient]: chosen task indices throw {!Injected} on their first
@@ -20,34 +28,10 @@
       retry as well (permanent task loss), and chosen prefixes have
       their engine budget shrunk to force [Truncated] outcomes — the
       quarantine paths downstream.  Results differ from the clean run by
-      design; the bench [FAULT] section and dedicated tests use this.
-
-    Knob syntax (environment variable [RD_FAULTS] or the CLI/bench
-    [--faults] flag): [RATE:SEED] for transient scope,
-    [RATE:SEED:full] for full scope, [0], [off] or the empty string to
-    disable.  Example: [RD_FAULTS=0.05:42]. *)
-
-type scope = Runtime.Fault.scope =
-  | Transient  (** first-attempt task throws only; retry recovers. *)
-  | Full  (** + permanent task failures and shrunk engine budgets. *)
-
-type t = Runtime.Fault.t = { rate : float; seed : int; scope : scope }
+      design; the bench [FAULT] section and dedicated tests use this. *)
 
 exception Injected of int
 (** Raised by wrapped tasks; the payload is the input index. *)
-
-val parse : string -> (t option, string) result
-(** Parse knob syntax; [Ok None] means explicitly disabled. *)
-
-val set : t option -> unit
-(** Delegates to {!Runtime.set_faults} (CLI flag, tests, bench). *)
-
-val current : unit -> t option
-(** Delegates to {!Runtime.faults}: the last value set via either API,
-    else the [RD_FAULTS] environment variable.  [None] when disabled
-    (the default) — every hook below is then the identity. *)
-
-val enabled : unit -> bool
 
 val wrap_tasks : n:int -> ('a -> 'b) -> int -> 'a -> 'b
 (** [wrap_tasks ~n f] instruments a pool task function for a batch of
@@ -63,5 +47,3 @@ val shrink_budget : key:int -> int -> int
     hash, e.g. of the prefix) is chosen under [Full] scope — small
     enough that the engine's escalation (x2, x4) still truncates any
     real workload — and [budget] otherwise. *)
-
-val pp : Format.formatter -> t -> unit

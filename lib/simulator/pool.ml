@@ -1,12 +1,8 @@
 open Bgp
 
-let set_default_jobs n = Runtime.set_jobs (Some (max 1 n))
-
-let default_jobs () = Runtime.jobs ()
-
 let resolve_jobs = function
   | Some j -> max 1 j
-  | None -> default_jobs ()
+  | None -> Runtime.jobs ()
 
 type task_error = { index : int; exn : exn; backtrace : string }
 

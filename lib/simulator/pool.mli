@@ -23,17 +23,6 @@
 
 open Bgp
 
-val default_jobs : unit -> int
-(** Worker count used when [?jobs] is not given.  Delegates to
-    {!Runtime.jobs}: the value set with {!set_default_jobs} (or
-    [Runtime.set_jobs]) if any, else the [RD_JOBS] environment variable
-    (a positive integer), else [Domain.recommended_domain_count ()]. *)
-
-val set_default_jobs : int -> unit
-(** Process-wide override, wired to the [--jobs] flags of the CLI and
-    the bench driver; delegates to {!Runtime.set_jobs}.  Values are
-    clamped to at least 1. *)
-
 type task_error = {
   index : int;  (** position of the failing input in the batch *)
   exn : exn;  (** the exception of the {e last} (retry) attempt *)
@@ -64,7 +53,7 @@ val map_result :
   'a list ->
   ('b, task_error) result list
 (** Parallel, order-preserving, fault-isolating [List.map].  [jobs]
-    defaults to {!default_jobs}; with [jobs = 1] (or a short list) the
+    defaults to {!Runtime.jobs}; with [jobs = 1] (or a short list) the
     input is mapped in the calling domain.  [chunk] is the number of
     consecutive inputs a worker claims per cursor fetch (clamped to at
     least 1); the default [n / (jobs * 8)] keeps the tail balanced when

@@ -242,8 +242,6 @@ let set_jobs jobs = set { (current ()) with jobs }
 
 let set_warm warm = set { (current ()) with warm }
 
-let set_check check = set { (current ()) with check }
-
 let set_faults faults = set { (current ()) with faults }
 
 let set_trace trace = set { (current ()) with trace }

@@ -8,10 +8,11 @@
     [RD_TRACE], [RD_PORT], [RD_DEADLINE_MS]); the CLI and the bench
     driver derive their flags from
     {!with_argv} and the per-knob parsers instead of hand-parsing the
-    same strings twice.  The legacy per-knob modules ({!Pool} jobs,
-    {!Warm}, {!Faultinject}, [Analysis.Ownership]) delegate their
-    [set]/[current] state here, so there is exactly one source of truth
-    whichever API a caller uses.
+    same strings twice.  It is also the only API that sets or reads a
+    knob; the modules that act on one ({!Pool}, {!Warm},
+    {!Faultinject}) read it from here.  The one exception is the check
+    mode's setter, [Analysis.Ownership.set], which writes through
+    {!set} and also installs the network mutation hook.
 
     Knob types live in submodules here (rather than in the modules that
     consume them) so that those consumers can depend on [Runtime]
@@ -90,7 +91,10 @@ val with_argv : t -> string list -> (t * string list, string) result
     The process-wide configuration every knob accessor reads.  It is
     initialised from {!of_env} on first use; {!set} and the per-field
     setters override it.  Setting it also propagates the trace mode to
-    {!Obs.Trace}. *)
+    {!Obs.Trace}.  A [check] mode set here only takes effect at the next
+    [Analysis.Ownership.ensure] (the refiner calls it on entry), since
+    the analysis layer above owns the network mutation hook;
+    [Analysis.Ownership.set] installs it at once. *)
 
 val current : unit -> t
 
@@ -99,12 +103,6 @@ val set : t -> unit
 val set_jobs : int option -> unit
 
 val set_warm : Warm_mode.t -> unit
-
-val set_check : Check_mode.t -> unit
-(** Note: this records the mode only.  [Analysis.Ownership] owns the
-    network mutation hook and syncs it with this mode on its next
-    [current]/[ensure] call (the analysis layer sits above the
-    simulator, so the hook cannot be installed from here). *)
 
 val set_faults : Fault.t option -> unit
 

@@ -1,26 +1,7 @@
-type mode = Runtime.Warm_mode.t = Off | On | Verify
-
-let mode_to_string = Runtime.Warm_mode.to_string
-
-let parse = Runtime.Warm_mode.parse
-
-let set m = Runtime.set_warm m
-
-let current () = Runtime.warm ()
-
-(* Counters are atomics because the refiner's simulation closures run
-   them from pool worker domains.  The local atomics carry the
-   resettable per-measurement stats the bench prints; the metrics
-   registry gets the same increments so `--metrics` snapshots and
-   BENCH.json agree with them. *)
-let warm_runs_c = Atomic.make 0
-
-let cold_runs_c = Atomic.make 0
-
-let verified_c = Atomic.make 0
-
-let divergences_c = Atomic.make 0
-
+(* The counters live in the metrics registry only: incremented from
+   pool worker domains (the refiner's simulation closures), read back
+   by [stats], so `--metrics` snapshots and the bench report agree by
+   construction. *)
 let warm_runs_m = Obs.Metrics.counter "warm.resumed"
 
 let cold_runs_m = Obs.Metrics.counter "warm.cold"
@@ -29,21 +10,13 @@ let verified_m = Obs.Metrics.counter "warm.verified"
 
 let divergences_m = Obs.Metrics.counter "warm.divergences"
 
-let note_warm () =
-  Atomic.incr warm_runs_c;
-  Obs.Metrics.incr warm_runs_m
+let note_warm () = Obs.Metrics.incr warm_runs_m
 
-let note_cold () =
-  Atomic.incr cold_runs_c;
-  Obs.Metrics.incr cold_runs_m
+let note_cold () = Obs.Metrics.incr cold_runs_m
 
-let note_verified () =
-  Atomic.incr verified_c;
-  Obs.Metrics.incr verified_m
+let note_verified () = Obs.Metrics.incr verified_m
 
-let note_divergence () =
-  Atomic.incr divergences_c;
-  Obs.Metrics.incr divergences_m
+let note_divergence () = Obs.Metrics.incr divergences_m
 
 type stats = {
   warm_runs : int;
@@ -54,17 +27,11 @@ type stats = {
 
 let stats () =
   {
-    warm_runs = Atomic.get warm_runs_c;
-    cold_runs = Atomic.get cold_runs_c;
-    verified = Atomic.get verified_c;
-    divergences = Atomic.get divergences_c;
+    warm_runs = Obs.Metrics.counter_value warm_runs_m;
+    cold_runs = Obs.Metrics.counter_value cold_runs_m;
+    verified = Obs.Metrics.counter_value verified_m;
+    divergences = Obs.Metrics.counter_value divergences_m;
   }
-
-let reset_stats () =
-  Atomic.set warm_runs_c 0;
-  Atomic.set cold_runs_c 0;
-  Atomic.set verified_c 0;
-  Atomic.set divergences_c 0
 
 let pp_stats ppf s =
   Format.fprintf ppf "%d warm, %d cold" s.warm_runs s.cold_runs;

@@ -1,37 +1,25 @@
-(** Warm-start re-simulation knob and counters.
+(** Warm-start re-simulation counters.
 
     The refinement loop re-simulates every changed prefix each
     iteration; with warm starts on, a prefix whose network is
     structurally unchanged resumes from its previous converged state
     and drains only the policy deltas ({!Engine.simulate} with [from]) instead of
-    re-flooding from the originators.  This module holds the
-    process-wide mode — [RD_WARM] environment variable or the [--warm]
-    flags — and the run counters the bench reports.
+    re-flooding from the originators.  The mode is the [warm] field of
+    {!Runtime} ([RD_WARM] or the [--warm] flags); this module only
+    counts what the refiner and the churn replayer did with it.
 
-    Modes: [Off] always simulates cold; [On] resumes whenever a usable
-    prior state exists (falling back to cold otherwise); [Verify] runs
-    cold {e and} warm side by side, compares the final states, counts
-    any divergence, and returns the cold result — the equivalence
-    safety net CI runs. *)
-
-type mode = Runtime.Warm_mode.t = Off | On | Verify
-
-val parse : string -> (mode, string) result
-(** Accepts [off]/[0], [on]/[1], [verify]. *)
-
-val mode_to_string : mode -> string
-
-val set : mode -> unit
-(** Delegates to {!Runtime.set_warm} — there is one source of truth. *)
-
-val current : unit -> mode
-(** Delegates to {!Runtime.warm}: the last value set (via either API),
-    else [RD_WARM], else [On]. *)
+    Modes ({!Runtime.Warm_mode}): [Off] always simulates cold; [On]
+    resumes whenever a usable prior state exists (falling back to cold
+    otherwise); [Verify] runs cold {e and} warm side by side, compares
+    the final states, counts any divergence, and returns the cold
+    result — the equivalence safety net CI runs. *)
 
 (** {2 Counters}
 
-    Incremented from pool worker domains (atomics); reset per
-    measurement with {!reset_stats}. *)
+    The [warm.resumed], [warm.cold], [warm.verified] and
+    [warm.divergences] counters of {!Obs.Metrics}, incremented from
+    pool worker domains.  They only go up (until {!Obs.Metrics.reset});
+    measure a run by the difference of two {!stats} readings. *)
 
 val note_warm : unit -> unit
 (** A prefix was resumed from its prior state. *)
@@ -54,7 +42,6 @@ type stats = {
 }
 
 val stats : unit -> stats
-
-val reset_stats : unit -> unit
+(** The current values of the four registry counters. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -1,6 +1,6 @@
 (** Deterministic churn-scenario generation.
 
-    Like [Netgen.Gentopo.generate], every generator is a pure function
+    Like [Netgen.generate], every generator is a pure function
     of the model and an explicit [Random.State.t]: the same model and
     seed produce the same stream, byte for byte, so replay results are
     reproducible and the determinism tests can compare runs.

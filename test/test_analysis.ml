@@ -10,6 +10,7 @@ module Qrmodel = Asmodel.Qrmodel
 module Lint = Analysis.Lint
 module Report = Analysis.Report
 module Ownership = Analysis.Ownership
+module Runtime = Simulator.Runtime
 
 let check_bool = Alcotest.(check bool)
 
@@ -225,7 +226,7 @@ let clean_model () =
 let with_checker f =
   let prior = Ownership.current () in
   Ownership.reset ();
-  Ownership.set Ownership.On;
+  Ownership.set Runtime.Check_mode.On;
   Fun.protect
     ~finally:(fun () ->
       Ownership.set prior;
@@ -322,7 +323,7 @@ let with_race f =
   let prior = Ownership.current () in
   Ownership.reset ();
   Race.reset ();
-  Ownership.set Ownership.Race;
+  Ownership.set Runtime.Check_mode.Race;
   Fun.protect
     ~finally:(fun () ->
       Ownership.set prior;

@@ -156,6 +156,19 @@ let whatif_roundtrip_preserves_filters () =
   let diff = Asmodel.Whatif.diff before restored in
   check_int "predictions identical" 0 diff.Asmodel.Whatif.prefixes_affected
 
+(* With no disable before it, enable has nothing to revert: a
+   refiner-placed deny on the link must survive it untouched. *)
+let whatif_enable_without_disable () =
+  let m = Qrmodel.initial graph in
+  let net = m.Qrmodel.net in
+  let n4 = List.hd (Net.nodes_of_as net 4) in
+  let n5 = List.hd (Net.nodes_of_as net 5) in
+  let s45 = Option.get (Net.find_session net n4 n5) in
+  Net.deny_export net n4 s45 (Asn.origin_prefix 3);
+  check_int "nothing touched" 0 (Asmodel.Whatif.enable_as_link m 4 5);
+  check_bool "refiner filter survived" true
+    (Net.export_denied net n4 s45 (Asn.origin_prefix 3))
+
 (* Double disable of the same link must not overwrite the saved set with
    one that includes the what-if's own denies. *)
 let whatif_double_disable () =
@@ -206,6 +219,8 @@ let suite =
     Alcotest.test_case "whatif unknown link" `Quick whatif_unknown_link;
     Alcotest.test_case "whatif roundtrip preserves filters" `Quick
       whatif_roundtrip_preserves_filters;
+    Alcotest.test_case "whatif enable without disable" `Quick
+      whatif_enable_without_disable;
     Alcotest.test_case "whatif double disable" `Quick whatif_double_disable;
     Alcotest.test_case "whatif diff keyed by prefix" `Quick whatif_diff_keyed;
   ]

@@ -188,18 +188,6 @@ let family_recorded =
       check_string (label ^ " provenance") label
         (Family.to_string topo.Gentopo.conf.Netgen.Conf.family))
 
-let deprecated_shim_dispatches () =
-  (* Gentopo.generate must dispatch on conf.family, not silently build
-     the paper world. *)
-  let fam = Family.Fattree { Family.pods = 4 } in
-  let via_shim =
-    Gentopo.generate
-      { conf with Netgen.Conf.family = fam }
-      (Random.State.make [| 17 |])
-  in
-  let direct = topo_of fam in
-  check_bool "shim = dispatcher" true (via_shim.Gentopo.links = direct.Gentopo.links)
-
 (* --- Groundtruth round-trip on every family ------------------------ *)
 
 let groundtruth_roundtrip () =
@@ -266,8 +254,6 @@ let suite =
     Alcotest.test_case "provider DAG" `Quick provider_acyclic;
     Alcotest.test_case "igp costs" `Quick igp_costs;
     Alcotest.test_case "family provenance" `Quick family_recorded;
-    Alcotest.test_case "deprecated shim dispatches" `Quick
-      deprecated_shim_dispatches;
     Alcotest.test_case "groundtruth round-trip" `Slow groundtruth_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_determinism;
   ]

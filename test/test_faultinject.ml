@@ -6,33 +6,35 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 module Fi = Simulator.Faultinject
+module Runtime = Simulator.Runtime
+module Fault = Runtime.Fault
 
 (* Every test overrides the ambient configuration and restores it, so
    running the suite under RD_FAULTS is unaffected. *)
 let with_faults t f =
-  let saved = Fi.current () in
-  Fi.set t;
-  Fun.protect ~finally:(fun () -> Fi.set saved) f
+  let saved = Runtime.faults () in
+  Runtime.set_faults t;
+  Fun.protect ~finally:(fun () -> Runtime.set_faults saved) f
 
 let parse_cases () =
-  check_bool "empty disables" true (Fi.parse "" = Ok None);
-  check_bool "0 disables" true (Fi.parse "0" = Ok None);
-  check_bool "off disables" true (Fi.parse "off" = Ok None);
-  check_bool "zero rate disables" true (Fi.parse "0.0:9" = Ok None);
+  check_bool "empty disables" true (Fault.parse "" = Ok None);
+  check_bool "0 disables" true (Fault.parse "0" = Ok None);
+  check_bool "off disables" true (Fault.parse "off" = Ok None);
+  check_bool "zero rate disables" true (Fault.parse "0.0:9" = Ok None);
   check_bool "transient scope" true
-    (Fi.parse "0.05:42"
-    = Ok (Some { Fi.rate = 0.05; seed = 42; scope = Fi.Transient }));
+    (Fault.parse "0.05:42"
+    = Ok (Some { Fault.rate = 0.05; seed = 42; scope = Fault.Transient }));
   check_bool "full scope" true
-    (Fi.parse " 0.5:7:full "
-    = Ok (Some { Fi.rate = 0.5; seed = 7; scope = Fi.Full }));
+    (Fault.parse " 0.5:7:full "
+    = Ok (Some { Fault.rate = 0.5; seed = 7; scope = Fault.Full }));
   let is_error = function Error _ -> true | Ok _ -> false in
-  check_bool "missing seed rejected" true (is_error (Fi.parse "0.05"));
-  check_bool "rate above 1 rejected" true (is_error (Fi.parse "1.5:3"));
-  check_bool "negative rate rejected" true (is_error (Fi.parse "-0.1:3"));
-  check_bool "bad rate rejected" true (is_error (Fi.parse "x:3"));
-  check_bool "bad seed rejected" true (is_error (Fi.parse "0.1:x"));
-  check_bool "bad scope rejected" true (is_error (Fi.parse "0.1:3:always"));
-  check_bool "too many fields rejected" true (is_error (Fi.parse "1:2:3:4"))
+  check_bool "missing seed rejected" true (is_error (Fault.parse "0.05"));
+  check_bool "rate above 1 rejected" true (is_error (Fault.parse "1.5:3"));
+  check_bool "negative rate rejected" true (is_error (Fault.parse "-0.1:3"));
+  check_bool "bad rate rejected" true (is_error (Fault.parse "x:3"));
+  check_bool "bad seed rejected" true (is_error (Fault.parse "0.1:x"));
+  check_bool "bad scope rejected" true (is_error (Fault.parse "0.1:3:always"));
+  check_bool "too many fields rejected" true (is_error (Fault.parse "1:2:3:4"))
 
 (* Which indices of an [n]-batch throw on first attempt, applying the
    wrapped task in the given order. *)
@@ -49,7 +51,7 @@ let thrown_set t n order =
         order)
 
 let deterministic_choice () =
-  let t = { Fi.rate = 0.3; seed = 11; scope = Fi.Transient } in
+  let t = { Fault.rate = 0.3; seed = 11; scope = Fault.Transient } in
   let all = List.init 64 Fun.id in
   let forward = thrown_set t 64 all in
   let backward = thrown_set t 64 (List.rev all) in
@@ -57,13 +59,13 @@ let deterministic_choice () =
   check_bool "not all tasks chosen" true (List.length forward < 64);
   check_bool "choice independent of order" true
     (List.sort compare forward = List.sort compare backward);
-  let reseeded = thrown_set { t with Fi.seed = 12 } 64 all in
+  let reseeded = thrown_set { t with Fault.seed = 12 } 64 all in
   check_bool "seed changes the choice" true
     (List.sort compare reseeded <> List.sort compare forward)
 
 let transient_retry_recovers () =
   with_faults
-    (Some { Fi.rate = 1.0; seed = 5; scope = Fi.Transient })
+    (Some { Fault.rate = 1.0; seed = 5; scope = Fault.Transient })
     (fun () ->
       let wrapped = Fi.wrap_tasks ~n:8 (fun x -> x * 2) in
       for i = 0 to 7 do
@@ -74,7 +76,7 @@ let transient_retry_recovers () =
       done)
 
 let full_scope_kills_and_shrinks () =
-  let t = { Fi.rate = 1.0; seed = 5; scope = Fi.Full } in
+  let t = { Fault.rate = 1.0; seed = 5; scope = Fault.Full } in
   with_faults (Some t) (fun () ->
       let wrapped = Fi.wrap_tasks ~n:64 Fun.id in
       let killed = ref 0 and recovered = ref 0 in
@@ -91,7 +93,7 @@ let full_scope_kills_and_shrinks () =
       check_bool "most tasks still recover" true (!recovered > !killed);
       check_int "budgets shrink to 1" 1 (Fi.shrink_budget ~key:123 1000));
   with_faults
-    (Some { t with Fi.scope = Fi.Transient })
+    (Some { t with Fault.scope = Fault.Transient })
     (fun () ->
       check_int "transient scope never shrinks" 1000
         (Fi.shrink_budget ~key:123 1000));
@@ -101,7 +103,7 @@ let full_scope_kills_and_shrinks () =
 
 let pool_recovers_transient () =
   with_faults
-    (Some { Fi.rate = 0.5; seed = 3; scope = Fi.Transient })
+    (Some { Fault.rate = 0.5; seed = 3; scope = Fault.Transient })
     (fun () ->
       let inputs = List.init 40 Fun.id in
       let recovered = ref [] in

@@ -8,7 +8,7 @@ let check_int = Alcotest.(check int)
 
 let conf = { Netgen.Conf.tiny with Netgen.Conf.seed = 17 }
 
-let topo = Netgen.Gentopo.generate conf (Random.State.make [| 17 |])
+let topo = Netgen.generate conf.family conf (Random.State.make [| 17 |])
 
 let structure () =
   let n =
@@ -58,7 +58,7 @@ let igp_metric () =
     ases
 
 let determinism () =
-  let t2 = Netgen.Gentopo.generate conf (Random.State.make [| 17 |]) in
+  let t2 = Netgen.generate conf.family conf (Random.State.make [| 17 |]) in
   check_bool "same links" true (topo.Netgen.Gentopo.links = t2.Netgen.Gentopo.links)
 
 let true_rel_consistency () =

@@ -432,8 +432,8 @@ let runtime_with_argv () =
     (Trace.mode_to_string
        (match Trace.parse "off" with Ok m -> m | Error e -> Alcotest.fail e))
 
-(* Runtime.set_trace must propagate to the live tracer, and the legacy
-   per-knob setters must feed the same configuration. *)
+(* Runtime.set_trace must propagate to the live tracer, and a job count
+   below 1 must resolve to one worker. *)
 let runtime_propagates () =
   let prior = Runtime.current () in
   Fun.protect
@@ -443,13 +443,8 @@ let runtime_propagates () =
       check_bool "tracer sees the mode" true (Trace.mode () = Trace.Summary);
       Runtime.set_trace Trace.Off;
       check_bool "tracer back off" true (Trace.mode () = Trace.Off);
-      Pool.set_default_jobs 0;
-      check_int "jobs clamp to 1" 1 (Pool.default_jobs ());
-      Pool.set_default_jobs 5;
-      check_int "legacy setter lands in Runtime" 5 (Runtime.jobs ());
-      Simulator.Warm.set Simulator.Warm.Verify;
-      check_bool "warm setter lands in Runtime" true
-        (Runtime.warm () = Runtime.Warm_mode.Verify))
+      Runtime.set_jobs (Some 0);
+      check_int "jobs clamp to 1" 1 (Runtime.jobs ()))
 
 let suite =
   [

@@ -139,13 +139,14 @@ let jobs_determinism () =
     (same_batch e1.Evaluation.Predict.pool e4.Evaluation.Predict.pool)
 
 let default_jobs_knob () =
-  let before = Pool.default_jobs () in
-  Pool.set_default_jobs 3;
-  check_int "override wins" 3 (Pool.default_jobs ());
-  Pool.set_default_jobs 0;
-  check_int "clamped to 1" 1 (Pool.default_jobs ());
-  Pool.set_default_jobs before;
-  check_int "restored" before (Pool.default_jobs ())
+  let module Runtime = Simulator.Runtime in
+  let prior = Runtime.current () in
+  Runtime.set_jobs (Some 3);
+  check_int "override wins" 3 (Runtime.jobs ());
+  Runtime.set_jobs (Some 0);
+  check_int "clamped to 1" 1 (Runtime.jobs ());
+  Runtime.set prior;
+  Alcotest.(check bool) "restored" true (Runtime.current () = prior)
 
 let suite =
   [

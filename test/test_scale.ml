@@ -4,7 +4,6 @@
 
 module Net = Simulator.Net
 module Engine = Simulator.Engine
-module Engine_reference = Simulator.Engine_reference
 module Rattr = Simulator.Rattr
 
 let build_sized ~ases ~seed =

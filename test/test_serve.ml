@@ -10,6 +10,7 @@ module Snapshot = Serve.Snapshot
 module Query = Serve.Query
 module Server = Serve.Server
 module Ownership = Analysis.Ownership
+module Runtime = Simulator.Runtime
 
 let check_bool = Alcotest.(check bool)
 
@@ -546,7 +547,7 @@ let queries_across_reload () =
 let concurrent_queries_immutable () =
   let prior = Ownership.current () in
   Ownership.reset ();
-  Ownership.set Ownership.On;
+  Ownership.set Runtime.Check_mode.On;
   Fun.protect
     ~finally:(fun () ->
       Ownership.set prior;

@@ -276,8 +276,8 @@ let warm_matches_cold () =
       let _, report = Replay.run ~mode m stream in
       report
     in
-    let warm = run Simulator.Warm.On in
-    let cold = run Simulator.Warm.Off in
+    let warm = run Simulator.Runtime.Warm_mode.On in
+    let cold = run Simulator.Runtime.Warm_mode.Off in
     warm.Replay.fingerprint = cold.Replay.fingerprint
     && warm.Replay.quarantine = [] && cold.Replay.quarantine = []
   in
@@ -287,18 +287,19 @@ let warm_matches_cold () =
 let verify_mode_agrees () =
   let m = model () in
   let stream = Streamgen.mixed ~events:32 m (Random.State.make [| 5 |]) in
-  let _, report = Replay.run ~mode:Simulator.Warm.Verify m stream in
+  let _, report =
+    Replay.run ~mode:Simulator.Runtime.Warm_mode.Verify m stream
+  in
   check_int "no warm/cold divergence" 0 report.Replay.divergences;
   check_int "no quarantine" 0 (List.length report.Replay.quarantine)
 
 let transient_faults_recover () =
-  let ambient = Simulator.Faultinject.current () in
-  Simulator.Faultinject.set
+  let ambient = Simulator.Runtime.faults () in
+  Simulator.Runtime.set_faults
     (Some
-       { Simulator.Faultinject.rate = 0.08; seed = 42;
-         scope = Simulator.Faultinject.Transient });
+       { Simulator.Runtime.Fault.rate = 0.08; seed = 42; scope = Transient });
   Fun.protect
-    ~finally:(fun () -> Simulator.Faultinject.set ambient)
+    ~finally:(fun () -> Simulator.Runtime.set_faults ambient)
     (fun () ->
       let m = model () in
       let stream = Streamgen.flap_storm m (Random.State.make [| 9 |]) in
@@ -314,20 +315,18 @@ let transient_faults_recover () =
         =
         let m = model () in
         let stream = Streamgen.flap_storm m (Random.State.make [| 9 |]) in
-        Simulator.Faultinject.set None;
+        Simulator.Runtime.set_faults None;
         let _, clean = Replay.run m stream in
         clean.Replay.fingerprint))
 
 let full_faults_quarantine_not_fatal () =
   (* Permanent failures and shrunk budgets: the replay must complete,
      reporting the damage as quarantine instead of raising. *)
-  let ambient = Simulator.Faultinject.current () in
-  Simulator.Faultinject.set
-    (Some
-       { Simulator.Faultinject.rate = 0.10; seed = 7;
-         scope = Simulator.Faultinject.Full });
+  let ambient = Simulator.Runtime.faults () in
+  Simulator.Runtime.set_faults
+    (Some { Simulator.Runtime.Fault.rate = 0.10; seed = 7; scope = Full });
   Fun.protect
-    ~finally:(fun () -> Simulator.Faultinject.set ambient)
+    ~finally:(fun () -> Simulator.Runtime.set_faults ambient)
     (fun () ->
       let m = model () in
       let stream = Streamgen.mixed ~events:24 m (Random.State.make [| 3 |]) in

@@ -8,6 +8,7 @@ module Net = Simulator.Net
 module Engine = Simulator.Engine
 module Intern = Simulator.Intern
 module Warm = Simulator.Warm
+module Runtime = Simulator.Runtime
 module Qrmodel = Asmodel.Qrmodel
 module Refiner = Refine.Refiner
 
@@ -312,18 +313,18 @@ let fig5_training =
   Rib.of_entries
     [ entry 1 3 [ 1; 2; 3 ]; entry 1 4 [ 1; 4 ]; entry 1 4 [ 1; 5; 4 ] ]
 
-let refine_in mode =
-  let prior = Warm.current () in
-  Warm.set mode;
+let refine_in warm =
+  let prior = Runtime.current () in
+  Runtime.set { prior with warm };
   Fun.protect
-    ~finally:(fun () -> Warm.set prior)
+    ~finally:(fun () -> Runtime.set prior)
     (fun () ->
       let m = Qrmodel.initial diamond_graph in
       Refiner.refine m ~training:fig5_training)
 
 let refiner_mode_equivalence () =
-  let off = refine_in Warm.Off in
-  let on = refine_in Warm.On in
+  let off = refine_in Runtime.Warm_mode.Off in
+  let on = refine_in Runtime.Warm_mode.On in
   check_bool "off converged" true off.Refiner.converged;
   check_bool "on converged" true on.Refiner.converged;
   check_int "same matched" off.Refiner.matched on.Refiner.matched;
@@ -341,13 +342,14 @@ let refiner_mode_equivalence () =
     off.Refiner.states
 
 let refiner_verify_clean () =
-  Warm.reset_stats ();
-  let r = refine_in Warm.Verify in
+  let before = Warm.stats () in
+  let r = refine_in Runtime.Warm_mode.Verify in
   check_bool "verify converged" true r.Refiner.converged;
-  let s = Warm.stats () in
-  check_bool "some pairs compared" true (s.Warm.verified > 0);
-  check_int "zero divergences" 0 s.Warm.divergences;
-  Warm.reset_stats ()
+  let after = Warm.stats () in
+  check_bool "some pairs compared" true
+    (after.Warm.verified - before.Warm.verified > 0);
+  check_int "zero divergences" 0
+    (after.Warm.divergences - before.Warm.divergences)
 
 let suite =
   [
