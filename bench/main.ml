@@ -1045,8 +1045,8 @@ let experiment_serve prepared =
     histogram_percentile ~before:lat_before ~after:lat_after 0.99
   in
   (* What-if: warm (the serve path — every prefix resumes from its
-     cached converged state) vs cold (re-converge every prefix from
-     scratch under the same deny, then restore). *)
+     cached converged state) vs the same query under RD_WARM=off (every
+     prefix re-converges from scratch under the same deny). *)
   let a, b =
     match Topology.Asgraph.edges prepared.Core.graph with
     | (a, b) :: _ -> (a, b)
@@ -1062,22 +1062,11 @@ let experiment_serve prepared =
     | Ok _ | Error _ -> 0
   in
   let whatif_warm_s = Unix.gettimeofday () -. t0 in
-  let net = (Serve.Snapshot.model snap).Asmodel.Qrmodel.net in
   let t0 = Unix.gettimeofday () in
-  time "SERVE whatif cold" (fun () ->
-      Serve.Snapshot.exclusive snap (fun () ->
-          ignore (Asmodel.Whatif.disable_as_link model a b);
-          Fun.protect
-            ~finally:(fun () ->
-              ignore (Asmodel.Whatif.enable_as_link model a b);
-              List.iter (Simulator.Net.clear_touched net) prefixes)
-            (fun () ->
-              ignore
-                (Simulator.Pool.simulate
-                   ~sim:(fun p ->
-                     Simulator.Engine.simulate net ~prefix:p
-                       ~originators:(Asmodel.Qrmodel.originators model p))
-                   prefixes))));
+  with_runtime (fun rt -> { rt with warm = Runtime.Warm_mode.Off })
+    (fun () ->
+      time "SERVE whatif cold" (fun () ->
+          ignore (Serve.Query.eval snap (Serve.Protocol.Whatif { a; b }))));
   let whatif_cold_s = Unix.gettimeofday () -. t0 in
   Serve.Snapshot.retire snap;
   Evaluation.Report.kv std
@@ -1136,13 +1125,13 @@ let experiment_churn prepared =
      injection must recover everything (no failures, empty quarantine).
      Each run gets a fresh model: replay mutates the live net. *)
   section "CHURN" "event-stream replay: warm reconvergence vs cold (lib/stream)";
-  let run label mode faults =
-    with_runtime (fun rt -> { rt with faults }) @@ fun () ->
+  let run label warm faults =
+    with_runtime (fun rt -> { rt with warm; faults }) @@ fun () ->
     let model = Asmodel.Qrmodel.initial prepared.Core.graph in
     let stream =
       Stream.Streamgen.mixed ~events:48 model (Random.State.make [| 42 |])
     in
-    time label (fun () -> snd (Stream.Replay.run ~mode model stream))
+    time label (fun () -> snd (Stream.Replay.run model stream))
   in
   let warm = run "CHURN warm" Runtime.Warm_mode.On None in
   let cold = run "CHURN cold" Runtime.Warm_mode.Off None in

@@ -546,26 +546,14 @@ let build input split_seed train_fraction by_origin model_out max_iter jobs
   let options =
     { Refine.Refiner.default_options with max_iterations = max_iter }
   in
-  (* Core.run_experiment has no progress hook; inline its stages so the
-     long refinement reports per-iteration progress on stderr. *)
+  (* The long refinement reports per-iteration progress on stderr. *)
   let exp =
-    let prepared = Core.prepare data in
-    let splits =
-      Core.split ~by_origin ~train_fraction ~seed:split_seed prepared
-    in
-    let model = Asmodel.Qrmodel.initial prepared.Core.graph in
-    let refinement =
-      Refine.Refiner.refine ~options
-        ~on_iteration:(fun (h : Refine.Refiner.iter_stat) ->
-          Printf.eprintf "iteration %d: %d/%d matched (%d prefixes changed)\n%!"
-            h.Refine.Refiner.iteration h.Refine.Refiner.matched
-            h.Refine.Refiner.total h.Refine.Refiner.prefixes_changed)
-        model ~training:splits.Evaluation.Split.training
-    in
-    let prediction =
-      Core.evaluate refinement ~validation:splits.Evaluation.Split.validation
-    in
-    { Core.prepared; splits; refinement; prediction }
+    Core.run_experiment ~options
+      ~on_iteration:(fun (h : Refine.Refiner.iter_stat) ->
+        Printf.eprintf "iteration %d: %d/%d matched (%d prefixes changed)\n%!"
+          h.Refine.Refiner.iteration h.Refine.Refiner.matched
+          h.Refine.Refiner.total h.Refine.Refiner.prefixes_changed)
+      ~by_origin ~train_fraction ~seed:split_seed data
   in
   Evaluation.Report.section std "SPLIT" "training/validation";
   Format.printf "%a@." Evaluation.Split.pp exp.Core.splits;
@@ -847,21 +835,13 @@ let check_run model_path check jobs strict =
       2
   | Ok model ->
       let net = model.Asmodel.Qrmodel.net in
-      let prefixes = List.map fst model.Asmodel.Qrmodel.prefixes in
       (* Simulate every model prefix through the regular pool (so a
          --check race run exercises the instrumented parallel path),
-         then audit each frozen state against the live net. *)
-      let states, stats =
-        Simulator.Pool.simulate
-          ~sim:(fun p ->
-            Simulator.Engine.simulate net ~prefix:p
-              ~originators:(Asmodel.Qrmodel.originators model p))
-          prefixes
-      in
-      (* Loading a model replays its policies into a fresh net, which
-         fills the touched sets; the states just simulated reflect all
-         of them, so drain the sets or every audit reads as stale. *)
-      List.iter (fun p -> Simulator.Net.clear_touched net p) prefixes;
+         then audit each frozen state against the live net.  Loading a
+         model replays its policies into a fresh net, which fills the
+         touched sets; [simulate_all] drains them, or every audit would
+         read as stale. *)
+      let states, stats = Asmodel.Qrmodel.simulate_all model in
       Printf.eprintf "simulated %a\n%!"
         (fun oc s -> Printf.fprintf oc "%d prefixes on %d jobs" s.Simulator.Pool.prefixes s.Simulator.Pool.jobs)
         stats;

@@ -43,9 +43,17 @@ let originators t p =
   | Some asn -> Net.nodes_of_as t.net asn
   | None -> []
 
-let simulate ?max_events ?from t p =
-  Engine.simulate ?max_events ?from t.net ~prefix:p
+let simulate ?max_events t p =
+  Engine.simulate ?max_events t.net ~prefix:p
     ~originators:(originators t p)
+
+let simulate_all t =
+  let prefixes = List.map fst t.prefixes in
+  let states, stats = Simulator.Pool.simulate ~sim:(simulate t) prefixes in
+  (* The states reflect every policy edit made so far: drain the touched
+     sets so the first warm resume replays only later edits. *)
+  List.iter (Net.clear_touched t.net) prefixes;
+  (states, stats)
 
 let quasi_router_count t asn = List.length (Net.nodes_of_as t.net asn)
 

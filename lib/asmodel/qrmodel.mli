@@ -30,16 +30,19 @@ val origin_of : t -> Prefix.t -> Asn.t option
 val originators : t -> Prefix.t -> int list
 (** All quasi-routers of the prefix's origin AS ([]: unknown prefix). *)
 
-val simulate :
-  ?max_events:int ->
-  ?from:Simulator.Engine.state ->
-  t ->
-  Prefix.t ->
-  Simulator.Engine.state
-(** Converged propagation of one model prefix —
-    {!Simulator.Engine.simulate} with the model's originators.  [from]
-    warm-starts from a resumable previous state of the same prefix
-    (cold fallback otherwise). *)
+val simulate : ?max_events:int -> t -> Prefix.t -> Simulator.Engine.state
+(** Cold converged propagation of one model prefix —
+    {!Simulator.Engine.simulate} with the model's originators.  Warm
+    re-simulation goes through {!Simulator.Warm.simulate}. *)
+
+val simulate_all :
+  t -> (Prefix.t * Simulator.Engine.state) list * Simulator.Pool.stats
+(** Simulate every model prefix cold over the {!Simulator.Pool}
+    ({!Simulator.Runtime.jobs} workers), in model-prefix order, then
+    drain the touched sets: the returned states reflect every policy
+    edit so far, so the first warm resume from them replays only later
+    edits.  Raises like {!Simulator.Pool.simulate} if a simulation fails
+    persistently. *)
 
 val quasi_router_count : t -> Asn.t -> int
 

@@ -34,9 +34,9 @@ let split ?(by_origin = false) ?train_fraction ~seed prepared =
   else
     Evaluation.Split.by_observation_points ?train_fraction ~seed prepared.data
 
-let build ?options prepared ~training =
+let build ?options ?on_iteration prepared ~training =
   let model = Asmodel.Qrmodel.initial prepared.graph in
-  Refine.Refiner.refine ?options model ~training
+  Refine.Refiner.refine ?options ?on_iteration model ~training
 
 let evaluate (refinement : Refine.Refiner.result) ~validation =
   Evaluation.Predict.evaluate refinement.Refine.Refiner.model
@@ -49,12 +49,13 @@ type experiment = {
   prediction : Evaluation.Predict.report;
 }
 
-let run_experiment ?options ?(by_origin = false) ?train_fraction ?(seed = 7)
-    data =
+let run_experiment ?options ?on_iteration ?(by_origin = false)
+    ?train_fraction ?(seed = 7) data =
   let prepared = prepare data in
   let splits = split ~by_origin ?train_fraction ~seed prepared in
   let refinement =
-    build ?options prepared ~training:splits.Evaluation.Split.training
+    build ?options ?on_iteration prepared
+      ~training:splits.Evaluation.Split.training
   in
   let prediction =
     evaluate refinement ~validation:splits.Evaluation.Split.validation

@@ -39,9 +39,13 @@ val split :
     observation points (default) or by originating ASes. *)
 
 val build :
-  ?options:Refine.Refiner.options -> prepared -> training:Rib.t ->
+  ?options:Refine.Refiner.options ->
+  ?on_iteration:(Refine.Refiner.iter_stat -> unit) ->
+  prepared ->
+  training:Rib.t ->
   Refine.Refiner.result
-(** Initial model on the core graph, refined against the training set. *)
+(** Initial model on the core graph, refined against the training set;
+    [on_iteration] is the refiner's progress hook. *)
 
 val evaluate :
   Refine.Refiner.result -> validation:Rib.t -> Evaluation.Predict.report
@@ -57,6 +61,7 @@ type experiment = {
 
 val run_experiment :
   ?options:Refine.Refiner.options ->
+  ?on_iteration:(Refine.Refiner.iter_stat -> unit) ->
   ?by_origin:bool ->
   ?train_fraction:float ->
   ?seed:int ->

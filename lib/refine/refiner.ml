@@ -186,54 +186,17 @@ let refine ?(options = default_options) ?on_iteration model ~training =
   let jobs =
     match options.jobs with Some j -> max 1 j | None -> Runtime.jobs ()
   in
-  let warm_mode = Runtime.warm () in
-  let simulate_cold prefix =
-    Warm.note_cold ();
-    Qrmodel.simulate model prefix
-  in
   (* Warm-start closure, run from pool worker domains.  The [states]
      table and the network's touched sets are only read here — all
      writes happen in the sequential phases between pool calls — so the
-     concurrent lookups are safe.  A prefix resumes from its previous
-     state whenever that state converged at the network's current
-     generation ({!Engine.resumable}); the first iteration, quarantined
-     prefixes and any round that changed the structure (duplications)
-     fall back to a cold run. *)
+     concurrent lookups are safe.  {!Warm.simulate} resumes a prefix
+     from its previous state whenever the RD_WARM mode allows and that
+     state converged at the network's current generation; the first
+     iteration, quarantined prefixes and any round that changed the
+     structure (duplications) fall back to a cold run. *)
   let simulate prefix =
-    match warm_mode with
-    | Runtime.Warm_mode.Off -> simulate_cold prefix
-    | On -> (
-        match Hashtbl.find_opt states prefix with
-        | Some prev when Engine.resumable net prev ->
-            Warm.note_warm ();
-            Qrmodel.simulate model ~from:prev prefix
-        | _ -> simulate_cold prefix)
-    | Verify -> (
-        match Hashtbl.find_opt states prefix with
-        | Some prev when Engine.resumable net prev ->
-            Warm.note_warm ();
-            let warm = Qrmodel.simulate model ~from:prev prefix in
-            let cold = simulate_cold prefix in
-            Warm.note_verified ();
-            let diverged =
-              if Engine.converged cold <> Engine.converged warm then true
-              else
-                Engine.converged cold && not (Engine.same_state cold warm)
-            in
-            if diverged then begin
-              Warm.note_divergence ();
-              Logs.err (fun m ->
-                  m
-                    "refiner: warm-start divergence on prefix %a (cold %a \
-                     fp=%x, warm %a fp=%x)"
-                    Prefix.pp prefix Engine.pp_outcome (Engine.outcome cold)
-                    (Engine.state_fingerprint cold)
-                    Engine.pp_outcome (Engine.outcome warm)
-                    (Engine.state_fingerprint warm))
-            end;
-            (* The cold state is ground truth either way. *)
-            cold
-        | _ -> simulate_cold prefix)
+    Warm.simulate ?from:(Hashtbl.find_opt states prefix) net ~prefix
+      ~originators:(Qrmodel.originators model prefix)
   in
   (* Phased loop: the set of prefixes needing re-simulation is fixed at
      the top of each iteration (a prefix marked dirty mid-iteration is

@@ -12,14 +12,14 @@ let reload_resume_m = Obs.Metrics.counter "serve.reload_resume_hits"
    otherwise both build from the same snapshot's states and the second
    publish would silently discard the first one's applied events. *)
 
-let reload ?jobs store =
+let reload store =
   Snapshot.locked store @@ fun () ->
   match Snapshot.current store with
   | None -> Error "no snapshot published"
   | Some snap -> (
       let t0 = Obs.Trace.now_us () in
       let hits0 = Obs.Metrics.find_counter "engine.warm_resume_hits" in
-      match Snapshot.exclusive snap (fun () -> Snapshot.rebuild ?jobs snap) with
+      match Snapshot.exclusive snap (fun () -> Snapshot.rebuild snap) with
       | exception exn -> Error (Printexc.to_string exn)
       | next ->
           let resume_hits =
@@ -41,7 +41,7 @@ let reload ?jobs store =
                    float_of_int (Obs.Trace.now_us () - t0) /. 1e6;
                }))
 
-let apply ?jobs store events =
+let apply store events =
   Snapshot.locked store @@ fun () ->
   match Snapshot.current store with
   | None -> Error "no snapshot published"
@@ -57,7 +57,7 @@ let apply ?jobs store events =
                persisted state, so a down/up (or hijack/hijack-end)
                pair split across apply calls still matches up. *)
             let rp =
-              Replay.create ?jobs
+              Replay.create
                 ~states:(Snapshot.states snap)
                 ?resume:(Snapshot.replay snap) model
             in

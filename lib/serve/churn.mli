@@ -10,7 +10,6 @@
     nothing. *)
 
 val apply :
-  ?jobs:int ->
   Snapshot.store ->
   Stream.Event.t list ->
   (Stream.Replay.report, string) result
@@ -27,9 +26,8 @@ val apply :
     that case the denies it had already placed are rolled back and the
     previous snapshot stays published and consistent. *)
 
-val reload :
-  ?jobs:int -> Snapshot.store -> (Protocol.payload, string) result
-(** Rebuild the current snapshot warm ({!Snapshot.rebuild}) and
-    publish the replacement; the [Reloaded] payload reports prefix
-    count, warm-resume hits and build seconds.  Counted in the
-    [serve.reloads] / [serve.reload_resume_hits] metrics. *)
+val reload : Snapshot.store -> (Protocol.payload, string) result
+(** Rebuild the current snapshot ({!Snapshot.rebuild}, warm unless
+    [RD_WARM=off]) and publish the replacement; the [Reloaded] payload
+    reports prefix count, warm-resume hits and build seconds.  Counted
+    in the [serve.reloads] / [serve.reload_resume_hits] metrics. *)

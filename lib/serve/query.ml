@@ -59,12 +59,12 @@ let eval_catchment snap egress prefix =
         })
     targets
 
-let eval_whatif ?jobs snap a b =
+let eval_whatif snap a b =
   (* All mutation runs on the snapshot's executor thread; the pool batch
      in the middle only reads.  Sequence: deny the link, re-converge
-     every prefix warm from the cached states, diff against the
-     baseline, then restore the exact pre-query deny set and drain the
-     touched sets so the published state is bit-identical again. *)
+     every prefix from the cached states, diff against the baseline,
+     then restore the exact pre-query deny set and drain the touched
+     sets so the published state is bit-identical again. *)
   Snapshot.exclusive snap (fun () ->
       let model = Snapshot.model snap in
       let net = model.Qrmodel.net in
@@ -93,18 +93,7 @@ let eval_whatif ?jobs snap a b =
         in
         Fun.protect ~finally (fun () ->
             let hits0 = Obs.Metrics.find_counter "engine.warm_resume_hits" in
-            let states, _stats =
-              Pool.simulate ?jobs
-                ~sim:(fun p ->
-                  let from = Snapshot.state snap p in
-                  let originators =
-                    match from with
-                    | Some st -> Engine.originating st
-                    | None -> Qrmodel.originators model p
-                  in
-                  Engine.simulate ?from net ~prefix:p ~originators)
-                targets
-            in
+            let states, _stats = Snapshot.resimulate snap in
             let resume_hits =
               max 0
                 (Obs.Metrics.find_counter "engine.warm_resume_hits" - hits0)
@@ -134,11 +123,11 @@ let eval_whatif ?jobs snap a b =
                  }))
       end)
 
-let eval ?jobs snap (req : Protocol.request) =
+let eval snap (req : Protocol.request) =
   match req with
   | Protocol.Path { prefix; asn } -> eval_path snap prefix asn
   | Protocol.Catchment { egress; prefix } -> eval_catchment snap egress prefix
-  | Protocol.Whatif { a; b } -> eval_whatif ?jobs snap a b
+  | Protocol.Whatif { a; b } -> eval_whatif snap a b
   | Protocol.Ping ->
       let model = Snapshot.model snap in
       Ok
@@ -153,13 +142,13 @@ let eval ?jobs snap (req : Protocol.request) =
       Error "reload requires server context"
   | Protocol.Shutdown -> Ok Protocol.Closing
 
-let eval_timed ?jobs ?deadline_ms snap req : Protocol.response =
+let eval_timed ?deadline_ms snap req : Protocol.response =
   let deadline_ms =
     match deadline_ms with Some d -> d | None -> Runtime.deadline_ms ()
   in
   let start = Obs.Trace.now_us () in
   let result =
-    try eval ?jobs snap req
+    try eval snap req
     with exn -> Error (Printexc.to_string exn)
   in
   let elapsed_us = Obs.Trace.now_us () - start in
@@ -169,7 +158,7 @@ let eval_timed ?jobs ?deadline_ms snap req : Protocol.response =
   if deadline_missed then Obs.Metrics.incr deadline_misses_m;
   { Protocol.result; elapsed_us; deadline_missed }
 
-let run_batch ?jobs ?deadline_ms snap reqs =
+let run_batch ?deadline_ms snap reqs =
   (* Read-only queries fan out over the pool; what-ifs mutate (inside
      their exclusive section) and must not overlap a pool batch, so
      they run sequentially after the parallel phase.  Results come back
@@ -182,10 +171,10 @@ let run_batch ?jobs ?deadline_ms snap reqs =
       indexed
   in
   let slots = Array.make n None in
-  Pool.map ?jobs (fun (i, r) -> (i, eval_timed ?deadline_ms snap r)) readonly
+  Pool.map (fun (i, r) -> (i, eval_timed ?deadline_ms snap r)) readonly
   |> List.iter (fun (i, resp) -> slots.(i) <- Some resp);
   List.iter
-    (fun (i, r) -> slots.(i) <- Some (eval_timed ?jobs ?deadline_ms snap r))
+    (fun (i, r) -> slots.(i) <- Some (eval_timed ?deadline_ms snap r))
     mutating;
   Array.to_list slots
   |> List.map (function

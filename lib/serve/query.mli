@@ -2,25 +2,21 @@
     {!Snapshot}.
 
     Path and catchment queries only read the cached converged states.
-    What-if queries re-converge every prefix {e warm} from the cached
-    states ([Engine.simulate ?from]) after denying the link, then
-    restore the network exactly; the whole mutate/simulate/revert
-    sequence runs on the snapshot's executor thread.
+    What-if queries re-converge every prefix from the cached states
+    after denying the link ({!Snapshot.resimulate}: warm, cold or
+    verified as the ambient [RD_WARM] mode says), then restore the
+    network exactly; the whole mutate/simulate/revert sequence runs on
+    the snapshot's executor thread, over {!Simulator.Runtime.jobs}
+    pool workers.
 
     Metrics: [serve.queries], [serve.deadline_misses],
     [serve.latency_us] (histogram), [serve.whatif_resume_hits] (warm
     resumes actually used by what-if deltas). *)
 
-val eval :
-  ?jobs:int ->
-  Snapshot.t ->
-  Protocol.request ->
-  (Protocol.payload, string) result
-(** Evaluate one request.  [jobs] bounds the pool workers of a what-if
-    re-convergence batch (default {!Simulator.Runtime.jobs}). *)
+val eval : Snapshot.t -> Protocol.request -> (Protocol.payload, string) result
+(** Evaluate one request. *)
 
 val eval_timed :
-  ?jobs:int ->
   ?deadline_ms:int ->
   Snapshot.t ->
   Protocol.request ->
@@ -31,7 +27,6 @@ val eval_timed :
     responses. *)
 
 val run_batch :
-  ?jobs:int ->
   ?deadline_ms:int ->
   Snapshot.t ->
   Protocol.request list ->

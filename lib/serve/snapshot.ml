@@ -2,6 +2,7 @@ open Bgp
 module Engine = Simulator.Engine
 module Net = Simulator.Net
 module Pool = Simulator.Pool
+module Warm = Simulator.Warm
 module Qrmodel = Asmodel.Qrmodel
 module Whatif = Asmodel.Whatif
 module Replay = Stream.Replay
@@ -86,18 +87,8 @@ let of_states ?(build_stats = Pool.zero) ?replay (model : Qrmodel.t) states =
     exec = exec_create ();
   }
 
-let build ?jobs (model : Qrmodel.t) =
-  let net = model.Qrmodel.net in
-  let prefixes = List.map fst model.Qrmodel.prefixes in
-  let states, build_stats =
-    Pool.simulate ?jobs
-      ~sim:(fun p ->
-        Engine.simulate net ~prefix:p ~originators:(Qrmodel.originators model p))
-      prefixes
-  in
-  (* The cached states reflect everything up to now; drain the touched
-     sets so the first what-if resume replays only its own edits. *)
-  List.iter (fun p -> Net.clear_touched net p) prefixes;
+let build (model : Qrmodel.t) =
+  let states, build_stats = Qrmodel.simulate_all model in
   of_states ~build_stats model states
 
 let model t = t.model
@@ -160,30 +151,28 @@ let exclusive t f =
 
 let retire t = exec_stop t.exec
 
-(* Rebuild off to the side: re-simulate every cached prefix warm from
-   this snapshot's states and return a fresh snapshot (with its own
-   executor) ready to publish.  Originators come from each cached state
-   itself, so prefixes a churn replay added beyond the model's survive
-   the rebuild.  Callers run this through [exclusive] so the rebuild
-   serializes with what-if mutation, then [publish] outside it — the
-   retire inside publish joins this executor, which must not happen
-   from its own thread. *)
-let rebuild ?jobs t =
+(* Originators come from each cached state itself, so prefixes a churn
+   replay added beyond the model's survive a re-simulation. *)
+let resimulate t =
   let net = t.model.Qrmodel.net in
-  let prefixes = List.map fst t.states in
-  let states, build_stats =
-    Pool.simulate ?jobs
-      ~sim:(fun p ->
-        let from = state t p in
-        let originators =
-          match from with
-          | Some st -> Engine.originating st
-          | None -> Qrmodel.originators t.model p
-        in
-        Engine.simulate ?from net ~prefix:p ~originators)
-      prefixes
-  in
-  List.iter (fun p -> Net.clear_touched net p) prefixes;
+  Pool.simulate
+    ~sim:(fun p ->
+      let from = state t p in
+      let originators =
+        match from with
+        | Some st -> Engine.originating st
+        | None -> Qrmodel.originators t.model p
+      in
+      Warm.simulate ?from net ~prefix:p ~originators)
+    (List.map fst t.states)
+
+(* Callers run this through [exclusive] so the rebuild serializes with
+   what-if mutation, then [publish] outside it — the retire inside
+   publish joins this executor, which must not happen from its own
+   thread. *)
+let rebuild t =
+  let states, build_stats = resimulate t in
+  List.iter (fun (p, _) -> Net.clear_touched t.model.Qrmodel.net p) states;
   of_states ~build_stats ?replay:t.replay t.model states
 
 (* -- atomic swap -- *)

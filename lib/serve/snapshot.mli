@@ -18,11 +18,11 @@ open Bgp
 
 type t
 
-val build : ?jobs:int -> Asmodel.Qrmodel.t -> t
-(** Simulate every model prefix over the pool ([jobs] defaults to
-    {!Simulator.Runtime.jobs}), cache the converged states, drain the
-    touched sets, and precompute the baseline selected-path snapshot
-    what-if diffs compare against. *)
+val build : Asmodel.Qrmodel.t -> t
+(** Simulate every model prefix over the pool
+    ({!Asmodel.Qrmodel.simulate_all}), cache the converged states, and
+    precompute the baseline selected-path snapshot what-if diffs
+    compare against. *)
 
 val of_states :
   ?build_stats:Simulator.Pool.stats ->
@@ -38,13 +38,24 @@ val of_states :
     with; the next {!Churn.apply} resumes from it so down/up pairs may
     span apply calls. *)
 
-val rebuild : ?jobs:int -> t -> t
-(** Reconverge every cached prefix {e warm} from this snapshot's
-    states against the (possibly churn-mutated) network and return a
-    fresh snapshot ready to {!publish}.  Run it through {!exclusive}
-    so it serializes with what-if mutation; publish {e outside} the
-    exclusive section (publishing retires this snapshot's executor,
-    which must not be joined from its own thread). *)
+val resimulate :
+  t -> (Prefix.t * Simulator.Engine.state) list * Simulator.Pool.stats
+(** Reconverge every cached prefix against the live network through
+    {!Simulator.Warm.simulate} — resuming from this snapshot's state
+    under the ambient {!Simulator.Runtime.warm} mode — over the pool
+    ({!Simulator.Runtime.jobs} workers), in {!states} order.  Each
+    prefix's originators come from its cached state, so prefixes a
+    churn replay added beyond the model's keep theirs.  The touched
+    sets are left as they are; call it inside {!exclusive}.  Shared by
+    {!rebuild} and the what-if query. *)
+
+val rebuild : t -> t
+(** {!resimulate} against the (possibly churn-mutated) network, drain
+    the touched sets, and return a fresh snapshot ready to {!publish}.
+    Run it through {!exclusive} so it serializes with what-if mutation;
+    publish {e outside} the exclusive section (publishing retires this
+    snapshot's executor, which must not be joined from its own
+    thread). *)
 
 val model : t -> Asmodel.Qrmodel.t
 

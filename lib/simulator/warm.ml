@@ -1,5 +1,5 @@
 (* The counters live in the metrics registry only: incremented from
-   pool worker domains (the refiner's simulation closures), read back
+   pool worker domains (every caller's simulation closure), read back
    by [stats], so `--metrics` snapshots and the bench report agree by
    construction. *)
 let warm_runs_m = Obs.Metrics.counter "warm.resumed"
@@ -10,13 +10,40 @@ let verified_m = Obs.Metrics.counter "warm.verified"
 
 let divergences_m = Obs.Metrics.counter "warm.divergences"
 
-let note_warm () = Obs.Metrics.incr warm_runs_m
-
-let note_cold () = Obs.Metrics.incr cold_runs_m
-
-let note_verified () = Obs.Metrics.incr verified_m
-
-let note_divergence () = Obs.Metrics.incr divergences_m
+let simulate ?from net ~prefix ~originators =
+  let cold () =
+    Obs.Metrics.incr cold_runs_m;
+    Engine.simulate net ~prefix ~originators
+  in
+  let resume prev =
+    Obs.Metrics.incr warm_runs_m;
+    Engine.simulate ~from:prev net ~prefix ~originators
+  in
+  match (Runtime.warm (), from) with
+  | Runtime.Warm_mode.Off, _ | _, None -> cold ()
+  | (On | Verify), Some prev when not (Engine.resumable net prev) -> cold ()
+  | On, Some prev -> resume prev
+  | Verify, Some prev ->
+      let warm = resume prev in
+      let cold = cold () in
+      Obs.Metrics.incr verified_m;
+      let diverged =
+        Engine.converged cold <> Engine.converged warm
+        || (Engine.converged cold && not (Engine.same_state cold warm))
+      in
+      if diverged then begin
+        Obs.Metrics.incr divergences_m;
+        Logs.err (fun m ->
+            m
+              "warm-start divergence on prefix %a (cold %a fp=%x, warm %a \
+               fp=%x)"
+              Bgp.Prefix.pp prefix Engine.pp_outcome (Engine.outcome cold)
+              (Engine.state_fingerprint cold)
+              Engine.pp_outcome (Engine.outcome warm)
+              (Engine.state_fingerprint warm))
+      end;
+      (* The cold state is ground truth either way. *)
+      cold
 
 type stats = {
   warm_runs : int;

@@ -2,7 +2,6 @@ open Bgp
 module Engine = Simulator.Engine
 module Net = Simulator.Net
 module Pool = Simulator.Pool
-module Runtime = Simulator.Runtime
 module Warm = Simulator.Warm
 module Qrmodel = Asmodel.Qrmodel
 module Asgraph = Topology.Asgraph
@@ -101,20 +100,18 @@ type t = {
       (* probe-object name of the journal/driver tables: under
          RD_CHECK=race every journal mutation is recorded, so a driver
          shared across domains without ordering is a race finding *)
-  jobs : int option;
-  mode : Runtime.Warm_mode.t;
   states : Engine.state Prefix.Table.t;
   origins : Asn.Set.t Prefix.Table.t;
   mutable tracked_rev : Prefix.t list;
   quarantine : unit Prefix.Table.t;
   downs : (down_key, down) Hashtbl.t;
   mutable journal : jmut list;
-  divergences : int Atomic.t;  (* bumped from pool worker domains *)
   totals : (cls, acc) Hashtbl.t;
   mutable events_applied : int;
   mutable reconvergences : int;
   mutable retried : int;
   mutable failed : int;
+  mutable divergences : int;
   mutable recovered_n : int;
   mutable wall_s : float;
 }
@@ -195,8 +192,7 @@ let persist t =
 
 let replay_uid = Atomic.make 0
 
-let create ?jobs ?mode ?states:seed ?resume (model : Qrmodel.t) =
-  let mode = match mode with Some m -> m | None -> Runtime.warm () in
+let create ?states:seed ?resume (model : Qrmodel.t) =
   let net = model.Qrmodel.net in
   let t =
     {
@@ -204,20 +200,18 @@ let create ?jobs ?mode ?states:seed ?resume (model : Qrmodel.t) =
       o_journal =
         Printf.sprintf "%s/journal#%d" (Net.probe_name net)
           (Atomic.fetch_and_add replay_uid 1);
-      jobs;
-      mode;
       states = Prefix.Table.create 64;
       origins = Prefix.Table.create 64;
       tracked_rev = [];
       quarantine = Prefix.Table.create 8;
       downs = Hashtbl.create 8;
       journal = [];
-      divergences = Atomic.make 0;
       totals = Hashtbl.create 8;
       events_applied = 0;
       reconvergences = 0;
       retried = 0;
       failed = 0;
+      divergences = 0;
       recovered_n = 0;
       wall_s = 0.;
     }
@@ -271,7 +265,7 @@ let create ?jobs ?mode ?states:seed ?resume (model : Qrmodel.t) =
   | None ->
       let prefixes = List.map fst model.Qrmodel.prefixes in
       let results, stats =
-        Pool.simulate_result ?jobs
+        Pool.simulate_result
           ~sim:(fun p ->
             Engine.simulate net ~prefix:p ~originators:(originator_nodes t p))
           prefixes
@@ -438,37 +432,26 @@ let reconverge t batch =
   if batch = [] then (0, 0, 0, 0, [], [])
   else begin
     let net = t.model.Qrmodel.net in
-    let mode = t.mode in
     let warm_hits0 = Obs.Metrics.find_counter "engine.warm_resume_hits" in
+    let divergences0 = (Warm.stats ()).Warm.divergences in
     let sim p =
       (* Runs in pool worker domains: reads the driver tables (no
-         writer is active during the batch) and bumps only atomics. *)
+         writer is active during the batch) and bumps only atomics.  A
+         quarantined prefix always retries cold. *)
       let from =
-        if mode = Runtime.Warm_mode.Off || Prefix.Table.mem t.quarantine p
-        then None
+        if Prefix.Table.mem t.quarantine p then None
         else Prefix.Table.find_opt t.states p
       in
-      let originators = originator_nodes t p in
-      let st = Engine.simulate ?from net ~prefix:p ~originators in
-      match (mode, from) with
-      | Runtime.Warm_mode.Verify, Some prev when Engine.resumable net prev ->
-          let cold_st = Engine.simulate net ~prefix:p ~originators in
-          Warm.note_verified ();
-          if Engine.state_fingerprint st <> Engine.state_fingerprint cold_st
-          then begin
-            Warm.note_divergence ();
-            Atomic.incr t.divergences;
-            cold_st (* ground truth wins *)
-          end
-          else st
-      | _ -> st
+      Warm.simulate ?from net ~prefix:p ~originators:(originator_nodes t p)
     in
-    let results, stats = Pool.simulate_result ?jobs:t.jobs ~sim batch in
+    let results, stats = Pool.simulate_result ~sim batch in
     let warm =
       max 0 (Obs.Metrics.find_counter "engine.warm_resume_hits" - warm_hits0)
     in
     t.retried <- t.retried + stats.Pool.retried;
     t.failed <- t.failed + stats.Pool.failed;
+    t.divergences <-
+      t.divergences + (Warm.stats ()).Warm.divergences - divergences0;
     t.reconvergences <- t.reconvergences + List.length batch;
     Obs.Metrics.incr ~by:(List.length batch) reconv_m;
     let shifted = ref 0 in
@@ -691,12 +674,12 @@ let report t ~rejected =
     failed = t.failed;
     quarantine = quarantined t;
     recovered = t.recovered_n;
-    divergences = Atomic.get t.divergences;
+    divergences = t.divergences;
     fingerprint = fingerprint t;
     wall_s = t.wall_s;
   }
 
-let run ?jobs ?mode ?on_event (model : Qrmodel.t) events =
+let run ?on_event (model : Qrmodel.t) events =
   let graph = model.Qrmodel.graph in
   let stream, rejects =
     Event.normalize ~known_as:(Asgraph.mem_node graph) events
@@ -706,7 +689,7 @@ let run ?jobs ?mode ?on_event (model : Qrmodel.t) events =
       Logs.debug (fun m ->
           m "replay: dropping event %a (%s)" Event.pp ev reason))
     rejects;
-  let t = create ?jobs ?mode model in
+  let t = create model in
   List.iter
     (fun ev ->
       let r = apply t ev in

@@ -6,24 +6,25 @@
     understands — export denies with touched-set bookkeeping for
     session/link state, originator-set changes for announce / withdraw
     / hijack — and only the affected prefixes are reconverged, via
-    {!Simulator.Engine.simulate}[ ?from] over the {!Simulator.Pool}.
+    {!Simulator.Warm.simulate} over the {!Simulator.Pool}.
     Structural network mutations are never performed, so the generation
     counter stands still and warm resumption survives the whole
     stream.
 
     Failure containment reuses the PR-2 machinery: the pool isolates
     and retries per-prefix faults, and a prefix whose reconvergence
-    still fails (or does not converge, or diverges under warm/cold
-    verification) is {e quarantined} — its cached state is dropped, the
+    still fails (or does not converge) is {e quarantined} — its cached
+    state is dropped, the
     event replay continues, and the prefix is retried cold on every
     subsequent event until it recovers.  A poisoned event therefore
     degrades one prefix instead of killing the replay.
 
-    Warm behaviour follows {!Simulator.Runtime.warm} unless overridden:
-    [Off] replays every affected prefix cold, [On] resumes from the
-    cache, [Verify] resumes and re-runs cold, comparing routing
-    fingerprints (a mismatch counts as a divergence and the cold state
-    wins).
+    Warm behaviour is {!Simulator.Warm.simulate}'s, under the ambient
+    {!Simulator.Runtime.warm} mode: [Off] replays every affected prefix
+    cold, [On] resumes from the cache, [Verify] resumes and re-runs
+    cold, comparing the two states (a mismatch counts as a divergence
+    and the cold state wins).  The pool worker count is
+    {!Simulator.Runtime.jobs}.
 
     Pollution counts are control-plane and per-prefix: a sub-prefix
     hijack is a new, independent prefix (longest-match forwarding is
@@ -60,8 +61,6 @@ type persist
     still finds it. *)
 
 val create :
-  ?jobs:int ->
-  ?mode:Simulator.Runtime.Warm_mode.t ->
   ?states:(Prefix.t * Simulator.Engine.state) list ->
   ?resume:persist ->
   Asmodel.Qrmodel.t ->
@@ -72,8 +71,7 @@ val create :
     is simulated cold over the pool first.  [resume] seeds the
     tracking / origin / down / quarantine tables from a previous
     driver's {!persist} instead of the model's prefix list, so paired
-    events split across drivers still match up.  [mode] defaults to
-    {!Simulator.Runtime.warm}; [jobs] to the runtime worker count. *)
+    events split across drivers still match up. *)
 
 val persist : t -> persist
 (** Capture the driver state a successor needs ([create ?resume]).
@@ -131,14 +129,15 @@ type report = {
   failed : int;  (** pool tasks still failing after retry *)
   quarantine : Prefix.t list;  (** still quarantined at the end *)
   recovered : int;  (** quarantine exits over the whole run *)
-  divergences : int;  (** verify-mode warm/cold mismatches *)
+  divergences : int;
+      (** verify-mode warm/cold mismatches: how far the
+          [warm.divergences] counter moved across this driver's
+          reconvergence batches *)
   fingerprint : int;  (** {!fingerprint} of the final state *)
   wall_s : float;
 }
 
 val run :
-  ?jobs:int ->
-  ?mode:Simulator.Runtime.Warm_mode.t ->
   ?on_event:(event_report -> unit) ->
   Asmodel.Qrmodel.t ->
   Event.t list ->
@@ -146,7 +145,7 @@ val run :
 (** Normalize the stream against the model, build a driver, apply every
     surviving event, then give still-quarantined prefixes one final
     cold retry.  Deterministic up to wall-clock fields: same model,
-    same stream, same mode — same fingerprint and same counts. *)
+    same stream, same warm mode — same fingerprint and same counts. *)
 
 val report : t -> rejected:int -> report
 (** The accumulated totals of a driver (for callers stepping {!apply}

@@ -11,6 +11,7 @@ module Query = Serve.Query
 module Server = Serve.Server
 module Ownership = Analysis.Ownership
 module Runtime = Simulator.Runtime
+module Warm = Simulator.Warm
 
 let check_bool = Alcotest.(check bool)
 
@@ -117,9 +118,16 @@ let read_timeout () =
 
 (* -- snapshot + queries ----------------------------------------------- *)
 
-let build_snapshot ?jobs () =
-  let m = Qrmodel.initial graph in
-  Snapshot.build ?jobs m
+let build_snapshot () = Snapshot.build (Qrmodel.initial graph)
+
+(* Run [f] under the ambient runtime as changed by [update], restoring
+   it afterwards. *)
+let with_runtime update f =
+  let prior = Runtime.current () in
+  Runtime.set (update prior);
+  Fun.protect ~finally:(fun () -> Runtime.set prior) f
+
+let with_warm warm f = with_runtime (fun rt -> { rt with Runtime.warm }) f
 
 let snapshot_queries () =
   let snap = build_snapshot () in
@@ -154,6 +162,8 @@ let snapshot_queries () =
   | _ -> Alcotest.fail "catchment query failed"
 
 let whatif_query_restores () =
+  (* Pinned warm: the resume assertion must hold under RD_WARM=off. *)
+  with_warm Runtime.Warm_mode.On @@ fun () ->
   let snap = build_snapshot () in
   let m = Snapshot.model snap in
   let denies0, _ = Net.count_policies m.Qrmodel.net in
@@ -282,6 +292,7 @@ let server_shutdown_stops () =
 (* -- churn: rebuild-and-swap ------------------------------------------ *)
 
 let reload_swaps_snapshot () =
+  with_warm Runtime.Warm_mode.On @@ fun () ->
   let store = Snapshot.store () in
   check_bool "no snapshot yet" true
     (Result.is_error (Serve.Churn.reload store));
@@ -538,6 +549,64 @@ let queries_across_reload () =
       check_int "zero dropped or failed queries" 0 (Atomic.get errors);
       check_int "every query answered" 120 (Atomic.get queries))
 
+(* RD_WARM governs the serve re-simulations as it does refinement and
+   replay: [Off] never resumes, [Verify] compares every resume with a
+   cold run, and the what-if answer is the same in every mode. *)
+let whatif_reload_follow_warm_mode () =
+  let store = Snapshot.store () in
+  Snapshot.publish store (build_snapshot ());
+  let run warm =
+    with_warm warm @@ fun () ->
+    let w0 = Warm.stats () in
+    let whatif =
+      match
+        Query.eval
+          (Option.get (Snapshot.current store))
+          (Protocol.Whatif { a = 4; b = 5 })
+      with
+      | Ok (Protocol.Whatif_summary _ as payload) -> payload
+      | Ok _ -> Alcotest.fail "unexpected what-if payload"
+      | Error e -> Alcotest.failf "whatif failed: %s" e
+    in
+    let reload_hits =
+      match Serve.Churn.reload store with
+      | Ok (Protocol.Reloaded { resume_hits; _ }) -> resume_hits
+      | Ok _ -> Alcotest.fail "unexpected reload payload"
+      | Error e -> Alcotest.failf "reload failed: %s" e
+    in
+    let w1 = Warm.stats () in
+    let delta f = f w1 - f w0 in
+    (whatif, reload_hits, delta)
+  in
+  let whatif_hits = function
+    | Protocol.Whatif_summary { resume_hits; _ } -> resume_hits
+    | _ -> -1
+  in
+  let masked = function
+    | Protocol.Whatif_summary s ->
+        Protocol.Whatif_summary { s with resume_hits = 0 }
+    | p -> p
+  in
+  let off, off_reload, off_d = run Runtime.Warm_mode.Off in
+  check_int "off: what-if never resumes" 0 (whatif_hits off);
+  check_int "off: reload never resumes" 0 off_reload;
+  check_int "off: no warm.resumed" 0 (off_d (fun w -> w.Warm.warm_runs));
+  (* Five prefixes, re-simulated once by the what-if and once by the
+     reload; a fault-injection retry may add more. *)
+  check_bool "off: warm.cold counts both" true
+    (off_d (fun w -> w.Warm.cold_runs) >= 10);
+  let on, on_reload, _ = run Runtime.Warm_mode.On in
+  check_bool "on: what-if resumes" true (whatif_hits on > 0);
+  check_bool "on: reload resumes" true (on_reload > 0);
+  let verify, _, verify_d = run Runtime.Warm_mode.Verify in
+  check_bool "verify: pairs compared" true
+    (verify_d (fun w -> w.Warm.verified) > 0);
+  check_int "verify: zero divergences" 0
+    (verify_d (fun w -> w.Warm.divergences));
+  check_bool "on = off" true (masked on = masked off);
+  check_bool "verify = off" true (masked verify = masked off);
+  Option.iter Snapshot.retire (Snapshot.current store)
+
 (* -- immutability under load ------------------------------------------ *)
 
 (* Concurrent mixed queries against one snapshot return bit-identical
@@ -553,7 +622,10 @@ let concurrent_queries_immutable () =
       Ownership.set prior;
       Ownership.reset ())
     (fun () ->
-      let snap = build_snapshot ~jobs:4 () in
+      let snap =
+        with_runtime (fun rt -> { rt with Runtime.jobs = Some 4 })
+          build_snapshot
+      in
       let prefixes = List.map fst (Snapshot.states snap) in
       let reqs =
         Protocol.Ping
@@ -620,6 +692,8 @@ let suite =
     Alcotest.test_case "concurrent apply and reload" `Quick
       concurrent_apply_reload;
     Alcotest.test_case "queries across reload" `Quick queries_across_reload;
+    Alcotest.test_case "whatif and reload follow warm mode" `Quick
+      whatif_reload_follow_warm_mode;
     Alcotest.test_case "concurrent queries immutable" `Quick
       concurrent_queries_immutable;
   ]

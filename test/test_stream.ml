@@ -19,6 +19,12 @@ let graph =
 
 let model () = Qrmodel.initial graph
 
+(* Run [f] under warm mode [warm], restoring the ambient runtime. *)
+let with_warm warm f =
+  let prior = Simulator.Runtime.current () in
+  Simulator.Runtime.set { prior with Simulator.Runtime.warm };
+  Fun.protect ~finally:(fun () -> Simulator.Runtime.set prior) f
+
 let known_as = Topology.Asgraph.mem_node graph
 
 let sub_of ?(bits = 1) p =
@@ -271,9 +277,10 @@ let warm_matches_cold () =
   in
   let prop (g, seed) =
     let run mode =
+      with_warm mode @@ fun () ->
       let m = Qrmodel.initial g in
       let stream = Streamgen.mixed ~events:24 m (Random.State.make [| seed |]) in
-      let _, report = Replay.run ~mode m stream in
+      let _, report = Replay.run m stream in
       report
     in
     let warm = run Simulator.Runtime.Warm_mode.On in
@@ -288,7 +295,8 @@ let verify_mode_agrees () =
   let m = model () in
   let stream = Streamgen.mixed ~events:32 m (Random.State.make [| 5 |]) in
   let _, report =
-    Replay.run ~mode:Simulator.Runtime.Warm_mode.Verify m stream
+    with_warm Simulator.Runtime.Warm_mode.Verify @@ fun () ->
+    Replay.run m stream
   in
   check_int "no warm/cold divergence" 0 report.Replay.divergences;
   check_int "no quarantine" 0 (List.length report.Replay.quarantine)
