@@ -9,8 +9,10 @@
      --jobs N      simulation worker domains (default: RD_JOBS or core count)
      --faults S    fault injection RATE:SEED[:full] (default: RD_FAULTS)
      --warm M      warm-start mode off|on|verify (default: RD_WARM or on)
-     --check M     mutation-discipline checker off|on (default: RD_CHECK)
+     --check M     mutation-discipline checker off|on|race (default: RD_CHECK)
      --trace M     tracing off|summary|FILE.json (default: RD_TRACE)
+                   (these knob flags are Simulator.Runtime's; README.md
+                   "Runtime knobs" has the full table)
      --warm-only   only run the WARM cold-vs-warm experiment (fast CI path)
      --scale-only  only run the SCALE flat-vs-reference engine experiment
      --scale-ases N  AS count of the SCALE world (>= 50; default 5000,
@@ -518,15 +520,12 @@ let experiment_parallel prepared =
        checks result equality across job counts.@.";
   let splits = Core.split ~seed:7 prepared in
   let run jobs =
+    with_runtime (fun rt -> { rt with jobs = Some jobs }) @@ fun () ->
     let t0 = Unix.gettimeofday () in
     let result =
       Core.build
         ~options:
-          {
-            Refine.Refiner.default_options with
-            max_iterations = Some 14;
-            jobs = Some jobs;
-          }
+          { Refine.Refiner.default_options with max_iterations = Some 14 }
         prepared ~training:splits.Evaluation.Split.training
     in
     let t_refine = Unix.gettimeofday () -. t0 in
@@ -534,7 +533,7 @@ let experiment_parallel prepared =
        validation prefix through the pool. *)
     let t1 = Unix.gettimeofday () in
     let prediction =
-      Evaluation.Predict.evaluate ~jobs result.Refine.Refiner.model
+      Evaluation.Predict.evaluate result.Refine.Refiner.model
         ~states:(Hashtbl.create 256) splits.Evaluation.Split.validation
     in
     let t_eval = Unix.gettimeofday () -. t1 in
@@ -717,7 +716,7 @@ let experiment_warm prepared =
   let splits = Core.split ~seed:7 prepared in
   let training = splits.Evaluation.Split.training in
   let run label warm jobs =
-    with_runtime (fun rt -> { rt with warm }) @@ fun () ->
+    with_runtime (fun rt -> { rt with warm; jobs }) @@ fun () ->
     (* The warm.* registry counters only go up: a run's counts are the
        difference across it. *)
     let w0 = Simulator.Warm.stats () in
@@ -727,11 +726,7 @@ let experiment_warm prepared =
       time label (fun () ->
           Core.build
             ~options:
-              {
-                Refine.Refiner.default_options with
-                max_iterations = Some 14;
-                jobs;
-              }
+              { Refine.Refiner.default_options with max_iterations = Some 14 }
             prepared ~training)
     in
     let wall = Unix.gettimeofday () -. t0 in
@@ -754,7 +749,7 @@ let experiment_warm prepared =
     run "WARM warm jobs=1" Runtime.Warm_mode.On (Some 1)
   in
   let verify_r, _, _, verify_stats =
-    run "WARM verify" Runtime.Warm_mode.Verify None
+    run "WARM verify" Runtime.Warm_mode.Verify (Runtime.current ()).jobs
   in
   let identical =
     cold_r.Refine.Refiner.matched = warm_r.Refine.Refiner.matched
@@ -827,16 +822,13 @@ let experiment_check prepared (warm : warm_report) =
   let splits = Core.split ~seed:7 prepared in
   let training = splits.Evaluation.Split.training in
   let run label check =
-    with_runtime (fun rt -> { rt with check; warm = Runtime.Warm_mode.On })
+    with_runtime (fun rt ->
+        { rt with check; warm = Runtime.Warm_mode.On; jobs = Some 1 })
     @@ fun () ->
     timed label (fun () ->
         Core.build
           ~options:
-            {
-              Refine.Refiner.default_options with
-              max_iterations = Some 14;
-              jobs = Some 1;
-            }
+            { Refine.Refiner.default_options with max_iterations = Some 14 }
           prepared ~training)
   in
   let _, off1 = run "CHECK off jobs=1 (1/2)" Runtime.Check_mode.Off in
@@ -905,16 +897,13 @@ let experiment_obs prepared (warm : warm_report) =
   let splits = Core.split ~seed:7 prepared in
   let training = splits.Evaluation.Split.training in
   let run label trace =
-    with_runtime (fun rt -> { rt with trace; warm = Runtime.Warm_mode.On })
+    with_runtime (fun rt ->
+        { rt with trace; warm = Runtime.Warm_mode.On; jobs = Some 1 })
     @@ fun () ->
     timed label (fun () ->
         Core.build
           ~options:
-            {
-              Refine.Refiner.default_options with
-              max_iterations = Some 14;
-              jobs = Some 1;
-            }
+            { Refine.Refiner.default_options with max_iterations = Some 14 }
           prepared ~training)
   in
   let _, off1 = run "OBS trace=off jobs=1 (1/2)" Obs.Trace.Off in
@@ -1852,10 +1841,9 @@ let micro () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  (* Every RD_* knob (--jobs/--warm/--check/--faults/--trace) is parsed
-     by Simulator.Runtime — env first, argv on top; only the
-     bench-specific flags below are handled here, on the leftover
-     arguments. *)
+  (* Every RD_* knob flag is parsed by Simulator.Runtime's table — env
+     first, argv on top; only the bench-specific flags below are
+     handled here, on the leftover arguments. *)
   let args =
     match
       Runtime.with_argv (Runtime.of_env ()) (List.tl (Array.to_list Sys.argv))

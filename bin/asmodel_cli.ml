@@ -44,122 +44,47 @@ let load_dataset path =
 
 let std = Format.std_formatter
 
-(* Simulation worker count, shared by every subcommand that simulates.
-   Precedence: --jobs flag > RD_JOBS env > Domain.recommended_domain_count.
-   An explicit flag deserves a hard failure: reject 0 and negatives here
-   instead of letting Runtime.jobs clamp them silently. *)
-let positive_int_conv =
-  let parse s =
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> Ok n
-    | Some _ | None ->
-        Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+(* The RD_* knob flags of a subcommand, each declared once in
+   Simulator.Runtime's table.  The term parses the given flags on top of
+   the ambient configuration (RD_* env first), installs the result —
+   so RD_TRACE takes effect even on runs that never touch the pool —
+   and brings the RD_CHECK hook in line with it.  A bad value is a usage
+   error (exit 1). *)
+let knob_flags names =
+  let module R = Simulator.Runtime in
+  (* "--jobs" -> "jobs", "-j" -> "j" *)
+  let bare f =
+    let i = String.rindex_from f 1 '-' + 1 in
+    String.sub f i (String.length f - i)
   in
-  Arg.conv (parse, Format.pp_print_int)
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some positive_int_conv) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for per-prefix simulation (default: $(b,RD_JOBS) \
-           or the machine's recommended domain count).  Results are \
-           identical for every value.")
-
-let apply_jobs = function
-  | Some j -> Simulator.Runtime.set_jobs (Some j)
-  | None -> ()
-
-(* A cmdliner converter over one of the Runtime knob parsers. *)
-let knob_conv parse print =
-  Arg.conv ((fun s -> Result.map_error (fun msg -> `Msg msg) (parse s)), print)
-
-let string_printer to_string ppf v = Format.pp_print_string ppf (to_string v)
-
-(* Deterministic fault injection (testing the pipeline's resilience).
-   Precedence: --faults flag > RD_FAULTS env. *)
-let faults_conv =
-  knob_conv Simulator.Runtime.Fault.parse (fun ppf -> function
-    | None -> Format.pp_print_string ppf "off"
-    | Some t -> Simulator.Runtime.Fault.pp ppf t)
-
-let faults_arg =
-  Arg.(
-    value
-    & opt (some faults_conv) None
-    & info [ "faults" ] ~docv:"RATE:SEED[:full]"
-        ~doc:
-          "Inject deterministic faults into the simulation pipeline \
-           (default: $(b,RD_FAULTS)).  $(b,RATE:SEED) throws transient, \
-           retried task failures; $(b,RATE:SEED:full) adds permanent \
-           failures and shrunk engine budgets; $(b,off) disables.")
-
-let apply_faults = function
-  | Some t -> Simulator.Runtime.set_faults t
-  | None -> ()
-
-(* Warm-start re-simulation in the refinement loop.
-   Precedence: --warm flag > RD_WARM env > on. *)
-let warm_conv =
-  knob_conv Simulator.Runtime.Warm_mode.parse
-    (string_printer Simulator.Runtime.Warm_mode.to_string)
-
-let warm_arg =
-  Arg.(
-    value
-    & opt (some warm_conv) None
-    & info [ "warm" ] ~docv:"off|on|verify"
-        ~doc:
-          "Warm-start re-simulation in the refinement loop (default: \
-           $(b,RD_WARM) or $(b,on)).  $(b,on) resumes each changed prefix \
-           from its previous converged state; $(b,verify) runs cold and \
-           warm side by side and reports any divergence; $(b,off) always \
-           simulates from scratch.")
-
-let apply_warm = function
-  | Some m -> Simulator.Runtime.set_warm m
-  | None -> ()
-
-(* Span tracing and metrics (the observability layer).
-   Precedence: --trace flag > RD_TRACE env > off. *)
-let trace_conv =
-  knob_conv Obs.Trace.parse (string_printer Obs.Trace.mode_to_string)
-
-let trace_arg =
-  Arg.(
-    value
-    & opt (some trace_conv) None
-    & info [ "trace" ] ~docv:"off|summary|FILE.json"
-        ~doc:
-          "Record spans of the simulation pipeline (default: $(b,RD_TRACE) \
-           or $(b,off)).  $(b,summary) prints a per-span aggregate table \
-           after the run; a file path writes Chrome trace-event JSON \
-           loadable in a trace viewer.")
-
-let apply_trace = function
-  | Some m -> Simulator.Runtime.set_trace m
-  | None -> ()
-
-(* Mutation-discipline checking. Precedence: --check flag > RD_CHECK env. *)
-let check_conv =
-  knob_conv Simulator.Runtime.Check_mode.parse
-    (string_printer Simulator.Runtime.Check_mode.to_string)
-
-let check_arg =
-  Arg.(
-    value
-    & opt (some check_conv) None
-    & info [ "check" ] ~docv:"off|on|race"
-        ~doc:
-          "Audit mutation discipline during the run (default: \
-           $(b,RD_CHECK) or $(b,off)); $(b,race) additionally runs the \
-           happens-before race detector.  Findings are reported, not \
-           raised; $(b,--strict) escalates them to exit 4.")
-
-let apply_check = function
-  | Some m -> Analysis.Ownership.set m
-  | None -> ()
+  let flag name =
+    let k = Option.get (R.knob name) in
+    let given =
+      Arg.(
+        value
+        & opt (some string) None
+        & info (List.map bare k.R.flags) ~docv:k.R.docv ~doc:k.R.doc)
+    in
+    let parse v rt =
+      match v with
+      | None -> Ok rt
+      | Some s ->
+          Result.map_error (Printf.sprintf "%s: %s" name) (k.R.parse s rt)
+    in
+    Term.(const parse $ given)
+  in
+  let apply parsers =
+    List.fold_left Result.bind (Ok (R.current ())) parsers
+    |> Result.map (fun rt ->
+           R.set rt;
+           Analysis.Ownership.ensure ())
+  in
+  Term.(
+    term_result' ~usage:true
+      (const apply
+      $ List.fold_right
+          (fun name acc -> const List.cons $ flag name $ acc)
+          names (const [])))
 
 let strict_arg =
   Arg.(
@@ -195,10 +120,6 @@ let metrics_arg =
     & info [ "metrics" ]
         ~doc:"Print a snapshot of every runtime metric after the run.")
 
-(* Resolve the env knobs before flag overrides, so RD_TRACE takes
-   effect even on runs that never touch the pool. *)
-let init_runtime () = ignore (Simulator.Runtime.current ())
-
 (* End-of-run observability output: the metrics snapshot (with
    [--metrics], or whenever spans are being summarised) and the trace
    summary table / trace-file write. *)
@@ -233,16 +154,17 @@ let family_arg =
               syntax — %s.  Example: $(b,--family waxman:alpha=0.4,beta=0.2)."
              (Netgen.Family.syntax_help ())))
 
-let generate seed family scale ases binary out jobs faults trace =
-  init_runtime ();
-  apply_jobs jobs;
-  apply_faults faults;
-  apply_trace trace;
-  let conf =
+(* The world configuration of the shared size/seed/family flags. *)
+let conf_of ~seed ~family ~scale ~ases =
+  let base =
     match ases with
-    | Some n -> { (Netgen.Conf.sized n) with Netgen.Conf.seed; family }
-    | None -> { (Netgen.Conf.scaled scale) with Netgen.Conf.seed; family }
+    | Some n -> Netgen.Conf.sized n
+    | None -> Netgen.Conf.scaled scale
   in
+  { base with Netgen.Conf.seed; family }
+
+let generate () seed family scale ases binary out =
+  let conf = conf_of ~seed ~family ~scale ~ases in
   Printf.eprintf "generating world: %s\n%!"
     (Format.asprintf "%a" Netgen.Conf.pp conf);
   let world = Netgen.Groundtruth.build conf in
@@ -319,8 +241,9 @@ let generate_cmd =
     (Cmd.info "generate"
        ~doc:"Generate a synthetic world and write its observed table dumps.")
     Term.(
-      const generate $ seed_arg $ family_arg $ scale_arg $ ases_arg
-      $ binary_arg $ out_arg $ jobs_arg $ faults_arg $ trace_arg)
+      const generate
+      $ knob_flags [ "--jobs"; "--faults"; "--trace" ]
+      $ seed_arg $ family_arg $ scale_arg $ ases_arg $ binary_arg $ out_arg)
 
 (* topo-compare *)
 
@@ -355,8 +278,7 @@ let min_score_conv =
   in
   Arg.conv (parse, Format.pp_print_float)
 
-let topo_compare world_a world_b seed scale ases min_score =
-  init_runtime ();
+let topo_compare () world_a world_b seed scale ases min_score =
   let label = function
     | `File path -> path
     | `Family f -> Netgen.Family.to_string f
@@ -366,11 +288,7 @@ let topo_compare world_a world_b seed scale ases min_score =
         let data = load_dataset path in
         Topology.Extract.graph_of_paths (Rib.all_paths data)
     | `Family family ->
-        let conf =
-          match ases with
-          | Some n -> { (Netgen.Conf.sized n) with Netgen.Conf.seed; family }
-          | None -> { (Netgen.Conf.scaled scale) with Netgen.Conf.seed; family }
-        in
+        let conf = conf_of ~seed ~family ~scale ~ases in
         let topo = Netgen.generate family conf (Random.State.make [| seed |]) in
         Netgen.Gentopo.as_graph topo
   in
@@ -424,8 +342,8 @@ let topo_compare_cmd =
              files or generated family specs; families — %s."
             (Netgen.Family.syntax_help ())))
     Term.(
-      const topo_compare $ world_a_arg $ world_b_arg $ seed_arg $ scale_arg
-      $ ases_arg $ min_score_arg)
+      const topo_compare $ knob_flags [] $ world_a_arg $ world_b_arg $ seed_arg
+      $ scale_arg $ ases_arg $ min_score_arg)
 
 (* stats *)
 
@@ -534,14 +452,8 @@ let max_iter_arg =
     & opt (some int) None
     & info [ "max-iterations" ] ~docv:"N" ~doc:"Cap refinement iterations.")
 
-let build input split_seed train_fraction by_origin model_out max_iter jobs
-    faults warm check strict trace metrics =
-  init_runtime ();
-  apply_jobs jobs;
-  apply_faults faults;
-  apply_warm warm;
-  apply_check check;
-  apply_trace trace;
+let build () input split_seed train_fraction by_origin model_out max_iter
+    strict metrics =
   let data = load_datasets input in
   let options =
     { Refine.Refiner.default_options with max_iterations = max_iter }
@@ -609,9 +521,10 @@ let build_cmd =
          "Refine an AS-routing model from a training split and evaluate its \
           predictions.")
     Term.(
-      const build $ in_arg $ split_seed_arg $ train_fraction_arg $ by_origin_arg
-      $ model_out_arg $ max_iter_arg $ jobs_arg $ faults_arg $ warm_arg
-      $ check_arg $ strict_arg $ trace_arg $ metrics_arg)
+      const build
+      $ knob_flags [ "--jobs"; "--faults"; "--warm"; "--check"; "--trace" ]
+      $ in_arg $ split_seed_arg $ train_fraction_arg $ by_origin_arg
+      $ model_out_arg $ max_iter_arg $ strict_arg $ metrics_arg)
 
 (* eval *)
 
@@ -621,32 +534,33 @@ let model_arg =
     & opt (some string) None
     & info [ "model" ] ~docv:"FILE" ~doc:"A model saved by 'build'.")
 
-let eval_run model_path input jobs faults trace metrics =
-  init_runtime ();
-  apply_jobs jobs;
-  apply_faults faults;
-  apply_trace trace;
-  match Asmodel.Serialize.load model_path with
+(* Run [f] on the model saved at [path]; exit 2 if it cannot be
+   loaded. *)
+let with_model path f =
+  match Asmodel.Serialize.load path with
   | Error msg ->
       Printf.eprintf "cannot load model: %s\n" msg;
       2
-  | Ok model ->
-      let data = load_datasets input in
-      let data = Rib.collapse_to_origin data in
-      let states = Hashtbl.create 256 in
-      let report = Evaluation.Predict.evaluate model ~states data in
-      Format.printf "%a@." Evaluation.Predict.pp report;
-      let verification = Refine.Verify.verify model ~states data in
-      Format.printf "%a@." Refine.Verify.pp verification;
-      finish_obs ~metrics ();
-      0
+  | Ok model -> f model
+
+let eval_run () model_path input metrics =
+  with_model model_path @@ fun model ->
+  let data = Rib.collapse_to_origin (load_datasets input) in
+  let states = Hashtbl.create 256 in
+  let report = Evaluation.Predict.evaluate model ~states data in
+  Format.printf "%a@." Evaluation.Predict.pp report;
+  let verification = Refine.Verify.verify model ~states data in
+  Format.printf "%a@." Refine.Verify.pp verification;
+  finish_obs ~metrics ();
+  0
 
 let eval_cmd =
   Cmd.v
     (Cmd.info "eval" ~doc:"Evaluate a saved model against a dump file.")
     Term.(
-      const eval_run $ model_arg $ in_arg $ jobs_arg $ faults_arg $ trace_arg
-      $ metrics_arg)
+      const eval_run
+      $ knob_flags [ "--jobs"; "--faults"; "--trace" ]
+      $ model_arg $ in_arg $ metrics_arg)
 
 (* inspect *)
 
@@ -657,19 +571,15 @@ let prefix_arg =
     & info [ "prefix" ] ~docv:"PREFIX" ~doc:"Prefix to study (a.b.c.d/len).")
 
 let inspect model_path prefix_str =
-  match Asmodel.Serialize.load model_path with
-  | Error msg ->
-      Printf.eprintf "cannot load model: %s\n" msg;
+  with_model model_path @@ fun model ->
+  match Prefix.of_string prefix_str with
+  | None ->
+      Printf.eprintf "bad prefix %S\n" prefix_str;
       2
-  | Ok model -> (
-      match Prefix.of_string prefix_str with
-      | None ->
-          Printf.eprintf "bad prefix %S\n" prefix_str;
-          2
-      | Some prefix ->
-          let study = Evaluation.Casestudy.study model prefix in
-          Evaluation.Casestudy.pp std study;
-          0)
+  | Some prefix ->
+      let study = Evaluation.Casestudy.study model prefix in
+      Evaluation.Casestudy.pp std study;
+      0
 
 let inspect_cmd =
   Cmd.v
@@ -688,35 +598,31 @@ let trace_as_arg =
     & info [ "as" ] ~docv:"ASN" ~doc:"Show this AS's routes in detail.")
 
 let trace model_path prefix_str asn_opt =
-  match Asmodel.Serialize.load model_path with
-  | Error msg ->
-      Printf.eprintf "cannot load model: %s\n" msg;
+  with_model model_path @@ fun model ->
+  match Prefix.of_string prefix_str with
+  | None ->
+      Printf.eprintf "bad prefix %S\n" prefix_str;
       2
-  | Ok model -> (
-      match Prefix.of_string prefix_str with
-      | None ->
-          Printf.eprintf "bad prefix %S\n" prefix_str;
-          2
-      | Some prefix ->
-          let st = Asmodel.Qrmodel.simulate model prefix in
-          let net = model.Asmodel.Qrmodel.net in
-          let tree = Simulator.Trace.tree net st in
-          Printf.printf "propagation forest for %s: %d roots, %d unrouted\n"
-            (Prefix.to_string prefix)
-            (List.length tree.Simulator.Trace.roots)
-            (List.length tree.Simulator.Trace.unrouted);
-          Printf.printf "depth profile:\n";
+  | Some prefix ->
+      let st = Asmodel.Qrmodel.simulate model prefix in
+      let net = model.Asmodel.Qrmodel.net in
+      let tree = Simulator.Trace.tree net st in
+      Printf.printf "propagation forest for %s: %d roots, %d unrouted\n"
+        (Prefix.to_string prefix)
+        (List.length tree.Simulator.Trace.roots)
+        (List.length tree.Simulator.Trace.unrouted);
+      Printf.printf "depth profile:\n";
+      List.iter
+        (fun (d, n) -> Printf.printf "  depth %d: %d quasi-routers\n" d n)
+        (Simulator.Trace.depth_histogram tree);
+      (match asn_opt with
+      | None -> ()
+      | Some asn ->
           List.iter
-            (fun (d, n) -> Printf.printf "  depth %d: %d quasi-routers\n" d n)
-            (Simulator.Trace.depth_histogram tree);
-          (match asn_opt with
-          | None -> ()
-          | Some asn ->
-              List.iter
-                (fun node ->
-                  Format.printf "  %a@." (Simulator.Trace.pp_route net st) node)
-                (Simulator.Net.nodes_of_as net asn));
-          0)
+            (fun node ->
+              Format.printf "  %a@." (Simulator.Trace.pp_route net st) node)
+            (Simulator.Net.nodes_of_as net asn));
+      0
 
 let trace_cmd =
   Cmd.v
@@ -727,24 +633,20 @@ let trace_cmd =
 (* compact *)
 
 let compact model_path input out =
-  match Asmodel.Serialize.load model_path with
-  | Error msg ->
-      Printf.eprintf "cannot load model: %s\n" msg;
-      2
-  | Ok model -> (
-      let data = Rib.collapse_to_origin (load_datasets input) in
-      match Refine.Compress.compact_verified model ~against:data with
-      | None ->
-          Printf.printf "compaction would lose matches; model kept as is\n";
-          1
-      | Some (compacted, stats) ->
-          Printf.printf "quasi-routers %d -> %d, sessions %d -> %d\n"
-            stats.Refine.Compress.nodes_before stats.Refine.Compress.nodes_after
-            stats.Refine.Compress.sessions_before
-            stats.Refine.Compress.sessions_after;
-          Asmodel.Serialize.save out compacted;
-          Printf.printf "compacted model saved to %s\n" out;
-          0)
+  with_model model_path @@ fun model ->
+  let data = Rib.collapse_to_origin (load_datasets input) in
+  match Refine.Compress.compact_verified model ~against:data with
+  | None ->
+      Printf.printf "compaction would lose matches; model kept as is\n";
+      1
+  | Some (compacted, stats) ->
+      Printf.printf "quasi-routers %d -> %d, sessions %d -> %d\n"
+        stats.Refine.Compress.nodes_before stats.Refine.Compress.nodes_after
+        stats.Refine.Compress.sessions_before
+        stats.Refine.Compress.sessions_after;
+      Asmodel.Serialize.save out compacted;
+      Printf.printf "compacted model saved to %s\n" out;
+      0
 
 let compact_out_arg =
   Arg.(
@@ -769,15 +671,11 @@ let cbgp_out_arg =
     & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Output C-BGP script.")
 
 let export_cbgp model_path out =
-  match Asmodel.Serialize.load model_path with
-  | Error msg ->
-      Printf.eprintf "cannot load model: %s\n" msg;
-      2
-  | Ok model ->
-      Asmodel.Cbgp_export.save out model;
-      Printf.printf "wrote C-BGP script to %s (%d lines)\n" out
-        (List.length (Asmodel.Cbgp_export.to_lines model));
-      0
+  with_model model_path @@ fun model ->
+  Asmodel.Cbgp_export.save out model;
+  Printf.printf "wrote C-BGP script to %s (%d lines)\n" out
+    (List.length (Asmodel.Cbgp_export.to_lines model));
+  0
 
 let export_cbgp_cmd =
   Cmd.v
@@ -788,16 +686,12 @@ let export_cbgp_cmd =
 (* lint *)
 
 let lint model_path strict =
-  match Asmodel.Serialize.load model_path with
-  | Error msg ->
-      Printf.eprintf "cannot load model: %s\n" msg;
-      2
-  | Ok model ->
-      let report = Analysis.Lint.check model in
-      Format.printf "%a@." Analysis.Report.pp report;
-      let errors = Analysis.Report.error_count report in
-      let warns = Analysis.Report.warn_count report in
-      if errors > 0 || (strict && warns > 0) then 4 else 0
+  with_model model_path @@ fun model ->
+  let report = Analysis.Lint.check model in
+  Format.printf "%a@." Analysis.Report.pp report;
+  let errors = Analysis.Report.error_count report in
+  let warns = Analysis.Report.warn_count report in
+  if errors > 0 || (strict && warns > 0) then 4 else 0
 
 let lint_cmd =
   Cmd.v
@@ -825,39 +719,32 @@ let checker_findings () =
     (Analysis.Ownership.violations ())
   @ Analysis.Race.findings ()
 
-let check_run model_path check jobs strict =
-  init_runtime ();
-  apply_jobs jobs;
-  apply_check check;
-  match Asmodel.Serialize.load model_path with
-  | Error msg ->
-      Printf.eprintf "cannot load model: %s\n" msg;
-      2
-  | Ok model ->
-      let net = model.Asmodel.Qrmodel.net in
-      (* Simulate every model prefix through the regular pool (so a
-         --check race run exercises the instrumented parallel path),
-         then audit each frozen state against the live net.  Loading a
-         model replays its policies into a fresh net, which fills the
-         touched sets; [simulate_all] drains them, or every audit would
-         read as stale. *)
-      let states, stats = Asmodel.Qrmodel.simulate_all model in
-      Printf.eprintf "simulated %a\n%!"
-        (fun oc s -> Printf.fprintf oc "%d prefixes on %d jobs" s.Simulator.Pool.prefixes s.Simulator.Pool.jobs)
-        stats;
-      let findings =
-        Analysis.Report.findings (Analysis.Lint.check model)
-        @ List.concat_map
-            (fun (_, st) -> Analysis.Audit.state net st)
-            states
-        @ Analysis.Audit.sentinel_lint ()
-        @ checker_findings ()
-      in
-      let report = Analysis.Report.of_findings findings in
-      Format.printf "%a@." Analysis.Report.pp report;
-      let errors = Analysis.Report.error_count report in
-      let warns = Analysis.Report.warn_count report in
-      if errors > 0 || (strict && warns > 0) then 4 else 0
+let check_run () model_path strict =
+  with_model model_path @@ fun model ->
+  let net = model.Asmodel.Qrmodel.net in
+  (* Simulate every model prefix through the regular pool (so a
+     --check race run exercises the instrumented parallel path), then
+     audit each frozen state against the live net.  Loading a model
+     replays its policies into a fresh net, which fills the touched
+     sets; [simulate_all] drains them, or every audit would read as
+     stale. *)
+  let states, stats = Asmodel.Qrmodel.simulate_all model in
+  Printf.eprintf "simulated %a\n%!"
+    (fun oc s ->
+      Printf.fprintf oc "%d prefixes on %d jobs" s.Simulator.Pool.prefixes
+        s.Simulator.Pool.jobs)
+    stats;
+  let findings =
+    Analysis.Report.findings (Analysis.Lint.check model)
+    @ List.concat_map (fun (_, st) -> Analysis.Audit.state net st) states
+    @ Analysis.Audit.sentinel_lint ()
+    @ checker_findings ()
+  in
+  let report = Analysis.Report.of_findings findings in
+  Format.printf "%a@." Analysis.Report.pp report;
+  let errors = Analysis.Report.error_count report in
+  let warns = Analysis.Report.warn_count report in
+  if errors > 0 || (strict && warns > 0) then 4 else 0
 
 let check_cmd =
   Cmd.v
@@ -870,7 +757,10 @@ let check_cmd =
           RD_CHECK violation or data race recorded during the run \
           (enable the detector with --check race).  Exits 4 when \
           anything is found.")
-    Term.(const check_run $ model_arg $ check_arg $ jobs_arg $ strict_arg)
+    Term.(
+      const check_run
+      $ knob_flags [ "--check"; "--jobs" ]
+      $ model_arg $ strict_arg)
 
 (* whatif *)
 
@@ -881,28 +771,20 @@ let as_b_arg =
   Arg.(required & pos 1 (some int) None & info [] ~docv:"AS2" ~doc:"Second AS.")
 
 let whatif model_path a b =
-  match Asmodel.Serialize.load model_path with
-  | Error msg ->
-      Printf.eprintf "cannot load model: %s\n" msg;
-      2
-  | Ok model ->
-      let before =
-        Asmodel.Whatif.snapshot ~on_prefix:(progress "baseline") model
-      in
-      let touched = Asmodel.Whatif.disable_as_link model a b in
-      if touched = 0 then begin
-        Printf.printf "AS%d and AS%d share no session in this model\n" a b;
-        1
-      end
-      else begin
-        Printf.printf "disabled %d half-sessions between AS%d and AS%d\n"
-          touched a b;
-        let after =
-          Asmodel.Whatif.snapshot ~on_prefix:(progress "what-if") model
-        in
-        Asmodel.Whatif.pp_diff std (Asmodel.Whatif.diff before after);
-        0
-      end
+  with_model model_path @@ fun model ->
+  let before = Asmodel.Whatif.snapshot ~on_prefix:(progress "baseline") model in
+  let touched = Asmodel.Whatif.disable_as_link model a b in
+  if touched = 0 then begin
+    Printf.printf "AS%d and AS%d share no session in this model\n" a b;
+    1
+  end
+  else begin
+    Printf.printf "disabled %d half-sessions between AS%d and AS%d\n" touched
+      a b;
+    let after = Asmodel.Whatif.snapshot ~on_prefix:(progress "what-if") model in
+    Asmodel.Whatif.pp_diff std (Asmodel.Whatif.diff before after);
+    0
+  end
 
 let whatif_cmd =
   Cmd.v
@@ -936,38 +818,25 @@ let stream_seed_arg =
           "Seed of the churn-stream generator (the same model, scenario \
            and seed replay identically).")
 
-let replay_run model_path scenario events stream_seed jobs faults warm check
-    strict trace metrics =
-  init_runtime ();
-  apply_jobs jobs;
-  apply_faults faults;
-  apply_warm warm;
-  apply_check check;
-  apply_trace trace;
+let replay_run () model_path scenario events stream_seed strict metrics =
   match Stream.Streamgen.of_name scenario with
   | None ->
       Printf.eprintf "unknown scenario %S (one of: %s)\n" scenario
         (String.concat ", " Stream.Streamgen.scenario_names);
       1
-  | Some gen -> (
-      match Asmodel.Serialize.load model_path with
-      | Error msg ->
-          Printf.eprintf "cannot load model: %s\n" msg;
-          2
-      | Ok model ->
-          let rng = Random.State.make [| stream_seed |] in
-          let stream = gen ~events model rng in
-          Printf.eprintf "replaying %d %s events over %d model prefixes\n%!"
-            (List.length stream) scenario
-            (List.length model.Asmodel.Qrmodel.prefixes);
-          let _driver, report = Stream.Replay.run model stream in
-          Evaluation.Report.section std "CHURN" "event-stream replay";
-          Format.printf "%a@." Stream.Replay.pp_report report;
-          Printf.printf "unrecovered failures: %d\n"
-            report.Stream.Replay.failed;
-          finish_obs ~metrics ();
-          checker_exit ~strict
-            (if report.Stream.Replay.failed > 0 then 3 else 0))
+  | Some gen ->
+      with_model model_path @@ fun model ->
+      let rng = Random.State.make [| stream_seed |] in
+      let stream = gen ~events model rng in
+      Printf.eprintf "replaying %d %s events over %d model prefixes\n%!"
+        (List.length stream) scenario
+        (List.length model.Asmodel.Qrmodel.prefixes);
+      let _driver, report = Stream.Replay.run model stream in
+      Evaluation.Report.section std "CHURN" "event-stream replay";
+      Format.printf "%a@." Stream.Replay.pp_report report;
+      Printf.printf "unrecovered failures: %d\n" report.Stream.Replay.failed;
+      finish_obs ~metrics ();
+      checker_exit ~strict (if report.Stream.Replay.failed > 0 then 3 else 0)
 
 let replay_cmd =
   Cmd.v
@@ -978,9 +847,10 @@ let replay_cmd =
           only touched prefixes warm.  Exits 3 when any reconvergence \
           failure survives the retries.")
     Term.(
-      const replay_run $ model_arg $ scenario_arg $ events_arg
-      $ stream_seed_arg $ jobs_arg $ faults_arg $ warm_arg $ check_arg
-      $ strict_arg $ trace_arg $ metrics_arg)
+      const replay_run
+      $ knob_flags [ "--jobs"; "--faults"; "--warm"; "--check"; "--trace" ]
+      $ model_arg $ scenario_arg $ events_arg $ stream_seed_arg $ strict_arg
+      $ metrics_arg)
 
 (* serve / query *)
 
@@ -993,74 +863,33 @@ let socket_arg =
           "Unix-domain socket path of the query service (ignored when a TCP \
            port is configured).")
 
-let port_arg =
-  Arg.(
-    value
-    & opt (some positive_int_conv) None
-    & info [ "port" ] ~docv:"N"
-        ~doc:
-          "Serve on loopback TCP port $(docv) instead of the Unix socket \
-           (default: $(b,RD_PORT) or the Unix socket).")
-
-let nonneg_int_conv =
-  let parse s =
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 0 -> Ok n
-    | Some _ | None ->
-        Error (`Msg (Printf.sprintf "expected a non-negative integer, got %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let deadline_arg =
-  Arg.(
-    value
-    & opt (some nonneg_int_conv) None
-    & info [ "deadline-ms" ] ~docv:"MS"
-        ~doc:
-          "Per-query deadline in milliseconds; overruns are answered anyway \
-           but flagged and counted (default: $(b,RD_DEADLINE_MS) or 1000; \
-           $(b,0) disables).")
-
 let resolve_listen socket =
   match Simulator.Runtime.port () with
   | Some p -> Serve.Server.Tcp p
   | None -> Serve.Server.Unix_path socket
 
-let serve_run model_path socket port deadline jobs faults trace metrics =
-  init_runtime ();
-  apply_jobs jobs;
-  apply_faults faults;
-  apply_trace trace;
-  (match port with Some _ -> Simulator.Runtime.set_port port | None -> ());
-  (match deadline with
-  | Some d -> Simulator.Runtime.set_deadline_ms d
-  | None -> ());
-  match Asmodel.Serialize.load model_path with
-  | Error msg ->
-      Printf.eprintf "cannot load model: %s\n" msg;
-      2
-  | Ok model ->
-      let snap = Serve.Snapshot.build model in
-      if not (Serve.Snapshot.converged snap) then
-        Printf.eprintf
-          "warning: some cached states did not converge; answers for those \
-           prefixes reflect partial states\n%!";
-      let store = Serve.Snapshot.store () in
-      Serve.Snapshot.publish store snap;
-      let listen = resolve_listen socket in
-      let srv = Serve.Server.start ~store listen in
-      Printf.eprintf "serving %d prefixes (%d quasi-routers) on %s%s\n%!"
-        (List.length model.Asmodel.Qrmodel.prefixes)
-        (Simulator.Net.node_count model.Asmodel.Qrmodel.net)
-        (match listen with
-        | Serve.Server.Unix_path p -> p
-        | Serve.Server.Tcp p -> Printf.sprintf "127.0.0.1:%d" p)
-        (let d = Simulator.Runtime.deadline_ms () in
-         if d = 0 then ", no deadline"
-         else Printf.sprintf ", deadline %dms" d);
-      Serve.Server.wait srv;
-      finish_obs ~metrics ();
-      0
+let serve_run () model_path socket metrics =
+  with_model model_path @@ fun model ->
+  let snap = Serve.Snapshot.build model in
+  if not (Serve.Snapshot.converged snap) then
+    Printf.eprintf
+      "warning: some cached states did not converge; answers for those \
+       prefixes reflect partial states\n%!";
+  let store = Serve.Snapshot.store () in
+  Serve.Snapshot.publish store snap;
+  let listen = resolve_listen socket in
+  let srv = Serve.Server.start ~store listen in
+  Printf.eprintf "serving %d prefixes (%d quasi-routers) on %s%s\n%!"
+    (List.length model.Asmodel.Qrmodel.prefixes)
+    (Simulator.Net.node_count model.Asmodel.Qrmodel.net)
+    (match listen with
+    | Serve.Server.Unix_path p -> p
+    | Serve.Server.Tcp p -> Printf.sprintf "127.0.0.1:%d" p)
+    (let d = Simulator.Runtime.deadline_ms () in
+     if d = 0 then ", no deadline" else Printf.sprintf ", deadline %dms" d);
+  Serve.Server.wait srv;
+  finish_obs ~metrics ();
+  0
 
 let serve_cmd =
   Cmd.v
@@ -1070,8 +899,10 @@ let serve_cmd =
           snapshot of a saved model (length-prefixed JSON; see 'asmodel \
           query').")
     Term.(
-      const serve_run $ model_arg $ socket_arg $ port_arg $ deadline_arg
-      $ jobs_arg $ faults_arg $ trace_arg $ metrics_arg)
+      const serve_run
+      $ knob_flags
+          [ "--port"; "--deadline-ms"; "--jobs"; "--faults"; "--trace" ]
+      $ model_arg $ socket_arg $ metrics_arg)
 
 let query_words_arg =
   Arg.(
@@ -1118,9 +949,7 @@ let parse_query_words words =
       Error
         (Printf.sprintf "unrecognized query: %s" (String.concat " " words))
 
-let query_run socket port words =
-  init_runtime ();
-  (match port with Some _ -> Simulator.Runtime.set_port port | None -> ());
+let query_run () socket words =
   match parse_query_words words with
   | Error msg ->
       Printf.eprintf "asmodel query: %s\n" msg;
@@ -1153,7 +982,8 @@ let query_cmd =
        ~doc:
          "Send one query to a running 'asmodel serve' and print the JSON \
           response.")
-    Term.(const query_run $ socket_arg $ port_arg $ query_words_arg)
+    Term.(
+      const query_run $ knob_flags [ "--port" ] $ socket_arg $ query_words_arg)
 
 let main_cmd =
   Cmd.group

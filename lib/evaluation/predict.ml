@@ -35,7 +35,7 @@ let no_rib_in_m = Obs.Metrics.counter "predict.no_rib_in"
 
 let unresolved_m = Obs.Metrics.counter "predict.unresolved"
 
-let evaluate ?jobs model ~states data =
+let evaluate model ~states data =
   Obs.Trace.with_span "predict.evaluate" @@ fun () ->
   let net = model.Qrmodel.net in
   (* Batch phase: every prefix that will be graded but has no cached
@@ -59,7 +59,7 @@ let evaluate ?jobs model ~states data =
       (Rib.entries data)
   in
   let pairs, pool =
-    Simulator.Pool.simulate_result ?jobs ~sim:(Qrmodel.simulate model) missing
+    Simulator.Pool.simulate_result ~sim:(Qrmodel.simulate model) missing
   in
   (* Prefixes without a trustworthy converged state: their cases are
      graded [unresolved] below — an explicit "the model could not

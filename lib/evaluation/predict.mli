@@ -39,15 +39,14 @@ type report = {
 }
 
 val evaluate :
-  ?jobs:int ->
   Asmodel.Qrmodel.t ->
   states:(Prefix.t, Simulator.Engine.state) Hashtbl.t ->
   Rib.t ->
   report
 (** Grade against pre-computed states; prefixes without a state are
-    first simulated in one parallel batch ([jobs] workers, default
-    {!Simulator.Runtime.jobs}) and memoized into [states].  The
-    report is identical for every job count. *)
+    first simulated in one parallel batch ({!Simulator.Runtime.jobs}
+    workers) and memoized into [states].  The report is identical for
+    every job count. *)
 
 val down_to_tie_break_fraction : report -> float
 (** (RIB-Out + potential RIB-Out) / cases — the paper's ">80% of test

@@ -13,7 +13,6 @@ type options = {
   max_quasi_routers : int;
   use_med : bool;
   ranking : ranking;
-  jobs : int option;
 }
 
 let default_options =
@@ -22,7 +21,6 @@ let default_options =
     max_quasi_routers = max_int;
     use_med = true;
     ranking = Med_ranking;
-    jobs = None;
   }
 
 type iter_stat = {
@@ -183,9 +181,6 @@ let refine ?(options = default_options) ?on_iteration model ~training =
     Hashtbl.create (List.length work)
   in
   let dirty : (Prefix.t, unit) Hashtbl.t = Hashtbl.create 64 in
-  let jobs =
-    match options.jobs with Some j -> max 1 j | None -> Runtime.jobs ()
-  in
   (* Warm-start closure, run from pool worker domains.  The [states]
      table and the network's touched sets are only read here — all
      writes happen in the sequential phases between pool calls — so the
@@ -223,7 +218,7 @@ let refine ?(options = default_options) ?on_iteration model ~training =
           | Some _ | None -> Some prefix)
         work
     in
-    let pairs, stats = Pool.simulate_result ~jobs ~sim:simulate missing in
+    let pairs, stats = Pool.simulate_result ~sim:simulate missing in
     List.iter
       (fun (prefix, r) ->
         (* The new state (or quarantine entry) reflects every policy
@@ -415,7 +410,7 @@ let refine ?(options = default_options) ?on_iteration model ~training =
   let unstable = ref 0 in
   let final_quarantined = ref 0 in
   let final_pairs, final_stats =
-    Pool.simulate_result ~jobs ~sim:simulate (List.map fst work)
+    Pool.simulate_result ~sim:simulate (List.map fst work)
   in
   pool_total := Pool.merge !pool_total final_stats;
   List.iter

@@ -51,10 +51,6 @@ type options = {
       (** when false, no ranking rules are added (filters only) — the
           ranking ablation.  Default: true. *)
   ranking : ranking;  (** default {!Med_ranking}. *)
-  jobs : int option;
-      (** worker count for the parallel simulation phases; default
-          {!Simulator.Runtime.jobs} ([RD_JOBS] / domain count).
-          Results are bit-identical for every value. *)
 }
 
 val default_options : options

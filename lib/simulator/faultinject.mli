@@ -10,7 +10,7 @@
 
     The configuration is the [faults] field of {!Runtime} (a
     {!Runtime.Fault.t}: the [RD_FAULTS] environment variable, the
-    CLI/bench [--faults] flag, or {!Runtime.set_faults}); every hook
+    CLI/bench [--faults] flag, or {!Runtime.set}); every hook
     below reads it and is the identity when it is [None] (the default).
     Knob syntax: [RATE:SEED] for transient scope, [RATE:SEED:full] for
     full scope, [0], [off] or the empty string to disable.  Example:

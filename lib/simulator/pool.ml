@@ -46,11 +46,7 @@ let pp_task_error ppf e =
    hence every caller downstream) is independent of the job count.  A
    failing task writes an [Error] into its own slot and the worker moves
    on — one pathological input no longer discards the whole batch. *)
-let resolve_chunk ~n ~jobs = function
-  | Some c -> max 1 c
-  | None -> max 1 (n / (jobs * 8))
-
-let map_result ?jobs ?chunk ?on_recover ?on_slot f l =
+let map_result ?jobs ?on_recover ?on_slot f l =
   let input = Array.of_list l in
   let n = Array.length input in
   if n = 0 then []
@@ -99,10 +95,8 @@ let map_result ?jobs ?chunk ?on_recover ?on_slot f l =
     else begin
       let cursor = Atomic.make 0 in
       (* Small chunks keep the tail balanced when per-item cost varies
-         (prefix convergence times differ by orders of magnitude); an
-         explicit [?chunk] shards larger runs of prefixes per claim so
-         warm caches and interned tables stay hot within a domain. *)
-      let chunk = resolve_chunk ~n ~jobs chunk in
+         (prefix convergence times differ by orders of magnitude). *)
+      let chunk = max 1 (n / (jobs * 8)) in
       let worker () =
         let running = ref true in
         while !running do
@@ -192,7 +186,7 @@ let map_result ?jobs ?chunk ?on_recover ?on_slot f l =
       (Array.map (function Some r -> r | None -> assert false) results)
   end
 
-let map ?jobs ?chunk f l =
+let map ?jobs f l =
   List.map
     (function
       | Ok v -> v
@@ -201,7 +195,7 @@ let map ?jobs ?chunk f l =
               m "Pool.map: input %d failed after retry: %s" index
                 (Printexc.to_string exn));
           raise exn)
-    (map_result ?jobs ?chunk f l)
+    (map_result ?jobs f l)
 
 type stats = {
   jobs : int;
@@ -238,12 +232,12 @@ let merge a b =
     wall = a.wall +. b.wall;
   }
 
-let simulate_result ?jobs ?chunk ~sim prefixes =
+let simulate_result ?jobs ~sim prefixes =
   let jobs = resolve_jobs jobs in
   let t0 = Unix.gettimeofday () in
   let retried = ref 0 in
   let results =
-    map_result ~jobs ?chunk ~on_recover:(fun _ -> incr retried) sim prefixes
+    map_result ~jobs ~on_recover:(fun _ -> incr retried) sim prefixes
   in
   let wall = Unix.gettimeofday () -. t0 in
   let stats =
@@ -269,8 +263,8 @@ let simulate_result ?jobs ?chunk ~sim prefixes =
   in
   (List.combine prefixes results, stats)
 
-let simulate ?jobs ?chunk ~sim prefixes =
-  let pairs, stats = simulate_result ?jobs ?chunk ~sim prefixes in
+let simulate ?jobs ~sim prefixes =
+  let pairs, stats = simulate_result ?jobs ~sim prefixes in
   let pairs =
     List.map
       (fun (p, r) ->

@@ -46,7 +46,6 @@ type slot_timing = {
 
 val map_result :
   ?jobs:int ->
-  ?chunk:int ->
   ?on_recover:(int -> unit) ->
   ?on_slot:(int -> slot_timing -> unit) ->
   ('a -> 'b) ->
@@ -54,17 +53,13 @@ val map_result :
   ('b, task_error) result list
 (** Parallel, order-preserving, fault-isolating [List.map].  [jobs]
     defaults to {!Runtime.jobs}; with [jobs = 1] (or a short list) the
-    input is mapped in the calling domain.  [chunk] is the number of
-    consecutive inputs a worker claims per cursor fetch (clamped to at
-    least 1); the default [n / (jobs * 8)] keeps the tail balanced when
-    per-item cost varies, while an explicit larger shard keeps a run of
-    related prefixes on one domain (better locality for warm caches and
-    the per-domain intern tables).  Results are bit-identical either
-    way.  A task that raises yields
-    [Error] in its own slot without disturbing the rest of the batch;
-    failed tasks are retried once sequentially after the parallel
-    phase, and [on_recover i] is called for each input [i] whose retry
-    succeeded.
+    input is mapped in the calling domain.  Workers claim
+    [max 1 (n / (jobs * 8))] consecutive inputs per cursor fetch, which
+    keeps the tail balanced when per-item cost varies.  A task that
+    raises yields [Error] in its own slot without disturbing the rest
+    of the batch; failed tasks are retried once sequentially after the
+    parallel phase, and [on_recover i] is called for each input [i]
+    whose retry succeeded.
 
     Every slot's wall time is measured — for a retried task the timing
     (and domain) of the retry attempt replaces the failed first
@@ -73,7 +68,7 @@ val map_result :
     is on) one trace event per slot plus a whole-batch [pool.map]
     event. *)
 
-val map : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
+val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** {!map_result} for callers that treat any persistent failure as
     fatal: the first (lowest-index) input still failing after its
     retry has its index logged and its exception re-raised. *)
@@ -98,21 +93,18 @@ val merge : stats -> stats -> stats
 
 val simulate :
   ?jobs:int ->
-  ?chunk:int ->
   sim:(Prefix.t -> Engine.state) ->
   Prefix.t list ->
   (Prefix.t * Engine.state) list * stats
 (** [simulate ~sim prefixes] runs [sim] on every prefix in parallel and
     returns the states paired with their prefixes, in input order, plus
-    the batch statistics.  [chunk] shards the prefix list as in
-    {!map_result}.  Non-converged (budget-truncated or diverged)
+    the batch statistics.  Non-converged (budget-truncated or diverged)
     states are counted in [stats.non_converged] — see {!Engine.outcome} —
     so silent truncation shows up in every pool report.  Raises like
     {!map} if a simulation fails persistently. *)
 
 val simulate_result :
   ?jobs:int ->
-  ?chunk:int ->
   sim:(Prefix.t -> Engine.state) ->
   Prefix.t list ->
   (Prefix.t * (Engine.state, task_error) result) list * stats

@@ -88,126 +88,156 @@ let default =
     deadline_ms = 1000;
   }
 
+let parse_int ~valid ~want what s =
+  match int_of_string_opt (String.trim s) with
+  | Some n when valid n -> Ok n
+  | Some _ | None -> Error (Printf.sprintf "bad %s %S (want %s)" what s want)
+
+type knob = {
+  flags : string list;
+  env : string;
+  docv : string;
+  doc : string;
+  parse : string -> t -> (t, string) result;
+}
+
+let knobs =
+  [
+    {
+      flags = [ "--jobs"; "-j" ];
+      env = "RD_JOBS";
+      docv = "N";
+      doc =
+        "Worker domains for per-prefix simulation (default: $(b,RD_JOBS) or \
+         the machine's recommended domain count).  Results are identical \
+         for every value.";
+      parse =
+        (fun s rt ->
+          Result.map
+            (fun n -> { rt with jobs = Some n })
+            (parse_int ~valid:(fun n -> n >= 1) ~want:"a positive integer"
+               "job count" s));
+    };
+    {
+      flags = [ "--warm" ];
+      env = "RD_WARM";
+      docv = "off|on|verify";
+      doc =
+        "Warm-start re-simulation in the refinement loop, churn replay and \
+         serve (default: $(b,RD_WARM) or $(b,on)).  $(b,on) resumes each \
+         changed prefix from its previous converged state; $(b,verify) runs \
+         cold and warm side by side and reports any divergence; $(b,off) \
+         always simulates from scratch.";
+      parse =
+        (fun s rt ->
+          Result.map (fun warm -> { rt with warm }) (Warm_mode.parse s));
+    };
+    {
+      flags = [ "--check" ];
+      env = "RD_CHECK";
+      docv = "off|on|race";
+      doc =
+        "Audit mutation discipline during the run (default: $(b,RD_CHECK) or \
+         $(b,off)); $(b,race) additionally runs the happens-before race \
+         detector.  Findings are reported, not raised; $(b,--strict) \
+         escalates them to exit 4.";
+      parse =
+        (fun s rt ->
+          Result.map (fun check -> { rt with check }) (Check_mode.parse s));
+    };
+    {
+      flags = [ "--faults" ];
+      env = "RD_FAULTS";
+      docv = "RATE:SEED[:full]";
+      doc =
+        "Inject deterministic faults into the simulation pipeline (default: \
+         $(b,RD_FAULTS)).  $(b,RATE:SEED) throws transient, retried task \
+         failures; $(b,RATE:SEED:full) adds permanent failures and shrunk \
+         engine budgets; $(b,off) disables.";
+      parse =
+        (fun s rt ->
+          Result.map (fun faults -> { rt with faults }) (Fault.parse s));
+    };
+    {
+      flags = [ "--trace" ];
+      env = "RD_TRACE";
+      docv = "off|summary|FILE.json";
+      doc =
+        "Record spans of the simulation pipeline (default: $(b,RD_TRACE) or \
+         $(b,off)).  $(b,summary) prints a per-span aggregate table after \
+         the run; a file path writes Chrome trace-event JSON loadable in a \
+         trace viewer.";
+      parse =
+        (fun s rt ->
+          Result.map (fun trace -> { rt with trace }) (Obs.Trace.parse s));
+    };
+    {
+      flags = [ "--port" ];
+      env = "RD_PORT";
+      docv = "N";
+      doc =
+        "Serve on loopback TCP port $(docv) instead of the Unix socket \
+         (default: $(b,RD_PORT) or the Unix socket).";
+      parse =
+        (fun s rt ->
+          Result.map
+            (fun n -> { rt with port = Some n })
+            (parse_int
+               ~valid:(fun n -> n >= 1 && n <= 65535)
+               ~want:"1..65535" "port" s));
+    };
+    {
+      flags = [ "--deadline-ms" ];
+      env = "RD_DEADLINE_MS";
+      docv = "MS";
+      doc =
+        "Per-query deadline in milliseconds; overruns are answered anyway \
+         but flagged and counted (default: $(b,RD_DEADLINE_MS) or 1000; \
+         $(b,0) disables).";
+      parse =
+        (fun s rt ->
+          Result.map
+            (fun deadline_ms -> { rt with deadline_ms })
+            (parse_int ~valid:(fun n -> n >= 0)
+               ~want:"milliseconds >= 0; 0 = none" "deadline" s));
+    };
+  ]
+
+let knob flag = List.find_opt (fun k -> List.mem flag k.flags) knobs
+
 (* An unset or empty variable means "keep the default"; empty-string
    unsetting lets tests restore the environment with Unix.putenv. *)
-let env_value name =
-  match Sys.getenv_opt name with
-  | None -> None
-  | Some s -> ( match String.trim s with "" -> None | s -> Some s)
-
 let of_env () =
-  let knob name parse fallback =
-    match env_value name with
-    | None -> fallback
-    | Some s -> (
-        match parse s with
-        | Ok v -> v
-        | Error msg ->
-            Logs.warn (fun m -> m "ignoring %s: %s" name msg);
-            fallback)
-  in
-  let parse_jobs s =
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> Ok (Some n)
-    | Some _ | None ->
-        Error (Printf.sprintf "bad job count %S (want a positive integer)" s)
-  in
-  let parse_port s =
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 && n <= 65535 -> Ok (Some n)
-    | Some _ | None ->
-        Error (Printf.sprintf "bad port %S (want 1..65535)" s)
-  in
-  let parse_deadline s =
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 0 -> Ok n
-    | Some _ | None ->
-        Error
-          (Printf.sprintf "bad deadline %S (want milliseconds >= 0; 0 = none)"
-             s)
-  in
-  {
-    jobs = knob "RD_JOBS" parse_jobs default.jobs;
-    warm = knob "RD_WARM" Warm_mode.parse default.warm;
-    check = knob "RD_CHECK" Check_mode.parse default.check;
-    faults = knob "RD_FAULTS" Fault.parse default.faults;
-    trace = knob "RD_TRACE" Obs.Trace.parse default.trace;
-    port = knob "RD_PORT" parse_port default.port;
-    deadline_ms = knob "RD_DEADLINE_MS" parse_deadline default.deadline_ms;
-  }
+  List.fold_left
+    (fun rt k ->
+      match Option.map String.trim (Sys.getenv_opt k.env) with
+      | None | Some "" -> rt
+      | Some s -> (
+          match k.parse s rt with
+          | Ok rt -> rt
+          | Error msg ->
+              Logs.warn (fun m -> m "ignoring %s: %s" k.env msg);
+              rt))
+    default knobs
 
 let with_argv rt args =
-  let split_eq arg =
-    match String.index_opt arg '=' with
-    | Some i ->
-        ( String.sub arg 0 i,
-          Some (String.sub arg (i + 1) (String.length arg - i - 1)) )
-    | None -> (arg, None)
-  in
   let rec go rt acc = function
     | [] -> Ok (rt, List.rev acc)
     | arg :: rest -> (
-        let key, inline = split_eq arg in
-        let consume apply =
-          match
-            match (inline, rest) with
-            | Some v, _ -> Ok (v, rest)
-            | None, v :: rest' -> Ok (v, rest')
-            | None, [] -> Error (Printf.sprintf "%s needs a value" key)
-          with
-          | Error _ as e -> e
-          | Ok (v, rest') -> (
-              match apply v with
-              | Ok rt -> Ok (rt, rest')
-              | Error msg -> Error (Printf.sprintf "%s: %s" key msg))
+        let key, inline =
+          match String.index_opt arg '=' with
+          | Some i ->
+              ( String.sub arg 0 i,
+                Some (String.sub arg (i + 1) (String.length arg - i - 1)) )
+          | None -> (arg, None)
         in
-        let continue = function
-          | Ok (rt, rest') -> go rt acc rest'
-          | Error _ as e -> e
-        in
-        match key with
-        | "--jobs" | "-j" ->
-            continue
-              (consume (fun v ->
-                   match int_of_string_opt (String.trim v) with
-                   | Some n when n >= 1 -> Ok { rt with jobs = Some n }
-                   | Some _ | None ->
-                       Error (Printf.sprintf "bad job count %S" v)))
-        | "--warm" ->
-            continue
-              (consume (fun v ->
-                   Result.map (fun m -> { rt with warm = m })
-                     (Warm_mode.parse v)))
-        | "--check" ->
-            continue
-              (consume (fun v ->
-                   Result.map
-                     (fun m -> { rt with check = m })
-                     (Check_mode.parse v)))
-        | "--faults" ->
-            continue
-              (consume (fun v ->
-                   Result.map (fun f -> { rt with faults = f }) (Fault.parse v)))
-        | "--trace" ->
-            continue
-              (consume (fun v ->
-                   Result.map (fun m -> { rt with trace = m })
-                     (Obs.Trace.parse v)))
-        | "--port" ->
-            continue
-              (consume (fun v ->
-                   match int_of_string_opt (String.trim v) with
-                   | Some n when n >= 1 && n <= 65535 ->
-                       Ok { rt with port = Some n }
-                   | Some _ | None -> Error (Printf.sprintf "bad port %S" v)))
-        | "--deadline-ms" ->
-            continue
-              (consume (fun v ->
-                   match int_of_string_opt (String.trim v) with
-                   | Some n when n >= 0 -> Ok { rt with deadline_ms = n }
-                   | Some _ | None ->
-                       Error (Printf.sprintf "bad deadline %S" v)))
-        | _ -> go rt (arg :: acc) rest)
+        match (knob key, inline, rest) with
+        | None, _, _ -> go rt (arg :: acc) rest
+        | Some _, None, [] -> Error (Printf.sprintf "%s needs a value" key)
+        | Some k, Some v, rest | Some k, None, v :: rest -> (
+            match k.parse v rt with
+            | Ok rt -> go rt acc rest
+            | Error msg -> Error (Printf.sprintf "%s: %s" key msg)))
   in
   go rt [] args
 
@@ -237,18 +267,6 @@ let current () =
 let set rt =
   Mutex.protect cache_mutex (fun () -> cache := Some rt);
   apply rt
-
-let set_jobs jobs = set { (current ()) with jobs }
-
-let set_warm warm = set { (current ()) with warm }
-
-let set_faults faults = set { (current ()) with faults }
-
-let set_trace trace = set { (current ()) with trace }
-
-let set_port port = set { (current ()) with port }
-
-let set_deadline_ms deadline_ms = set { (current ()) with deadline_ms }
 
 let jobs () =
   match (current ()).jobs with

@@ -1,18 +1,18 @@
 (** Unified runtime configuration: one record for every process-wide
     knob — worker count, warm-start mode, mutation-discipline checking,
-    fault injection, tracing — with a single environment reader and a
-    single argv parser.
+    fault injection, tracing, the serve port and query deadline — and
+    one table ({!knobs}) that declares each knob once.
 
-    This module is the {e only} place that reads the [RD_*] environment
-    variables ([RD_JOBS], [RD_WARM], [RD_CHECK], [RD_FAULTS],
-    [RD_TRACE], [RD_PORT], [RD_DEADLINE_MS]); the CLI and the bench
-    driver derive their flags from
-    {!with_argv} and the per-knob parsers instead of hand-parsing the
-    same strings twice.  It is also the only API that sets or reads a
-    knob; the modules that act on one ({!Pool}, {!Warm},
-    {!Faultinject}) read it from here.  The one exception is the check
-    mode's setter, [Analysis.Ownership.set], which writes through
-    {!set} and also installs the network mutation hook.
+    A knob's entry holds its flags, its [RD_*] environment variable,
+    its help text and its one parser.  The environment reader
+    ({!of_env}), the argv reader ({!with_argv}) and the [asmodel] CLI
+    flags are all derived from that table, so no other code parses a
+    knob value or reads an [RD_*] variable.  This module is also the
+    only API that sets or reads a knob; the modules that act on one
+    ({!Pool}, {!Warm}, {!Faultinject}) read it from here.  The one
+    exception is the check mode's setter, [Analysis.Ownership.set],
+    which writes through {!set} and also installs the network mutation
+    hook.
 
     Knob types live in submodules here (rather than in the modules that
     consume them) so that those consumers can depend on [Runtime]
@@ -70,47 +70,55 @@ val default : t
 (** No jobs override, warm [On], check [Off], no faults, trace [Off],
     no TCP port (Unix socket), 1000 ms query deadline. *)
 
+(** {2 The knob table} *)
+
+type knob = {
+  flags : string list;
+      (** as typed on a command line, long form first:
+          [["--jobs"; "-j"]] *)
+  env : string;  (** the environment variable, e.g. ["RD_JOBS"] *)
+  docv : string;  (** the value's placeholder in help output *)
+  doc : string;
+      (** help text, in cmdliner's markup ([$(b,...)] for bold) *)
+  parse : string -> t -> (t, string) result;
+      (** [parse value rt] is [rt] with this knob's field set from
+          [value]; every other field is left as it is. *)
+}
+
+val knobs : knob list
+(** One entry per field of {!t}, in field order. *)
+
+val knob : string -> knob option
+(** The entry one of whose {!knob.flags} is the given flag. *)
+
 val of_env : unit -> t
-(** Read every [RD_*] knob from the environment (trimmed; an empty or
-    unset variable means "use the default").  An invalid value is
-    logged as a warning and falls back to {!default}'s field — an env
-    typo must not change simulation behaviour silently.  Pure read: the
-    ambient configuration ({!current}) is not touched. *)
+(** {!default} with every knob whose variable is set (trimmed; empty
+    means unset) parsed on top.  An invalid value is logged as a
+    warning and the default kept — an env typo must not change
+    simulation behaviour silently.  Pure read: the ambient
+    configuration ({!current}) is not touched. *)
 
 val with_argv : t -> string list -> (t * string list, string) result
-(** [with_argv t args] folds recognised flags into [t] and returns the
-    leftover arguments in order: [--jobs]/[-j N], [--warm MODE],
-    [--check MODE], [--faults SPEC], [--trace MODE], [--port N],
-    [--deadline-ms N], each in both [--flag value] and [--flag=value]
-    form.  Unlike {!of_env}, an invalid value is an [Error] — an
-    explicit flag deserves a hard failure; in particular [--jobs 0] and
-    negative counts are rejected rather than clamped downstream. *)
+(** [with_argv t args] folds every knob flag of [args] into [t], in
+    both [--flag value] and [--flag=value] form, and returns the
+    leftover arguments in order.  Unlike {!of_env}, an invalid value is
+    an [Error] — an explicit flag deserves a hard failure; in
+    particular [--jobs 0] is rejected rather than clamped downstream. *)
 
 (** {2 Ambient configuration}
 
     The process-wide configuration every knob accessor reads.  It is
-    initialised from {!of_env} on first use; {!set} and the per-field
-    setters override it.  Setting it also propagates the trace mode to
-    {!Obs.Trace}.  A [check] mode set here only takes effect at the next
-    [Analysis.Ownership.ensure] (the refiner calls it on entry), since
-    the analysis layer above owns the network mutation hook;
+    initialised from {!of_env} on first use; {!set} overrides it
+    (change one field with [set { (current ()) with ... }]).  Setting
+    it also propagates the trace mode to {!Obs.Trace}.  A [check] mode
+    set here only takes effect at the next [Analysis.Ownership.ensure]
+    (the refiner and the CLI's knob flags call it), since the analysis
+    layer above owns the network mutation hook;
     [Analysis.Ownership.set] installs it at once. *)
 
 val current : unit -> t
 
 val set : t -> unit
-
-val set_jobs : int option -> unit
-
-val set_warm : Warm_mode.t -> unit
-
-val set_faults : Fault.t option -> unit
-
-val set_trace : Obs.Trace.mode -> unit
-
-val set_port : int option -> unit
-
-val set_deadline_ms : int -> unit
 
 (** {2 Resolved accessors} *)
 

@@ -11,10 +11,10 @@ module Fault = Runtime.Fault
 
 (* Every test overrides the ambient configuration and restores it, so
    running the suite under RD_FAULTS is unaffected. *)
-let with_faults t f =
-  let saved = Runtime.faults () in
-  Runtime.set_faults t;
-  Fun.protect ~finally:(fun () -> Runtime.set_faults saved) f
+let with_faults faults f =
+  let prior = Runtime.current () in
+  Runtime.set { prior with faults };
+  Fun.protect ~finally:(fun () -> Runtime.set prior) f
 
 let parse_cases () =
   check_bool "empty disables" true (Fault.parse "" = Ok None);

@@ -183,9 +183,9 @@ let simulate_unifies_run_and_resume () =
 (* Exact retry accounting needs a quiet pool: ambient RD_FAULTS would
    inject extra transient failures into the batch, so pin it off. *)
 let pool_slot_timings () =
-  let prior_faults = Runtime.faults () in
-  Runtime.set_faults None;
-  Fun.protect ~finally:(fun () -> Runtime.set_faults prior_faults)
+  let prior = Runtime.current () in
+  Runtime.set { prior with faults = None };
+  Fun.protect ~finally:(fun () -> Runtime.set prior)
   @@ fun () ->
   let n = 64 in
   let failing = 7 in
@@ -432,18 +432,82 @@ let runtime_with_argv () =
     (Trace.mode_to_string
        (match Trace.parse "off" with Ok m -> m | Error e -> Alcotest.fail e))
 
-(* Runtime.set_trace must propagate to the live tracer, and a job count
-   below 1 must resolve to one worker. *)
+(* One valid and one invalid sample per entry of the knob table.  An
+   empty RD_TRACE reads as unset, so the environment keeps the default
+   exactly as it does for a rejected value. *)
+let knob_samples =
+  [
+    ("RD_JOBS", "3", "0");
+    ("RD_WARM", "verify", "tepid");
+    ("RD_CHECK", "race", "maybe");
+    ("RD_FAULTS", "0.5:7:full", "2:7");
+    ("RD_TRACE", "summary", "");
+    ("RD_PORT", "4179", "70000");
+    ("RD_DEADLINE_MS", "250", "-5");
+  ]
+
+(* The environment and every spelling of every flag must agree on each
+   table entry: a valid value sets the same configuration, an invalid
+   one is ignored by [of_env] (with a warning) and refused by
+   [with_argv]. *)
+let runtime_table_agrees () =
+  check_int "one sample per knob" (List.length knob_samples)
+    (List.length Runtime.knobs);
+  List.iter
+    (fun (k : Runtime.knob) ->
+      let valid, invalid =
+        match List.find_opt (fun (e, _, _) -> e = k.env) knob_samples with
+        | Some (_, v, i) -> (v, i)
+        | None -> Alcotest.fail ("no sample for " ^ k.env)
+      in
+      (* The ambient CI mode may set other RD_* variables; both readers
+         start from the same base. *)
+      let base = with_env [ (k.env, "") ] Runtime.of_env in
+      let argv v =
+        List.concat_map (fun f -> [ [ f; v ]; [ f ^ "=" ^ v ] ]) k.flags
+      in
+      with_env [ (k.env, valid) ] (fun () ->
+          let from_env = Runtime.of_env () in
+          check_bool (k.env ^ " valid sets a field") true (from_env <> base);
+          List.iter
+            (fun args ->
+              match Runtime.with_argv base args with
+              | Ok (rt, rest) ->
+                  check_bool
+                    (String.concat " " args ^ " = " ^ k.env)
+                    true
+                    (rt = from_env && rest = [])
+              | Error msg -> Alcotest.fail msg)
+            (argv valid));
+      with_env [ (k.env, invalid) ] (fun () ->
+          check_bool (k.env ^ " invalid keeps the default") true
+            (Runtime.of_env () = base);
+          List.iter
+            (fun args ->
+              check_bool
+                ("rejected: " ^ String.concat " " args)
+                true
+                (Result.is_error (Runtime.with_argv base args)))
+            (argv invalid)))
+    Runtime.knobs;
+  with_env [ ("RD_PORT", "70000") ] (fun () ->
+      check_bool "RD_PORT=70000 ignored" true
+        ((Runtime.of_env ()).Runtime.port = None));
+  check_bool "--port 70000 rejected" true
+    (Result.is_error (Runtime.with_argv Runtime.default [ "--port"; "70000" ]))
+
+(* A trace mode set through Runtime.set must propagate to the live
+   tracer, and a job count below 1 must resolve to one worker. *)
 let runtime_propagates () =
   let prior = Runtime.current () in
   Fun.protect
     ~finally:(fun () -> Runtime.set prior)
     (fun () ->
-      Runtime.set_trace Trace.Summary;
+      Runtime.set { prior with trace = Trace.Summary };
       check_bool "tracer sees the mode" true (Trace.mode () = Trace.Summary);
-      Runtime.set_trace Trace.Off;
+      Runtime.set { prior with trace = Trace.Off };
       check_bool "tracer back off" true (Trace.mode () = Trace.Off);
-      Runtime.set_jobs (Some 0);
+      Runtime.set { prior with jobs = Some 0 };
       check_int "jobs clamp to 1" 1 (Runtime.jobs ()))
 
 let suite =
@@ -467,6 +531,8 @@ let suite =
       trace_file_well_formed;
     Alcotest.test_case "runtime: of_env" `Quick runtime_of_env;
     Alcotest.test_case "runtime: with_argv" `Quick runtime_with_argv;
+    Alcotest.test_case "runtime: env and argv agree per knob" `Quick
+      runtime_table_agrees;
     Alcotest.test_case "runtime: propagation to subsystems" `Quick
       runtime_propagates;
   ]

@@ -103,12 +103,14 @@ let jobs_determinism () =
   let prepared = Core.prepare data in
   let splits = Core.split ~seed:5 prepared in
   let run jobs =
-    let options = { Refiner.default_options with jobs = Some jobs } in
+    let prior = Simulator.Runtime.current () in
+    Simulator.Runtime.set { prior with jobs = Some jobs };
+    Fun.protect ~finally:(fun () -> Simulator.Runtime.set prior) @@ fun () ->
     let result =
-      Core.build ~options prepared ~training:splits.Evaluation.Split.training
+      Core.build prepared ~training:splits.Evaluation.Split.training
     in
     let report =
-      Evaluation.Predict.evaluate ~jobs result.Refiner.model
+      Evaluation.Predict.evaluate result.Refiner.model
         ~states:(Hashtbl.create 64) splits.Evaluation.Split.validation
     in
     (result, report)
@@ -141,9 +143,9 @@ let jobs_determinism () =
 let default_jobs_knob () =
   let module Runtime = Simulator.Runtime in
   let prior = Runtime.current () in
-  Runtime.set_jobs (Some 3);
+  Runtime.set { prior with jobs = Some 3 };
   check_int "override wins" 3 (Runtime.jobs ());
-  Runtime.set_jobs (Some 0);
+  Runtime.set { prior with jobs = Some 0 };
   check_int "clamped to 1" 1 (Runtime.jobs ());
   Runtime.set prior;
   Alcotest.(check bool) "restored" true (Runtime.current () = prior)

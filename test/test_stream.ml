@@ -302,12 +302,13 @@ let verify_mode_agrees () =
   check_int "no quarantine" 0 (List.length report.Replay.quarantine)
 
 let transient_faults_recover () =
-  let ambient = Simulator.Runtime.faults () in
-  Simulator.Runtime.set_faults
+  let ambient = Simulator.Runtime.current () in
+  let set_faults faults = Simulator.Runtime.set { ambient with faults } in
+  set_faults
     (Some
        { Simulator.Runtime.Fault.rate = 0.08; seed = 42; scope = Transient });
   Fun.protect
-    ~finally:(fun () -> Simulator.Runtime.set_faults ambient)
+    ~finally:(fun () -> Simulator.Runtime.set ambient)
     (fun () ->
       let m = model () in
       let stream = Streamgen.flap_storm m (Random.State.make [| 9 |]) in
@@ -323,18 +324,22 @@ let transient_faults_recover () =
         =
         let m = model () in
         let stream = Streamgen.flap_storm m (Random.State.make [| 9 |]) in
-        Simulator.Runtime.set_faults None;
+        set_faults None;
         let _, clean = Replay.run m stream in
         clean.Replay.fingerprint))
 
 let full_faults_quarantine_not_fatal () =
   (* Permanent failures and shrunk budgets: the replay must complete,
      reporting the damage as quarantine instead of raising. *)
-  let ambient = Simulator.Runtime.faults () in
-  Simulator.Runtime.set_faults
-    (Some { Simulator.Runtime.Fault.rate = 0.10; seed = 7; scope = Full });
+  let ambient = Simulator.Runtime.current () in
+  Simulator.Runtime.set
+    {
+      ambient with
+      faults =
+        Some { Simulator.Runtime.Fault.rate = 0.10; seed = 7; scope = Full };
+    };
   Fun.protect
-    ~finally:(fun () -> Simulator.Runtime.set_faults ambient)
+    ~finally:(fun () -> Simulator.Runtime.set ambient)
     (fun () ->
       let m = model () in
       let stream = Streamgen.mixed ~events:24 m (Random.State.make [| 3 |]) in
