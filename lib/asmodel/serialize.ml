@@ -17,28 +17,28 @@ let to_lines (m : Qrmodel.t) =
       (fun (_s, peer) -> if id < peer then add (Printf.sprintf "edge %d %d" id peer))
       (Net.sessions_of net id)
   done;
+  (* Policy lines in ascending (node, peer, prefix) order, so a model
+     file is canonical: saving a loaded model reproduces it byte for
+     byte, whatever order the rules were placed in. *)
+  let sorted =
+    List.sort (fun (n1, m1, p1, _) (n2, m2, p2, _) ->
+        match compare (n1, m1) (n2, m2) with
+        | 0 -> Prefix.compare p1 p2
+        | c -> c)
+  in
   Net.fold_export_denies net
-    (fun node s p () ->
-      add
-        (Printf.sprintf "deny %d %d %s" node (Net.session_peer net node s)
-           (Prefix.to_string p)))
-    ();
-  (* MED rules: iterate sessions and dump per-prefix overrides.  The
-     Net API exposes lookups, not iteration, so go through the model's
-     prefix list (model MED rules only ever target model prefixes). *)
-  for id = 0 to n - 1 do
-    List.iter
-      (fun (s, peer) ->
-        List.iter
-          (fun (p, _) ->
-            match Net.import_med net id s p with
-            | Some v ->
-                add
-                  (Printf.sprintf "med %d %d %s %d" id peer (Prefix.to_string p) v)
-            | None -> ())
-          m.Qrmodel.prefixes)
-      (Net.sessions_of net id)
-  done;
+    (fun node s p acc -> (node, Net.session_peer net node s, p, 0) :: acc)
+    []
+  |> sorted
+  |> List.iter (fun (node, peer, p, _) ->
+         add (Printf.sprintf "deny %d %d %s" node peer (Prefix.to_string p)));
+  Net.fold_import_meds net
+    (fun node s p v acc -> (node, Net.session_peer net node s, p, v) :: acc)
+    []
+  |> sorted
+  |> List.iter (fun (node, peer, p, v) ->
+         add
+           (Printf.sprintf "med %d %d %s %d" node peer (Prefix.to_string p) v));
   List.iter
     (fun (p, asn) -> add (Printf.sprintf "prefix %s %d" (Prefix.to_string p) asn))
     m.Qrmodel.prefixes;

@@ -42,7 +42,12 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let hash p = (Ipv4.to_int p.network * 33) + p.length
+(* Hash tables index buckets by the low bits, and a /24 has eight zero
+   low bits, so fold the high bits down before they are used. *)
+let hash p =
+  let x = (Ipv4.to_int p.network lsl 6) lor p.length in
+  let x = (x lxor (x lsr 29)) * 0x2545F4914F6CDD1D in
+  (x lxor (x lsr 32)) land max_int
 
 let mem addr p = Ipv4.equal (Ipv4.apply_mask p.length addr) p.network
 

@@ -168,6 +168,42 @@ let path_mem (path : int array) x =
    history loses nothing while capping memory on huge budgets. *)
 let watchdog_history_cap = 4096
 
+(* Per-slot scratch of a run: the prefix's flattened policy rules and
+   the IGP-cost memo.  At scale an [nslots]-sized array goes straight to
+   the major heap, so each domain keeps one set in a cell and a run
+   checks it out with [Atomic.exchange], refills it and hands it back.
+   Systhreads share a domain (the query server's executor and its
+   connection threads all run the engine), so a run that finds the cell
+   empty — another thread holds the set — allocates its own; a run that
+   raises simply drops its set.  Arrays may be longer than the current
+   net's slot count: only the first [nslots] entries are used. *)
+type scratch = {
+  deny : bool array;
+  med_in : int array;  (* [min_int] = no override *)
+  lpref_for : int array;  (* [min_int] = no override *)
+  igp_memo : int array;  (* [min_int] = not yet computed *)
+}
+
+let scratch_cell = Domain.DLS.new_key (fun () -> Atomic.make None)
+
+let checkout_scratch nslots =
+  match Atomic.exchange (Domain.DLS.get scratch_cell) None with
+  | Some sc when Array.length sc.deny >= nslots ->
+      Array.fill sc.deny 0 nslots false;
+      Array.fill sc.med_in 0 nslots min_int;
+      Array.fill sc.lpref_for 0 nslots min_int;
+      Array.fill sc.igp_memo 0 nslots min_int;
+      sc
+  | _ ->
+      {
+        deny = Array.make nslots false;
+        med_in = Array.make nslots min_int;
+        lpref_for = Array.make nslots min_int;
+        igp_memo = Array.make nslots min_int;
+      }
+
+let checkin_scratch sc = Atomic.set (Domain.DLS.get scratch_cell) (Some sc)
+
 (* Shared drain core: seed the queue (cold start: the originators; warm
    start: peers disturbed by replayed exports), then process nodes
    until the queue empties, the budget (after escalations) runs out, or
@@ -217,23 +253,19 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
   let slab = st.slab in
   let med_default = Net.default_med net in
   let nslots = Array.length slab in
-  (* Per-run flattening of the per-prefix policy tables and the export
-     matrix: one hash lookup (or closure call) per slot/class pair at
-     run start instead of one per advertisement.  The net is frozen
-     while a simulation runs (mutation discipline), so these snapshots
-     cannot go stale mid-run. *)
-  let deny = Array.make nslots false in
-  let med_in = Array.make nslots min_int in
-  let lpref_for = Array.make nslots min_int in
-  for k = 0 to nslots - 1 do
-    if Net.Csr.slot_export_denied c k st.pfx then deny.(k) <- true;
-    (match Net.Csr.slot_med c k st.pfx with
-    | Some v -> med_in.(k) <- v
-    | None -> ());
-    match Net.Csr.slot_import_lpref_for c k st.pfx with
-    | Some v -> lpref_for.(k) <- v
-    | None -> ()
-  done;
+  (* Per-run flattening of the prefix's policy rules and the export
+     matrix: the engine visits only the rules of the prefix it runs
+     (each names its slot as [off.(node) + session]) and the class pairs
+     once at run start instead of once per advertisement.  The net is
+     frozen while a simulation runs (mutation discipline), so these
+     snapshots cannot go stale mid-run. *)
+  let sc = checkout_scratch nslots in
+  let deny = sc.deny and med_in = sc.med_in and lpref_for = sc.lpref_for in
+  Net.iter_prefix_policies net st.pfx (fun u s ~deny:d ~med ~lpref ->
+      let k = off.(u) + s in
+      deny.(k) <- d;
+      med_in.(k) <- med;
+      lpref_for.(k) <- lpref);
   (* Session classes (and hence learned classes, which are session
      classes or -1 for originated routes) are small non-negative ints,
      so the export matrix collapses to a dense boolean table. *)
@@ -310,7 +342,7 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
      lookups), and convergence re-imports over the same iBGP slot many
      times.  The net is frozen during a run, so the cost cannot
      change. *)
-  let igp_memo = Array.make nslots min_int in
+  let igp_memo = sc.igp_memo in
   let igp_at kr p u =
     let g = igp_memo.(kr) in
     if g <> min_int then g
@@ -537,6 +569,7 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
       end
   in
   drain budget escalations;
+  checkin_scratch sc;
   Obs.Metrics.incr runs_m;
   Obs.Metrics.incr ~by:st.events events_m;
   if !escalated > 0 then Obs.Metrics.incr ~by:!escalated escalations_m;

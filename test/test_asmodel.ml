@@ -83,6 +83,38 @@ let serialize_roundtrip () =
             (Topology.Asgraph.nodes graph))
         m.Qrmodel.prefixes
 
+(* Model files are canonical: the same rules placed in any order save
+   to the same lines, and saving a loaded model reproduces its file. *)
+let serialize_canonical () =
+  let decorate order =
+    let m = Qrmodel.initial graph in
+    let net = m.Qrmodel.net in
+    let node asn = List.hd (Net.nodes_of_as net asn) in
+    let rules =
+      List.concat_map
+        (fun (a, b) ->
+          let s = Option.get (Net.find_session net (node a) (node b)) in
+          List.map (fun origin -> (node a, s, Asn.origin_prefix origin)) [ 2; 3; 5 ])
+        [ (1, 2); (4, 3); (4, 1); (1, 5); (5, 4) ]
+    in
+    List.iter
+      (fun (n, s, p) ->
+        Net.deny_export net n s p;
+        Net.set_import_med net n s p 0)
+      (order rules);
+    ignore (Net.duplicate_node net (node 4));
+    Asmodel.Serialize.to_lines m
+  in
+  let lines = decorate Fun.id in
+  Alcotest.(check (list string))
+    "placement order does not matter" lines (decorate List.rev);
+  match Asmodel.Serialize.of_lines lines with
+  | Error e -> Alcotest.failf "reload failed: %s" e
+  | Ok m2 ->
+      Alcotest.(check (list string))
+        "save . load = id" lines
+        (Asmodel.Serialize.to_lines m2)
+
 let serialize_rejects_garbage () =
   check_bool "bad keyword" true
     (Result.is_error (Asmodel.Serialize.of_lines [ "frobnicate 1 2" ]));
@@ -213,6 +245,7 @@ let suite =
     Alcotest.test_case "model simulation" `Quick model_simulation;
     Alcotest.test_case "quasi-router histogram" `Quick histogram;
     Alcotest.test_case "serialize roundtrip" `Quick serialize_roundtrip;
+    Alcotest.test_case "serialize canonical" `Quick serialize_canonical;
     Alcotest.test_case "serialize rejects garbage" `Quick serialize_rejects_garbage;
     Alcotest.test_case "baseline policies model" `Quick baseline_policies_model;
     Alcotest.test_case "whatif link removal" `Quick whatif_link_removal;

@@ -51,6 +51,10 @@ let pipeline_through_files () =
       match Asmodel.Serialize.load model_file with
       | Error e -> Alcotest.failf "model reload: %s" e
       | Ok model ->
+          Alcotest.(check (list string))
+            "saving the reloaded model reproduces the file"
+            (Asmodel.Serialize.to_lines result.Refine.Refiner.model)
+            (Asmodel.Serialize.to_lines model);
           (* The reloaded model reproduces the training data too. *)
           let states = Hashtbl.create 64 in
           let report = Evaluation.Predict.evaluate model ~states prepared.Core.data in

@@ -15,6 +15,7 @@ let () =
       ("relationships", Test_relationships.suite);
       ("decision", Test_decision.suite);
       ("net", Test_net.suite);
+      ("policy-store", Test_policy_store.suite);
       ("engine", Test_engine.suite);
       ("pool", Test_pool.suite);
       ("warm", Test_warm.suite);

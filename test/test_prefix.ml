@@ -56,6 +56,18 @@ let containers () =
   List.iter (fun p -> Prefix.Table.replace table p ()) ps;
   Alcotest.(check int) "table dedups" 2 (Prefix.Table.length table)
 
+(* Hash tables pick a bucket from the low bits: the origin /24s of
+   ASes 1..256 must spread over 64 buckets, not share one chain. *)
+let hash_spreads_origin_prefixes () =
+  let buckets = Hashtbl.create 64 in
+  for asn = 1 to 256 do
+    Hashtbl.replace buckets (Prefix.hash (Asn.origin_prefix asn) land 63) ()
+  done;
+  check_bool
+    (Printf.sprintf "%d of 64 buckets used" (Hashtbl.length buckets))
+    true
+    (Hashtbl.length buckets >= 32)
+
 let gen_prefix =
   QCheck.Gen.(
     map2
@@ -91,6 +103,8 @@ let suite =
     Alcotest.test_case "subsumption" `Quick subsumption;
     Alcotest.test_case "ordering" `Quick ordering_consistency;
     Alcotest.test_case "containers" `Quick containers;
+    Alcotest.test_case "hash spreads origin prefixes" `Quick
+      hash_spreads_origin_prefixes;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_network_in_prefix;
     QCheck_alcotest.to_alcotest prop_compare_total;
