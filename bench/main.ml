@@ -13,7 +13,8 @@
      --trace M     tracing off|summary|FILE.json (default: RD_TRACE)
                    (these knob flags are Simulator.Runtime's; README.md
                    "Runtime knobs" has the full table)
-     --warm-only   only run the WARM cold-vs-warm experiment (fast CI path)
+     --warm-only   only run the WARM, CHECK, OBS, SERVE and CHURN sections
+                     (the CI wall-time gates)
      --scale-only  only run the SCALE flat-vs-reference engine experiment
      --scale-ases N  AS count of the SCALE world (>= 50; default 5000,
                      1500 with --quick)
@@ -24,8 +25,9 @@
      --robust-ases N AS count of the R1 worlds (>= 50; default 500)
      --json FILE   machine-readable results (default: BENCH.json)
      --sweep       add the accuracy-vs-vantage-points sweep (slow)
-     --no-micro    skip the bechamel micro-benchmarks
-     --micro-only  only run the micro-benchmarks *)
+
+   Labelled blocks are Obs.Trace spans: RD_TRACE=summary prints their
+   totals at exit. *)
 
 open Bgp
 
@@ -33,23 +35,32 @@ let std = Format.std_formatter
 
 let section = Evaluation.Report.section std
 
-(* Wall-clock of every [time]d block, in execution order — the
-   per-section series of BENCH.json. *)
-let timings : (string * float) list ref = ref []
+module Json = Serve.Json
 
-let time label f =
-  let t0 = Unix.gettimeofday () in
+let span = Obs.Trace.with_span
+
+(* [f ()] and its wall-clock in seconds, for the numbers a printed table
+   or a gate needs. *)
+let wall f =
+  let t0 = Obs.Trace.now_us () in
   let r = f () in
-  let dt = Unix.gettimeofday () -. t0 in
-  timings := (label, dt) :: !timings;
-  Format.printf "[%s: %.1fs]@." label dt;
-  r
+  (r, float_of_int (Obs.Trace.now_us () - t0) /. 1e6)
 
-(* [time] plus the wall-clock as a value. *)
-let timed label f =
-  let t0 = Unix.gettimeofday () in
-  let r = time label f in
-  (r, Unix.gettimeofday () -. t0)
+(* How every wall-time gate measures its pair of workloads: three
+   interleaved rounds, so slow drift (frequency scaling, co-tenants)
+   hits both alike, each run from a settled heap, keeping each side's
+   fastest wall. *)
+let fastest_of_three (a, b) =
+  let run f =
+    Gc.full_major ();
+    snd (wall f)
+  in
+  let wa = ref infinity and wb = ref infinity in
+  for _ = 1 to 3 do
+    wa := Float.min !wa (run a);
+    wb := Float.min !wb (run b)
+  done;
+  (!wa, !wb)
 
 let pct a b = if b = 0 then 0.0 else 100.0 *. float_of_int a /. float_of_int b
 
@@ -132,13 +143,13 @@ let pp_breakdown_rows label (b : Evaluation.Agreement.breakdown) =
 let experiment_t2 prepared =
   section "T2" "single-router-per-AS baselines (Table 2)";
   let shortest =
-    time "T2a simulate" (fun () -> Core.baseline_shortest_path prepared)
+    span "T2a simulate" (fun () -> Core.baseline_shortest_path prepared)
   in
   let rels = Core.infer_relationships prepared in
   Format.printf "inferred relationships: %a@." Topology.Relationships.pp_counts
     (Topology.Relationships.counts rels);
   let policies =
-    time "T2b simulate" (fun () -> Core.baseline_policies prepared)
+    span "T2b simulate" (fun () -> Core.baseline_policies prepared)
   in
   Evaluation.Report.table std
     ~header:[ "model"; "criterion"; "measured" ]
@@ -156,7 +167,7 @@ let experiment_train_predict prepared ~seed =
   section "T3" "training-set convergence of the iterative refinement (§5)";
   Format.printf "%a@." Evaluation.Split.pp splits;
   let result =
-    time "refinement" (fun () ->
+    span "refinement" (fun () ->
         Core.build prepared ~training:splits.Evaluation.Split.training)
   in
   let r = result in
@@ -214,7 +225,7 @@ let experiment_train_predict prepared ~seed =
        (Evaluation.Quantiles.percentiles sample [ 50.0; 75.0; 90.0; 99.0; 100.0 ]));
   section "T4" "prediction of held-out observation points (§5 headline)";
   let prediction =
-    time "prediction" (fun () ->
+    span "prediction" (fun () ->
         Core.evaluate result ~validation:splits.Evaluation.Split.validation)
   in
   Format.printf "%a@." Evaluation.Predict.pp prediction;
@@ -226,7 +237,7 @@ let experiment_train_predict prepared ~seed =
     (Evaluation.Granularity.analyze result.Refine.Refiner.model);
   section "C1" "model compression (merge behaviourally-identical quasi-routers)";
   (match
-     time "compact+verify" (fun () ->
+     span "compact+verify" (fun () ->
          Refine.Compress.compact_verified result.Refine.Refiner.model
            ~against:splits.Evaluation.Split.training)
    with
@@ -269,7 +280,7 @@ let experiment_train_predict prepared ~seed =
            @ Rib.paths_for_prefix splits.Evaluation.Split.training p)
        in
        let outcome =
-         time "fit new observations" (fun () ->
+         span "fit new observations" (fun () ->
              Refine.Incremental.add_observations result.Refine.Refiner.model
                one_prefix)
        in
@@ -310,7 +321,7 @@ let experiment_t5 prepared ~seed =
   let splits = Core.split ~by_origin:true ~seed prepared in
   Format.printf "%a@." Evaluation.Split.pp splits;
   let result =
-    time "refinement (origin split)" (fun () ->
+    span "refinement (origin split)" (fun () ->
         Core.build prepared ~training:splits.Evaluation.Split.training)
   in
   Format.printf "training converged: %b (%d/%d)@." result.Refine.Refiner.converged
@@ -325,7 +336,7 @@ let experiment_t6 prepared ~seed =
   let splits = Evaluation.Split.combined ~seed prepared.Core.data in
   Format.printf "%a@." Evaluation.Split.pp splits;
   let result =
-    time "refinement (combined split)" (fun () ->
+    span "refinement (combined split)" (fun () ->
         Core.build prepared ~training:splits.Evaluation.Split.training)
   in
   Format.printf "training converged: %b (%d/%d)@." result.Refine.Refiner.converged
@@ -344,7 +355,7 @@ let experiment_ablations conf =
   let validation = splits.Evaluation.Split.validation in
   let grade label options =
     let result =
-      time label (fun () -> Core.build ~options prepared ~training)
+      span label (fun () -> Core.build ~options prepared ~training)
     in
     let prediction = Core.evaluate result ~validation in
     ( label,
@@ -444,7 +455,7 @@ let experiment_robustness ~ases =
             let prepared = Core.prepare data in
             let splits = Core.split ~seed:7 prepared in
             let result =
-              time
+              span
                 (Printf.sprintf "%s seed %d" (Netgen.Family.name family) seed)
                 (fun () ->
                   (* The quasi-router cap keeps hub-heavy families
@@ -521,26 +532,24 @@ let experiment_parallel prepared =
   let splits = Core.split ~seed:7 prepared in
   let run jobs =
     with_runtime (fun rt -> { rt with jobs = Some jobs }) @@ fun () ->
-    let t0 = Unix.gettimeofday () in
-    let result =
-      Core.build
-        ~options:
-          { Refine.Refiner.default_options with max_iterations = Some 14 }
-        prepared ~training:splits.Evaluation.Split.training
+    let result, t_refine =
+      wall (fun () ->
+          Core.build
+            ~options:
+              { Refine.Refiner.default_options with max_iterations = Some 14 }
+            prepared ~training:splits.Evaluation.Split.training)
     in
-    let t_refine = Unix.gettimeofday () -. t0 in
     (* Fresh state table so the evaluation phase re-simulates every
        validation prefix through the pool. *)
-    let t1 = Unix.gettimeofday () in
-    let prediction =
-      Evaluation.Predict.evaluate result.Refine.Refiner.model
-        ~states:(Hashtbl.create 256) splits.Evaluation.Split.validation
+    let prediction, t_eval =
+      wall (fun () ->
+          Evaluation.Predict.evaluate result.Refine.Refiner.model
+            ~states:(Hashtbl.create 256) splits.Evaluation.Split.validation)
     in
-    let t_eval = Unix.gettimeofday () -. t1 in
     (result, prediction, t_refine, t_eval)
   in
-  let r1, p1, refine1, eval1 = time "PAR jobs=1" (fun () -> run 1) in
-  let r4, p4, refine4, eval4 = time "PAR jobs=4" (fun () -> run 4) in
+  let r1, p1, refine1, eval1 = span "PAR jobs=1" (fun () -> run 1) in
+  let r4, p4, refine4, eval4 = span "PAR jobs=4" (fun () -> run 4) in
   let identical =
     r1.Refine.Refiner.matched = r4.Refine.Refiner.matched
     && r1.Refine.Refiner.iterations = r4.Refine.Refiner.iterations
@@ -590,7 +599,7 @@ let experiment_sweep base_conf =
         if Rib.size training = 0 then None
         else begin
           let result =
-            time
+            span
               (Printf.sprintf "sweep %d points" k)
               (fun () ->
                 Core.build
@@ -632,7 +641,7 @@ let experiment_faults conf =
   let run label faults =
     with_runtime (fun rt -> { rt with faults }) @@ fun () ->
     let result =
-      time label (fun () ->
+      span label (fun () ->
           Core.build
             ~options:
               { Refine.Refiner.default_options with max_iterations = Some 14 }
@@ -691,74 +700,57 @@ let experiment_faults conf =
      raising: true@."
     transparent trans_pool.Simulator.Pool.retried
 
-type warm_report = {
-  cold_wall : float;
-  cold_events : int;
-  cold_alloc : float;
-  warm_wall : float;
-  warm_events : int;
-  warm_alloc : float;
-  warm_stats : Simulator.Warm.stats;
-  identical : bool;
-  verify_stats : Simulator.Warm.stats;
-  pool : Simulator.Pool.stats;
-}
+(* The 14-iteration refinement of the WARM, CHECK and OBS sections, at
+   jobs=1 with warm starts (so engine events and Gc.allocated_bytes, a
+   per-domain counter, compare directly), under the ambient knobs as
+   changed by [update].  Its default is the baseline of the CHECK and
+   OBS off-mode gates. *)
+let warm_refine ?(update = Fun.id) prepared ~training () =
+  with_runtime (fun rt ->
+      update { rt with Runtime.warm = Runtime.Warm_mode.On; jobs = Some 1 })
+  @@ fun () ->
+  Core.build
+    ~options:{ Refine.Refiner.default_options with max_iterations = Some 14 }
+    prepared ~training
+
+let training_of prepared =
+  (Core.split ~seed:7 prepared).Evaluation.Split.training
+
+let ratio a b = if b > 0.0 then a /. b else 0.0
 
 let experiment_warm prepared =
-  (* The tentpole measurement: the same refinement run cold
-     (RD_WARM=off), warm (every re-simulation resumes from the previous
-     fixed point) and in verify mode (cold and warm side by side, any
-     divergence counted).  Cold and warm run at jobs=1 so engine events
-     and Gc.allocated_bytes (a per-domain counter) are directly
-     comparable; verify runs at the ambient job count to exercise the
-     parallel path. *)
+  (* The same refinement run cold (RD_WARM=off) and warm (every
+     re-simulation resumes from the previous fixed point). *)
   section "WARM" "warm-start re-simulation vs cold (RD_WARM)";
-  let splits = Core.split ~seed:7 prepared in
-  let training = splits.Evaluation.Split.training in
-  let run label warm jobs =
-    with_runtime (fun rt -> { rt with warm; jobs }) @@ fun () ->
+  let training = training_of prepared in
+  let run label warm =
     (* The warm.* registry counters only go up: a run's counts are the
        difference across it. *)
     let w0 = Simulator.Warm.stats () in
     let a0 = Gc.allocated_bytes () in
-    let t0 = Unix.gettimeofday () in
-    let result =
-      time label (fun () ->
-          Core.build
-            ~options:
-              { Refine.Refiner.default_options with max_iterations = Some 14 }
-            prepared ~training)
+    let result, wall_s =
+      wall (fun () ->
+          span label
+            (warm_refine
+               ~update:(fun rt -> { rt with warm })
+               prepared ~training))
     in
-    let wall = Unix.gettimeofday () -. t0 in
-    let alloc = Gc.allocated_bytes () -. a0 in
     let w1 = Simulator.Warm.stats () in
-    ( result,
-      wall,
-      alloc,
-      {
-        Simulator.Warm.warm_runs = w1.warm_runs - w0.warm_runs;
-        cold_runs = w1.cold_runs - w0.cold_runs;
-        verified = w1.verified - w0.verified;
-        divergences = w1.divergences - w0.divergences;
-      } )
+    ( result.Refine.Refiner.pool.Simulator.Pool.events,
+      wall_s,
+      Gc.allocated_bytes () -. a0,
+      w1.warm_runs - w0.warm_runs,
+      w1.cold_runs - w0.cold_runs )
   in
-  let cold_r, cold_wall, cold_alloc, _ =
-    run "WARM cold jobs=1" Runtime.Warm_mode.Off (Some 1)
+  let cold_events, cold_wall, cold_alloc, _, _ =
+    run "WARM cold jobs=1" Runtime.Warm_mode.Off
   in
-  let warm_r, warm_wall, warm_alloc, warm_stats =
-    run "WARM warm jobs=1" Runtime.Warm_mode.On (Some 1)
+  let warm_events, warm_wall, warm_alloc, warm_runs, cold_runs =
+    run "WARM warm jobs=1" Runtime.Warm_mode.On
   in
-  let verify_r, _, _, verify_stats =
-    run "WARM verify" Runtime.Warm_mode.Verify (Runtime.current ()).jobs
+  let event_ratio =
+    ratio (float_of_int warm_events) (float_of_int cold_events)
   in
-  let identical =
-    cold_r.Refine.Refiner.matched = warm_r.Refine.Refiner.matched
-    && cold_r.Refine.Refiner.iterations = warm_r.Refine.Refiner.iterations
-    && cold_r.Refine.Refiner.matched = verify_r.Refine.Refiner.matched
-  in
-  let cold_events = cold_r.Refine.Refiner.pool.Simulator.Pool.events in
-  let warm_events = warm_r.Refine.Refiner.pool.Simulator.Pool.events in
-  let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b in
   Evaluation.Report.table std
     ~header:[ "mode"; "refine wall"; "engine events"; "allocated bytes" ]
     [
@@ -775,182 +767,105 @@ let experiment_warm prepared =
         Printf.sprintf "%.0f" warm_alloc;
       ];
     ];
-  Format.printf
-    "warm/cold event ratio: %.2f (%d warm resumes, %d cold runs)@.results \
-     identical across modes: %b@.verify: %d pairs compared, %d divergences \
-     (want 0)@."
-    (ratio warm_events cold_events)
-    warm_stats.Simulator.Warm.warm_runs warm_stats.Simulator.Warm.cold_runs
-    identical verify_stats.Simulator.Warm.verified
-    verify_stats.Simulator.Warm.divergences;
-  {
-    cold_wall;
-    cold_events;
-    cold_alloc;
-    warm_wall;
-    warm_events;
-    warm_alloc;
-    warm_stats;
-    identical;
-    verify_stats;
-    pool =
-      Simulator.Pool.merge cold_r.Refine.Refiner.pool
-        warm_r.Refine.Refiner.pool;
-  }
+  Format.printf "warm/cold event ratio: %.2f (%d warm resumes, %d cold runs)@."
+    event_ratio warm_runs cold_runs;
+  let mode wall_s events alloc =
+    Json.Obj
+      [
+        ("wall_s", Json.Float wall_s);
+        ("events", Json.Int events);
+        ("allocated_bytes", Json.Float alloc);
+      ]
+  in
+  Json.Obj
+    [
+      ("cold", mode cold_wall cold_events cold_alloc);
+      ("warm", mode warm_wall warm_events warm_alloc);
+      ("event_ratio", Json.Float event_ratio);
+      ("wall_ratio", Json.Float (ratio warm_wall cold_wall));
+      ("warm_runs", Json.Int warm_runs);
+      ("cold_runs", Json.Int cold_runs);
+    ]
 
-type check_report = {
-  off_wall : float;
-  on_wall : float;
-  overhead_ratio : float;
-  off_vs_warm : float;
-  check_violations : int;
-  lint_errors : int;
-  race_wall : float;
-  race_overhead : float;
-  race_findings : int;
-}
-
-let experiment_check prepared (warm : warm_report) =
-  (* RD_CHECK must be free when off: the same refinement workload as
-     the WARM warm run (warm starts, jobs=1, 14 iterations), with the
-     mutation hook uninstalled (twice, min — the gate is a ratio of two
-     single-sample wall clocks) and installed.  The off-vs-warm-bench
-     ratio is the CI gate; the on run doubles as an end-to-end exercise
-     of the checker (zero violations) and of the lint on the refined
-     model (zero errors). *)
+let experiment_check prepared =
+  (* RD_CHECK must be free when off: the off-mode refinement against the
+     warm baseline is the CI gate.  The on and race rows record the
+     checker's honest price on the same workload (race serializes every
+     probe behind one mutex). *)
   section "CHECK" "mutation-discipline checker overhead (RD_CHECK)";
-  let splits = Core.split ~seed:7 prepared in
-  let training = splits.Evaluation.Split.training in
-  let run label check =
-    with_runtime (fun rt ->
-        { rt with check; warm = Runtime.Warm_mode.On; jobs = Some 1 })
-    @@ fun () ->
-    timed label (fun () ->
-        Core.build
-          ~options:
-            { Refine.Refiner.default_options with max_iterations = Some 14 }
-          prepared ~training)
+  let training = training_of prepared in
+  let run check () =
+    ignore
+      (warm_refine ~update:(fun rt -> { rt with check }) prepared ~training ())
   in
-  let _, off1 = run "CHECK off jobs=1 (1/2)" Runtime.Check_mode.Off in
-  let _, off2 = run "CHECK off jobs=1 (2/2)" Runtime.Check_mode.Off in
-  let off_wall = Float.min off1 off2 in
-  Analysis.Ownership.reset ();
-  let on_r, on_wall = run "CHECK on jobs=1" Runtime.Check_mode.On in
-  let check_violations = Analysis.Ownership.violation_count () in
-  let lint_errors =
-    Analysis.Report.error_count (Analysis.Lint.check on_r.Refine.Refiner.model)
+  let warm_wall, off_wall =
+    fastest_of_three
+      ((fun () -> ignore (warm_refine prepared ~training ())),
+        run Runtime.Check_mode.Off)
   in
-  Analysis.Ownership.reset ();
-  (* The race detector serializes every probe behind one mutex; the row
-     records the honest price of RD_CHECK=race on the same workload and
-     gates on it finding nothing in a clean run. *)
-  Analysis.Race.reset ();
-  let _, race_wall = run "CHECK race jobs=1" Runtime.Check_mode.Race in
-  let race_findings =
-    Analysis.Race.race_count () + Analysis.Ownership.violation_count ()
-  in
+  let (), on_wall = wall (run Runtime.Check_mode.On) in
+  let (), race_wall = wall (run Runtime.Check_mode.Race) in
   Analysis.Race.reset ();
   Analysis.Ownership.reset ();
-  let overhead_ratio = if off_wall > 0.0 then on_wall /. off_wall else 0.0 in
-  let race_overhead = if off_wall > 0.0 then race_wall /. off_wall else 0.0 in
-  let off_vs_warm =
-    if warm.warm_wall > 0.0 then off_wall /. warm.warm_wall else 0.0
-  in
+  let off_vs_warm = ratio off_wall warm_wall in
   Format.printf
-    "RD_CHECK=off wall: %.2fs (min of 2; %.2fx of the WARM warm run — want \
-     <= 1.02)@.RD_CHECK=on wall: %.2fs (%.2fx of off)@.RD_CHECK=race wall: \
-     %.2fs (%.2fx of off)@.violations recorded under RD_CHECK=on: %d (want \
-     0)@.race/audit findings under RD_CHECK=race: %d (want 0)@.lint errors \
-     on the refined model: %d (want 0)@."
-    off_wall off_vs_warm on_wall overhead_ratio race_wall race_overhead
-    check_violations race_findings lint_errors;
-  {
-    off_wall;
-    on_wall;
-    overhead_ratio;
-    off_vs_warm;
-    check_violations;
-    lint_errors;
-    race_wall;
-    race_overhead;
-    race_findings;
-  }
+    "RD_CHECK=off wall: %.2fs (fastest of 3; %.2fx of the warm baseline's \
+     %.2fs — want <= 1.02)@.RD_CHECK=on wall: %.2fs (%.2fx of off)@.\
+     RD_CHECK=race wall: %.2fs (%.2fx of off)@."
+    off_wall off_vs_warm warm_wall on_wall (ratio on_wall off_wall) race_wall
+    (ratio race_wall off_wall);
+  Json.Obj
+    [
+      ("warm_wall_s", Json.Float warm_wall);
+      ("off_wall_s", Json.Float off_wall);
+      ("on_wall_s", Json.Float on_wall);
+      ("overhead_on_vs_off", Json.Float (ratio on_wall off_wall));
+      ("off_vs_warm_ratio", Json.Float off_vs_warm);
+      ("race_wall_s", Json.Float race_wall);
+      ("overhead_race_vs_off", Json.Float (ratio race_wall off_wall));
+    ]
 
-type obs_report = {
-  trace_off_wall : float;
-  obs_off_vs_warm : float;
-  events_drained : int;
-  pool_tasks : int;
-  refiner_iterations : int;
-  metrics_json : string;
-}
-
-let experiment_obs prepared (warm : warm_report) =
+let experiment_obs prepared =
   (* RD_TRACE must be free when off: the hot-path guard is one atomic
-     load and a branch, so the same refinement workload as the WARM
-     warm run (warm starts, jobs=1, 14 iterations) must stay within
-     noise of it (twice, min — the gate is a ratio of two
-     single-sample wall clocks).  A summary-mode run then exercises
-     the span recording path end to end and feeds the metrics
-     snapshot of BENCH.json. *)
+     load and a branch, so the off-mode refinement must stay within
+     noise of the warm baseline (the CI gate).  A summary-mode run then
+     records spans end to end and feeds the metrics snapshot. *)
   section "OBS" "observability overhead (RD_TRACE) and metrics snapshot";
-  let splits = Core.split ~seed:7 prepared in
-  let training = splits.Evaluation.Split.training in
-  let run label trace =
-    with_runtime (fun rt ->
-        { rt with trace; warm = Runtime.Warm_mode.On; jobs = Some 1 })
-    @@ fun () ->
-    timed label (fun () ->
-        Core.build
-          ~options:
-            { Refine.Refiner.default_options with max_iterations = Some 14 }
-          prepared ~training)
+  let training = training_of prepared in
+  let run trace () =
+    ignore
+      (warm_refine ~update:(fun rt -> { rt with trace }) prepared ~training ())
   in
-  let _, off1 = run "OBS trace=off jobs=1 (1/2)" Obs.Trace.Off in
-  let _, off2 = run "OBS trace=off jobs=1 (2/2)" Obs.Trace.Off in
-  let trace_off_wall = Float.min off1 off2 in
-  let obs_off_vs_warm =
-    if warm.warm_wall > 0.0 then trace_off_wall /. warm.warm_wall else 0.0
+  let warm_wall, off_wall =
+    fastest_of_three
+      ((fun () -> ignore (warm_refine prepared ~training ())),
+        run Obs.Trace.Off)
   in
   Obs.Metrics.reset ();
-  Obs.Trace.reset ();
-  let _ = run "OBS trace=summary jobs=1" Obs.Trace.Summary in
-  let snap = Obs.Metrics.snapshot () in
-  let events_drained = Obs.Metrics.find_counter "engine.events_drained" in
-  let pool_tasks = Obs.Metrics.find_counter "pool.tasks" in
-  let refiner_iterations = Obs.Metrics.find_counter "refiner.iterations" in
+  let events0 = Obs.Trace.event_count () in
+  let (), summary_wall = wall (run Obs.Trace.Summary) in
+  Obs.Metrics.record_gc ();
+  let off_vs_warm = ratio off_wall warm_wall in
   Format.printf
-    "RD_TRACE=off wall: %.2fs (min of 2; %.2fx of the WARM warm run — want \
-     <= 1.02)@.metrics after one summary-mode run (want all nonzero):@.\
-    \  engine.events_drained = %d@.  pool.tasks = %d@.  refiner.iterations \
-     = %d@.trace events recorded: %d (dropped: %d)@."
-    trace_off_wall obs_off_vs_warm events_drained pool_tasks
-    refiner_iterations
-    (Obs.Trace.event_count ())
+    "RD_TRACE=off wall: %.2fs (fastest of 3; %.2fx of the warm baseline's \
+     %.2fs — want <= 1.02)@.RD_TRACE=summary wall: %.2fs (%.2fx of off), %d \
+     trace events recorded (%d dropped)@."
+    off_wall off_vs_warm warm_wall summary_wall (ratio summary_wall off_wall)
+    (Obs.Trace.event_count () - events0)
     (Obs.Trace.dropped ());
-  let metrics_json = Obs.Metrics.to_json snap in
-  Obs.Trace.reset ();
-  {
-    trace_off_wall;
-    obs_off_vs_warm;
-    events_drained;
-    pool_tasks;
-    refiner_iterations;
-    metrics_json;
-  }
-
-type serve_report = {
-  serve_prefixes : int;
-  snapshot_build_s : float;
-  serve_queries : int;
-  queries_per_sec : float;
-  latency_p50_us : int;
-  latency_p99_us : int;
-  serve_deadline_misses : int;
-  whatif_warm_s : float;
-  whatif_cold_s : float;
-  whatif_resume_hits : int;
-}
+  (* The registry prints its own JSON; read it back as a value. *)
+  let metrics =
+    Json.of_string (Obs.Metrics.to_json (Obs.Metrics.snapshot ()))
+    |> Result.value ~default:Json.Null
+  in
+  Json.Obj
+    [
+      ("warm_wall_s", Json.Float warm_wall);
+      ("trace_off_wall_s", Json.Float off_wall);
+      ("off_vs_warm_ratio", Json.Float off_vs_warm);
+      ("summary_wall_s", Json.Float summary_wall);
+      ("metrics", metrics);
+    ]
 
 (* Percentile estimate from a pair of histogram snapshots: the upper
    bound of the bucket where the cumulative delta count crosses [q]. *)
@@ -981,13 +896,11 @@ let histogram_percentile ~before ~after q =
 let experiment_serve prepared =
   (* The query service on a frozen snapshot of this world: read-query
      throughput and latency percentiles from the serve histograms, and
-     the tentpole comparison — a what-if delta resumed warm from the
-     cached states vs re-converging every prefix cold. *)
+     a what-if delta resumed warm from the cached states vs re-converging
+     every prefix cold — the two CI gates. *)
   section "SERVE" "query service over a frozen snapshot (lib/serve)";
   let model = Asmodel.Qrmodel.initial prepared.Core.graph in
-  let t0 = Unix.gettimeofday () in
-  let snap = Serve.Snapshot.build model in
-  let snapshot_build_s = Unix.gettimeofday () -. t0 in
+  let snap, snapshot_build_s = wall (fun () -> Serve.Snapshot.build model) in
   let prefixes = List.map fst (Serve.Snapshot.states snap) in
   let ases = Topology.Asgraph.nodes prepared.Core.graph in
   let sample_ases = List.filteri (fun i _ -> i mod 97 = 0) ases in
@@ -1010,23 +923,22 @@ let experiment_serve prepared =
   in
   let lat_before = Obs.Metrics.value "serve.latency_us" in
   let misses0 = Obs.Metrics.find_counter "serve.deadline_misses" in
-  let t0 = Unix.gettimeofday () in
-  let failed =
-    List.fold_left
-      (fun acc req ->
-        let resp = Serve.Query.eval_timed ~deadline_ms:1000 snap req in
-        match resp.Serve.Protocol.result with Ok _ -> acc | Error _ -> acc + 1)
-      0 reqs
+  let failed, read_wall =
+    wall (fun () ->
+        List.fold_left
+          (fun acc req ->
+            let resp = Serve.Query.eval_timed ~deadline_ms:1000 snap req in
+            match resp.Serve.Protocol.result with
+            | Ok _ -> acc
+            | Error _ -> acc + 1)
+          0 reqs)
   in
-  let read_wall = Unix.gettimeofday () -. t0 in
   let lat_after = Obs.Metrics.value "serve.latency_us" in
-  let serve_deadline_misses =
+  let deadline_misses =
     Obs.Metrics.find_counter "serve.deadline_misses" - misses0
   in
-  let serve_queries = List.length reqs in
-  let queries_per_sec =
-    if read_wall > 0.0 then float_of_int serve_queries /. read_wall else 0.0
-  in
+  let queries = List.length reqs in
+  let queries_per_sec = ratio (float_of_int queries) read_wall in
   let latency_p50_us =
     histogram_percentile ~before:lat_before ~after:lat_after 0.50
   in
@@ -1041,99 +953,75 @@ let experiment_serve prepared =
     | (a, b) :: _ -> (a, b)
     | [] -> (0, 0)
   in
-  let t0 = Unix.gettimeofday () in
+  let whatif () = Serve.Query.eval snap (Serve.Protocol.Whatif { a; b }) in
   let whatif_resume_hits =
-    match
-      time "SERVE whatif warm" (fun () ->
-          Serve.Query.eval snap (Serve.Protocol.Whatif { a; b }))
-    with
+    match whatif () with
     | Ok (Serve.Protocol.Whatif_summary { resume_hits; _ }) -> resume_hits
     | Ok _ | Error _ -> 0
   in
-  let whatif_warm_s = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  with_runtime (fun rt -> { rt with warm = Runtime.Warm_mode.Off })
-    (fun () ->
-      time "SERVE whatif cold" (fun () ->
-          ignore (Serve.Query.eval snap (Serve.Protocol.Whatif { a; b }))));
-  let whatif_cold_s = Unix.gettimeofday () -. t0 in
+  let whatif_warm_s, whatif_cold_s =
+    fastest_of_three
+      ( (fun () -> ignore (whatif ())),
+        fun () ->
+          with_runtime
+            (fun rt -> { rt with warm = Runtime.Warm_mode.Off })
+            (fun () -> ignore (whatif ())) )
+  in
   Serve.Snapshot.retire snap;
   Evaluation.Report.kv std
     [
       ("prefixes served", string_of_int (List.length prefixes));
       ("snapshot build", Printf.sprintf "%.2fs" snapshot_build_s);
-      ( "read queries",
-        Printf.sprintf "%d (%d failed)" serve_queries failed );
+      ("read queries", Printf.sprintf "%d (%d failed)" queries failed);
       ("queries/sec", Printf.sprintf "%.0f" queries_per_sec);
       ("latency p50", Printf.sprintf "%dus" latency_p50_us);
       ("latency p99", Printf.sprintf "%dus" latency_p99_us);
-      ("deadline misses (1000ms)", string_of_int serve_deadline_misses);
-      ( "what-if wall",
-        Printf.sprintf "warm %.2fs vs cold %.2fs (%.2fx)" whatif_warm_s
+      ("deadline misses (1000ms)", string_of_int deadline_misses);
+      ( "what-if wall (fastest of 3)",
+        Printf.sprintf "warm %.3fs vs cold %.3fs (%.2fx)" whatif_warm_s
           whatif_cold_s
-          (if whatif_warm_s > 0.0 then whatif_cold_s /. whatif_warm_s else 0.0)
-      );
+          (ratio whatif_cold_s whatif_warm_s) );
       ("what-if warm resumes", string_of_int whatif_resume_hits);
     ];
-  {
-    serve_prefixes = List.length prefixes;
-    snapshot_build_s;
-    serve_queries;
-    queries_per_sec;
-    latency_p50_us;
-    latency_p99_us;
-    serve_deadline_misses;
-    whatif_warm_s;
-    whatif_cold_s;
-    whatif_resume_hits;
-  }
-
-type churn_report = {
-  churn_events : int;
-  churn_rejected : int;
-  churn_warm_events : int;  (** engine events, warm replay *)
-  churn_warm_wall : float;
-  churn_warm_resumes : int;
-  churn_cold_events : int;  (** engine events, same stream replayed cold *)
-  churn_cold_wall : float;
-  churn_identical : bool;  (** warm and cold final fingerprints agree *)
-  churn_quarantine_leaks : int;
-  churn_polluted : int;
-  churn_fault_retried : int;
-  churn_fault_failed : int;
-  churn_fault_leaks : int;
-  churn_classes : (string * Stream.Replay.class_stats) list;
-}
+  Json.Obj
+    [
+      ("prefixes", Json.Int (List.length prefixes));
+      ("snapshot_build_s", Json.Float snapshot_build_s);
+      ("queries", Json.Int queries);
+      ("queries_per_sec", Json.Float queries_per_sec);
+      ("latency_p50_us", Json.Int latency_p50_us);
+      ("latency_p99_us", Json.Int latency_p99_us);
+      ("deadline_misses", Json.Int deadline_misses);
+      ("whatif_warm_s", Json.Float whatif_warm_s);
+      ("whatif_cold_s", Json.Float whatif_cold_s);
+      ("whatif_resume_hits", Json.Int whatif_resume_hits);
+    ]
 
 let experiment_churn prepared =
   (* The replay tentpole, measured: the same deterministic churn stream
      (every event class) replayed warm — only touched prefixes
      reconverge, resumed from the cached fixed points — and cold — the
-     same per-event batches from scratch.  Same final fingerprint, fewer
-     engine events, is the claim; a third run under transient fault
-     injection must recover everything (no failures, empty quarantine).
-     Each run gets a fresh model: replay mutates the live net. *)
+     same per-event batches from scratch.  Each run gets a fresh model:
+     replay mutates the live net. *)
   section "CHURN" "event-stream replay: warm reconvergence vs cold (lib/stream)";
-  let run label warm faults =
-    with_runtime (fun rt -> { rt with warm; faults }) @@ fun () ->
+  let run label warm =
+    with_runtime (fun rt -> { rt with warm; faults = None }) @@ fun () ->
     let model = Asmodel.Qrmodel.initial prepared.Core.graph in
     let stream =
       Stream.Streamgen.mixed ~events:48 model (Random.State.make [| 42 |])
     in
-    time label (fun () -> snd (Stream.Replay.run model stream))
+    span label (fun () -> snd (Stream.Replay.run model stream))
   in
-  let warm = run "CHURN warm" Runtime.Warm_mode.On None in
-  let cold = run "CHURN cold" Runtime.Warm_mode.Off None in
-  let faulted =
-    run "CHURN warm faults=0.05:42" Runtime.Warm_mode.On
-      (Some { Runtime.Fault.rate = 0.05; seed = 42; scope = Transient })
-  in
+  let warm = run "CHURN warm" Runtime.Warm_mode.On in
+  let cold = run "CHURN cold" Runtime.Warm_mode.Off in
   let sum f (r : Stream.Replay.report) =
     List.fold_left (fun acc (_, cs) -> acc + f cs) 0 r.Stream.Replay.classes
   in
   let events_of = sum (fun cs -> cs.Stream.Replay.cs_engine_events) in
   let warm_resumes = sum (fun cs -> cs.Stream.Replay.cs_warm) warm in
-  let polluted = sum (fun cs -> cs.Stream.Replay.cs_polluted) warm in
+  let event_ratio =
+    ratio (float_of_int (events_of warm)) (float_of_int (events_of cold))
+  in
   Evaluation.Report.table std
     ~header:
       [ "class"; "events"; "prefixes"; "engine events"; "warm"; "cold";
@@ -1151,90 +1039,55 @@ let experiment_churn prepared =
            string_of_int cs.Stream.Replay.cs_polluted;
          ])
        warm.Stream.Replay.classes);
-  let identical =
-    warm.Stream.Replay.fingerprint = cold.Stream.Replay.fingerprint
-  in
   Format.printf
     "events replayed: %d (%d rejected)@.engine events: warm %d vs cold %d \
-     (ratio %.2f, %d resumes)@.final fingerprints identical: %b@.quarantine \
-     leaks: %d@.under transient faults: %d retried, %d failed, %d leaks \
-     (want 0 failed, 0 leaks)@."
+     (ratio %.2f, %d resumes)@."
     warm.Stream.Replay.events warm.Stream.Replay.rejected (events_of warm)
-    (events_of cold)
-    (if events_of cold = 0 then 0.0
-     else float_of_int (events_of warm) /. float_of_int (events_of cold))
-    warm_resumes identical
-    (List.length warm.Stream.Replay.quarantine)
-    faulted.Stream.Replay.retried faulted.Stream.Replay.failed
-    (List.length faulted.Stream.Replay.quarantine);
-  {
-    churn_events = warm.Stream.Replay.events;
-    churn_rejected = warm.Stream.Replay.rejected;
-    churn_warm_events = events_of warm;
-    churn_warm_wall = warm.Stream.Replay.wall_s;
-    churn_warm_resumes = warm_resumes;
-    churn_cold_events = events_of cold;
-    churn_cold_wall = cold.Stream.Replay.wall_s;
-    churn_identical = identical;
-    churn_quarantine_leaks = List.length warm.Stream.Replay.quarantine;
-    churn_polluted = polluted;
-    churn_fault_retried = faulted.Stream.Replay.retried;
-    churn_fault_failed = faulted.Stream.Replay.failed;
-    churn_fault_leaks = List.length faulted.Stream.Replay.quarantine;
-    churn_classes =
-      List.map
-        (fun (cls, cs) -> (Stream.Replay.cls_name cls, cs))
-        warm.Stream.Replay.classes;
-  }
+    (events_of cold) event_ratio warm_resumes;
+  Json.Obj
+    [
+      ("events", Json.Int warm.Stream.Replay.events);
+      ("rejected", Json.Int warm.Stream.Replay.rejected);
+      ( "warm",
+        Json.Obj
+          [
+            ("engine_events", Json.Int (events_of warm));
+            ("wall_s", Json.Float warm.Stream.Replay.wall_s);
+            ("resumes", Json.Int warm_resumes);
+          ] );
+      ( "cold",
+        Json.Obj
+          [
+            ("engine_events", Json.Int (events_of cold));
+            ("wall_s", Json.Float cold.Stream.Replay.wall_s);
+          ] );
+      ("event_ratio", Json.Float event_ratio);
+      ( "polluted_ases",
+        Json.Int (sum (fun cs -> cs.Stream.Replay.cs_polluted) warm) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* §TOPO: the topology-fidelity battery across generator families      *)
 (* ------------------------------------------------------------------ *)
 
-type topo_family_row = {
-  tf_family : string;
-  tf_gen_wall_s : float;
-  tf_nodes : int;
-  tf_edges : int;
-  tf_score : float;  (** battery similarity vs the paper family *)
-}
-
-type topo_report = {
-  topo_ases : int;
-  topo_self_similarity : float;
-      (** paper world compared against itself; the CI gate requires
-          exactly 1.0. *)
-  topo_battery_wall_s : float;  (** one battery pass on the paper world *)
-  topo_families : topo_family_row list;
-}
-
 let experiment_topo ~ases ~seed =
   section "TOPO" "topology-fidelity battery across generator families";
   let conf = { (Netgen.Conf.sized ases) with Netgen.Conf.seed = seed } in
   let topo_of family =
-    timed
-      (Printf.sprintf "generate %s" (Netgen.Family.name family))
-      (fun () -> Netgen.generate family conf (Random.State.make [| seed |]))
+    wall (fun () -> Netgen.generate family conf (Random.State.make [| seed |]))
   in
   let summarize g = Analysis.Topometrics.summarize g in
   let paper_topo, paper_wall = topo_of Netgen.Family.Paper in
   let paper_graph = Netgen.Gentopo.as_graph paper_topo in
-  let paper_sum, battery_wall =
-    timed "battery (paper)" (fun () -> summarize paper_graph)
-  in
+  let paper_sum, battery_wall = wall (fun () -> summarize paper_graph) in
   let self_similarity =
     (Analysis.Topometrics.compare paper_sum paper_sum).Analysis.Topometrics
       .score
   in
   Format.printf "paper   %a@." Analysis.Topometrics.pp_summary paper_sum;
+  (* (family, generation wall, summary, battery score vs paper) *)
   let rows =
-    {
-      tf_family = Netgen.Family.name Netgen.Family.Paper;
-      tf_gen_wall_s = paper_wall;
-      tf_nodes = Analysis.Topometrics.(paper_sum.nodes);
-      tf_edges = Analysis.Topometrics.(paper_sum.edges);
-      tf_score = 1.0;
-    }
+    (Netgen.Family.name Netgen.Family.Paper, paper_wall, paper_sum, 1.0)
     :: List.filter_map
          (fun family ->
            if family = Netgen.Family.Paper then None
@@ -1244,65 +1097,48 @@ let experiment_topo ~ases ~seed =
              Format.printf "%-7s %a@." (Netgen.Family.name family)
                Analysis.Topometrics.pp_summary s;
              Some
-               {
-                 tf_family = Netgen.Family.name family;
-                 tf_gen_wall_s = wall;
-                 tf_nodes = Analysis.Topometrics.(s.nodes);
-                 tf_edges = Analysis.Topometrics.(s.edges);
-                 tf_score =
-                   (Analysis.Topometrics.compare paper_sum s)
-                     .Analysis.Topometrics.score;
-               }
+               ( Netgen.Family.name family,
+                 wall,
+                 s,
+                 (Analysis.Topometrics.compare paper_sum s)
+                   .Analysis.Topometrics.score )
            end)
          battery_families
   in
   Evaluation.Report.table std
     ~header:[ "family"; "gen wall"; "nodes"; "edges"; "vs paper" ]
     (List.map
-       (fun r ->
+       (fun (name, gen_wall, s, score) ->
          [
-           r.tf_family;
-           Printf.sprintf "%.0f ms" (r.tf_gen_wall_s *. 1000.0);
-           string_of_int r.tf_nodes;
-           string_of_int r.tf_edges;
-           Printf.sprintf "%.3f" r.tf_score;
+           name;
+           Printf.sprintf "%.0f ms" (gen_wall *. 1000.0);
+           string_of_int Analysis.Topometrics.(s.nodes);
+           string_of_int Analysis.Topometrics.(s.edges);
+           Printf.sprintf "%.3f" score;
          ])
        rows);
   Format.printf "battery wall: %.3fs, paper self-similarity: %.3f@."
     battery_wall self_similarity;
-  {
-    topo_ases = ases;
-    topo_self_similarity = self_similarity;
-    topo_battery_wall_s = battery_wall;
-    topo_families = rows;
-  }
-
-type scale_report = {
-  scale_family : string;
-  scale_ases : int;
-  scale_nodes : int;
-  scale_sessions : int;
-  scale_plan_prefixes : int;
-  scale_sampled_prefixes : int;
-  scale_build_s : float;
-  scale_world_fp : int;
-  scale_ref_wall_s : float;
-  scale_ref_events : int;
-  scale_flat_wall_s : float;
-  scale_flat_events : int;
-  scale_cold_identical : bool;
-  scale_warm_identical : bool;
-  scale_warm_pairs : int;
-  scale_speedup : float;
-  scale_flat_events_per_sec : float;
-  scale_ref_events_per_sec : float;
-  scale_wall_per_prefix_ms : float;
-  scale_peak_rss_kb : int;
-  scale_gc_minor_words : float;
-  scale_gc_promoted_words : float;
-  scale_gc_minor_collections : int;
-  scale_gc_major_collections : int;
-}
+  Json.Obj
+    [
+      ("ases", Json.Int ases);
+      (* The CI gate requires exactly 1.0. *)
+      ("self_similarity", Json.Float self_similarity);
+      ("battery_wall_s", Json.Float battery_wall);
+      ( "families",
+        Json.Obj
+          (List.map
+             (fun (name, gen_wall, s, score) ->
+               ( name,
+                 Json.Obj
+                   [
+                     ("gen_wall_s", Json.Float gen_wall);
+                     ("nodes", Json.Int Analysis.Topometrics.(s.nodes));
+                     ("edges", Json.Int Analysis.Topometrics.(s.edges));
+                     ("score_vs_paper", Json.Float score);
+                   ] ))
+             rows) );
+    ]
 
 (* Peak resident set (VmHWM, in kB) from /proc/self/status; 0 where the
    proc filesystem is unavailable. *)
@@ -1341,9 +1177,7 @@ let experiment_scale ~ases ~seed =
     "flat-slab engine vs frozen reference on a paper-shaped large world";
   let conf = { (Netgen.Conf.sized ases) with Netgen.Conf.seed = seed } in
   Format.printf "%a@." Netgen.Conf.pp conf;
-  let world, build_s =
-    timed "SCALE build world" (fun () -> Netgen.Groundtruth.build conf)
-  in
+  let world, build_s = wall (fun () -> Netgen.Groundtruth.build conf) in
   let net = world.Netgen.Groundtruth.net in
   let nodes = Simulator.Net.node_count net in
   (* Force the CSR index once, outside both timed runs: after the first
@@ -1377,30 +1211,30 @@ let experiment_scale ~ases ~seed =
      left by the previous sweep is repaid inside the next one's wall. *)
   let ref_sweep () =
     Gc.full_major ();
-    time "SCALE reference cold" (fun () ->
+    span "SCALE reference cold" (fun () ->
         Array.to_list
           (Array.mapi
              (fun i (p, anchors) ->
-               let t0 = Unix.gettimeofday () in
-               let st =
-                 Engine_reference.simulate net ~prefix:p ~originators:anchors
+               let st, w =
+                 wall (fun () ->
+                     Engine_reference.simulate net ~prefix:p
+                       ~originators:anchors)
                in
-               let w = Unix.gettimeofday () -. t0 in
                if w < ref_min.(i) then ref_min.(i) <- w;
                st)
              sample_arr))
   in
   let flat_sweep () =
     Gc.full_major ();
-    time "SCALE flat cold" (fun () ->
+    span "SCALE flat cold" (fun () ->
         Array.to_list
           (Array.mapi
              (fun i (p, anchors) ->
-               let t0 = Unix.gettimeofday () in
-               let st =
-                 Simulator.Engine.simulate net ~prefix:p ~originators:anchors
+               let st, w =
+                 wall (fun () ->
+                     Simulator.Engine.simulate net ~prefix:p
+                       ~originators:anchors)
                in
-               let w = Unix.gettimeofday () -. t0 in
                if w < flat_min.(i) then flat_min.(i) <- w;
                st)
              sample_arr))
@@ -1448,30 +1282,28 @@ let experiment_scale ~ases ~seed =
   in
   let warm_pairs = ref 0 in
   let warm_identical = ref true in
-  let (), _warm_wall =
-    timed "SCALE warm verify" (fun () ->
-        List.iter2
-          (fun (p, anchors) (rst, fst_) ->
-            Simulator.Net.set_import_med net touch_node 0 p 7;
-            let rw =
-              Engine_reference.simulate net ~from:rst ~prefix:p
-                ~originators:anchors
-            in
-            let fw =
-              Simulator.Engine.simulate net ~from:fst_ ~prefix:p
-                ~originators:anchors
-            in
-            Simulator.Net.clear_import_med net touch_node 0 p;
-            Simulator.Net.clear_touched net p;
-            incr warm_pairs;
-            if
-              Engine_reference.state_fingerprint rw
-              <> Simulator.Engine.state_fingerprint fw
-              || Engine_reference.events rw <> Simulator.Engine.events fw
-            then warm_identical := false)
-          samples
-          (List.combine ref_states flat_states))
-  in
+  span "SCALE warm verify" (fun () ->
+      List.iter2
+        (fun (p, anchors) (rst, fst_) ->
+          Simulator.Net.set_import_med net touch_node 0 p 7;
+          let rw =
+            Engine_reference.simulate net ~from:rst ~prefix:p
+              ~originators:anchors
+          in
+          let fw =
+            Simulator.Engine.simulate net ~from:fst_ ~prefix:p
+              ~originators:anchors
+          in
+          Simulator.Net.clear_import_med net touch_node 0 p;
+          Simulator.Net.clear_touched net p;
+          incr warm_pairs;
+          if
+            Engine_reference.state_fingerprint rw
+            <> Simulator.Engine.state_fingerprint fw
+            || Engine_reference.events rw <> Simulator.Engine.events fw
+          then warm_identical := false)
+        samples
+        (List.combine ref_states flat_states));
   Obs.Metrics.record_gc ();
   let rss = peak_rss_kb () in
   let per_sec events wall =
@@ -1513,240 +1345,43 @@ let experiment_scale ~ases ~seed =
         Printf.sprintf "%.0f minor words, %d minor / %d major collections"
           gc_minor_words gc_minor_collections gc_major_collections );
     ];
-  {
-    scale_family = Netgen.Family.to_string conf.Netgen.Conf.family;
-    scale_ases = ases;
-    scale_nodes = nodes;
-    scale_sessions = sessions;
-    scale_plan_prefixes = List.length plan;
-    scale_sampled_prefixes = n_samples;
-    scale_build_s = build_s;
-    scale_world_fp = world_fp;
-    scale_ref_wall_s = ref_wall;
-    scale_ref_events = ref_events;
-    scale_flat_wall_s = flat_wall;
-    scale_flat_events = flat_events;
-    scale_cold_identical = cold_identical;
-    scale_warm_identical = !warm_identical;
-    scale_warm_pairs = !warm_pairs;
-    scale_speedup = speedup;
-    scale_flat_events_per_sec = per_sec flat_events flat_wall;
-    scale_ref_events_per_sec = per_sec ref_events ref_wall;
-    scale_wall_per_prefix_ms = wall_per_prefix_ms;
-    scale_peak_rss_kb = rss;
-    scale_gc_minor_words = gc_minor_words;
-    scale_gc_promoted_words = gc_promoted_words;
-    scale_gc_minor_collections = gc_minor_collections;
-    scale_gc_major_collections = gc_major_collections;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Machine-readable results (hand-rolled JSON; no extra dependency)    *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_num f =
-  if Float.is_nan f || Float.is_integer f then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.6f" f
-
-let write_bench_json path ~scale ~seed ~jobs warm check obs serve churn
-    scale_rep topo =
-  let b = Buffer.create 4096 in
-  let field k v = Printf.bprintf b "  %S: %s,\n" k v in
-  Buffer.add_string b "{\n";
-  field "scale" (json_num scale);
-  field "seed" (string_of_int seed);
-  field "jobs" (string_of_int jobs);
-  (match topo with
-  | None -> field "topo" "null"
-  | Some t ->
-      let fams =
-        String.concat ", "
-          (List.map
-             (fun r ->
-               Printf.sprintf
-                 "\"%s\": {\"gen_wall_s\": %.6f, \"nodes\": %d, \"edges\": \
-                  %d, \"score_vs_paper\": %.6f}"
-                 (json_escape r.tf_family) r.tf_gen_wall_s r.tf_nodes
-                 r.tf_edges r.tf_score)
-             t.topo_families)
-      in
-      field "topo"
-        (Printf.sprintf
-           "{\"ases\": %d, \"self_similarity\": %s, \"battery_wall_s\": \
-            %.3f, \"families\": {%s}}"
-           t.topo_ases (json_num t.topo_self_similarity)
-           t.topo_battery_wall_s fams));
-  (match scale_rep with
-  | None -> field "scale_world" "null"
-  | Some s ->
-      field "scale_world"
-        (Printf.sprintf
-           "{\"family\": \"%s\", \"ases\": %d, \"nodes\": %d, \
-            \"half_sessions\": %d, \
-            \"prefixes\": %d, \"sampled_prefixes\": %d, \"build_s\": %.3f, \
-            \"world_fingerprint\": %d, \
-            \"reference\": {\"wall_s\": %.3f, \"events\": %d, \
-            \"events_per_sec\": %.1f}, \
-            \"flat\": {\"wall_s\": %.3f, \"events\": %d, \
-            \"events_per_sec\": %.1f, \"wall_per_prefix_ms\": %.3f}, \
-            \"speedup\": %.3f, \"cold_identical\": %b, \
-            \"warm_identical\": %b, \"warm_pairs\": %d, \
-            \"peak_rss_kb\": %d, \
-            \"gc\": {\"minor_words\": %.0f, \"promoted_words\": %.0f, \
-            \"minor_collections\": %d, \"major_collections\": %d}}"
-           (json_escape s.scale_family) s.scale_ases s.scale_nodes
-           s.scale_sessions s.scale_plan_prefixes
-           s.scale_sampled_prefixes s.scale_build_s s.scale_world_fp
-           s.scale_ref_wall_s s.scale_ref_events s.scale_ref_events_per_sec
-           s.scale_flat_wall_s s.scale_flat_events s.scale_flat_events_per_sec
-           s.scale_wall_per_prefix_ms s.scale_speedup s.scale_cold_identical
-           s.scale_warm_identical s.scale_warm_pairs s.scale_peak_rss_kb
-           s.scale_gc_minor_words s.scale_gc_promoted_words
-           s.scale_gc_minor_collections s.scale_gc_major_collections));
-  (match serve with
-  | None -> field "serve" "null"
-  | Some s ->
-      field "serve"
-        (Printf.sprintf
-           "{\"prefixes\": %d, \"snapshot_build_s\": %.3f, \"queries\": %d, \
-            \"queries_per_sec\": %.1f, \"latency_p50_us\": %d, \
-            \"latency_p99_us\": %d, \"deadline_misses\": %d, \
-            \"whatif_warm_s\": %.3f, \"whatif_cold_s\": %.3f, \
-            \"whatif_resume_hits\": %d}"
-           s.serve_prefixes s.snapshot_build_s s.serve_queries
-           s.queries_per_sec s.latency_p50_us s.latency_p99_us
-           s.serve_deadline_misses s.whatif_warm_s s.whatif_cold_s
-           s.whatif_resume_hits));
-  Printf.bprintf b "  \"sections\": [\n";
-  let sections = List.rev !timings in
-  List.iteri
-    (fun i (label, wall) ->
-      Printf.bprintf b "    {\"label\": \"%s\", \"wall_s\": %.3f}%s\n"
-        (json_escape label) wall
-        (if i = List.length sections - 1 then "" else ","))
-    sections;
-  Printf.bprintf b "  ],\n";
-  (match warm with
-  | None -> Printf.bprintf b "  \"warm\": null,\n"
-  | Some w ->
-      Printf.bprintf b "  \"warm\": {\n";
-      Printf.bprintf b "    \"cold\": {\"wall_s\": %.3f, \"events\": %d, \"allocated_bytes\": %.0f},\n"
-        w.cold_wall w.cold_events w.cold_alloc;
-      Printf.bprintf b "    \"warm\": {\"wall_s\": %.3f, \"events\": %d, \"allocated_bytes\": %.0f},\n"
-        w.warm_wall w.warm_events w.warm_alloc;
-      Printf.bprintf b "    \"event_ratio\": %s,\n"
-        (json_num
-           (if w.cold_events = 0 then 0.0
-            else float_of_int w.warm_events /. float_of_int w.cold_events));
-      Printf.bprintf b "    \"wall_ratio\": %s,\n"
-        (json_num (if w.cold_wall > 0.0 then w.warm_wall /. w.cold_wall else 0.0));
-      Printf.bprintf b "    \"warm_runs\": %d,\n"
-        w.warm_stats.Simulator.Warm.warm_runs;
-      Printf.bprintf b "    \"cold_runs\": %d,\n"
-        w.warm_stats.Simulator.Warm.cold_runs;
-      Printf.bprintf b "    \"identical_results\": %b,\n" w.identical;
-      Printf.bprintf b "    \"verified\": %d,\n"
-        w.verify_stats.Simulator.Warm.verified;
-      Printf.bprintf b "    \"divergences\": %d,\n"
-        w.verify_stats.Simulator.Warm.divergences;
-      Printf.bprintf b
-        "    \"pool\": {\"prefixes\": %d, \"events\": %d, \"non_converged\": \
-         %d, \"retried\": %d, \"failed\": %d, \"wall_s\": %.3f}\n"
-        w.pool.Simulator.Pool.prefixes w.pool.Simulator.Pool.events
-        w.pool.Simulator.Pool.non_converged w.pool.Simulator.Pool.retried
-        w.pool.Simulator.Pool.failed w.pool.Simulator.Pool.wall;
-      Printf.bprintf b "  },\n");
-  (match check with
-  | None -> Printf.bprintf b "  \"check\": null,\n"
-  | Some c ->
-      Printf.bprintf b "  \"check\": {\n";
-      Printf.bprintf b "    \"off_wall_s\": %.3f,\n" c.off_wall;
-      Printf.bprintf b "    \"on_wall_s\": %.3f,\n" c.on_wall;
-      Printf.bprintf b "    \"overhead_on_vs_off\": %s,\n"
-        (json_num c.overhead_ratio);
-      Printf.bprintf b "    \"off_vs_warm_ratio\": %s,\n"
-        (json_num c.off_vs_warm);
-      Printf.bprintf b "    \"violations\": %d,\n" c.check_violations;
-      Printf.bprintf b "    \"lint_errors\": %d,\n" c.lint_errors;
-      Printf.bprintf b "    \"race_wall_s\": %.3f,\n" c.race_wall;
-      Printf.bprintf b "    \"overhead_race_vs_off\": %s,\n"
-        (json_num c.race_overhead);
-      Printf.bprintf b "    \"race_findings\": %d\n" c.race_findings;
-      Printf.bprintf b "  },\n");
-  (match obs with
-  | None -> Printf.bprintf b "  \"obs\": null,\n"
-  | Some o ->
-      Printf.bprintf b "  \"obs\": {\n";
-      Printf.bprintf b "    \"trace_off_wall_s\": %.3f,\n" o.trace_off_wall;
-      Printf.bprintf b "    \"off_vs_warm_ratio\": %s,\n"
-        (json_num o.obs_off_vs_warm);
-      Printf.bprintf b "    \"events_drained\": %d,\n" o.events_drained;
-      Printf.bprintf b "    \"pool_tasks\": %d,\n" o.pool_tasks;
-      Printf.bprintf b "    \"refiner_iterations\": %d,\n"
-        o.refiner_iterations;
-      Printf.bprintf b "    \"metrics\": %s\n" o.metrics_json;
-      Printf.bprintf b "  },\n");
-  (match churn with
-  | None -> Printf.bprintf b "  \"churn\": null\n"
-  | Some c ->
-      Printf.bprintf b "  \"churn\": {\n";
-      Printf.bprintf b "    \"events\": %d,\n" c.churn_events;
-      Printf.bprintf b "    \"rejected\": %d,\n" c.churn_rejected;
-      Printf.bprintf b
-        "    \"warm\": {\"engine_events\": %d, \"wall_s\": %.3f, \
-         \"resumes\": %d},\n"
-        c.churn_warm_events c.churn_warm_wall c.churn_warm_resumes;
-      Printf.bprintf b
-        "    \"cold\": {\"engine_events\": %d, \"wall_s\": %.3f},\n"
-        c.churn_cold_events c.churn_cold_wall;
-      Printf.bprintf b "    \"event_ratio\": %s,\n"
-        (json_num
-           (if c.churn_cold_events = 0 then 0.0
-            else
-              float_of_int c.churn_warm_events
-              /. float_of_int c.churn_cold_events));
-      Printf.bprintf b "    \"identical_results\": %b,\n" c.churn_identical;
-      Printf.bprintf b "    \"quarantine_leaks\": %d,\n"
-        c.churn_quarantine_leaks;
-      Printf.bprintf b "    \"polluted_ases\": %d,\n" c.churn_polluted;
-      Printf.bprintf b
-        "    \"faults\": {\"retried\": %d, \"failed\": %d, \
-         \"quarantine_leaks\": %d},\n"
-        c.churn_fault_retried c.churn_fault_failed c.churn_fault_leaks;
-      Printf.bprintf b "    \"classes\": {";
-      List.iteri
-        (fun i (name, cs) ->
-          Printf.bprintf b
-            "%s\"%s\": {\"events\": %d, \"prefixes\": %d, \"engine_events\": \
-             %d, \"warm\": %d, \"cold\": %d, \"ases_shifted\": %d, \
-             \"polluted\": %d}"
-            (if i = 0 then "" else ", ")
-            (json_escape name) cs.Stream.Replay.cs_events
-            cs.Stream.Replay.cs_prefixes cs.Stream.Replay.cs_engine_events
-            cs.Stream.Replay.cs_warm cs.Stream.Replay.cs_cold
-            cs.Stream.Replay.cs_ases_shifted cs.Stream.Replay.cs_polluted)
-        c.churn_classes;
-      Printf.bprintf b "}\n";
-      Printf.bprintf b "  }\n");
-  Buffer.add_string b "}\n";
-  let oc = open_out path in
-  Buffer.output_buffer oc b;
-  close_out oc;
-  Format.printf "wrote %s@." path
+  let engine wall_s events extra =
+    Json.Obj
+      ([
+         ("wall_s", Json.Float wall_s);
+         ("events", Json.Int events);
+         ("events_per_sec", Json.Float (per_sec events wall_s));
+       ]
+      @ extra)
+  in
+  Json.Obj
+    [
+      ("family", Json.String (Netgen.Family.to_string conf.Netgen.Conf.family));
+      ("ases", Json.Int ases);
+      ("nodes", Json.Int nodes);
+      ("half_sessions", Json.Int sessions);
+      ("prefixes", Json.Int (List.length plan));
+      ("sampled_prefixes", Json.Int n_samples);
+      ("build_s", Json.Float build_s);
+      ("world_fingerprint", Json.Int world_fp);
+      ("reference", engine ref_wall ref_events []);
+      ( "flat",
+        engine flat_wall flat_events
+          [ ("wall_per_prefix_ms", Json.Float wall_per_prefix_ms) ] );
+      ("speedup", Json.Float speedup);
+      ("cold_identical", Json.Bool cold_identical);
+      ("warm_identical", Json.Bool !warm_identical);
+      ("warm_pairs", Json.Int !warm_pairs);
+      ("peak_rss_kb", Json.Int rss);
+      ( "gc",
+        Json.Obj
+          [
+            ("minor_words", Json.Float gc_minor_words);
+            ("promoted_words", Json.Float gc_promoted_words);
+            ("minor_collections", Json.Int gc_minor_collections);
+            ("major_collections", Json.Int gc_major_collections);
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmarks                                                    *)
@@ -1864,34 +1499,46 @@ let () =
     in
     go args
   in
-  let quick = has "--quick" in
-  let scale = float_of_string (value "--scale" (if quick then "0.35" else "1.0")) in
-  if not (Float.is_finite scale) || scale <= 0.0 then begin
-    Printf.eprintf "bench: --scale expects a positive number, got %g\n" scale;
-    exit 1
-  end;
-  let seed = int_of_string (value "--seed" "42") in
-  let scale_ases =
-    let raw = value "--scale-ases" (if quick then "1500" else "5000") in
-    match int_of_string_opt raw with
-    | Some n when n >= 50 -> n
+  (* A numeric flag's value; one that does not parse or is out of range
+     is a usage error (exit 1). *)
+  let number flag parse ~default ~ok ~expects =
+    let raw = value flag default in
+    match parse raw with
+    | Some v when ok v -> v
     | Some _ | None ->
-        Printf.eprintf "bench: --scale-ases expects an integer >= 50, got %S\n"
-          raw;
+        Printf.eprintf "bench: %s expects %s, got %S\n" flag expects raw;
         exit 1
   in
+  let ases flag default =
+    number flag int_of_string_opt ~default
+      ~ok:(fun n -> n >= 50)
+      ~expects:"an integer >= 50"
+  in
+  let quick = has "--quick" in
+  let scale =
+    number "--scale" float_of_string_opt
+      ~default:(if quick then "0.35" else "1.0")
+      ~ok:(fun f -> Float.is_finite f && f > 0.0)
+      ~expects:"a positive number"
+  in
+  let seed =
+    number "--seed" int_of_string_opt ~default:"42"
+      ~ok:(fun _ -> true)
+      ~expects:"an integer"
+  in
+  let scale_ases = ases "--scale-ases" (if quick then "1500" else "5000") in
+  let topo_ases = ases "--topo-ases" "500" in
+  let robust_ases = ases "--robust-ases" "500" in
   Format.printf "simulation workers: %d (RD_JOBS/--jobs to change)@."
     (Runtime.jobs ());
   Format.printf "runtime: %a@." Runtime.pp (Runtime.current ());
-  let t_start = Unix.gettimeofday () in
-  let warm_report = ref None in
   let build_world () =
     let conf = { (Netgen.Conf.scaled scale) with Netgen.Conf.seed = seed } in
     section "WORLD" "synthetic ground truth (DESIGN.md 2)";
     Format.printf "%a@." Netgen.Conf.pp conf;
-    let world = time "build" (fun () -> Netgen.Groundtruth.build conf) in
+    let world = span "build" (fun () -> Netgen.Groundtruth.build conf) in
     Format.printf "%a@." Netgen.Groundtruth.pp_summary world;
-    let data = time "observe" (fun () -> Netgen.Groundtruth.observe world) in
+    let data = span "observe" (fun () -> Netgen.Groundtruth.observe world) in
     Format.printf "observed entries: %d@." (Rib.size data);
     let prepared = Core.prepare data in
     Format.printf "prepared: %a@.core graph: %a@."
@@ -1899,79 +1546,68 @@ let () =
       Topology.Asgraph.pp_stats prepared.Core.graph;
     (data, prepared)
   in
-  let check_report = ref None in
-  let obs_report = ref None in
-  let serve_report = ref None in
-  let churn_report = ref None in
-  let scale_report = ref None in
-  let topo_report = ref None in
-  let topo_ases =
-    let raw = value "--topo-ases" "500" in
-    match int_of_string_opt raw with
-    | Some n when n >= 50 -> n
-    | Some _ | None ->
-        Printf.eprintf "bench: --topo-ases expects an integer >= 50, got %S\n"
-          raw;
-        exit 1
-  in
-  let robust_ases =
-    let raw = value "--robust-ases" "500" in
-    match int_of_string_opt raw with
-    | Some n when n >= 50 -> n
-    | Some _ | None ->
-        Printf.eprintf
-          "bench: --robust-ases expects an integer >= 50, got %S\n" raw;
-        exit 1
-  in
-  let warm_and_check prepared =
+  (* The warm-start sections, in run order; CHECK, OBS and SERVE carry
+     the CI wall-time gates. *)
+  let warm_sections prepared =
     let warm = experiment_warm prepared in
-    warm_report := Some warm;
-    check_report := Some (experiment_check prepared warm);
-    obs_report := Some (experiment_obs prepared warm);
-    serve_report := Some (experiment_serve prepared);
-    churn_report := Some (experiment_churn prepared)
+    let check = experiment_check prepared in
+    let obs = experiment_obs prepared in
+    let serve = experiment_serve prepared in
+    let churn = experiment_churn prepared in
+    [
+      ("warm", warm); ("check", check); ("obs", obs); ("serve", serve);
+      ("churn", churn);
+    ]
   in
-  if has "--scale-only" then
-    scale_report := Some (experiment_scale ~ases:scale_ases ~seed)
-  else if has "--topo-only" then
-    topo_report := Some (experiment_topo ~ases:topo_ases ~seed)
-  else if has "--robust-only" then experiment_robustness ~ases:robust_ases
-  else if has "--warm-only" then begin
-    let _data, prepared = build_world () in
-    warm_and_check prepared
-  end
-  else if not (has "--micro-only") then begin
-    let data, prepared = build_world () in
-    experiment_f2_t1 data;
-    experiment_inflation prepared;
-    ignore (experiment_t2 prepared);
-    ignore (experiment_train_predict prepared ~seed:7);
-    experiment_parallel prepared;
-    warm_and_check prepared;
-    experiment_t5 prepared ~seed:7;
-    experiment_t6 prepared ~seed:7;
-    let ablation_conf =
-      { (Netgen.Conf.scaled (scale *. 0.35)) with Netgen.Conf.seed = seed }
-    in
-    experiment_ablations ablation_conf;
-    experiment_faults ablation_conf;
-    experiment_robustness ~ases:robust_ases;
-    if has "--sweep" then experiment_sweep ablation_conf;
-    topo_report := Some (experiment_topo ~ases:topo_ases ~seed);
-    scale_report := Some (experiment_scale ~ases:scale_ases ~seed)
-  end;
-  if
-    (not (has "--no-micro"))
-    && (not (has "--warm-only"))
-    && (not (has "--scale-only"))
-    && (not (has "--topo-only"))
-    && not (has "--robust-only")
-  then micro ();
-  write_bench_json
-    (value "--json" "BENCH.json")
-    ~scale ~seed
-    ~jobs:(Runtime.jobs ())
-    !warm_report !check_report !obs_report !serve_report !churn_report
-    !scale_report !topo_report;
+  let results, total_s =
+    wall (fun () ->
+        if has "--scale-only" then
+          [ ("scale_world", experiment_scale ~ases:scale_ases ~seed) ]
+        else if has "--topo-only" then
+          [ ("topo", experiment_topo ~ases:topo_ases ~seed) ]
+        else if has "--robust-only" then begin
+          experiment_robustness ~ases:robust_ases;
+          []
+        end
+        else if has "--warm-only" then warm_sections (snd (build_world ()))
+        else begin
+          let data, prepared = build_world () in
+          experiment_f2_t1 data;
+          experiment_inflation prepared;
+          ignore (experiment_t2 prepared);
+          ignore (experiment_train_predict prepared ~seed:7);
+          experiment_parallel prepared;
+          let warm = warm_sections prepared in
+          experiment_t5 prepared ~seed:7;
+          experiment_t6 prepared ~seed:7;
+          let ablation_conf =
+            {
+              (Netgen.Conf.scaled (scale *. 0.35)) with
+              Netgen.Conf.seed = seed;
+            }
+          in
+          experiment_ablations ablation_conf;
+          experiment_faults ablation_conf;
+          experiment_robustness ~ases:robust_ases;
+          if has "--sweep" then experiment_sweep ablation_conf;
+          let topo = experiment_topo ~ases:topo_ases ~seed in
+          let scale_world = experiment_scale ~ases:scale_ases ~seed in
+          micro ();
+          warm @ [ ("topo", topo); ("scale_world", scale_world) ]
+        end)
+  in
+  let path = value "--json" "BENCH.json" in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        (Json.to_string
+           (Json.Obj
+              ([
+                 ("scale", Json.Float scale);
+                 ("seed", Json.Int seed);
+                 ("jobs", Json.Int (Runtime.jobs ()));
+               ]
+              @ results)));
+      output_char oc '\n');
+  Format.printf "wrote %s@." path;
   Obs.Trace.flush std;
-  Format.printf "@.[total: %.1fs]@." (Unix.gettimeofday () -. t_start)
+  Format.printf "@.[total: %.1fs]@." total_s

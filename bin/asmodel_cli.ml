@@ -126,6 +126,7 @@ let metrics_arg =
 let finish_obs ?(metrics = false) () =
   if metrics || Simulator.Runtime.trace () = Obs.Trace.Summary then begin
     Evaluation.Report.section std "OBS" "metrics snapshot";
+    Obs.Metrics.record_gc ();
     Format.printf "%a@." Obs.Metrics.pp_snapshot (Obs.Metrics.snapshot ())
   end;
   Obs.Trace.flush std

@@ -287,25 +287,31 @@ let cross_domain_mutation () =
              && String.sub v.Ownership.detail 0 12 = "cross-domain")
            (Ownership.violations ())))
 
+(* Run the Figure-5 refinement on the 5-AS diamond, check that it
+   converged and return the model it grew. *)
+let refine_fig5 () =
+  let graph =
+    Topology.Asgraph.of_edges [ (1, 2); (1, 4); (1, 5); (2, 3); (3, 4); (4, 5) ]
+  in
+  let entry o origin path_list =
+    {
+      Rib.op = { Rib.op_ip = Asn.router_ip o 0; op_as = o };
+      prefix = Asn.origin_prefix origin;
+      path = Aspath.of_list path_list;
+    }
+  in
+  let training =
+    Rib.of_entries
+      [ entry 1 3 [ 1; 2; 3 ]; entry 1 4 [ 1; 4 ]; entry 1 4 [ 1; 5; 4 ] ]
+  in
+  let m = Qrmodel.initial graph in
+  let r = Refine.Refiner.refine m ~training in
+  check_bool "converged" true r.Refine.Refiner.converged;
+  m
+
 let refine_clean_under_check () =
   with_checker (fun () ->
-      let graph =
-        Topology.Asgraph.of_edges [ (1, 2); (1, 4); (1, 5); (2, 3); (3, 4); (4, 5) ]
-      in
-      let entry o origin path_list =
-        {
-          Rib.op = { Rib.op_ip = Asn.router_ip o 0; op_as = o };
-          prefix = Asn.origin_prefix origin;
-          path = Aspath.of_list path_list;
-        }
-      in
-      let training =
-        Rib.of_entries
-          [ entry 1 3 [ 1; 2; 3 ]; entry 1 4 [ 1; 4 ]; entry 1 4 [ 1; 5; 4 ] ]
-      in
-      let m = Qrmodel.initial graph in
-      let r = Refine.Refiner.refine m ~training in
-      check_bool "converged" true r.Refine.Refiner.converged;
+      let m = refine_fig5 () in
       (* The phased refiner keeps all mutation sequential and between
          batches: the checker must stay silent... *)
       check_int "no violations" 0 (Ownership.violation_count ());
@@ -330,6 +336,14 @@ let with_race f =
       Ownership.reset ();
       Race.reset ())
     f
+
+(* The same refinement under the race detector: its pool batches and
+   the sequential mutations between them are ordered, so nothing fires. *)
+let refine_clean_under_race () =
+  with_race (fun () ->
+      ignore (refine_fig5 ());
+      check_int "no races" 0 (Race.race_count ());
+      check_int "no violations" 0 (Ownership.violation_count ()))
 
 (* Raw Domain.spawn/join with the ordering edges published to the
    probe, mirroring what Pool does — so a test can run code in another
@@ -578,6 +592,7 @@ let suite =
     Alcotest.test_case "refine clean under check" `Quick refine_clean_under_check;
     Alcotest.test_case "seeded race detected" `Quick seeded_race_detected;
     Alcotest.test_case "seeded race ownership" `Quick seeded_race_ownership;
+    Alcotest.test_case "refine clean under race" `Quick refine_clean_under_race;
     Alcotest.test_case "pool clean under race" `Quick pool_clean_under_race;
     Alcotest.test_case "concurrent csr rebuild" `Quick concurrent_csr_rebuild;
     Alcotest.test_case "allowlist benign" `Quick allowlist_benign;

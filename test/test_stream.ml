@@ -291,6 +291,32 @@ let warm_matches_cold () =
   QCheck.Test.check_exn
     (QCheck.Test.make ~name:"warm replay = cold replay" ~count:20 arb prop)
 
+let mixed_stream m = Streamgen.mixed ~events:48 m (Random.State.make [| 42 |])
+
+(* A 48-event stream of every class, replayed warm and cold: nothing is
+   rejected, both end in the same routing, warm resumes drain fewer
+   engine events, and no prefix is left quarantined. *)
+let mixed_warm_saves_work () =
+  let run warm =
+    with_warm warm @@ fun () ->
+    let m = model () in
+    snd (Replay.run m (mixed_stream m))
+  in
+  let warm = run Simulator.Runtime.Warm_mode.On in
+  let cold = run Simulator.Runtime.Warm_mode.Off in
+  let engine_events (r : Replay.report) =
+    List.fold_left
+      (fun acc (_, cs) -> acc + cs.Replay.cs_engine_events)
+      0 r.Replay.classes
+  in
+  check_bool "events replayed" true (warm.Replay.events > 0);
+  check_int "nothing rejected" 0 warm.Replay.rejected;
+  check_bool "same final routing" true
+    (warm.Replay.fingerprint = cold.Replay.fingerprint);
+  check_bool "warm drains fewer events" true
+    (engine_events warm < engine_events cold);
+  check_int "no quarantine" 0 (List.length warm.Replay.quarantine)
+
 let verify_mode_agrees () =
   let m = model () in
   let stream = Streamgen.mixed ~events:32 m (Random.State.make [| 5 |]) in
@@ -319,6 +345,11 @@ let transient_faults_recover () =
         (report.Replay.events = List.length stream);
       (* The injected failures must actually have fired. *)
       check_bool "retries happened" true (report.Replay.retried > 0);
+      let m = model () in
+      let _, mixed = Replay.run m (mixed_stream m) in
+      check_int "mixed: no unrecovered failures" 0 mixed.Replay.failed;
+      check_int "mixed: no quarantine leaks" 0
+        (List.length mixed.Replay.quarantine);
       check_bool "routing matches the clean replay" true
         (report.Replay.fingerprint
         =
@@ -462,6 +493,8 @@ let suite =
       subprefix_hijack_pollutes;
     Alcotest.test_case "MOAS hijack classifies" `Quick moas_hijack_classifies;
     Alcotest.test_case "warm matches cold" `Quick warm_matches_cold;
+    Alcotest.test_case "mixed stream warm saves work" `Quick
+      mixed_warm_saves_work;
     Alcotest.test_case "verify mode agrees" `Quick verify_mode_agrees;
     Alcotest.test_case "transient faults recover" `Quick
       transient_faults_recover;
