@@ -9,7 +9,7 @@
      --jobs N      simulation worker domains (default: RD_JOBS or core count)
      --faults S    fault injection RATE:SEED[:full] (default: RD_FAULTS)
      --warm M      warm-start mode off|on|verify (default: RD_WARM or on)
-     --check M     mutation-discipline checker off|on|race (default: RD_CHECK)
+     --check M     race detector + mutation audit off|on (default: RD_CHECK)
      --trace M     tracing off|summary|FILE.json (default: RD_TRACE)
                    (these knob flags are Simulator.Runtime's; README.md
                    "Runtime knobs" has the full table)
@@ -789,10 +789,10 @@ let experiment_warm prepared =
 
 let experiment_check prepared =
   (* RD_CHECK must be free when off: the off-mode refinement against the
-     warm baseline is the CI gate.  The on and race rows record the
-     checker's honest price on the same workload (race serializes every
-     probe behind one mutex). *)
-  section "CHECK" "mutation-discipline checker overhead (RD_CHECK)";
+     warm baseline is the CI gate.  The on row records the checker's
+     honest price on the same workload (the race detector serializes
+     every probe behind one mutex). *)
+  section "CHECK" "race detector and mutation audit overhead (RD_CHECK)";
   let training = training_of prepared in
   let run check () =
     ignore
@@ -804,16 +804,12 @@ let experiment_check prepared =
         run Runtime.Check_mode.Off)
   in
   let (), on_wall = wall (run Runtime.Check_mode.On) in
-  let (), race_wall = wall (run Runtime.Check_mode.Race) in
-  Analysis.Race.reset ();
   Analysis.Ownership.reset ();
   let off_vs_warm = ratio off_wall warm_wall in
   Format.printf
     "RD_CHECK=off wall: %.2fs (fastest of 3; %.2fx of the warm baseline's \
-     %.2fs — want <= 1.02)@.RD_CHECK=on wall: %.2fs (%.2fx of off)@.\
-     RD_CHECK=race wall: %.2fs (%.2fx of off)@."
-    off_wall off_vs_warm warm_wall on_wall (ratio on_wall off_wall) race_wall
-    (ratio race_wall off_wall);
+     %.2fs — want <= 1.02)@.RD_CHECK=on wall: %.2fs (%.2fx of off)@."
+    off_wall off_vs_warm warm_wall on_wall (ratio on_wall off_wall);
   Json.Obj
     [
       ("warm_wall_s", Json.Float warm_wall);
@@ -821,8 +817,6 @@ let experiment_check prepared =
       ("on_wall_s", Json.Float on_wall);
       ("overhead_on_vs_off", Json.Float (ratio on_wall off_wall));
       ("off_vs_warm_ratio", Json.Float off_vs_warm);
-      ("race_wall_s", Json.Float race_wall);
-      ("overhead_race_vs_off", Json.Float (ratio race_wall off_wall));
     ]
 
 let experiment_obs prepared =

@@ -92,24 +92,18 @@ let strict_arg =
     & info [ "strict" ]
         ~doc:
           "Treat every recorded finding as fatal: lint warnings, and any \
-           RD_CHECK violation or race recorded during the run, exit 4.")
+           race or RD_CHECK violation recorded during the run, exit 4.")
 
-(* Recorded checker findings (mutation-discipline violations, races)
+(* Recorded checker findings (races, mutation-discipline violations)
    are normally advisory; with [--strict] a clean run that recorded any
    escalates to the lint exit code. *)
 let checker_exit ~strict code =
-  let v = Analysis.Ownership.violation_count () in
-  let r = Analysis.Race.race_count () in
-  if v + r > 0 then begin
+  let n = Analysis.Ownership.count () in
+  if n > 0 then begin
     List.iter
-      (fun x -> Format.eprintf "%a@." Analysis.Ownership.pp_violation x)
-      (Analysis.Ownership.violations ());
-    List.iter
-      (fun x -> Format.eprintf "%a@." Analysis.Race.pp_race x)
-      (Analysis.Race.races ());
-    Printf.eprintf
-      "RD_CHECK recorded %d mutation-discipline violation(s) and %d race(s)\n%!"
-      v r;
+      (Format.eprintf "@[<v>%a@]@." Analysis.Report.pp_finding)
+      (Analysis.Ownership.findings ());
+    Printf.eprintf "RD_CHECK recorded %d finding(s)\n%!" n;
     if strict && code = 0 then 4 else code
   end
   else code
@@ -705,26 +699,11 @@ let lint_cmd =
 
 (* check *)
 
-let checker_findings () =
-  List.map
-    (fun v ->
-      {
-        Analysis.Report.severity = Analysis.Report.Error;
-        rule = "rd-check-" ^ v.Analysis.Ownership.rule;
-        location = Analysis.Report.Network;
-        message = Format.asprintf "%a" Analysis.Ownership.pp_violation v;
-        hint =
-          "mutate nets from their owning domain, outside Pool batches, \
-           through the safe API";
-      })
-    (Analysis.Ownership.violations ())
-  @ Analysis.Race.findings ()
-
 let check_run () model_path strict =
   with_model model_path @@ fun model ->
   let net = model.Asmodel.Qrmodel.net in
   (* Simulate every model prefix through the regular pool (so a
-     --check race run exercises the instrumented parallel path), then
+     --check on run exercises the instrumented parallel path), then
      audit each frozen state against the live net.  Loading a model
      replays its policies into a fresh net, which fills the touched
      sets; [simulate_all] drains them, or every audit would read as
@@ -739,7 +718,7 @@ let check_run () model_path strict =
     Analysis.Report.findings (Analysis.Lint.check model)
     @ List.concat_map (fun (_, st) -> Analysis.Audit.state net st) states
     @ Analysis.Audit.sentinel_lint ()
-    @ checker_findings ()
+    @ Analysis.Ownership.findings ()
   in
   let report = Analysis.Report.of_findings findings in
   Format.printf "%a@." Analysis.Report.pp report;
@@ -755,8 +734,8 @@ let check_cmd =
           audit of the frozen fast-path structures (CSR session index, \
           route slabs, intern tables) against a fresh simulation of every \
           model prefix, the no_route sentinel source lint, and any \
-          RD_CHECK violation or data race recorded during the run \
-          (enable the detector with --check race).  Exits 4 when \
+          data race or RD_CHECK violation recorded during the run \
+          (enable the checker with --check on).  Exits 4 when \
           anything is found.")
     Term.(
       const check_run

@@ -177,7 +177,7 @@ let csr net =
 let state_hint =
   "the frozen state disagrees with the net it claims to model — a \
    mutation slipped past the generation/touched bookkeeping (run under \
-   RD_CHECK=race to find the unordered writer)"
+   RD_CHECK=on to find the unordered writer)"
 
 (* A non-sentinel slab entry whose fields mirror [no_route]'s absurd
    values is almost certainly a structural copy of the sentinel — the

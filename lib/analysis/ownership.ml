@@ -13,7 +13,7 @@ type violation = {
    bounded: RD_CHECK is a debug knob and each entry pins its net, so a
    long run creating many nets must not grow (or retain) without
    limit. *)
-type entry = { net : Net.t; owner : int; mutable last_gen : int }
+type entry = { net : Net.t; mutable last_gen : int }
 
 let max_tracked = 256
 
@@ -46,16 +46,10 @@ let record net m =
         match List.find_opt (fun e -> e.net == net) !tracked with
         | Some e -> e
         | None ->
-            let e = { net; owner = domain; last_gen = min_int } in
+            let e = { net; last_gen = min_int } in
             tracked := e :: take (max_tracked - 1) !tracked;
             e
       in
-      if entry.owner <> domain then
-        add rule
-          (Printf.sprintf
-             "cross-domain mutation: net first mutated by domain %d, now \
-              mutated by domain %d"
-             entry.owner domain);
       if in_batch then
         add rule "mutation while a Pool batch is in flight";
       match m with
@@ -67,11 +61,10 @@ let record net m =
                  generation);
           entry.last_gen <- max generation entry.last_gen
       | Net.Policy { prefix; node; _ } ->
-          (* Reading the touched table is only safe from the owning
-             domain outside a batch; under violation conditions the
-             ownership finding above already fired. *)
+          (* Reading the touched table is only safe outside a batch;
+             inside one the batch-scope finding above already fired. *)
           if
-            (not in_batch) && entry.owner = domain
+            (not in_batch)
             && not (List.mem node (Net.touched_nodes net prefix))
           then
             add rule
@@ -82,30 +75,19 @@ let record net m =
                  (Format.asprintf "%a" Bgp.Prefix.pp prefix)))
 
 (* The mode lives in {!Runtime} (with the other knobs); this module
-   owns only the hook.  [sync] reconciles the hook with the ambient
-   mode — the analysis layer sits above the simulator, so Runtime
-   cannot install it when the mode is set through Runtime directly;
-   the next [current]/[ensure] call here does. *)
+   owns only the hooks.  [sync] reconciles them with the ambient mode —
+   the analysis layer sits above the simulator, so Runtime cannot
+   install them when the mode is set through Runtime directly; the
+   next [current]/[ensure] call here does. *)
 let installed = ref false
 
-let install () =
-  if not !installed then begin
-    installed := true;
-    Net.set_mutation_hook (Some record)
-  end
-
-let uninstall () =
-  if !installed then begin
-    installed := false;
-    Net.set_mutation_hook None
-  end
-
-(* [Race] is a strict superset of [On]: the mutation-discipline hook
-   stays installed and the happens-before detector's probe hook comes
-   up beside it (Race.sync). *)
 let sync (m : Runtime.Check_mode.t) =
-  (match m with On | Race -> install () | Off -> uninstall ());
-  Race.sync m
+  let on = m = On in
+  if on <> !installed then begin
+    installed := on;
+    Net.set_mutation_hook (if on then Some record else None);
+    Obs.Probe.set_hook (if on then Some Race.hook else None)
+  end
 
 let set check =
   Runtime.set { (Runtime.current ()) with check };
@@ -122,13 +104,31 @@ let violations () = Mutex.protect mutex (fun () -> List.rev !recorded)
 
 let violation_count () = Atomic.get nrecorded
 
+let count () = violation_count () + Race.race_count ()
+
 let reset () =
   Mutex.protect mutex (fun () ->
       recorded := [];
       Atomic.set nrecorded 0;
-      tracked := [])
+      tracked := []);
+  Race.reset ()
 
 let pp_violation ppf v =
   Format.fprintf ppf "[%s] domain %d%s: %s" v.rule v.domain
     (if v.in_batch then " (in batch)" else "")
     v.detail
+
+let findings () =
+  List.map
+    (fun v ->
+      {
+        Report.severity = Report.Error;
+        rule = "rd-check-" ^ v.rule;
+        location = Report.Network;
+        message = Format.asprintf "%a" pp_violation v;
+        hint =
+          "mutate nets outside Pool batches, through the safe API (which \
+           maintains the generation and touched-set bookkeeping)";
+      })
+    (violations ())
+  @ Race.findings ()

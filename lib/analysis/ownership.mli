@@ -1,42 +1,43 @@
-(** Mutation-discipline checker (the [RD_CHECK] knob).
+(** The [RD_CHECK] checker: its one entry point.
 
     The pool's contract is that nothing mutates a network while a batch
-    may be reading it, and the warm-start resume of PR 3 additionally
-    relies on every mutation maintaining the generation / touched-set
-    bookkeeping.  With [RD_CHECK=on] this module installs itself as
-    {!Simulator.Net.set_mutation_hook} observer and audits every
-    mutation:
+    may be reading it, and warm-start resume additionally relies on
+    every mutation maintaining the generation / touched-set
+    bookkeeping.  With [RD_CHECK=on] this module installs two hooks:
 
-    - {b ownership}: the first domain that mutates a net owns it; a
-      mutation from any other domain is recorded as a violation;
-    - {b batch scope}: any mutation while {!Simulator.Pool.batch_active}
-      is a violation — mutation must never be concurrent with
-      simulation;
-    - {b bookkeeping soundness}: a structural mutation must have bumped
-      the generation counter, and a per-prefix mutation must have
-      recorded its node in the prefix's touched set.
+    - the {!Race} happens-before detector as the {!Obs.Probe} hook: a
+      mutation from a domain whose history is not ordered with the
+      net's other accesses (a foreign domain, no published edge) is a
+      race;
+    - itself as {!Simulator.Net.set_mutation_hook} observer, auditing
+      what no vector clock can see:
+      - {b batch scope}: any mutation while
+        {!Simulator.Pool.batch_active} is a violation — mutation must
+        never be concurrent with simulation, even at [jobs = 1] where
+        the batch runs inline in the caller's domain;
+      - {b bookkeeping soundness}: a structural mutation must have
+        bumped the generation counter, and a per-prefix mutation must
+        have recorded its node in the prefix's touched set.
 
-    Violations are recorded (thread-safely) rather than raised: the
+    Findings are recorded (thread-safely) rather than raised: the
     checker must not change control flow, only observability.  The
     refiner reports them after each run; tests assert on them.  With
-    [RD_CHECK=off] (the default) no hook is installed and mutators pay
-    one load and a branch. *)
+    [RD_CHECK=off] (the default) neither hook is installed and
+    mutators pay one load and a branch per hook. *)
 
 val set : Simulator.Runtime.Check_mode.t -> unit
 (** The one setter of the check knob (CLI flag, tests, bench): writes
-    the mode through {!Simulator.Runtime.set} and installs or removes
-    the {!Simulator.Net} hook accordingly.  [Race] keeps this hook and
-    additionally installs the {!Race} happens-before detector's
-    {!Obs.Probe} hook — a strict superset of [On]. *)
+    the mode through {!Simulator.Runtime.set} and installs ([On]) or
+    removes ([Off]) both hooks. *)
 
 val current : unit -> Simulator.Runtime.Check_mode.t
 (** The mode in force, read from {!Simulator.Runtime} ([RD_CHECK] from
-    the environment unless set, else [Off]) — and the hook is synced to
-    it, so a mode restored with a whole-record [Runtime.set] takes
+    the environment unless set, else [Off]) — and the hooks are synced
+    to it, so a mode restored with a whole-record [Runtime.set] takes
     effect here. *)
 
 val ensure : unit -> unit
-(** Resolve the mode (and install the hook if needed) — called at
+(** Resolve the mode (and install the hooks if needed) — called at
     refiner entry so linking the library suffices to honour
     [RD_CHECK]. *)
 
@@ -56,7 +57,13 @@ val violations : unit -> violation list
 
 val violation_count : unit -> int
 
-val reset : unit -> unit
-(** Drop recorded violations and forget net ownership. *)
+val findings : unit -> Report.finding list
+(** Every recorded violation as an [Error] finding (rule
+    [rd-check-<mutator>]), followed by {!Race.findings}. *)
 
-val pp_violation : Format.formatter -> violation -> unit
+val count : unit -> int
+(** {!violation_count} plus {!Race.race_count}: the number of
+    {!findings}. *)
+
+val reset : unit -> unit
+(** Drop recorded violations and tracked nets, and {!Race.reset}. *)

@@ -1,5 +1,3 @@
-module Runtime = Simulator.Runtime
-
 (* Vector-clock happens-before core (the FastTrack-style epoch scheme).
 
    Every domain carries a vector clock C_D; the instrumented layers
@@ -13,9 +11,9 @@ module Runtime = Simulator.Runtime
 
    Domain ids in OCaml are never reused within a process, so epochs
    keyed by domain id are unambiguous.  All state sits behind one
-   mutex: RD_CHECK=race is a debug/CI mode and every probe site is at
+   mutex: RD_CHECK=on is a debug/CI mode and every probe site is at
    run/batch granularity, so serialization is acceptable — the bench
-   §CHECK race row records the honest overhead. *)
+   §CHECK on row records the honest overhead. *)
 
 type access = { site : string; domain : int }
 
@@ -28,8 +26,7 @@ type race = {
 
 (* The single declared-benign-race allowlist (tentpole requirement:
    one list, anything undeclared fails).  An entry suppresses races on
-   any object whose name contains the key; the reason is documentation
-   surfaced by [pp_race] when listing benign suppressions. *)
+   any object whose name contains the key; the reason is documentation. *)
 let allowlist =
   [
     ( "/csr",
@@ -189,23 +186,6 @@ let hook =
     h_acquire = on_acquire;
   }
 
-let installed = ref false
-
-let install () =
-  if not !installed then begin
-    installed := true;
-    Obs.Probe.set_hook (Some hook)
-  end
-
-let uninstall () =
-  if !installed then begin
-    installed := false;
-    Obs.Probe.set_hook None
-  end
-
-let sync (m : Runtime.Check_mode.t) =
-  match m with Race -> install () | Off | On -> uninstall ()
-
 (* -- read side -- *)
 
 let races () = Mutex.protect mutex (fun () -> List.rev !recorded)
@@ -223,11 +203,6 @@ let reset () =
       Hashtbl.reset clocks;
       Hashtbl.reset channels;
       Hashtbl.reset objects)
-
-let pp_race ppf r =
-  Format.fprintf ppf "[race:%s] %s: %s in domain %d vs %s in domain %d"
-    r.conflict r.obj r.prior.site r.prior.domain r.current.site
-    r.current.domain
 
 let findings () =
   List.map

@@ -1,4 +1,4 @@
-(** Happens-before race detector (the [RD_CHECK=race] mode).
+(** Happens-before race detector (half of the [RD_CHECK=on] mode).
 
     A vector-clock/epoch checker over the {!Obs.Probe} instrumentation:
     {!Simulator.Pool} publishes worker spawn/join as release/acquire
@@ -17,10 +17,11 @@
     finding.  {e Anything undeclared fails.}
 
     Like {!Ownership}, the detector records rather than raises.  The
-    check mode lives in {!Simulator.Runtime}; {!Ownership.set},
-    {!Ownership.current} and {!Ownership.ensure} sync this hook to it —
-    [Race] installs both the ownership hook and this one (a strict
-    superset of [on]). *)
+    check mode lives in {!Simulator.Runtime}; {!Ownership} is its one
+    entry point: {!Ownership.set}, {!Ownership.current} and
+    {!Ownership.ensure} install {!hook} under [on] next to the mutation
+    audit, and {!Ownership.findings}, {!Ownership.count} and
+    {!Ownership.reset} cover both checkers. *)
 
 type access = { site : string; domain : int }
 
@@ -36,10 +37,8 @@ val allowlist : (string * string) list
     An access pair on a matching object is suppressed and counted in
     {!benign_count} instead of reported. *)
 
-val sync : Simulator.Runtime.Check_mode.t -> unit
-(** Install the probe hook for [Race], remove it otherwise.  Called
-    from {!Ownership} whenever it syncs its own hook; callers set the
-    mode with {!Ownership.set}. *)
+val hook : Obs.Probe.hook
+(** The detector, as the {!Obs.Probe} hook {!Ownership} installs. *)
 
 val races : unit -> race list
 (** Non-benign races since the last {!reset}, oldest first,
@@ -57,5 +56,3 @@ val findings : unit -> Report.finding list
 
 val reset : unit -> unit
 (** Drop recorded races, clocks, channels and object histories. *)
-
-val pp_race : Format.formatter -> race -> unit

@@ -6,9 +6,6 @@ let obs_point_compare a b =
 
 let obs_point_equal a b = obs_point_compare a b = 0
 
-let pp_obs_point ppf op =
-  Format.fprintf ppf "%a@%a" Ipv4.pp op.op_ip Asn.pp op.op_as
-
 type entry = { op : obs_point; prefix : Prefix.t; path : Aspath.t }
 
 type cleaning_stats = {
@@ -104,10 +101,6 @@ let observation_points t =
   end) in
   Array.fold_left (fun acc e -> S.add e.op acc) S.empty t.entries
   |> S.elements
-
-let observation_ases t =
-  Array.fold_left (fun acc e -> Asn.Set.add e.op.op_as acc) Asn.Set.empty
-    t.entries
 
 let prefixes t =
   Array.fold_left (fun acc e -> Prefix.Set.add e.prefix acc) Prefix.Set.empty

@@ -16,8 +16,6 @@ val obs_point_compare : obs_point -> obs_point -> int
 
 val obs_point_equal : obs_point -> obs_point -> bool
 
-val pp_obs_point : Format.formatter -> obs_point -> unit
-
 type entry = { op : obs_point; prefix : Prefix.t; path : Aspath.t }
 (** One cleaned RIB entry.  [path] starts with [op.op_as] and ends with
     the origin AS. *)
@@ -49,8 +47,6 @@ val size : t -> int
 
 val observation_points : t -> obs_point list
 (** Sorted, unique. *)
-
-val observation_ases : t -> Asn.Set.t
 
 val prefixes : t -> Prefix.t list
 (** Sorted, unique. *)

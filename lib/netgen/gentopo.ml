@@ -2,12 +2,6 @@ open Bgp
 
 type tier = T1 | T2 | T3 | Stub
 
-let tier_to_string = function
-  | T1 -> "tier-1"
-  | T2 -> "tier-2"
-  | T3 -> "tier-3"
-  | Stub -> "stub"
-
 type rel = Provider | Peer | Sibling
 
 type link = { a : Asn.t; a_router : int; b : Asn.t; b_router : int; rel : rel }

@@ -14,8 +14,6 @@ open Bgp
 
 type tier = T1 | T2 | T3 | Stub
 
-val tier_to_string : tier -> string
-
 type rel = Provider | Peer | Sibling
 (** Ground-truth relationship of a link's [a] side towards its [b] side:
     [Provider] means [a] is the provider of [b]. *)

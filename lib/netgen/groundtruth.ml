@@ -286,10 +286,6 @@ let build conf =
 
 let originators w asn = Net.nodes_of_as w.net asn
 
-let simulate_prefix w asn =
-  Engine.simulate w.net ~prefix:(Asn.origin_prefix asn)
-    ~originators:(originators w asn)
-
 let simulate w prefix =
   let _, _, anchors =
     List.find (fun (p, _, _) -> Prefix.equal p prefix) w.prefix_plan

@@ -32,9 +32,6 @@ val build : Conf.t -> world
 val originators : world -> Asn.t -> int list
 (** Every router of the AS (anchors of its prefix 0). *)
 
-val simulate_prefix : world -> Asn.t -> Simulator.Engine.state
-(** Ground-truth routing for prefix 0 of one AS. *)
-
 val simulate : world -> Prefix.t -> Simulator.Engine.state
 (** Ground-truth routing for any prefix of the plan.  Raises
     [Not_found] for prefixes outside the plan. *)

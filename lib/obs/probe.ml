@@ -6,11 +6,11 @@
    synchronization edges (Pool worker spawn/join, the Snapshot
    executor hand-off) as release/acquire on named channels.  The
    analysis layer sits above all of them, so the race detector
-   (Analysis.Race, the RD_CHECK=race mode) installs itself here — the
-   same one-load-and-branch pattern as Net's mutation hook, chosen so
-   the publishing layers never depend on the analysis library.
+   (Analysis.Race, half of the RD_CHECK=on mode) installs itself here —
+   the same one-load-and-branch pattern as Net's mutation hook, chosen
+   so the publishing layers never depend on the analysis library.
 
-   With no hook installed (RD_CHECK=off|on, the default) every probe
+   With no hook installed (RD_CHECK=off, the default) every probe
    is one atomic load and a branch; call sites that must build an
    object or channel name guard the formatting behind {!enabled}. *)
 

@@ -1,4 +1,4 @@
-(** Happens-before instrumentation hook (the [RD_CHECK=race] probes).
+(** Happens-before instrumentation hook (the [RD_CHECK=on] probes).
 
     The layers that own shared mutable state publish two kinds of
     events here: {e accesses} to a named shared object and

@@ -17,10 +17,6 @@ let verdict_rank = function
   | Rib_in -> 2
   | No_rib_in -> 3
 
-let tail_of path =
-  let arr = Aspath.to_array path in
-  Array.sub arr 1 (Array.length arr - 1)
-
 let nodes_selecting net st asn tail =
   List.filter
     (fun n ->

@@ -24,10 +24,6 @@ val verdict_to_string : verdict -> string
 val verdict_rank : verdict -> int
 (** [0] = {!Rib_out} (best) … [3] = {!No_rib_in}; for aggregation. *)
 
-val tail_of : Aspath.t -> int array
-(** The observed path as stored by nodes of its head AS: everything
-    after the first element. *)
-
 val nodes_selecting :
   Simulator.Net.t -> Simulator.Engine.state -> Asn.t -> int array -> int list
 (** Quasi-routers of the AS whose best route carries exactly this tail

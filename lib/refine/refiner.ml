@@ -154,13 +154,12 @@ let discrepancies_m = Obs.Metrics.gauge "refiner.discrepancies"
 let quarantine_m = Obs.Metrics.gauge "refiner.quarantine"
 
 let refine ?(options = default_options) ?on_iteration model ~training =
-  (* Honour RD_CHECK: resolve the mode once (installing the
-     mutation-discipline hook when on) and remember the violation
-     watermark so the self-check below only reports this run's. *)
+  (* Honour RD_CHECK: resolve the mode once (installing the checker's
+     hooks when on) and remember the finding watermark so the
+     self-check below only reports this run's. *)
   Analysis.Ownership.ensure ();
   let refine_span = Obs.Trace.begin_span "refiner.refine" in
-  let violations_before = Analysis.Ownership.violation_count () in
-  let races_before = Analysis.Race.race_count () in
+  let findings_before = Analysis.Ownership.count () in
   let net = model.Qrmodel.net in
   let work = training_suffixes training in
   let total =
@@ -455,26 +454,19 @@ let refine ?(options = default_options) ?on_iteration model ~training =
               | [] -> ())
             suffixes)
     work;
-  (* Post-refinement self-check (RD_CHECK=on): surface any mutation-
-     discipline violations recorded during this run and lint the model
-     we just built — a malformed refined model means the run's results
-     cannot be trusted, so it is reported loudly (but not raised: the
-     checker observes, callers and CI decide). *)
+  (* Post-refinement self-check (RD_CHECK=on): surface any checker
+     findings (races, mutation-discipline violations) recorded during
+     this run and lint the model we just built — a malformed refined
+     model means the run's results cannot be trusted, so it is reported
+     loudly (but not raised: the checker observes, callers and CI
+     decide). *)
   (match Analysis.Ownership.current () with
   | Runtime.Check_mode.Off -> ()
-  | On | Race ->
-      let fresh =
-        Analysis.Ownership.violation_count () - violations_before
-      in
+  | On ->
+      let fresh = Analysis.Ownership.count () - findings_before in
       if fresh > 0 then
         Logs.err (fun m ->
-            m "refiner: %d mutation-discipline violation(s) during refinement"
-              fresh);
-      let fresh_races = Analysis.Race.race_count () - races_before in
-      if fresh_races > 0 then
-        Logs.err (fun m ->
-            m "refiner: %d data race(s) detected during refinement"
-              fresh_races);
+            m "refiner: %d RD_CHECK finding(s) during refinement" fresh);
       let report = Analysis.Lint.check model in
       if not (Analysis.Report.is_clean report) then
         Logs.err (fun m ->

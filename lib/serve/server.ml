@@ -6,6 +6,8 @@ let accept_retries_m = Obs.Metrics.counter "serve.accept_retries"
 
 let read_timeouts_m = Obs.Metrics.counter "serve.read_timeouts"
 
+let open_connections_m = Obs.Metrics.gauge "serve.open_connections"
+
 let contains haystack needle =
   let hn = String.length haystack and nn = String.length needle in
   let rec at i =
@@ -25,8 +27,17 @@ type t = {
   stopping : bool Atomic.t;
   mutable accept_thread : Thread.t option;
   conn_mu : Mutex.t;
-  mutable conn_threads : Thread.t list;
+  conn_closed : Condition.t;  (* signalled when [open_conns] drops *)
+  mutable open_conns : int;  (* handlers still running, under [conn_mu] *)
 }
+
+(* Only a count of live handlers is kept, not their threads, so a
+   long-lived server holds nothing for connections that have closed. *)
+let adjust_open srv delta =
+  Mutex.protect srv.conn_mu (fun () ->
+      srv.open_conns <- srv.open_conns + delta;
+      Obs.Metrics.set_gauge open_connections_m srv.open_conns;
+      if delta < 0 then Condition.broadcast srv.conn_closed)
 
 let stop srv =
   if not (Atomic.exchange srv.stopping true) then begin
@@ -115,9 +126,19 @@ let accept_loop srv () =
           go (Float.min (backoff *. 2.) 1.0)
       | exception Unix.Unix_error _ -> () (* closed by stop *)
       | client, _addr ->
-          let th = Thread.create (handle_connection srv) client in
-          Mutex.protect srv.conn_mu (fun () ->
-              srv.conn_threads <- th :: srv.conn_threads);
+          (* Counted before the thread starts, so [wait] cannot miss a
+             handler that has not yet run. *)
+          adjust_open srv 1;
+          let serve client =
+            Fun.protect
+              ~finally:(fun () -> adjust_open srv (-1))
+              (fun () -> handle_connection srv client)
+          in
+          (match Thread.create serve client with
+          | _ -> ()
+          | exception _ ->
+              adjust_open srv (-1);
+              (try Unix.close client with Unix.Unix_error _ -> ()));
           go 0.01
   in
   go 0.01
@@ -149,7 +170,8 @@ let start ?deadline_ms ~store listen =
       stopping = Atomic.make false;
       accept_thread = None;
       conn_mu = Mutex.create ();
-      conn_threads = [];
+      conn_closed = Condition.create ();
+      open_conns = 0;
     }
   in
   srv.accept_thread <- Some (Thread.create (accept_loop srv) ());
@@ -157,13 +179,10 @@ let start ?deadline_ms ~store listen =
 
 let wait srv =
   (match srv.accept_thread with Some t -> Thread.join t | None -> ());
-  let threads =
-    Mutex.protect srv.conn_mu (fun () ->
-        let ts = srv.conn_threads in
-        srv.conn_threads <- [];
-        ts)
-  in
-  List.iter Thread.join threads
+  Mutex.protect srv.conn_mu (fun () ->
+      while srv.open_conns > 0 do
+        Condition.wait srv.conn_closed srv.conn_mu
+      done)
 
 (* -- client -- *)
 

@@ -33,7 +33,9 @@ val start : ?deadline_ms:int -> store:Snapshot.store -> listen -> t
 
 val wait : t -> unit
 (** Block until the server stops (a [shutdown] request or {!stop}),
-    then join the connection threads. *)
+    then until every connection handler has exited.  The server keeps
+    only a count of open connections (the [serve.open_connections]
+    gauge), not their threads, so finished connections cost nothing. *)
 
 val stop : t -> unit
 (** Close the listening socket (idempotent); unlinks the Unix path. *)

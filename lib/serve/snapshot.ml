@@ -11,9 +11,10 @@ module Replay = Stream.Replay
    Systhreads stay in the domain that created them, so funnelling all
    net mutations through this thread keeps the mutating domain constant
    (the builder's) no matter which connection thread or test domain
-   issues the query — the RD_CHECK ownership hook then sees one owner
-   and zero violations while serving.  It also serializes what-ifs,
-   which the save/restore discipline requires. *)
+   issues the query, and the hand-off below orders each mutation with
+   its caller — RD_CHECK then records zero findings while serving.  It
+   also serializes what-ifs, which the save/restore discipline
+   requires. *)
 
 type exec = {
   mu : Mutex.t;
@@ -68,12 +69,11 @@ type t = {
   states : (Prefix.t * Engine.state) list;
   by_prefix : (Prefix.t, Engine.state) Hashtbl.t;
   baseline : Whatif.snapshot;
-  build_stats : Pool.stats;
   replay : Replay.persist option;
   exec : exec;
 }
 
-let of_states ?(build_stats = Pool.zero) ?replay (model : Qrmodel.t) states =
+let of_states ?replay (model : Qrmodel.t) states =
   let baseline = Whatif.of_states model states in
   let by_prefix = Hashtbl.create (max 16 (List.length states)) in
   List.iter (fun (p, st) -> Hashtbl.replace by_prefix p st) states;
@@ -82,14 +82,13 @@ let of_states ?(build_stats = Pool.zero) ?replay (model : Qrmodel.t) states =
     states;
     by_prefix;
     baseline;
-    build_stats;
     replay;
     exec = exec_create ();
   }
 
 let build (model : Qrmodel.t) =
-  let states, build_stats = Qrmodel.simulate_all model in
-  of_states ~build_stats model states
+  let states, _ = Qrmodel.simulate_all model in
+  of_states model states
 
 let model t = t.model
 
@@ -101,14 +100,12 @@ let baseline t = t.baseline
 
 let replay t = t.replay
 
-let build_stats t = t.build_stats
-
 let converged t =
   List.for_all (fun (_, st) -> Engine.converged st) t.states
 
 (* Per-call channel ids for the happens-before edges published below:
    the submitting caller may sit in a different domain than the
-   executor thread, so under RD_CHECK=race the enqueue/signal pair is
+   executor thread, so under RD_CHECK=on the enqueue/signal pair is
    declared as release/acquire (and the result hand-back as the reverse
    pair) — exactly the ordering the mutex+condvar already provide. *)
 let exclusive_uid = Atomic.make 0
@@ -171,9 +168,9 @@ let resimulate t =
    publish joins this executor, which must not happen from its own
    thread. *)
 let rebuild t =
-  let states, build_stats = resimulate t in
+  let states, _ = resimulate t in
   List.iter (fun (p, _) -> Net.clear_touched t.model.Qrmodel.net p) states;
-  of_states ~build_stats ?replay:t.replay t.model states
+  of_states ?replay:t.replay t.model states
 
 (* -- atomic swap -- *)
 

@@ -5,9 +5,9 @@
     Queries read the cached states; they never re-simulate from
     scratch.  What-if queries do mutate the underlying network, but
     only through {!exclusive}: a dedicated executor thread (created in
-    {!build}, in the builder's domain) runs every mutation, so the
-    RD_CHECK ownership checker sees a single mutating domain — and the
-    exact save/restore in {!Asmodel.Whatif} returns the network to its
+    {!build}, in the builder's domain) runs every mutation, ordered
+    with the submitting query by the executor hand-off, so RD_CHECK's
+    race detector sees no unordered write — and the exact save/restore in {!Asmodel.Whatif} returns the network to its
     published state before the next query runs.
 
     A {!store} is the atomic-swap publication point: readers grab the
@@ -25,7 +25,6 @@ val build : Asmodel.Qrmodel.t -> t
     compare against. *)
 
 val of_states :
-  ?build_stats:Simulator.Pool.stats ->
   ?replay:Stream.Replay.persist ->
   Asmodel.Qrmodel.t ->
   (Bgp.Prefix.t * Simulator.Engine.state) list ->
@@ -71,8 +70,6 @@ val replay : t -> Stream.Replay.persist option
     ([None] for fresh builds): origins per tracked prefix and down
     sessions/links with their denies, carried so later churn streams
     can restore them. *)
-
-val build_stats : t -> Simulator.Pool.stats
 
 val converged : t -> bool
 (** Every cached state converged. *)

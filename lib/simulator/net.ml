@@ -775,8 +775,7 @@ module Unsafe = struct
      domain with NO synchronization edge published to the probe layer
      — the Domain.join below really orders the mutation, but the
      detector is only told what the probes tell it, so a happens-before
-     checker must flag the access and the ownership checker must see a
-     second mutating domain.  A detector that stays silent here is
+     checker must flag the access.  A detector that stays silent here is
      broken. *)
   let from_foreign_domain t f = Domain.join (Domain.spawn (fun () -> f t))
 end

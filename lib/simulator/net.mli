@@ -329,10 +329,11 @@ val clear_touched : t -> Prefix.t -> unit
 
     Every mutator reports itself through an optional global hook so the
     Analysis subsystem can audit mutation discipline ([RD_CHECK]):
-    which domain mutates which net, whether a mutation raced a
-    {!Pool} batch, and whether the warm-start bookkeeping above was
-    maintained.  With no hook installed the cost per mutation is one
-    load and a branch. *)
+    whether a mutation ran inside a {!Pool} batch, and whether the
+    warm-start bookkeeping above was maintained.  (Which domain may
+    mutate is the race detector's question, asked through the
+    {!Obs.Probe} write each mutator also publishes.)  With no hook
+    installed the cost per mutation is one load and a branch. *)
 
 type mutation =
   | Structural of { rule : string; generation : int }
@@ -353,7 +354,7 @@ val set_mutation_hook : (t -> mutation -> unit) option -> unit
 val probe_read : t -> site:string -> unit
 (** Record a read-side access to the net's structure and policy
     objects with {!Obs.Probe} — the engine calls it once per run, so
-    under [RD_CHECK=race] a mutation unordered with the run is a race
+    under [RD_CHECK=on] a mutation unordered with the run is a race
     finding.  Mutators probe the write side themselves; with no probe
     hook installed this is two loads and branches. *)
 
@@ -393,8 +394,7 @@ module Unsafe : sig
   val from_foreign_domain : t -> (t -> unit) -> unit
   (** [from_foreign_domain t f] runs [f t] on a freshly spawned domain
       with no synchronization edge published to {!Obs.Probe} — the
-      seeded-race negative control: under [RD_CHECK=race] a mutation
-      inside [f] must be reported as a race, and under [RD_CHECK=on]
-      as a cross-domain ownership violation.  Joins before
+      seeded-race negative control: under [RD_CHECK=on] a mutation
+      inside [f] must be reported as a race.  Joins before
       returning. *)
 end

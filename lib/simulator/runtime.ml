@@ -14,17 +14,17 @@ module Warm_mode = struct
 end
 
 module Check_mode = struct
-  type t = Off | On | Race
+  type t = Off | On
 
-  let to_string = function Off -> "off" | On -> "on" | Race -> "race"
+  let to_string = function Off -> "off" | On -> "on"
 
+  (* [race] and [hb] are older spellings of [on]: a script that still
+     says them must get the checker, not fall back to [off]. *)
   let parse s =
     match String.lowercase_ascii (String.trim s) with
     | "" | "off" | "0" | "false" -> Ok Off
-    | "on" | "1" | "true" -> Ok On
-    | "race" | "hb" -> Ok Race
-    | other ->
-        Error (Printf.sprintf "bad check mode %S (want off|on|race)" other)
+    | "on" | "1" | "true" | "race" | "hb" -> Ok On
+    | other -> Error (Printf.sprintf "bad check mode %S (want off|on)" other)
 end
 
 module Fault = struct
@@ -135,12 +135,12 @@ let knobs =
     {
       flags = [ "--check" ];
       env = "RD_CHECK";
-      docv = "off|on|race";
+      docv = "off|on";
       doc =
-        "Audit mutation discipline during the run (default: $(b,RD_CHECK) or \
-         $(b,off)); $(b,race) additionally runs the happens-before race \
-         detector.  Findings are reported, not raised; $(b,--strict) \
-         escalates them to exit 4.";
+        "Run the happens-before race detector and audit the batch scope and \
+         warm-start bookkeeping of every network mutation (default: \
+         $(b,RD_CHECK) or $(b,off)).  Findings are reported, not raised; \
+         $(b,--strict) escalates them to exit 4.";
       parse =
         (fun s rt ->
           Result.map (fun check -> { rt with check }) (Check_mode.parse s));

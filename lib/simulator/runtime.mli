@@ -11,8 +11,8 @@
     only API that sets or reads a knob; the modules that act on one
     ({!Pool}, {!Warm}, {!Faultinject}) read it from here.  The one
     exception is the check mode's setter, [Analysis.Ownership.set],
-    which writes through {!set} and also installs the network mutation
-    hook.
+    which writes through {!set} and also installs the checker's
+    hooks.
 
     Knob types live in submodules here (rather than in the modules that
     consume them) so that those consumers can depend on [Runtime]
@@ -28,16 +28,16 @@ module Warm_mode : sig
   val to_string : t -> string
 end
 
-(** Mutation-discipline checking mode (see [Analysis.Ownership]).
-    [Race] is a strict superset of [On]: ownership auditing plus the
+(** Checking mode (see [Analysis.Ownership]).  [On] runs the
     happens-before race detector of [Analysis.Race], fed by the
-    {!Obs.Probe} instrumentation points. *)
+    {!Obs.Probe} instrumentation points, and audits the batch scope and
+    warm-start bookkeeping of every {!Net} mutation. *)
 module Check_mode : sig
-  type t = Off | On | Race
+  type t = Off | On
 
   val parse : string -> (t, string) result
-  (** Accepts [off]/[0]/[false]/empty, [on]/[1]/[true] and
-      [race]/[hb]. *)
+  (** Accepts [off]/[0]/[false]/empty and [on]/[1]/[true]/[race]/[hb]
+      ([race] and [hb] are older spellings of [on]). *)
 
   val to_string : t -> string
 end
@@ -113,8 +113,8 @@ val with_argv : t -> string list -> (t * string list, string) result
     it also propagates the trace mode to {!Obs.Trace}.  A [check] mode
     set here only takes effect at the next [Analysis.Ownership.ensure]
     (the refiner and the CLI's knob flags call it), since the analysis
-    layer above owns the network mutation hook;
-    [Analysis.Ownership.set] installs it at once. *)
+    layer above owns the checker's hooks; [Analysis.Ownership.set]
+    installs them at once. *)
 
 val current : unit -> t
 

@@ -98,7 +98,7 @@ type t = {
   model : Qrmodel.t;
   o_journal : string;
       (* probe-object name of the journal/driver tables: under
-         RD_CHECK=race every journal mutation is recorded, so a driver
+         RD_CHECK=on every journal mutation is recorded, so a driver
          shared across domains without ordering is a race finding *)
   states : Engine.state Prefix.Table.t;
   origins : Asn.Set.t Prefix.Table.t;

@@ -2,13 +2,6 @@ open Bgp
 
 type kind = Customer_of | Provider_of | Peer | Sibling | Unknown
 
-let kind_to_string = function
-  | Customer_of -> "customer-of"
-  | Provider_of -> "provider-of"
-  | Peer -> "peer"
-  | Sibling -> "sibling"
-  | Unknown -> "unknown"
-
 let flip = function
   | Customer_of -> Provider_of
   | Provider_of -> Customer_of

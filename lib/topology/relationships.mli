@@ -20,8 +20,6 @@ type kind =
   | Sibling
   | Unknown
 
-val kind_to_string : kind -> string
-
 val flip : kind -> kind
 (** Relationship seen from the other endpoint. *)
 

@@ -490,6 +490,14 @@ let runtime_table_agrees () =
                 (Result.is_error (Runtime.with_argv base args)))
             (argv invalid)))
     Runtime.knobs;
+  (* [race] and [hb] are older spellings of [on], never a fallback to
+     [off]. *)
+  List.iter
+    (fun v ->
+      with_env [ ("RD_CHECK", v) ] (fun () ->
+          check_bool ("RD_CHECK=" ^ v ^ " is on") true
+            ((Runtime.of_env ()).Runtime.check = Runtime.Check_mode.On)))
+    [ "race"; "hb" ];
   with_env [ ("RD_PORT", "70000") ] (fun () ->
       check_bool "RD_PORT=70000 ignored" true
         ((Runtime.of_env ()).Runtime.port = None));
