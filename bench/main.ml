@@ -847,10 +847,26 @@ let experiment_obs prepared =
     off_wall off_vs_warm warm_wall summary_wall (ratio summary_wall off_wall)
     (Obs.Trace.event_count () - events0)
     (Obs.Trace.dropped ());
-  (* The registry prints its own JSON; read it back as a value. *)
+  (* Histograms as {count, sum, buckets: [[bound, n], ...]}, the
+     overflow bound as "+inf". *)
+  let metric = function
+    | Obs.Metrics.Counter n | Obs.Metrics.Gauge n -> Json.Int n
+    | Obs.Metrics.Histogram { buckets; sum; count } ->
+        let bound b = if b = max_int then Json.String "+inf" else Json.Int b in
+        Json.Obj
+          [
+            ("count", Json.Int count);
+            ("sum", Json.Int sum);
+            ( "buckets",
+              Json.List
+                (List.map
+                   (fun (b, n) -> Json.List [ bound b; Json.Int n ])
+                   buckets) );
+          ]
+  in
   let metrics =
-    Json.of_string (Obs.Metrics.to_json (Obs.Metrics.snapshot ()))
-    |> Result.value ~default:Json.Null
+    Json.Obj
+      (List.map (fun (name, v) -> (name, metric v)) (Obs.Metrics.snapshot ()))
   in
   Json.Obj
     [

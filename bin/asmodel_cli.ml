@@ -753,7 +753,7 @@ let as_b_arg =
 let whatif model_path a b =
   with_model model_path @@ fun model ->
   let before = Asmodel.Whatif.snapshot ~on_prefix:(progress "baseline") model in
-  let touched = Asmodel.Whatif.disable_as_link model a b in
+  let touched = (Asmodel.Whatif.disable_as_link model a b).half_sessions in
   if touched = 0 then begin
     Printf.printf "AS%d and AS%d share no session in this model\n" a b;
     1

@@ -39,18 +39,18 @@ let () =
   Format.printf "@.De-peering AS%d -- AS%d (busiest core link)...@." a b;
 
   let before = Asmodel.Whatif.snapshot model in
-  let touched = Asmodel.Whatif.disable_as_link model a b in
-  Format.printf "disabled %d half-sessions@." touched;
+  let disabled = Asmodel.Whatif.disable_as_link model a b in
+  Format.printf "disabled %d half-sessions@." disabled.half_sessions;
   let after = Asmodel.Whatif.snapshot model in
   let diff = Asmodel.Whatif.diff before after in
   Asmodel.Whatif.pp_diff Format.std_formatter diff;
 
   (* Revert and verify the world is back to normal. *)
-  ignore (Asmodel.Whatif.enable_as_link model a b);
+  Asmodel.Whatif.enable_as_link model disabled;
   let restored = Asmodel.Whatif.snapshot model in
   let diff_back = Asmodel.Whatif.diff before restored in
   Format.printf
-    "@.after re-enabling the link: %d prefixes differ (the revert is an \
-     exact@.save/restore, so refinement filters on that link survive and \
-     this is 0).@."
+    "@.after re-enabling the link: %d prefixes differ (the revert lifts \
+     only the@.denies the disable placed, so refinement filters on that \
+     link survive@.and this is 0).@."
     diff_back.Asmodel.Whatif.prefixes_affected

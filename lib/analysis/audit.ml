@@ -377,7 +377,7 @@ let state net st =
                         let want_med =
                           Option.value
                             ~default:(Net.default_med net)
-                            (Net.session_med net n s pfx)
+                            (Net.import_med net n s pfx)
                         in
                         if r.Rattr.lpref <> want_lpref then
                           err a "audit-slab-export" loc

@@ -2,7 +2,7 @@
 
     A vector-clock/epoch checker over the {!Obs.Probe} instrumentation:
     {!Simulator.Pool} publishes worker spawn/join as release/acquire
-    edges, the Snapshot executor publishes its hand-off, and the shared
+    edges, Snapshot writer sections publish their lock, and the shared
     structures (net structure and policy tables, the CSR publish,
     engine state slabs, replay journals, metrics counters) record their
     accesses.  Two accesses to the same object race when at least one

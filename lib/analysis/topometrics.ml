@@ -469,7 +469,7 @@ let deciles_similarity da db =
     Float.max 0.0 (1.0 -. (!total /. float_of_int k))
   end
 
-let compare_summaries a b =
+let compare a b =
   let fl (d, c) = (d, float_of_int c) in
   let metrics =
     [
@@ -540,8 +540,6 @@ let compare_summaries a b =
     /. float_of_int (List.length metrics)
   in
   { metrics; score }
-
-let compare = compare_summaries
 
 let pp_summary ppf s =
   Format.fprintf ppf

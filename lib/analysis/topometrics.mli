@@ -65,9 +65,5 @@ val compare : summary -> summary -> report
 (** Symmetric up to the [a]/[b] column labels; [compare s s] has every
     similarity and the overall score exactly [1.0]. *)
 
-val compare_summaries : summary -> summary -> report
-(** Alias of {!compare} for call sites that keep [Stdlib.compare] in
-    scope. *)
-
 val pp_summary : Format.formatter -> summary -> unit
 val pp_report : Format.formatter -> report -> unit

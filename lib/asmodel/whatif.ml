@@ -4,6 +4,16 @@ module Engine = Simulator.Engine
 
 type snapshot = (Prefix.t * (Asn.t * int array list) list) list
 
+(* Every AS's selected paths in one converged state, ASes with none
+   left out. *)
+let per_as (model : Qrmodel.t) ases st =
+  List.filter_map
+    (fun asn ->
+      match Engine.selected_paths model.Qrmodel.net st asn with
+      | [] -> None
+      | paths -> Some (asn, paths))
+    ases
+
 let snapshot ?prefixes ?on_prefix (model : Qrmodel.t) =
   let prefixes =
     match prefixes with
@@ -14,36 +24,16 @@ let snapshot ?prefixes ?on_prefix (model : Qrmodel.t) =
   let total = List.length prefixes in
   List.mapi
     (fun i p ->
-      let st = Qrmodel.simulate model p in
-      let per_as =
-        List.filter_map
-          (fun asn ->
-            match Engine.selected_paths model.Qrmodel.net st asn with
-            | [] -> None
-            | paths -> Some (asn, paths))
-          ases
-      in
+      let paths = per_as model ases (Qrmodel.simulate model p) in
       (match on_prefix with Some f -> f (i + 1) total | None -> ());
-      (p, per_as))
+      (p, paths))
     prefixes
 
 let of_states (model : Qrmodel.t) states =
   let ases = Topology.Asgraph.nodes model.Qrmodel.graph in
-  List.map
-    (fun (p, st) ->
-      let per_as =
-        List.filter_map
-          (fun asn ->
-            match Engine.selected_paths model.Qrmodel.net st asn with
-            | [] -> None
-            | paths -> Some (asn, paths))
-          ases
-      in
-      (p, per_as))
-    states
+  List.map (fun (p, st) -> (p, per_as model ases st)) states
 
-let sessions_between (model : Qrmodel.t) a b =
-  let net = model.Qrmodel.net in
+let sessions_between net a b =
   List.concat_map
     (fun n ->
       List.filter_map
@@ -52,29 +42,7 @@ let sessions_between (model : Qrmodel.t) a b =
         (Net.sessions_of net n))
     (Net.nodes_of_as net a)
 
-(* Save/restore registry for link what-ifs.
-
-   [disable_as_link] denies every model prefix on every half-session
-   between the two ASes — including half-sessions that already carried
-   refiner-placed denies.  To make [enable_as_link] an exact inverse we
-   record, per (net, AS pair), which (node, session, prefix) denies
-   pre-existed at disable time; enable then removes only the denies the
-   what-if added.  Keyed by physical net identity so concurrent what-ifs
-   on distinct models never interfere; guarded by a mutex because the
-   serve layer may run what-ifs from a dedicated executor thread. *)
-
-type saved_denies = {
-  sd_net : Net.t;
-  sd_pair : Asn.t * Asn.t;  (* normalized: min, max *)
-  sd_pre : (int * int * Prefix.t) list;
-      (* denies that existed before [disable_as_link] *)
-}
-
-let saved : saved_denies list ref = ref []
-
-let saved_mu = Mutex.create ()
-
-let norm_pair a b = if Asn.compare a b <= 0 then (a, b) else (b, a)
+type disabled = { half_sessions : int; placed : (int * int * Prefix.t) list }
 
 let disable_as_link ?prefixes (model : Qrmodel.t) a b =
   let net = model.Qrmodel.net in
@@ -83,61 +51,26 @@ let disable_as_link ?prefixes (model : Qrmodel.t) a b =
     | Some ps -> ps
     | None -> List.map fst model.Qrmodel.prefixes
   in
-  let halves = sessions_between model a b @ sessions_between model b a in
-  if halves <> [] then begin
-    let pre =
-      List.concat_map
-        (fun (n, s) ->
-          List.filter_map
-            (fun p ->
-              if Net.export_denied net n s p then Some (n, s, p) else None)
-            prefixes)
-        halves
-    in
-    let pair = norm_pair a b in
-    Mutex.lock saved_mu;
-    (* Keep the earliest record: on a repeated disable the current denies
-       include our own, which must not masquerade as pre-existing. *)
-    if not (List.exists (fun e -> e.sd_net == net && e.sd_pair = pair) !saved)
-    then saved := { sd_net = net; sd_pair = pair; sd_pre = pre } :: !saved;
-    Mutex.unlock saved_mu
-  end;
-  List.iter
-    (fun (n, s) -> List.iter (fun p -> Net.deny_export net n s p) prefixes)
-    halves;
-  List.length halves
-
-let enable_as_link ?prefixes (model : Qrmodel.t) a b =
-  let net = model.Qrmodel.net in
-  let pair = norm_pair a b in
-  let mine e = e.sd_net == net && e.sd_pair = pair in
-  let entry =
-    Mutex.protect saved_mu (fun () ->
-        let e = List.find_opt mine !saved in
-        saved := List.filter (fun e -> not (mine e)) !saved;
-        e)
+  let halves = sessions_between net a b @ sessions_between net b a in
+  (* A deny that was already there (a refiner-placed filter, or an
+     earlier disable's) is not ours to lift. *)
+  let placed =
+    List.concat_map
+      (fun (n, s) ->
+        List.filter_map
+          (fun p ->
+            let fresh = not (Net.export_denied net n s p) in
+            Net.deny_export net n s p;
+            if fresh then Some (n, s, p) else None)
+          prefixes)
+      halves
   in
-  match entry with
-  | None -> 0
-  | Some e ->
-      let prefixes =
-        match prefixes with
-        | Some ps -> ps
-        | None -> List.map fst model.Qrmodel.prefixes
-      in
-      let halves = sessions_between model a b @ sessions_between model b a in
-      let pre n s p =
-        List.exists
-          (fun (n', s', p') -> n = n' && s = s' && Prefix.equal p p')
-          e.sd_pre
-      in
-      List.iter
-        (fun (n, s) ->
-          List.iter
-            (fun p -> if not (pre n s p) then Net.allow_export net n s p)
-            prefixes)
-        halves;
-      List.length halves
+  { half_sessions = List.length halves; placed }
+
+let enable_as_link (model : Qrmodel.t) d =
+  List.iter
+    (fun (n, s, p) -> Net.allow_export model.Qrmodel.net n s p)
+    d.placed
 
 type change = {
   prefix : Prefix.t;

@@ -23,25 +23,32 @@ val of_states :
 (** Build a snapshot from already-converged states — the serve layer's
     path: it caches per-prefix states and must not re-simulate. *)
 
+val sessions_between : Simulator.Net.t -> Asn.t -> Asn.t -> (int * int) list
+(** Every half-session from a quasi-router of the first AS toward one
+    of the second, as [(node, session)], in node then session order. *)
+
+type disabled = {
+  half_sessions : int;
+      (** half-sessions between the two ASes; [0] means they share no
+          session *)
+  placed : (int * int * Prefix.t) list;
+      (** the [(node, session, prefix)] export denies this disable
+          added — the ones {!enable_as_link} lifts *)
+}
+
 val disable_as_link :
-  ?prefixes:Prefix.t list -> Qrmodel.t -> Asn.t -> Asn.t -> int
+  ?prefixes:Prefix.t list -> Qrmodel.t -> Asn.t -> Asn.t -> disabled
 (** Stop all route exchange between two ASes by denying every prefix in
     [prefixes] (default: every model prefix — pass the served set when
     it differs, e.g. a churned snapshot's) on every session between
-    their quasi-routers, in both directions.  Returns the number of
-    half-sessions touched; [0] means the ASes share no session.
-    Sessions are kept, and the set of denies that pre-existed on those
-    half-sessions (e.g. refiner-placed filters) is recorded, so the
-    change can be reverted exactly with {!enable_as_link}. *)
+    their quasi-routers, in both directions.  Sessions are kept.  A
+    deny that already existed (e.g. a refiner-placed filter) is left
+    out of [placed], so reverting with {!enable_as_link} keeps it. *)
 
-val enable_as_link :
-  ?prefixes:Prefix.t list -> Qrmodel.t -> Asn.t -> Asn.t -> int
-(** Revert a {!disable_as_link} (pass the same [prefixes]): remove the
-    per-prefix denies it added on sessions between the two ASes while
-    keeping any deny that pre-existed (refiner-placed filters survive
-    the round trip).  Returns the number of half-sessions touched.
-    Without a matching [disable_as_link] record (none was made, or it
-    was already reverted) nothing is touched and the result is [0]. *)
+val enable_as_link : Qrmodel.t -> disabled -> unit
+(** Revert a {!disable_as_link}: lift exactly the denies it placed.
+    Reverting two disables of one link in either order restores the
+    deny set from before the first. *)
 
 type change = {
   prefix : Prefix.t;

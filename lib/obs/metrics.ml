@@ -207,26 +207,3 @@ let pp_snapshot ppf items =
             (if count = 0 then 0.0 else float_of_int sum /. float_of_int count))
     items;
   Format.fprintf ppf "@]"
-
-let to_json items =
-  let b = Buffer.create 512 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Printf.bprintf b "%S: " name;
-      match v with
-      | Counter n | Gauge n -> Buffer.add_string b (string_of_int n)
-      | Histogram { buckets; sum; count } ->
-          Printf.bprintf b "{\"count\": %d, \"sum\": %d, \"buckets\": [" count
-            sum;
-          List.iteri
-            (fun j (bound, n) ->
-              if j > 0 then Buffer.add_string b ", ";
-              if bound = max_int then Printf.bprintf b "[\"+inf\", %d]" n
-              else Printf.bprintf b "[%d, %d]" bound n)
-            buckets;
-          Buffer.add_string b "]}")
-    items;
-  Buffer.add_char b '}';
-  Buffer.contents b

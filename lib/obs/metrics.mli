@@ -87,8 +87,3 @@ val record_gc : unit -> unit
     cheap ([Gc.quick_stat], no heap walk) but not per-event. *)
 
 val pp_snapshot : Format.formatter -> (string * value) list -> unit
-
-val to_json : (string * value) list -> string
-(** The snapshot as one JSON object: counters and gauges as numbers,
-    histograms as [{"count":..,"sum":..,"buckets":[[le,n],..]}] (the
-    overflow bound rendered as the string ["+inf"]). *)

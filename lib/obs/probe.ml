@@ -3,9 +3,9 @@
    The simulator, serve and stream layers publish their concurrency
    structure through this hook: shared-object accesses (net structure,
    policy tables, CSR publish, engine state slabs, replay journals) and
-   synchronization edges (Pool worker spawn/join, the Snapshot
-   executor hand-off) as release/acquire on named channels.  The
-   analysis layer sits above all of them, so the race detector
+   synchronization edges (Pool worker spawn/join, Snapshot writer
+   sections) as release/acquire on named channels.  The analysis layer
+   sits above all of them, so the race detector
    (Analysis.Race, half of the RD_CHECK=on mode) installs itself here —
    the same one-load-and-branch pattern as Net's mutation hook, chosen
    so the publishing layers never depend on the analysis library.

@@ -3,8 +3,8 @@
     The layers that own shared mutable state publish two kinds of
     events here: {e accesses} to a named shared object and
     {e synchronization edges} as release/acquire pairs on a named
-    channel (a Pool worker spawn or join, the Snapshot executor
-    hand-off).  A happens-before checker — [Analysis.Race] — installs
+    channel (a Pool worker spawn or join, a Snapshot writer
+    section).  A happens-before checker — [Analysis.Race] — installs
     the process-wide hook and reconstructs the ordering; with no hook
     installed every probe costs one atomic load and a branch, so the
     probes stay in production code paths.

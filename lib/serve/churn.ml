@@ -19,17 +19,18 @@ let reload store =
   | Some snap -> (
       let t0 = Obs.Trace.now_us () in
       let hits0 = Obs.Metrics.find_counter "engine.warm_resume_hits" in
-      match Snapshot.exclusive snap (fun () -> Snapshot.rebuild snap) with
+      match
+        Snapshot.exclusive snap (fun () ->
+            let next = Snapshot.rebuild snap in
+            Snapshot.publish store next;
+            next)
+      with
       | exception exn -> Error (Printexc.to_string exn)
       | next ->
           let resume_hits =
             max 0
               (Obs.Metrics.find_counter "engine.warm_resume_hits" - hits0)
           in
-          (* Publish outside the exclusive section: it retires the old
-             snapshot's executor, which must not be joined from its own
-             thread. *)
-          Snapshot.publish store next;
           Obs.Metrics.incr reloads_m;
           Obs.Metrics.incr ~by:resume_hits reload_resume_m;
           Ok
@@ -67,9 +68,10 @@ let apply store events =
               Replay.report rp ~rejected:(List.length rejects)
             with
             | report ->
-                ( Snapshot.of_states ~replay:(Replay.persist rp) model
-                    (Replay.states rp),
-                  report )
+                Snapshot.publish store
+                  (Snapshot.of_states ~replay:(Replay.persist rp) snap
+                     (Replay.states rp));
+                report
             | exception exn ->
                 (* The old snapshot stays published: undo the denies
                    this replay already placed on the shared net so it
@@ -78,7 +80,6 @@ let apply store events =
                 raise exn)
       with
       | exception exn -> Error (Printexc.to_string exn)
-      | next, report ->
-          Snapshot.publish store next;
+      | report ->
           Obs.Metrics.incr reloads_m;
           Ok report)

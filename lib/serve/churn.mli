@@ -2,11 +2,13 @@
 
     The serving loop: queries read the current snapshot via one atomic
     load while churn is applied {e off to the side} — the event replay
-    (or a plain warm rebuild) runs on the current snapshot's executor
-    thread, serialized with in-flight what-if queries, and the
-    resulting snapshot is atomically {!Snapshot.publish}ed.  In-flight
-    connections keep answering from the snapshot they loaded (its
-    caches are immutable; only its executor retires), so a swap drops
+    (or a plain warm rebuild) runs inside the current snapshot's
+    {!Snapshot.exclusive} section, serialized with in-flight what-if
+    queries, and the resulting snapshot is atomically
+    {!Snapshot.publish}ed before that section ends, so no write on the
+    old snapshot can follow the swap.  In-flight reads keep answering
+    from the snapshot they loaded (its caches are immutable); a write
+    on it is refused with {!Snapshot.Retired}, so a swap drops
     nothing. *)
 
 val apply :

@@ -60,11 +60,11 @@ let eval_catchment snap egress prefix =
     targets
 
 let eval_whatif snap a b =
-  (* All mutation runs on the snapshot's executor thread; the pool batch
+  (* All mutation runs under the snapshot's writer lock; the pool batch
      in the middle only reads.  Sequence: deny the link, re-converge
      every prefix from the cached states, diff against the baseline,
-     then restore the exact pre-query deny set and drain the touched
-     sets so the published state is bit-identical again. *)
+     then lift the denies the query placed and drain the touched sets
+     so the published state is bit-identical again. *)
   Snapshot.exclusive snap (fun () ->
       let model = Snapshot.model snap in
       let net = model.Qrmodel.net in
@@ -73,7 +73,8 @@ let eval_whatif snap a b =
          drops); deny, simulate and diff exactly the set it serves so
          the baseline diff joins cleanly. *)
       let targets = List.map fst (Snapshot.states snap) in
-      let half_sessions = Whatif.disable_as_link ~prefixes:targets model a b in
+      let disabled = Whatif.disable_as_link ~prefixes:targets model a b in
+      let half_sessions = disabled.Whatif.half_sessions in
       if half_sessions = 0 then
         Ok
           (Protocol.Whatif_summary
@@ -88,7 +89,7 @@ let eval_whatif snap a b =
              })
       else begin
         let finally () =
-          ignore (Whatif.enable_as_link ~prefixes:targets model a b);
+          Whatif.enable_as_link model disabled;
           List.iter (fun p -> Net.clear_touched net p) targets
         in
         Fun.protect ~finally (fun () ->
@@ -148,8 +149,9 @@ let eval_timed ?deadline_ms snap req : Protocol.response =
   in
   let start = Obs.Trace.now_us () in
   let result =
-    try eval snap req
-    with exn -> Error (Printexc.to_string exn)
+    try eval snap req with
+    | Snapshot.Retired as exn -> raise exn
+    | exn -> Error (Printexc.to_string exn)
   in
   let elapsed_us = Obs.Trace.now_us () - start in
   let deadline_missed = deadline_ms > 0 && elapsed_us > deadline_ms * 1000 in

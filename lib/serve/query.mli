@@ -5,16 +5,17 @@
     What-if queries re-converge every prefix from the cached states
     after denying the link ({!Snapshot.resimulate}: warm, cold or
     verified as the ambient [RD_WARM] mode says), then restore the
-    network exactly; the whole mutate/simulate/revert sequence runs on
-    the snapshot's executor thread, over {!Simulator.Runtime.jobs}
-    pool workers.
+    network exactly; the whole mutate/simulate/revert sequence runs in
+    the calling thread inside {!Snapshot.exclusive}, over
+    {!Simulator.Runtime.jobs} pool workers.
 
     Metrics: [serve.queries], [serve.deadline_misses],
     [serve.latency_us] (histogram), [serve.whatif_resume_hits] (warm
     resumes actually used by what-if deltas). *)
 
 val eval : Snapshot.t -> Protocol.request -> (Protocol.payload, string) result
-(** Evaluate one request. *)
+(** Evaluate one request.  A what-if on a retired snapshot raises
+    {!Snapshot.Retired}. *)
 
 val eval_timed :
   ?deadline_ms:int ->
@@ -24,7 +25,8 @@ val eval_timed :
 (** {!eval} wrapped with latency measurement, deadline accounting
     ([deadline_ms] defaults to {!Simulator.Runtime.deadline_ms}; [0]
     disables) and the serve metrics.  Exceptions become [Error]
-    responses. *)
+    responses, except {!Snapshot.Retired}, which propagates so the
+    caller can retry on the current snapshot. *)
 
 val run_batch :
   ?deadline_ms:int ->
@@ -33,4 +35,5 @@ val run_batch :
   Protocol.response list
 (** Evaluate a batch, results in request order.  Read-only queries fan
     out over {!Simulator.Pool}; what-if queries run sequentially after
-    the parallel phase (mutation must never overlap a pool batch). *)
+    the parallel phase (mutation must never overlap a pool batch).
+    Raises {!Snapshot.Retired} as {!eval_timed} does. *)

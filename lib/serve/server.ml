@@ -8,13 +8,6 @@ let read_timeouts_m = Obs.Metrics.counter "serve.read_timeouts"
 
 let open_connections_m = Obs.Metrics.gauge "serve.open_connections"
 
-let contains haystack needle =
-  let hn = String.length haystack and nn = String.length needle in
-  let rec at i =
-    i + nn <= hn && (String.sub haystack i nn = needle || at (i + 1))
-  in
-  nn = 0 || at 0
-
 let sockaddr_of = function
   | Unix_path path -> Unix.ADDR_UNIX path
   | Tcp port -> Unix.ADDR_INET (Unix.inet_addr_loopback, port)
@@ -59,22 +52,23 @@ let handle_connection srv client =
     { Protocol.result = Error msg; elapsed_us = 0; deadline_missed = false }
   in
   let eval req =
-    (* A query can race a churn-triggered rebuild-and-swap: the snapshot
-       it loaded retires between [current] and its exclusive section.
-       Re-loading the store and retrying once suffices — the freshly
-       published snapshot is live, and a second loss means reloads are
-       arriving faster than queries, which deserves the honest error. *)
-    let rec go retries =
+    (* A write can race a churn-triggered rebuild-and-swap: the snapshot
+       it loaded is retired before it takes the writer lock, and the
+       write is refused without running.  The lock is not FIFO, so the
+       retry can lose to the next swap too; each refusal means a swap
+       published a successor, so retry on it.  Only a snapshot retired
+       with nothing in its place is an error. *)
+    let rec go () =
       match Snapshot.current srv.store with
       | None -> error_response "no snapshot published"
       | Some snap -> (
-          let resp = Query.eval_timed ?deadline_ms:srv.deadline_ms snap req in
-          match resp.Protocol.result with
-          | Error msg when retries > 0 && contains msg "snapshot is retired" ->
-              go (retries - 1)
-          | _ -> resp)
+          try Query.eval_timed ?deadline_ms:srv.deadline_ms snap req
+          with Snapshot.Retired -> (
+            match Snapshot.current srv.store with
+            | Some next when next != snap -> go ()
+            | _ -> error_response "snapshot is retired"))
     in
-    go 1
+    go ()
   in
   let reload () =
     let start = Obs.Trace.now_us () in

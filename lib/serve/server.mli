@@ -13,8 +13,9 @@
     a peer stalling mid-frame is timed out after [deadline_ms]
     ([serve.read_timeouts]) and hung up on.  A [reload] request
     rebuilds the snapshot warm and atomically swaps it in
-    ({!Churn.reload}); queries racing the swap retry once against the
-    fresh snapshot, so a reload drops no connections. *)
+    ({!Churn.reload}); a write refused because a swap retired its
+    snapshot ({!Snapshot.Retired}) is retried on the snapshot that
+    replaced it, so a reload drops no connections. *)
 
 type listen = Unix_path of string | Tcp of int
 (** TCP binds to loopback only: the service is a local sidecar, not an

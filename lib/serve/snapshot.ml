@@ -7,62 +7,13 @@ module Qrmodel = Asmodel.Qrmodel
 module Whatif = Asmodel.Whatif
 module Replay = Stream.Replay
 
-(* Executor: a dedicated systhread that runs every what-if mutation.
-   Systhreads stay in the domain that created them, so funnelling all
-   net mutations through this thread keeps the mutating domain constant
-   (the builder's) no matter which connection thread or test domain
-   issues the query, and the hand-off below orders each mutation with
-   its caller — RD_CHECK then records zero findings while serving.  It
-   also serializes what-ifs, which the save/restore discipline
-   requires. *)
-
-type exec = {
-  mu : Mutex.t;
-  cond : Condition.t;
-  jobs : (unit -> unit) Queue.t;
-  mutable stop : bool;
-  mutable thread : Thread.t option;
-}
-
-let exec_loop e () =
-  let rec go () =
-    Mutex.lock e.mu;
-    while Queue.is_empty e.jobs && not e.stop do
-      Condition.wait e.cond e.mu
-    done;
-    if Queue.is_empty e.jobs then Mutex.unlock e.mu
-    else begin
-      let job = Queue.pop e.jobs in
-      Mutex.unlock e.mu;
-      job ();
-      go ()
-    end
-  in
-  go ()
-
-let exec_create () =
-  let e =
-    {
-      mu = Mutex.create ();
-      cond = Condition.create ();
-      jobs = Queue.create ();
-      stop = false;
-      thread = None;
-    }
-  in
-  e.thread <- Some (Thread.create (exec_loop e) ());
-  e
-
-let exec_stop e =
-  Mutex.lock e.mu;
-  e.stop <- true;
-  Condition.broadcast e.cond;
-  Mutex.unlock e.mu;
-  match e.thread with
-  | Some t ->
-      Thread.join t;
-      e.thread <- None
-  | None -> ()
+(* One writer lock per lineage: [build] makes it, and every successor
+   [of_states] derives from a snapshot shares it, so two writes on the
+   one net they all wrap never overlap — not even a write that loaded a
+   snapshot just before a churn swap retired it.  [chan] names the
+   lock's happens-before channel for RD_CHECK=on, whose detector cannot
+   see a mutex: it orders writers that sit in different domains. *)
+type writer = { mu : Mutex.t; chan : string }
 
 type t = {
   model : Qrmodel.t;
@@ -70,25 +21,37 @@ type t = {
   by_prefix : (Prefix.t, Engine.state) Hashtbl.t;
   baseline : Whatif.snapshot;
   replay : Replay.persist option;
-  exec : exec;
+  writer : writer;
+  retired : bool Atomic.t;
 }
 
-let of_states ?replay (model : Qrmodel.t) states =
-  let baseline = Whatif.of_states model states in
+exception Retired
+
+let make ?replay writer (model : Qrmodel.t) states =
   let by_prefix = Hashtbl.create (max 16 (List.length states)) in
   List.iter (fun (p, st) -> Hashtbl.replace by_prefix p st) states;
   {
     model;
     states;
     by_prefix;
-    baseline;
+    baseline = Whatif.of_states model states;
     replay;
-    exec = exec_create ();
+    writer;
+    retired = Atomic.make false;
   }
+
+let of_states ?replay prev states = make ?replay prev.writer prev.model states
+
+let lineages = Atomic.make 0
 
 let build (model : Qrmodel.t) =
   let states, _ = Qrmodel.simulate_all model in
-  of_states model states
+  let chan =
+    Printf.sprintf "snapshot.writer.%d" (Atomic.fetch_and_add lineages 1)
+  in
+  (* Hands the building domain's history to the first writer. *)
+  Obs.Probe.release ~chan;
+  make { mu = Mutex.create (); chan } model states
 
 let model t = t.model
 
@@ -103,50 +66,14 @@ let replay t = t.replay
 let converged t =
   List.for_all (fun (_, st) -> Engine.converged st) t.states
 
-(* Per-call channel ids for the happens-before edges published below:
-   the submitting caller may sit in a different domain than the
-   executor thread, so under RD_CHECK=on the enqueue/signal pair is
-   declared as release/acquire (and the result hand-back as the reverse
-   pair) — exactly the ordering the mutex+condvar already provide. *)
-let exclusive_uid = Atomic.make 0
-
 let exclusive t f =
-  let result = ref None in
-  let mu = Mutex.create () in
-  let cond = Condition.create () in
-  let probing = Obs.Probe.enabled () in
-  let chan =
-    if probing then
-      Printf.sprintf "snapshot.exec.%d" (Atomic.fetch_and_add exclusive_uid 1)
-    else ""
-  in
-  let job () =
-    if probing then Obs.Probe.acquire ~chan:(chan ^ ".submit");
-    let r = try Ok (f ()) with exn -> Error exn in
-    if probing then Obs.Probe.release ~chan:(chan ^ ".done");
-    Mutex.lock mu;
-    result := Some r;
-    Condition.signal cond;
-    Mutex.unlock mu
-  in
-  Mutex.lock t.exec.mu;
-  if t.exec.stop then begin
-    Mutex.unlock t.exec.mu;
-    invalid_arg "Snapshot.exclusive: snapshot is retired"
-  end;
-  if probing then Obs.Probe.release ~chan:(chan ^ ".submit");
-  Queue.add job t.exec.jobs;
-  Condition.signal t.exec.cond;
-  Mutex.unlock t.exec.mu;
-  Mutex.lock mu;
-  while Option.is_none !result do
-    Condition.wait cond mu
-  done;
-  Mutex.unlock mu;
-  if probing then Obs.Probe.acquire ~chan:(chan ^ ".done");
-  match Option.get !result with Ok v -> v | Error exn -> raise exn
+  Mutex.protect t.writer.mu @@ fun () ->
+  if Atomic.get t.retired then raise Retired;
+  let chan = t.writer.chan in
+  Obs.Probe.acquire ~chan;
+  Fun.protect ~finally:(fun () -> Obs.Probe.release ~chan) f
 
-let retire t = exec_stop t.exec
+let retire t = Atomic.set t.retired true
 
 (* Originators come from each cached state itself, so prefixes a churn
    replay added beyond the model's survive a re-simulation. *)
@@ -163,14 +90,10 @@ let resimulate t =
       Warm.simulate ?from net ~prefix:p ~originators)
     (List.map fst t.states)
 
-(* Callers run this through [exclusive] so the rebuild serializes with
-   what-if mutation, then [publish] outside it — the retire inside
-   publish joins this executor, which must not happen from its own
-   thread. *)
 let rebuild t =
   let states, _ = resimulate t in
   List.iter (fun (p, _) -> Net.clear_touched t.model.Qrmodel.net p) states;
-  of_states ?replay:t.replay t.model states
+  of_states ?replay:t.replay t states
 
 (* -- atomic swap -- *)
 

@@ -3,16 +3,17 @@
     {!Simulator.Pool} and then treated as immutable.
 
     Queries read the cached states; they never re-simulate from
-    scratch.  What-if queries do mutate the underlying network, but
-    only through {!exclusive}: a dedicated executor thread (created in
-    {!build}, in the builder's domain) runs every mutation, ordered
-    with the submitting query by the executor hand-off, so RD_CHECK's
-    race detector sees no unordered write — and the exact save/restore in {!Asmodel.Whatif} returns the network to its
-    published state before the next query runs.
+    scratch.  What-if queries, churn replay and reloads do mutate the
+    underlying network, but only through {!exclusive}: the caller's
+    thread runs the write under a writer mutex that {!build} creates
+    and every successor snapshot shares, so no two writes on one
+    network overlap, and the exact revert in {!Asmodel.Whatif} returns
+    the network to its published state before the next write runs.
 
     A {!store} is the atomic-swap publication point: readers grab the
     current snapshot with one atomic load; {!publish} installs a
-    replacement and retires the previous snapshot's executor. *)
+    replacement and retires the previous snapshot, which then refuses
+    writes. *)
 
 open Bgp
 
@@ -22,20 +23,22 @@ val build : Asmodel.Qrmodel.t -> t
 (** Simulate every model prefix over the pool
     ({!Asmodel.Qrmodel.simulate_all}), cache the converged states, and
     precompute the baseline selected-path snapshot what-if diffs
-    compare against. *)
+    compare against.  Starts a new lineage with its own writer
+    mutex. *)
 
 val of_states :
   ?replay:Stream.Replay.persist ->
-  Asmodel.Qrmodel.t ->
+  t ->
   (Bgp.Prefix.t * Simulator.Engine.state) list ->
   t
-(** A snapshot over already-converged states (no simulation) — the
-    churn-replay path: the replay driver reconverged prefixes
-    incrementally and the result becomes the next published snapshot.
-    The state list may extend beyond the model's prefixes (announced /
-    hijacked extras).  [replay] is the driver state the replay ended
-    with; the next {!Churn.apply} resumes from it so down/up pairs may
-    span apply calls. *)
+(** The successor of a snapshot over already-converged states (no
+    simulation) — the churn-replay path: the replay driver reconverged
+    prefixes incrementally and the result becomes the next published
+    snapshot.  It keeps the predecessor's model and shares its writer
+    mutex.  The state list may extend beyond the model's prefixes
+    (announced / hijacked extras).  [replay] is the driver state the
+    replay ended with; the next {!Churn.apply} resumes from it so
+    down/up pairs may span apply calls. *)
 
 val resimulate :
   t -> (Prefix.t * Simulator.Engine.state) list * Simulator.Pool.stats
@@ -50,11 +53,9 @@ val resimulate :
 
 val rebuild : t -> t
 (** {!resimulate} against the (possibly churn-mutated) network, drain
-    the touched sets, and return a fresh snapshot ready to {!publish}.
-    Run it through {!exclusive} so it serializes with what-if mutation;
-    publish {e outside} the exclusive section (publishing retires this
-    snapshot's executor, which must not be joined from its own
-    thread). *)
+    the touched sets, and return the successor snapshot
+    ({!of_states}) ready to {!publish}.  Run it, and the publish, inside
+    {!exclusive} so no write slips in between. *)
 
 val model : t -> Asmodel.Qrmodel.t
 
@@ -74,15 +75,25 @@ val replay : t -> Stream.Replay.persist option
 val converged : t -> bool
 (** Every cached state converged. *)
 
+exception Retired
+(** Raised by {!exclusive} on a retired snapshot.  The write never
+    ran; load the store's current snapshot and try again. *)
+
 val exclusive : t -> (unit -> 'a) -> 'a
-(** Run [f] on the snapshot's executor thread and return its result;
-    serializes with every other [exclusive] caller.  All what-if
-    mutation happens here.  Raises [Invalid_argument] after
-    {!retire}. *)
+(** Run [f] in the calling thread under the lineage's writer mutex and
+    return its result; serializes with every [exclusive] caller on this
+    snapshot, its predecessors and its successors.  All network
+    mutation happens here.  Under [RD_CHECK=on] the section acquires
+    and releases the lineage's happens-before channel, so writers in
+    different domains stay ordered.  Raises {!Retired} once the
+    snapshot is retired, checked after the mutex is taken.  [f] must
+    not call [exclusive] on the same lineage: the mutex is not
+    re-entrant. *)
 
 val retire : t -> unit
-(** Stop the executor thread (idempotent).  Queries already queued
-    finish first. *)
+(** Mark the snapshot retired (idempotent): later {!exclusive} calls
+    raise {!Retired}.  Takes no lock, so {!publish} may run inside
+    {!exclusive}.  Reads of its cached states keep working. *)
 
 (** {2 Atomic swap} *)
 
@@ -93,7 +104,7 @@ val store : unit -> store
 
 val publish : store -> t -> unit
 (** Atomically install a snapshot as the current one and retire the
-    snapshot it replaces (if any). *)
+    snapshot it replaces (if any).  May be called inside {!exclusive}. *)
 
 val current : store -> t option
 (** One atomic load; no locking on the read path. *)

@@ -172,10 +172,10 @@ let watchdog_history_cap = 4096
    the IGP-cost memo.  At scale an [nslots]-sized array goes straight to
    the major heap, so each domain keeps one set in a cell and a run
    checks it out with [Atomic.exchange], refills it and hands it back.
-   Systhreads share a domain (the query server's executor and its
-   connection threads all run the engine), so a run that finds the cell
-   empty — another thread holds the set — allocates its own; a run that
-   raises simply drops its set.  Arrays may be longer than the current
+   Systhreads share a domain (the query server's connection threads all
+   run the engine), so a run that finds the cell empty — another thread
+   holds the set — allocates its own; a run that raises simply drops its
+   set.  Arrays may be longer than the current
    net's slot count: only the first [nslots] entries are used. *)
 type scratch = {
   deny : bool array;

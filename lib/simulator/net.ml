@@ -191,7 +191,8 @@ let notify_policy t rule p node =
 (* Read-side probes: the engine (and any other reader that walks the
    structure or the policy tables for a whole run) records one read
    per object per run, so a mutation that is not ordered after the
-   run by a Pool join or executor hand-off surfaces as a race. *)
+   run by a Pool join or a snapshot writer section surfaces as a
+   race. *)
 let probe_read t ~site =
   Obs.Probe.read ~obj:t.o_structure ~site;
   Obs.Probe.read ~obj:t.o_policy ~site
@@ -542,8 +543,6 @@ let clear_import_med t n s p =
 
 let import_med t n s p =
   match find_pol t n s p with Some e -> opt e.med | None -> None
-
-let session_med = import_med
 
 (* Export-side changes are re-evaluated at the exporting node itself. *)
 let export_edit t rule n s p deny =

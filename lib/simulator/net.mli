@@ -169,9 +169,6 @@ val structure_fingerprint : t -> int
     per-prefix policies (order-independently).  Identical generator runs
     produce identical fingerprints — the netgen determinism gate. *)
 
-val session_med : t -> int -> int -> Prefix.t -> int option
-(** Alias of {!import_med}; named for the engine's import step. *)
-
 (** {2 Policies} *)
 
 val set_import_lpref : t -> int -> int -> int -> unit

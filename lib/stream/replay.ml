@@ -4,6 +4,7 @@ module Net = Simulator.Net
 module Pool = Simulator.Pool
 module Warm = Simulator.Warm
 module Qrmodel = Asmodel.Qrmodel
+module Whatif = Asmodel.Whatif
 module Asgraph = Topology.Asgraph
 
 type cls =
@@ -155,21 +156,13 @@ let originator_nodes t p =
 
 (* -- sessions ------------------------------------------------------ *)
 
-let half_sessions_toward net a b =
-  List.concat_map
-    (fun n ->
-      List.filter_map
-        (fun (s, peer) -> if Net.asn_of net peer = b then Some (n, s) else None)
-        (Net.sessions_of net n))
-    (Net.nodes_of_as net a)
-
 let link_halfs net a b =
-  half_sessions_toward net a b @ half_sessions_toward net b a
+  Whatif.sessions_between net a b @ Whatif.sessions_between net b a
 
 (* One session = the first quasi-router adjacency (deterministic:
    lowest node ids first), both directions. *)
 let session_halfs net a b =
-  match half_sessions_toward net a b with
+  match Whatif.sessions_between net a b with
   | [] -> []
   | (n, s) :: _ ->
       let peer = Net.session_peer net n s in

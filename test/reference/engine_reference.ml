@@ -96,7 +96,7 @@ let import net st ~sender:n ~sender_ip ~peer ~peer_as ~peer_session:ps
                     match ri.Net.si_lpref with Some v -> v | None -> 100
             in
             let med =
-              match Net.session_med net peer ps st.pfx with
+              match Net.import_med net peer ps st.pfx with
               | Some v -> v
               | None -> Net.default_med net
             in

@@ -144,8 +144,8 @@ let baseline_policies_model () =
 let whatif_link_removal () =
   let m = Qrmodel.initial graph in
   let before = Asmodel.Whatif.snapshot m in
-  let touched = Asmodel.Whatif.disable_as_link m 4 5 in
-  check_int "two half-sessions" 2 touched;
+  let disabled = Asmodel.Whatif.disable_as_link m 4 5 in
+  check_int "two half-sessions" 2 disabled.Asmodel.Whatif.half_sessions;
   let after = Asmodel.Whatif.snapshot m in
   let diff = Asmodel.Whatif.diff before after in
   check_bool "something changed" true (diff.Asmodel.Whatif.prefixes_affected > 0);
@@ -155,7 +155,7 @@ let whatif_link_removal () =
   check_bool "rerouted" true
     (Simulator.Engine.best_full_path m.Qrmodel.net st n5 = Some [| 5; 1; 2; 3 |]);
   (* Restore. *)
-  ignore (Asmodel.Whatif.enable_as_link m 4 5);
+  Asmodel.Whatif.enable_as_link m disabled;
   let restored = Asmodel.Whatif.snapshot m in
   let diff_back = Asmodel.Whatif.diff before restored in
   check_int "fully restored (no refinement filters involved)" 0
@@ -163,7 +163,8 @@ let whatif_link_removal () =
 
 let whatif_unknown_link () =
   let m = Qrmodel.initial graph in
-  check_int "no session" 0 (Asmodel.Whatif.disable_as_link m 2 5)
+  check_int "no session" 0
+    (Asmodel.Whatif.disable_as_link m 2 5).Asmodel.Whatif.half_sessions
 
 (* The revert must be an exact save/restore: a deny placed on the link's
    sessions before the what-if (as the refiner does) survives the
@@ -178,8 +179,7 @@ let whatif_roundtrip_preserves_filters () =
   Net.deny_export net n4 s45 (Asn.origin_prefix 3);
   let before = Asmodel.Whatif.snapshot m in
   let denies_before, _ = Net.count_policies net in
-  ignore (Asmodel.Whatif.disable_as_link m 4 5);
-  ignore (Asmodel.Whatif.enable_as_link m 4 5);
+  Asmodel.Whatif.enable_as_link m (Asmodel.Whatif.disable_as_link m 4 5);
   check_bool "refiner filter survived" true
     (Net.export_denied net n4 s45 (Asn.origin_prefix 3));
   let denies_after, _ = Net.count_policies net in
@@ -188,28 +188,16 @@ let whatif_roundtrip_preserves_filters () =
   let diff = Asmodel.Whatif.diff before restored in
   check_int "predictions identical" 0 diff.Asmodel.Whatif.prefixes_affected
 
-(* With no disable before it, enable has nothing to revert: a
-   refiner-placed deny on the link must survive it untouched. *)
-let whatif_enable_without_disable () =
-  let m = Qrmodel.initial graph in
-  let net = m.Qrmodel.net in
-  let n4 = List.hd (Net.nodes_of_as net 4) in
-  let n5 = List.hd (Net.nodes_of_as net 5) in
-  let s45 = Option.get (Net.find_session net n4 n5) in
-  Net.deny_export net n4 s45 (Asn.origin_prefix 3);
-  check_int "nothing touched" 0 (Asmodel.Whatif.enable_as_link m 4 5);
-  check_bool "refiner filter survived" true
-    (Net.export_denied net n4 s45 (Asn.origin_prefix 3))
-
-(* Double disable of the same link must not overwrite the saved set with
-   one that includes the what-if's own denies. *)
+(* A second disable of the same link places nothing (its denies are
+   already there), so lifting both values leaks no deny. *)
 let whatif_double_disable () =
   let m = Qrmodel.initial graph in
   let net = m.Qrmodel.net in
   let denies_before, _ = Net.count_policies net in
-  ignore (Asmodel.Whatif.disable_as_link m 4 5);
-  ignore (Asmodel.Whatif.disable_as_link m 4 5);
-  ignore (Asmodel.Whatif.enable_as_link m 4 5);
+  let first = Asmodel.Whatif.disable_as_link m 4 5 in
+  let second = Asmodel.Whatif.disable_as_link m 4 5 in
+  Asmodel.Whatif.enable_as_link m second;
+  Asmodel.Whatif.enable_as_link m first;
   let denies_after, _ = Net.count_policies net in
   check_int "no leaked denies" denies_before denies_after
 
@@ -252,8 +240,6 @@ let suite =
     Alcotest.test_case "whatif unknown link" `Quick whatif_unknown_link;
     Alcotest.test_case "whatif roundtrip preserves filters" `Quick
       whatif_roundtrip_preserves_filters;
-    Alcotest.test_case "whatif enable without disable" `Quick
-      whatif_enable_without_disable;
     Alcotest.test_case "whatif double disable" `Quick whatif_double_disable;
     Alcotest.test_case "whatif diff keyed by prefix" `Quick whatif_diff_keyed;
   ]

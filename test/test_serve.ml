@@ -352,7 +352,7 @@ let reload_swaps_snapshot () =
   (* The old snapshot is retired; the new one answers identically. *)
   check_bool "old snapshot retired" true
     (match Snapshot.exclusive snap0 (fun () -> ()) with
-    | exception Invalid_argument _ -> true
+    | exception Snapshot.Retired -> true
     | () -> false);
   (match Query.eval snap1 Protocol.Ping with
   | Ok (Protocol.Pong { prefixes = 5; _ }) -> ()
@@ -588,6 +588,97 @@ let queries_across_reload () =
       check_int "zero dropped or failed queries" 0 (Atomic.get errors);
       check_int "every query answered" 120 (Atomic.get queries))
 
+(* A write on a snapshot that a reload is retiring must not overlap a
+   write on its successor: both wrap one net.  Each round holds the old
+   snapshot's write section open while a reload and then a what-if on
+   the old snapshot line up behind it, and a third thread waits to run
+   a what-if on the successor; then it lets them go.  The old what-if
+   is refused or answers as a sequential run would, the successor's
+   always does, and the net keeps its deny set. *)
+let whatif_across_reload_serialized () =
+  with_runtime (fun rt -> { rt with Runtime.jobs = Some 4 }) @@ fun () ->
+  let store = Snapshot.store () in
+  (* A 40-AS ring with chords: enough prefixes that each what-if's pool
+     batch spans the swap. *)
+  let ring =
+    Topology.Asgraph.of_edges
+      (List.init 40 (fun i -> (i + 1, ((i + 1) mod 40) + 1))
+      @ List.init 8 (fun i -> ((5 * i) + 1, ((5 * i) + 20) mod 40 + 1)))
+  in
+  let snap0 = Snapshot.build (Qrmodel.initial ring) in
+  let net = (Snapshot.model snap0).Qrmodel.net in
+  let denies0, _ = Net.count_policies net in
+  Snapshot.publish store snap0;
+  let whatif (a, b) snap =
+    match Query.eval snap (Protocol.Whatif { a; b }) with
+    | Ok (Protocol.Whatif_summary s) ->
+        Ok (Protocol.Whatif_summary { s with resume_hits = 0 })
+    | r -> r
+  in
+  (* Different links, so an overlap shows in both answers. *)
+  let old_link = (4, 5) and new_link = (21, 22) in
+  let old_ref = whatif old_link snap0 and new_ref = whatif new_link snap0 in
+  List.iter
+    (function
+      | Ok (Protocol.Whatif_summary { prefixes_affected; _ }) ->
+          check_bool "reference reroutes" true (prefixes_affected > 0)
+      | _ -> Alcotest.fail "reference what-if failed")
+    [ old_ref; new_ref ];
+  let spin_until cond =
+    let give_up = Unix.gettimeofday () +. 10. in
+    while (not (cond ())) && Unix.gettimeofday () < give_up do
+      Thread.yield ()
+    done;
+    cond ()
+  in
+  for round = 1 to 20 do
+    let old = Option.get (Snapshot.current store) in
+    let held = Atomic.make false and opened = Atomic.make false in
+    let reloaded = ref (Error "unset") in
+    let on_old = ref None and on_new = ref None in
+    let spawn f = Thread.create f () in
+    let gate =
+      spawn (fun () ->
+          Snapshot.exclusive old (fun () ->
+              Atomic.set held true;
+              ignore (spin_until (fun () -> Atomic.get opened))))
+    in
+    ignore (spin_until (fun () -> Atomic.get held));
+    let reload =
+      spawn (fun () ->
+          reloaded := Result.map ignore (Serve.Churn.reload store))
+    in
+    Thread.delay 0.005;
+    let on_old_t =
+      spawn (fun () ->
+          on_old :=
+            match whatif old_link old with
+            | r -> Some r
+            | exception Snapshot.Retired -> None)
+    in
+    Thread.delay 0.005;
+    let on_new_t =
+      spawn (fun () ->
+          let swapped () = Option.get (Snapshot.current store) != old in
+          if spin_until swapped then
+            on_new := Option.map (whatif new_link) (Snapshot.current store))
+    in
+    Atomic.set opened true;
+    List.iter Thread.join [ gate; reload; on_old_t; on_new_t ];
+    let name what = Printf.sprintf "round %d: %s" round what in
+    (match !reloaded with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s: %s" (name "reload failed") e);
+    (match !on_old with
+    | None -> ()
+    | Some r ->
+        check_bool (name "old what-if as sequential") true (r = old_ref));
+    check_bool (name "successor what-if as sequential") true
+      (!on_new = Some new_ref);
+    check_int (name "denies restored") denies0 (fst (Net.count_policies net))
+  done;
+  Option.iter Snapshot.retire (Snapshot.current store)
+
 (* RD_WARM governs the serve re-simulations as it does refinement and
    replay: [Off] never resumes, [Verify] compares every resume with a
    cold run, and the what-if answer is the same in every mode. *)
@@ -708,6 +799,30 @@ let concurrent_queries_immutable () =
         results;
       check_int "zero checker findings" 0 (Ownership.count ()))
 
+(* A write from a domain other than the builder's is ordered by the
+   writer lock's happens-before channel: with RD_CHECK=on, a what-if
+   whose first writer is a fresh domain, then one back in this domain,
+   answer alike and record zero findings. *)
+let whatif_from_another_domain () =
+  let prior = Ownership.current () in
+  Ownership.reset ();
+  Ownership.set Runtime.Check_mode.On;
+  Fun.protect
+    ~finally:(fun () ->
+      Ownership.set prior;
+      Ownership.reset ())
+    (fun () ->
+      let snap = build_snapshot () in
+      let whatif () =
+        match Query.eval snap (Protocol.Whatif { a = 4; b = 5 }) with
+        | Ok (Protocol.Whatif_summary s) ->
+            Ok (Protocol.Whatif_summary { s with resume_hits = 0 })
+        | r -> r
+      in
+      let elsewhere = Domain.join (Domain.spawn whatif) in
+      check_bool "same answer in both domains" true (elsewhere = whatif ());
+      check_int "zero checker findings" 0 (Ownership.count ()))
+
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick json_roundtrip;
@@ -734,8 +849,12 @@ let suite =
     Alcotest.test_case "concurrent apply and reload" `Quick
       concurrent_apply_reload;
     Alcotest.test_case "queries across reload" `Quick queries_across_reload;
+    Alcotest.test_case "whatif across reload is serialized" `Quick
+      whatif_across_reload_serialized;
     Alcotest.test_case "whatif and reload follow warm mode" `Quick
       whatif_reload_follow_warm_mode;
     Alcotest.test_case "concurrent queries immutable" `Quick
       concurrent_queries_immutable;
+    Alcotest.test_case "whatif from another domain" `Quick
+      whatif_from_another_domain;
   ]
