@@ -13,8 +13,9 @@
      --trace M     tracing off|summary|FILE.json (default: RD_TRACE)
                    (these knob flags are Simulator.Runtime's; README.md
                    "Runtime knobs" has the full table)
-     --warm-only   only run the WARM, CHECK, OBS, SERVE and CHURN sections
-                     (the CI wall-time gates)
+     --warm-only   only run the WARM, CHECK, SERVE and CHURN sections
+                     (SERVE holds the CI wall-time gates; the off-mode cost
+                     of RD_CHECK and RD_TRACE is checked by dune runtest)
      --scale-only  only run the SCALE flat-vs-reference engine experiment
      --scale-ases N  AS count of the SCALE world (>= 50; default 5000,
                      1500 with --quick)
@@ -46,7 +47,7 @@ let wall f =
   let r = f () in
   (r, float_of_int (Obs.Trace.now_us () - t0) /. 1e6)
 
-(* How every wall-time gate measures its pair of workloads: three
+(* How the what-if warm/cold gate measures its pair of workloads: three
    interleaved rounds, so slow drift (frequency scaling, co-tenants)
    hits both alike, each run from a settled heap, keeping each side's
    fastest wall. *)
@@ -700,11 +701,10 @@ let experiment_faults conf =
      raising: true@."
     transparent trans_pool.Simulator.Pool.retried
 
-(* The 14-iteration refinement of the WARM, CHECK and OBS sections, at
+(* The 14-iteration refinement of the WARM and CHECK sections, at
    jobs=1 with warm starts (so engine events and Gc.allocated_bytes, a
    per-domain counter, compare directly), under the ambient knobs as
-   changed by [update].  Its default is the baseline of the CHECK and
-   OBS off-mode gates. *)
+   changed by [update]. *)
 let warm_refine ?(update = Fun.id) prepared ~training () =
   with_runtime (fun rt ->
       update { rt with Runtime.warm = Runtime.Warm_mode.On; jobs = Some 1 })
@@ -788,93 +788,32 @@ let experiment_warm prepared =
     ]
 
 let experiment_check prepared =
-  (* RD_CHECK must be free when off: the off-mode refinement against the
-     warm baseline is the CI gate.  The on row records the checker's
-     honest price on the same workload (the race detector serializes
-     every probe behind one mutex). *)
-  section "CHECK" "race detector and mutation audit overhead (RD_CHECK)";
+  (* The checker's price on the warm-start refinement (the race
+     detector serializes every probe behind one mutex).  That the off
+     mode costs nothing is checked as counted allocation by dune
+     runtest, not timed here. *)
+  section "CHECK" "race detector and mutation audit overhead (RD_CHECK=on)";
   let training = training_of prepared in
-  let run check () =
-    ignore
-      (warm_refine ~update:(fun rt -> { rt with check }) prepared ~training ())
+  let run check =
+    Gc.full_major ();
+    snd
+      (wall (fun () ->
+           ignore
+             (warm_refine
+                ~update:(fun rt -> { rt with check })
+                prepared ~training ())))
   in
-  let warm_wall, off_wall =
-    fastest_of_three
-      ((fun () -> ignore (warm_refine prepared ~training ())),
-        run Runtime.Check_mode.Off)
-  in
-  let (), on_wall = wall (run Runtime.Check_mode.On) in
+  let off_wall = run Runtime.Check_mode.Off in
+  let on_wall = run Runtime.Check_mode.On in
   Analysis.Ownership.reset ();
-  let off_vs_warm = ratio off_wall warm_wall in
   Format.printf
-    "RD_CHECK=off wall: %.2fs (fastest of 3; %.2fx of the warm baseline's \
-     %.2fs — want <= 1.02)@.RD_CHECK=on wall: %.2fs (%.2fx of off)@."
-    off_wall off_vs_warm warm_wall on_wall (ratio on_wall off_wall);
+    "RD_CHECK=off wall: %.2fs@.RD_CHECK=on wall: %.2fs (%.2fx of off)@."
+    off_wall on_wall (ratio on_wall off_wall);
   Json.Obj
     [
-      ("warm_wall_s", Json.Float warm_wall);
       ("off_wall_s", Json.Float off_wall);
       ("on_wall_s", Json.Float on_wall);
       ("overhead_on_vs_off", Json.Float (ratio on_wall off_wall));
-      ("off_vs_warm_ratio", Json.Float off_vs_warm);
-    ]
-
-let experiment_obs prepared =
-  (* RD_TRACE must be free when off: the hot-path guard is one atomic
-     load and a branch, so the off-mode refinement must stay within
-     noise of the warm baseline (the CI gate).  A summary-mode run then
-     records spans end to end and feeds the metrics snapshot. *)
-  section "OBS" "observability overhead (RD_TRACE) and metrics snapshot";
-  let training = training_of prepared in
-  let run trace () =
-    ignore
-      (warm_refine ~update:(fun rt -> { rt with trace }) prepared ~training ())
-  in
-  let warm_wall, off_wall =
-    fastest_of_three
-      ((fun () -> ignore (warm_refine prepared ~training ())),
-        run Obs.Trace.Off)
-  in
-  Obs.Metrics.reset ();
-  let events0 = Obs.Trace.event_count () in
-  let (), summary_wall = wall (run Obs.Trace.Summary) in
-  Obs.Metrics.record_gc ();
-  let off_vs_warm = ratio off_wall warm_wall in
-  Format.printf
-    "RD_TRACE=off wall: %.2fs (fastest of 3; %.2fx of the warm baseline's \
-     %.2fs — want <= 1.02)@.RD_TRACE=summary wall: %.2fs (%.2fx of off), %d \
-     trace events recorded (%d dropped)@."
-    off_wall off_vs_warm warm_wall summary_wall (ratio summary_wall off_wall)
-    (Obs.Trace.event_count () - events0)
-    (Obs.Trace.dropped ());
-  (* Histograms as {count, sum, buckets: [[bound, n], ...]}, the
-     overflow bound as "+inf". *)
-  let metric = function
-    | Obs.Metrics.Counter n | Obs.Metrics.Gauge n -> Json.Int n
-    | Obs.Metrics.Histogram { buckets; sum; count } ->
-        let bound b = if b = max_int then Json.String "+inf" else Json.Int b in
-        Json.Obj
-          [
-            ("count", Json.Int count);
-            ("sum", Json.Int sum);
-            ( "buckets",
-              Json.List
-                (List.map
-                   (fun (b, n) -> Json.List [ bound b; Json.Int n ])
-                   buckets) );
-          ]
-  in
-  let metrics =
-    Json.Obj
-      (List.map (fun (name, v) -> (name, metric v)) (Obs.Metrics.snapshot ()))
-  in
-  Json.Obj
-    [
-      ("warm_wall_s", Json.Float warm_wall);
-      ("trace_off_wall_s", Json.Float off_wall);
-      ("off_vs_warm_ratio", Json.Float off_vs_warm);
-      ("summary_wall_s", Json.Float summary_wall);
-      ("metrics", metrics);
     ]
 
 (* Percentile estimate from a pair of histogram snapshots: the upper
@@ -1556,18 +1495,14 @@ let () =
       Topology.Asgraph.pp_stats prepared.Core.graph;
     (data, prepared)
   in
-  (* The warm-start sections, in run order; CHECK, OBS and SERVE carry
-     the CI wall-time gates. *)
+  (* The warm-start sections, in run order; SERVE carries the CI
+     wall-time gates. *)
   let warm_sections prepared =
     let warm = experiment_warm prepared in
     let check = experiment_check prepared in
-    let obs = experiment_obs prepared in
     let serve = experiment_serve prepared in
     let churn = experiment_churn prepared in
-    [
-      ("warm", warm); ("check", check); ("obs", obs); ("serve", serve);
-      ("churn", churn);
-    ]
+    [ ("warm", warm); ("check", check); ("serve", serve); ("churn", churn) ]
   in
   let results, total_s =
     wall (fun () ->

@@ -12,8 +12,10 @@
    Domain ids in OCaml are never reused within a process, so epochs
    keyed by domain id are unambiguous.  All state sits behind one
    mutex: RD_CHECK=on is a debug/CI mode and every probe site is at
-   run/batch granularity, so serialization is acceptable — the bench
-   §CHECK on row records the honest overhead. *)
+   run/batch granularity, so serialization is acceptable — the bench's
+   §CHECK section records its wall next to the off run.  Off, no hook
+   is installed, and the obs test "off-mode hooks allocate nothing"
+   checks that switching back to off leaves none behind. *)
 
 type access = { site : string; domain : int }
 

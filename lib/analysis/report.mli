@@ -43,11 +43,6 @@ val is_clean : t -> bool
 val has_rule : t -> string -> bool
 (** Some finding carries this rule id. *)
 
-val find_rule : t -> string -> finding list
-(** All findings of one rule, in report order. *)
-
-val pp_location : Format.formatter -> location -> unit
-
 val pp_finding : Format.formatter -> finding -> unit
 
 val pp : Format.formatter -> t -> unit

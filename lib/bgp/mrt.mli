@@ -59,10 +59,6 @@ val parse_lines : string list -> record list * (int * string) list
     [(line_number, message)] diagnostics for malformed non-comment
     lines.  Line numbers are 1-based. *)
 
-val read_channel : in_channel -> record list * (int * string) list
-
 val read_file : string -> record list * (int * string) list
-
-val write_channel : out_channel -> record list -> unit
 
 val write_file : string -> record list -> unit

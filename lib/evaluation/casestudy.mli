@@ -31,7 +31,5 @@ val most_diverse : t -> int -> as_view list
 (** The [n] ASes receiving the most distinct routes — the paper's
     AS 3356 ("needs eight routers") candidates. *)
 
-val pp_view : Format.formatter -> as_view -> unit
-
 val pp : ?limit:int -> Format.formatter -> t -> unit
 (** The [limit] (default 10) most diverse AS views. *)

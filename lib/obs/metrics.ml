@@ -102,12 +102,17 @@ let histogram ?(buckets = default_duration_buckets) name =
       | H h -> if h.bounds = bounds then Some h else None
       | C _ | G _ -> None)
 
+(* Index of the first bound [>= v] (the overflow cell past the last).
+   Top-level, not a local closure over [v], so [observe] allocates
+   nothing. *)
+let rec cell bounds v i =
+  if i >= Array.length bounds || v <= bounds.(i) then i
+  else cell bounds v (i + 1)
+
 let observe h v =
   Probe.write ~obj:metrics_obj ~site:"metrics.observe";
   let v = max 0 v in
-  let n = Array.length h.bounds in
-  let rec cell i = if i >= n || v <= h.bounds.(i) then i else cell (i + 1) in
-  ignore (Atomic.fetch_and_add h.cells.(cell 0) 1);
+  ignore (Atomic.fetch_and_add h.cells.(cell h.bounds v 0) 1);
   ignore (Atomic.fetch_and_add h.total v);
   ignore (Atomic.fetch_and_add h.samples 1)
 
@@ -147,18 +152,6 @@ let value name =
 
 let find_counter name =
   match value name with Some (Counter v) -> v | _ -> 0
-
-let reset () =
-  Mutex.protect mutex (fun () ->
-      Hashtbl.iter
-        (fun _ m ->
-          match m with
-          | C a | G a -> Atomic.set a 0
-          | H h ->
-              Array.iter (fun c -> Atomic.set c 0) h.cells;
-              Atomic.set h.total 0;
-              Atomic.set h.samples 0)
-        registry)
 
 (* GC gauges, refreshed on demand (bench sections, report dumps) from
    [Gc.quick_stat] — cheap enough to call at batch granularity and

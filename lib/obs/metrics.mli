@@ -12,8 +12,7 @@
     name is the contract.
 
     {!snapshot} is the read side: the CLI ([asmodel build --metrics]),
-    the bench harness (the [OBS] section of [BENCH.json]) and the tests
-    all consume the same listing. *)
+    perfbench and the tests all consume the same listing. *)
 
 type counter
 
@@ -41,7 +40,7 @@ val histogram : ?buckets:int list -> string -> histogram
 (** Register (or fetch) the histogram [name].  [buckets] are inclusive
     upper bounds, strictly increasing; an implicit overflow bucket
     catches everything above the last bound.  Defaults to
-    {!default_duration_buckets} (microsecond-scaled powers of four). *)
+    microsecond-scaled powers of four, 1us to about 17 minutes. *)
 
 val observe : histogram -> int -> unit
 (** Record one sample (negative samples clamp to 0). *)
@@ -51,8 +50,6 @@ val histogram_count : histogram -> int
 
 val histogram_sum : histogram -> int
 (** Sum of all observed samples. *)
-
-val default_duration_buckets : int list
 
 (** {2 Snapshots} *)
 
@@ -72,10 +69,6 @@ val value : string -> value option
 val find_counter : string -> int
 (** Convenience: the counter's value, or 0 when [name] is not a
     registered counter.  For tests and report glue. *)
-
-val reset : unit -> unit
-(** Zero every registered metric (registrations and handles survive);
-    for benches and tests that measure deltas of a whole run. *)
 
 val record_gc : unit -> unit
 (** Refresh the [gc.*] gauges from [Gc.quick_stat]: [gc.minor_words],

@@ -18,8 +18,8 @@
     {!set_mode}.  Event buffers are per-domain ([Domain.DLS], no locks
     on the record path) and registered globally, so {!flush} sees
     events from worker domains that have already terminated.  The
-    buffer is bounded ({!dropped} counts what the cap discarded — a
-    drop is reported, never silent). *)
+    buffer is bounded: {!flush} reports how many events the cap
+    discarded, so a drop is never silent. *)
 
 type mode = Off | Summary | File of string
 
@@ -71,9 +71,6 @@ val instant : ?args:(string * string) list -> string -> unit
 (** {2 Reading the buffer} *)
 
 val event_count : unit -> int
-
-val dropped : unit -> int
-(** Events discarded because the buffer cap was reached. *)
 
 type summary_row = {
   name : string;

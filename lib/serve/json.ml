@@ -152,14 +152,23 @@ let parse_number c =
   match int_of_string_opt s with
   | Some n -> Int n
   | None -> (
+      (* A number that overflows a float would print back as [inf],
+         which is not JSON. *)
       match float_of_string_opt s with
-      | Some f -> Float f
+      | Some f when Float.is_finite f -> Float f
+      | Some _ -> fail c (Printf.sprintf "number out of range %S" s)
       | None -> fail c (Printf.sprintf "bad number %S" s))
 
-let rec parse_value c =
+(* Protocol messages nest at most 4 deep; the bound stops a frame of
+   open brackets from costing memory and stack in proportion to its
+   length. *)
+let max_depth = 64
+
+let rec parse_value c depth =
   skip_ws c;
   match peek c with
   | None -> fail c "unexpected end of input"
+  | Some ('{' | '[') when depth >= max_depth -> fail c "nesting too deep"
   | Some '{' ->
       advance c;
       skip_ws c;
@@ -173,7 +182,7 @@ let rec parse_value c =
           let key = parse_string_body c in
           skip_ws c;
           expect c ':';
-          let v = parse_value c in
+          let v = parse_value c (depth + 1) in
           skip_ws c;
           match peek c with
           | Some ',' ->
@@ -193,7 +202,7 @@ let rec parse_value c =
         List [])
       else
         let rec items acc =
-          let v = parse_value c in
+          let v = parse_value c (depth + 1) in
           skip_ws c;
           match peek c with
           | Some ',' ->
@@ -216,7 +225,7 @@ let rec parse_value c =
 let of_string s =
   let c = { src = s; pos = 0 } in
   try
-    let v = parse_value c in
+    let v = parse_value c 0 in
     skip_ws c;
     if c.pos <> String.length s then
       Error (Printf.sprintf "trailing garbage at offset %d" c.pos)

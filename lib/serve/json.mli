@@ -20,7 +20,8 @@ val to_string : t -> string
 (** Compact (no whitespace) rendering with standard escaping. *)
 
 val of_string : string -> (t, string) result
-(** Parse one JSON value; trailing non-whitespace is an error. *)
+(** Parse one JSON value; trailing non-whitespace, a number beyond the
+    float range and containers nested more than 64 deep are errors. *)
 
 (** {2 Accessors} — each returns [None] on a shape mismatch. *)
 

@@ -49,17 +49,9 @@ type response = {
   deadline_missed : bool;
 }
 
-val request_to_json : request -> Json.t
-
-val request_of_json : Json.t -> (request, string) result
-
 val request_to_string : request -> string
 
 val request_of_string : string -> (request, string) result
-
-val payload_to_json : payload -> Json.t
-
-val response_to_json : response -> Json.t
 
 val response_to_string : response -> string
 

@@ -1,7 +1,6 @@
 open Bgp
 module Engine = Simulator.Engine
 module Net = Simulator.Net
-module Pool = Simulator.Pool
 module Runtime = Simulator.Runtime
 module Qrmodel = Asmodel.Qrmodel
 module Whatif = Asmodel.Whatif
@@ -159,26 +158,3 @@ let eval_timed ?deadline_ms snap req : Protocol.response =
   Obs.Metrics.observe latency_m elapsed_us;
   if deadline_missed then Obs.Metrics.incr deadline_misses_m;
   { Protocol.result; elapsed_us; deadline_missed }
-
-let run_batch ?deadline_ms snap reqs =
-  (* Read-only queries fan out over the pool; what-ifs mutate (inside
-     their exclusive section) and must not overlap a pool batch, so
-     they run sequentially after the parallel phase.  Results come back
-     in request order either way. *)
-  let n = List.length reqs in
-  let indexed = List.mapi (fun i r -> (i, r)) reqs in
-  let mutating, readonly =
-    List.partition
-      (fun (_, r) -> match r with Protocol.Whatif _ -> true | _ -> false)
-      indexed
-  in
-  let slots = Array.make n None in
-  Pool.map (fun (i, r) -> (i, eval_timed ?deadline_ms snap r)) readonly
-  |> List.iter (fun (i, resp) -> slots.(i) <- Some resp);
-  List.iter
-    (fun (i, r) -> slots.(i) <- Some (eval_timed ?deadline_ms snap r))
-    mutating;
-  Array.to_list slots
-  |> List.map (function
-       | Some resp -> resp
-       | None -> assert false)

@@ -27,13 +27,3 @@ val eval_timed :
     disables) and the serve metrics.  Exceptions become [Error]
     responses, except {!Snapshot.Retired}, which propagates so the
     caller can retry on the current snapshot. *)
-
-val run_batch :
-  ?deadline_ms:int ->
-  Snapshot.t ->
-  Protocol.request list ->
-  Protocol.response list
-(** Evaluate a batch, results in request order.  Read-only queries fan
-    out over {!Simulator.Pool}; what-if queries run sequentially after
-    the parallel phase (mutation must never overlap a pool batch).
-    Raises {!Snapshot.Retired} as {!eval_timed} does. *)

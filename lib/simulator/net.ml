@@ -92,9 +92,6 @@ end)
 
 type t = {
   uid : int;  (* process-unique; names the Obs.Probe shared objects *)
-  o_structure : string;  (* probe object: nodes/sessions/global knobs *)
-  o_policy : string;  (* probe object: per-prefix policy tables *)
-  o_csr : string;  (* probe object: the csr_cache Atomic (benign) *)
   nodes : node Vec.t;
   by_as : (Asn.t, int list ref) Hashtbl.t;  (* node ids, reverse order *)
   mutable export_ok : learned_class:int -> to_class:int -> bool;
@@ -141,9 +138,6 @@ let create () =
   let uid = Atomic.fetch_and_add next_uid 1 in
   {
     uid;
-    o_structure = Printf.sprintf "net#%d/structure" uid;
-    o_policy = Printf.sprintf "net#%d/policy" uid;
-    o_csr = Printf.sprintf "net#%d/csr" uid;
     nodes = Vec.create dummy_node;
     by_as = Hashtbl.create 256;
     export_ok = (fun ~learned_class:_ ~to_class:_ -> true);
@@ -176,14 +170,24 @@ let set_mutation_hook h = mutation_hook := h
 
 let bump_generation t = t.generation <- t.generation + 1
 
+(* The net's Obs.Probe objects are [net#N/structure] (nodes, sessions,
+   global knobs), [net#N/policy] (per-prefix policy tables) and
+   [net#N/csr] (the csr_cache Atomic, a declared benign race).  Names
+   are formatted only while a probe hook is installed, so with
+   RD_CHECK=off a net carries no name strings and a probe costs one
+   load and a branch. *)
+let probe t part kind ~site =
+  if Obs.Probe.enabled () then
+    Obs.Probe.access ~obj:(Printf.sprintf "net#%d/%s" t.uid part) ~site kind
+
 let notify_structural t rule =
-  Obs.Probe.write ~obj:t.o_structure ~site:rule;
+  probe t "structure" Write ~site:rule;
   match !mutation_hook with
   | None -> ()
   | Some f -> f t (Structural { rule; generation = t.generation })
 
 let notify_policy t rule p node =
-  Obs.Probe.write ~obj:t.o_policy ~site:rule;
+  probe t "policy" Write ~site:rule;
   match !mutation_hook with
   | None -> ()
   | Some f -> f t (Policy { rule; prefix = p; node })
@@ -194,8 +198,8 @@ let notify_policy t rule p node =
    run by a Pool join or a snapshot writer section surfaces as a
    race. *)
 let probe_read t ~site =
-  Obs.Probe.read ~obj:t.o_structure ~site;
-  Obs.Probe.read ~obj:t.o_policy ~site
+  probe t "structure" Read ~site;
+  probe t "policy" Read ~site
 
 let probe_name t = Printf.sprintf "net#%d" t.uid
 
@@ -350,12 +354,12 @@ let csr t =
      race (immutable value, any winner equivalent) — it is probed as a
      write on the csr object so the detector sees it and the allowlist,
      not blindness, suppresses it. *)
-  Obs.Probe.read ~obj:t.o_structure ~site:"net.csr";
+  probe t "structure" Read ~site:"net.csr";
   match Atomic.get t.csr_cache with
   | Some c when c.c_gen = t.generation -> c
   | _ ->
       let c = build_csr t in
-      Obs.Probe.write ~obj:t.o_csr ~site:"net.csr-publish";
+      probe t "csr" Write ~site:"net.csr-publish";
       Atomic.set t.csr_cache (Some c);
       c
 

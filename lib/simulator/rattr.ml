@@ -14,6 +14,8 @@ type t = {
   learned_class : int;
 }
 
+(* LOCAL_PREF given to locally-originated routes; higher than any
+   policy-assigned preference so origination always wins locally. *)
 let originated_lpref = 1_000_000
 
 let originated ~own_ip =

@@ -29,10 +29,6 @@ type t = {
           originated); input to relationship-based export rules. *)
 }
 
-val originated_lpref : int
-(** LOCAL_PREF given to locally-originated routes; higher than any
-    policy-assigned preference so origination always wins locally. *)
-
 val originated : own_ip:int -> t
 
 val no_route : t

@@ -36,9 +36,8 @@ val simulate :
 (** {2 Counters}
 
     The [warm.resumed], [warm.cold], [warm.verified] and
-    [warm.divergences] counters of {!Obs.Metrics}.  They only go up
-    (until {!Obs.Metrics.reset}); measure a run by the difference of
-    two {!stats} readings. *)
+    [warm.divergences] counters of {!Obs.Metrics}.  They only go up;
+    measure a run by the difference of two {!stats} readings. *)
 
 type stats = {
   warm_runs : int;

@@ -43,6 +43,9 @@ let flap_storm ?(sessions = 4) ?(flaps = 3) ?(period_ms = 100) model rng =
     chosen
   |> sort_stream
 
+(* The two best-connected adjacent ASes (highest degree, lowest ASN on
+   ties — the model's "tier-1s") de-peer: every session between them
+   fails, then restores [outage_ms] later. *)
 let tier1_depeering ?(outage_ms = 1000) model rng =
   let graph = model.Qrmodel.graph in
   let ranked =
@@ -97,9 +100,14 @@ let hijack_events ~sub ?(victims = 1) ?(duration_ms = 500) model rng =
            ])
     |> sort_stream
 
+(* Targeted sub-prefix hijack: for [victims] random model prefixes, a
+   random other AS announces a one-bit-longer more-specific,
+   withdrawing it [duration_ms] later. *)
 let subprefix_hijack ?victims ?duration_ms model rng =
   hijack_events ~sub:true ?victims ?duration_ms model rng
 
+(* MOAS-conflict hijack: like [subprefix_hijack] but the attacker
+   announces the victim's exact prefix, splitting its catchment. *)
 let moas_conflict ?victims ?duration_ms model rng =
   hijack_events ~sub:false ?victims ?duration_ms model rng
 

@@ -22,31 +22,6 @@ val flap_storm :
     — down, then up half a [period_ms] (default 100) later — with a
     random per-session phase offset so the flaps interleave. *)
 
-val tier1_depeering :
-  ?outage_ms:int -> Asmodel.Qrmodel.t -> Random.State.t -> Event.t list
-(** The two best-connected adjacent ASes (highest degree, lowest ASN
-    on ties — the model's "tier-1s") de-peer: every session between
-    them fails, then restores [outage_ms] (default 1000) later. *)
-
-val subprefix_hijack :
-  ?victims:int ->
-  ?duration_ms:int ->
-  Asmodel.Qrmodel.t ->
-  Random.State.t ->
-  Event.t list
-(** Targeted sub-prefix hijack: for [victims] random model prefixes
-    (default 1), a random other AS announces a one-bit-longer
-    more-specific, withdrawing it [duration_ms] (default 500) later. *)
-
-val moas_conflict :
-  ?victims:int ->
-  ?duration_ms:int ->
-  Asmodel.Qrmodel.t ->
-  Random.State.t ->
-  Event.t list
-(** MOAS-conflict hijack: like {!subprefix_hijack} but the attacker
-    announces the victim's exact prefix, splitting its catchment. *)
-
 val mixed :
   ?events:int -> Asmodel.Qrmodel.t -> Random.State.t -> Event.t list
 (** A blend of every event class — paired so the stream is meaningful

@@ -1,7 +1,9 @@
 (* Tests for the observability subsystem: the metrics registry (alone
    and under domain concurrency), span tracing in each mode, the
    unified Runtime knob parsing (env and argv), the consolidated
-   Engine.simulate entry point, and the pool's per-slot timings. *)
+   Engine.simulate entry point, the pool's per-slot timings, and the
+   zero allocation of every hook while RD_CHECK and RD_TRACE are
+   off. *)
 
 open Bgp
 module Net = Simulator.Net
@@ -518,6 +520,105 @@ let runtime_propagates () =
       Runtime.set { prior with jobs = Some 0 };
       check_int "jobs clamp to 1" 1 (Runtime.jobs ()))
 
+(* -- Off-mode cost -- *)
+
+(* Minor-heap words [f] allocates in the calling domain.  Exact:
+   allocation in one domain does not depend on timing or on the
+   collector's state, and the measurement itself allocates nothing. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* RD_CHECK=off and RD_TRACE=off must cost nothing but loads and
+   branches on the hot path.  (a) Each off-mode entry point allocates
+   no word.  (b) A fixed refinement at one worker allocates the same
+   words and runs the same engine events after the checker and the
+   tracer have been switched on and back off, so a hook left installed
+   or an off path that starts to allocate fails here; the on runs must
+   allocate more, or the measurement could not see the hooks at all. *)
+let off_mode_allocates_nothing () =
+  let prior = Runtime.current () in
+  Fun.protect
+    ~finally:(fun () ->
+      Runtime.set prior;
+      Analysis.Ownership.ensure ();
+      Trace.reset ())
+  @@ fun () ->
+  Runtime.set
+    {
+      prior with
+      jobs = Some 1;
+      warm = Runtime.Warm_mode.On;
+      faults = None;
+      trace = Trace.Off;
+    };
+  Analysis.Ownership.set Runtime.Check_mode.Off;
+  (* Registration allocates by design; only the updates are hot. *)
+  let c = Metrics.counter "test.off.counter" in
+  let g = Metrics.gauge "test.off.gauge" in
+  let h = Metrics.histogram "test.off.hist" in
+  let net = Net.create () in
+  let obj = "test.off.obj" and site = "test.off.site" in
+  let chan = "test.off.chan" in
+  List.iter
+    (fun (name, call) ->
+      check_int (name ^ " allocates nothing") 0
+        (int_of_float
+           (minor_words (fun () ->
+                for _ = 1 to 10_000 do
+                  call ()
+                done))))
+    [
+      ("Probe.access", fun () -> Obs.Probe.access ~obj ~site Obs.Probe.Read);
+      ("Probe.read", fun () -> Obs.Probe.read ~obj ~site);
+      ("Probe.write", fun () -> Obs.Probe.write ~obj ~site);
+      ("Probe.release", fun () -> Obs.Probe.release ~chan);
+      ("Probe.acquire", fun () -> Obs.Probe.acquire ~chan);
+      ("Net.probe_read", fun () -> Net.probe_read net ~site);
+      ("Trace.with_span", fun () -> Trace.with_span "test.off.span" ignore);
+      ( "Trace.begin_span/end_span",
+        fun () -> Trace.end_span (Trace.begin_span "test.off.span") );
+      ("Trace.instant", fun () -> Trace.instant "test.off.mark");
+      ("Metrics.incr", fun () -> Metrics.incr c);
+      ("Metrics.set_gauge", fun () -> Metrics.set_gauge g 3);
+      ("Metrics.observe", fun () -> Metrics.observe h 5);
+    ];
+  let _, data = Core.generate ~conf:Netgen.Conf.tiny () in
+  let prepared = Core.prepare data in
+  let training = (Core.split ~seed:7 prepared).Evaluation.Split.training in
+  let options =
+    { Refine.Refiner.default_options with max_iterations = Some 14 }
+  in
+  let refine () =
+    let events = ref 0 in
+    let words =
+      minor_words (fun () ->
+          let r = Core.build ~options prepared ~training in
+          events := r.Refine.Refiner.pool.Pool.events)
+    in
+    (int_of_float words, !events)
+  in
+  (* The first run pays lazy initialisation. *)
+  ignore (refine ());
+  let baseline = refine () in
+  let words_events = Alcotest.(pair int int) in
+  let cycle label on off =
+    on ();
+    let on_words, _ = refine () in
+    off ();
+    Alcotest.check words_events (label ^ " then off = baseline") baseline
+      (refine ());
+    check_bool (label ^ " allocates more than off") true
+      (on_words > fst baseline)
+  in
+  cycle "RD_CHECK=on"
+    (fun () -> Analysis.Ownership.set Runtime.Check_mode.On)
+    (fun () -> Analysis.Ownership.set Runtime.Check_mode.Off);
+  cycle "RD_TRACE=summary"
+    (fun () -> Runtime.set { (Runtime.current ()) with trace = Trace.Summary })
+    (fun () -> Runtime.set { (Runtime.current ()) with trace = Trace.Off })
+
 let suite =
   [
     Alcotest.test_case "metrics: registry idempotence" `Quick
@@ -543,4 +644,6 @@ let suite =
       runtime_table_agrees;
     Alcotest.test_case "runtime: propagation to subsystems" `Quick
       runtime_propagates;
+    Alcotest.test_case "off-mode hooks allocate nothing" `Quick
+      off_mode_allocates_nothing;
   ]
