@@ -464,14 +464,13 @@ let intern_integrity () =
   let s = Intern.stats () in
   let cap = Intern.table_cap in
   if
-    s.Intern.paths > cap || s.Intern.prepends > cap || s.Intern.hashes > cap
-    || s.Intern.rattrs > cap
+    s.Intern.paths > cap || s.Intern.prepends > cap || s.Intern.rattrs > cap
   then
     err a "audit-intern-cap" Report.Network
       (Printf.sprintf
          "an intern table exceeds its cap (%d): paths %d, prepends %d, \
-          hashes %d, rattrs %d"
-         cap s.Intern.paths s.Intern.prepends s.Intern.hashes s.Intern.rattrs)
+          rattrs %d"
+         cap s.Intern.paths s.Intern.prepends s.Intern.rattrs)
       "the table_cap admission check is being bypassed";
   close a
 

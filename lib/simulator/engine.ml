@@ -101,19 +101,43 @@ let fold_candidates st net n ~init ~f =
 let candidates st net n =
   List.rev (fold_candidates st net n ~init:[] ~f:(fun acc r -> r :: acc))
 
-let mix_route mix (r : Rattr.t) =
-  if Rattr.is_route r then begin
-    mix (Intern.path_hash r.Rattr.path);
-    mix r.Rattr.lpref;
-    mix r.Rattr.med;
-    mix r.Rattr.igp;
-    mix r.Rattr.from_node;
-    mix r.Rattr.from_ip;
-    mix r.Rattr.from_session;
-    mix (Hashtbl.hash r.Rattr.learned);
-    mix (Hashtbl.hash r.Rattr.learned_class)
-  end
-  else mix 0x5bd1e995
+(* One step of the polynomial hash every fingerprint below folds. *)
+let mix h x = (h * 1000003) lxor (x land max_int)
+
+(* [Hashtbl.hash] of the three [learned] constructors, computed once. *)
+let originated_h = Hashtbl.hash Rattr.Originated
+
+let ebgp_h = Hashtbl.hash Rattr.From_ebgp
+
+let ibgp_h = Hashtbl.hash Rattr.From_ibgp
+
+let mix_route h (r : Rattr.t) =
+  if Rattr.is_route r then
+    let h = mix h (Intern.path_hash r.Rattr.path) in
+    let h = mix h r.Rattr.lpref in
+    let h = mix h r.Rattr.med in
+    let h = mix h r.Rattr.igp in
+    let h = mix h r.Rattr.from_node in
+    let h = mix h r.Rattr.from_ip in
+    let h = mix h r.Rattr.from_session in
+    let h =
+      mix h
+        (match r.Rattr.learned with
+        | Rattr.Originated -> originated_h
+        | Rattr.From_ebgp -> ebgp_h
+        | Rattr.From_ibgp -> ibgp_h)
+    in
+    mix h (Hashtbl.hash r.Rattr.learned_class)
+  else mix h 0x5bd1e995
+
+(* The accumulator is a local ref no closure captures, so folding a
+   whole state allocates nothing. *)
+let mix_routes h (rs : Rattr.t array) =
+  let h = ref h in
+  for i = 0 to Array.length rs - 1 do
+    h := mix_route !h rs.(i)
+  done;
+  !h
 
 (* Full-state fingerprint for the oscillation watchdog.  The transition
    function is deterministic, so an exact repeat of (RIBs, best routes,
@@ -121,29 +145,23 @@ let mix_route mix (r : Rattr.t) =
    cycle.  [Hashtbl.hash] alone would be unsound here — it truncates
    deep/wide structures such as long AS-paths — so every route is
    folded field by field into a polynomial hash over the full
-   native-int range, with paths contributing their (memoized) full-width
-   content hash ({!Intern.path_hash}).  The slab is mixed in linear
-   order, which is the reference engine's node-major slot order — the
-   two implementations fingerprint identically by construction. *)
-let fingerprint st iter_queue queued =
-  let h = ref 0x42 in
-  let mix x = h := (!h * 1000003) lxor (x land max_int) in
-  Array.iter (fun r -> mix_route mix r) st.best;
-  Array.iter (fun r -> mix_route mix r) st.slab;
-  iter_queue (fun u -> mix (u + 0x9e3779b9));
-  Array.iter (fun q -> mix (Bool.to_int q)) queued;
+   native-int range, with paths contributing their full-width content
+   hash ({!Intern.path_hash}).  The slab is mixed in linear order,
+   which is the reference engine's node-major slot order — the two
+   implementations fingerprint identically by construction. *)
+let fingerprint st fold_queue queued =
+  let h = mix_routes (mix_routes 0x42 st.best) st.slab in
+  let h = ref (fold_queue (fun h u -> mix h (u + 0x9e3779b9)) h) in
+  for u = 0 to Array.length queued - 1 do
+    h := mix !h (Bool.to_int queued.(u))
+  done;
   !h
 
 (* Routing-content fingerprint (no queue): what warm-vs-cold
    verification compares.  Identical final best routes and RIB-Ins give
    identical fingerprints regardless of how the fixed point was
    reached. *)
-let state_fingerprint st =
-  let h = ref 0x42 in
-  let mix x = h := (!h * 1000003) lxor (x land max_int) in
-  Array.iter (fun r -> mix_route mix r) st.best;
-  Array.iter (fun r -> mix_route mix r) st.slab;
-  !h
+let state_fingerprint st = mix_routes (mix_routes 0x42 st.best) st.slab
 
 let same_state a b =
   a.pfx = b.pfx && a.nodes = b.nodes
@@ -306,15 +324,17 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
     qhead := if h = qcap then 0 else h;
     u
   in
-  (* Head-to-tail iteration preserves FIFO order, so watchdog
-     fingerprints match the reference engine's [Queue.iter]. *)
-  let iter_queue f =
+  (* Head-to-tail fold preserves FIFO order, so watchdog fingerprints
+     match the reference engine's [Queue.iter]. *)
+  let fold_queue f acc =
+    let acc = ref acc in
     let i = ref !qhead in
     while !i <> !qtail do
-      f qbuf.(!i);
+      acc := f !acc qbuf.(!i);
       let j = !i + 1 in
       i := if j = qcap then 0 else j
-    done
+    done;
+    !acc
   in
   let steps = Net.decision_steps net in
   let med_scope = Net.med_scope net in
@@ -550,7 +570,7 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
         queued.(u) <- false;
         process u;
         if st.events >= threshold && not (queue_empty ()) then
-          let fp = (incr fingerprinted; fingerprint st iter_queue queued) in
+          let fp = (incr fingerprinted; fingerprint st fold_queue queued) in
           match Hashtbl.find_opt history fp with
           | Some e0 ->
               st.outcome <- Diverged { cycle_len = st.events - e0 };

@@ -75,28 +75,14 @@ let prepend ~own_as (p : int array) =
 
 (* Full-width polynomial hash over every element — the watchdog
    fingerprint needs the whole path folded in ([Hashtbl.hash] truncates
-   deep/wide values), and interning makes the result worth caching:
-   each distinct path is folded once per domain, later fingerprints of
-   the same (canonical) array are a table hit. *)
-let fold_path_hash (p : int array) =
-  let h = ref (Array.length p) in
-  Array.iter (fun x -> h := (!h * 1000003) lxor (x land max_int)) p;
-  !h
-
-let hashes_key : int Tbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Tbl.create 1024)
-
+   deep/wide values).  Folding a short path is cheaper than a memo-table
+   probe, so nothing is cached. *)
 let path_hash (p : int array) =
-  if Array.length p = 0 then 0
-  else
-    let tbl = Domain.DLS.get hashes_key in
-    match Tbl.find_opt tbl p with
-    | Some h -> h
-    | None ->
-        let h = fold_path_hash p in
-        if Tbl.length tbl >= table_cap then Tbl.reset tbl;
-        Tbl.add tbl p h;
-        h
+  let h = ref (Array.length p) in
+  for i = 0 to Array.length p - 1 do
+    h := (!h * 1000003) lxor (p.(i) land max_int)
+  done;
+  !h
 
 (* Hash-consing of whole route-attribute records (the PR-3 path idea
    extended to [Rattr.t]).  Worth its probe only where the same record
@@ -123,7 +109,7 @@ module RattrTbl = Hashtbl.Make (struct
        && Rattr.same_path a.Rattr.path b.Rattr.path)
 
   let hash (r : Rattr.t) =
-    let h = ref (fold_path_hash r.Rattr.path) in
+    let h = ref (path_hash r.Rattr.path) in
     let mix x = h := (!h * 1000003) lxor (x land max_int) in
     mix r.Rattr.lpref;
     mix r.Rattr.med;
@@ -148,12 +134,11 @@ let rattr (r : Rattr.t) =
       RattrTbl.add tbl r r;
       r
 
-type stats = { paths : int; prepends : int; hashes : int; rattrs : int }
+type stats = { paths : int; prepends : int; rattrs : int }
 
 let stats () =
   {
     paths = Tbl.length (Domain.DLS.get paths_key);
     prepends = PrependTbl.length (Domain.DLS.get prepends_key);
-    hashes = Tbl.length (Domain.DLS.get hashes_key);
     rattrs = RattrTbl.length (Domain.DLS.get rattrs_key);
   }

@@ -20,8 +20,9 @@ val prepend : own_as:int -> int array -> int array
 
 val path_hash : int array -> int
 (** Full-width polynomial hash over {e every} element (unlike
-    [Hashtbl.hash], which truncates), cached per canonical array.
-    Suitable for the engine's oscillation-watchdog fingerprint. *)
+    [Hashtbl.hash], which truncates), folded afresh on every call:
+    a pure function of the path's contents.  Suitable for the engine's
+    state and oscillation-watchdog fingerprints. *)
 
 val rattr : Rattr.t -> Rattr.t
 (** [rattr r] is the canonical record equal to [r] (every field
@@ -32,7 +33,7 @@ val rattr : Rattr.t -> Rattr.t
     plain — they rarely repeat, and the table probe was measured at
     20-35 % of engine throughput.  Never pass {!Rattr.no_route}. *)
 
-type stats = { paths : int; prepends : int; hashes : int; rattrs : int }
+type stats = { paths : int; prepends : int; rattrs : int }
 (** Fill of the {e current domain's} tables. *)
 
 val stats : unit -> stats

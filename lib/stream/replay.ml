@@ -382,25 +382,33 @@ let acc_of t cls =
       a
 
 (* ASes whose selected path set changed between the cached and the new
-   state; the fingerprint shortcut skips the quadratic walk when the
-   routing content is bit-identical. *)
+   state.  An AS's selected paths are a function of its nodes' best
+   paths, so only an AS owning a node whose best path changed can have
+   shifted: one O(nodes) pass finds those, and the path sets are
+   compared for them alone. *)
 let shifted_ases t old_opt new_st =
   let net = t.model.Qrmodel.net in
-  match old_opt with
-  | Some old
-    when Engine.state_fingerprint old = Engine.state_fingerprint new_st ->
-      0
-  | _ ->
-      List.length
-        (List.filter
-           (fun asn ->
-             let before =
-               match old_opt with
-               | Some o -> Engine.selected_paths net o asn
-               | None -> []
-             in
-             Engine.selected_paths net new_st asn <> before)
-           (Asgraph.nodes t.model.Qrmodel.graph))
+  let selected st_opt asn =
+    match st_opt with Some st -> Engine.selected_paths net st asn | None -> []
+  in
+  let best st_opt n =
+    match st_opt with Some st -> Engine.best st n | None -> None
+  in
+  let candidates = ref Asn.Set.empty in
+  for n = 0 to Net.node_count net - 1 do
+    let moved =
+      match (best old_opt n, Engine.best new_st n) with
+      | None, None -> false
+      | Some a, Some b -> not (Simulator.Rattr.same_path a.path b.path)
+      | _ -> true
+    in
+    if moved then candidates := Asn.Set.add (Net.asn_of net n) !candidates
+  done;
+  Asn.Set.fold
+    (fun asn k ->
+      if Engine.selected_paths net new_st asn <> selected old_opt asn then k + 1
+      else k)
+    !candidates 0
 
 let pollution t p attacker =
   let net = t.model.Qrmodel.net in
@@ -635,7 +643,6 @@ type report = {
   quarantine : Prefix.t list;
   recovered : int;
   divergences : int;
-  fingerprint : int;
   wall_s : float;
 }
 
@@ -668,7 +675,6 @@ let report t ~rejected =
     quarantine = quarantined t;
     recovered = t.recovered_n;
     divergences = t.divergences;
-    fingerprint = fingerprint t;
     wall_s = t.wall_s;
   }
 
@@ -694,11 +700,12 @@ let run ?on_event (model : Qrmodel.t) events =
 let pp_report ppf r =
   Format.fprintf ppf
     "%d events (%d rejected), %d reconvergences (%d warm / %d cold), %d \
-     shifted, %d recovered, %d quarantined, %d failed, %.2fs"
+     shifted, %d recovered, %d quarantined, %d failed, %d divergences, \
+     %.2fs"
     r.events r.rejected r.reconvergences
     (List.fold_left (fun n (_, c) -> n + c.cs_warm) 0 r.classes)
     (List.fold_left (fun n (_, c) -> n + c.cs_cold) 0 r.classes)
     (List.fold_left (fun n (_, c) -> n + c.cs_ases_shifted) 0 r.classes)
     r.recovered
     (List.length r.quarantine)
-    r.failed r.wall_s
+    r.failed r.divergences r.wall_s

@@ -94,7 +94,10 @@ type event_report = {
   warm : int;  (** runs that resumed from the cache *)
   cold : int;
   ases_shifted : int;
-      (** ASes whose selected path set changed, summed over prefixes *)
+      (** ASes whose selected path set changed, summed over prefixes.
+          Found from per-node best paths: only an AS owning a node whose
+          best path changed is compared, so the count costs O(nodes)
+          per reconverged prefix, not a pass over every AS. *)
   polluted : int;
       (** hijack events: ASes whose selected route for the hijacked
           prefix terminates at the attacker *)
@@ -133,7 +136,6 @@ type report = {
       (** verify-mode warm/cold mismatches: how far the
           [warm.divergences] counter moved across this driver's
           reconvergence batches *)
-  fingerprint : int;  (** {!fingerprint} of the final state *)
   wall_s : float;
 }
 
@@ -145,11 +147,13 @@ val run :
 (** Normalize the stream against the model, build a driver, apply every
     surviving event, then give still-quarantined prefixes one final
     cold retry.  Deterministic up to wall-clock fields: same model,
-    same stream, same warm mode — same fingerprint and same counts. *)
+    same stream, same warm mode — same counts, and the same
+    {!fingerprint} of the returned driver. *)
 
 val report : t -> rejected:int -> report
 (** The accumulated totals of a driver (for callers stepping {!apply}
-    themselves). *)
+    themselves).  It hashes no state: compare final states with
+    {!fingerprint}. *)
 
 val retry_quarantined : t -> Prefix.t list
 (** One cold retry pass over the quarantine; returns the prefixes that

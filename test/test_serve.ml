@@ -379,6 +379,23 @@ let churn_apply_publishes () =
   | Ok (Protocol.Paths { paths; _ }) ->
       check_bool "post-churn snapshot matches baseline" true (paths = baseline)
   | _ -> Alcotest.fail "post-churn path query failed");
+  (* The write path hashes no state, so the whole-state check is here:
+     every prefix ends where it started. *)
+  let fingerprints snap =
+    List.map
+      (fun (p, st) -> (p, Simulator.Engine.state_fingerprint st))
+      (Snapshot.states snap)
+  in
+  let fp0 = fingerprints snap0 in
+  check_int "same prefixes" (List.length fp0)
+    (List.length (Snapshot.states snap1));
+  List.iter
+    (fun (p, fp) ->
+      check_bool
+        (Format.asprintf "%a restored" Prefix.pp p)
+        true
+        (List.assoc_opt p fp0 = Some fp))
+    (fingerprints snap1);
   Snapshot.retire snap1
 
 (* A client that hangs up before reading its response must cost only

@@ -130,22 +130,21 @@ let streamgen_deterministic () =
 (* -- replay ----------------------------------------------------------- *)
 
 let baseline_fingerprint () =
-  let _, report = Replay.run (model ()) [] in
-  report.Replay.fingerprint
+  let t, _ = Replay.run (model ()) [] in
+  Replay.fingerprint t
 
 let replay_deterministic () =
   let run () =
     let m = model () in
     let stream = Streamgen.mixed ~events:32 m (Random.State.make [| 11 |]) in
-    let _, report = Replay.run m stream in
-    report
+    Replay.run m stream
   in
-  let r1 = run () and r2 = run () in
+  let t1, r1 = run () and t2, r2 = run () in
   check_int "same events" r1.Replay.events r2.Replay.events;
   check_int "same reconvergences" r1.Replay.reconvergences
     r2.Replay.reconvergences;
   check_bool "same fingerprint" true
-    (r1.Replay.fingerprint = r2.Replay.fingerprint);
+    (Replay.fingerprint t1 = Replay.fingerprint t2);
   check_bool "same per-class counts" true
     (List.map
        (fun (c, cs) -> (c, { cs with Replay.cs_wall_s = 0.0 }))
@@ -167,7 +166,7 @@ let withdraw_reannounce_restores () =
   check_int "no quarantine" 0 (List.length report.Replay.quarantine);
   check_bool "origins restored" true (Replay.origins t p = [ 3 ]);
   check_bool "baseline routing restored" true
-    (report.Replay.fingerprint = baseline_fingerprint ())
+    (Replay.fingerprint t = baseline_fingerprint ())
 
 let session_roundtrip_restores () =
   let m = model () in
@@ -180,11 +179,11 @@ let session_roundtrip_restores () =
       Event.make ~ts_ms:30 (Event.Link_restore { a = 1; b = 2 });
     ]
   in
-  let _, report = Replay.run m stream in
+  let t, report = Replay.run m stream in
   let denies1, _ = Net.count_policies m.Qrmodel.net in
   check_int "denies restored exactly" denies0 denies1;
   check_bool "baseline routing restored" true
-    (report.Replay.fingerprint = baseline_fingerprint ());
+    (Replay.fingerprint t = baseline_fingerprint ());
   (* Something actually happened in between. *)
   check_bool "events reconverged prefixes" true
     (report.Replay.reconvergences > 0)
@@ -203,11 +202,11 @@ let overlapping_downs_compose () =
       Event.make ~ts_ms:30 (Event.Link_restore { a = 4; b = 5 });
     ]
   in
-  let _, report = Replay.run m stream in
+  let t, _ = Replay.run m stream in
   let denies1, _ = Net.count_policies m.Qrmodel.net in
   check_int "denies restored exactly" denies0 denies1;
   check_bool "baseline routing restored" true
-    (report.Replay.fingerprint = baseline_fingerprint ())
+    (Replay.fingerprint t = baseline_fingerprint ())
 
 let subprefix_hijack_pollutes () =
   let m = model () in
@@ -280,12 +279,12 @@ let warm_matches_cold () =
       with_warm mode @@ fun () ->
       let m = Qrmodel.initial g in
       let stream = Streamgen.mixed ~events:24 m (Random.State.make [| seed |]) in
-      let _, report = Replay.run m stream in
-      report
+      let t, report = Replay.run m stream in
+      (Replay.fingerprint t, report)
     in
-    let warm = run Simulator.Runtime.Warm_mode.On in
-    let cold = run Simulator.Runtime.Warm_mode.Off in
-    warm.Replay.fingerprint = cold.Replay.fingerprint
+    let warm_fp, warm = run Simulator.Runtime.Warm_mode.On in
+    let cold_fp, cold = run Simulator.Runtime.Warm_mode.Off in
+    warm_fp = cold_fp
     && warm.Replay.quarantine = [] && cold.Replay.quarantine = []
   in
   QCheck.Test.check_exn
@@ -300,10 +299,11 @@ let mixed_warm_saves_work () =
   let run warm =
     with_warm warm @@ fun () ->
     let m = model () in
-    snd (Replay.run m (mixed_stream m))
+    let t, report = Replay.run m (mixed_stream m) in
+    (Replay.fingerprint t, report)
   in
-  let warm = run Simulator.Runtime.Warm_mode.On in
-  let cold = run Simulator.Runtime.Warm_mode.Off in
+  let warm_fp, warm = run Simulator.Runtime.Warm_mode.On in
+  let cold_fp, cold = run Simulator.Runtime.Warm_mode.Off in
   let engine_events (r : Replay.report) =
     List.fold_left
       (fun acc (_, cs) -> acc + cs.Replay.cs_engine_events)
@@ -311,11 +311,72 @@ let mixed_warm_saves_work () =
   in
   check_bool "events replayed" true (warm.Replay.events > 0);
   check_int "nothing rejected" 0 warm.Replay.rejected;
-  check_bool "same final routing" true
-    (warm.Replay.fingerprint = cold.Replay.fingerprint);
+  check_bool "same final routing" true (warm_fp = cold_fp);
   check_bool "warm drains fewer events" true
     (engine_events warm < engine_events cold);
   check_int "no quarantine" 0 (List.length warm.Replay.quarantine)
+
+(* [ases_shifted] against a brute-force recount: every AS's selected
+   path set, compared between the cached states before and after each
+   event.  Run on the initial model and on one whose ASes 1 and 4 own a
+   second quasi-router preferring its last eBGP neighbour, so the two
+   quasi-routers of an AS select different paths and one can shift
+   while the other does not. *)
+let shift_count_matches_recount () =
+  let recount (m : Qrmodel.t) before after =
+    let net = m.Qrmodel.net in
+    let paths states p asn =
+      match List.assoc_opt p states with
+      | Some st -> Simulator.Engine.selected_paths net st asn
+      | None -> []
+    in
+    List.fold_left
+      (fun k (p, _) ->
+        List.fold_left
+          (fun k asn ->
+            if paths before p asn <> paths after p asn then k + 1 else k)
+          k
+          (Topology.Asgraph.nodes m.Qrmodel.graph))
+      0 after
+  in
+  let check_model label (m : Qrmodel.t) =
+    let stream, rejected =
+      Event.normalize ~known_as
+        (Streamgen.mixed ~events:48 m (Random.State.make [| 42 |]))
+    in
+    check_int (label ^ ": nothing rejected") 0 (List.length rejected);
+    let rp = Replay.create m in
+    let total =
+      List.fold_left
+        (fun total ev ->
+          let before = Replay.states rp in
+          let r = Replay.apply rp ev in
+          check_int (label ^ ": no quarantine") 0
+            (List.length (Replay.quarantined rp));
+          check_int
+            (Printf.sprintf "%s: shift count of %s" label (Event.to_string ev))
+            (recount m before (Replay.states rp))
+            r.Replay.ases_shifted;
+          total + r.Replay.ases_shifted)
+        0 stream
+    in
+    check_bool (label ^ ": some event shifted paths") true (total > 0)
+  in
+  check_model "initial" (model ());
+  let m = model () in
+  let net = m.Qrmodel.net in
+  List.iter
+    (fun asn ->
+      let d = Net.duplicate_node net (List.hd (Net.nodes_of_as net asn)) in
+      let ebgp =
+        List.filter
+          (fun (s, _) -> Net.session_kind net d s = Net.Ebgp)
+          (Net.sessions_of net d)
+      in
+      let s, _ = List.nth ebgp (List.length ebgp - 1) in
+      Net.set_import_lpref net d s 200)
+    [ 1; 4 ];
+  check_model "duplicated" m
 
 let verify_mode_agrees () =
   let m = model () in
@@ -338,7 +399,7 @@ let transient_faults_recover () =
     (fun () ->
       let m = model () in
       let stream = Streamgen.flap_storm m (Random.State.make [| 9 |]) in
-      let _, report = Replay.run m stream in
+      let t, report = Replay.run m stream in
       check_int "no unrecovered failures" 0 report.Replay.failed;
       check_int "no quarantine leaks" 0 (List.length report.Replay.quarantine);
       check_bool "replay completed" true
@@ -351,13 +412,12 @@ let transient_faults_recover () =
       check_int "mixed: no quarantine leaks" 0
         (List.length mixed.Replay.quarantine);
       check_bool "routing matches the clean replay" true
-        (report.Replay.fingerprint
+        (Replay.fingerprint t
         =
         let m = model () in
         let stream = Streamgen.flap_storm m (Random.State.make [| 9 |]) in
         set_faults None;
-        let _, clean = Replay.run m stream in
-        clean.Replay.fingerprint))
+        Replay.fingerprint (fst (Replay.run m stream))))
 
 let full_faults_quarantine_not_fatal () =
   (* Permanent failures and shrunk budgets: the replay must complete,
@@ -495,6 +555,8 @@ let suite =
     Alcotest.test_case "warm matches cold" `Quick warm_matches_cold;
     Alcotest.test_case "mixed stream warm saves work" `Quick
       mixed_warm_saves_work;
+    Alcotest.test_case "shift count matches recount" `Quick
+      shift_count_matches_recount;
     Alcotest.test_case "verify mode agrees" `Quick verify_mode_agrees;
     Alcotest.test_case "transient faults recover" `Quick
       transient_faults_recover;
