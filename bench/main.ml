@@ -894,9 +894,10 @@ let experiment_serve prepared =
   let latency_p99_us =
     histogram_percentile ~before:lat_before ~after:lat_after 0.99
   in
-  (* What-if: warm (the serve path — every prefix resumes from its
-     cached converged state) vs the same query under RD_WARM=off (every
-     prefix re-converges from scratch under the same deny). *)
+  (* What-if: warm (the serve path — each prefix whose best routes
+     cross the link resumes from its cached converged state) vs the
+     same query under RD_WARM=off (those prefixes re-converge from
+     scratch under the same deny). *)
   let a, b =
     match Topology.Asgraph.edges prepared.Core.graph with
     | (a, b) :: _ -> (a, b)

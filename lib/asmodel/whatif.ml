@@ -29,10 +29,6 @@ let snapshot ?prefixes ?on_prefix (model : Qrmodel.t) =
       (p, paths))
     prefixes
 
-let of_states (model : Qrmodel.t) states =
-  let ases = Topology.Asgraph.nodes model.Qrmodel.graph in
-  List.map (fun (p, st) -> (p, per_as model ases st)) states
-
 let sessions_between net a b =
   List.concat_map
     (fun n ->
@@ -41,6 +37,39 @@ let sessions_between net a b =
           if Net.asn_of net peer = b then Some (n, s) else None)
         (Net.sessions_of net n))
     (Net.nodes_of_as net a)
+
+let link_sessions net a b = sessions_between net a b @ sessions_between net b a
+
+(* A deny only empties the receiver's mirror slot, and under a total
+   order dropping a candidate that is not the best leaves the best in
+   place: see the interface for the full argument. *)
+let crossing (model : Qrmodel.t) a b states =
+  let net = model.Qrmodel.net in
+  let receivers =
+    List.map
+      (fun (n, s) -> (Net.session_peer net n s, n, Net.session_reverse net n s))
+      (link_sessions net a b)
+  in
+  let total_order =
+    not
+      (Net.med_scope net = Simulator.Decision.Same_neighbor
+      && List.mem Simulator.Decision.Med (Net.decision_steps net))
+  in
+  let carries st (r, n, rs) =
+    match Engine.best st r with
+    | Some best ->
+        best.Simulator.Rattr.from_node = n
+        && best.Simulator.Rattr.from_session = rs
+    | None -> false
+  in
+  let crosses st =
+    (not total_order)
+    || (not (Engine.resumable net st))
+    || List.exists (carries st) receivers
+  in
+  if receivers = [] then []
+  else
+    List.filter_map (fun (p, st) -> if crosses st then Some p else None) states
 
 type disabled = { half_sessions : int; placed : (int * int * Prefix.t) list }
 
@@ -51,7 +80,7 @@ let disable_as_link ?prefixes (model : Qrmodel.t) a b =
     | Some ps -> ps
     | None -> List.map fst model.Qrmodel.prefixes
   in
-  let halves = sessions_between net a b @ sessions_between net b a in
+  let halves = link_sessions net a b in
   (* A deny that was already there (a refiner-placed filter, or an
      earlier disable's) is not ours to lift. *)
   let placed =
@@ -83,6 +112,40 @@ type diff = {
   prefixes_affected : int;
   ases_affected : int;
 }
+
+(* An AS's selected paths are a function of its nodes' best paths, so
+   only an AS owning a node whose best path moved can have changed: one
+   O(nodes) pass finds those, and the path sets are compared for them
+   alone. *)
+let changed_ases net before after =
+  let best_before n =
+    match before with Some st -> Engine.best st n | None -> None
+  in
+  let candidates = ref Asn.Set.empty in
+  for n = 0 to Net.node_count net - 1 do
+    let moved =
+      match (best_before n, Engine.best after n) with
+      | None, None -> false
+      | Some x, Some y ->
+          not (Simulator.Rattr.same_path x.Simulator.Rattr.path y.path)
+      | _ -> true
+    in
+    if moved then candidates := Asn.Set.add (Net.asn_of net n) !candidates
+  done;
+  let changed, lost =
+    Asn.Set.fold
+      (fun asn (changed, lost) ->
+        let was =
+          match before with
+          | Some st -> Engine.selected_paths net st asn
+          | None -> []
+        in
+        let now = Engine.selected_paths net after asn in
+        if now = was then (changed, lost)
+        else (asn :: changed, if now = [] then asn :: lost else lost))
+      !candidates ([], [])
+  in
+  (List.rev changed, List.rev lost)
 
 let diff_prefix p per_as_before per_as_after =
   let before_tbl = Hashtbl.create 64 in

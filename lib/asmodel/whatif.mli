@@ -18,14 +18,33 @@ val snapshot :
 (** Simulate the given prefixes (default: all model prefixes) and record
     each AS's set of selected full paths. *)
 
-val of_states :
-  Qrmodel.t -> (Prefix.t * Simulator.Engine.state) list -> snapshot
-(** Build a snapshot from already-converged states — the serve layer's
-    path: it caches per-prefix states and must not re-simulate. *)
-
 val sessions_between : Simulator.Net.t -> Asn.t -> Asn.t -> (int * int) list
 (** Every half-session from a quasi-router of the first AS toward one
     of the second, as [(node, session)], in node then session order. *)
+
+val link_sessions : Simulator.Net.t -> Asn.t -> Asn.t -> (int * int) list
+(** Both directions of the link: [sessions_between net a b] then
+    [sessions_between net b a] — the half-sessions
+    {!disable_as_link} denies. *)
+
+val crossing :
+  Qrmodel.t ->
+  Asn.t ->
+  Asn.t ->
+  (Prefix.t * Simulator.Engine.state) list ->
+  Prefix.t list
+(** The prefixes, in list order, whose converged states a
+    {!disable_as_link} of the two ASes can change; the others keep
+    every best route exactly.  A deny on half-session [(n, s)] only
+    empties the receiver's mirror slot, and under a total preference
+    order (the engine's lexicographic minimum, first in RIB-In order
+    winning ties) dropping a candidate that is not the best changes
+    nothing.  So a prefix crosses the link when a receiver's best
+    arrived over one of {!link_sessions}, when its state is not
+    {!Simulator.Engine.resumable} (a re-simulation starts cold), or
+    always when the net's MED is {!Simulator.Decision.Same_neighbor}
+    with [Med] among its steps (RFC 3345: no total order).  Empty when
+    the ASes share no session. *)
 
 type disabled = {
   half_sessions : int;
@@ -61,6 +80,18 @@ type diff = {
   prefixes_affected : int;
   ases_affected : int;  (** distinct ASes changed over all prefixes *)
 }
+
+val changed_ases :
+  Simulator.Net.t ->
+  Simulator.Engine.state option ->
+  Simulator.Engine.state ->
+  Asn.t list * Asn.t list
+(** [changed_ases net before after] compares two states of one prefix
+    ([None]: no state before, every AS had no path).  Returns the ASes,
+    ascending, whose selected path set differs, and the subset of them
+    left with no path.  One O(nodes) pass over best routes; selected
+    paths are compared only for ASes owning a node whose best path
+    moved. *)
 
 val diff : snapshot -> snapshot -> diff
 (** Compare two snapshots, joined by prefix (a full outer join — the

@@ -225,6 +225,25 @@ let read_exactly ?(off = 0) fd buf len =
   in
   pull off
 
+(* The payload buffer starts at most [frame_chunk] long and doubles,
+   capped at the claimed length, only when full: a header that claims a
+   large length costs memory as its bytes arrive, not up front. *)
+let frame_chunk = 64 * 1024
+
+let read_payload fd n =
+  let rec pull buf off =
+    if off = n then Some (Bytes.unsafe_to_string buf)
+    else
+      let buf =
+        if off < Bytes.length buf then buf
+        else Bytes.extend buf 0 (min (n - off) off)
+      in
+      match Unix.read fd buf off (Bytes.length buf - off) with
+      | 0 -> None (* peer closed mid-frame *)
+      | got -> pull buf (off + got)
+  in
+  pull (Bytes.create (min n frame_chunk)) 0
+
 let read_timeout_msg = "read timeout"
 
 let read_frame ?(deadline_ms = 0) fd =
@@ -244,9 +263,9 @@ let read_frame ?(deadline_ms = 0) fd =
           if n < 0 || n > max_frame then
             Error (Printf.sprintf "bad frame length %d" n)
           else
-            let buf = Bytes.create n in
-            if not (read_exactly fd buf n) then Error "truncated frame"
-            else Ok (Some (Bytes.to_string buf))
+            match read_payload fd n with
+            | None -> Error "truncated frame"
+            | Some payload -> Ok (Some payload)
       in
       let run () =
         if deadline_ms <= 0 then finish ()

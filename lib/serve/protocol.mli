@@ -15,7 +15,8 @@ type request =
       (** ASes whose selected route transits [egress]; one prefix, or
           every model prefix when [None] *)
   | Whatif of { a : Asn.t; b : Asn.t }
-      (** deny the AS link, re-converge warm, diff, revert *)
+      (** deny the AS link, re-converge warm the prefixes whose best
+          routes cross it, diff, revert *)
   | Ping
   | Reload
       (** rebuild the snapshot warm off to the side and atomically
@@ -36,7 +37,10 @@ type payload =
       half_sessions : int;
       prefixes_affected : int;
       ases_affected : int;
-      resume_hits : int;  (** warm resumes used for this query's deltas *)
+      resume_hits : int;
+          (** warm resumes used for this query's deltas: one per
+              re-simulated prefix — only those whose best routes cross
+              the link — when [RD_WARM] is on *)
       changes : whatif_change list;  (** capped at 20 entries *)
     }
   | Pong of { prefixes : int; nodes : int }
@@ -63,7 +67,10 @@ val write_frame : Unix.file_descr -> string -> unit
 val read_frame :
   ?deadline_ms:int -> Unix.file_descr -> (string option, string) result
 (** Read one frame.  [Ok None] on a clean end-of-stream before a
-    header; [Error] on a truncated or oversized frame.  With
+    header; [Error] on a truncated or oversized frame.  The payload
+    buffer starts at 64 KiB at most and doubles only as bytes arrive,
+    so memory follows the bytes received, not the length the header
+    claims.  With
     [deadline_ms > 0] (default [0]: never time out), a socket receive
     timeout arms once the first frame byte has arrived — waiting for a
     frame to start is keep-alive idleness and never times out, but a

@@ -2,10 +2,13 @@
     {!Snapshot}.
 
     Path and catchment queries only read the cached converged states.
-    What-if queries re-converge every prefix from the cached states
-    after denying the link ({!Snapshot.resimulate}: warm, cold or
-    verified as the ambient [RD_WARM] mode says), then restore the
-    network exactly; the whole mutate/simulate/revert sequence runs in
+    What-if queries deny the link on the prefixes whose cached best
+    routes cross it ({!Asmodel.Whatif.crossing}; no other prefix can
+    change) and re-converge only those from the cached states
+    ({!Snapshot.resimulate}: warm, cold or verified as the ambient
+    [RD_WARM] mode says), diff each against its cached state
+    ({!Asmodel.Whatif.changed_ases}), then restore the network
+    exactly; the whole mutate/simulate/revert sequence runs in
     the calling thread inside {!Snapshot.exclusive}, over
     {!Simulator.Runtime.jobs} pool workers.
 

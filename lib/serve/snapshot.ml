@@ -4,7 +4,6 @@ module Net = Simulator.Net
 module Pool = Simulator.Pool
 module Warm = Simulator.Warm
 module Qrmodel = Asmodel.Qrmodel
-module Whatif = Asmodel.Whatif
 module Replay = Stream.Replay
 
 (* One writer lock per lineage: [build] makes it, and every successor
@@ -19,7 +18,6 @@ type t = {
   model : Qrmodel.t;
   states : (Prefix.t * Engine.state) list;
   by_prefix : (Prefix.t, Engine.state) Hashtbl.t;
-  baseline : Whatif.snapshot;
   replay : Replay.persist option;
   writer : writer;
   retired : bool Atomic.t;
@@ -34,7 +32,6 @@ let make ?replay writer (model : Qrmodel.t) states =
     model;
     states;
     by_prefix;
-    baseline = Whatif.of_states model states;
     replay;
     writer;
     retired = Atomic.make false;
@@ -59,8 +56,6 @@ let states t = t.states
 
 let state t p = Hashtbl.find_opt t.by_prefix p
 
-let baseline t = t.baseline
-
 let replay t = t.replay
 
 let converged t =
@@ -77,7 +72,7 @@ let retire t = Atomic.set t.retired true
 
 (* Originators come from each cached state itself, so prefixes a churn
    replay added beyond the model's survive a re-simulation. *)
-let resimulate t =
+let resimulate t prefixes =
   let net = t.model.Qrmodel.net in
   Pool.simulate
     ~sim:(fun p ->
@@ -88,10 +83,10 @@ let resimulate t =
         | None -> Qrmodel.originators t.model p
       in
       Warm.simulate ?from net ~prefix:p ~originators)
-    (List.map fst t.states)
+    prefixes
 
 let rebuild t =
-  let states, _ = resimulate t in
+  let states, _ = resimulate t (List.map fst t.states) in
   List.iter (fun (p, _) -> Net.clear_touched t.model.Qrmodel.net p) states;
   of_states ?replay:t.replay t states
 

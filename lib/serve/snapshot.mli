@@ -21,10 +21,8 @@ type t
 
 val build : Asmodel.Qrmodel.t -> t
 (** Simulate every model prefix over the pool
-    ({!Asmodel.Qrmodel.simulate_all}), cache the converged states, and
-    precompute the baseline selected-path snapshot what-if diffs
-    compare against.  Starts a new lineage with its own writer
-    mutex. *)
+    ({!Asmodel.Qrmodel.simulate_all}) and cache the converged states.
+    Starts a new lineage with its own writer mutex. *)
 
 val of_states :
   ?replay:Stream.Replay.persist ->
@@ -41,15 +39,19 @@ val of_states :
     down/up pairs may span apply calls. *)
 
 val resimulate :
-  t -> (Prefix.t * Simulator.Engine.state) list * Simulator.Pool.stats
-(** Reconverge every cached prefix against the live network through
-    {!Simulator.Warm.simulate} — resuming from this snapshot's state
-    under the ambient {!Simulator.Runtime.warm} mode — over the pool
-    ({!Simulator.Runtime.jobs} workers), in {!states} order.  Each
-    prefix's originators come from its cached state, so prefixes a
+  t ->
+  Prefix.t list ->
+  (Prefix.t * Simulator.Engine.state) list * Simulator.Pool.stats
+(** Reconverge the given prefixes against the live network through
+    {!Simulator.Warm.simulate} — each resuming from this snapshot's
+    cached state under the ambient {!Simulator.Runtime.warm} mode —
+    over the pool ({!Simulator.Runtime.jobs} workers), in list order.
+    A cached prefix's originators come from its state, so prefixes a
     churn replay added beyond the model's keep theirs.  The touched
-    sets are left as they are; call it inside {!exclusive}.  Shared by
-    {!rebuild} and the what-if query. *)
+    sets are left as they are; call it inside {!exclusive}.
+    {!rebuild} passes every cached prefix; the what-if query only those
+    whose best routes cross the disabled link
+    ({!Asmodel.Whatif.crossing}). *)
 
 val rebuild : t -> t
 (** {!resimulate} against the (possibly churn-mutated) network, drain
@@ -63,8 +65,6 @@ val states : t -> (Prefix.t * Simulator.Engine.state) list
 (** In model-prefix order. *)
 
 val state : t -> Prefix.t -> Simulator.Engine.state option
-
-val baseline : t -> Asmodel.Whatif.snapshot
 
 val replay : t -> Stream.Replay.persist option
 (** The churn-replay driver state this snapshot was published with

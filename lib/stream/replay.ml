@@ -156,9 +156,6 @@ let originator_nodes t p =
 
 (* -- sessions ------------------------------------------------------ *)
 
-let link_halfs net a b =
-  Whatif.sessions_between net a b @ Whatif.sessions_between net b a
-
 (* One session = the first quasi-router adjacency (deterministic:
    lowest node ids first), both directions. *)
 let session_halfs net a b =
@@ -381,35 +378,6 @@ let acc_of t cls =
       Hashtbl.replace t.totals cls a;
       a
 
-(* ASes whose selected path set changed between the cached and the new
-   state.  An AS's selected paths are a function of its nodes' best
-   paths, so only an AS owning a node whose best path changed can have
-   shifted: one O(nodes) pass finds those, and the path sets are
-   compared for them alone. *)
-let shifted_ases t old_opt new_st =
-  let net = t.model.Qrmodel.net in
-  let selected st_opt asn =
-    match st_opt with Some st -> Engine.selected_paths net st asn | None -> []
-  in
-  let best st_opt n =
-    match st_opt with Some st -> Engine.best st n | None -> None
-  in
-  let candidates = ref Asn.Set.empty in
-  for n = 0 to Net.node_count net - 1 do
-    let moved =
-      match (best old_opt n, Engine.best new_st n) with
-      | None, None -> false
-      | Some a, Some b -> not (Simulator.Rattr.same_path a.path b.path)
-      | _ -> true
-    in
-    if moved then candidates := Asn.Set.add (Net.asn_of net n) !candidates
-  done;
-  Asn.Set.fold
-    (fun asn k ->
-      if Engine.selected_paths net new_st asn <> selected old_opt asn then k + 1
-      else k)
-    !candidates 0
-
 let pollution t p attacker =
   let net = t.model.Qrmodel.net in
   match Prefix.Table.find_opt t.states p with
@@ -462,8 +430,10 @@ let reconverge t batch =
       (fun (p, r) ->
         match r with
         | Ok st when Engine.converged st ->
-            shifted :=
-              !shifted + shifted_ases t (Prefix.Table.find_opt t.states p) st;
+            let changed, _ =
+              Whatif.changed_ases net (Prefix.Table.find_opt t.states p) st
+            in
+            shifted := !shifted + List.length changed;
             Prefix.Table.replace t.states p st;
             Net.clear_touched net p;
             if Prefix.Table.mem t.quarantine p then begin
@@ -552,7 +522,9 @@ let apply t (ev : Event.t) =
         (Csession, bring_up t (Ksession (a, b)), None)
     | Event.Link_fail { a; b } ->
         let a, b = norm_pair a b in
-        (Clink, bring_down t (Klink (a, b)) (link_halfs net a b), None)
+        ( Clink,
+          bring_down t (Klink (a, b)) (Whatif.link_sessions net a b),
+          None )
     | Event.Link_restore { a; b } ->
         let a, b = norm_pair a b in
         (Clink, bring_up t (Klink (a, b)), None)

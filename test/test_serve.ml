@@ -103,6 +103,39 @@ let framing () =
   check_bool "truncated frame" true (Result.is_error (Protocol.read_frame b));
   Unix.close b
 
+(* A header claiming the largest legal frame, followed by ten bytes and
+   a close: the reader reports truncation having allocated for the
+   bytes received, not the 64 MiB claimed.  A real large frame still
+   arrives whole. *)
+let oversized_header_bounded () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let header = Bytes.create 4 in
+  Bytes.set_int32_be header 0 (Int32.of_int (64 * 1024 * 1024));
+  ignore (Unix.write a header 0 4);
+  ignore (Unix.write_substring a "0123456789" 0 10);
+  Unix.close a;
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  let r = Protocol.read_frame b in
+  let allocated_bytes = (words () -. w0) *. float_of_int (Sys.word_size / 8) in
+  Unix.close b;
+  check_bool "truncated frame" true (r = Error "truncated frame");
+  check_bool
+    (Printf.sprintf "allocated %.0f bytes, under 1 MiB" allocated_bytes)
+    true
+    (allocated_bytes < 1024. *. 1024.);
+  (* A genuine frame past the first buffer grows it and arrives whole. *)
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let big = String.init 300_001 (fun i -> Char.chr (i mod 251)) in
+  let writer = Thread.create (fun () -> Protocol.write_frame a big) () in
+  check_bool "large frame intact" true (Protocol.read_frame b = Ok (Some big));
+  Thread.join writer;
+  Unix.close a;
+  Unix.close b
+
 let read_timeout () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (* A complete frame is unaffected by the deadline. *)
@@ -189,13 +222,27 @@ let whatif_query_restores () =
       check_bool "something changed" true (prefixes_affected > 0);
       check_bool "deltas resumed warm" true (resume_hits > 0)
   | _ -> ());
-  (* The net is restored exactly: no leftover denies, and the live
-     selected paths equal the published baseline. *)
-  let denies1, _ = Net.count_policies m.Qrmodel.net in
+  (* The net is restored exactly: no leftover denies, no touched node
+     left to replay, and re-simulating the live net reproduces the
+     cached states. *)
+  let net = m.Qrmodel.net in
+  let denies1, _ = Net.count_policies net in
   check_int "denies restored" denies0 denies1;
-  let live = Asmodel.Whatif.of_states m (Snapshot.states snap) in
-  let d = Asmodel.Whatif.diff (Snapshot.baseline snap) live in
-  check_int "baseline intact" 0 d.Asmodel.Whatif.prefixes_affected;
+  List.iter
+    (fun (p, _) ->
+      check_bool
+        (Format.asprintf "%a untouched" Prefix.pp p)
+        true
+        (Net.touched_nodes net p = []))
+    (Snapshot.states snap);
+  let rebuilt = Snapshot.exclusive snap (fun () -> Snapshot.rebuild snap) in
+  List.iter2
+    (fun (p, cached) (p', st) ->
+      check_bool
+        (Format.asprintf "%a rebuilds to the cached state" Prefix.pp p)
+        true
+        (Prefix.equal p p' && Simulator.Engine.same_state cached st))
+    (Snapshot.states snap) (Snapshot.states rebuilt);
   (* Repeatable: the second run sees the same world. *)
   let p2 = run () in
   check_bool "second run identical" true (p1 = p2);
@@ -690,8 +737,11 @@ let whatif_across_reload_serialized () =
 let whatif_reload_follow_warm_mode () =
   let store = Snapshot.store () in
   Snapshot.publish store (build_snapshot ());
+  (* Faults pinned off: a fault-injection retry would add cold runs to
+     the exact count below. *)
   let run warm =
-    with_warm warm @@ fun () ->
+    with_runtime (fun rt -> { rt with Runtime.warm; faults = None })
+    @@ fun () ->
     let w0 = Warm.stats () in
     let whatif =
       match
@@ -726,13 +776,17 @@ let whatif_reload_follow_warm_mode () =
   check_int "off: what-if never resumes" 0 (whatif_hits off);
   check_int "off: reload never resumes" 0 off_reload;
   check_int "off: no warm.resumed" 0 (off_d (fun w -> w.Warm.warm_runs));
-  (* Five prefixes, re-simulated once by the what-if and once by the
-     reload; a fault-injection retry may add more. *)
-  check_bool "off: warm.cold counts both" true
-    (off_d (fun w -> w.Warm.cold_runs) >= 10);
   let on, on_reload, _ = run Runtime.Warm_mode.On in
   check_bool "on: what-if resumes" true (whatif_hits on > 0);
+  check_bool "on: what-if skips prefixes off the link" true
+    (whatif_hits on < 5);
   check_bool "on: reload resumes" true (on_reload > 0);
+  (* The reload re-simulates all five prefixes; the what-if only those
+     whose best routes cross the link, which the warm run counts as its
+     resumes. *)
+  check_int "off: warm.cold counts the reload and the crossing prefixes"
+    (5 + whatif_hits on)
+    (off_d (fun w -> w.Warm.cold_runs));
   let verify, _, verify_d = run Runtime.Warm_mode.Verify in
   check_bool "verify: pairs compared" true
     (verify_d (fun w -> w.Warm.verified) > 0);
@@ -741,6 +795,193 @@ let whatif_reload_follow_warm_mode () =
   check_bool "on = off" true (masked on = masked off);
   check_bool "verify = off" true (masked verify = masked off);
   Option.iter Snapshot.retire (Snapshot.current store)
+
+(* -- pruned what-if = brute force -------------------------------------- *)
+
+(* A small model of one generator family.  Every fourth AS gets a
+   second quasi-router preferring its last eBGP neighbour, so an AS can
+   select two paths and one can move while the other does not. *)
+let family_model family =
+  let topo =
+    Netgen.generate family Netgen.Conf.tiny (Random.State.make [| 7 |])
+  in
+  let m = Qrmodel.initial (Netgen.Gentopo.as_graph topo) in
+  let net = m.Qrmodel.net in
+  List.iteri
+    (fun i asn ->
+      if i mod 4 = 0 then begin
+        let d = Net.duplicate_node net (List.hd (Net.nodes_of_as net asn)) in
+        match
+          List.rev
+            (List.filter
+               (fun (s, _) -> Net.session_kind net d s = Net.Ebgp)
+               (Net.sessions_of net d))
+        with
+        | (s, _) :: _ -> Net.set_import_lpref net d s 200
+        | [] -> ()
+      end)
+    (Topology.Asgraph.nodes m.Qrmodel.graph);
+  m
+
+(* The what-if answer computed the slow way: deny the link on every
+   served prefix, re-simulate each one cold from its cached state's
+   originators, and compare every AS's selected paths.  Returns a
+   function of the link; the unmodified side is simulated once. *)
+let brute_whatif snap =
+  let m = Snapshot.model snap in
+  let net = m.Qrmodel.net in
+  let states = Snapshot.states snap in
+  let prefixes = List.map fst states in
+  let ases = Topology.Asgraph.nodes m.Qrmodel.graph in
+  let cold_paths () =
+    List.map
+      (fun (p, st) ->
+        let cold =
+          Simulator.Engine.simulate net ~prefix:p
+            ~originators:(Simulator.Engine.originating st)
+        in
+        ( p,
+          List.map
+            (fun asn -> Simulator.Engine.selected_paths net cold asn)
+            ases ))
+      states
+  in
+  let before = cold_paths () in
+  fun (a, b) ->
+    let d = Asmodel.Whatif.disable_as_link ~prefixes m a b in
+    let after =
+      Fun.protect
+        ~finally:(fun () ->
+          Asmodel.Whatif.enable_as_link m d;
+          List.iter (Net.clear_touched net) prefixes)
+        cold_paths
+    in
+    let changes =
+      List.filter_map
+        (fun ((p, was), (_, now)) ->
+          let moved =
+            List.filter
+              (fun (_, w, n) -> w <> n)
+              (List.map2 (fun asn (w, n) -> (asn, w, n)) ases
+                 (List.combine was now))
+          in
+          if moved = [] then None
+          else
+            Some
+              ( p,
+                List.map (fun (asn, _, _) -> asn) moved,
+                List.length (List.filter (fun (_, _, n) -> n = []) moved) ))
+        (List.combine before after)
+    in
+    Protocol.Whatif_summary
+      {
+        a;
+        b;
+        half_sessions = d.Asmodel.Whatif.half_sessions;
+        prefixes_affected = List.length changes;
+        ases_affected =
+          List.length
+            (List.sort_uniq compare
+               (List.concat_map (fun (_, asns, _) -> asns) changes));
+        resume_hits = 0;
+        changes =
+          List.filteri (fun i _ -> i < 20) changes
+          |> List.map (fun (p, asns, lost) ->
+                 {
+                   Protocol.wc_prefix = p;
+                   wc_changed = List.length asns;
+                   wc_lost = lost;
+                 });
+      }
+
+(* Every AS edge: the pruned what-if answers exactly as the brute force,
+   with resume_hits masked, and leaves the deny set as it found it. *)
+let check_every_edge label snap =
+  let m = Snapshot.model snap in
+  let net = m.Qrmodel.net in
+  let denies0, _ = Net.count_policies net in
+  let oracle = brute_whatif snap in
+  List.iter
+    (fun (a, b) ->
+      let got =
+        match Query.eval snap (Protocol.Whatif { a; b }) with
+        | Ok (Protocol.Whatif_summary s) ->
+            Protocol.Whatif_summary { s with resume_hits = 0 }
+        | Ok _ -> Alcotest.fail "unexpected payload"
+        | Error e -> Alcotest.failf "%s: whatif %d-%d failed: %s" label a b e
+      in
+      check_bool
+        (Printf.sprintf "%s: whatif %d-%d = brute force" label a b)
+        true
+        (got = oracle (a, b)))
+    (Topology.Asgraph.edges m.Qrmodel.graph);
+  check_int (label ^ ": denies restored") denies0
+    (fst (Net.count_policies net))
+
+let whatif_pruned_equals_brute_force () =
+  List.iter
+    (fun family ->
+      let snap = Snapshot.build (family_model family) in
+      check_every_edge (Netgen.Family.name family) snap;
+      Snapshot.retire snap)
+    [
+      Netgen.Family.Paper;
+      Netgen.Family.Waxman Netgen.Family.default_waxman;
+      Netgen.Family.Glp Netgen.Family.default_glp;
+      Netgen.Family.Fattree Netgen.Family.default_fattree;
+    ]
+
+(* After churn: a sub-prefix hijack and an announcement add prefixes
+   the model does not originate, and a failed link leaves denies the
+   what-if must neither double nor lift. *)
+let whatif_pruned_after_churn () =
+  let m = family_model Netgen.Family.Paper in
+  let store = Snapshot.store () in
+  Snapshot.publish store (Snapshot.build m);
+  let edges = Topology.Asgraph.edges m.Qrmodel.graph in
+  let victim, origin = List.hd m.Qrmodel.prefixes in
+  let sub = Prefix.make (Prefix.network victim) (Prefix.length victim + 1) in
+  let attacker, _ = List.nth edges (List.length edges / 2) in
+  let fa, fb = List.nth edges 1 in
+  let ev ts_ms action = Stream.Event.make ~ts_ms action in
+  (match
+     Serve.Churn.apply store
+       [
+         ev 0 (Stream.Event.Hijack { prefix = sub; attacker });
+         ev 1
+           (Stream.Event.Announce
+              { prefix = Prefix.of_string_exn "99.0.0.0/8"; origin });
+         ev 2 (Stream.Event.Link_fail { a = fa; b = fb });
+       ]
+   with
+  | Ok report ->
+      check_int "no quarantine" 0 (List.length report.Stream.Replay.quarantine)
+  | Error e -> Alcotest.failf "churn apply failed: %s" e);
+  let snap = Option.get (Snapshot.current store) in
+  check_int "extra prefixes tracked"
+    (List.length m.Qrmodel.prefixes + 2)
+    (List.length (Snapshot.states snap));
+  check_every_edge "churned" snap;
+  Snapshot.retire snap
+
+(* Neighbour-scoped MED has no total route order (RFC 3345): dropping a
+   loser can change the winner, so every prefix is re-simulated. *)
+let whatif_same_neighbor_med_resimulates_all () =
+  let m = family_model Netgen.Family.Paper in
+  Net.set_med_scope m.Qrmodel.net Simulator.Decision.Same_neighbor;
+  let snap = Snapshot.build m in
+  check_every_edge "same-neighbor" snap;
+  let a, b = List.hd (Topology.Asgraph.edges m.Qrmodel.graph) in
+  (with_runtime (fun rt ->
+       { rt with Runtime.warm = Runtime.Warm_mode.On; faults = None })
+  @@ fun () ->
+  match Query.eval snap (Protocol.Whatif { a; b }) with
+  | Ok (Protocol.Whatif_summary { resume_hits; _ }) ->
+      check_int "every prefix resumed"
+        (List.length (Snapshot.states snap))
+        resume_hits
+  | _ -> Alcotest.fail "whatif failed");
+  Snapshot.retire snap
 
 (* -- immutability under load ------------------------------------------ *)
 
@@ -834,6 +1075,8 @@ let suite =
     Alcotest.test_case "json rejects garbage" `Quick json_rejects_garbage;
     Alcotest.test_case "request roundtrip" `Quick request_roundtrip;
     Alcotest.test_case "framing" `Quick framing;
+    Alcotest.test_case "oversized header allocates as bytes arrive" `Quick
+      oversized_header_bounded;
     Alcotest.test_case "read timeout" `Quick read_timeout;
     Alcotest.test_case "snapshot queries" `Quick snapshot_queries;
     Alcotest.test_case "whatif query restores" `Quick whatif_query_restores;
@@ -856,6 +1099,12 @@ let suite =
       whatif_across_reload_serialized;
     Alcotest.test_case "whatif and reload follow warm mode" `Quick
       whatif_reload_follow_warm_mode;
+    Alcotest.test_case "whatif pruned = brute force, every family" `Quick
+      whatif_pruned_equals_brute_force;
+    Alcotest.test_case "whatif pruned = brute force after churn" `Quick
+      whatif_pruned_after_churn;
+    Alcotest.test_case "whatif same-neighbor MED resimulates all" `Quick
+      whatif_same_neighbor_med_resimulates_all;
     Alcotest.test_case "concurrent queries immutable" `Quick
       concurrent_queries_immutable;
     Alcotest.test_case "whatif from another domain" `Quick
