@@ -752,17 +752,16 @@ let as_b_arg =
 
 let whatif model_path a b =
   with_model model_path @@ fun model ->
-  let before = Asmodel.Whatif.snapshot ~on_prefix:(progress "baseline") model in
-  let touched = (Asmodel.Whatif.disable_as_link model a b).half_sessions in
-  if touched = 0 then begin
+  if Asmodel.Whatif.link_sessions model.Asmodel.Qrmodel.net a b = [] then begin
     Printf.printf "AS%d and AS%d share no session in this model\n" a b;
     1
   end
   else begin
+    let states, _ = Asmodel.Qrmodel.simulate_all model in
+    let touched, diff = Asmodel.Whatif.eval model states a b in
     Printf.printf "disabled %d half-sessions between AS%d and AS%d\n" touched
       a b;
-    let after = Asmodel.Whatif.snapshot ~on_prefix:(progress "what-if") model in
-    Asmodel.Whatif.pp_diff std (Asmodel.Whatif.diff before after);
+    Asmodel.Whatif.pp_diff std diff;
     0
   end
 

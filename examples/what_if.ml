@@ -38,19 +38,25 @@ let () =
   in
   Format.printf "@.De-peering AS%d -- AS%d (busiest core link)...@." a b;
 
-  let before = Asmodel.Whatif.snapshot model in
-  let disabled = Asmodel.Whatif.disable_as_link model a b in
-  Format.printf "disabled %d half-sessions@." disabled.half_sessions;
-  let after = Asmodel.Whatif.snapshot model in
-  let diff = Asmodel.Whatif.diff before after in
+  let states, _ = Asmodel.Qrmodel.simulate_all model in
+  let half_sessions, diff = Asmodel.Whatif.eval model states a b in
+  Format.printf "disabled %d half-sessions@." half_sessions;
   Asmodel.Whatif.pp_diff Format.std_formatter diff;
 
-  (* Revert and verify the world is back to normal. *)
-  Asmodel.Whatif.enable_as_link model disabled;
-  let restored = Asmodel.Whatif.snapshot model in
-  let diff_back = Asmodel.Whatif.diff before restored in
+  (* The what-if lifted its denies: a fresh simulation of the model
+     must reproduce every cached state. *)
+  let net = model.Asmodel.Qrmodel.net in
+  let restored, _ = Asmodel.Qrmodel.simulate_all model in
+  let differ =
+    List.fold_left2
+      (fun n (_, before) (_, after) ->
+        match Asmodel.Whatif.changed_ases net (Some before) after with
+        | [], _ -> n
+        | _ -> n + 1)
+      0 states restored
+  in
   Format.printf
     "@.after re-enabling the link: %d prefixes differ (the revert lifts \
      only the@.denies the disable placed, so refinement filters on that \
      link survive@.and this is 0).@."
-    diff_back.Asmodel.Whatif.prefixes_affected
+    differ

@@ -55,6 +55,16 @@ let simulate_all t =
   List.iter (Net.clear_touched t.net) prefixes;
   (states, stats)
 
+let resimulate t states =
+  let from = Prefix.Table.create (max 16 (List.length states)) in
+  List.iter (fun (p, st) -> Prefix.Table.replace from p st) states;
+  Simulator.Pool.simulate
+    ~sim:(fun p ->
+      let from = Prefix.Table.find from p in
+      Simulator.Warm.simulate ~from t.net ~prefix:p
+        ~originators:(Engine.originating from))
+    (List.map fst states)
+
 let quasi_router_count t asn = List.length (Net.nodes_of_as t.net asn)
 
 let quasi_router_histogram t =

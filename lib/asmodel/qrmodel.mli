@@ -44,6 +44,18 @@ val simulate_all :
     edits.  Raises like {!Simulator.Pool.simulate} if a simulation fails
     persistently. *)
 
+val resimulate :
+  t ->
+  (Prefix.t * Simulator.Engine.state) list ->
+  (Prefix.t * Simulator.Engine.state) list * Simulator.Pool.stats
+(** Re-converge each [(prefix, state)] against the live network through
+    {!Simulator.Warm.simulate}, resuming from that state under the
+    ambient {!Simulator.Runtime.warm} mode, over the {!Simulator.Pool}
+    ({!Simulator.Runtime.jobs} workers), in list order.  Originators
+    come from each state, so prefixes beyond the model's (a churn
+    replay's announcements) keep theirs.  The touched sets are left as
+    they are. *)
+
 val quasi_router_count : t -> Asn.t -> int
 
 val quasi_router_histogram : t -> (int * int) list

@@ -2,33 +2,6 @@ open Bgp
 module Net = Simulator.Net
 module Engine = Simulator.Engine
 
-type snapshot = (Prefix.t * (Asn.t * int array list) list) list
-
-(* Every AS's selected paths in one converged state, ASes with none
-   left out. *)
-let per_as (model : Qrmodel.t) ases st =
-  List.filter_map
-    (fun asn ->
-      match Engine.selected_paths model.Qrmodel.net st asn with
-      | [] -> None
-      | paths -> Some (asn, paths))
-    ases
-
-let snapshot ?prefixes ?on_prefix (model : Qrmodel.t) =
-  let prefixes =
-    match prefixes with
-    | Some ps -> ps
-    | None -> List.map fst model.Qrmodel.prefixes
-  in
-  let ases = Topology.Asgraph.nodes model.Qrmodel.graph in
-  let total = List.length prefixes in
-  List.mapi
-    (fun i p ->
-      let paths = per_as model ases (Qrmodel.simulate model p) in
-      (match on_prefix with Some f -> f (i + 1) total | None -> ());
-      (p, paths))
-    prefixes
-
 let sessions_between net a b =
   List.concat_map
     (fun n ->
@@ -42,7 +15,7 @@ let link_sessions net a b = sessions_between net a b @ sessions_between net b a
 
 (* A deny only empties the receiver's mirror slot, and under a total
    order dropping a candidate that is not the best leaves the best in
-   place: see the interface for the full argument. *)
+   place: see [eval] in the interface for the full argument. *)
 let crossing (model : Qrmodel.t) a b states =
   let net = model.Qrmodel.net in
   let receivers =
@@ -67,34 +40,36 @@ let crossing (model : Qrmodel.t) a b states =
     || (not (Engine.resumable net st))
     || List.exists (carries st) receivers
   in
-  if receivers = [] then []
-  else
-    List.filter_map (fun (p, st) -> if crosses st then Some p else None) states
+  if receivers = [] then [] else List.filter (fun (_, st) -> crosses st) states
+
+(* A deny that was already there (a refiner-placed filter, an earlier
+   disable's, a down link's) is not ours to lift. *)
+let deny_fresh net halves prefixes =
+  List.concat_map
+    (fun (n, s) ->
+      List.filter_map
+        (fun p ->
+          if Net.export_denied net n s p then None
+          else begin
+            Net.deny_export net n s p;
+            Some (n, s, p)
+          end)
+        prefixes)
+    halves
 
 type disabled = { half_sessions : int; placed : (int * int * Prefix.t) list }
 
 let disable_as_link ?prefixes (model : Qrmodel.t) a b =
-  let net = model.Qrmodel.net in
   let prefixes =
     match prefixes with
     | Some ps -> ps
     | None -> List.map fst model.Qrmodel.prefixes
   in
-  let halves = link_sessions net a b in
-  (* A deny that was already there (a refiner-placed filter, or an
-     earlier disable's) is not ours to lift. *)
-  let placed =
-    List.concat_map
-      (fun (n, s) ->
-        List.filter_map
-          (fun p ->
-            let fresh = not (Net.export_denied net n s p) in
-            Net.deny_export net n s p;
-            if fresh then Some (n, s, p) else None)
-          prefixes)
-      halves
-  in
-  { half_sessions = List.length halves; placed }
+  let halves = link_sessions model.Qrmodel.net a b in
+  {
+    half_sessions = List.length halves;
+    placed = deny_fresh model.Qrmodel.net halves prefixes;
+  }
 
 let enable_as_link (model : Qrmodel.t) d =
   List.iter
@@ -147,57 +122,28 @@ let changed_ases net before after =
   in
   (List.rev changed, List.rev lost)
 
-let diff_prefix p per_as_before per_as_after =
-  let before_tbl = Hashtbl.create 64 in
-  List.iter (fun (a, paths) -> Hashtbl.replace before_tbl a paths)
-    per_as_before;
-  let after_tbl = Hashtbl.create 64 in
-  List.iter (fun (a, paths) -> Hashtbl.replace after_tbl a paths)
-    per_as_after;
-  let all_ases =
-    List.sort_uniq Asn.compare
-      (List.map fst per_as_before @ List.map fst per_as_after)
+(* Deny the link on the crossing prefixes only, re-converge those from
+   their states, diff each against its state, then lift exactly the
+   denies placed and drain the touched sets, so the network is as it
+   was. *)
+let eval (model : Qrmodel.t) states a b =
+  let net = model.Qrmodel.net in
+  let targets = crossing model a b states in
+  let disabled = disable_as_link ~prefixes:(List.map fst targets) model a b in
+  let finally () =
+    enable_as_link model disabled;
+    List.iter (fun (p, _) -> Net.clear_touched net p) targets
   in
-  let changed, lost =
-    List.fold_left
-      (fun (changed, lost) a ->
-        let b = Hashtbl.find_opt before_tbl a in
-        let f = Hashtbl.find_opt after_tbl a in
-        match (b, f) with
-        | Some _, None -> (a :: changed, a :: lost)
-        | Some pb, Some pf when pb <> pf -> (a :: changed, lost)
-        | None, Some _ -> (a :: changed, lost)
-        | Some _, Some _ | None, None -> (changed, lost))
-      ([], []) all_ases
-  in
-  if changed = [] then None
-  else
-    Some
-      { prefix = p; ases_changed = List.rev changed; ases_lost = List.rev lost }
-
-let diff before after =
-  (* Joined by prefix key, as a full outer join: churn can add
-     (announce / hijack) or drop (quarantine) prefixes between two
-     snapshots, so the lists need not align positionally or even cover
-     the same set.  A prefix only in [before] reads as every AS losing
-     it; one only in [after] as every AS gaining it. *)
-  let after_tbl = Prefix.Table.create (max 16 (List.length after)) in
-  List.iter (fun (p, per_as) -> Prefix.Table.replace after_tbl p per_as) after;
-  let before_set = Prefix.Table.create (max 16 (List.length before)) in
-  List.iter (fun (p, _) -> Prefix.Table.replace before_set p ()) before;
+  Fun.protect ~finally @@ fun () ->
+  let fresh, _ = Qrmodel.resimulate model targets in
   let changes =
-    List.filter_map
-      (fun (p, per_as_before) ->
-        let per_as_after =
-          Option.value ~default:[] (Prefix.Table.find_opt after_tbl p)
-        in
-        diff_prefix p per_as_before per_as_after)
-      before
-    @ List.filter_map
-        (fun (p, per_as_after) ->
-          if Prefix.Table.mem before_set p then None
-          else diff_prefix p [] per_as_after)
-        after
+    List.map2
+      (fun (prefix, before) (_, after) ->
+        match changed_ases net (Some before) after with
+        | [], _ -> None
+        | ases_changed, ases_lost -> Some { prefix; ases_changed; ases_lost })
+      targets fresh
+    |> List.filter_map Fun.id
   in
   let ases_affected =
     List.fold_left
@@ -205,7 +151,8 @@ let diff before after =
       Asn.Set.empty changes
     |> Asn.Set.cardinal
   in
-  { changes; prefixes_affected = List.length changes; ases_affected }
+  ( disabled.half_sessions,
+    { changes; prefixes_affected = List.length changes; ases_affected } )
 
 let pp_diff ppf d =
   Format.fprintf ppf "prefixes affected: %d, distinct ASes affected: %d@."

@@ -3,20 +3,9 @@
     The paper's motivation (§1) is answering questions like "what if a
     certain peering link was removed".  With a refined model this
     becomes: disable the link, re-simulate, and diff the selected
-    routes. *)
+    routes ({!eval}). *)
 
 open Bgp
-
-type snapshot
-(** Selected AS-level paths of every AS for every model prefix. *)
-
-val snapshot :
-  ?prefixes:Prefix.t list ->
-  ?on_prefix:(int -> int -> unit) ->
-  Qrmodel.t ->
-  snapshot
-(** Simulate the given prefixes (default: all model prefixes) and record
-    each AS's set of selected full paths. *)
 
 val sessions_between : Simulator.Net.t -> Asn.t -> Asn.t -> (int * int) list
 (** Every half-session from a quasi-router of the first AS toward one
@@ -27,24 +16,16 @@ val link_sessions : Simulator.Net.t -> Asn.t -> Asn.t -> (int * int) list
     [sessions_between net b a] — the half-sessions
     {!disable_as_link} denies. *)
 
-val crossing :
-  Qrmodel.t ->
-  Asn.t ->
-  Asn.t ->
-  (Prefix.t * Simulator.Engine.state) list ->
-  Prefix.t list
-(** The prefixes, in list order, whose converged states a
-    {!disable_as_link} of the two ASes can change; the others keep
-    every best route exactly.  A deny on half-session [(n, s)] only
-    empties the receiver's mirror slot, and under a total preference
-    order (the engine's lexicographic minimum, first in RIB-In order
-    winning ties) dropping a candidate that is not the best changes
-    nothing.  So a prefix crosses the link when a receiver's best
-    arrived over one of {!link_sessions}, when its state is not
-    {!Simulator.Engine.resumable} (a re-simulation starts cold), or
-    always when the net's MED is {!Simulator.Decision.Same_neighbor}
-    with [Med] among its steps (RFC 3345: no total order).  Empty when
-    the ASes share no session. *)
+val deny_fresh :
+  Simulator.Net.t ->
+  (int * int) list ->
+  Prefix.t list ->
+  (int * int * Prefix.t) list
+(** [deny_fresh net halves prefixes] denies every prefix on every
+    half-session [(node, session)], skipping a slot already denied (a
+    refiner filter, an earlier disable's, a down link's), and returns
+    the [(node, session, prefix)] denies it placed, half-session then
+    prefix order.  Lifting exactly those restores the deny set. *)
 
 type disabled = {
   half_sessions : int;
@@ -76,7 +57,7 @@ type change = {
 }
 
 type diff = {
-  changes : change list;  (** prefixes with any change, sorted *)
+  changes : change list;  (** prefixes with any change, in state order *)
   prefixes_affected : int;
   ases_affected : int;  (** distinct ASes changed over all prefixes *)
 }
@@ -93,11 +74,38 @@ val changed_ases :
     paths are compared only for ASes owning a node whose best path
     moved. *)
 
-val diff : snapshot -> snapshot -> diff
-(** Compare two snapshots, joined by prefix (a full outer join — the
-    prefix sets need not match: churn adds and drops prefixes between
-    snapshots).  A prefix only in the first snapshot reads as every AS
-    losing its routes; one only in the second as every AS gaining
-    them. *)
+val eval :
+  Qrmodel.t ->
+  (Prefix.t * Simulator.Engine.state) list ->
+  Asn.t ->
+  Asn.t ->
+  int * diff
+(** [eval model states a b] answers "what if the link between [a] and
+    [b] was removed" against [states], the converged states of the
+    prefixes to study on [model]'s network as it stands, with their
+    touched sets drained (e.g. {!Qrmodel.simulate_all}'s, or a serve
+    snapshot's, which may track prefixes beyond the model's).  Returns the link's half-session
+    count ([0]: the ASes share no session, and the diff is empty) and
+    the diff, its changes in [states] order.
+
+    Only the prefixes whose states the link can change are
+    re-simulated.  A deny on half-session [(n, s)] only empties the
+    receiver's mirror slot, and under a total preference order (the
+    engine's lexicographic minimum, first in RIB-In order winning ties)
+    dropping a candidate that is not the best changes nothing.  So a
+    prefix crosses the link when a receiver's best arrived over one of
+    {!link_sessions}, when its state is not
+    {!Simulator.Engine.resumable} (its re-simulation starts cold), or
+    always when the net's MED is {!Simulator.Decision.Same_neighbor}
+    with [Med] among its steps (RFC 3345: no total order).  The link is
+    denied on those prefixes only ({!disable_as_link}), each is
+    re-converged from its state ({!Qrmodel.resimulate}: warm, cold or
+    verified as [RD_WARM] says) and compared with it
+    ({!changed_ases}).  Finally, also on an exception, the denies it
+    placed are lifted and those prefixes' touched sets drained, so the
+    network is left as it was and [states] stay its converged states.
+    Mutates the network in between: the caller must hold off every
+    other reader and writer (the query service runs it under its
+    snapshot's writer lock). *)
 
 val pp_diff : Format.formatter -> diff -> unit

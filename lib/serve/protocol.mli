@@ -43,7 +43,13 @@ type payload =
               the link — when [RD_WARM] is on *)
       changes : whatif_change list;  (** capped at 20 entries *)
     }
-  | Pong of { prefixes : int; nodes : int }
+  | Pong of {
+      prefixes : int;
+          (** prefixes the snapshot serves: the model's, plus any a
+              churn replay announced, minus any it dropped — the count
+              a [Reload] of it reports *)
+      nodes : int;  (** quasi-routers in the model *)
+    }
   | Reloaded of { prefixes : int; resume_hits : int; build_s : float }
   | Closing
 

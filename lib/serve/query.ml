@@ -58,71 +58,36 @@ let eval_catchment snap egress prefix =
         })
     targets
 
-(* The what-if diff over the re-simulated prefixes: every other prefix
-   keeps every best route ({!Whatif.crossing}).  [fresh] is in snapshot
-   prefix order, the order {!Whatif.diff} lists changes in. *)
-let whatif_changes snap fresh =
-  let net = (Snapshot.model snap).Qrmodel.net in
-  let changes =
-    List.filter_map
-      (fun (p, after) ->
-        match Whatif.changed_ases net (Snapshot.state snap p) after with
-        | [], _ -> None
-        | changed, lost -> Some (p, changed, lost))
-      fresh
-  in
-  let ases =
-    List.fold_left
-      (fun acc (_, changed, _) -> Asn.Set.union acc (Asn.Set.of_list changed))
-      Asn.Set.empty changes
-  in
-  (changes, Asn.Set.cardinal ases)
-
+(* The query's only mutation, {!Whatif.eval}, runs under the snapshot's
+   writer lock; the pool batch inside it only reads. *)
 let eval_whatif snap a b =
-  (* All mutation runs under the snapshot's writer lock; the pool batch
-     in the middle only reads.  Sequence: deny the link on the prefixes
-     whose best routes cross it, re-converge those from the cached
-     states, diff old against new per-node bests, then lift the denies
-     the query placed and drain the touched sets so the published state
-     is bit-identical again. *)
   Snapshot.exclusive snap (fun () ->
-      let model = Snapshot.model snap in
-      let net = model.Qrmodel.net in
-      (* The snapshot may track prefixes beyond the model's (announced /
-         hijacked extras from a churn replay) or fewer (quarantined
-         drops); select from exactly the set it serves. *)
-      let targets = Whatif.crossing model a b (Snapshot.states snap) in
-      let disabled = Whatif.disable_as_link ~prefixes:targets model a b in
-      let finally () =
-        Whatif.enable_as_link model disabled;
-        List.iter (fun p -> Net.clear_touched net p) targets
+      let hits0 = Obs.Metrics.find_counter "engine.warm_resume_hits" in
+      let half_sessions, d =
+        Whatif.eval (Snapshot.model snap) (Snapshot.states snap) a b
       in
-      Fun.protect ~finally (fun () ->
-          let hits0 = Obs.Metrics.find_counter "engine.warm_resume_hits" in
-          let fresh, _stats = Snapshot.resimulate snap targets in
-          let resume_hits =
-            max 0 (Obs.Metrics.find_counter "engine.warm_resume_hits" - hits0)
-          in
-          Obs.Metrics.incr ~by:resume_hits whatif_resume_hits_m;
-          let changes, ases_affected = whatif_changes snap fresh in
-          Ok
-            (Protocol.Whatif_summary
-               {
-                 a;
-                 b;
-                 half_sessions = disabled.Whatif.half_sessions;
-                 prefixes_affected = List.length changes;
-                 ases_affected;
-                 resume_hits;
-                 changes =
-                   List.filteri (fun i _ -> i < 20) changes
-                   |> List.map (fun (p, changed, lost) ->
-                          {
-                            Protocol.wc_prefix = p;
-                            wc_changed = List.length changed;
-                            wc_lost = List.length lost;
-                          });
-               })))
+      let resume_hits =
+        max 0 (Obs.Metrics.find_counter "engine.warm_resume_hits" - hits0)
+      in
+      Obs.Metrics.incr ~by:resume_hits whatif_resume_hits_m;
+      Ok
+        (Protocol.Whatif_summary
+           {
+             a;
+             b;
+             half_sessions;
+             prefixes_affected = d.Whatif.prefixes_affected;
+             ases_affected = d.Whatif.ases_affected;
+             resume_hits;
+             changes =
+               List.filteri (fun i _ -> i < 20) d.Whatif.changes
+               |> List.map (fun c ->
+                      {
+                        Protocol.wc_prefix = c.Whatif.prefix;
+                        wc_changed = List.length c.Whatif.ases_changed;
+                        wc_lost = List.length c.Whatif.ases_lost;
+                      });
+           }))
 
 let eval snap (req : Protocol.request) =
   match req with
@@ -130,12 +95,11 @@ let eval snap (req : Protocol.request) =
   | Protocol.Catchment { egress; prefix } -> eval_catchment snap egress prefix
   | Protocol.Whatif { a; b } -> eval_whatif snap a b
   | Protocol.Ping ->
-      let model = Snapshot.model snap in
       Ok
         (Protocol.Pong
            {
-             prefixes = List.length model.Qrmodel.prefixes;
-             nodes = Net.node_count model.Qrmodel.net;
+             prefixes = List.length (Snapshot.states snap);
+             nodes = Net.node_count (Snapshot.model snap).Qrmodel.net;
            })
   | Protocol.Reload ->
       (* Reload swaps the store's published snapshot, which only the

@@ -2,14 +2,11 @@
     {!Snapshot}.
 
     Path and catchment queries only read the cached converged states.
-    What-if queries deny the link on the prefixes whose cached best
-    routes cross it ({!Asmodel.Whatif.crossing}; no other prefix can
-    change) and re-converge only those from the cached states
-    ({!Snapshot.resimulate}: warm, cold or verified as the ambient
-    [RD_WARM] mode says), diff each against its cached state
-    ({!Asmodel.Whatif.changed_ases}), then restore the network
-    exactly; the whole mutate/simulate/revert sequence runs in
-    the calling thread inside {!Snapshot.exclusive}, over
+    What-if queries call {!Asmodel.Whatif.eval} on the snapshot's
+    model and cached states: it re-converges, warm from the cached
+    states, only the prefixes whose best routes cross the link, diffs
+    them and restores the network exactly.  The call runs in the
+    calling thread inside {!Snapshot.exclusive}, over
     {!Simulator.Runtime.jobs} pool workers.
 
     Metrics: [serve.queries], [serve.deadline_misses],

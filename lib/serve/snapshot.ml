@@ -1,8 +1,6 @@
 open Bgp
 module Engine = Simulator.Engine
 module Net = Simulator.Net
-module Pool = Simulator.Pool
-module Warm = Simulator.Warm
 module Qrmodel = Asmodel.Qrmodel
 module Replay = Stream.Replay
 
@@ -70,23 +68,8 @@ let exclusive t f =
 
 let retire t = Atomic.set t.retired true
 
-(* Originators come from each cached state itself, so prefixes a churn
-   replay added beyond the model's survive a re-simulation. *)
-let resimulate t prefixes =
-  let net = t.model.Qrmodel.net in
-  Pool.simulate
-    ~sim:(fun p ->
-      let from = state t p in
-      let originators =
-        match from with
-        | Some st -> Engine.originating st
-        | None -> Qrmodel.originators t.model p
-      in
-      Warm.simulate ?from net ~prefix:p ~originators)
-    prefixes
-
 let rebuild t =
-  let states, _ = resimulate t (List.map fst t.states) in
+  let states, _ = Qrmodel.resimulate t.model t.states in
   List.iter (fun (p, _) -> Net.clear_touched t.model.Qrmodel.net p) states;
   of_states ?replay:t.replay t states
 

@@ -38,24 +38,11 @@ val of_states :
     replay ended with; the next {!Churn.apply} resumes from it so
     down/up pairs may span apply calls. *)
 
-val resimulate :
-  t ->
-  Prefix.t list ->
-  (Prefix.t * Simulator.Engine.state) list * Simulator.Pool.stats
-(** Reconverge the given prefixes against the live network through
-    {!Simulator.Warm.simulate} — each resuming from this snapshot's
-    cached state under the ambient {!Simulator.Runtime.warm} mode —
-    over the pool ({!Simulator.Runtime.jobs} workers), in list order.
-    A cached prefix's originators come from its state, so prefixes a
-    churn replay added beyond the model's keep theirs.  The touched
-    sets are left as they are; call it inside {!exclusive}.
-    {!rebuild} passes every cached prefix; the what-if query only those
-    whose best routes cross the disabled link
-    ({!Asmodel.Whatif.crossing}). *)
-
 val rebuild : t -> t
-(** {!resimulate} against the (possibly churn-mutated) network, drain
-    the touched sets, and return the successor snapshot
+(** Re-converge every cached state against the (possibly
+    churn-mutated) network ({!Asmodel.Qrmodel.resimulate}: each resumes
+    from its cached state under the ambient {!Simulator.Runtime.warm}
+    mode), drain the touched sets, and return the successor snapshot
     ({!of_states}) ready to {!publish}.  Run it, and the publish, inside
     {!exclusive} so no write slips in between. *)
 

@@ -286,6 +286,11 @@ let dedup_prefixes ps =
       end)
     ps
 
+(* Denies this driver placed, in placement order, go on the undo log
+   most recent first. *)
+let journal_denies t placed =
+  List.iter (fun (n, s, p) -> t.journal <- Jdeny (n, s, p) :: t.journal) placed
+
 (* A prefix first seen while sessions are down must be silenced on them
    too, or routes would leak through a failed link. *)
 let extend_downs t p =
@@ -293,14 +298,9 @@ let extend_downs t p =
   Obs.Probe.write ~obj:t.o_journal ~site:"replay.journal";
   Hashtbl.iter
     (fun _ d ->
-      List.iter
-        (fun (n, s) ->
-          if not (Net.export_denied net n s p) then begin
-            Net.deny_export net n s p;
-            t.journal <- Jdeny (n, s, p) :: t.journal;
-            d.added <- (n, s, p) :: d.added
-          end)
-        d.halfs)
+      let placed = Whatif.deny_fresh net d.halfs [ p ] in
+      journal_denies t placed;
+      d.added <- List.rev_append placed d.added)
     t.downs
 
 let add_origin t p asn =
@@ -327,20 +327,10 @@ let remove_origin t p asn =
 let bring_down t key halfs =
   if Hashtbl.mem t.downs key || halfs = [] then []
   else begin
-    let net = t.model.Qrmodel.net in
     Obs.Probe.write ~obj:t.o_journal ~site:"replay.journal";
-    let d = { halfs; added = [] } in
-    List.iter
-      (fun (n, s) ->
-        List.iter
-          (fun p ->
-            if not (Net.export_denied net n s p) then begin
-              Net.deny_export net n s p;
-              t.journal <- Jdeny (n, s, p) :: t.journal;
-              d.added <- (n, s, p) :: d.added
-            end)
-          (tracked t))
-      halfs;
+    let placed = Whatif.deny_fresh t.model.Qrmodel.net halfs (tracked t) in
+    journal_denies t placed;
+    let d = { halfs; added = List.rev placed } in
     Hashtbl.replace t.downs key d;
     dedup_prefixes (List.map (fun (_, _, p) -> p) d.added)
   end

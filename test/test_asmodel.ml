@@ -3,6 +3,7 @@
 open Bgp
 module Net = Simulator.Net
 module Qrmodel = Asmodel.Qrmodel
+module Runtime = Simulator.Runtime
 
 let check_bool = Alcotest.(check bool)
 
@@ -141,25 +142,33 @@ let baseline_policies_model () =
   check_bool "lpref from inferred class" true
     (Net.import_lpref m.Qrmodel.net n2 s21 = Some expected)
 
+(* Prefixes whose selected paths differ between two state lists of the
+   same prefixes. *)
+let differing m states states' =
+  List.fold_left2
+    (fun n (_, before) (_, after) ->
+      match Asmodel.Whatif.changed_ases m.Qrmodel.net (Some before) after with
+      | [], _ -> n
+      | _ -> n + 1)
+    0 states states'
+
 let whatif_link_removal () =
   let m = Qrmodel.initial graph in
-  let before = Asmodel.Whatif.snapshot m in
-  let disabled = Asmodel.Whatif.disable_as_link m 4 5 in
-  check_int "two half-sessions" 2 disabled.Asmodel.Whatif.half_sessions;
-  let after = Asmodel.Whatif.snapshot m in
-  let diff = Asmodel.Whatif.diff before after in
+  let before, _ = Qrmodel.simulate_all m in
+  let half_sessions, diff = Asmodel.Whatif.eval m before 4 5 in
+  check_int "two half-sessions" 2 half_sessions;
   check_bool "something changed" true (diff.Asmodel.Whatif.prefixes_affected > 0);
   (* AS 5 still reaches 3: via 1 now. *)
+  let disabled = Asmodel.Whatif.disable_as_link m 4 5 in
   let st = Qrmodel.simulate m (Asn.origin_prefix 3) in
   let n5 = List.hd (Net.nodes_of_as m.Qrmodel.net 5) in
   check_bool "rerouted" true
     (Simulator.Engine.best_full_path m.Qrmodel.net st n5 = Some [| 5; 1; 2; 3 |]);
-  (* Restore. *)
+  (* Restore: the what-if and the disable both lifted their denies. *)
   Asmodel.Whatif.enable_as_link m disabled;
-  let restored = Asmodel.Whatif.snapshot m in
-  let diff_back = Asmodel.Whatif.diff before restored in
+  let restored, _ = Qrmodel.simulate_all m in
   check_int "fully restored (no refinement filters involved)" 0
-    diff_back.Asmodel.Whatif.prefixes_affected
+    (differing m before restored)
 
 let whatif_unknown_link () =
   let m = Qrmodel.initial graph in
@@ -168,25 +177,58 @@ let whatif_unknown_link () =
 
 (* The revert must be an exact save/restore: a deny placed on the link's
    sessions before the what-if (as the refiner does) survives the
-   disable/enable round trip, and predictions are bit-identical. *)
+   what-if, and predictions are bit-identical.  The filter sits on a
+   prefix whose best route crosses the link (5 reaches 3 over 4), so the
+   what-if's own deny lands on the filter's slot. *)
 let whatif_roundtrip_preserves_filters () =
   let m = Qrmodel.initial graph in
   let net = m.Qrmodel.net in
   let n4 = List.hd (Net.nodes_of_as net 4) in
   let n5 = List.hd (Net.nodes_of_as net 5) in
-  let s45 = Option.get (Net.find_session net n4 n5) in
+  let s54 = Option.get (Net.find_session net n5 n4) in
   (* A refiner-style filter on the very link the what-if toggles. *)
-  Net.deny_export net n4 s45 (Asn.origin_prefix 3);
-  let before = Asmodel.Whatif.snapshot m in
+  Net.deny_export net n5 s54 (Asn.origin_prefix 3);
+  let before, _ = Qrmodel.simulate_all m in
   let denies_before, _ = Net.count_policies net in
-  Asmodel.Whatif.enable_as_link m (Asmodel.Whatif.disable_as_link m 4 5);
+  ignore (Asmodel.Whatif.eval m before 4 5);
   check_bool "refiner filter survived" true
-    (Net.export_denied net n4 s45 (Asn.origin_prefix 3));
+    (Net.export_denied net n5 s54 (Asn.origin_prefix 3));
   let denies_after, _ = Net.count_policies net in
   check_int "deny count restored" denies_before denies_after;
-  let restored = Asmodel.Whatif.snapshot m in
-  let diff = Asmodel.Whatif.diff before restored in
-  check_int "predictions identical" 0 diff.Asmodel.Whatif.prefixes_affected
+  let restored, _ = Qrmodel.simulate_all m in
+  check_int "predictions identical" 0 (differing m before restored)
+
+(* A prefix whose state cannot seed a warm resume is re-simulated even
+   when its best routes keep off the link: prefix 1's bests reach 4 and
+   5 straight from 1, but its state here is truncated after one event. *)
+let whatif_resimulates_unresumable () =
+  let m = Qrmodel.initial graph in
+  let net = m.Qrmodel.net in
+  let p1 = Asn.origin_prefix 1 in
+  let truncated =
+    Simulator.Engine.simulate ~max_events:1 net ~prefix:p1
+      ~originators:(Qrmodel.originators m p1)
+  in
+  check_bool "truncated state is not resumable" false
+    (Simulator.Engine.resumable net truncated);
+  let states, _ = Qrmodel.simulate_all m in
+  let states =
+    List.map
+      (fun (p, st) -> if Prefix.equal p p1 then (p, truncated) else (p, st))
+      states
+  in
+  (* Warm pinned on, faults off: a fault retry would add cold runs. *)
+  let prior = Runtime.current () in
+  Runtime.set { prior with Runtime.warm = Runtime.Warm_mode.On; faults = None };
+  Fun.protect ~finally:(fun () -> Runtime.set prior) @@ fun () ->
+  let cold0 = (Simulator.Warm.stats ()).Simulator.Warm.cold_runs in
+  let _, diff = Asmodel.Whatif.eval m states 4 5 in
+  check_int "the truncated prefix alone runs cold" 1
+    ((Simulator.Warm.stats ()).Simulator.Warm.cold_runs - cold0);
+  check_bool "and is answered" true
+    (List.exists
+       (fun c -> Prefix.equal c.Asmodel.Whatif.prefix p1)
+       diff.Asmodel.Whatif.changes)
 
 (* A second disable of the same link places nothing (its denies are
    already there), so lifting both values leaks no deny. *)
@@ -200,32 +242,6 @@ let whatif_double_disable () =
   Asmodel.Whatif.enable_as_link m first;
   let denies_after, _ = Net.count_policies net in
   check_int "no leaked denies" denies_before denies_after
-
-(* diff joins by prefix, not position: reordered or mismatched prefix
-   sets (churn adds and drops prefixes between snapshots) must diff
-   cleanly instead of raising from a positional combine. *)
-let whatif_diff_keyed () =
-  let m = Qrmodel.initial graph in
-  let all = List.map fst m.Qrmodel.prefixes in
-  let before = Asmodel.Whatif.snapshot ~prefixes:all m in
-  let reordered = Asmodel.Whatif.snapshot ~prefixes:(List.rev all) m in
-  let d = Asmodel.Whatif.diff before reordered in
-  check_int "reorder is no change" 0 d.Asmodel.Whatif.prefixes_affected;
-  (* A prefix missing from the after set reads as every AS losing it. *)
-  let after = Asmodel.Whatif.snapshot ~prefixes:(List.tl all) m in
-  let d2 = Asmodel.Whatif.diff before after in
-  check_int "one prefix affected" 1 d2.Asmodel.Whatif.prefixes_affected;
-  (match d2.Asmodel.Whatif.changes with
-  | [ c ] ->
-      check_bool "the dropped prefix" true
-        (Prefix.equal c.Asmodel.Whatif.prefix (List.hd all));
-      check_bool "every AS lost it" true
-        (c.Asmodel.Whatif.ases_lost <> []
-        && c.Asmodel.Whatif.ases_lost = c.Asmodel.Whatif.ases_changed)
-  | _ -> Alcotest.fail "expected exactly one change");
-  (* And one only in the after set reads as gained, not an exception. *)
-  let d3 = Asmodel.Whatif.diff after before in
-  check_int "gain counted" 1 d3.Asmodel.Whatif.prefixes_affected
 
 let suite =
   [
@@ -241,5 +257,6 @@ let suite =
     Alcotest.test_case "whatif roundtrip preserves filters" `Quick
       whatif_roundtrip_preserves_filters;
     Alcotest.test_case "whatif double disable" `Quick whatif_double_disable;
-    Alcotest.test_case "whatif diff keyed by prefix" `Quick whatif_diff_keyed;
+    Alcotest.test_case "whatif resimulates a non-resumable state" `Quick
+      whatif_resimulates_unresumable;
   ]

@@ -58,6 +58,70 @@ let json_rejects_garbage () =
       String.make 1_000_000 '[' ^ String.make 1_000_000 ']';
     ]
 
+(* Values nest at most 6 deep (the parser refuses past 64); floats are
+   finite, since inf and nan have no JSON spelling; strings hold any
+   byte. *)
+let gen_json =
+  let open QCheck.Gen in
+  let scalar =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun n -> Json.Int n) int;
+        map
+          (fun f -> Json.Float (if Float.is_finite f then f else 0.5))
+          float;
+        map (fun s -> Json.String s) (string_size (int_bound 8));
+      ]
+  in
+  sized_size (int_bound 6)
+  @@ fix (fun self depth ->
+         if depth = 0 then scalar
+         else
+           frequency
+             [
+               (2, scalar);
+               ( 1,
+                 map
+                   (fun l -> Json.List l)
+                   (list_size (int_bound 4) (self (depth - 1))) );
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_bound 4)
+                      (pair (string_size (int_bound 6)) (self (depth - 1)))) );
+             ])
+
+let arb_json = QCheck.make ~print:Json.to_string gen_json
+
+(* Printing is a fixed point of parse-then-print.  Values need not come
+   back equal: [Float 1e15] prints as an integer and parses as [Int]. *)
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json print/parse round trip" ~count:500 arb_json
+    (fun v ->
+      let s = Json.to_string v in
+      match Json.of_string s with
+      | Ok v' -> Json.to_string v' = s
+      | Error e -> QCheck.Test.fail_reportf "%s does not parse: %s" s e)
+
+(* A damaged frame is a parse result, never an exception. *)
+let prop_json_damage_total =
+  QCheck.Test.make ~name:"json parse of damaged text is total" ~count:500
+    (QCheck.triple arb_json QCheck.small_nat QCheck.(int_bound 255))
+    (fun (v, at, byte) ->
+      let s = Json.to_string v in
+      let n = String.length s in
+      let flipped =
+        String.mapi
+          (fun i c -> if i = at mod n then Char.chr (Char.code c lxor byte) else c)
+          s
+      in
+      List.for_all
+        (fun text ->
+          match Json.of_string text with Ok _ | Error _ -> true)
+        [ String.sub s 0 (at mod (n + 1)); flipped ])
+
 (* -- protocol --------------------------------------------------------- *)
 
 let request_roundtrip () =
@@ -470,6 +534,33 @@ let client_disconnect_keeps_serving () =
             (Json.member "ok" json = Some (Json.Bool true))
       | Error e -> Alcotest.failf "server died after disconnects: %s" e);
       Server.close_conn conn)
+
+(* Ping counts the prefixes the snapshot serves, as a reload of it
+   does, not the model's: a churn announcement adds one. *)
+let ping_counts_served_prefixes () =
+  let store = Snapshot.store () in
+  Snapshot.publish store (build_snapshot ());
+  (match
+     Serve.Churn.apply store
+       [
+         Stream.Event.make ~ts_ms:0
+           (Stream.Event.Announce
+              { prefix = Prefix.of_string_exn "99.0.0.0/8"; origin = 3 });
+       ]
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "churn apply failed: %s" e);
+  let pinged =
+    match Query.eval (Option.get (Snapshot.current store)) Protocol.Ping with
+    | Ok (Protocol.Pong { prefixes; _ }) -> prefixes
+    | _ -> Alcotest.fail "ping failed"
+  in
+  check_int "ping counts the announced prefix" 6 pinged;
+  (match Serve.Churn.reload store with
+  | Ok (Protocol.Reloaded { prefixes; _ }) ->
+      check_int "ping = reload" prefixes pinged
+  | _ -> Alcotest.fail "reload failed");
+  Option.iter Snapshot.retire (Snapshot.current store)
 
 (* Paired events split across Churn.apply calls must still match up:
    each apply resumes the replay driver from the snapshot's persisted
@@ -1073,6 +1164,8 @@ let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick json_roundtrip;
     Alcotest.test_case "json rejects garbage" `Quick json_rejects_garbage;
+    QCheck_alcotest.to_alcotest prop_json_roundtrip;
+    QCheck_alcotest.to_alcotest prop_json_damage_total;
     Alcotest.test_case "request roundtrip" `Quick request_roundtrip;
     Alcotest.test_case "framing" `Quick framing;
     Alcotest.test_case "oversized header allocates as bytes arrive" `Quick
@@ -1086,6 +1179,8 @@ let suite =
       server_forgets_closed_connections;
     Alcotest.test_case "reload swaps snapshot" `Quick reload_swaps_snapshot;
     Alcotest.test_case "churn apply publishes" `Quick churn_apply_publishes;
+    Alcotest.test_case "ping counts served prefixes" `Quick
+      ping_counts_served_prefixes;
     Alcotest.test_case "client disconnect keeps serving" `Quick
       client_disconnect_keeps_serving;
     Alcotest.test_case "churn pairs across applies" `Quick
