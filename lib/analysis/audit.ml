@@ -92,7 +92,8 @@ let csr net =
   and carries = Net.Csr.carries c
   and rrs = Net.Csr.rr_clients c
   and asns = Net.Csr.asns c
-  and ips = Net.Csr.ips c in
+  and ips = Net.Csr.ips c
+  and igps = Net.Csr.igp_costs c in
   let nodes = min nc (Net.Csr.node_count c) in
   if Array.length off <> Net.Csr.node_count c + 1 || off.(0) <> 0 then
     err a "audit-csr-offsets" Report.Network
@@ -142,6 +143,10 @@ let csr net =
       let r = Net.session_reverse net n s in
       slot "reverse-local" rev_local.(k) r;
       let p = peer.(k) in
+      slot "igp-cost" igps.(k)
+        (match Net.session_kind net n s with
+        | Net.Ibgp when p >= 0 && p < nc -> Net.igp_cost net n p
+        | Net.Ibgp | Net.Ebgp -> 0);
       if r < 0 || p < 0 || p >= Net.Csr.node_count c then begin
         if rev.(k) <> -1 then
           err a "audit-csr-rev" loc
@@ -170,6 +175,37 @@ let csr net =
           csr_hint
     done
   done;
+  (* The export table, entry by entry, against the live matrix. *)
+  let cw = Net.Csr.export_width c and table = Net.Csr.export_table c in
+  let want_cw =
+    let m = ref 0 in
+    for n = 0 to nc - 1 do
+      for s = 0 to Net.session_count_of net n - 1 do
+        m := max !m (Net.session_class net n s)
+      done
+    done;
+    !m + 2
+  in
+  if cw <> want_cw || Array.length table <> cw * cw then
+    err a "audit-csr-export" Report.Network
+      (Printf.sprintf
+         "export table is %d entries of width %d; the net's classes need \
+          width %d"
+         (Array.length table) cw want_cw)
+      csr_hint
+  else
+    for lc = -1 to cw - 2 do
+      for tc = -1 to cw - 2 do
+        let want = Net.export_matrix net ~learned_class:lc ~to_class:tc in
+        if table.(((lc + 1) * cw) + tc + 1) <> want then
+          err a "audit-csr-export" Report.Network
+            (Printf.sprintf
+               "export table says %b for learned class %d to class %d; the \
+                matrix says %b"
+               (not want) lc tc want)
+            csr_hint
+      done
+    done;
   close a
 
 (* -- engine state slab vs net and decision process ------------------- *)

@@ -81,6 +81,46 @@ let compare_routes steps a b =
   in
   go steps
 
+(* One closure per step, each tail-calling the next: the step list is
+   walked once here, not on every comparison.  The keys are
+   [step_key]'s, compared as [compare_routes] compares them, so the
+   result is [compare_routes steps a b] exactly. *)
+let comparator steps =
+  let link step (next : Rattr.t -> Rattr.t -> int) : Rattr.t -> Rattr.t -> int
+      =
+    match step with
+    | Local_pref ->
+        fun a b ->
+          let c = Int.compare (-a.Rattr.lpref) (-b.Rattr.lpref) in
+          if c <> 0 then c else next a b
+    | Path_length ->
+        fun a b ->
+          let c =
+            Int.compare (Array.length a.Rattr.path) (Array.length b.Rattr.path)
+          in
+          if c <> 0 then c else next a b
+    | Med ->
+        fun a b ->
+          let c = Int.compare a.Rattr.med b.Rattr.med in
+          if c <> 0 then c else next a b
+    | Prefer_ebgp ->
+        let key (r : Rattr.t) =
+          match r.Rattr.learned with From_ibgp -> 1 | Originated | From_ebgp -> 0
+        in
+        fun a b ->
+          let c = Int.compare (key a) (key b) in
+          if c <> 0 then c else next a b
+    | Igp_cost ->
+        fun a b ->
+          let c = Int.compare a.Rattr.igp b.Rattr.igp in
+          if c <> 0 then c else next a b
+    | Lowest_ip ->
+        fun a b ->
+          let c = Int.compare a.Rattr.from_ip b.Rattr.from_ip in
+          if c <> 0 then c else next a b
+  in
+  List.fold_right link steps (fun _ _ -> 0)
+
 let select ?(med_scope = Always_compare) steps candidates =
   let rec run steps candidates =
     match (steps, candidates) with
@@ -146,13 +186,12 @@ let scoped_med_into (buf : Rattr.t array) (keys : int array) m =
   done;
   !k
 
-let select_into ?(med_scope = Always_compare) steps (buf : Rattr.t array)
-    ~(keys : int array) m =
-  if m = 0 then None
+let select_into ~med_scope steps (buf : Rattr.t array) ~(keys : int array) m =
+  if m = 0 then Rattr.no_route
   else begin
     let m = ref m in
     let steps = ref steps in
-    while !m > 1 && !steps <> [] do
+    while !m > 1 && match !steps with [] -> false | _ :: _ -> true do
       match !steps with
       | [] -> ()
       | step :: rest ->
@@ -162,7 +201,7 @@ let select_into ?(med_scope = Always_compare) steps (buf : Rattr.t array)
             | Med, Same_neighbor -> scoped_med_into buf keys !m
             | _ -> keep_min_into step buf keys !m)
     done;
-    Some buf.(0)
+    buf.(0)
   end
 
 type verdict = Selected | Eliminated_at of step | Tied_not_chosen | Not_present

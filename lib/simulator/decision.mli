@@ -53,6 +53,11 @@ val compare_routes : step list -> Rattr.t -> Rattr.t -> int
     (pairwise MED preference is not transitive across neighbours), so
     the engine falls back to full elimination via {!select}. *)
 
+val comparator : step list -> Rattr.t -> Rattr.t -> int
+(** [comparator steps] is [compare_routes steps], compiled once: the
+    returned function walks no list and allocates nothing per call, so
+    the engine compiles it once per run and calls it per candidate. *)
+
 val select : ?med_scope:med_scope -> step list -> Rattr.t list -> Rattr.t option
 (** Run all steps and return the single best route ([None] on an empty
     candidate list).  If candidates remain tied after every step the
@@ -60,15 +65,15 @@ val select : ?med_scope:med_scope -> step list -> Rattr.t list -> Rattr.t option
     session order. *)
 
 val select_into :
-  ?med_scope:med_scope -> step list -> Rattr.t array -> keys:int array ->
-  int -> Rattr.t option
-(** [select_into steps buf ~keys m] is [select steps] over the
-    candidates [buf.(0 .. m-1)] — same elimination, same tie-breaking —
-    but runs in place over the caller's scratch buffers, destroying
-    their contents and allocating nothing.  [keys] is int scratch of at
-    least [m] entries used to cache per-step keys.  The engine's hot
-    path under {!Same_neighbor} MED (where {!compare_routes} does not
-    apply). *)
+  med_scope:med_scope -> step list -> Rattr.t array -> keys:int array ->
+  int -> Rattr.t
+(** [select_into ~med_scope steps buf ~keys m] is [select ~med_scope
+    steps] over the candidates [buf.(0 .. m-1)] — same elimination, same
+    tie-breaking — but runs in place over the caller's scratch buffers,
+    destroying their contents and allocating nothing; {!Rattr.no_route}
+    stands for [None].  [keys] is int scratch of at least [m] entries
+    used to cache per-step keys.  The engine's hot path under
+    {!Same_neighbor} MED (where {!compare_routes} does not apply). *)
 
 type verdict =
   | Selected  (** a target route is the best route *)

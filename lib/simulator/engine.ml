@@ -17,16 +17,20 @@ let pp_outcome ppf = function
    [off.(n) .. off.(n+1) - 1], and an empty slot holds the physical
    sentinel {!Rattr.no_route} instead of an option box.  Together with
    hash-consed routes ({!Intern.rattr}) this keeps the whole per-prefix
-   state in three flat arrays: no per-node arrays to chase, warm copies
-   are two [Array.copy] calls, and fingerprinting is a linear scan. *)
+   state in two flat arrays: no per-node arrays to chase, and
+   fingerprinting is a linear scan.  A warm resume starts on its
+   parent's arrays and copies each one only when it first writes to it
+   (one [Array.copy]), so a resume that changes nothing shares them.
+   The arrays are written only by the run that made the state, before
+   it is returned: a returned state is never written again. *)
 type state = {
   pfx : Prefix.t;
   gen : int;  (* Net.generation at run time; gates warm resumption *)
   nodes : int;
   off : int array;  (* shared with the Csr of [gen]; length nodes + 1 *)
-  slab : Rattr.t array;  (* RIB-In slots; Rattr.no_route = empty *)
-  best : Rattr.t array;  (* per node; Rattr.no_route = no route *)
-  originates : bool array;
+  mutable slab : Rattr.t array;  (* RIB-In slots; Rattr.no_route = empty *)
+  mutable best : Rattr.t array;  (* per node; Rattr.no_route = no route *)
+  origins : int list;  (* originating nodes, ascending, distinct *)
   mutable outcome : outcome;
   mutable events : int;
 }
@@ -56,7 +60,7 @@ let generation st = st.gen
 
 let outcome st = st.outcome
 
-let converged st = st.outcome = Converged
+let converged st = match st.outcome with Converged -> true | _ -> false
 
 let events st = st.events
 
@@ -80,12 +84,16 @@ let rib_in st n =
     !acc
   end
 
+let rec int_mem (x : int) = function
+  | [] -> false
+  | y :: rest -> x = y || int_mem x rest
+
 (* Candidate traversal without building a list: the originated route
    (if any) first, then the RIB-In slots in session order — exactly the
    decision-process input order. *)
 let iter_candidates st net n f =
   if n < st.nodes then begin
-    if st.originates.(n) then
+    if int_mem n st.origins then
       f (Rattr.originated ~own_ip:(Ipv4.to_int (Net.ip_of net n)));
     for k = st.off.(n) to st.off.(n + 1) - 1 do
       let r = st.slab.(k) in
@@ -149,10 +157,10 @@ let mix_routes h (rs : Rattr.t array) =
    hash ({!Intern.path_hash}).  The slab is mixed in linear order,
    which is the reference engine's node-major slot order — the two
    implementations fingerprint identically by construction. *)
-let fingerprint st fold_queue queued =
+let fingerprint st fold_queue queued n =
   let h = mix_routes (mix_routes 0x42 st.best) st.slab in
   let h = ref (fold_queue (fun h u -> mix h (u + 0x9e3779b9)) h) in
-  for u = 0 to Array.length queued - 1 do
+  for u = 0 to n - 1 do
     h := mix !h (Bool.to_int queued.(u))
   done;
   !h
@@ -175,49 +183,64 @@ let same_state a b =
         a.slab;
       !ok)
 
-(* Loop detection without [Array.exists]'s closure allocation. *)
+(* Loop detection, once per eBGP import: a plain loop, because a local
+   recursive function (or [Array.exists]) would allocate a closure per
+   call. *)
 let path_mem (path : int array) x =
   let n = Array.length path in
-  let rec go i = i < n && (path.(i) = x || go (i + 1)) in
-  go 0
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get path !i <> x do
+    incr i
+  done;
+  !i < n
 
 (* The watchdog keeps at most this many fingerprints; real oscillation
    cycles are tiny (the bad gadget's is < 20 events), so a bounded
    history loses nothing while capping memory on huge budgets. *)
 let watchdog_history_cap = 4096
 
-(* Per-slot scratch of a run: the prefix's flattened policy rules and
-   the IGP-cost memo.  At scale an [nslots]-sized array goes straight to
-   the major heap, so each domain keeps one set in a cell and a run
-   checks it out with [Atomic.exchange], refills it and hands it back.
-   Systhreads share a domain (the query server's connection threads all
-   run the engine), so a run that finds the cell empty — another thread
-   holds the set — allocates its own; a run that raises simply drops its
-   set.  Arrays may be longer than the current
-   net's slot count: only the first [nslots] entries are used. *)
+(* Scratch of a run, sized by the net: the prefix's flattened policy
+   rules per slot, the work queue and its dedup bitmap, the interned
+   originated route per node and the scoped-MED buffers.  At scale a
+   slot-sized array goes straight to the major heap, so each domain
+   keeps one set in a cell and a run checks it out with
+   [Atomic.exchange] and hands it back clean: it writes only the slots
+   of its prefix's rules and of its originators, and puts back exactly
+   those (and any node it leaves queued) after the drain, so neither
+   end of a run costs a pass over the net.  Systhreads share a domain
+   (the query server's connection threads all run the engine), so a run
+   that finds the cell empty — another thread holds the set — allocates
+   its own; a run that raises simply drops its set.  Arrays may be
+   longer than the current net's slot or node count: only the first
+   [nslots] or [nodes] entries are used. *)
 type scratch = {
   deny : bool array;
   med_in : int array;  (* [min_int] = no override *)
   lpref_for : int array;  (* [min_int] = no override *)
-  igp_memo : int array;  (* [min_int] = not yet computed *)
+  queue : int array;  (* ring of capacity nodes + 1 *)
+  queued : bool array;
+  orig : Rattr.t array;  (* per node; Rattr.no_route = not originating *)
+  mutable med_buf : Rattr.t array;
+  mutable med_keys : int array;
 }
 
 let scratch_cell = Domain.DLS.new_key (fun () -> Atomic.make None)
 
-let checkout_scratch nslots =
+let checkout_scratch ~nslots ~nodes =
   match Atomic.exchange (Domain.DLS.get scratch_cell) None with
-  | Some sc when Array.length sc.deny >= nslots ->
-      Array.fill sc.deny 0 nslots false;
-      Array.fill sc.med_in 0 nslots min_int;
-      Array.fill sc.lpref_for 0 nslots min_int;
-      Array.fill sc.igp_memo 0 nslots min_int;
+  | Some sc when Array.length sc.deny >= nslots && Array.length sc.queued >= nodes
+    ->
       sc
   | _ ->
       {
         deny = Array.make nslots false;
         med_in = Array.make nslots min_int;
         lpref_for = Array.make nslots min_int;
-        igp_memo = Array.make nslots min_int;
+        queue = Array.make (nodes + 1) 0;
+        queued = Array.make nodes false;
+        orig = Array.make nodes Rattr.no_route;
+        med_buf = [||];
+        med_keys = [||];
       }
 
 let checkin_scratch sc = Atomic.set (Domain.DLS.get scratch_cell) (Some sc)
@@ -232,9 +255,13 @@ let checkin_scratch sc = Atomic.set (Domain.DLS.get scratch_cell) (Some sc)
    The whole hot path runs on the {!Net.Csr} arrays hoisted into locals
    below: walking a node's sessions is a linear int-array scan, the
    mirror slot at the peer is one [rev] read, and the work queue is a
-   ring buffer, so the only per-event allocation is a short-lived
-   candidate record on an actual RIB-In change. *)
-let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
+   ring buffer, so an event allocates only on a change: a lookup in the
+   prepended-path memo when its node's best route changes, and one
+   route record per RIB-In slot it changes.  [fresh] says whether
+   [st]'s slab and best arrays are the run's own; when they are not (a
+   warm resume), each is copied on its first write. *)
+let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind ~seed
+    =
   let t0 = Obs.Trace.now_us () in
   let escalated = ref 0 in
   let fingerprinted = ref 0 in
@@ -268,47 +295,31 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
   let rrs = Net.Csr.rr_clients c in
   let asns = Net.Csr.asns c in
   let ips = Net.Csr.ips c in
-  let slab = st.slab in
+  let igps = Net.Csr.igp_costs c in
+  let export_ok = Net.Csr.export_table c in
+  let cw = Net.Csr.export_width c in
   let med_default = Net.default_med net in
-  let nslots = Array.length slab in
-  (* Per-run flattening of the prefix's policy rules and the export
-     matrix: the engine visits only the rules of the prefix it runs
-     (each names its slot as [off.(node) + session]) and the class pairs
-     once at run start instead of once per advertisement.  The net is
-     frozen while a simulation runs (mutation discipline), so these
-     snapshots cannot go stale mid-run. *)
-  let sc = checkout_scratch nslots in
+  (* Per-run flattening of the prefix's policy rules: the engine visits
+     only the rules of the prefix it runs (each names its slot as
+     [off.(node) + session]).  The net is frozen while a simulation runs
+     (mutation discipline), so walking the same rules again after the
+     drain puts back exactly the slots written here. *)
+  let sc = checkout_scratch ~nslots:(Net.Csr.slot_count c) ~nodes:n in
   let deny = sc.deny and med_in = sc.med_in and lpref_for = sc.lpref_for in
   Net.iter_prefix_policies net st.pfx (fun u s ~deny:d ~med ~lpref ->
       let k = off.(u) + s in
       deny.(k) <- d;
       med_in.(k) <- med;
       lpref_for.(k) <- lpref);
-  (* Session classes (and hence learned classes, which are session
-     classes or -1 for originated routes) are small non-negative ints,
-     so the export matrix collapses to a dense boolean table. *)
-  let maxc =
-    let m = ref 0 in
-    Array.iter (fun cl -> if cl > !m then m := cl) classes;
-    !m
-  in
-  let cw = maxc + 2 in
-  let export_ok = Array.make (cw * cw) false in
-  for lc = -1 to maxc do
-    for tc = -1 to maxc do
-      export_ok.(((lc + 1) * cw) + tc + 1) <-
-        Net.export_matrix net ~learned_class:lc ~to_class:tc
-    done
-  done;
   (* FIFO work queue as a ring over an int array: the [queued] dedup
      bitmap bounds occupancy at [n], so capacity [n + 1] never
      overflows and the drain loop allocates nothing per event (a
      [Queue.t] would cons one cell per push). *)
   let qcap = n + 1 in
-  let qbuf = Array.make qcap 0 in
+  let qbuf = sc.queue in
   let qhead = ref 0 in
   let qtail = ref 0 in
-  let queued = Array.make n false in
+  let queued = sc.queued in
   let enqueue u =
     if not queued.(u) then begin
       queued.(u) <- true;
@@ -340,62 +351,56 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
   let med_scope = Net.med_scope net in
   (* Neighbour-scoped MED (RFC 4271 §9.1.2.2) is not a total order over
      candidates, so the pairwise-minimum fast path below would be wrong
-     for it: run the real elimination process instead — in place over a
-     per-run scratch buffer sized to the widest node. *)
+     for it: run the real elimination process instead — in place over
+     scratch buffers sized to the widest node. *)
   let scoped_med =
     med_scope = Decision.Same_neighbor && List.mem Decision.Med steps
   in
-  let scratch =
-    if not scoped_med then [||]
-    else begin
-      let maxdeg = ref 0 in
-      for u = 0 to n - 1 do
-        let d = off.(u + 1) - off.(u) in
-        if d > !maxdeg then maxdeg := d
-      done;
-      Array.make (!maxdeg + 1) Rattr.no_route
-    end
-  in
-  let scratch_keys = Array.make (Array.length scratch) 0 in
-  (* Per-run lazy memo of the IGP cost per receiving slot: the user's
-     igp function can be arbitrarily expensive (netgen's does hash
-     lookups), and convergence re-imports over the same iBGP slot many
-     times.  The net is frozen during a run, so the cost cannot
-     change. *)
-  let igp_memo = sc.igp_memo in
-  let igp_at kr p u =
-    let g = igp_memo.(kr) in
-    if g <> min_int then g
-    else begin
-      let g = Net.igp_cost net p u in
-      igp_memo.(kr) <- g;
-      g
-    end
-  in
+  let width = Net.Csr.max_degree c + 1 in
+  if scoped_med && Array.length sc.med_buf < width then begin
+    sc.med_buf <- Array.make width Rattr.no_route;
+    sc.med_keys <- Array.make width 0
+  end;
+  let med_buf = sc.med_buf and med_keys = sc.med_keys in
+  let compare_routes = Decision.comparator steps in
   (* Originated routes are stable for the whole run: intern each
      originator's once instead of allocating per decision process. *)
-  let orig = Array.make n Rattr.no_route in
-  for u = 0 to n - 1 do
-    if st.originates.(u) then
-      orig.(u) <- Intern.rattr (Rattr.originated ~own_ip:ips.(u))
-  done;
-  let originated u = orig.(u) in
+  let orig = sc.orig in
+  List.iter
+    (fun u -> orig.(u) <- Intern.rattr (Rattr.originated ~own_ip:ips.(u)))
+    st.origins;
+  (* Copy on first write: a warm run starts on its parent's arrays. *)
+  let own_slab = ref fresh and own_best = ref fresh in
+  let set_slot k r =
+    if not !own_slab then begin
+      st.slab <- Array.copy st.slab;
+      own_slab := true
+    end;
+    st.slab.(k) <- r
+  in
+  let set_best u r =
+    if not !own_best then begin
+      st.best <- Array.copy st.best;
+      own_best := true
+    end;
+    st.best.(u) <- r
+  in
   let recompute_best_scoped u =
     let m = ref 0 in
-    if st.originates.(u) then begin
-      scratch.(0) <- originated u;
+    let o = orig.(u) in
+    if Rattr.is_route o then begin
+      med_buf.(0) <- o;
       m := 1
     end;
+    let slab = st.slab in
     for k = off.(u) to off.(u + 1) - 1 do
       let r = slab.(k) in
       if Rattr.is_route r then begin
-        scratch.(!m) <- r;
+        med_buf.(!m) <- r;
         incr m
       end
     done;
-    match Decision.select_into ~med_scope steps scratch ~keys:scratch_keys !m with
-    | Some r -> r
-    | None -> Rattr.no_route
+    Decision.select_into ~med_scope steps med_buf ~keys:med_keys !m
   in
   (* Allocation-free best computation: the elimination process equals
      the lexicographic minimum under Decision.compare_routes, first in
@@ -403,15 +408,60 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
   let recompute_best u =
     if scoped_med then recompute_best_scoped u
     else begin
-      let best = ref Rattr.no_route in
-      if st.originates.(u) then best := originated u;
+      let best = ref orig.(u) in
+      let slab = st.slab in
       for k = off.(u) to off.(u + 1) - 1 do
         let r = slab.(k) in
         if Rattr.is_route r then
           if not (Rattr.is_route !best) then best := r
-          else if Decision.compare_routes steps r !best < 0 then best := r
+          else if compare_routes r !best < 0 then best := r
       done;
       !best
+    end
+  in
+  (* The advertisement died on the session into [p]'s slot [kr]:
+     withdraw the incumbent if there is one. *)
+  let kill kr p =
+    if Rattr.is_route st.slab.(kr) then begin
+      set_slot kr Rattr.no_route;
+      enqueue p
+    end
+  in
+  (* [u]'s advertisement survived into [p]'s slot [kr]: compare the
+     computed fields against the incumbent (the [same_route] criteria,
+     inlined) and allocate a record only on an actual change —
+     suppressed imports, the vast majority, allocate nothing.  The
+     records are deliberately NOT table-interned either: measured on
+     2k-AS worlds, cold-convergence imports almost never recur, so an
+     {!Intern.rattr} probe per write costs 20-35% throughput while the
+     table only retains garbage.  Sharing where reuse is real comes
+     from {!Intern.prepend} (paths) and the interned originated
+     routes.  [kill] and [store] live here, not in [push_exports], so
+     that no closure is allocated per export. *)
+  let store u kr p path lpref med igp learned =
+    let cur = st.slab.(kr) in
+    if
+      Rattr.is_route cur
+      && cur.Rattr.from_node = u
+      && Rattr.same_path cur.Rattr.path path
+      && cur.Rattr.lpref = lpref
+      && cur.Rattr.med = med
+      && cur.Rattr.igp = igp
+    then ()
+    else begin
+      set_slot kr
+        {
+          Rattr.path;
+          lpref;
+          med;
+          igp;
+          from_node = u;
+          from_ip = ips.(u);
+          from_session = kr - off.(p);
+          learned;
+          learned_class = classes.(kr);
+        };
+      enqueue p
     end
   in
   (* Re-export node [u]'s current best over every slot, importing at
@@ -424,52 +474,7 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
     let ebgp_path =
       if has then Intern.prepend ~own_as:asns.(u) best'.Rattr.path else [||]
     in
-    let own_ip = ips.(u) in
     let base = off.(u) in
-    (* The advertisement died on this session: withdraw the incumbent
-       if there is one. *)
-    let kill kr p =
-      if Rattr.is_route slab.(kr) then begin
-        slab.(kr) <- Rattr.no_route;
-        enqueue p
-      end
-    in
-    (* The advertisement survived: compare the computed fields against
-       the incumbent (the [same_route] criteria, inlined) and allocate
-       a record only on an actual change — suppressed imports, the
-       vast majority, allocate nothing.  The records are deliberately
-       NOT table-interned either: measured on 2k-AS worlds,
-       cold-convergence imports almost never recur, so an
-       {!Intern.rattr} probe per write costs 20-35% throughput while
-       the table only retains garbage.  Sharing where reuse is real
-       comes from {!Intern.prepend} (paths) and the interned
-       originated routes. *)
-    let store kr p path lpref med igp learned =
-      let cur = slab.(kr) in
-      if
-        Rattr.is_route cur
-        && cur.Rattr.from_node = u
-        && (cur.Rattr.path == path || cur.Rattr.path = path)
-        && cur.Rattr.lpref = lpref
-        && cur.Rattr.med = med
-        && cur.Rattr.igp = igp
-      then ()
-      else begin
-        slab.(kr) <-
-          {
-            Rattr.path;
-            lpref;
-            med;
-            igp;
-            from_node = u;
-            from_ip = own_ip;
-            from_session = kr - off.(p);
-            learned;
-            learned_class = classes.(kr);
-          };
-        enqueue p
-      end
-    in
     for k = base to off.(u + 1) - 1 do
       let p = peer.(k) in
       let kr = rev.(k) in
@@ -512,14 +517,14 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
                 let m = med_in.(kr) in
                 if m <> min_int then m else med_default
               in
-              store kr p path lpref med 0 Rattr.From_ebgp
+              store u kr p path lpref med 0 Rattr.From_ebgp
             end
           end
           else
             (* LOCAL_PREF and MED travel unchanged inside the AS; the
                IGP cost to the egress (the announcing router)
                implements hot-potato ranking. *)
-            store kr p path r.Rattr.lpref r.Rattr.med (igp_at kr p u)
+            store u kr p path r.Rattr.lpref r.Rattr.med igps.(kr)
               Rattr.From_ibgp
         end
       end
@@ -529,7 +534,7 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
     st.events <- st.events + 1;
     let best' = recompute_best u in
     if not (Rattr.same_route st.best.(u) best') then begin
-      st.best.(u) <- best';
+      set_best u best';
       (match on_best_change with
       | Some f -> f u (if Rattr.is_route best' then Some best' else None)
       | None -> ());
@@ -546,7 +551,7 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
      that deep is already suspect, and a genuine cycle keeps repeating,
      so arming late never misses one. *)
   let threshold = budget / 2 in
-  let history = Hashtbl.create 64 in
+  let history = ref None in
   let rec drain budget escalations_left =
     if not (queue_empty ()) then
       if st.events >= budget then
@@ -570,7 +575,15 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
         queued.(u) <- false;
         process u;
         if st.events >= threshold && not (queue_empty ()) then
-          let fp = (incr fingerprinted; fingerprint st fold_queue queued) in
+          let fp = (incr fingerprinted; fingerprint st fold_queue queued n) in
+          let history =
+            match !history with
+            | Some h -> h
+            | None ->
+                let h = Hashtbl.create 64 in
+                history := Some h;
+                h
+          in
           match Hashtbl.find_opt history fp with
           | Some e0 ->
               st.outcome <- Diverged { cycle_len = st.events - e0 };
@@ -589,6 +602,18 @@ let exec ?max_events ?max_escalations ?on_best_change net st ~kind ~seed =
       end
   in
   drain budget escalations;
+  (* Hand the scratch back clean: undo the rule flattening, the
+     originated routes and whatever a truncated or diverged run left
+     queued. *)
+  Net.iter_prefix_policies net st.pfx (fun u s ~deny:_ ~med:_ ~lpref:_ ->
+      let k = off.(u) + s in
+      deny.(k) <- false;
+      med_in.(k) <- min_int;
+      lpref_for.(k) <- min_int);
+  List.iter (fun u -> orig.(u) <- Rattr.no_route) st.origins;
+  while not (queue_empty ()) do
+    queued.(dequeue ()) <- false
+  done;
   checkin_scratch sc;
   Obs.Metrics.incr runs_m;
   Obs.Metrics.incr ~by:st.events events_m;
@@ -626,6 +651,10 @@ let cold ?max_events ?max_escalations ?on_best_change net ~prefix:pfx
     Obs.Probe.write ~obj:(state_obj net pfx) ~site:"engine.install-cold";
   let c = Net.csr net in
   let n = Net.Csr.node_count c in
+  (* The scratch arrays may be longer than [n], so an out-of-range
+     originator would not fail an index check there. *)
+  List.iter (fun o -> if o < 0 || o >= n then invalid_arg "index out of bounds")
+    originators;
   let st =
     {
       pfx;
@@ -634,23 +663,31 @@ let cold ?max_events ?max_escalations ?on_best_change net ~prefix:pfx
       off = Net.Csr.off c;
       slab = Array.make (Net.Csr.slot_count c) Rattr.no_route;
       best = Array.make n Rattr.no_route;
-      originates = Array.make n false;
+      origins = List.sort_uniq Int.compare originators;
       outcome = Converged;
       events = 0;
     }
   in
-  List.iter (fun o -> st.originates.(o) <- true) originators;
-  exec ?max_events ?max_escalations ?on_best_change net st ~kind:"cold"
-    ~seed:(fun ~enqueue ~replay:_ -> List.iter enqueue originators)
+  exec ?max_events ?max_escalations ?on_best_change ~fresh:true net st
+    ~kind:"cold" ~seed:(fun ~enqueue ~replay:_ -> List.iter enqueue originators)
 
 let resumable net prev =
   converged prev
   && prev.gen = Net.generation net
   && prev.nodes = Net.node_count net
 
-(* Precondition: [resumable net prev].  The flat layout makes the warm
-   copy two [Array.copy] calls over contiguous arrays — no per-node
-   copying. *)
+(* The nodes in exactly one of two ascending, distinct lists, ascending. *)
+let rec sym_diff a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | x :: a', y :: b' ->
+      if x < y then x :: sym_diff a' b
+      else if y < x then y :: sym_diff a b'
+      else sym_diff a' b'
+
+(* Precondition: [resumable net prev].  The new state starts on [prev]'s
+   arrays; the run copies each before its first write, so [prev] is
+   never written and a resume that changes nothing shares them. *)
 let warm ?max_events ?max_escalations ?on_best_change net ~prev ~touched
     ~originators =
   if Obs.Probe.enabled () then begin
@@ -658,20 +695,24 @@ let warm ?max_events ?max_escalations ?on_best_change net ~prev ~touched
     Obs.Probe.read ~obj ~site:"engine.resume";
     Obs.Probe.write ~obj ~site:"engine.install-warm"
   end;
+  let n = prev.nodes in
+  let origins =
+    List.sort_uniq Int.compare
+      (List.filter (fun o -> o >= 0 && o < n) originators)
+  in
   let st =
     {
       pfx = prev.pfx;
       gen = prev.gen;
-      nodes = prev.nodes;
+      nodes = n;
       off = prev.off;
-      slab = Array.copy prev.slab;
-      best = Array.copy prev.best;
-      originates = Array.copy prev.originates;
+      slab = prev.slab;
+      best = prev.best;
+      origins;
       outcome = Converged;
       events = 0;
     }
   in
-  let n = st.nodes in
   (* Origination delta: nodes that gain or lose the originated route
      under the caller's [originators] set re-run their decision process
      from the warm state — a gained origination injects the route, a
@@ -679,24 +720,16 @@ let warm ?max_events ?max_escalations ?on_best_change net ~prev ~touched
      best-route change.  Callers resuming with an unchanged originator
      set produce an empty delta, so the historical policy-only warm
      path is untouched. *)
-  let now = Array.make n false in
-  List.iter (fun o -> if o >= 0 && o < n then now.(o) <- true) originators;
-  let origin_delta = ref [] in
-  for u = n - 1 downto 0 do
-    if now.(u) <> st.originates.(u) then begin
-      st.originates.(u) <- now.(u);
-      origin_delta := u :: !origin_delta
-    end
-  done;
-  exec ?max_events ?max_escalations ?on_best_change net st ~kind:"warm"
-    ~seed:(fun ~enqueue ~replay ->
+  let origin_delta = sym_diff prev.origins origins in
+  exec ?max_events ?max_escalations ?on_best_change ~fresh:false net st
+    ~kind:"warm" ~seed:(fun ~enqueue ~replay ->
       (* Replay every touched node's exports unconditionally: peers
          whose RIB-In changes under the new policy enqueue themselves;
          the touched node itself re-runs its decision process whenever
          a replayed import disturbs it.  An unchanged advertisement is
          suppressed by [same_route], so a no-op policy edit costs one
          event and drains immediately. *)
-      List.iter enqueue !origin_delta;
+      List.iter enqueue origin_delta;
       List.iter (fun u -> if u >= 0 && u < n then replay u) touched)
 
 let simulate ?max_events ?max_escalations ?on_best_change ?from ?touched net
@@ -716,12 +749,7 @@ let simulate ?max_events ?max_escalations ?on_best_change ?from ?touched net
       cold ?max_events ?max_escalations ?on_best_change net ~prefix:pfx
         ~originators
 
-let originating st =
-  let acc = ref [] in
-  for u = Array.length st.originates - 1 downto 0 do
-    if st.originates.(u) then acc := u :: !acc
-  done;
-  !acc
+let originating st = st.origins
 
 let best_full_path net st n =
   match best st n with

@@ -36,9 +36,11 @@ val simulate :
 (** The single simulation entry point.  Simulate [prefix] to
     convergence on [net], starting cold from [originators] — or, when
     [from] is a {!resumable} previous state of the {e same} prefix,
-    warm: the previous converged state is copied and only the exports
-    of the [touched] nodes (default {!Net.touched_nodes}) are
-    replayed.  A warm resume also honours origination changes: nodes
+    warm: the run starts from the previous converged state and only
+    the exports of the [touched] nodes (default {!Net.touched_nodes})
+    are replayed.  [from] itself is never modified: the new state
+    copies its route arrays on their first write, so a resume that
+    changes nothing shares them.  A warm resume also honours origination changes: nodes
     present in [originators] but not originating in [from] (and vice
     versa) have their flag flipped and their decision process re-run,
     so announce / withdraw / MOAS events replay incrementally without

@@ -64,6 +64,10 @@ type csr = {
   c_rr : int array;  (* 0/1 *)
   c_asn : int array;  (* node -> ASN *)
   c_ip : int array;  (* node -> numeric router address *)
+  c_igp : int array;  (* iBGP slot -> IGP cost to the peer; 0 elsewhere *)
+  c_export : bool array;  (* (learned_class + 1) * c_cw + to_class + 1 *)
+  c_cw : int;  (* export table width: largest class + 2 *)
+  c_maxdeg : int;  (* widest node's session count *)
 }
 
 (* The per-prefix rules of one half-session.  [unset] marks an absent
@@ -310,11 +314,14 @@ let build_csr t =
   let rr = Array.make total 0 in
   let asn = Array.make n 0 in
   let ip = Array.make n 0 in
+  let igp = Array.make total 0 in
+  let maxdeg = ref 0 in
   for u = 0 to n - 1 do
     let nd = Vec.get t.nodes u in
     asn.(u) <- nd.asn;
     ip.(u) <- Ipv4.to_int nd.ip;
     let base = off.(u) in
+    maxdeg := max !maxdeg (Vec.length nd.sessions);
     Vec.iteri
       (fun s ss ->
         let k = base + s in
@@ -327,11 +334,24 @@ let build_csr t =
              off.(ss.peer) + ss.peer_session
            else -1);
         kind.(k) <- (match ss.kind with Ebgp -> 0 | Ibgp -> 1);
+        if ss.kind = Ibgp && ss.peer >= 0 && ss.peer < n then
+          igp.(k) <- t.igp u ss.peer;
         cls.(k) <- ss.s_class;
         (match ss.lpref_in with Some v -> lpref.(k) <- v | None -> ());
         if ss.carry_lpref then carry.(k) <- 1;
         if ss.rr_client then rr.(k) <- 1)
       nd.sessions
+  done;
+  (* Session classes (and hence learned classes: a session class, or -1
+     for an originated route) are small non-negative ints, so the export
+     matrix collapses to a dense boolean table. *)
+  let cw = Array.fold_left max 0 cls + 2 in
+  let export = Array.make (cw * cw) false in
+  for lc = -1 to cw - 2 do
+    for tc = -1 to cw - 2 do
+      export.(((lc + 1) * cw) + tc + 1) <-
+        t.export_ok ~learned_class:lc ~to_class:tc
+    done
   done;
   {
     c_gen = t.generation;
@@ -346,6 +366,10 @@ let build_csr t =
     c_rr = rr;
     c_asn = asn;
     c_ip = ip;
+    c_igp = igp;
+    c_export = export;
+    c_cw = cw;
+    c_maxdeg = !maxdeg;
   }
 
 let csr t =
@@ -403,6 +427,14 @@ module Csr = struct
   let asns c = c.c_asn
 
   let ips c = c.c_ip
+
+  let igp_costs c = c.c_igp
+
+  let export_table c = c.c_export
+
+  let export_width c = c.c_cw
+
+  let max_degree c = c.c_maxdeg
 end
 
 let iter_sessions t n f =

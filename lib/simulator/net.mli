@@ -155,6 +155,23 @@ module Csr : sig
   val ips : t -> int array
   (** Node -> numeric router address (the final tie-break value). *)
 
+  val igp_costs : t -> int array
+  (** Slot -> {!igp_cost} from the slot's node to its peer for an iBGP
+      slot, [0] for an eBGP or dangling one: the hot-potato rank of a
+      route imported over that slot.  Computed once per generation
+      ({!set_igp_cost} bumps it). *)
+
+  val export_table : t -> bool array
+  (** {!export_matrix} as a dense table: entry
+      [((learned_class + 1) * export_width) + to_class + 1] for
+      [learned_class] in [-1 .. export_width - 2] and [to_class] in
+      [-1 .. export_width - 2]. *)
+
+  val export_width : t -> int
+  (** The largest session class plus 2. *)
+
+  val max_degree : t -> int
+  (** The largest session count of any node. *)
 end
 
 val csr : t -> Csr.t

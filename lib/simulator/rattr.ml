@@ -58,9 +58,19 @@ let full_path ~own_as r =
 
 (* Paths flowing through the engine are interned (Intern.path), so the
    physical check settles the common case without walking the array;
-   the structural fallback keeps the comparison correct for arrays from
-   other domains or built by callers directly. *)
-let same_path (a : int array) b = a == b || a = b
+   the element loop keeps the comparison correct for arrays from other
+   domains or built by callers directly, without a [caml_equal] call. *)
+let same_path (a : int array) (b : int array) =
+  a == b
+  ||
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get a !i = Array.unsafe_get b !i do
+    incr i
+  done;
+  !i = n
 
 let same_advertisement a b =
   match (a, b) with

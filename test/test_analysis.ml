@@ -483,7 +483,30 @@ let audit_catches_corruption () =
     (List.exists
        (fun f ->
          f.Report.rule = "audit-csr-slot" || f.Report.rule = "audit-csr-rev")
-       fs)
+       fs);
+  (* A caller writing into the per-generation tables the index shares:
+     one export decision flipped, one iBGP slot's IGP cost changed. *)
+  let net, a, _b = two_nodes () in
+  let c = Net.csr net in
+  check_int "fresh tables audit clean" 0 (List.length (Audit.csr net));
+  let table = Net.Csr.export_table c in
+  table.(0) <- not table.(0);
+  check_bool "flipped export entry surfaces" true
+    (List.exists (fun f -> f.Report.rule = "audit-csr-export") (Audit.csr net));
+  table.(0) <- not table.(0);
+  let a2 = Net.add_node net ~asn:1 ~ip:(Asn.router_ip 1 1) in
+  let sa, _ = Net.connect ~kind:Net.Ibgp net a a2 in
+  Net.set_igp_cost net (fun _ _ -> 3);
+  let c = Net.csr net in
+  let k = (Net.Csr.off c).(a) + sa in
+  check_int "iBGP slot carries the IGP cost" 3 (Net.Csr.igp_costs c).(k);
+  (Net.Csr.igp_costs c).(k) <- 4;
+  check_bool "changed IGP cost surfaces" true
+    (List.exists
+       (fun f ->
+         f.Report.rule = "audit-csr-slot"
+         && f.Report.location = Report.Session (a, sa))
+       (Audit.csr net))
 
 let audit_stale_state () =
   let m = triangle_model () in

@@ -162,6 +162,106 @@ let prop_selected_never_dominated =
             (fun r -> D.compare_routes D.full_steps best r <= 0)
             candidates)
 
+(* Narrow value ranges, so that pairs tie on several steps and the
+   comparator walks deep into its chain. *)
+let arb_tied_pair =
+  let route_gen =
+    QCheck.Gen.(
+      let* len = int_range 0 3 in
+      let* path = array_size (return len) (int_range 1 3) in
+      let* lpref = oneofl [ 90; 100; 110 ] in
+      let* med = int_range 0 2 in
+      let* igp = int_range 0 2 in
+      let* from_ip = int_range 1 3 in
+      let* learned = oneofl [ R.Originated; R.From_ebgp; R.From_ibgp ] in
+      return (route ~path ~lpref ~med ~igp ~from_ip ~learned ()))
+  in
+  let all_steps =
+    [ D.Local_pref; D.Path_length; D.Med; D.Prefer_ebgp; D.Igp_cost; D.Lowest_ip ]
+  in
+  let steps_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return D.model_steps);
+          (1, return D.full_steps);
+          (2, list_size (int_range 0 8) (oneofl all_steps));
+        ])
+  in
+  QCheck.make
+    ~print:(fun (steps, a, b) ->
+      let show (r : R.t) =
+        Printf.sprintf "{len=%d lpref=%d med=%d igp=%d ip=%d}"
+          (Array.length r.R.path) r.R.lpref r.R.med r.R.igp r.R.from_ip
+      in
+      Printf.sprintf "[%s] %s %s"
+        (String.concat "; " (List.map D.step_to_string steps))
+        (show a) (show b))
+    QCheck.Gen.(triple steps_gen route_gen route_gen)
+
+let prop_comparator_is_compare_routes =
+  QCheck.Test.make ~name:"comparator = compare_routes" ~count:1000
+    arb_tied_pair (fun (steps, a, b) ->
+      let cmp = D.comparator steps in
+      cmp a b = D.compare_routes steps a b
+      && cmp b a = D.compare_routes steps b a)
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* The engine calls these once per candidate, per decision or per
+   import, so none may allocate: 10,000 calls must cost 0 words. *)
+let per_event_calls_allocate_nothing () =
+  let a = route ~path:[| 2; 3; 6 |] ~from_ip:7 ~learned:R.From_ibgp () in
+  let b = route ~path:[| 2; 3; 6 |] ~from_ip:9 ~learned:R.From_ibgp () in
+  List.iter
+    (fun (label, steps) ->
+      let cmp = D.comparator steps in
+      Alcotest.(check int)
+        (label ^ " comparator sign")
+        (D.compare_routes steps a b) (cmp a b);
+      Alcotest.(check int)
+        (label ^ " comparator allocates nothing")
+        0
+        (int_of_float
+           (minor_words (fun () ->
+                for _ = 1 to 10_000 do
+                  ignore (cmp a b)
+                done))))
+    [ ("model steps", D.model_steps); ("full steps", D.full_steps) ];
+  (* The scoped-MED selection runs in place over caller buffers. *)
+  let c = route ~path:[| 2; 3; 6 |] ~med:0 ~from_ip:8 () in
+  let cands = [| a; b; c |] in
+  let buf = Array.copy cands and keys = Array.make 3 0 in
+  let select () =
+    Array.blit cands 0 buf 0 3;
+    D.select_into ~med_scope:D.Same_neighbor D.full_steps buf ~keys 3
+  in
+  check_bool "select_into = select" true
+    (D.select ~med_scope:D.Same_neighbor D.full_steps (Array.to_list cands)
+    = Some (select ()));
+  Alcotest.(check int) "select_into allocates nothing" 0
+    (int_of_float
+       (minor_words (fun () ->
+            for _ = 1 to 10_000 do
+              ignore (select ())
+            done)));
+  (* Equal contents in distinct arrays: the element loop, not the
+     physical check, decides. *)
+  let p1 = Array.init 12 (fun i -> i) and p2 = Array.init 12 (fun i -> i) in
+  check_bool "distinct arrays" true (p1 != p2);
+  check_bool "same_path sees equal contents" true (R.same_path p1 p2);
+  check_bool "same_path sees a difference" false
+    (R.same_path p1 (Array.init 12 (fun i -> if i = 11 then 0 else i)));
+  Alcotest.(check int) "same_path allocates nothing" 0
+    (int_of_float
+       (minor_words (fun () ->
+            for _ = 1 to 10_000 do
+              ignore (R.same_path p1 p2)
+            done)))
+
 let suite =
   [
     Alcotest.test_case "local-pref wins" `Quick local_pref_wins;
@@ -177,4 +277,7 @@ let suite =
     Alcotest.test_case "classify verdicts" `Quick classify_verdicts;
     QCheck_alcotest.to_alcotest prop_select_is_minimum;
     QCheck_alcotest.to_alcotest prop_selected_never_dominated;
+    QCheck_alcotest.to_alcotest prop_comparator_is_compare_routes;
+    Alcotest.test_case "per-event decision calls allocate nothing" `Quick
+      per_event_calls_allocate_nothing;
   ]

@@ -40,60 +40,85 @@ let test_sized_rejects_small () =
       ignore (Netgen.Conf.sized 49))
 
 (* The flat engine must be observationally identical to the frozen
-   reference on arbitrary generated worlds: same fingerprints, same
-   event counts, same outcomes — cold, and warm across a policy
-   change.  Seeds vary the whole world (topology, policies, MED noise,
-   route reflection), not just the traffic. *)
+   reference on arbitrary generated worlds of every generator family:
+   same fingerprints, same event counts, same outcomes — cold, and warm
+   across a policy change.  Seeds vary the whole world (topology,
+   policies, MED noise, route reflection, IGP costs), not just the
+   traffic; ground truth runs iBGP with neighbour-scoped MED. *)
 let arb_world_seed =
   QCheck.make ~print:(Printf.sprintf "netgen seed %d")
     QCheck.Gen.(int_bound 10_000)
 
+let families =
+  Netgen.Family.
+    [
+      Paper;
+      Waxman default_waxman;
+      Glp default_glp;
+      Fattree default_fattree;
+    ]
+
+let flat_matches_reference world =
+  let net = world.Netgen.Groundtruth.net in
+  let plan = world.Netgen.Groundtruth.prefix_plan in
+  let step = max 1 (List.length plan / 6) in
+  let samples = List.filteri (fun i _ -> i mod step = 0) plan in
+  let first_session kind =
+    let rec find u =
+      if u >= Net.node_count net then None
+      else
+        match
+          List.find_opt
+            (fun (s, _) -> Net.session_kind net u s = kind)
+            (Net.sessions_of net u)
+        with
+        | Some (s, _) -> Some (u, s)
+        | None -> find (u + 1)
+    in
+    find 0
+  in
+  let touch = Option.value ~default:(0, 0) (first_session Net.Ebgp) in
+  let same rs fs =
+    Engine_reference.state_fingerprint rs = Engine.state_fingerprint fs
+    && Engine_reference.events rs = Engine.events fs
+    && Engine_reference.converged rs = Engine.converged fs
+  in
+  (* One warm step on each engine after [edit], undone by [undo]. *)
+  let warm_step p anchors rc fc edit undo =
+    edit ();
+    let rw = Engine_reference.simulate net ~from:rc ~prefix:p ~originators:anchors in
+    let fw = Engine.simulate net ~from:fc ~prefix:p ~originators:anchors in
+    undo ();
+    Net.clear_touched net p;
+    same rw fw
+  in
+  List.for_all
+    (fun (p, _asn, anchors) ->
+      let rc = Engine_reference.simulate net ~prefix:p ~originators:anchors in
+      let fc = Engine.simulate net ~prefix:p ~originators:anchors in
+      let u, s = touch in
+      same rc fc
+      && warm_step p anchors rc fc
+           (fun () -> Net.set_import_med net u s p 7)
+           (fun () -> Net.clear_import_med net u s p)
+      (* A deny on an iBGP session re-runs route reflection and the
+         IGP-cost ranking warm. *)
+      && (match first_session Net.Ibgp with
+         | None -> true
+         | Some (u, s) ->
+             warm_step p anchors rc fc
+               (fun () -> Net.deny_export net u s p)
+               (fun () -> Net.allow_export net u s p)))
+    samples
+
 let prop_flat_matches_reference =
   QCheck.Test.make ~name:"flat engine = reference engine (cold + warm)"
     ~count:15 arb_world_seed (fun seed ->
-      let conf = { Netgen.Conf.tiny with Netgen.Conf.seed = seed } in
-      let world = Netgen.Groundtruth.build conf in
-      let net = world.Netgen.Groundtruth.net in
-      let plan = world.Netgen.Groundtruth.prefix_plan in
-      let step = max 1 (List.length plan / 6) in
-      let samples = List.filteri (fun i _ -> i mod step = 0) plan in
-      let touch =
-        let rec find u =
-          if u >= Net.node_count net then 0
-          else if Net.session_count_of net u > 0 then u
-          else find (u + 1)
-        in
-        find 0
-      in
       List.for_all
-        (fun (p, _asn, anchors) ->
-          let rc =
-            Engine_reference.simulate net ~prefix:p ~originators:anchors
-          in
-          let fc = Engine.simulate net ~prefix:p ~originators:anchors in
-          let cold_ok =
-            Engine_reference.state_fingerprint rc
-            = Engine.state_fingerprint fc
-            && Engine_reference.events rc = Engine.events fc
-            && Engine_reference.converged rc = Engine.converged fc
-          in
-          Net.set_import_med net touch 0 p 7;
-          let rw =
-            Engine_reference.simulate net ~from:rc ~prefix:p
-              ~originators:anchors
-          in
-          let fw =
-            Engine.simulate net ~from:fc ~prefix:p ~originators:anchors
-          in
-          Net.clear_import_med net touch 0 p;
-          Net.clear_touched net p;
-          let warm_ok =
-            Engine_reference.state_fingerprint rw
-            = Engine.state_fingerprint fw
-            && Engine_reference.events rw = Engine.events fw
-          in
-          cold_ok && warm_ok)
-        samples)
+        (fun family ->
+          let conf = { Netgen.Conf.tiny with Netgen.Conf.seed = seed; family } in
+          flat_matches_reference (Netgen.Groundtruth.build conf))
+        families)
 
 (* The fold/iter candidate walks agree with the allocating list
    variant at every node of a converged state. *)

@@ -275,29 +275,274 @@ let apply_random_edit net prefix r =
     | 2 -> Net.allow_export net n s prefix
     | _ -> Net.clear_import_med net n s prefix
 
+(* Every third AS gets a second quasi-router preferring its last eBGP
+   neighbour, so an AS can select two paths at once.  The preference is
+   the refiner's own: import MED 0 for [prefix].  A per-session
+   LOCAL_PREF would break the total route order, and with it the unique
+   fixed point this property relies on: with LOCAL_PREF 200 instead,
+   edges 1-2,1-3,1-5,1-8,3-4,3-6,3-7,4-5,4-6,4-7,5-6,6-7 and edits
+   343935,880013 leave the duplicates of AS 4 and AS 7 each preferring
+   the other's route, and warm and cold settle in two different stable
+   states. *)
+let duplicate_some m prefix =
+  let net = m.Qrmodel.net in
+  List.iteri
+    (fun i asn ->
+      if i mod 3 = 0 then begin
+        let d = Net.duplicate_node net (List.hd (Net.nodes_of_as net asn)) in
+        match
+          List.rev
+            (List.filter
+               (fun (s, _) -> Net.session_kind net d s = Net.Ebgp)
+               (Net.sessions_of net d))
+        with
+        | (s, _) :: _ -> Net.set_import_med net d s prefix 0
+        | [] -> ()
+      end)
+    (Topology.Asgraph.nodes m.Qrmodel.graph)
+
 let prop_warm_equals_cold =
   QCheck.Test.make ~name:"warm resume reaches the cold fixed point" ~count:100
     arb_scenario
     (fun (graph, edits) ->
-      let m = Qrmodel.initial graph in
-      let net = m.Qrmodel.net in
-      let prefix = fst (List.hd m.Qrmodel.prefixes) in
-      let prev = Qrmodel.simulate m prefix in
-      Net.clear_touched net prefix;
-      List.iter (apply_random_edit net prefix) edits;
-      let warm =
-        Engine.simulate ~from:prev net ~prefix
-          ~originators:(Qrmodel.originators m prefix)
-      in
-      let cold = Qrmodel.simulate m prefix in
-      Engine.converged cold && Engine.converged warm
-      && Engine.same_state cold warm
-      && Engine.state_fingerprint cold = Engine.state_fingerprint warm
-      && List.for_all
-           (fun node ->
-             Simulator.Rattr.same_advertisement (Engine.best cold node)
-               (Engine.best warm node))
-           (List.init (Net.node_count net) Fun.id))
+      List.for_all
+        (fun duplicated ->
+          let m = Qrmodel.initial graph in
+          let net = m.Qrmodel.net in
+          let prefix = fst (List.hd m.Qrmodel.prefixes) in
+          if duplicated then duplicate_some m prefix;
+          let prev = Qrmodel.simulate m prefix in
+          Net.clear_touched net prefix;
+          List.iter (apply_random_edit net prefix) edits;
+          let warm =
+            Engine.simulate ~from:prev net ~prefix
+              ~originators:(Qrmodel.originators m prefix)
+          in
+          let cold = Qrmodel.simulate m prefix in
+          Engine.converged cold && Engine.converged warm
+          && Engine.same_state cold warm
+          && Engine.state_fingerprint cold = Engine.state_fingerprint warm
+          && List.for_all
+               (fun node ->
+                 Simulator.Rattr.same_advertisement (Engine.best cold node)
+                   (Engine.best warm node))
+               (List.init (Net.node_count net) Fun.id))
+        [ false; true ])
+
+(* -- what a resume costs -- *)
+
+(* Run [f] with one worker, no faults, no tracing and no checker, so
+   that nothing but the engine allocates and every budget is the
+   default one. *)
+let quiet f =
+  let prior = Runtime.current () in
+  Fun.protect
+    ~finally:(fun () ->
+      Runtime.set prior;
+      Analysis.Ownership.ensure ();
+      Obs.Trace.reset ())
+  @@ fun () ->
+  Runtime.set
+    {
+      prior with
+      jobs = Some 1;
+      warm = Runtime.Warm_mode.On;
+      faults = None;
+      trace = Obs.Trace.Off;
+    };
+  Analysis.Ownership.set Runtime.Check_mode.Off;
+  f ()
+
+(* Minor plus directly-major words: a large array skips the minor
+   heap, so minor words alone would not see a slab-sized copy. *)
+let words f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  int_of_float (minor1 -. minor0 +. (major1 -. promoted1) -. (major0 -. promoted0))
+
+let family_model conf =
+  Qrmodel.initial
+    (Netgen.Gentopo.as_graph
+       (Netgen.generate Netgen.Family.Paper conf (Random.State.make [| 7 |])))
+
+(* A resume with nothing to replay allocates no slab-, node- or
+   slot-sized array: the same words on a 4x larger model, and the same
+   on every repeat. *)
+let noop_resume_cost_is_size_independent () =
+  quiet @@ fun () ->
+  let case conf =
+    let m = family_model conf in
+    let prefix = fst (List.hd m.Qrmodel.prefixes) in
+    let prev = Qrmodel.simulate m prefix in
+    Net.clear_touched m.Qrmodel.net prefix;
+    (m, prefix, prev)
+  in
+  let small = case Netgen.Conf.tiny and large = case (Netgen.Conf.sized 240) in
+  let resume (m, prefix, prev) () =
+    let st =
+      Engine.simulate ~from:prev ~touched:[] m.Qrmodel.net ~prefix
+        ~originators:(Engine.originating prev)
+    in
+    check_int "no events" 0 (Engine.events st);
+    check_bool "same state" true (Engine.same_state prev st)
+  in
+  let size (m, _, _) = Net.session_count m.Qrmodel.net in
+  check_bool "models differ 4x in slots" true (size large > 4 * size small);
+  (* The first runs build each CSR and size the domain's scratch. *)
+  resume large ();
+  resume small ();
+  let on_small = words (resume small) in
+  let on_large = words (resume large) in
+  check_int "same words on both sizes" on_small on_large;
+  check_int "same words on a repeat" on_large (words (resume large))
+
+(* Replaying a node re-exports its unchanged best route over every
+   session, and every import is suppressed: the words allocated must not
+   depend on how many sessions the node has. *)
+let unchanged_reexport_allocates_nothing_per_session () =
+  quiet @@ fun () ->
+  let m = family_model (Netgen.Conf.sized 240) in
+  let net = m.Qrmodel.net in
+  let prefix = fst (List.hd m.Qrmodel.prefixes) in
+  let prev = Qrmodel.simulate m prefix in
+  Net.clear_touched net prefix;
+  let routed =
+    List.filter
+      (fun u -> Engine.best prev u <> None)
+      (List.init (Net.node_count net) Fun.id)
+  in
+  let by_degree =
+    List.sort
+      (fun a b -> compare (Net.session_count_of net a) (Net.session_count_of net b))
+      routed
+  in
+  let narrow = List.hd by_degree and wide = List.hd (List.rev by_degree) in
+  check_bool "degrees differ" true
+    (Net.session_count_of net wide > 4 * Net.session_count_of net narrow);
+  let replay u () =
+    let st =
+      Engine.simulate ~from:prev ~touched:[ u ] net ~prefix
+        ~originators:(Engine.originating prev)
+    in
+    check_int "one replay event" 1 (Engine.events st);
+    check_bool "nothing moved" true (Engine.same_state prev st)
+  in
+  replay wide ();
+  replay narrow ();
+  check_int "same words on a wide and a narrow node"
+    (words (replay narrow))
+    (words (replay wide))
+
+(* A resume that writes copies before its first write: the parent state
+   it started from keeps its routes. *)
+let resume_leaves_parent_unchanged () =
+  quiet @@ fun () ->
+  let m = Qrmodel.initial diamond_graph in
+  let net = m.Qrmodel.net in
+  let originators = Qrmodel.originators m p in
+  let prev = Qrmodel.simulate m p in
+  Net.clear_touched net p;
+  let fp = Engine.state_fingerprint prev in
+  let n1 = List.hd (Net.nodes_of_as net 1) in
+  let r =
+    match Engine.best prev n1 with
+    | Some r -> r
+    | None -> Alcotest.fail "AS 1 has no route"
+  in
+  (* Deny the advertisement AS 1's best route arrived on. *)
+  let from = r.Simulator.Rattr.from_node in
+  let s = Net.session_reverse net n1 r.Simulator.Rattr.from_session in
+  Net.deny_export net from s p;
+  let warm = Engine.simulate ~from:prev net ~prefix:p ~originators in
+  check_bool "the deny moved a route" true
+    (Engine.state_fingerprint warm <> fp);
+  check_int "parent fingerprint unchanged" fp (Engine.state_fingerprint prev);
+  check_equivalent "deny" (Qrmodel.simulate m p) warm;
+  Net.allow_export net from s p;
+  Net.clear_touched net p
+
+(* -- scratch reuse after a run that did not converge -- *)
+
+let p_osc = Asn.origin_prefix 1
+
+let p_calm = Asn.origin_prefix 2
+
+(* An RFC 3345-style MED oscillation under neighbour-scoped MED.  AS 10
+   has routers r0, r1 and r2; r2 reflects for its client r0 and peers
+   with r1 as a non-client.  AS 1 (x) reaches r1 with MED 0 and r0 with
+   MED 1; AS 2 (y) reaches r0 with MED 2.  r0 prefers x's route by
+   router address until r2 reflects r1's MED 0 route, which eliminates
+   it; r0 then announces y's route, which r2 prefers by IGP cost (1
+   against 15) and so stops reflecting r1's route; r0 falls back to x's
+   route, and r2 takes r1's again.  Under always-compare MED the same
+   net converges.  [p_calm], originated by x alone with no MED rule,
+   converges. *)
+let oscillating_net () =
+  let net = Net.create () in
+  let r = Array.init 3 (fun i -> Net.add_node net ~asn:10 ~ip:(Asn.router_ip 10 i)) in
+  let x = Net.add_node net ~asn:1 ~ip:(Asn.router_ip 1 0) in
+  let y = Net.add_node net ~asn:2 ~ip:(Asn.router_ip 2 0) in
+  let _, s20 = Net.connect ~kind:Net.Ibgp net r.(0) r.(2) in
+  Net.set_rr_client net r.(2) s20 true;
+  ignore (Net.connect ~kind:Net.Ibgp net r.(1) r.(2));
+  List.iter
+    (fun (i, ext, med) ->
+      let s, _ = Net.connect net r.(i) ext in
+      Net.set_import_med net r.(i) s p_osc med)
+    [ (1, x, 0); (0, x, 1); (0, y, 2) ];
+  Net.set_igp_cost net (fun a b ->
+      match (min a b, max a b) with
+      | 0, 1 -> 7
+      | 0, 2 -> 1
+      | 1, 2 -> 15
+      | _ -> 0);
+  Net.set_decision_steps net Simulator.Decision.full_steps;
+  Net.set_med_scope net Simulator.Decision.Same_neighbor;
+  Net.clear_touched net p_osc;
+  (net, x, y)
+
+(* Fingerprint and event count of a [p_calm] run. *)
+let calm_run net x =
+  let st = Engine.simulate net ~prefix:p_calm ~originators:[ x ] in
+  check_bool "calm prefix converges" true (Engine.converged st);
+  (Engine.state_fingerprint st, Engine.events st)
+
+(* The same run in a freshly spawned domain, whose scratch is fresh, on
+   a net of its own. *)
+let calm_run_fresh () =
+  Domain.join
+    (Domain.spawn (fun () ->
+         let net, x, _ = oscillating_net () in
+         calm_run net x))
+
+let scratch_reuse_after_non_convergence () =
+  quiet @@ fun () ->
+  let expected = calm_run_fresh () in
+  let net, x, y = oscillating_net () in
+  let st = Engine.simulate net ~prefix:p_osc ~originators:[ x; y ] in
+  (match Engine.outcome st with
+  | Engine.Diverged _ -> ()
+  | o -> Alcotest.failf "expected a divergence, got %a" Engine.pp_outcome o);
+  check_bool "diverged state not resumable" false (Engine.resumable net st);
+  let w0 = Warm.stats () in
+  let again = Warm.simulate ~from:st net ~prefix:p_osc ~originators:[ x; y ] in
+  let w1 = Warm.stats () in
+  check_int "Warm.simulate ran it cold" 1 (w1.Warm.cold_runs - w0.Warm.cold_runs);
+  check_int "and did not resume" 0 (w1.Warm.warm_runs - w0.Warm.warm_runs);
+  check_bool "diverges again" true
+    (match Engine.outcome again with Engine.Diverged _ -> true | _ -> false);
+  Alcotest.(check (pair int int))
+    "next run after a divergence = fresh domain" expected (calm_run net x);
+  Net.set_med_scope net Simulator.Decision.Always_compare;
+  check_bool "always-compare MED converges" true
+    (Engine.converged (Engine.simulate net ~prefix:p_osc ~originators:[ x; y ]));
+  Net.set_med_scope net Simulator.Decision.Same_neighbor;
+  let cut = Engine.simulate ~max_events:1 net ~prefix:p_calm ~originators:[ x ] in
+  check_bool "one event truncates" true
+    (match Engine.outcome cut with Engine.Truncated _ -> true | _ -> false);
+  Alcotest.(check (pair int int))
+    "next run after a truncation = fresh domain" expected (calm_run net x)
 
 (* -- the refiner under each mode -- *)
 
@@ -367,6 +612,14 @@ let suite =
     Alcotest.test_case "resumable guards" `Quick resumable_guards;
     Alcotest.test_case "path interning" `Quick interning;
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
+    Alcotest.test_case "no-op resume costs the same on any size" `Quick
+      noop_resume_cost_is_size_independent;
+    Alcotest.test_case "unchanged re-export allocates nothing per session"
+      `Quick unchanged_reexport_allocates_nothing_per_session;
+    Alcotest.test_case "resume leaves its parent unchanged" `Quick
+      resume_leaves_parent_unchanged;
+    Alcotest.test_case "scratch reuse after a diverged or truncated run" `Quick
+      scratch_reuse_after_non_convergence;
     Alcotest.test_case "refiner mode equivalence" `Quick
       refiner_mode_equivalence;
     Alcotest.test_case "refiner verify is clean" `Quick refiner_verify_clean;
