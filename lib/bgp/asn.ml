@@ -6,13 +6,11 @@ let compare (a : int) (b : int) = Stdlib.compare a b
 
 let equal (a : int) (b : int) = a = b
 
-let of_string s =
-  if String.length s = 0 then None
-  else if not (String.for_all (fun c -> c >= '0' && c <= '9') s) then None
-  else
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Some n
-    | Some _ | None -> None
+let of_substring s a b =
+  let n = Lex.uint s a b in
+  if n >= 1 then Some n else None
+
+let of_string s = of_substring s 0 (String.length s)
 
 let to_string = string_of_int
 

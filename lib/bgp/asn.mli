@@ -20,7 +20,12 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val of_string : string -> t option
-(** Parse a decimal ASN; [None] if malformed or [< 1]. *)
+(** Parse a decimal ASN: digits only, at most [max_int], [>= 1];
+    [None] otherwise. *)
+
+val of_substring : string -> int -> int -> t option
+(** [of_substring s a b] parses [s.[a..b-1]] as {!of_string} does,
+    without copying it. *)
 
 val to_string : t -> string
 

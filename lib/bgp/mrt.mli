@@ -10,9 +10,37 @@
     <next_hop>|<local_pref>|<med>|<community>|<atomic_agg>|<aggregator>|
     v}
 
-    (all on one line; [<atomic_agg>] is [AG] or [NAG]; empty trailing
-    fields are allowed).  The AS-path as dumped includes the peer AS as
-    its first element, as collectors see it over their eBGP session. *)
+    (all on one line).  The AS-path as dumped includes the peer AS as
+    its first element, as collectors see it over their eBGP session.
+
+    {b What the reader accepts.}  A line is scanned in place, field by
+    field, with no intermediate list or substring:
+    - whitespace around the line (as [String.trim] removes it) is
+      ignored; a line that is then empty or starts with ['#'] is
+      {!Skip};
+    - the kind is [TABLE_DUMP2] or [TABLE_DUMP], the subtype [B];
+    - the first twelve fields (up to [<community>]) must be present;
+      anything after them, [<atomic_agg>] and [<aggregator>] included,
+      may be missing or empty and is not read;
+    - [<time>], [<local_pref>] and [<med>] are decimal digits only, at
+      most [max_int]; [<peer_as>] and every AS-path hop are such
+      integers [>= 1];
+    - addresses are four dot-separated octets of one to three digits,
+      each [<= 255]; a prefix is [addr/len] with [len <= 32] (a longer
+      run of digits is malformed, not an overflow);
+    - [<as_path>] and [<community>] are space-separated tokens, runs of
+      spaces allowed, either may be empty; a community is [asn:value];
+      AS_SET segments are malformed;
+    - the origin is [IGP], [EGP] or [INCOMPLETE], case-sensitive.
+    Anything else is {!Malformed}, never an exception: any other
+    whitespace inside a field is malformed, and a line with fewer than
+    twelve fields is ["too few fields"] whatever else is wrong with it.
+
+    {b What the writer emits.}  Exactly the [to_string] rendering of
+    every field ({!Ipv4.to_string}, {!Prefix.to_string}, ...), written
+    digit by digit into one buffer, with [<atomic_agg>] [NAG] and an
+    empty aggregator; so {!record_of_line} of {!record_to_line} is the
+    identity and a printed line parses and prints back to itself. *)
 
 type record = {
   time : int;  (** Unix timestamp of the table dump. *)

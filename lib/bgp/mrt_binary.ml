@@ -81,11 +81,17 @@ type attrs_acc = {
   mutable has_as_set : bool;
 }
 
-let parse_as_path c len =
-  let stop = c.pos + len in
+(* A malformed attribute: the entry carrying it is dropped with this
+   diagnostic. *)
+exception Bad_attribute of string
+
+(* [c] is bounded at the attribute's end, so a segment claiming more
+   hops than remain raises [Truncated] instead of reading the next
+   attribute. *)
+let parse_as_path c =
   let segments = ref [] in
   let has_set = ref false in
-  while c.pos < stop do
+  while c.pos < c.limit do
     let seg_type = u8 c in
     let count = u8 c in
     let hops = Array.init count (fun _ -> u32 c) in
@@ -94,8 +100,16 @@ let parse_as_path c len =
   done;
   (Array.concat (List.rev !segments), !has_set)
 
-let parse_attributes c len =
-  let stop = c.pos + len in
+(* A fixed-size attribute's value, read whole or not at all. *)
+let expect_length name alen want =
+  if alen <> want then
+    raise
+      (Bad_attribute
+         (Printf.sprintf "%s length %d (want %d): entry dropped" name alen want))
+
+(* Each attribute is parsed through a cursor bounded at its declared
+   end, so a short value can never read the next attribute's bytes. *)
+let parse_attributes c =
   let acc =
     {
       origin = None;
@@ -107,37 +121,54 @@ let parse_attributes c len =
       has_as_set = false;
     }
   in
-  while c.pos < stop do
+  while c.pos < c.limit do
     let flags = u8 c in
     let typ = u8 c in
     let alen = if flags land 0x10 <> 0 then u16 c else u8 c in
-    let value_end = c.pos + alen in
-    if value_end > stop then raise Truncated;
-    (match typ with
+    if remaining c < alen then raise Truncated;
+    let v = cursor c.data c.pos (c.pos + alen) in
+    c.pos <- c.pos + alen;
+    match typ with
     | 1 ->
+        expect_length "ORIGIN" alen 1;
         acc.origin <-
-          (match u8 c with
+          (match u8 v with
           | 0 -> Some Attrs.Igp
           | 1 -> Some Attrs.Egp
           | _ -> Some Attrs.Incomplete)
-    | 2 ->
-        let path, has_set = parse_as_path c alen in
-        acc.as_path <- Some path;
-        acc.has_as_set <- has_set
-    | 3 -> acc.next_hop <- Some (Ipv4.of_int (u32 c))
-    | 4 -> acc.med <- u32 c
-    | 5 -> acc.local_pref <- u32 c
+    | 2 -> (
+        (* Segments must end exactly at the attribute's end. *)
+        match parse_as_path v with
+        | path, has_set ->
+            acc.as_path <- Some path;
+            acc.has_as_set <- has_set
+        | exception Truncated ->
+            raise
+              (Bad_attribute
+                 "AS_PATH segments overrun the attribute length: entry dropped"))
+    | 3 ->
+        expect_length "NEXT_HOP" alen 4;
+        acc.next_hop <- Some (Ipv4.of_int (u32 v))
+    | 4 ->
+        expect_length "MULTI_EXIT_DISC" alen 4;
+        acc.med <- u32 v
+    | 5 ->
+        expect_length "LOCAL_PREF" alen 4;
+        acc.local_pref <- u32 v
     | 8 ->
-        let n = alen / 4 in
+        if alen mod 4 <> 0 then
+          raise
+            (Bad_attribute
+               (Printf.sprintf
+                  "COMMUNITIES length %d (want a multiple of 4): entry dropped"
+                  alen));
         let communities = ref [] in
-        for _ = 1 to n do
-          let v = u32 c in
-          communities := ((v lsr 16) land 0xFFFF, v land 0xFFFF) :: !communities
+        for _ = 1 to alen / 4 do
+          let x = u32 v in
+          communities := ((x lsr 16) land 0xFFFF, x land 0xFFFF) :: !communities
         done;
         acc.communities <- List.rev !communities
-    | _ -> ());
-    (* Always resynchronize on the declared attribute length. *)
-    c.pos <- value_end
+    | _ -> ()
   done;
   acc
 
@@ -157,8 +188,8 @@ let parse_rib_ipv4 ~time ~peers c diagnostics =
     let originated = u32 c in
     ignore originated;
     let alen = u16 c in
-    let sub = cursor c.data c.pos (c.pos + alen) in
     if remaining c < alen then raise Truncated;
+    let sub = cursor c.data c.pos (c.pos + alen) in
     c.pos <- c.pos + alen;
     if peer_index >= Array.length peers then
       diagnostics := "peer index out of range" :: !diagnostics
@@ -167,9 +198,10 @@ let parse_rib_ipv4 ~time ~peers c diagnostics =
       match peer.peer_ip with
       | None -> diagnostics := "skipping IPv6 peer entry" :: !diagnostics
       | Some peer_ip -> (
-          match parse_attributes sub alen with
+          match parse_attributes sub with
           | exception Truncated ->
               diagnostics := "truncated attributes" :: !diagnostics
+          | exception Bad_attribute msg -> diagnostics := msg :: !diagnostics
           | acc ->
               if acc.has_as_set then
                 diagnostics := "AS_SET segment: entry dropped" :: !diagnostics

@@ -25,7 +25,12 @@
 val read_bytes : string -> Mrt.record list * string list
 (** Parse an in-memory MRT stream; returns records plus diagnostics for
     records or attributes that had to be skipped.  Raises nothing:
-    truncated trailing data becomes a diagnostic. *)
+    truncated trailing data becomes a diagnostic.  Each path attribute
+    is read within its own declared length: an ORIGIN that is not 1
+    byte, a NEXT_HOP, MULTI_EXIT_DISC or LOCAL_PREF that is not 4, a
+    COMMUNITY whose length is not a multiple of 4, or AS_PATH segments
+    that do not end exactly at the attribute's end drop the entry with
+    a diagnostic naming the attribute. *)
 
 val read_file : string -> Mrt.record list * string list
 

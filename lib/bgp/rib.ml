@@ -24,15 +24,24 @@ let entry_compare a b =
     let c = Prefix.compare a.prefix b.prefix in
     if c <> 0 then c else Aspath.compare a.path b.path
 
+let rec sorted entries i =
+  i >= Array.length entries
+  || (entry_compare entries.(i - 1) entries.(i) <= 0 && sorted entries (i + 1))
+
+(* Sorts [entries] in place and keeps one of each run of equal ones.
+   Dumps are written sorted, so an array already in order skips the
+   sort. *)
 let dedup_sorted entries =
-  let sorted = List.sort entry_compare entries in
-  let rec loop acc = function
-    | [] -> List.rev acc
-    | [ e ] -> List.rev (e :: acc)
-    | e :: (e' :: _ as rest) ->
-        if entry_compare e e' = 0 then loop acc rest else loop (e :: acc) rest
-  in
-  loop [] sorted
+  if not (sorted entries 1) then Array.stable_sort entry_compare entries;
+  let n = Array.length entries in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if i = 0 || entry_compare entries.(!k - 1) entries.(i) <> 0 then begin
+      entries.(!k) <- entries.(i);
+      incr k
+    end
+  done;
+  if !k = n then entries else Array.sub entries 0 !k
 
 let of_records records =
   let raw = List.length records in
@@ -52,7 +61,7 @@ let of_records records =
       (* Collectors normally see the peer AS as first hop; tolerate dumps
          that omit it by reinstating it. *)
       let path =
-        if Aspath.head path = Some r.Mrt.peer_as then path
+        if Aspath.nth path 0 = r.Mrt.peer_as then path
         else Aspath.prepend r.Mrt.peer_as path
       in
       Some
@@ -62,19 +71,20 @@ let of_records records =
           path;
         }
   in
-  let cleaned = List.filter_map clean records in
+  let cleaned = Array.of_list (List.filter_map clean records) in
+  let kept = Array.length cleaned in
   let deduped = dedup_sorted cleaned in
   let stats =
     {
       raw;
       dropped_loops = !dropped_loops;
       dropped_empty = !dropped_empty;
-      deduplicated = List.length cleaned - List.length deduped;
+      deduplicated = kept - Array.length deduped;
     }
   in
-  ({ entries = Array.of_list deduped }, stats)
+  ({ entries = deduped }, stats)
 
-let of_entries entries = { entries = Array.of_list (dedup_sorted entries) }
+let of_entries entries = { entries = dedup_sorted (Array.of_list entries) }
 
 let entries t = Array.to_list t.entries
 
@@ -91,7 +101,7 @@ let to_records ?(time = 0) t =
       attrs = Attrs.default ~next_hop:e.op.op_ip;
     }
   in
-  List.map record (entries t)
+  Array.fold_right (fun e acc -> record e :: acc) t.entries []
 
 let observation_points t =
   let module S = Set.Make (struct

@@ -43,7 +43,10 @@ let prepending () =
        (Aspath.remove_prepending (Aspath.remove_prepending p))
        (Aspath.remove_prepending p));
   check_bool "no-op on clean path" true
-    (Aspath.equal (Aspath.remove_prepending (path [ 1; 2; 3 ])) (path [ 1; 2; 3 ]))
+    (Aspath.equal (Aspath.remove_prepending (path [ 1; 2; 3 ])) (path [ 1; 2; 3 ]));
+  let clean = path [ 1; 2; 3 ] in
+  check_bool "clean path shared, not copied" true
+    (Aspath.remove_prepending clean == clean)
 
 let loops () =
   check_bool "simple loop" true (Aspath.has_loop (path [ 1; 2; 1 ]));
@@ -98,6 +101,39 @@ let prop_no_prepending_after_removal =
       done;
       !ok)
 
+(* Short paths over few ASes, so that repeats, prepending runs and
+   equal-length pairs are common. *)
+let arb_dense = QCheck.make ~print:Aspath.to_string
+    QCheck.Gen.(list_size (int_bound 7) (int_range 1 4) >|= Aspath.of_list)
+
+(* The definition has_loop replaced: a set of the hops seen outside
+   prepending runs. *)
+let reference_has_loop p =
+  let p = Aspath.to_array p in
+  let seen = Hashtbl.create 8 in
+  let loop = ref false in
+  Array.iteri
+    (fun i a ->
+      if i = 0 || a <> p.(i - 1) then begin
+        if Hashtbl.mem seen a then loop := true;
+        Hashtbl.replace seen a ()
+      end)
+    p;
+  !loop
+
+let prop_has_loop =
+  QCheck.Test.make ~name:"has_loop = set-based definition" ~count:1000 arb_dense
+    (fun p -> Aspath.has_loop p = reference_has_loop p)
+
+(* Sets, maps and the sorted data sets depend on this order. *)
+let prop_compare_is_stdlib =
+  QCheck.Test.make ~name:"compare orders as Stdlib.compare" ~count:1000
+    (QCheck.pair arb_dense arb_dense) (fun (p, q) ->
+      let sign x = Stdlib.compare x 0 in
+      sign (Aspath.compare p q)
+      = sign (Stdlib.compare (Aspath.to_array p) (Aspath.to_array q))
+      && Aspath.equal p q = (Aspath.to_array p = Aspath.to_array q))
+
 let prop_suffix_count =
   QCheck.Test.make ~name:"n suffixes for length n" ~count:500 arb_path
     (fun p -> List.length (Aspath.suffixes p) = Aspath.length p)
@@ -115,4 +151,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_string_roundtrip;
     QCheck_alcotest.to_alcotest prop_no_prepending_after_removal;
     QCheck_alcotest.to_alcotest prop_suffix_count;
+    QCheck_alcotest.to_alcotest prop_has_loop;
+    QCheck_alcotest.to_alcotest prop_compare_is_stdlib;
   ]

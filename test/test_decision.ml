@@ -262,6 +262,29 @@ let per_event_calls_allocate_nothing () =
               ignore (R.same_path p1 p2)
             done)))
 
+(* The engine prepends on every best-route change; re-exporting a route
+   it has prepended before is a memo hit and must allocate nothing.
+   [Intern] tables are per domain, so the warm-up and the counted
+   calls run in this one. *)
+let prepend_hit_allocates_nothing () =
+  let p = Simulator.Intern.path [| 2; 3; 6 |] in
+  let q = Simulator.Intern.prepend ~own_as:7 p in
+  check_bool "prepend" true (q = [| 7; 2; 3; 6 |]);
+  check_bool "hit returns the memoized array" true
+    (Simulator.Intern.prepend ~own_as:7 p == q);
+  (* An equal path in another array hits too, through the structural
+     comparison. *)
+  check_bool "structural hit" true
+    (Simulator.Intern.prepend ~own_as:7 [| 2; 3; 6 |] == q);
+  check_bool "another AS misses" true
+    (Simulator.Intern.prepend ~own_as:8 p != q);
+  Alcotest.(check int) "prepend hit allocates nothing" 0
+    (int_of_float
+       (minor_words (fun () ->
+            for _ = 1 to 10_000 do
+              ignore (Simulator.Intern.prepend ~own_as:7 p)
+            done)))
+
 let suite =
   [
     Alcotest.test_case "local-pref wins" `Quick local_pref_wins;
@@ -280,4 +303,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_comparator_is_compare_routes;
     Alcotest.test_case "per-event decision calls allocate nothing" `Quick
       per_event_calls_allocate_nothing;
+    Alcotest.test_case "prepend hit allocates nothing" `Quick
+      prepend_hit_allocates_nothing;
   ]

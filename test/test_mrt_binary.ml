@@ -201,6 +201,113 @@ let prop_roundtrip =
              && a.Mrt.peer_as = b.Mrt.peer_as)
            (List.sort compare records) (List.sort compare parsed))
 
+(* A TABLE_DUMP_V2 stream by hand: one IPv4 peer (AS 7018), then one
+   RIB record for 10.0.6.0/24 with an entry per attribute block. *)
+let hand_built entries =
+  let b = Buffer.create 128 in
+  let w8 v = Buffer.add_char b (Char.chr (v land 0xFF)) in
+  let w16 v = w8 (v lsr 8); w8 v in
+  let w32 v = w16 (v lsr 16); w16 v in
+  let record subtype body =
+    w32 1131867000; w16 13; w16 subtype; w32 (String.length body);
+    Buffer.add_string b body
+  in
+  let body f =
+    let saved = Buffer.contents b in
+    Buffer.clear b;
+    f ();
+    let out = Buffer.contents b in
+    Buffer.clear b;
+    Buffer.add_string b saved;
+    out
+  in
+  let peers =
+    body (fun () ->
+        w32 0; w16 0; w16 1; w8 0x02; w32 0; w32 (Ipv4.to_int (Ipv4.of_octets 12 0 1 63)); w32 7018)
+  in
+  let rib =
+    body (fun () ->
+        w32 0; w8 24; w8 10; w8 0; w8 6; w16 (List.length entries);
+        List.iter
+          (fun attrs -> w16 0; w32 0; w16 (String.length attrs); Buffer.add_string b attrs)
+          entries)
+  in
+  record 1 peers;
+  record 2 rib;
+  Buffer.contents b
+
+(* [attr typ value] is one well-known attribute. *)
+let attr typ value = String.concat "" [ "\x40"; String.make 1 (Char.chr typ);
+  String.make 1 (Char.chr (String.length value)); value ]
+
+let be32 v = String.init 4 (fun i -> Char.chr ((v lsr (24 - (8 * i))) land 0xFF))
+
+let as_path hops =
+  "\x02" ^ String.make 1 (Char.chr (List.length hops)) ^ String.concat "" (List.map be32 hops)
+
+(* A value shorter than its attribute's fixed size must not be read out
+   of the next attribute: before the bound, a zero-length ORIGIN read the
+   next flag byte (INCOMPLETE) and a zero-length MED the next header. *)
+let attribute_lengths_bounded () =
+  let rest = [ attr 2 (as_path [ 7018; 6 ]); attr 3 (be32 0x0C00013F) ] in
+  let good = String.concat "" (attr 1 "\x00" :: attr 4 (be32 7) :: rest) in
+  let zero_origin = String.concat "" (attr 1 "" :: rest) in
+  let zero_med = String.concat "" (attr 1 "\x00" :: attr 4 "" :: attr 5 (be32 100) :: rest) in
+  let short_path = String.concat "" [ attr 1 "\x00"; attr 2 "\x02\x02\x00\x00\x1b\x6a"; attr 3 (be32 1) ] in
+  let odd_communities = String.concat "" (attr 1 "\x00" :: attr 8 "\x00\x01\x00\x02\x00" :: rest) in
+  let long_next_hop = String.concat "" [ attr 1 "\x00"; attr 2 (as_path [ 7018 ]); attr 3 "\x01\x02\x03\x04\x05" ] in
+  let parsed, diags =
+    Mrt_binary.read_bytes
+      (hand_built [ good; zero_origin; zero_med; short_path; odd_communities; long_next_hop ])
+  in
+  check_int "only the well-formed entry survives" 1 (List.length parsed);
+  (match parsed with
+  | [ r ] ->
+      check_bool "its MED" true (r.Mrt.attrs.Attrs.med = 7);
+      check_bool "its path" true (Aspath.to_list r.Mrt.path = [ 7018; 6 ])
+  | _ -> ());
+  Alcotest.(check (list string)) "one diagnostic per dropped entry"
+    [
+      "ORIGIN length 0 (want 1): entry dropped";
+      "MULTI_EXIT_DISC length 0 (want 4): entry dropped";
+      "AS_PATH segments overrun the attribute length: entry dropped";
+      "COMMUNITIES length 5 (want a multiple of 4): entry dropped";
+      "NEXT_HOP length 5 (want 4): entry dropped";
+    ]
+    diags
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. w0)
+
+let arb_damaged =
+  QCheck.make
+    QCheck.Gen.(
+      triple (list_size (int_range 1 12) gen_record) nat (int_range 0 255))
+
+(* Damaged input is data, not an error: whatever the cut or the flipped
+   byte, the reader returns records and diagnostics, and what it
+   allocates is bounded by the input's length, not by a length field the
+   damage may have inflated. *)
+let prop_damaged =
+  QCheck.Test.make ~name:"damaged binary: records and diagnostics, bounded"
+    ~count:300 arb_damaged (fun (records, k, byte) ->
+      let data = Mrt_binary.write_bytes records in
+      let n = String.length data in
+      let cut = String.sub data 0 (k mod n) in
+      let flipped = String.mapi (fun i c -> if i = k mod n then Char.chr byte else c) data in
+      List.for_all
+        (fun input ->
+          match minor_words (fun () -> Mrt_binary.read_bytes input) with
+          | exception e ->
+              QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+          | _, words ->
+              words <= float_of_int (16 * (String.length input + 64))
+              || QCheck.Test.fail_reportf "%.0f words for %d bytes" words
+                   (String.length input))
+        [ cut; flipped ])
+
 let suite =
   [
     Alcotest.test_case "roundtrip" `Quick roundtrip;
@@ -213,4 +320,6 @@ let suite =
       file_roundtrip_and_detection;
     Alcotest.test_case "through rib pipeline" `Quick through_rib_pipeline;
     QCheck_alcotest.to_alcotest prop_roundtrip;
+    Alcotest.test_case "attribute lengths bounded" `Quick attribute_lengths_bounded;
+    QCheck_alcotest.to_alcotest prop_damaged;
   ]

@@ -24,7 +24,12 @@ let rejects_malformed () =
   List.iter
     (fun s -> check_bool s true (Prefix.of_string s = None))
     [ ""; "10.0.0.0"; "10.0.0.0/"; "10.0.0.0/33"; "10.0.0.0/-1"; "/8";
-      "10.0.0/8"; "10.0.0.0/8/9"; "10.0.0.0/x" ]
+      "10.0.0/8"; "10.0.0.0/8/9"; "10.0.0.0/x";
+      (* Once an int_of_string failure, now just malformed. *)
+      "10.0.0.0/99999999999999999999999"; "10.0.0.0/0000000000000000000000033" ];
+  check_bool "leading zeros" true
+    (Prefix.of_string "10.0.0.0/0000000000000000000000008"
+    = Some (Prefix.of_string_exn "10.0.0.0/8"))
 
 let membership () =
   let p = Prefix.of_string_exn "192.0.2.0/24" in

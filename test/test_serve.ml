@@ -535,6 +535,36 @@ let client_disconnect_keeps_serving () =
       | Error e -> Alcotest.failf "server died after disconnects: %s" e);
       Server.close_conn conn)
 
+(* A prefix whose length overflows an int is a bad request like any
+   other: an error frame comes back and the same connection keeps
+   serving (before, the parser's exception reached the connection's
+   catch-all, which hung up without an answer). *)
+let overlong_prefix_answered () =
+  with_server (fun path ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX path);
+          let ask payload =
+            Protocol.write_frame fd payload;
+            match Protocol.read_frame fd with
+            | Ok (Some reply) -> Result.get_ok (Json.of_string reply)
+            | Ok None -> Alcotest.fail "connection closed"
+            | Error e -> Alcotest.failf "read failed: %s" e
+          in
+          let bad =
+            ask {|{"op":"path","prefix":"10.0.3.0/99999999999999999999999","as":5}|}
+          in
+          check_bool "error response" true
+            (Json.member "ok" bad = Some (Json.Bool false));
+          check_bool "names the prefix" true
+            (Json.member "error" bad
+            = Some (Json.String "bad prefix \"10.0.3.0/99999999999999999999999\""));
+          let ping = ask (Protocol.request_to_string Protocol.Ping) in
+          check_bool "connection still serves" true
+            (Json.member "ok" ping = Some (Json.Bool true))))
+
 (* Ping counts the prefixes the snapshot serves, as a reload of it
    does, not the model's: a churn announcement adds one. *)
 let ping_counts_served_prefixes () =
@@ -1183,6 +1213,8 @@ let suite =
       ping_counts_served_prefixes;
     Alcotest.test_case "client disconnect keeps serving" `Quick
       client_disconnect_keeps_serving;
+    Alcotest.test_case "overlong prefix answered" `Quick
+      overlong_prefix_answered;
     Alcotest.test_case "churn pairs across applies" `Quick
       churn_pairs_across_applies;
     Alcotest.test_case "whatif after churn hijack" `Quick

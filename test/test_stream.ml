@@ -69,6 +69,8 @@ let event_rejects_garbage () =
       "10 frobnicate 3 4";
       "10 session-down 3 4 5 6";
       "10 session-down 3 x";
+      (* An overlong prefix length is an Error, not an exception. *)
+      "10 announce 3.0.0.0/99999999999999999999999 5";
     ]
 
 let normalize_is_deterministic () =
