@@ -15,7 +15,10 @@ let link_sessions net a b = sessions_between net a b @ sessions_between net b a
 
 (* A deny only empties the receiver's mirror slot, and under a total
    order dropping a candidate that is not the best leaves the best in
-   place: see [eval] in the interface for the full argument. *)
+   place: see [eval] in the interface for the full argument.  The
+   argument needs a current state, converged at the net's generation;
+   [Engine.resumable] is weaker: a state from before a duplication
+   resumes, but its bests are stale. *)
 let crossing (model : Qrmodel.t) a b states =
   let net = model.Qrmodel.net in
   let receivers =
@@ -37,7 +40,8 @@ let crossing (model : Qrmodel.t) a b states =
   in
   let crosses st =
     (not total_order)
-    || (not (Engine.resumable net st))
+    || (not (Engine.converged st))
+    || Engine.generation st <> Net.generation net
     || List.exists (carries st) receivers
   in
   if receivers = [] then [] else List.filter (fun (_, st) -> crosses st) states

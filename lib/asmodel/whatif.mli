@@ -94,8 +94,9 @@ val eval :
     engine's lexicographic minimum, first in RIB-In order winning ties)
     dropping a candidate that is not the best changes nothing.  So a
     prefix crosses the link when a receiver's best arrived over one of
-    {!link_sessions}, when its state is not
-    {!Simulator.Engine.resumable} (its re-simulation starts cold), or
+    {!link_sessions}, when its state is not current (it did not
+    converge, or its {!Simulator.Engine.generation} is behind the net's,
+    as after a duplication: its bests may be stale), or
     always when the net's MED is {!Simulator.Decision.Same_neighbor}
     with [Med] among its steps (RFC 3345: no total order).  The link is
     denied on those prefixes only ({!disable_as_link}), each is

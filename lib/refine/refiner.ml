@@ -185,9 +185,9 @@ let refine ?(options = default_options) ?on_iteration model ~training =
      writes happen in the sequential phases between pool calls — so the
      concurrent lookups are safe.  {!Warm.simulate} resumes a prefix
      from its previous state whenever the RD_WARM mode allows and that
-     state converged at the network's current generation; the first
-     iteration, quarantined prefixes and any round that changed the
-     structure (duplications) fall back to a cold run. *)
+     state is {!Engine.resumable}: converged, and behind the network by
+     duplications at most.  The first iteration and prefixes whose
+     last run did not converge run cold. *)
   let simulate prefix =
     Warm.simulate ?from:(Hashtbl.find_opt states prefix) net ~prefix
       ~originators:(Qrmodel.originators model prefix)

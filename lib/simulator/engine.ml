@@ -18,9 +18,11 @@ let pp_outcome ppf = function
    sentinel {!Rattr.no_route} instead of an option box.  Together with
    hash-consed routes ({!Intern.rattr}) this keeps the whole per-prefix
    state in two flat arrays: no per-node arrays to chase, and
-   fingerprinting is a linear scan.  A warm resume starts on its
-   parent's arrays and copies each one only when it first writes to it
-   (one [Array.copy]), so a resume that changes nothing shares them.
+   fingerprinting is a linear scan.  A warm resume at its parent's
+   generation starts on its parent's arrays and copies each one only
+   when it first writes to it (one [Array.copy]), so a resume that
+   changes nothing shares them; a resume across duplications starts on
+   its parent's routes laid out afresh in the grown net's slot order.
    The arrays are written only by the run that made the state, before
    it is returned: a returned state is never written again. *)
 type state = {
@@ -673,8 +675,9 @@ let cold ?max_events ?max_escalations ?on_best_change net ~prefix:pfx
 
 let resumable net prev =
   converged prev
-  && prev.gen = Net.generation net
-  && prev.nodes = Net.node_count net
+  && prev.gen >= Net.append_base net
+  && prev.gen <= Net.generation net
+  && prev.nodes <= Net.node_count net
 
 (* The nodes in exactly one of two ascending, distinct lists, ascending. *)
 let rec sym_diff a b =
@@ -685,9 +688,44 @@ let rec sym_diff a b =
       else if y < x then y :: sym_diff a b'
       else sym_diff a' b'
 
-(* Precondition: [resumable net prev].  The new state starts on [prev]'s
-   arrays; the run copies each before its first write, so [prev] is
-   never written and a resume that changes nothing shares them. *)
+(* [prev] laid out in the slot order of a net that only grew since
+   [prev.gen] (see {!Net.append_base}): sessions were only pushed, so
+   each old node's slots are one run at the front of its new range, one
+   blit per node, and every appended slot and node starts empty.
+   Returns the state, on arrays of its own, and the old nodes whose
+   session count grew, ascending. *)
+let append_remap net prev ~origins =
+  let c = Net.csr net in
+  let off = Net.Csr.off c in
+  let slab = Array.make (Net.Csr.slot_count c) Rattr.no_route in
+  let best = Array.make (Net.Csr.node_count c) Rattr.no_route in
+  Array.blit prev.best 0 best 0 prev.nodes;
+  let grown = ref [] in
+  for u = prev.nodes - 1 downto 0 do
+    let len = prev.off.(u + 1) - prev.off.(u) in
+    Array.blit prev.slab prev.off.(u) slab off.(u) len;
+    if off.(u + 1) - off.(u) > len then grown := u :: !grown
+  done;
+  ( {
+      prev with
+      gen = Net.Csr.generation c;
+      nodes = Array.length best;
+      off;
+      slab;
+      best;
+      origins;
+      outcome = Converged;
+      events = 0;
+    },
+    !grown )
+
+(* Precondition: [resumable net prev].  At [prev]'s generation the new
+   state starts on [prev]'s arrays; the run copies each before its first
+   write, so [prev] is never written and a resume that changes nothing
+   shares them.  Behind by appends, it starts on [append_remap]'s
+   arrays instead: the new nodes are queued, and the grown nodes replay
+   their exports with the touched ones, so the appended sessions carry
+   what a cold run would put on them. *)
 let warm ?max_events ?max_escalations ?on_best_change net ~prev ~touched
     ~originators =
   if Obs.Probe.enabled () then begin
@@ -695,23 +733,19 @@ let warm ?max_events ?max_escalations ?on_best_change net ~prev ~touched
     Obs.Probe.read ~obj ~site:"engine.resume";
     Obs.Probe.write ~obj ~site:"engine.install-warm"
   end;
-  let n = prev.nodes in
+  let n = Net.node_count net in
   let origins =
     List.sort_uniq Int.compare
       (List.filter (fun o -> o >= 0 && o < n) originators)
   in
-  let st =
-    {
-      pfx = prev.pfx;
-      gen = prev.gen;
-      nodes = n;
-      off = prev.off;
-      slab = prev.slab;
-      best = prev.best;
-      origins;
-      outcome = Converged;
-      events = 0;
-    }
+  let fresh = prev.gen <> Net.generation net in
+  let st, grown =
+    if fresh then append_remap net prev ~origins
+    else ({ prev with origins; outcome = Converged; events = 0 }, [])
+  in
+  let replays =
+    if grown = [] then touched
+    else List.sort_uniq Int.compare (List.rev_append grown touched)
   in
   (* Origination delta: nodes that gain or lose the originated route
      under the caller's [originators] set re-run their decision process
@@ -721,7 +755,7 @@ let warm ?max_events ?max_escalations ?on_best_change net ~prev ~touched
      set produce an empty delta, so the historical policy-only warm
      path is untouched. *)
   let origin_delta = sym_diff prev.origins origins in
-  exec ?max_events ?max_escalations ?on_best_change ~fresh:false net st
+  exec ?max_events ?max_escalations ?on_best_change ~fresh net st
     ~kind:"warm" ~seed:(fun ~enqueue ~replay ->
       (* Replay every touched node's exports unconditionally: peers
          whose RIB-In changes under the new policy enqueue themselves;
@@ -730,7 +764,10 @@ let warm ?max_events ?max_escalations ?on_best_change net ~prev ~touched
          suppressed by [same_route], so a no-op policy edit costs one
          event and drains immediately. *)
       List.iter enqueue origin_delta;
-      List.iter (fun u -> if u >= 0 && u < n then replay u) touched)
+      for u = prev.nodes to n - 1 do
+        enqueue u
+      done;
+      List.iter (fun u -> if u >= 0 && u < n then replay u) replays)
 
 let simulate ?max_events ?max_escalations ?on_best_change ?from ?touched net
     ~prefix:pfx ~originators =

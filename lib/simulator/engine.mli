@@ -38,9 +38,10 @@ val simulate :
     [from] is a {!resumable} previous state of the {e same} prefix,
     warm: the run starts from the previous converged state and only
     the exports of the [touched] nodes (default {!Net.touched_nodes})
-    are replayed.  [from] itself is never modified: the new state
-    copies its route arrays on their first write, so a resume that
-    changes nothing shares them.  A warm resume also honours origination changes: nodes
+    are replayed.  [from] itself is never modified: at [from]'s
+    generation the new state copies its route arrays on their first
+    write, so a resume that changes nothing shares them; behind by
+    duplications, it starts on a fresh layout of them.  A warm resume also honours origination changes: nodes
     present in [originators] but not originating in [from] (and vice
     versa) have their flag flipped and their decision process re-run,
     so announce / withdraw / MOAS events replay incrementally without
@@ -66,11 +67,17 @@ val simulate :
 
 val resumable : Net.t -> state -> bool
 (** Can a previous run of this prefix seed a warm restart on [net]?
-    True when the state converged, was computed at the network's
-    current {!Net.generation} (no structural or network-wide change
-    since), and covers every node.  {!simulate} applies this check to
-    its [from] argument; exposed so callers can predict whether a
-    warm resume will hit. *)
+    True when the state converged, was computed at a generation
+    between {!Net.append_base} and the current {!Net.generation} (no
+    structural or network-wide change since but duplications), and
+    covers at most the net's nodes.  A state behind by duplications is
+    laid out in the grown net's slot order; its new nodes are queued
+    and the nodes that gained sessions replay their exports with the
+    touched ones.  {!simulate} applies this check to its [from]
+    argument; exposed so callers can predict whether a warm resume
+    will hit.  It does not say the state is current: a state from
+    before a duplication passes, though the duplicate has no route in
+    it — compare {!generation} with {!Net.generation} for that. *)
 
 val state_fingerprint : state -> int
 (** Full-width hash of the routing content (best routes and RIB-Ins,
@@ -85,9 +92,10 @@ val same_state : state -> state -> bool
 val prefix : state -> Prefix.t
 
 val generation : state -> int
-(** The {!Net.generation} the state was computed at — the warm-resume
-    gate, exposed so [Analysis.Audit] can cross-check a state against
-    the live net before comparing offsets. *)
+(** The {!Net.generation} the state was computed at.  A state is
+    current when this equals the net's generation (and it converged):
+    [Analysis.Audit] checks that before comparing offsets, and
+    [Asmodel.Whatif] before pruning a prefix. *)
 
 val outcome : state -> outcome
 

@@ -110,11 +110,15 @@ type t = {
   policies : pol Ptbl.t Prefix.Table.t;
   (* Change tracking for warm-start re-simulation (Engine.simulate ?from):
      [generation] counts structural or network-wide mutations (nodes,
-     sessions, global knobs) — any bump invalidates every prior state;
+     sessions, global knobs); [append_base] is the generation of the
+     last one that was not a [duplicate_node], so a state computed at
+     or after it differs from the live net only by appended nodes and
+     half-sessions, and any other bump invalidates every prior state;
      [touched] records, per prefix, the nodes whose per-prefix policy
      changed since the set was last drained — the frontier a resumed
      run replays. *)
   mutable generation : int;
+  mutable append_base : int;
   touched : (int, unit) Hashtbl.t Prefix.Table.t;
   (* Lazily built structural index, invalidated by generation mismatch.
      An [Atomic] because Pool workers may race to build it: the value is
@@ -152,11 +156,14 @@ let create () =
     nsessions = 0;
     policies = Prefix.Table.create 64;
     generation = 0;
+    append_base = 0;
     touched = Prefix.Table.create 64;
     csr_cache = Atomic.make None;
   }
 
 let generation t = t.generation
+
+let append_base t = t.append_base
 
 (* Mutation instrumentation for the Analysis subsystem.  The hook is a
    single global ref so that the RD_CHECK=off cost at every mutator is
@@ -172,7 +179,9 @@ let mutation_hook : (t -> mutation -> unit) option ref = ref None
 
 let set_mutation_hook h = mutation_hook := h
 
-let bump_generation t = t.generation <- t.generation + 1
+let bump_generation t =
+  t.generation <- t.generation + 1;
+  t.append_base <- t.generation
 
 (* The net's Obs.Probe objects are [net#N/structure] (nodes, sessions,
    global knobs), [net#N/policy] (per-prefix policy tables) and
@@ -688,7 +697,12 @@ let duplicate_node t n =
   let orig = node t n in
   let idx = List.length (nodes_of_as t orig.asn) in
   let ip = Asn.router_ip orig.asn idx in
+  (* The duplication only appends (a node, and one half-session at the
+     end of each peer's list), so it leaves the append base where it
+     was: a state from before it still resumes warm. *)
+  let base = t.append_base in
   let id = add_node t ~asn:orig.asn ~ip in
+  t.append_base <- base;
   let dup = node t id in
   (* Old policy key -> the key of the half-session that mirrors it. *)
   let remap = Ptbl.create (2 * Vec.length orig.sessions) in

@@ -311,17 +311,24 @@ val duplicate_node : t -> int -> int
 (** [duplicate_node t n] creates a copy of [n] in the same AS with the
     next quasi-router index: same sessions (fresh half-sessions on both
     sides) and deep-copied policies in both directions, so the copy has
-    the same RIB-In as the original (paper §4.6).  Returns the new id. *)
+    the same RIB-In as the original (paper §4.6).  Returns the new id.
+    It only appends (the node, and one half-session at the end of each
+    peer's list), so it bumps the generation but leaves {!append_base}
+    alone. *)
 
 (** {2 Change tracking for warm-start re-simulation}
 
-    Mutations are classified for warm resumption ({!Engine.simulate} with [from]): structural and
-    network-wide changes ([add_node], [connect], [duplicate_node],
-    [set_export_matrix], [set_igp_cost], [set_default_med],
-    [set_decision_steps], [set_med_scope], [set_import_lpref],
-    [set_rr_client], [set_carry_lpref]) bump the generation counter,
-    invalidating every previously captured state; per-prefix policy
-    edits record a touched node in that prefix's set instead.
+    Mutations are classified for warm resumption ({!Engine.simulate}
+    with [from]).  Structural and network-wide changes ([add_node],
+    [connect], [duplicate_node], [set_export_matrix], [set_igp_cost],
+    [set_default_med], [set_decision_steps], [set_med_scope],
+    [set_import_lpref], [set_rr_client], [set_carry_lpref] and every
+    {!Unsafe} edit) bump the generation counter.  All of them but
+    [duplicate_node] also move the {!append_base} up to the new
+    generation, invalidating every previously captured state; a
+    duplication only appends, so a state from before it stays
+    resumable.  Per-prefix policy edits record a touched node in that
+    prefix's set instead.
     Import-side edits ([set_import_med], [clear_import_med],
     [set_import_lpref_for], [clear_import_lpref_for]) record the
     {e sending peer} — a resumed run replays the sender's exports so
@@ -330,6 +337,13 @@ val duplicate_node : t -> int -> int
 
 val generation : t -> int
 (** Bumped on every structural or network-wide mutation. *)
+
+val append_base : t -> int
+(** The generation of the last bump that was not a [duplicate_node].
+    Between it and {!generation} the net changed only by appends: new
+    nodes, and new half-sessions at the end of existing nodes' session
+    lists, so every existing (node, session index) keeps its meaning.
+    {!Engine.resumable} accepts a state computed in that range. *)
 
 val touched_nodes : t -> Prefix.t -> int list
 (** Nodes whose per-prefix policy changed since the last

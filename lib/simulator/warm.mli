@@ -4,10 +4,10 @@
     all re-converge prefixes on a network that changed only slightly
     since their last converged state.  Every such re-convergence goes
     through {!simulate}: with warm starts on, a prefix whose network is
-    structurally unchanged resumes from its previous converged state
-    and drains only the policy and origination deltas
-    ({!Engine.simulate} with [from]) instead of re-flooding from the
-    originators.  The mode is the [warm] field of {!Runtime} ([RD_WARM]
+    structurally unchanged, or grown only by quasi-router
+    duplications, resumes from its previous converged state and drains
+    only the policy, origination and append deltas ({!Engine.simulate}
+    with [from]) instead of re-flooding from the originators.  The mode is the [warm] field of {!Runtime} ([RD_WARM]
     or the [--warm] flags), read on every call.
 
     Modes ({!Runtime.Warm_mode}): [Off] always simulates cold; [On]

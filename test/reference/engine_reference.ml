@@ -11,7 +11,10 @@
    tracing are stripped (so baseline runs do not pollute the shared
    Obs registry the bench gates read), while {!Faultinject} is kept —
    it is keyed deterministically per prefix, so both engines shrink
-   the same budgets under RD_FAULTS and stay comparable. *)
+   the same budgets under RD_FAULTS and stay comparable.  The one
+   later port is the warm-resume contract itself: a state behind the
+   net by duplications resumes here too, seeded as in {!Engine}, so
+   warm event counts stay comparable. *)
 
 open Bgp
 
@@ -297,22 +300,40 @@ let cold ?max_events ?max_escalations net ~prefix:pfx ~originators =
 
 let resumable net prev =
   converged prev
-  && prev.gen = Net.generation net
-  && Array.length prev.best = Net.node_count net
+  && prev.gen >= Net.append_base net
+  && prev.gen <= Net.generation net
+  && Array.length prev.best <= Net.node_count net
 
+(* A state behind by appends (see {!Net.append_base}) grows each node's
+   RIB-In to its new session count and gains empty new nodes; the new
+   nodes are queued and the grown ones replay with the touched set. *)
 let warm ?max_events ?max_escalations net ~prev ~touched ~originators =
+  let n = Net.node_count net in
+  let n0 = Array.length prev.best in
+  let extend a len none = Array.append a (Array.make (len - Array.length a) none) in
   let st =
     {
       pfx = prev.pfx;
-      gen = prev.gen;
-      rib_in = Array.map Array.copy prev.rib_in;
-      best = Array.copy prev.best;
-      originates = Array.copy prev.originates;
+      gen = Net.generation net;
+      rib_in =
+        Array.init n (fun u ->
+            let old = if u < n0 then prev.rib_in.(u) else [||] in
+            extend old (Net.session_count_of net u) None);
+      best = extend prev.best n None;
+      originates = extend prev.originates n false;
       outcome = Converged;
       events = 0;
     }
   in
-  let n = Array.length st.best in
+  let grown = ref [] in
+  for u = n0 - 1 downto 0 do
+    if Array.length st.rib_in.(u) > Array.length prev.rib_in.(u) then
+      grown := u :: !grown
+  done;
+  let replays =
+    if !grown = [] then touched
+    else List.sort_uniq Int.compare (List.rev_append !grown touched)
+  in
   let now = Array.make n false in
   List.iter (fun o -> if o >= 0 && o < n then now.(o) <- true) originators;
   let origin_delta = ref [] in
@@ -324,7 +345,10 @@ let warm ?max_events ?max_escalations net ~prev ~touched ~originators =
   done;
   exec ?max_events ?max_escalations net st ~seed:(fun ~enqueue ~replay ->
       List.iter enqueue !origin_delta;
-      List.iter (fun u -> if u >= 0 && u < n then replay u) touched)
+      for u = n0 to n - 1 do
+        enqueue u
+      done;
+      List.iter (fun u -> if u >= 0 && u < n then replay u) replays)
 
 let simulate ?max_events ?max_escalations ?from ?touched net ~prefix:pfx
     ~originators =

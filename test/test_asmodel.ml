@@ -230,6 +230,35 @@ let whatif_resimulates_unresumable () =
        (fun c -> Prefix.equal c.Asmodel.Whatif.prefix p1)
        diff.Asmodel.Whatif.changes)
 
+(* A state from before a duplication resumes warm, but its bests are
+   stale: the what-if re-simulates every such state, where current
+   states whose bests keep off the link (prefix 1's, as above) are
+   pruned. *)
+let whatif_resimulates_stale_state () =
+  let m = Qrmodel.initial graph in
+  let net = m.Qrmodel.net in
+  let stale, _ = Qrmodel.simulate_all m in
+  ignore (Net.duplicate_node net (List.hd (Net.nodes_of_as net 2)));
+  let current, _ = Qrmodel.simulate_all m in
+  check_bool "stale states are resumable" true
+    (List.for_all (fun (_, st) -> Simulator.Engine.resumable net st) stale);
+  let prior = Runtime.current () in
+  Runtime.set { prior with Runtime.warm = Runtime.Warm_mode.On; faults = None };
+  Fun.protect ~finally:(fun () -> Runtime.set prior) @@ fun () ->
+  (* (resumed, cold) runs of one what-if. *)
+  let runs states =
+    let w0 = Simulator.Warm.stats () in
+    ignore (Asmodel.Whatif.eval m states 4 5);
+    let w1 = Simulator.Warm.stats () in
+    ( w1.Simulator.Warm.warm_runs - w0.Simulator.Warm.warm_runs,
+      w1.Simulator.Warm.cold_runs - w0.Simulator.Warm.cold_runs )
+  in
+  check_bool "current states off the link are pruned" true
+    (fst (runs current) < List.length current);
+  Alcotest.(check (pair int int))
+    "every stale state crosses, and resumes"
+    (List.length stale, 0) (runs stale)
+
 (* A second disable of the same link places nothing (its denies are
    already there), so lifting both values leaks no deny. *)
 let whatif_double_disable () =
@@ -259,4 +288,6 @@ let suite =
     Alcotest.test_case "whatif double disable" `Quick whatif_double_disable;
     Alcotest.test_case "whatif resimulates a non-resumable state" `Quick
       whatif_resimulates_unresumable;
+    Alcotest.test_case "whatif resimulates a state from before a duplication"
+      `Quick whatif_resimulates_stale_state;
   ]

@@ -112,8 +112,8 @@ let check_store net universe step =
     universe
 
 (* Cold and warm runs of both engines on each tracked prefix; the warm
-   run resumes from the previous step's state (or falls back to cold
-   after a duplication bumped the generation). *)
+   run resumes from the previous step's state, across a duplication
+   too. *)
 let check_engines net tracked prev step =
   List.iteri
     (fun i (p, anchors) ->

@@ -74,8 +74,10 @@ let generation_tracking () =
   Net.set_import_lpref net a sab 120;
   check_bool "global knobs bump" true (Net.generation net > g2);
   let g3 = Net.generation net in
+  check_int "the append base follows other bumps" g3 (Net.append_base net);
   ignore (Net.duplicate_node net a);
-  check_bool "duplicate_node bumps" true (Net.generation net > g3)
+  check_bool "duplicate_node bumps" true (Net.generation net > g3);
+  check_int "duplicate_node keeps the append base" g3 (Net.append_base net)
 
 (* -- warm-resume equivalence on a hand-built scenario -- *)
 
@@ -190,19 +192,74 @@ let warm_locality () =
   check_bool "warm executes far fewer events" true
     (Engine.events warm * 5 < Engine.events cold)
 
-let resumable_guards () =
+(* A diamond model with a converged, drained state of [p]. *)
+let diamond_state () =
   let m = Qrmodel.initial diamond_graph in
-  let net = m.Qrmodel.net in
   let prev = Qrmodel.simulate m p in
+  Net.clear_touched m.Qrmodel.net p;
+  (m, m.Qrmodel.net, prev)
+
+let node_of net asn = List.hd (Net.nodes_of_as net asn)
+
+(* Every structural or network-wide edit but a duplication.  AS 2 and
+   AS 5 share no session in the diamond. *)
+let non_append_edits =
+  [
+    ("connect", fun net -> ignore (Net.connect net (node_of net 2) (node_of net 5)));
+    ("add_node", fun net -> ignore (Net.add_node net ~asn:9 ~ip:(Asn.router_ip 9 0)));
+    ("set_import_lpref", fun net -> Net.set_import_lpref net (node_of net 1) 0 120);
+    ("set_default_med", fun net -> Net.set_default_med net 50);
+    ( "set_decision_steps",
+      fun net -> Net.set_decision_steps net (Net.decision_steps net) );
+    ("set_med_scope", fun net -> Net.set_med_scope net (Net.med_scope net));
+    ("set_igp_cost", fun net -> Net.set_igp_cost net (fun _ _ -> 1));
+    ( "set_export_matrix",
+      fun net -> Net.set_export_matrix net (fun ~learned_class:_ ~to_class:_ -> true) );
+    ("set_rr_client", fun net -> Net.set_rr_client net (node_of net 1) 0 false);
+    ("set_carry_lpref", fun net -> Net.set_carry_lpref net (node_of net 1) 0 false);
+    ("Unsafe", fun net -> Net.Unsafe.set_session_count net (Net.session_count net));
+  ]
+
+let resumable_guards () =
+  let m, net, prev = diamond_state () in
   check_bool "fresh state is resumable" true (Engine.resumable net prev);
   (* A truncated state is not. *)
   let truncated = Qrmodel.simulate ~max_events:1 m p in
   check_bool "truncated not resumable" false (Engine.resumable net truncated);
-  (* A structural change invalidates prior states. *)
-  ignore (Net.duplicate_node net (List.hd (Net.nodes_of_as net 1)));
-  check_bool "stale generation not resumable" false (Engine.resumable net prev);
+  (* A duplication only appends: the state stays resumable, twice over,
+     and the resume lands on the cold fixed point. *)
+  ignore (Net.duplicate_node net (node_of net 1));
+  ignore (Net.duplicate_node net (node_of net 4));
+  check_bool "resumable across duplications" true (Engine.resumable net prev);
+  let hits0 = Obs.Metrics.find_counter "engine.warm_resume_hits" in
+  let warm =
+    Engine.simulate ~from:prev net ~prefix:p
+      ~originators:(Qrmodel.originators m p)
+  in
+  check_int "resume counted" (hits0 + 1)
+    (Obs.Metrics.find_counter "engine.warm_resume_hits");
+  check_equivalent "across duplications" (Qrmodel.simulate m p) warm;
+  (* Every other structural or network-wide edit forces a cold run,
+     before or after a duplication. *)
+  List.iter
+    (fun (label, edit) ->
+      List.iter
+        (fun dup_first ->
+          let _, net, prev = diamond_state () in
+          let dup () = ignore (Net.duplicate_node net (node_of net 1)) in
+          if dup_first then dup ();
+          edit net;
+          if not dup_first then dup ();
+          check_bool
+            (Printf.sprintf "%s%s: not resumable" label
+               (if dup_first then " after a duplication" else ""))
+            false (Engine.resumable net prev))
+        [ false; true ])
+    non_append_edits;
   (* simulate ?from falls back to a cold start silently and counts the
      miss — callers pass their cache slot unconditionally. *)
+  let m, net, prev = diamond_state () in
+  ignore (Net.connect net (node_of net 2) (node_of net 5));
   let misses0 = Obs.Metrics.find_counter "engine.warm_resume_misses" in
   let st =
     Engine.simulate ~from:prev net ~prefix:p
@@ -263,8 +320,8 @@ let arb_scenario =
         (String.concat "," (List.map string_of_int edits)))
     gen_scenario
 
-let apply_random_edit net prefix r =
-  let n = r mod Net.node_count net in
+(* A per-prefix edit on one of node [n]'s sessions, chosen by [r]. *)
+let edit_node net prefix n r =
   let nsess = Net.session_count_of net n in
   if nsess = 0 then ()
   else
@@ -274,6 +331,9 @@ let apply_random_edit net prefix r =
     | 1 -> Net.deny_export net n s prefix
     | 2 -> Net.allow_export net n s prefix
     | _ -> Net.clear_import_med net n s prefix
+
+let apply_random_edit net prefix r =
+  edit_node net prefix (r mod Net.node_count net) r
 
 (* Every third AS gets a second quasi-router preferring its last eBGP
    neighbour, so an AS can select two paths at once.  The preference is
@@ -329,6 +389,79 @@ let prop_warm_equals_cold =
                (List.init (Net.node_count net) Fun.id))
         [ false; true ])
 
+(* The AS graphs of every generator family at [Conf.tiny], a few seeds
+   each, built once. *)
+let family_graphs =
+  let families =
+    Netgen.Family.
+      [
+        Paper;
+        Waxman default_waxman;
+        Glp default_glp;
+        Fattree default_fattree;
+      ]
+  in
+  lazy
+    (Array.of_list
+       (List.concat_map
+          (fun f ->
+            List.map
+              (fun seed ->
+                ( Printf.sprintf "%s/%d" (Netgen.Family.name f) seed,
+                  Netgen.Gentopo.as_graph
+                    (Netgen.generate f Netgen.Conf.tiny
+                       (Random.State.make [| seed |])) ))
+              [ 1; 2; 3 ])
+          families))
+
+(* A state resumed across one to three duplications, each followed by
+   a per-prefix edit (on the duplicate or anywhere), reaches the cold
+   fixed point.  Each step is (node to duplicate, edit, edit at the
+   duplicate?). *)
+let prop_warm_across_duplications =
+  let gen =
+    QCheck.Gen.(
+      let* world = int_bound 1_000 in
+      let* prefix = int_bound 1_000 in
+      let* steps =
+        list_size (int_range 1 3)
+          (triple (int_bound 1_000_000) (int_bound 1_000_000) bool)
+      in
+      return (world, prefix, steps))
+  in
+  let print (world, prefix, steps) =
+    let graphs = Lazy.force family_graphs in
+    Printf.sprintf "world=%s prefix=%d steps=%s"
+      (fst graphs.(world mod Array.length graphs))
+      prefix
+      (String.concat ","
+         (List.map (fun (d, e, at) -> Printf.sprintf "%d/%d/%b" d e at) steps))
+  in
+  QCheck.Test.make ~name:"warm resume across duplications = cold, every family"
+    ~count:60 (QCheck.make ~print gen)
+    (fun (world, pick, steps) ->
+      let graphs = Lazy.force family_graphs in
+      let m = Qrmodel.initial (snd graphs.(world mod Array.length graphs)) in
+      let net = m.Qrmodel.net in
+      let prefix = fst (List.nth m.Qrmodel.prefixes (pick mod List.length m.Qrmodel.prefixes)) in
+      let prev = Qrmodel.simulate m prefix in
+      Net.clear_touched net prefix;
+      List.iter
+        (fun (d, e, at_dup) ->
+          let dup = Net.duplicate_node net (d mod Net.node_count net) in
+          if at_dup then edit_node net prefix dup e
+          else apply_random_edit net prefix e)
+        steps;
+      let warm =
+        Engine.simulate ~from:prev net ~prefix
+          ~originators:(Qrmodel.originators m prefix)
+      in
+      let cold = Qrmodel.simulate m prefix in
+      Engine.converged prev
+      && Engine.resumable net prev
+      && Engine.converged warm
+      && Engine.same_state cold warm)
+
 (* -- what a resume costs -- *)
 
 (* Run [f] with one worker, no faults, no tracing and no checker, so
@@ -354,8 +487,12 @@ let quiet f =
   f ()
 
 (* Minor plus directly-major words: a large array skips the minor
-   heap, so minor words alone would not see a slab-sized copy. *)
+   heap, so minor words alone would not see a slab-sized copy.  The
+   minor heap is emptied first so that [f] triggers no minor
+   collection: on OCaml 5.1 one inside the window adds about a minor
+   heap's worth to the count (an 85-word replay read 229,418 words). *)
 let words f =
+  Gc.minor ();
   let minor0, promoted0, major0 = Gc.counters () in
   f ();
   let minor1, promoted1, major1 = Gc.counters () in
@@ -599,6 +736,39 @@ let refiner_verify_clean () =
   check_int "zero divergences" 0
     (after.Warm.divergences - before.Warm.divergences)
 
+(* On a seeded world whose refinement duplicates quasi-routers, every
+   run after iteration 1 resumes warm (the final pass included), and
+   the refined model is the one a cold-only refinement builds. *)
+let refiner_resumes_across_duplications () =
+  let data =
+    Netgen.Groundtruth.observe
+      (Netgen.Groundtruth.build { Netgen.Conf.tiny with Netgen.Conf.seed = 5 })
+  in
+  let prepared = Core.prepare data in
+  let build warm =
+    let prior = Runtime.current () in
+    Runtime.set { prior with warm; faults = None };
+    Fun.protect ~finally:(fun () -> Runtime.set prior) @@ fun () ->
+    let w0 = Warm.stats () in
+    let r = Core.build prepared ~training:prepared.Core.data in
+    let w1 = Warm.stats () in
+    (r, w1.Warm.cold_runs - w0.Warm.cold_runs, w1.Warm.warm_runs - w0.Warm.warm_runs)
+  in
+  let on, cold_runs, warm_runs = build Runtime.Warm_mode.On in
+  let dups =
+    List.fold_left (fun acc s -> acc + s.Refiner.duplications) 0 on.Refiner.history
+  in
+  check_bool "the refinement duplicates" true (dups > 0);
+  let first = (List.hd on.Refiner.history).Refiner.pool.Simulator.Pool.prefixes in
+  check_int "only iteration 1 runs cold" first cold_runs;
+  check_int "every later run resumes"
+    (on.Refiner.pool.Simulator.Pool.prefixes - first)
+    warm_runs;
+  let off, _, _ = build Runtime.Warm_mode.Off in
+  check_bool "same model as RD_WARM=off" true
+    (Asmodel.Serialize.to_lines on.Refiner.model
+    = Asmodel.Serialize.to_lines off.Refiner.model)
+
 let suite =
   [
     Alcotest.test_case "touched tracking" `Quick touched_tracking;
@@ -612,6 +782,7 @@ let suite =
     Alcotest.test_case "resumable guards" `Quick resumable_guards;
     Alcotest.test_case "path interning" `Quick interning;
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
+    QCheck_alcotest.to_alcotest prop_warm_across_duplications;
     Alcotest.test_case "no-op resume costs the same on any size" `Quick
       noop_resume_cost_is_size_independent;
     Alcotest.test_case "unchanged re-export allocates nothing per session"
@@ -623,4 +794,6 @@ let suite =
     Alcotest.test_case "refiner mode equivalence" `Quick
       refiner_mode_equivalence;
     Alcotest.test_case "refiner verify is clean" `Quick refiner_verify_clean;
+    Alcotest.test_case "refiner resumes across duplications" `Quick
+      refiner_resumes_across_duplications;
   ]
