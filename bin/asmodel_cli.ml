@@ -506,6 +506,14 @@ let build () input split_seed train_fraction by_origin model_out max_iter
       Asmodel.Serialize.save path r.Refine.Refiner.model;
       Printf.printf "model saved to %s\n" path
   | None -> ());
+  (* The heap size of the refiner's final states; what they share
+     (routes, interned paths, CSR offsets) counts once.  Walking them is
+     a pass over every state, so only [--metrics] pays for it. *)
+  if metrics then
+    Obs.Metrics.set_gauge
+      (Obs.Metrics.gauge "states.bytes")
+      (Obj.reachable_words (Obj.repr r.Refine.Refiner.states)
+      * (Sys.word_size / 8));
   finish_obs ~metrics ();
   checker_exit ~strict 0
 
@@ -810,10 +818,11 @@ let replay_run () model_path scenario events stream_seed strict metrics =
       Printf.eprintf "replaying %d %s events over %d model prefixes\n%!"
         (List.length stream) scenario
         (List.length model.Asmodel.Qrmodel.prefixes);
-      let _driver, report = Stream.Replay.run model stream in
+      let driver, report = Stream.Replay.run model stream in
       Evaluation.Report.section std "CHURN" "event-stream replay";
       Format.printf "%a@." Stream.Replay.pp_report report;
       Printf.printf "unrecovered failures: %d\n" report.Stream.Replay.failed;
+      Printf.printf "routing fingerprint: %x\n" (Stream.Replay.fingerprint driver);
       finish_obs ~metrics ();
       checker_exit ~strict (if report.Stream.Replay.failed > 0 then 3 else 0)
 
@@ -823,8 +832,10 @@ let replay_cmd =
        ~doc:
          "Generate a deterministic churn stream (flaps, de-peerings, \
           hijacks) and replay it against a saved model, reconverging \
-          only touched prefixes warm.  Exits 3 when any reconvergence \
-          failure survives the retries.")
+          only touched prefixes warm.  Prints the routing fingerprint of \
+          the final states, which is the same under every $(b,--warm) \
+          mode.  Exits 3 when any reconvergence failure survives the \
+          retries.")
     Term.(
       const replay_run
       $ knob_flags [ "--jobs"; "--faults"; "--warm"; "--check"; "--trace" ]

@@ -16,13 +16,18 @@ let pp_outcome ppf = function
    slab in the CSR slot order of {!Net.Csr}: node [n]'s slots are
    [off.(n) .. off.(n+1) - 1], and an empty slot holds the physical
    sentinel {!Rattr.no_route} instead of an option box.  Together with
-   hash-consed routes ({!Intern.rattr}) this keeps the whole per-prefix
-   state in two flat arrays: no per-node arrays to chase, and
-   fingerprinting is a linear scan.  A warm resume at its parent's
-   generation starts on its parent's arrays and copies each one only
-   when it first writes to it (one [Array.copy]), so a resume that
-   changes nothing shares them; a resume across duplications starts on
-   its parent's routes laid out afresh in the grown net's slot order.
+   hash-consed routes ({!Intern.rattr}) this keeps a cold run's state in
+   two flat arrays, with no per-node arrays to chase.  A cold run, and a
+   resume across duplications, writes a slab of its own.  A warm resume
+   at its parent's generation shares its parent's slab and writes
+   per-node rows over it: [rows] stays its parent's (the empty array
+   when the parent has none) until the run's first slot write, which
+   copies it (or makes one of [[||]]s); a node's entry is [[||]] while
+   its slots are the slab's, and its whole row once a run in the chain
+   has written one of them.  [best] is copied on its first write.  So a
+   resume that changes nothing shares its parent's arrays, one that
+   changes a few nodes costs their rows plus two node-sized arrays, and
+   a chain of resumes holds one slab plus at most one row per node.
    The arrays are written only by the run that made the state, before
    it is returned: a returned state is never written again. *)
 type state = {
@@ -30,7 +35,8 @@ type state = {
   gen : int;  (* Net.generation at run time; gates warm resumption *)
   nodes : int;
   off : int array;  (* shared with the Csr of [gen]; length nodes + 1 *)
-  mutable slab : Rattr.t array;  (* RIB-In slots; Rattr.no_route = empty *)
+  slab : Rattr.t array;  (* RIB-In slots; Rattr.no_route = empty *)
+  mutable rows : Rattr.t array array;  (* [||] = every slot is in [slab] *)
   mutable best : Rattr.t array;  (* per node; Rattr.no_route = no route *)
   origins : int list;  (* originating nodes, ascending, distinct *)
   mutable outcome : outcome;
@@ -74,14 +80,25 @@ let best st n =
     let r = st.best.(n) in
     if Rattr.is_route r then Some r else None
 
+(* The one slot accessor: node [u]'s slots are [row st u] from index
+   [row_start st u (row st u)] on, in session order. *)
+let row st u =
+  if Array.length st.rows = 0 then st.slab
+  else
+    let r = st.rows.(u) in
+    if Array.length r = 0 then st.slab else r
+
+let row_start st u r = if r == st.slab then st.off.(u) else 0
+
 let rib_in st n =
   if n >= st.nodes then []
   else begin
-    let base = st.off.(n) in
+    let r = row st n in
+    let base = row_start st n r in
     let acc = ref [] in
-    for k = st.off.(n + 1) - 1 downto base do
-      let r = st.slab.(k) in
-      if Rattr.is_route r then acc := (k - base, r) :: !acc
+    for s = st.off.(n + 1) - st.off.(n) - 1 downto 0 do
+      let x = r.(base + s) in
+      if Rattr.is_route x then acc := (s, x) :: !acc
     done;
     !acc
   end
@@ -97,9 +114,11 @@ let iter_candidates st net n f =
   if n < st.nodes then begin
     if int_mem n st.origins then
       f (Rattr.originated ~own_ip:(Ipv4.to_int (Net.ip_of net n)));
-    for k = st.off.(n) to st.off.(n + 1) - 1 do
-      let r = st.slab.(k) in
-      if Rattr.is_route r then f r
+    let r = row st n in
+    let base = row_start st n r in
+    for k = base to base + st.off.(n + 1) - st.off.(n) - 1 do
+      let x = r.(k) in
+      if Rattr.is_route x then f x
     done
   end
 
@@ -149,6 +168,19 @@ let mix_routes h (rs : Rattr.t array) =
   done;
   !h
 
+(* Every RIB-In slot, node by node in session order: the slab's linear
+   order whichever rows a state has. *)
+let mix_slots h st =
+  let h = ref h in
+  for u = 0 to st.nodes - 1 do
+    let r = row st u in
+    let base = row_start st u r in
+    for k = base to base + st.off.(u + 1) - st.off.(u) - 1 do
+      h := mix_route !h r.(k)
+    done
+  done;
+  !h
+
 (* Full-state fingerprint for the oscillation watchdog.  The transition
    function is deterministic, so an exact repeat of (RIBs, best routes,
    queue content and order) with work still queued proves a genuine
@@ -156,11 +188,11 @@ let mix_routes h (rs : Rattr.t array) =
    deep/wide structures such as long AS-paths — so every route is
    folded field by field into a polynomial hash over the full
    native-int range, with paths contributing their full-width content
-   hash ({!Intern.path_hash}).  The slab is mixed in linear order,
+   hash ({!Intern.path_hash}).  The slots are mixed in slab order,
    which is the reference engine's node-major slot order — the two
    implementations fingerprint identically by construction. *)
 let fingerprint st fold_queue queued n =
-  let h = mix_routes (mix_routes 0x42 st.best) st.slab in
+  let h = mix_slots (mix_routes 0x42 st.best) st in
   let h = ref (fold_queue (fun h u -> mix h (u + 0x9e3779b9)) h) in
   for u = 0 to n - 1 do
     h := mix !h (Bool.to_int queued.(u))
@@ -171,7 +203,7 @@ let fingerprint st fold_queue queued n =
    verification compares.  Identical final best routes and RIB-Ins give
    identical fingerprints regardless of how the fixed point was
    reached. *)
-let state_fingerprint st = mix_routes (mix_routes 0x42 st.best) st.slab
+let state_fingerprint st = mix_slots (mix_routes 0x42 st.best) st
 
 let same_state a b =
   a.pfx = b.pfx && a.nodes = b.nodes
@@ -180,9 +212,13 @@ let same_state a b =
       Array.iteri
         (fun i r -> if not (Rattr.same_route r b.best.(i)) then ok := false)
         a.best;
-      Array.iteri
-        (fun k r -> if not (Rattr.same_route r b.slab.(k)) then ok := false)
-        a.slab;
+      for u = 0 to a.nodes - 1 do
+        let ra = row a u and rb = row b u in
+        let ba = row_start a u ra and bb = row_start b u rb in
+        for s = 0 to a.off.(u + 1) - a.off.(u) - 1 do
+          if not (Rattr.same_route ra.(ba + s) rb.(bb + s)) then ok := false
+        done
+      done;
       !ok)
 
 (* Loop detection, once per eBGP import: a plain loop, because a local
@@ -212,7 +248,9 @@ let watchdog_history_cap = 4096
    end of a run costs a pass over the net.  Systhreads share a domain
    (the query server's connection threads all run the engine), so a run
    that finds the cell empty — another thread holds the set — allocates
-   its own; a run that raises simply drops its set.  Arrays may be
+   its own; a run that raises simply drops its set.  A resume that
+   writes rows takes a new [stamp], so the [owner] marks of earlier
+   runs go stale without a reset.  Arrays may be
    longer than the current net's slot or node count: only the first
    [nslots] or [nodes] entries are used. *)
 type scratch = {
@@ -222,6 +260,8 @@ type scratch = {
   queue : int array;  (* ring of capacity nodes + 1 *)
   queued : bool array;
   orig : Rattr.t array;  (* per node; Rattr.no_route = not originating *)
+  owner : int array;  (* per node: the [stamp] of the last run to copy its row *)
+  mutable stamp : int;
   mutable med_buf : Rattr.t array;
   mutable med_keys : int array;
 }
@@ -241,6 +281,8 @@ let checkout_scratch ~nslots ~nodes =
         queue = Array.make (nodes + 1) 0;
         queued = Array.make nodes false;
         orig = Array.make nodes Rattr.no_route;
+        owner = Array.make nodes 0;
+        stamp = 0;
         med_buf = [||];
         med_keys = [||];
       }
@@ -261,7 +303,8 @@ let checkin_scratch sc = Atomic.set (Domain.DLS.get scratch_cell) (Some sc)
    prepended-path memo when its node's best route changes, and one
    route record per RIB-In slot it changes.  [fresh] says whether
    [st]'s slab and best arrays are the run's own; when they are not (a
-   warm resume), each is copied on its first write. *)
+   warm resume at its parent's generation), the run writes per-node
+   rows over the parent's slab and copies [best] on its first write. *)
 let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind ~seed
     =
   let t0 = Obs.Trace.now_us () in
@@ -371,14 +414,45 @@ let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind ~seed
   List.iter
     (fun u -> orig.(u) <- Intern.rattr (Rattr.originated ~own_ip:ips.(u)))
     st.origins;
-  (* Copy on first write: a warm run starts on its parent's arrays. *)
-  let own_slab = ref fresh and own_best = ref fresh in
-  let set_slot k r =
-    if not !own_slab then begin
-      st.slab <- Array.copy st.slab;
-      own_slab := true
+  (* A fresh run writes its own [slab].  A resume at its parent's
+     generation ([patched]) writes rows over the shared slab instead:
+     it copies the parent's [rows] index on its first slot write and a
+     node's row on its first write to that node, from the node's
+     current slots (the parent may be patched itself).  [best] is
+     copied on its first write either way.  The branch on [patched] is
+     a run constant, so the fresh path reads and writes the slab as if
+     rows did not exist. *)
+  let slab = st.slab in
+  let patched = not fresh in
+  let stamp =
+    if patched then begin
+      sc.stamp <- sc.stamp + 1;
+      sc.stamp
+    end
+    else 0
+  in
+  let owner = sc.owner in
+  let own_rows = ref fresh and own_best = ref fresh in
+  let patched_slot p k =
+    let r = row st p in
+    if r == slab then slab.(k) else r.(k - off.(p))
+  in
+  let patched_set p k x =
+    if not !own_rows then begin
+      st.rows <-
+        (if Array.length st.rows = 0 then Array.make n [||]
+         else Array.copy st.rows);
+      own_rows := true
     end;
-    st.slab.(k) <- r
+    let rows = st.rows in
+    if owner.(p) <> stamp then begin
+      let r = rows.(p) in
+      rows.(p) <-
+        (if Array.length r = 0 then Array.sub slab off.(p) (off.(p + 1) - off.(p))
+         else Array.copy r);
+      owner.(p) <- stamp
+    end;
+    rows.(p).(k - off.(p)) <- x
   in
   let set_best u r =
     if not !own_best then begin
@@ -394,9 +468,10 @@ let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind ~seed
       med_buf.(0) <- o;
       m := 1
     end;
-    let slab = st.slab in
-    for k = off.(u) to off.(u + 1) - 1 do
-      let r = slab.(k) in
+    let slots = if patched then row st u else slab in
+    let base = row_start st u slots in
+    for k = base to base + off.(u + 1) - off.(u) - 1 do
+      let r = slots.(k) in
       if Rattr.is_route r then begin
         med_buf.(!m) <- r;
         incr m
@@ -411,9 +486,10 @@ let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind ~seed
     if scoped_med then recompute_best_scoped u
     else begin
       let best = ref orig.(u) in
-      let slab = st.slab in
-      for k = off.(u) to off.(u + 1) - 1 do
-        let r = slab.(k) in
+      let slots = if patched then row st u else slab in
+      let base = row_start st u slots in
+      for k = base to base + off.(u + 1) - off.(u) - 1 do
+        let r = slots.(k) in
         if Rattr.is_route r then
           if not (Rattr.is_route !best) then best := r
           else if compare_routes r !best < 0 then best := r
@@ -424,8 +500,10 @@ let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind ~seed
   (* The advertisement died on the session into [p]'s slot [kr]:
      withdraw the incumbent if there is one. *)
   let kill kr p =
-    if Rattr.is_route st.slab.(kr) then begin
-      set_slot kr Rattr.no_route;
+    if Rattr.is_route (if patched then patched_slot p kr else slab.(kr))
+    then begin
+      if patched then patched_set p kr Rattr.no_route
+      else slab.(kr) <- Rattr.no_route;
       enqueue p
     end
   in
@@ -441,7 +519,7 @@ let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind ~seed
      routes.  [kill] and [store] live here, not in [push_exports], so
      that no closure is allocated per export. *)
   let store u kr p path lpref med igp learned =
-    let cur = st.slab.(kr) in
+    let cur = if patched then patched_slot p kr else slab.(kr) in
     if
       Rattr.is_route cur
       && cur.Rattr.from_node = u
@@ -451,7 +529,7 @@ let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind ~seed
       && cur.Rattr.igp = igp
     then ()
     else begin
-      set_slot kr
+      let x =
         {
           Rattr.path;
           lpref;
@@ -462,7 +540,9 @@ let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind ~seed
           from_session = kr - off.(p);
           learned;
           learned_class = classes.(kr);
-        };
+        }
+      in
+      if patched then patched_set p kr x else slab.(kr) <- x;
       enqueue p
     end
   in
@@ -664,6 +744,7 @@ let cold ?max_events ?max_escalations ?on_best_change net ~prefix:pfx
       nodes = n;
       off = Net.Csr.off c;
       slab = Array.make (Net.Csr.slot_count c) Rattr.no_route;
+      rows = [||];
       best = Array.make n Rattr.no_route;
       origins = List.sort_uniq Int.compare originators;
       outcome = Converged;
@@ -691,9 +772,9 @@ let rec sym_diff a b =
 (* [prev] laid out in the slot order of a net that only grew since
    [prev.gen] (see {!Net.append_base}): sessions were only pushed, so
    each old node's slots are one run at the front of its new range, one
-   blit per node, and every appended slot and node starts empty.
-   Returns the state, on arrays of its own, and the old nodes whose
-   session count grew, ascending. *)
+   blit per node (from its row, if [prev] has one), and every appended
+   slot and node starts empty.  Returns the state, on a flat slab of its
+   own, and the old nodes whose session count grew, ascending. *)
 let append_remap net prev ~origins =
   let c = Net.csr net in
   let off = Net.Csr.off c in
@@ -703,7 +784,8 @@ let append_remap net prev ~origins =
   let grown = ref [] in
   for u = prev.nodes - 1 downto 0 do
     let len = prev.off.(u + 1) - prev.off.(u) in
-    Array.blit prev.slab prev.off.(u) slab off.(u) len;
+    let r = row prev u in
+    Array.blit r (row_start prev u r) slab off.(u) len;
     if off.(u + 1) - off.(u) > len then grown := u :: !grown
   done;
   ( {
@@ -712,6 +794,7 @@ let append_remap net prev ~origins =
       nodes = Array.length best;
       off;
       slab;
+      rows = [||];
       best;
       origins;
       outcome = Converged;
@@ -720,12 +803,13 @@ let append_remap net prev ~origins =
     !grown )
 
 (* Precondition: [resumable net prev].  At [prev]'s generation the new
-   state starts on [prev]'s arrays; the run copies each before its first
-   write, so [prev] is never written and a resume that changes nothing
-   shares them.  Behind by appends, it starts on [append_remap]'s
-   arrays instead: the new nodes are queued, and the grown nodes replay
-   their exports with the touched ones, so the appended sessions carry
-   what a cold run would put on them. *)
+   state starts on [prev]'s arrays; the run copies a node's row (and the
+   rows index, and [best]) before its first write there, so [prev] is
+   never written and a resume that changes nothing shares them.  Behind
+   by appends, it starts on [append_remap]'s arrays instead: the new
+   nodes are queued, and the grown nodes replay their exports with the
+   touched ones, so the appended sessions carry what a cold run would
+   put on them. *)
 let warm ?max_events ?max_escalations ?on_best_change net ~prev ~touched
     ~originators =
   if Obs.Probe.enabled () then begin

@@ -39,9 +39,12 @@ val simulate :
     warm: the run starts from the previous converged state and only
     the exports of the [touched] nodes (default {!Net.touched_nodes})
     are replayed.  [from] itself is never modified: at [from]'s
-    generation the new state copies its route arrays on their first
-    write, so a resume that changes nothing shares them; behind by
-    duplications, it starts on a fresh layout of them.  A warm resume also honours origination changes: nodes
+    generation the new state shares [from]'s RIB-In slab and copies
+    only the rows of the nodes it writes (plus a node-indexed row table
+    and the best routes, each on its first write), so a resume that
+    changes nothing shares all of [from]'s arrays; behind by
+    duplications, it starts on a fresh flat layout of them.  A warm
+    resume also honours origination changes: nodes
     present in [originators] but not originating in [from] (and vice
     versa) have their flag flipped and their decision process re-run,
     so announce / withdraw / MOAS events replay incrementally without

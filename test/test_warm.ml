@@ -462,6 +462,58 @@ let prop_warm_across_duplications =
       && Engine.converged warm
       && Engine.same_state cold warm)
 
+(* A chain of two to four resumes at one generation, each from the
+   state the previous one returned and after a per-prefix edit: every
+   link is the cold fixed point, and a child's run leaves its parent's
+   routes as they were.  Each step is (node to edit, edit). *)
+let prop_patched_chain =
+  let gen =
+    QCheck.Gen.(
+      let* world = int_bound 1_000 in
+      let* prefix = int_bound 1_000 in
+      let* steps =
+        list_size (int_range 2 4)
+          (pair (int_bound 1_000_000) (int_bound 1_000_000))
+      in
+      return (world, prefix, steps))
+  in
+  let print (world, prefix, steps) =
+    let graphs = Lazy.force family_graphs in
+    Printf.sprintf "world=%s prefix=%d steps=%s"
+      (fst graphs.(world mod Array.length graphs))
+      prefix
+      (String.concat ","
+         (List.map (fun (n, e) -> Printf.sprintf "%d/%d" n e) steps))
+  in
+  QCheck.Test.make ~name:"chained resumes = cold, parents unchanged, every family"
+    ~count:60 (QCheck.make ~print gen)
+    (fun (world, pick, steps) ->
+      let graphs = Lazy.force family_graphs in
+      let m = Qrmodel.initial (snd graphs.(world mod Array.length graphs)) in
+      let net = m.Qrmodel.net in
+      let prefix =
+        fst (List.nth m.Qrmodel.prefixes (pick mod List.length m.Qrmodel.prefixes))
+      in
+      let originators = Qrmodel.originators m prefix in
+      let root = Qrmodel.simulate m prefix in
+      Net.clear_touched net prefix;
+      let rec go parent = function
+        | [] -> true
+        | (node, e) :: rest ->
+            let fp = Engine.state_fingerprint parent in
+            edit_node net prefix (node mod Net.node_count net) e;
+            let child = Engine.simulate ~from:parent net ~prefix ~originators in
+            Net.clear_touched net prefix;
+            let cold = Qrmodel.simulate m prefix in
+            Engine.generation parent = Net.generation net
+            && Engine.converged child
+            && Engine.same_state cold child
+            && Engine.state_fingerprint cold = Engine.state_fingerprint child
+            && Engine.state_fingerprint parent = fp
+            && go child rest
+      in
+      go root steps)
+
 (* -- what a resume costs -- *)
 
 (* Run [f] with one worker, no faults, no tracing and no checker, so
@@ -533,6 +585,59 @@ let noop_resume_cost_is_size_independent () =
   let on_large = words (resume large) in
   check_int "same words on both sizes" on_small on_large;
   check_int "same words on a repeat" on_large (words (resume large))
+
+(* A resume whose deny moves one node's best route copies that node's
+   row, the rows index and the best array, never the slot slab: on a
+   4x larger model the words grow with the node count, not with the
+   slot count.  The denied session is the one the last routed node's
+   best route arrived on: a stub, whose loss moves a few routes at
+   most. *)
+let deny_resume_cost_follows_nodes () =
+  quiet @@ fun () ->
+  let case conf =
+    let m = family_model conf in
+    let net = m.Qrmodel.net in
+    let prefix = fst (List.hd m.Qrmodel.prefixes) in
+    let prev = Qrmodel.simulate m prefix in
+    Net.clear_touched net prefix;
+    let u =
+      List.find
+        (fun u ->
+          match Engine.best prev u with
+          | Some r -> r.Simulator.Rattr.from_session >= 0
+          | None -> false)
+        (List.rev (List.init (Net.node_count net) Fun.id))
+    in
+    let r = Option.get (Engine.best prev u) in
+    let from = r.Simulator.Rattr.from_node in
+    Net.deny_export net from
+      (Net.session_reverse net u r.Simulator.Rattr.from_session)
+      prefix;
+    (m, prefix, prev, from)
+  in
+  let small = case Netgen.Conf.tiny and large = case (Netgen.Conf.sized 240) in
+  let resume (m, prefix, prev, from) () =
+    let st =
+      Engine.simulate ~from:prev ~touched:[ from ] m.Qrmodel.net ~prefix
+        ~originators:(Engine.originating prev)
+    in
+    check_bool "the deny moved a route" false (Engine.same_state prev st)
+  in
+  let nodes (m, _, _, _) = Net.node_count m.Qrmodel.net in
+  let slots (m, _, _, _) = Net.session_count m.Qrmodel.net in
+  check_bool "models differ 4x in slots" true (slots large > 4 * slots small);
+  resume large ();
+  resume small ();
+  let on_small = words (resume small) in
+  let on_large = words (resume large) in
+  check_bool
+    (Printf.sprintf "words %d -> %d grow by at most 3 per node (%d -> %d)"
+       on_small on_large (nodes small) (nodes large))
+    true
+    (on_large - on_small <= 3 * (nodes large - nodes small));
+  check_bool
+    (Printf.sprintf "words %d below the %d-slot slab" on_large (slots large))
+    true (on_large < slots large)
 
 (* Replaying a node re-exports its unchanged best route over every
    session, and every import is suppressed: the words allocated must not
@@ -783,8 +888,11 @@ let suite =
     Alcotest.test_case "path interning" `Quick interning;
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
     QCheck_alcotest.to_alcotest prop_warm_across_duplications;
+    QCheck_alcotest.to_alcotest prop_patched_chain;
     Alcotest.test_case "no-op resume costs the same on any size" `Quick
       noop_resume_cost_is_size_independent;
+    Alcotest.test_case "a deny's resume costs nodes, not slots" `Quick
+      deny_resume_cost_follows_nodes;
     Alcotest.test_case "unchanged re-export allocates nothing per session"
       `Quick unchanged_reexport_allocates_nothing_per_session;
     Alcotest.test_case "resume leaves its parent unchanged" `Quick
