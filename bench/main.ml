@@ -702,8 +702,8 @@ let experiment_faults conf =
     transparent trans_pool.Simulator.Pool.retried
 
 (* The 14-iteration refinement of the WARM and CHECK sections, at
-   jobs=1 with warm starts (so engine events and Gc.allocated_bytes, a
-   per-domain counter, compare directly), under the ambient knobs as
+   jobs=1 with warm starts (so engine events and the calling domain's
+   allocated words compare directly), under the ambient knobs as
    changed by [update]. *)
 let warm_refine ?(update = Fun.id) prepared ~training () =
   with_runtime (fun rt ->
@@ -727,18 +727,18 @@ let experiment_warm prepared =
     (* The warm.* registry counters only go up: a run's counts are the
        difference across it. *)
     let w0 = Simulator.Warm.stats () in
-    let a0 = Gc.allocated_bytes () in
-    let result, wall_s =
-      wall (fun () ->
-          span label
-            (warm_refine
-               ~update:(fun rt -> { rt with warm })
-               prepared ~training))
+    let (result, wall_s), alloc =
+      Obs.Metrics.allocated_words (fun () ->
+          wall (fun () ->
+              span label
+                (warm_refine
+                   ~update:(fun rt -> { rt with warm })
+                   prepared ~training)))
     in
     let w1 = Simulator.Warm.stats () in
     ( result.Refine.Refiner.pool.Simulator.Pool.events,
       wall_s,
-      Gc.allocated_bytes () -. a0,
+      alloc,
       w1.warm_runs - w0.warm_runs,
       w1.cold_runs - w0.cold_runs )
   in
@@ -752,19 +752,19 @@ let experiment_warm prepared =
     ratio (float_of_int warm_events) (float_of_int cold_events)
   in
   Evaluation.Report.table std
-    ~header:[ "mode"; "refine wall"; "engine events"; "allocated bytes" ]
+    ~header:[ "mode"; "refine wall"; "engine events"; "allocated words" ]
     [
       [
         "cold";
         Printf.sprintf "%.1fs" cold_wall;
         string_of_int cold_events;
-        Printf.sprintf "%.0f" cold_alloc;
+        string_of_int cold_alloc;
       ];
       [
         "warm";
         Printf.sprintf "%.1fs" warm_wall;
         string_of_int warm_events;
-        Printf.sprintf "%.0f" warm_alloc;
+        string_of_int warm_alloc;
       ];
     ];
   Format.printf "warm/cold event ratio: %.2f (%d warm resumes, %d cold runs)@."
@@ -774,7 +774,7 @@ let experiment_warm prepared =
       [
         ("wall_s", Json.Float wall_s);
         ("events", Json.Int events);
-        ("allocated_bytes", Json.Float alloc);
+        ("allocated_words", Json.Int alloc);
       ]
   in
   Json.Obj
@@ -1190,9 +1190,7 @@ let experiment_scale ~ases ~seed =
              sample_arr))
   in
   let ref_states = ref_sweep () in
-  let gc0 = Gc.quick_stat () in
-  let flat_states = flat_sweep () in
-  let gc1 = Gc.quick_stat () in
+  let flat_states, flat_words = Obs.Metrics.allocated_words flat_sweep in
   for _ = 2 to reps do
     ignore (ref_sweep ());
     ignore (flat_sweep ())
@@ -1260,15 +1258,6 @@ let experiment_scale ~ases ~seed =
     if wall > 0.0 then float_of_int events /. wall else 0.0
   in
   let speedup = if flat_wall > 0.0 then ref_wall /. flat_wall else 0.0 in
-  (* [gc0..gc1] brackets exactly the first flat sweep. *)
-  let gc_minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words in
-  let gc_promoted_words = gc1.Gc.promoted_words -. gc0.Gc.promoted_words in
-  let gc_minor_collections =
-    gc1.Gc.minor_collections - gc0.Gc.minor_collections
-  in
-  let gc_major_collections =
-    gc1.Gc.major_collections - gc0.Gc.major_collections
-  in
   let n_samples = List.length samples in
   let wall_per_prefix_ms =
     if n_samples = 0 then 0.0 else 1000.0 *. flat_wall /. float_of_int n_samples
@@ -1291,9 +1280,7 @@ let experiment_scale ~ases ~seed =
       ( "warm fingerprints identical",
         Printf.sprintf "%b (%d pairs)" !warm_identical !warm_pairs );
       ("peak RSS", Printf.sprintf "%d kB" rss);
-      ( "flat-run GC",
-        Printf.sprintf "%.0f minor words, %d minor / %d major collections"
-          gc_minor_words gc_minor_collections gc_major_collections );
+      ("first flat sweep allocated", Printf.sprintf "%d words" flat_words);
     ];
   let engine wall_s events extra =
     Json.Obj
@@ -1323,14 +1310,7 @@ let experiment_scale ~ases ~seed =
       ("warm_identical", Json.Bool !warm_identical);
       ("warm_pairs", Json.Int !warm_pairs);
       ("peak_rss_kb", Json.Int rss);
-      ( "gc",
-        Json.Obj
-          [
-            ("minor_words", Json.Float gc_minor_words);
-            ("promoted_words", Json.Float gc_promoted_words);
-            ("minor_collections", Json.Int gc_minor_collections);
-            ("major_collections", Json.Int gc_major_collections);
-          ] );
+      ("flat_allocated_words", Json.Int flat_words);
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -19,23 +19,8 @@ let progress label =
     end
 
 let load_dataset path =
-  (* Text (`bgpdump -m`) and binary (RFC 6396) dumps are both accepted;
-     the flavour is auto-detected. *)
-  let raw = In_channel.with_open_bin path In_channel.input_all in
-  let records =
-    if Mrt_binary.looks_binary raw then begin
-      let records, diags = Mrt_binary.read_bytes raw in
-      List.iter (fun d -> Printf.eprintf "%s: %s\n" path d) diags;
-      records
-    end
-    else
-      let records, errors = Mrt.parse_lines (String.split_on_char '\n' raw) in
-      List.iter
-        (fun (line, msg) -> Printf.eprintf "%s:%d: %s\n" path line msg)
-        errors;
-      records
-  in
-  let data, stats = Rib.of_records records in
+  let data, stats, diagnostics = Rib.load path in
+  List.iter (Printf.eprintf "%s\n") diagnostics;
   Printf.eprintf
     "loaded %s: %d records, %d kept (%d loops, %d empty, %d duplicates dropped)\n%!"
     path stats.Rib.raw (Rib.size data) stats.Rib.dropped_loops

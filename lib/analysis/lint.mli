@@ -7,7 +7,10 @@
     short-lived domain for the intern-table isolation audit). *)
 
 val check_net : Simulator.Net.t -> Report.t
-(** Structural rules and the CSR audit (no origin-table context). *)
+(** Structural rules and the CSR audit (no origin-table context): the
+    net-only part of {!check}.  A test seam: the tests corrupt a bare
+    net through {!Simulator.Net.Unsafe} and check that each corruption
+    {!check} relies on catching is reported. *)
 
 val check : Asmodel.Qrmodel.t -> Report.t
 (** Structural and policy rules, the CSR audit and the intern-table

@@ -43,12 +43,17 @@ val disable_as_link :
     it differs, e.g. a churned snapshot's) on every session between
     their quasi-routers, in both directions.  Sessions are kept.  A
     deny that already existed (e.g. a refiner-placed filter) is left
-    out of [placed], so reverting with {!enable_as_link} keeps it. *)
+    out of [placed], so reverting with {!enable_as_link} keeps it.
+    {!eval} runs on it; the tests also use it, with a cold re-simulation
+    of every prefix, as the brute-force oracle for {!eval}'s pruned
+    answer. *)
 
 val enable_as_link : Qrmodel.t -> disabled -> unit
 (** Revert a {!disable_as_link}: lift exactly the denies it placed.
     Reverting two disables of one link in either order restores the
-    deny set from before the first. *)
+    deny set from before the first — what lets {!eval} (and the
+    brute-force oracle the tests check it against) leave the model as
+    it found it. *)
 
 type change = {
   prefix : Prefix.t;

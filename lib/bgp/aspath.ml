@@ -45,11 +45,6 @@ let suffixes p =
 
 let contains a p = Array.exists (fun x -> x = a) p
 
-let index_of a p =
-  let n = Array.length p in
-  let rec loop i = if i >= n then None else if p.(i) = a then Some i else loop (i + 1) in
-  loop 0
-
 let rec prepended p i = i < Array.length p && (p.(i) = p.(i - 1) || prepended p (i + 1))
 
 (* A path with nothing prepended comes back as itself: paths are

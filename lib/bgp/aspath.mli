@@ -55,9 +55,6 @@ val suffixes : t -> t list
 
 val contains : Asn.t -> t -> bool
 
-val index_of : Asn.t -> t -> int option
-(** Leftmost position of an AS in the path. *)
-
 val remove_prepending : t -> t
 (** Collapse consecutive duplicate ASNs (paper §3.1, footnote 1).  A
     path with none is returned as is. *)

@@ -37,14 +37,9 @@ val community_to_string : community -> string
 
 val community_of_string : string -> community option
 
-val communities_to_string : community list -> string
-(** Space-separated, empty string for []. *)
-
-val add_community : Buffer.t -> community -> unit
-(** Appends the {!community_to_string} text, digit by digit. *)
-
 val add_communities : Buffer.t -> community list -> unit
-(** Appends the {!communities_to_string} text, digit by digit. *)
+(** Appends the {!community_to_string} texts, space-separated (nothing
+    for []), digit by digit. *)
 
 val communities_of_string : string -> community list option
 (** Space-separated {!community_of_string} tokens (["asn:value"], both

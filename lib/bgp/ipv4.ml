@@ -68,5 +68,3 @@ let mask_bits n =
   else max_value lxor ((1 lsl (32 - n)) - 1)
 
 let apply_mask len a = a land mask_bits len
-
-let succ a = (a + 1) land max_value

@@ -56,5 +56,3 @@ val mask_bits : int -> t
 val apply_mask : int -> t -> t
 (** [apply_mask len a] zeroes all but the first [len] bits of [a]. *)
 
-val succ : t -> t
-(** Next address, wrapping at [255.255.255.255]. *)

@@ -7,10 +7,6 @@ type record = {
   attrs : Attrs.t;
 }
 
-type update =
-  | Announce of record
-  | Withdraw of { time : int; peer_ip : Ipv4.t; peer_as : Asn.t; prefix : Prefix.t }
-
 type 'a line = Skip | Parsed of 'a | Malformed of string
 
 (* ---------------- writing ---------------- *)
@@ -20,19 +16,11 @@ type 'a line = Skip | Parsed of 'a | Malformed of string
 
 let bar b = Buffer.add_char b '|'
 
-(* [kind|time|subtype|...]: the columns after the subtype are the same
-   for a table-dump line and an announcement. *)
-let add_head b ~kind ~subtype ~time =
-  Buffer.add_string b kind;
-  bar b;
-  Lex.add_int b time;
-  bar b;
-  Buffer.add_string b subtype;
-  bar b
-
-let add_record b ~kind ~subtype r =
+let add_record b r =
   let a = r.attrs in
-  add_head b ~kind ~subtype ~time:r.time;
+  Buffer.add_string b "TABLE_DUMP2|";
+  Lex.add_int b r.time;
+  Buffer.add_string b "|B|";
   Ipv4.add_to_buffer b r.peer_ip;
   bar b;
   Lex.add_int b r.peer_as;
@@ -52,24 +40,10 @@ let add_record b ~kind ~subtype r =
   Attrs.add_communities b a.Attrs.communities;
   Buffer.add_string b "|NAG||"
 
-let to_line add =
-  let b = Buffer.create 128 in
-  add b;
-  Buffer.contents b
-
 let record_to_line r =
-  to_line (fun b -> add_record b ~kind:"TABLE_DUMP2" ~subtype:"B" r)
-
-let update_to_line = function
-  | Announce r -> to_line (fun b -> add_record b ~kind:"BGP4MP" ~subtype:"A" r)
-  | Withdraw { time; peer_ip; peer_as; prefix } ->
-      to_line (fun b ->
-          add_head b ~kind:"BGP4MP" ~subtype:"W" ~time;
-          Ipv4.add_to_buffer b peer_ip;
-          bar b;
-          Lex.add_int b peer_as;
-          bar b;
-          Prefix.add_to_buffer b prefix)
+  let b = Buffer.create 128 in
+  add_record b r;
+  Buffer.contents b
 
 (* ---------------- parsing ---------------- *)
 
@@ -95,8 +69,8 @@ let rec has_fields s i b n =
 
 (* The fields of one trimmed line [s.[..last-1]]: the current one is
    [s.[start..stop-1]], and [next] past the last one is "too few
-   fields".  A line short of the fields its kind needs says so whatever
-   else is wrong with it, so a scan that fails counts the fields before
+   fields".  A line short of twelve fields says so whatever else is
+   wrong with it, so a scan that fails counts the fields before
    it reports a field's own error: a well-formed line is walked once. *)
 type cursor = { s : string; last : int; mutable start : int; mutable stop : int }
 
@@ -128,122 +102,73 @@ let parsed what parse c =
   | Some v -> v
   | None -> raise (Bad (what ^ text c))
 
-(* Columns 3..11 of a table-dump or announcement line, the cursor on
-   column 3; [time] (column 1) is read by the caller, after the kind and
-   subtype checks. *)
-let full_record c ~time =
-  let peer_ip = parsed "bad peer_ip " Ipv4.of_substring c in
-  next c;
-  let peer_as = parsed "bad peer_as " Asn.of_substring c in
-  next c;
-  let prefix = parsed "bad prefix " Prefix.of_substring c in
-  next c;
-  let path = parsed "bad as_path " Aspath.of_substring c in
-  next c;
-  let origin = parsed "bad origin " Attrs.origin_of_substring c in
-  next c;
-  let next_hop = parsed "bad next_hop " Ipv4.of_substring c in
-  next c;
-  let local_pref = int_field "local_pref" c in
-  next c;
-  let med = int_field "med" c in
-  next c;
-  let communities = parsed "bad community " Attrs.communities_of_substring c in
-  {
-    time;
-    peer_ip;
-    peer_as;
-    prefix;
-    path;
-    attrs = { Attrs.origin; next_hop; local_pref; med; communities };
-  }
-
-(* Moves from the kind column to the subtype column and returns the
-   time column's bounds, read once the subtype is known. *)
-let skip_time c =
-  next c;
-  let a = c.start and b = c.stop in
-  next c;
-  (a, b)
-
 let scan_record s a b =
   let c = cursor s a b in
   try
     if not (is c "TABLE_DUMP2" || is c "TABLE_DUMP") then
       bad "unknown record kind %S" (text c);
-    let ta, tb = skip_time c in
+    (* The time column is read once the subtype is known. *)
+    next c;
+    let ta = c.start and tb = c.stop in
+    next c;
     if not (is c "B") then bad "unsupported subtype %S (want B)" (text c);
     let time = int_in "time" s ta tb in
     next c;
-    full_record c ~time
+    let peer_ip = parsed "bad peer_ip " Ipv4.of_substring c in
+    next c;
+    let peer_as = parsed "bad peer_as " Asn.of_substring c in
+    next c;
+    let prefix = parsed "bad prefix " Prefix.of_substring c in
+    next c;
+    let path = parsed "bad as_path " Aspath.of_substring c in
+    next c;
+    let origin = parsed "bad origin " Attrs.origin_of_substring c in
+    next c;
+    let next_hop = parsed "bad next_hop " Ipv4.of_substring c in
+    next c;
+    let local_pref = int_field "local_pref" c in
+    next c;
+    let med = int_field "med" c in
+    next c;
+    let communities = parsed "bad community " Attrs.communities_of_substring c in
+    {
+      time;
+      peer_ip;
+      peer_as;
+      prefix;
+      path;
+      attrs = { Attrs.origin; next_hop; local_pref; med; communities };
+    }
   with Bad _ when not (has_fields s a b 12) -> raise too_few
 
-let scan_update s a b =
-  let c = cursor s a b in
-  if not (is c "BGP4MP") then bad "not an update line (kind %S)" (text c);
-  let ta, tb = skip_time c in
-  if is c "A" then
-    try
-      let time = int_in "time" s ta tb in
-      next c;
-      Announce (full_record c ~time)
-    with Bad _ when not (has_fields s a b 12) -> raise too_few
-  else if is c "W" then
-    try
-      let time = int_in "time" s ta tb in
-      next c;
-      let peer_ip = parsed "bad peer_ip " Ipv4.of_substring c in
-      next c;
-      let peer_as = parsed "bad peer_as " Asn.of_substring c in
-      next c;
-      let prefix = parsed "bad prefix " Prefix.of_substring c in
-      Withdraw { time; peer_ip; peer_as; prefix }
-    with Bad _ when not (has_fields s a b 6) -> raise too_few
-  else raise too_few
-
-let scan_line scan line =
+let record_of_line line =
   let n = String.length line in
   let a = trim_left line 0 n in
   let b = trim_right line a n in
   if a >= b || line.[a] = '#' then Skip
-  else match scan line a b with v -> Parsed v | exception Bad msg -> Malformed msg
+  else
+    match scan_record line a b with
+    | r -> Parsed r
+    | exception Bad msg -> Malformed msg
 
-let record_of_line line = scan_line scan_record line
-
-let update_of_line line = scan_line scan_update line
-
-let parse_with of_line lines =
+let parse_lines lines =
   let parsed = ref [] in
   let errors = ref [] in
   List.iteri
     (fun i line ->
-      match of_line line with
-      | Parsed v -> parsed := v :: !parsed
+      match record_of_line line with
+      | Parsed r -> parsed := r :: !parsed
       | Skip -> ()
       | Malformed msg -> errors := (i + 1, msg) :: !errors)
     lines;
   (List.rev !parsed, List.rev !errors)
-
-let parse_update_lines lines = parse_with update_of_line lines
-
-let parse_lines lines = parse_with record_of_line lines
-
-let read_channel ic =
-  let rec loop acc =
-    match In_channel.input_line ic with
-    | Some line -> loop (line :: acc)
-    | None -> List.rev acc
-  in
-  parse_lines (loop [])
-
-let read_file path = In_channel.with_open_text path read_channel
 
 let write_channel oc records =
   let b = Buffer.create 256 in
   List.iter
     (fun r ->
       Buffer.clear b;
-      add_record b ~kind:"TABLE_DUMP2" ~subtype:"B" r;
+      add_record b r;
       Buffer.add_char b '\n';
       Buffer.output_buffer oc b)
     records

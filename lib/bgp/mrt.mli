@@ -51,13 +51,6 @@ type record = {
   attrs : Attrs.t;
 }
 
-type update =
-  | Announce of record
-      (** a [BGP4MP|...|A|...] line — same fields as a table-dump
-          record. *)
-  | Withdraw of { time : int; peer_ip : Ipv4.t; peer_as : Asn.t; prefix : Prefix.t }
-      (** a [BGP4MP|...|W|...] line. *)
-
 type 'a line =
   | Skip  (** a blank line or a ['#'] comment — not data, not an error. *)
   | Parsed of 'a
@@ -72,21 +65,9 @@ val record_of_line : string -> record line
 (** Parse one line; {!parse_lines} aggregates whole files, skipping
     [Skip] lines silently. *)
 
-val update_to_line : update -> string
-
-val update_of_line : string -> update line
-(** Parse one [BGP4MP] update line (announcement or withdrawal).
-    Supporting updates is the paper's stated future work ("incorporate
-    the AS-path information from BGP updates", §3.1); together with
-    {!Rib.apply_updates} it lets a data set be rolled forward in time. *)
-
-val parse_update_lines : string list -> update list * (int * string) list
-
 val parse_lines : string list -> record list * (int * string) list
 (** [parse_lines lines] returns the well-formed records plus
     [(line_number, message)] diagnostics for malformed non-comment
     lines.  Line numbers are 1-based. *)
-
-val read_file : string -> record list * (int * string) list
 
 val write_file : string -> record list -> unit

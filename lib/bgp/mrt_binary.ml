@@ -275,9 +275,6 @@ let read_bytes data =
   loop ();
   (List.rev !records, List.rev !diagnostics)
 
-let read_file path =
-  read_bytes (In_channel.with_open_bin path In_channel.input_all)
-
 (* ---------------- writing ---------------- *)
 
 let w8 b v = Buffer.add_char b (Char.chr (v land 0xFF))

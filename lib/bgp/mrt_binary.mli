@@ -32,8 +32,6 @@ val read_bytes : string -> Mrt.record list * string list
     that do not end exactly at the attribute's end drop the entry with
     a diagnostic naming the attribute. *)
 
-val read_file : string -> Mrt.record list * string list
-
 val write_bytes : ?view_name:string -> Mrt.record list -> string
 (** Serialize: one PEER_INDEX_TABLE (peers deduplicated from the
     records, in first-appearance order) followed by one
@@ -43,5 +41,5 @@ val write_bytes : ?view_name:string -> Mrt.record list -> string
 val write_file : ?view_name:string -> string -> Mrt.record list -> unit
 
 val looks_binary : string -> bool
-(** Heuristic used by the CLI to auto-detect the input flavour: true if
-    the (beginning of the) data cannot be a text dump. *)
+(** Heuristic {!Rib.load} uses to auto-detect the input flavour: true
+    if the (beginning of the) data cannot be a text dump. *)

@@ -52,8 +52,6 @@ let hash p =
 
 let mem addr p = Ipv4.equal (Ipv4.apply_mask p.length addr) p.network
 
-let subsumes p q = p.length <= q.length && mem q.network p
-
 let default = { network = Ipv4.of_int 0; length = 0 }
 
 module Ord = struct

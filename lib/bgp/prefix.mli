@@ -48,10 +48,6 @@ val hash : t -> int
 val mem : Ipv4.t -> t -> bool
 (** [mem addr p] is true iff [addr] lies inside [p]. *)
 
-val subsumes : t -> t -> bool
-(** [subsumes p q] is true iff every address of [q] is inside [p]
-    (i.e. [p] is a less-specific covering prefix of [q]). *)
-
 val default : t
 (** [0.0.0.0/0]. *)
 

@@ -4,8 +4,6 @@ let obs_point_compare a b =
   let c = Ipv4.compare a.op_ip b.op_ip in
   if c <> 0 then c else Asn.compare a.op_as b.op_as
 
-let obs_point_equal a b = obs_point_compare a b = 0
-
 type entry = { op : obs_point; prefix : Prefix.t; path : Aspath.t }
 
 type cleaning_stats = {
@@ -148,7 +146,7 @@ let paths_for_prefix t p =
 let union a b = of_entries (entries a @ entries b)
 
 let restrict_points t points =
-  let keep e = List.exists (obs_point_equal e.op) points in
+  let keep e = List.exists (fun p -> obs_point_compare e.op p = 0) points in
   { entries = Array.of_seq (Seq.filter keep (Array.to_seq t.entries)) }
 
 let restrict_origins t set =
@@ -200,42 +198,6 @@ let transfer_stub_origins t ~removed ~reprefix =
   in
   of_entries (List.filter_map rewrite (entries t))
 
-let apply_updates t updates =
-  (* One best route per (observation point, prefix). *)
-  let slots = Hashtbl.create (Array.length t.entries * 2) in
-  Array.iter
-    (fun e -> Hashtbl.replace slots (e.op, e.prefix) e)
-    t.entries;
-  let dropped_loops = ref 0 and dropped_empty = ref 0 in
-  List.iter
-    (fun u ->
-      match u with
-      | Mrt.Withdraw { peer_ip; peer_as; prefix; _ } ->
-          Hashtbl.remove slots ({ op_ip = peer_ip; op_as = peer_as }, prefix)
-      | Mrt.Announce r ->
-          let path = Aspath.remove_prepending r.Mrt.path in
-          if Aspath.is_empty path then incr dropped_empty
-          else if Aspath.has_loop path then incr dropped_loops
-          else
-            let path =
-              if Aspath.head path = Some r.Mrt.peer_as then path
-              else Aspath.prepend r.Mrt.peer_as path
-            in
-            let op = { op_ip = r.Mrt.peer_ip; op_as = r.Mrt.peer_as } in
-            Hashtbl.replace slots (op, r.Mrt.prefix)
-              { op; prefix = r.Mrt.prefix; path })
-    updates;
-  let entries = Hashtbl.fold (fun _ e acc -> e :: acc) slots [] in
-  let stats =
-    {
-      raw = List.length updates;
-      dropped_loops = !dropped_loops;
-      dropped_empty = !dropped_empty;
-      deduplicated = 0;
-    }
-  in
-  (of_entries entries, stats)
-
 let collapse_to_origin ?(reprefix = Asn.origin_prefix) t =
   let rewrite e =
     match Aspath.origin e.path with
@@ -247,5 +209,15 @@ let collapse_to_origin ?(reprefix = Asn.origin_prefix) t =
 let save path t = Mrt.write_file path (to_records t)
 
 let load path =
-  let records, _errors = Mrt.read_file path in
-  of_records records
+  let raw = In_channel.with_open_bin path In_channel.input_all in
+  let records, diagnostics =
+    if Mrt_binary.looks_binary raw then
+      let records, diags = Mrt_binary.read_bytes raw in
+      (records, List.map (Printf.sprintf "%s: %s" path) diags)
+    else
+      let records, errors = Mrt.parse_lines (String.split_on_char '\n' raw) in
+      let diagnostic (line, msg) = Printf.sprintf "%s:%d: %s" path line msg in
+      (records, List.map diagnostic errors)
+  in
+  let data, stats = of_records records in
+  (data, stats, diagnostics)

@@ -14,8 +14,6 @@ type obs_point = { op_ip : Ipv4.t; op_as : Asn.t }
 
 val obs_point_compare : obs_point -> obs_point -> int
 
-val obs_point_equal : obs_point -> obs_point -> bool
-
 type entry = { op : obs_point; prefix : Prefix.t; path : Aspath.t }
 (** One cleaned RIB entry.  [path] starts with [op.op_as] and ends with
     the origin AS. *)
@@ -87,14 +85,6 @@ val transfer_stub_origins :
     hops (origin = observation AS) are dropped, as are entries whose
     observation AS itself was removed. *)
 
-val apply_updates : t -> Mrt.update list -> t * cleaning_stats
-(** Roll a data set forward in time with BGP updates (the paper's §3.1
-    future-work item).  A RIB holds one best route per (observation
-    point, prefix): announcements replace that slot (after the usual
-    cleaning), withdrawals empty it.  Updates are applied in list order;
-    callers should sort by time first.  The returned stats describe the
-    announcements' cleaning. *)
-
 val collapse_to_origin : ?reprefix:(Asn.t -> Prefix.t) -> t -> t
 (** Paper §4.1: model building originates one prefix per AS, so every
     entry's prefix is replaced by the canonical prefix of its path's
@@ -105,5 +95,9 @@ val collapse_to_origin : ?reprefix:(Asn.t -> Prefix.t) -> t -> t
 val save : string -> t -> unit
 (** Write as a dump file ({!Mrt}). *)
 
-val load : string -> t * cleaning_stats
-(** Read a dump file and clean it. *)
+val load : string -> t * cleaning_stats * string list
+(** Read a dump file, text ({!Mrt}) or binary ({!Mrt_binary}, told
+    apart by {!Mrt_binary.looks_binary}), and clean it.  The list holds
+    one diagnostic per malformed line or skipped binary record, in file
+    order, prefixed with the path: [path:line: message] for a text
+    line (1-based), [path: message] for a binary record. *)

@@ -40,8 +40,6 @@ let study (model : Qrmodel.t) prefix =
   in
   { prefix; origin = Qrmodel.origin_of model prefix; views }
 
-let view_of t asn = List.find_opt (fun v -> v.asn = asn) t.views
-
 let most_diverse t n =
   List.sort
     (fun a b -> Stdlib.compare (List.length b.received) (List.length a.received))

@@ -25,8 +25,6 @@ type t = {
 val study : Asmodel.Qrmodel.t -> Prefix.t -> t
 (** Simulate the prefix and collect every AS's view. *)
 
-val view_of : t -> Asn.t -> as_view option
-
 val most_diverse : t -> int -> as_view list
 (** The [n] ASes receiving the most distinct routes — the paper's
     AS 3356 ("needs eight routers") candidates. *)

@@ -29,10 +29,6 @@ let int_series ppf ~x ~y series =
   table ppf ~header:[ x; y ]
     (List.map (fun (a, b) -> [ string_of_int a; string_of_int b ]) series)
 
-let float_series ppf ~x ~y series =
-  table ppf ~header:[ x; y ]
-    (List.map (fun (a, b) -> [ string_of_int a; Printf.sprintf "%.4f" b ]) series)
-
 let kv ppf pairs =
   let w = List.fold_left (fun m (k, _) -> max m (String.length k)) 0 pairs in
   List.iter (fun (k, v) -> Format.fprintf ppf "%-*s  %s@." w k v) pairs

@@ -15,8 +15,5 @@ val table :
 val int_series : Format.formatter -> x:string -> y:string -> (int * int) list -> unit
 (** Two-column series for figures (histograms, CCDFs). *)
 
-val float_series :
-  Format.formatter -> x:string -> y:string -> (int * float) list -> unit
-
 val kv : Format.formatter -> (string * string) list -> unit
 (** Aligned key/value block. *)

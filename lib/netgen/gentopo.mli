@@ -62,6 +62,9 @@ val true_rel :
   t -> Asn.t -> Asn.t -> [ `Provider | `Customer | `Peer | `Sibling ] option
 (** Ground-truth relationship of the first AS towards the second, if
     they are adjacent ([`Provider]: the first provides transit for the
-    second).  Parallel links share the relationship. *)
+    second).  Parallel links share the relationship.  A test oracle:
+    the tests check on every family that each link reads as a
+    provider/customer, peer or sibling pair from both ends, the
+    relationships ground truth routes by. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -154,9 +154,8 @@ let find_counter name =
   match value name with Some (Counter v) -> v | _ -> 0
 
 (* GC gauges, refreshed on demand (bench sections, report dumps) from
-   [Gc.quick_stat] — cheap enough to call at batch granularity and
-   precise enough for the §SCALE allocation accounting.  Word counts
-   are clamped into the gauge's int domain (no-op on 64-bit). *)
+   [Gc.quick_stat] — cheap enough to call at batch granularity.  Word
+   counts are clamped into the gauge's int domain (no-op on 64-bit). *)
 let gc_minor_words_g = gauge "gc.minor_words"
 
 let gc_promoted_words_g = gauge "gc.promoted_words"
@@ -186,6 +185,18 @@ let record_gc () =
   set_gauge gc_compactions_g s.Gc.compactions;
   set_gauge gc_heap_words_g s.Gc.heap_words;
   set_gauge gc_top_heap_words_g s.Gc.top_heap_words
+
+(* [Gc.minor_words] sees the current minor heap; [Gc.counters] is read
+   outside its window so that the tuple it allocates is not counted. *)
+let allocated_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let r = f () in
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  ( r,
+    int_of_float
+      (minor1 -. minor0 +. (major1 -. promoted1) -. (major0 -. promoted0)) )
 
 let pp_snapshot ppf items =
   Format.fprintf ppf "@[<v>";

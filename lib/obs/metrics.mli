@@ -77,6 +77,18 @@ val record_gc : unit -> unit
     [gc.compactions], [gc.heap_words] and [gc.top_heap_words].  Called
     by the bench harness and report paths at section boundaries so GC
     pressure lands in the same snapshot as the throughput counters;
-    cheap ([Gc.quick_stat], no heap walk) but not per-event. *)
+    cheap ([Gc.quick_stat], no heap walk) but not per-event.  The
+    totals are process-wide but count a domain's minor words only once
+    its minor heap is collected, so they lag by up to a minor heap per
+    domain: to count what one piece of code allocates, use
+    {!allocated_words}. *)
+
+val allocated_words : (unit -> 'a) -> 'a * int
+(** [allocated_words f] runs [f] and returns its result with the words
+    it allocated in the calling domain: every minor-heap word, whether
+    or not a minor collection ran meanwhile, plus the words allocated
+    directly in the major heap (large blocks), promotions excluded.
+    Exact and deterministic — [fun () -> ()] reads 0 and
+    [Array.make 240 0] reads 241 — so tests compare it with [=]. *)
 
 val pp_snapshot : Format.formatter -> (string * value) list -> unit

@@ -2,8 +2,6 @@ module Net = Simulator.Net
 
 type delta = { added : int; removed : int }
 
-let net_delta d = d.added - d.removed
-
 type outcome = {
   result : Refiner.result;
   new_quasi_routers : int;

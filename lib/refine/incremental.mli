@@ -17,9 +17,6 @@ type delta = { added : int; removed : int }
     difference would conflate the two (and go negative when the
     refiner deletes more filters than it places). *)
 
-val net_delta : delta -> int
-(** [added - removed]; may be negative. *)
-
 type outcome = {
   result : Refiner.result;  (** refinement restricted to the new data *)
   new_quasi_routers : int;

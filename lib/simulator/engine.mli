@@ -129,7 +129,9 @@ val candidates : state -> Net.t -> int -> Rattr.t list
 
 val iter_candidates : state -> Net.t -> int -> (Rattr.t -> unit) -> unit
 (** Visit the node's candidates in {!candidates} order without building
-    a list — the allocation-free traversal the hot analysis paths use. *)
+    a list — the allocation-free traversal {!fold_candidates} runs on.
+    The tests check that it visits exactly {!candidates}' list, the
+    decision process's input order. *)
 
 val fold_candidates :
   state -> Net.t -> int -> init:'a -> f:('a -> Rattr.t -> 'a) -> 'a

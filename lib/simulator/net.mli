@@ -396,7 +396,9 @@ val pp_summary : Format.formatter -> t -> unit
 (** {2 Deliberate corruption — test helper}
 
     Break the invariants the safe API maintains, so the Analysis lint's
-    Error paths can be exercised.  Never use outside tests. *)
+    Error paths can be exercised.  Never use outside tests.  Each edit
+    is an audit seam: the tests make it and check that the rule named
+    below reports it. *)
 module Unsafe : sig
   val push_half_session :
     t ->
@@ -408,16 +410,22 @@ module Unsafe : sig
     unit ->
     int
   (** Append a dangling half-session at a node (no mirror at the peer;
-      [peer_session] defaults to [-1]).  Counts one half-session. *)
+      [peer_session] defaults to [-1]).  Counts one half-session.
+      Provokes [session-asymmetric], [session-self],
+      [session-duplicate] and [session-kind-mismatch]. *)
 
   val set_peer_session : t -> int -> int -> int -> unit
-  (** Overwrite a session's reverse index (breaks the round-trip). *)
+  (** Overwrite a session's reverse index (breaks the round-trip).
+      Provokes [session-asymmetric] and the CSR audit's
+      [audit-csr-slot]/[audit-csr-rev]. *)
 
   val set_session_count : t -> int -> unit
-  (** Desynchronize the cached half-session count. *)
+  (** Desynchronize the cached half-session count.  Provokes
+      [session-count]. *)
 
   val detach_from_as : t -> int -> unit
-  (** Remove a node from its AS's [nodes_of_as] list. *)
+  (** Remove a node from its AS's [nodes_of_as] list.  Provokes
+      [as-membership] and [as-membership-count]. *)
 
   val from_foreign_domain : t -> (t -> unit) -> unit
   (** [from_foreign_domain t f] runs [f t] on a freshly spawned domain

@@ -18,12 +18,10 @@ module Check_mode = struct
 
   let to_string = function Off -> "off" | On -> "on"
 
-  (* [race] and [hb] are older spellings of [on]: a script that still
-     says them must get the checker, not fall back to [off]. *)
   let parse s =
     match String.lowercase_ascii (String.trim s) with
     | "" | "off" | "0" | "false" -> Ok Off
-    | "on" | "1" | "true" | "race" | "hb" -> Ok On
+    | "on" | "1" | "true" -> Ok On
     | other -> Error (Printf.sprintf "bad check mode %S (want off|on)" other)
 end
 

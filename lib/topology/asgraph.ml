@@ -66,15 +66,6 @@ let edges g = fold_edges (fun a b acc -> (a, b) :: acc) g [] |> List.rev
 
 let of_edges es = List.fold_left (fun g (a, b) -> add_edge g a b) empty es
 
-let subgraph g set =
-  Asn.Set.fold
-    (fun a acc ->
-      let acc = add_node acc a in
-      Asn.Set.fold
-        (fun b acc -> if Asn.Set.mem b set then add_edge acc a b else acc)
-        (neighbors g a) acc)
-    set empty
-
 let is_clique g set =
   Asn.Set.for_all
     (fun a ->
@@ -95,16 +86,6 @@ let connected_component g start =
         bfs next (Asn.Set.union seen next)
     in
     bfs (Asn.Set.singleton start) (Asn.Set.singleton start)
-
-let degree_histogram g =
-  let table = Hashtbl.create 64 in
-  fold_nodes
-    (fun a () ->
-      let d = degree g a in
-      Hashtbl.replace table d (1 + Option.value ~default:0 (Hashtbl.find_opt table d)))
-    g ();
-  Hashtbl.fold (fun d n acc -> (d, n) :: acc) table []
-  |> List.sort (fun (d1, _) (d2, _) -> Stdlib.compare d1 d2)
 
 let pp_stats ppf g =
   let max_deg = fold_nodes (fun a m -> max m (degree g a)) g 0 in

@@ -50,17 +50,11 @@ val fold_edges : (Asn.t -> Asn.t -> 'a -> 'a) -> t -> 'a -> 'a
 
 val of_edges : (Asn.t * Asn.t) list -> t
 
-val subgraph : t -> Asn.Set.t -> t
-(** Induced subgraph on the given node set. *)
-
 val is_clique : t -> Asn.Set.t -> bool
 (** True iff every pair of distinct nodes in the set is connected. *)
 
 val connected_component : t -> Asn.t -> Asn.Set.t
 (** BFS component of a node; empty set if the node is absent. *)
-
-val degree_histogram : t -> (int * int) list
-(** [(degree, how many nodes)] sorted by degree. *)
 
 val pp_stats : Format.formatter -> t -> unit
 (** One-line summary: node count, edge count, max degree. *)

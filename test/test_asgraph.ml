@@ -56,16 +56,6 @@ let components () =
   check_bool "component of missing node" true
     (Asn.Set.is_empty (Topology.Asgraph.connected_component g2 42))
 
-let subgraph () =
-  let s = Topology.Asgraph.subgraph g (Asn.Set.of_list [ 1; 2; 4 ]) in
-  check_int "subgraph nodes" 3 (Topology.Asgraph.num_nodes s);
-  check_int "subgraph edges" 1 (Topology.Asgraph.num_edges s)
-
-let degree_histogram () =
-  let h = Topology.Asgraph.degree_histogram g in
-  (* degrees: 1->2, 2->2, 3->3, 4->1 *)
-  check_bool "histogram" true (h = [ (1, 1); (2, 2); (3, 1) ])
-
 let gen_edges =
   QCheck.Gen.(list_size (int_bound 40) (pair (int_range 1 15) (int_range 1 15)))
 
@@ -101,8 +91,6 @@ let suite =
     Alcotest.test_case "edges listing" `Quick edges_listing;
     Alcotest.test_case "cliques" `Quick cliques;
     Alcotest.test_case "components" `Quick components;
-    Alcotest.test_case "subgraph" `Quick subgraph;
-    Alcotest.test_case "degree histogram" `Quick degree_histogram;
     QCheck_alcotest.to_alcotest prop_degree_sum;
     QCheck_alcotest.to_alcotest prop_edges_symmetric;
   ]

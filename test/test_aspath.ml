@@ -75,8 +75,7 @@ let contains_index () =
   let p = path [ 4; 8; 15 ] in
   check_bool "contains" true (Aspath.contains 8 p);
   check_bool "not contains" false (Aspath.contains 16 p);
-  check_bool "index" true (Aspath.index_of 15 p = Some 2);
-  check_bool "index absent" true (Aspath.index_of 16 p = None)
+  check_int "index" 15 (Aspath.nth p 2)
 
 let gen_path =
   QCheck.Gen.(list_size (int_bound 8) (int_range 1 50) >|= Aspath.of_list)

@@ -206,10 +206,7 @@ let prop_comparator_is_compare_routes =
       cmp a b = D.compare_routes steps a b
       && cmp b a = D.compare_routes steps b a)
 
-let minor_words f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
+let words f = snd (Obs.Metrics.allocated_words f)
 
 (* The engine calls these once per candidate, per decision or per
    import, so none may allocate: 10,000 calls must cost 0 words. *)
@@ -225,11 +222,10 @@ let per_event_calls_allocate_nothing () =
       Alcotest.(check int)
         (label ^ " comparator allocates nothing")
         0
-        (int_of_float
-           (minor_words (fun () ->
-                for _ = 1 to 10_000 do
-                  ignore (cmp a b)
-                done))))
+        (words (fun () ->
+           for _ = 1 to 10_000 do
+             ignore (cmp a b)
+           done)))
     [ ("model steps", D.model_steps); ("full steps", D.full_steps) ];
   (* The scoped-MED selection runs in place over caller buffers. *)
   let c = route ~path:[| 2; 3; 6 |] ~med:0 ~from_ip:8 () in
@@ -243,11 +239,10 @@ let per_event_calls_allocate_nothing () =
     (D.select ~med_scope:D.Same_neighbor D.full_steps (Array.to_list cands)
     = Some (select ()));
   Alcotest.(check int) "select_into allocates nothing" 0
-    (int_of_float
-       (minor_words (fun () ->
-            for _ = 1 to 10_000 do
-              ignore (select ())
-            done)));
+    (words (fun () ->
+       for _ = 1 to 10_000 do
+         ignore (select ())
+       done));
   (* Equal contents in distinct arrays: the element loop, not the
      physical check, decides. *)
   let p1 = Array.init 12 (fun i -> i) and p2 = Array.init 12 (fun i -> i) in
@@ -256,11 +251,10 @@ let per_event_calls_allocate_nothing () =
   check_bool "same_path sees a difference" false
     (R.same_path p1 (Array.init 12 (fun i -> if i = 11 then 0 else i)));
   Alcotest.(check int) "same_path allocates nothing" 0
-    (int_of_float
-       (minor_words (fun () ->
-            for _ = 1 to 10_000 do
-              ignore (R.same_path p1 p2)
-            done)))
+    (words (fun () ->
+       for _ = 1 to 10_000 do
+         ignore (R.same_path p1 p2)
+       done))
 
 (* The engine prepends on every best-route change; re-exporting a route
    it has prepended before is a memo hit and must allocate nothing.
@@ -279,11 +273,10 @@ let prepend_hit_allocates_nothing () =
   check_bool "another AS misses" true
     (Simulator.Intern.prepend ~own_as:8 p != q);
   Alcotest.(check int) "prepend hit allocates nothing" 0
-    (int_of_float
-       (minor_words (fun () ->
-            for _ = 1 to 10_000 do
-              ignore (Simulator.Intern.prepend ~own_as:7 p)
-            done)))
+    (words (fun () ->
+       for _ = 1 to 10_000 do
+         ignore (Simulator.Intern.prepend ~own_as:7 p)
+       done))
 
 let suite =
   [

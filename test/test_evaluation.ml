@@ -31,9 +31,7 @@ let split_partition () =
   let valid_pts = Rib.observation_points s.Evaluation.Split.validation in
   check_bool "both sides inhabited" true (train_pts <> [] && valid_pts <> []);
   check_bool "disjoint" true
-    (List.for_all
-       (fun p -> not (List.exists (Rib.obs_point_equal p) valid_pts))
-       train_pts);
+    (List.for_all (fun p -> not (List.mem p valid_pts)) train_pts);
   check_int "nothing lost"
     (Rib.size data)
     (Rib.size s.Evaluation.Split.training + Rib.size s.Evaluation.Split.validation)
@@ -62,9 +60,7 @@ let combined_split () =
   let tp = Rib.observation_points s.Evaluation.Split.training in
   let vp = Rib.observation_points s.Evaluation.Split.validation in
   check_bool "points disjoint" true
-    (List.for_all
-       (fun p -> not (List.exists (Rib.obs_point_equal p) vp))
-       tp)
+    (List.for_all (fun p -> not (List.mem p vp)) tp)
 
 let graph = Topology.Asgraph.of_edges [ (1, 4); (1, 5); (2, 4); (3, 4); (4, 5) ]
 

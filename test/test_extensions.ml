@@ -1,103 +1,10 @@
-(* Tests for the extension features: BGP update handling (the paper's
-   future-work item) and C-BGP script export. *)
+(* Tests for the extension features: C-BGP script export. *)
 
 open Bgp
 
 let check_bool = Alcotest.(check bool)
 
 let check_int = Alcotest.(check int)
-
-let op asn = { Rib.op_ip = Asn.router_ip asn 0; op_as = asn }
-
-let announce ?(t = 0) peer origin path_list =
-  Mrt.Announce
-    {
-      Mrt.time = t;
-      peer_ip = Asn.router_ip peer 0;
-      peer_as = peer;
-      prefix = Asn.origin_prefix origin;
-      path = Aspath.of_list path_list;
-      attrs = Attrs.default ~next_hop:(Asn.router_ip peer 0);
-    }
-
-let withdraw ?(t = 0) peer origin =
-  Mrt.Withdraw
-    {
-      time = t;
-      peer_ip = Asn.router_ip peer 0;
-      peer_as = peer;
-      prefix = Asn.origin_prefix origin;
-    }
-
-let update_line_roundtrip () =
-  let a = announce ~t:99 1 6 [ 1; 7; 6 ] in
-  (match Mrt.update_of_line (Mrt.update_to_line a) with
-  | Mrt.Parsed (Mrt.Announce r) ->
-      check_int "time" 99 r.Mrt.time;
-      check_bool "path" true (Aspath.to_list r.Mrt.path = [ 1; 7; 6 ])
-  | Mrt.Parsed (Mrt.Withdraw _) -> Alcotest.fail "not an announce"
-  | Mrt.Skip -> Alcotest.fail "not a comment"
-  | Mrt.Malformed e -> Alcotest.failf "parse: %s" e);
-  let w = withdraw ~t:100 1 6 in
-  match Mrt.update_of_line (Mrt.update_to_line w) with
-  | Mrt.Parsed (Mrt.Withdraw { time; peer_as; prefix; _ }) ->
-      check_int "time" 100 time;
-      check_int "peer" 1 peer_as;
-      check_bool "prefix" true (Prefix.equal prefix (Asn.origin_prefix 6))
-  | Mrt.Parsed (Mrt.Announce _) -> Alcotest.fail "not a withdraw"
-  | Mrt.Skip -> Alcotest.fail "not a comment"
-  | Mrt.Malformed e -> Alcotest.failf "parse: %s" e
-
-let is_malformed = function Mrt.Malformed _ -> true | _ -> false
-
-let update_rejects () =
-  check_bool "table dump kind rejected" true
-    (is_malformed
-       (Mrt.update_of_line
-          "TABLE_DUMP2|1|B|1.2.3.4|7018|3.0.0.0/8|7018|IGP|1.2.3.4|0|0||NAG||"));
-  check_bool "short withdraw rejected" true
-    (is_malformed (Mrt.update_of_line "BGP4MP|1|W|1.2.3.4"));
-  let updates, errors =
-    Mrt.parse_update_lines
-      [ "# comment"; Mrt.update_to_line (withdraw 1 6); "junk" ]
-  in
-  check_int "updates" 1 (List.length updates);
-  check_int "errors" 1 (List.length errors)
-
-let apply_updates_semantics () =
-  let base =
-    Rib.of_entries
-      [ { Rib.op = op 1; prefix = Asn.origin_prefix 6; path = Aspath.of_list [ 1; 7; 6 ] } ]
-  in
-  (* Replace the slot, then add another prefix, then withdraw it. *)
-  let updated, stats =
-    Rib.apply_updates base
-      [
-        announce 1 6 [ 1; 8; 6 ];
-        announce 1 5 [ 1; 5 ];
-        withdraw 1 5;
-        announce 1 9 [ 1; 9; 1 ] (* loop: dropped *);
-      ]
-  in
-  check_int "loop dropped" 1 stats.Rib.dropped_loops;
-  check_int "one slot" 1 (Rib.size updated);
-  List.iter
-    (fun (e : Rib.entry) ->
-      check_bool "slot replaced" true (Aspath.to_list e.path = [ 1; 8; 6 ]))
-    (Rib.entries updated)
-
-let apply_updates_different_points () =
-  let base = Rib.of_entries [] in
-  let updated, _ =
-    Rib.apply_updates base [ announce 1 6 [ 1; 6 ]; announce 2 6 [ 2; 6 ] ]
-  in
-  check_int "one slot per point" 2 (Rib.size updated);
-  (* Withdrawal at point 1 leaves point 2 alone. *)
-  let after, _ = Rib.apply_updates updated [ withdraw 1 6 ] in
-  check_int "only point 2 left" 1 (Rib.size after);
-  List.iter
-    (fun (e : Rib.entry) -> check_int "point 2" 2 e.Rib.op.Rib.op_as)
-    (Rib.entries after)
 
 let cbgp_export_shape () =
   let graph = Topology.Asgraph.of_edges [ (1, 2); (2, 3) ] in
@@ -131,9 +38,5 @@ let cbgp_export_shape () =
 
 let suite =
   [
-    Alcotest.test_case "update line roundtrip" `Quick update_line_roundtrip;
-    Alcotest.test_case "update rejects" `Quick update_rejects;
-    Alcotest.test_case "apply updates semantics" `Quick apply_updates_semantics;
-    Alcotest.test_case "apply updates per point" `Quick apply_updates_different_points;
     Alcotest.test_case "cbgp export shape" `Quick cbgp_export_shape;
   ]

@@ -41,7 +41,8 @@ let pipeline_through_files () =
     (fun () ->
       let _world, data = Core.generate ~conf () in
       Rib.save dump data;
-      let loaded, stats = Rib.load dump in
+      let loaded, stats, diagnostics = Rib.load dump in
+      check_int "no diagnostics" 0 (List.length diagnostics);
       check_int "clean reload" 0
         (stats.Rib.dropped_loops + stats.Rib.dropped_empty);
       check_int "same size" (Rib.size data) (Rib.size loaded);

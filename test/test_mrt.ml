@@ -85,9 +85,10 @@ let file_roundtrip () =
     ~finally:(fun () -> Sys.remove tmp)
     (fun () ->
       Mrt.write_file tmp [ sample_record; sample_record ];
-      let records, errors = Mrt.read_file tmp in
-      Alcotest.(check int) "no errors" 0 (List.length errors);
-      Alcotest.(check int) "two records" 2 (List.length records))
+      let data, stats, diagnostics = Rib.load tmp in
+      Alcotest.(check int) "no diagnostics" 0 (List.length diagnostics);
+      Alcotest.(check int) "two records" 2 stats.Rib.raw;
+      Alcotest.(check int) "one entry" 1 (Rib.size data))
 
 let parses label line =
   match Mrt.record_of_line line with
@@ -158,40 +159,6 @@ let accepted_forms () =
   malformed "overlong length, verbatim"
     ~msg:"bad prefix 3.0.0.0/99999999999999999999999"
     "TABLE_DUMP2|1|B|1.2.3.4|7018|3.0.0.0/99999999999999999999999|7018|IGP|1.2.3.4|0|0||NAG||"
-
-(* Updates share the writer and the scanner: the same columns after a
-   BGP4MP kind and an A or W subtype. *)
-let update_lines () =
-  let ann = Mrt.Announce sample_record in
-  let line = Mrt.update_to_line ann in
-  Alcotest.(check string) "announce columns"
-    ("BGP4MP|1131867000|A|"
-    ^ String.concat "|"
-        (List.tl (List.tl (List.tl (String.split_on_char '|'
-           (Mrt.record_to_line sample_record))))))
-    line;
-  check_bool "announce roundtrip" true (Mrt.update_of_line line = Mrt.Parsed ann);
-  let wd =
-    Mrt.Withdraw
-      { time = 5; peer_ip = Ipv4.of_octets 1 2 3 4; peer_as = 7018;
-        prefix = Prefix.of_string_exn "3.0.0.0/8" }
-  in
-  Alcotest.(check string) "withdraw line" "BGP4MP|5|W|1.2.3.4|7018|3.0.0.0/8"
-    (Mrt.update_to_line wd);
-  check_bool "withdraw roundtrip" true
-    (Mrt.update_of_line (Mrt.update_to_line wd) = Mrt.Parsed wd);
-  let msg line =
-    match Mrt.update_of_line line with
-    | Mrt.Malformed m -> m
-    | _ -> Alcotest.failf "%S should be malformed" line
-  in
-  Alcotest.(check string) "kind" "not an update line (kind \"TABLE_DUMP2\")"
-    (msg (Mrt.record_to_line sample_record));
-  Alcotest.(check string) "short announce" "too few fields"
-    (msg "BGP4MP|5|A|1.2.3.4|7018|3.0.0.0/8");
-  Alcotest.(check string) "overlong withdraw length"
-    "bad prefix 3.0.0.0/99999999999999999999999"
-    (msg "BGP4MP|5|W|1.2.3.4|7018|3.0.0.0/99999999999999999999999")
 
 (* Generated records over the whole range each field may take. *)
 let gen_record =
@@ -265,7 +232,7 @@ let after_bar s n =
 let is_malformed = function Mrt.Malformed _ -> true | Mrt.Skip | Mrt.Parsed _ -> false
 
 let total line =
-  match Mrt.record_of_line line, Mrt.update_of_line line with
+  match Mrt.record_of_line line with
   | _ -> true
   | exception e -> QCheck.Test.fail_reportf "%S raised %s" line (Printexc.to_string e)
 
@@ -301,7 +268,6 @@ let suite =
     Alcotest.test_case "malformed fields" `Quick malformed_fields;
     Alcotest.test_case "file roundtrip" `Quick file_roundtrip;
     Alcotest.test_case "accepted forms and bounds" `Quick accepted_forms;
-    Alcotest.test_case "update lines" `Quick update_lines;
     QCheck_alcotest.to_alcotest prop_print_parse;
     QCheck_alcotest.to_alcotest prop_parse_print;
     QCheck_alcotest.to_alcotest prop_damaged;

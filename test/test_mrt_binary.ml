@@ -144,9 +144,9 @@ let file_roundtrip_and_detection () =
     ~finally:(fun () -> Sys.remove tmp)
     (fun () ->
       Mrt_binary.write_file tmp records;
-      let parsed, diags = Mrt_binary.read_file tmp in
+      let data, _, diags = Rib.load tmp in
       check_int "clean" 0 (List.length diags);
-      check_int "one record" 1 (List.length parsed);
+      check_int "one entry" 1 (Rib.size data);
       let raw = In_channel.with_open_bin tmp In_channel.input_all in
       check_bool "detected binary" true (Mrt_binary.looks_binary raw);
       check_bool "text not detected as binary" false
@@ -276,11 +276,6 @@ let attribute_lengths_bounded () =
     ]
     diags
 
-let minor_words f =
-  let w0 = Gc.minor_words () in
-  let r = f () in
-  (r, Gc.minor_words () -. w0)
-
 let arb_damaged =
   QCheck.make
     QCheck.Gen.(
@@ -299,12 +294,14 @@ let prop_damaged =
       let flipped = String.mapi (fun i c -> if i = k mod n then Char.chr byte else c) data in
       List.for_all
         (fun input ->
-          match minor_words (fun () -> Mrt_binary.read_bytes input) with
+          match
+            Obs.Metrics.allocated_words (fun () -> Mrt_binary.read_bytes input)
+          with
           | exception e ->
               QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
           | _, words ->
-              words <= float_of_int (16 * (String.length input + 64))
-              || QCheck.Test.fail_reportf "%.0f words for %d bytes" words
+              words <= 16 * (String.length input + 64)
+              || QCheck.Test.fail_reportf "%d words for %d bytes" words
                    (String.length input))
         [ cut; flipped ])
 

@@ -434,18 +434,19 @@ let runtime_with_argv () =
     (Trace.mode_to_string
        (match Trace.parse "off" with Ok m -> m | Error e -> Alcotest.fail e))
 
-(* One valid and one invalid sample per entry of the knob table.  An
+(* One valid and some invalid samples per entry of the knob table.  An
    empty RD_TRACE reads as unset, so the environment keeps the default
-   exactly as it does for a rejected value. *)
+   exactly as it does for a rejected value.  [race] and [hb], once
+   spellings of RD_CHECK=on, are invalid like any other word. *)
 let knob_samples =
   [
-    ("RD_JOBS", "3", "0");
-    ("RD_WARM", "verify", "tepid");
-    ("RD_CHECK", "race", "maybe");
-    ("RD_FAULTS", "0.5:7:full", "2:7");
-    ("RD_TRACE", "summary", "");
-    ("RD_PORT", "4179", "70000");
-    ("RD_DEADLINE_MS", "250", "-5");
+    ("RD_JOBS", "3", [ "0" ]);
+    ("RD_WARM", "verify", [ "tepid" ]);
+    ("RD_CHECK", "on", [ "maybe"; "race"; "hb" ]);
+    ("RD_FAULTS", "0.5:7:full", [ "2:7" ]);
+    ("RD_TRACE", "summary", [ "" ]);
+    ("RD_PORT", "4179", [ "70000" ]);
+    ("RD_DEADLINE_MS", "250", [ "-5" ]);
   ]
 
 (* The environment and every spelling of every flag must agree on each
@@ -457,7 +458,7 @@ let runtime_table_agrees () =
     (List.length Runtime.knobs);
   List.iter
     (fun (k : Runtime.knob) ->
-      let valid, invalid =
+      let valid, invalids =
         match List.find_opt (fun (e, _, _) -> e = k.env) knob_samples with
         | Some (_, v, i) -> (v, i)
         | None -> Alcotest.fail ("no sample for " ^ k.env)
@@ -481,25 +482,22 @@ let runtime_table_agrees () =
                     (rt = from_env && rest = [])
               | Error msg -> Alcotest.fail msg)
             (argv valid));
-      with_env [ (k.env, invalid) ] (fun () ->
-          check_bool (k.env ^ " invalid keeps the default") true
-            (Runtime.of_env () = base);
-          List.iter
-            (fun args ->
+      List.iter
+        (fun invalid ->
+          with_env [ (k.env, invalid) ] (fun () ->
               check_bool
-                ("rejected: " ^ String.concat " " args)
+                (Printf.sprintf "%s=%s keeps the default" k.env invalid)
                 true
-                (Result.is_error (Runtime.with_argv base args)))
-            (argv invalid)))
+                (Runtime.of_env () = base);
+              List.iter
+                (fun args ->
+                  check_bool
+                    ("rejected: " ^ String.concat " " args)
+                    true
+                    (Result.is_error (Runtime.with_argv base args)))
+                (argv invalid)))
+        invalids)
     Runtime.knobs;
-  (* [race] and [hb] are older spellings of [on], never a fallback to
-     [off]. *)
-  List.iter
-    (fun v ->
-      with_env [ ("RD_CHECK", v) ] (fun () ->
-          check_bool ("RD_CHECK=" ^ v ^ " is on") true
-            ((Runtime.of_env ()).Runtime.check = Runtime.Check_mode.On)))
-    [ "race"; "hb" ];
   with_env [ ("RD_PORT", "70000") ] (fun () ->
       check_bool "RD_PORT=70000 ignored" true
         ((Runtime.of_env ()).Runtime.port = None));
@@ -522,13 +520,21 @@ let runtime_propagates () =
 
 (* -- Off-mode cost -- *)
 
-(* Minor-heap words [f] allocates in the calling domain.  Exact:
-   allocation in one domain does not depend on timing or on the
-   collector's state, and the measurement itself allocates nothing. *)
-let minor_words f =
-  let w0 = Gc.minor_words () in
-  f ();
-  Gc.minor_words () -. w0
+(* Words [f] allocates in the calling domain.  Exact: allocation in one
+   domain does not depend on timing or on the collector's state, and
+   the measurement itself allocates nothing. *)
+let words f = snd (Metrics.allocated_words f)
+
+(* The count is what a block costs, header included, wherever it
+   lands: nothing for nothing, 241 words for a 240-element array on the
+   minor heap and 2,401 for a 2,400-element one, which is allocated
+   directly in the major heap. *)
+let allocated_words_exact () =
+  check_int "no-op" 0 (words ignore);
+  check_int "240-element array" 241
+    (words (fun () -> ignore (Sys.opaque_identity (Array.make 240 0))));
+  check_int "2,400-element array" 2401
+    (words (fun () -> ignore (Sys.opaque_identity (Array.make 2400 0))))
 
 (* RD_CHECK=off and RD_TRACE=off must cost nothing but loads and
    branches on the hot path.  (a) Each off-mode entry point allocates
@@ -564,11 +570,10 @@ let off_mode_allocates_nothing () =
   List.iter
     (fun (name, call) ->
       check_int (name ^ " allocates nothing") 0
-        (int_of_float
-           (minor_words (fun () ->
-                for _ = 1 to 10_000 do
-                  call ()
-                done))))
+        (words (fun () ->
+             for _ = 1 to 10_000 do
+               call ()
+             done)))
     [
       ("Probe.access", fun () -> Obs.Probe.access ~obj ~site Obs.Probe.Read);
       ("Probe.read", fun () -> Obs.Probe.read ~obj ~site);
@@ -593,11 +598,11 @@ let off_mode_allocates_nothing () =
   let refine () =
     let events = ref 0 in
     let words =
-      minor_words (fun () ->
+      words (fun () ->
           let r = Core.build ~options prepared ~training in
           events := r.Refine.Refiner.pool.Pool.events)
     in
-    (int_of_float words, !events)
+    (words, !events)
   in
   (* The first run pays lazy initialisation. *)
   ignore (refine ());
@@ -644,6 +649,8 @@ let suite =
       runtime_table_agrees;
     Alcotest.test_case "runtime: propagation to subsystems" `Quick
       runtime_propagates;
+    Alcotest.test_case "metrics: allocated words are exact" `Quick
+      allocated_words_exact;
     Alcotest.test_case "off-mode hooks allocate nothing" `Quick
       off_mode_allocates_nothing;
   ]

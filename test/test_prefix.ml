@@ -38,13 +38,6 @@ let membership () =
   check_bool "default contains all" true
     (Prefix.mem (Ipv4.of_octets 8 8 8 8) Prefix.default)
 
-let subsumption () =
-  let big = Prefix.of_string_exn "10.0.0.0/8" in
-  let small = Prefix.of_string_exn "10.1.0.0/16" in
-  check_bool "big subsumes small" true (Prefix.subsumes big small);
-  check_bool "small does not subsume big" false (Prefix.subsumes small big);
-  check_bool "self subsumes" true (Prefix.subsumes big big)
-
 let ordering_consistency () =
   let a = Prefix.of_string_exn "10.0.0.0/8" in
   let b = Prefix.of_string_exn "10.0.0.0/16" in
@@ -105,7 +98,6 @@ let suite =
     Alcotest.test_case "canonicalization" `Quick canonicalization;
     Alcotest.test_case "rejects malformed" `Quick rejects_malformed;
     Alcotest.test_case "membership" `Quick membership;
-    Alcotest.test_case "subsumption" `Quick subsumption;
     Alcotest.test_case "ordering" `Quick ordering_consistency;
     Alcotest.test_case "containers" `Quick containers;
     Alcotest.test_case "hash spreads origin prefixes" `Quick

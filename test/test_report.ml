@@ -34,13 +34,6 @@ let int_series_layout () =
      2  5   \n"
     out
 
-let float_series_layout () =
-  let out =
-    render (fun ppf ->
-        Evaluation.Report.float_series ppf ~x:"k" ~y:"f" [ (3, 0.5) ])
-  in
-  check_str "float series" "k  f       \n-  ------  \n3  0.5000  \n" out
-
 let kv_alignment () =
   let out =
     render (fun ppf ->
@@ -64,7 +57,6 @@ let suite =
   [
     Alcotest.test_case "table layout" `Quick table_layout;
     Alcotest.test_case "int series layout" `Quick int_series_layout;
-    Alcotest.test_case "float series layout" `Quick float_series_layout;
     Alcotest.test_case "kv alignment" `Quick kv_alignment;
     Alcotest.test_case "section banner" `Quick section_banner;
     Alcotest.test_case "empty table" `Quick empty_table;

@@ -1,4 +1,5 @@
-(* Tests for Bgp.Rib: cleaning, indexing, splitting, stub transfer. *)
+(* Tests for Bgp.Rib: cleaning, indexing, splitting, stub transfer,
+   loading. *)
 
 open Bgp
 
@@ -125,6 +126,12 @@ let stub_transfer_drops_removed_observers () =
   in
   check_int "entry observed inside removed stub dropped" 0 (Rib.size out)
 
+let with_temp f =
+  let tmp = Filename.temp_file "rib_test" ".dump" in
+  Fun.protect ~finally:(fun () -> Sys.remove tmp) (fun () -> f tmp)
+
+(* A text dump and its binary twin load as the data set saved: the
+   loader tells the two apart by their bytes. *)
 let save_load_roundtrip () =
   let data =
     Rib.of_entries
@@ -133,15 +140,38 @@ let save_load_roundtrip () =
         { Rib.op = op 2; prefix = Asn.origin_prefix 5; path = Aspath.of_list [ 2; 5 ] };
       ]
   in
-  let tmp = Filename.temp_file "rib_test" ".dump" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove tmp)
-    (fun () ->
-      Rib.save tmp data;
-      let loaded, stats = Rib.load tmp in
-      check_int "no drops" 0 (stats.Rib.dropped_loops + stats.Rib.dropped_empty);
-      check_int "same size" (Rib.size data) (Rib.size loaded);
-      check_bool "same entries" true (Rib.entries data = Rib.entries loaded))
+  with_temp @@ fun text ->
+  with_temp @@ fun binary ->
+  Rib.save text data;
+  Mrt_binary.write_file binary (Rib.to_records data);
+  List.iter
+    (fun (label, path) ->
+      let loaded, stats, diagnostics = Rib.load path in
+      check_int (label ^ " no diagnostics") 0 (List.length diagnostics);
+      check_int (label ^ " no drops") 0
+        (stats.Rib.dropped_loops + stats.Rib.dropped_empty);
+      check_bool (label ^ " same entries") true
+        (Rib.entries data = Rib.entries loaded))
+    [ ("text", text); ("binary", binary) ]
+
+(* A malformed line is reported by its number and costs only itself. *)
+let load_reports_bad_line () =
+  with_temp @@ fun tmp ->
+  Out_channel.with_open_text tmp (fun oc ->
+      List.iter
+        (fun l -> output_string oc (l ^ "\n"))
+        [
+          Mrt.record_to_line (record [ 1; 7; 6 ]);
+          "TABLE_DUMP2|0|B|1.0.0.1|1|6.0.0.0/8|1 x 6|IGP|1.0.0.1|0|0||NAG||";
+          Mrt.record_to_line (record ~peer:2 [ 2; 6 ]);
+        ]);
+  let data, stats, diagnostics = Rib.load tmp in
+  check_int "good lines loaded" 2 (Rib.size data);
+  check_int "raw counts parsed lines" 2 stats.Rib.raw;
+  Alcotest.(check (list string))
+    "one diagnostic, at line 2"
+    [ tmp ^ ":2: bad as_path 1 x 6" ]
+    diagnostics
 
 let suite =
   [
@@ -154,4 +184,5 @@ let suite =
     Alcotest.test_case "stub transfer drops removed observers" `Quick
       stub_transfer_drops_removed_observers;
     Alcotest.test_case "save/load roundtrip" `Quick save_load_roundtrip;
+    Alcotest.test_case "load reports a bad line" `Quick load_reports_bad_line;
   ]

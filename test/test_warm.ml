@@ -539,16 +539,8 @@ let quiet f =
   f ()
 
 (* Minor plus directly-major words: a large array skips the minor
-   heap, so minor words alone would not see a slab-sized copy.  The
-   minor heap is emptied first so that [f] triggers no minor
-   collection: on OCaml 5.1 one inside the window adds about a minor
-   heap's worth to the count (an 85-word replay read 229,418 words). *)
-let words f =
-  Gc.minor ();
-  let minor0, promoted0, major0 = Gc.counters () in
-  f ();
-  let minor1, promoted1, major1 = Gc.counters () in
-  int_of_float (minor1 -. minor0 +. (major1 -. promoted1) -. (major0 -. promoted0))
+   heap, so minor words alone would not see a slab-sized copy. *)
+let words f = snd (Obs.Metrics.allocated_words f)
 
 let family_model conf =
   Qrmodel.initial
