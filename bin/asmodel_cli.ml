@@ -992,6 +992,10 @@ let main_cmd =
    simulation produces a one-line error and a meaningful code, not a
    backtrace. *)
 let () =
+  (* Library warnings (an ignored RD_* value, a truncated or diverged
+     prefix) go to stderr. *)
+  Logs.set_reporter (Logs_fmt.reporter ());
+  Logs.set_level (Some Logs.Warning);
   let code =
     try
       match Cmd.eval' ~catch:false main_cmd with

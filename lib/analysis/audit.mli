@@ -37,7 +37,8 @@ val intern_integrity : unit -> Report.finding list
 (** Exercise the hash-consing contract of {!Simulator.Intern} in the
     calling domain: interning equal values returns physically equal
     results, a freshly spawned domain gets its own table (no canonical
-    value crosses domains), and no table exceeds
+    value crosses domains), and none of the calling domain's current
+    tables (its ambient set outside a run) exceeds
     {!Simulator.Intern.table_cap}.  Spawns (and joins) one short-lived
     domain.  Rules [audit-intern-*]. *)
 

@@ -27,14 +27,14 @@ let blocking_as net st path =
   in
   walk (Array.length arr - 2)
 
-(* Dedup of observed (prefix, path) pairs, keyed on the interned path:
-   within a domain equal paths share one canonical array, so equality
-   is (almost always) physical and the hash is the interner's cached
-   full-width hash instead of a structural walk of the whole path. *)
+(* Dedup of observed (prefix, path) pairs.  Paths compare structurally
+   and hash with [Intern.path_hash], a full-width fold over the whole
+   path ([Hashtbl.hash] would truncate a long one). *)
 module Seen = Hashtbl.Make (struct
   type t = Prefix.t * int array
 
-  let equal (p1, a1) (p2, a2) = (a1 == a2 || a1 = a2) && Prefix.equal p1 p2
+  let equal (p1, a1) (p2, a2) =
+    Simulator.Rattr.same_path a1 a2 && Prefix.equal p1 p2
 
   let hash (p, a) = (Prefix.hash p * 65599) lxor Intern.path_hash a
 end)
@@ -57,7 +57,7 @@ let verify model ~states data =
   let seen = Seen.create 1024 in
   List.iter
     (fun (e : Rib.entry) ->
-      let key = (e.Rib.prefix, Intern.path (Aspath.to_array e.Rib.path)) in
+      let key = (e.Rib.prefix, (e.Rib.path :> int array)) in
       if not (Seen.mem seen key) then begin
         Seen.add seen key ();
         match state_of e.Rib.prefix with

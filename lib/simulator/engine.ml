@@ -305,8 +305,8 @@ let checkin_scratch sc = Atomic.set (Domain.DLS.get scratch_cell) (Some sc)
    [st]'s slab and best arrays are the run's own; when they are not (a
    warm resume at its parent's generation), the run writes per-node
    rows over the parent's slab and copies [best] on its first write. *)
-let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind ~seed
-    =
+let drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
+    ~seed =
   let t0 = Obs.Trace.now_us () in
   let escalated = ref 0 in
   let fingerprinted = ref 0 in
@@ -719,6 +719,24 @@ let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind ~seed
       ~dur_us:(Obs.Trace.now_us () - t0)
       ();
   st
+
+(* A run interns into its net's tables ({!Intern.enter}), entered once
+   per run, so the paths it makes die with the net; the domain's prior
+   tables come back however the run ends. *)
+let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind ~seed
+    =
+  let saved = Intern.enter (Net.intern_scope net) in
+  match
+    drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
+      ~seed
+  with
+  | st ->
+      Intern.leave saved;
+      st
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Intern.leave saved;
+      Printexc.raise_with_backtrace e bt
 
 (* Slab-install probe: a state slab is written by exactly one run; the
    object is named per (net, prefix) so two unordered runs of the same

@@ -124,6 +124,7 @@ type t = {
      An [Atomic] because Pool workers may race to build it: the value is
      immutable and any winner is equivalent, so the race is benign. *)
   csr_cache : csr option Atomic.t;
+  intern : Intern.scope;  (* the net's AS-path tables; see Intern *)
 }
 
 let dummy_session =
@@ -159,9 +160,12 @@ let create () =
     append_base = 0;
     touched = Prefix.Table.create 64;
     csr_cache = Atomic.make None;
+    intern = Intern.scope ();
   }
 
 let generation t = t.generation
+
+let intern_scope t = t.intern
 
 let append_base t = t.append_base
 

@@ -59,7 +59,7 @@ let full_path ~own_as r =
 (* Paths flowing through the engine are interned (Intern.path), so the
    physical check settles the common case without walking the array;
    the element loop keeps the comparison correct for arrays from other
-   domains or built by callers directly, without a [caml_equal] call. *)
+   domains or nets, or built by callers directly, without a [caml_equal] call. *)
 let same_path (a : int array) (b : int array) =
   a == b
   ||

@@ -57,7 +57,7 @@ val same_advertisement : t option -> t option -> bool
 val same_route : t -> t -> bool
 (** {!same_advertisement} over sentinel-boxed values: {!no_route} plays
     the role of [None].  Tries physical equality first (engine routes
-    are hash-consed per domain, see {!Intern.rattr}), then the same
+    are hash-consed per net and domain, see {!Intern.rattr}), then the same
     structural fields as {!same_advertisement}. *)
 
 val pp : own_as:Asn.t -> Format.formatter -> t -> unit

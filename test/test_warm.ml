@@ -547,6 +547,124 @@ let family_model conf =
     (Netgen.Gentopo.as_graph
        (Netgen.generate Netgen.Family.Paper conf (Random.State.make [| 7 |])))
 
+(* -- intern tables scoped per net -- *)
+
+let in_scope net f =
+  let saved = Intern.enter (Net.intern_scope net) in
+  Fun.protect ~finally:(fun () -> Intern.leave saved) f
+
+let stats_t =
+  Alcotest.testable
+    (fun ppf (s : Intern.stats) ->
+      Format.fprintf ppf "{paths %d; prepends %d; rattrs %d}" s.Intern.paths
+        s.Intern.prepends s.Intern.rattrs)
+    ( = )
+
+let fill m = in_scope m.Qrmodel.net Intern.stats
+
+(* Cold runs of every prefix, one after another in this domain. *)
+let simulate_each m =
+  List.map (fun (p, _) -> (p, Qrmodel.simulate m p)) m.Qrmodel.prefixes
+
+(* Runs on net A and then net B leave B's tables holding exactly what
+   B's runs make in a freshly spawned domain, and the ambient tables
+   untouched. *)
+let intern_tables_per_net () =
+  quiet @@ fun () ->
+  let a = family_model (Netgen.Conf.sized 120)
+  and b = family_model Netgen.Conf.tiny in
+  let ambient = Intern.stats () in
+  ignore (simulate_each a);
+  ignore (simulate_each b);
+  let fresh =
+    Domain.join
+      (Domain.spawn (fun () ->
+           ignore (simulate_each b);
+           fill b))
+  in
+  check_bool "B's runs interned paths" true (fresh.Intern.paths > 0);
+  Alcotest.check stats_t "B's fill equals a fresh domain's" fresh (fill b);
+  check_bool "A's tables are A's own" true (fill a <> fill b);
+  Alcotest.check stats_t "runs leave the ambient tables alone" ambient
+    (Intern.stats ())
+
+(* Going back to A after runs on B finds A's tables as A left them:
+   A's canonical paths are still canonical, and a resume that replays
+   every routed node of each converged prefix hits the prepend memo
+   each time, allocating what it did before the switch and adding no
+   entry. *)
+let intern_return_reinterns_nothing () =
+  quiet @@ fun () ->
+  let a = family_model (Netgen.Conf.sized 120)
+  and b = family_model Netgen.Conf.tiny in
+  let net = a.Qrmodel.net in
+  let states = simulate_each a in
+  let routed prev =
+    List.filter
+      (fun u -> Engine.best prev u <> None)
+      (List.init (Net.node_count net) Fun.id)
+  in
+  let resume_all () =
+    List.iter
+      (fun (prefix, prev) ->
+        Net.clear_touched net prefix;
+        let st =
+          Engine.simulate ~from:prev ~touched:(routed prev) net ~prefix
+            ~originators:(Engine.originating prev)
+        in
+        check_bool "nothing moved" true (Engine.same_state prev st))
+      states
+  in
+  let path =
+    let _, prev = List.hd states in
+    List.find
+      (fun p -> Array.length p > 0)
+      (List.filter_map
+         (fun u ->
+           Option.map (fun r -> r.Simulator.Rattr.path) (Engine.best prev u))
+         (routed prev))
+  in
+  let canonical () = in_scope net (fun () -> Intern.path (Array.copy path)) in
+  check_bool "a run's paths are its net's canonical arrays" true
+    (canonical () == path);
+  resume_all ();
+  let before = fill a and settled = words resume_all in
+  ignore (simulate_each b);
+  check_int "the resume allocates what it did before B" settled
+    (words resume_all);
+  Alcotest.check stats_t "A's tables unchanged" before (fill a);
+  check_bool "A's paths still canonical" true (canonical () == path)
+
+(* Observing one world after another keeps one world's tables, not the
+   sum: a path interned in a world's scope is collected once the world
+   is, and the ambient tables never grow. *)
+let observe_world seed weak i =
+  let world =
+    Netgen.Groundtruth.build { Netgen.Conf.tiny with Netgen.Conf.seed }
+  in
+  ignore (Netgen.Groundtruth.observe world);
+  let net = world.Netgen.Groundtruth.net in
+  check_bool "the world's runs interned paths" true
+    ((in_scope net Intern.stats).Intern.paths > 0);
+  Weak.set weak i (Some (in_scope net (fun () -> Intern.path [| 64512; i |])))
+[@@inline never]
+
+let observed_worlds_keep_one_world () =
+  quiet @@ fun () ->
+  let ambient = Intern.stats () in
+  let worlds = 4 in
+  let weak = Weak.create worlds in
+  for i = 0 to worlds - 1 do
+    observe_world (i + 1) weak i;
+    Gc.full_major ();
+    for j = 0 to i - 1 do
+      check_bool
+        (Printf.sprintf "world %d's paths died with it" j)
+        false (Weak.check weak j)
+    done
+  done;
+  Alcotest.check stats_t "ambient tables unchanged" ambient (Intern.stats ())
+
 (* A resume with nothing to replay allocates no slab-, node- or
    slot-sized array: the same words on a 4x larger model, and the same
    on every repeat. *)
@@ -878,6 +996,11 @@ let suite =
     Alcotest.test_case "warm locality on a chain" `Quick warm_locality;
     Alcotest.test_case "resumable guards" `Quick resumable_guards;
     Alcotest.test_case "path interning" `Quick interning;
+    Alcotest.test_case "intern tables are per net" `Quick intern_tables_per_net;
+    Alcotest.test_case "returning to a net re-interns nothing" `Quick
+      intern_return_reinterns_nothing;
+    Alcotest.test_case "observed worlds keep one world's paths" `Quick
+      observed_worlds_keep_one_world;
     QCheck_alcotest.to_alcotest prop_warm_equals_cold;
     QCheck_alcotest.to_alcotest prop_warm_across_duplications;
     QCheck_alcotest.to_alcotest prop_patched_chain;
