@@ -450,8 +450,8 @@ let state net st =
                 Decision.select over its own candidates"
                n)
             "the incremental best-route maintenance diverged from the \
-             reference elimination — compare Engine.recompute_best with \
-             Decision.select"
+             reference elimination — compare Engine.best at this node \
+             with Decision.select over Engine.candidates"
       end
     done;
     close a

@@ -59,8 +59,10 @@ let eval_catchment snap egress prefix =
     targets
 
 (* The query's only mutation, {!Whatif.eval}, runs under the snapshot's
-   writer lock; the pool batch inside it only reads. *)
+   writer lock; the pool batch inside it only reads.  It ends with a
+   minor collection ({!Churn.apply} says why). *)
 let eval_whatif snap a b =
+  Fun.protect ~finally:Gc.minor @@ fun () ->
   Snapshot.exclusive snap (fun () ->
       let hits0 = Obs.Metrics.find_counter "engine.warm_resume_hits" in
       let half_sessions, d =

@@ -181,6 +181,18 @@ let mix_slots h st =
   done;
   !h
 
+(* A node's entry in the per-run [queued] array: [unqueued], or, while
+   the node waits in the work queue, its pending candidate — the slot of
+   the best route written into its slots since its last decision, or one
+   of these marks. *)
+let unqueued = -4
+
+let no_pend = -2 (* queued, nothing written since the last decision *)
+
+let pend_orig = -1 (* the originated route, gained this run *)
+
+let rescan = -3 (* the last decision's winner may be gone: scan *)
+
 (* Full-state fingerprint for the oscillation watchdog.  The transition
    function is deterministic, so an exact repeat of (RIBs, best routes,
    queue content and order) with work still queued proves a genuine
@@ -195,7 +207,7 @@ let fingerprint st fold_queue queued n =
   let h = mix_slots (mix_routes 0x42 st.best) st in
   let h = ref (fold_queue (fun h u -> mix h (u + 0x9e3779b9)) h) in
   for u = 0 to n - 1 do
-    h := mix !h (Bool.to_int queued.(u))
+    h := mix !h (Bool.to_int (queued.(u) <> unqueued))
   done;
   !h
 
@@ -238,7 +250,8 @@ let path_mem (path : int array) x =
 let watchdog_history_cap = 4096
 
 (* Scratch of a run, sized by the net: the prefix's flattened policy
-   rules per slot, the work queue and its dedup bitmap, the interned
+   rules per slot, the work queue and, per queued node, its pending
+   candidate (which also dedups the queue), the interned
    originated route per node and the scoped-MED buffers.  At scale a
    slot-sized array goes straight to the major heap, so each domain
    keeps one set in a cell and a run checks it out with
@@ -258,7 +271,7 @@ type scratch = {
   med_in : int array;  (* [min_int] = no override *)
   lpref_for : int array;  (* [min_int] = no override *)
   queue : int array;  (* ring of capacity nodes + 1 *)
-  queued : bool array;
+  queued : int array;  (* per node: [unqueued] or the pending candidate *)
   orig : Rattr.t array;  (* per node; Rattr.no_route = not originating *)
   owner : int array;  (* per node: the [stamp] of the last run to copy its row *)
   mutable stamp : int;
@@ -279,7 +292,7 @@ let checkout_scratch ~nslots ~nodes =
         med_in = Array.make nslots min_int;
         lpref_for = Array.make nslots min_int;
         queue = Array.make (nodes + 1) 0;
-        queued = Array.make nodes false;
+        queued = Array.make nodes unqueued;
         orig = Array.make nodes Rattr.no_route;
         owner = Array.make nodes 0;
         stamp = 0;
@@ -289,12 +302,45 @@ let checkout_scratch ~nslots ~nodes =
 
 let checkin_scratch sc = Atomic.set (Domain.DLS.get scratch_cell) (Some sc)
 
+(* Node [p]'s slot [k] (a slab index), wherever its row lives. *)
+let slot st p k =
+  let r = row st p in
+  if r == st.slab then st.slab.(k) else r.(k - st.off.(p))
+
+(* The first minimum of [init] and the routes in [slots.(lo .. hi)] under
+   [cmp]: the decision process over a node's candidates in RIB-In order.
+   Top-level, so that a run passes its comparator without a closure. *)
+let scan_best cmp (init : Rattr.t) (slots : Rattr.t array) lo hi =
+  let best = ref init in
+  for k = lo to hi do
+    let r = slots.(k) in
+    if Rattr.is_route r then
+      if not (Rattr.is_route !best) then best := r
+      else if cmp r !best < 0 then best := r
+  done;
+  !best
+
+(* Mark the queued nodes whose originated route came or went.  A gained
+   originated route is a candidate ahead of every slot: it becomes the
+   pending one unless a strictly better route is pending.  A lost one
+   sends the node to a scan. *)
+let rec reseat cmp st queued (orig : Rattr.t array) = function
+  | [] -> ()
+  | u :: rest ->
+      let q = queued.(u) in
+      assert (q <> unqueued);
+      if not (Rattr.is_route orig.(u)) then queued.(u) <- rescan
+      else if q = no_pend || (q >= 0 && cmp orig.(u) (slot st u q) <= 0) then
+        queued.(u) <- pend_orig;
+      reseat cmp st queued orig rest
+
 (* Shared drain core: seed the queue (cold start: the originators; warm
    start: peers disturbed by replayed exports), then process nodes
    until the queue empties, the budget (after escalations) runs out, or
    the watchdog proves a cycle.  [seed ~enqueue ~replay] fills the
-   initial queue; [replay u] re-exports [u]'s current best, charging
-   one event.
+   initial queue, which must hold the [reseat] nodes, whose originated
+   route came or went; [replay u] re-exports [u]'s current best,
+   charging one event.
 
    The whole hot path runs on the {!Net.Csr} arrays hoisted into locals
    below: walking a node's sessions is a linear int-array scan, the
@@ -306,7 +352,7 @@ let checkin_scratch sc = Atomic.set (Domain.DLS.get scratch_cell) (Some sc)
    warm resume at its parent's generation), the run writes per-node
    rows over the parent's slab and copies [best] on its first write. *)
 let drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
-    ~seed =
+    ~reseat:reseat_nodes ~seed =
   let t0 = Obs.Trace.now_us () in
   let escalated = ref 0 in
   let fingerprinted = ref 0 in
@@ -356,8 +402,8 @@ let drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
       deny.(k) <- d;
       med_in.(k) <- med;
       lpref_for.(k) <- lpref);
-  (* FIFO work queue as a ring over an int array: the [queued] dedup
-     bitmap bounds occupancy at [n], so capacity [n + 1] never
+  (* FIFO work queue as a ring over an int array: deduplicating on
+     [queued] bounds occupancy at [n], so capacity [n + 1] never
      overflows and the drain loop allocates nothing per event (a
      [Queue.t] would cons one cell per push). *)
   let qcap = n + 1 in
@@ -366,8 +412,8 @@ let drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
   let qtail = ref 0 in
   let queued = sc.queued in
   let enqueue u =
-    if not queued.(u) then begin
-      queued.(u) <- true;
+    if queued.(u) = unqueued then begin
+      queued.(u) <- no_pend;
       qbuf.(!qtail) <- u;
       let t = !qtail + 1 in
       qtail := if t = qcap then 0 else t
@@ -433,10 +479,6 @@ let drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
   in
   let owner = sc.owner in
   let own_rows = ref fresh and own_best = ref fresh in
-  let patched_slot p k =
-    let r = row st p in
-    if r == slab then slab.(k) else r.(k - off.(p))
-  in
   let patched_set p k x =
     if not !own_rows then begin
       st.rows <-
@@ -479,32 +521,57 @@ let drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
     done;
     Decision.select_into ~med_scope steps med_buf ~keys:med_keys !m
   in
-  (* Allocation-free best computation: the elimination process equals
-     the lexicographic minimum under Decision.compare_routes, first in
-     RIB-In order winning ties. *)
-  let recompute_best u =
+  (* Incremental best computation, as a BGP speaker runs it.  The
+     elimination process equals the lexicographic minimum under
+     Decision.compare_routes, first in RIB-In order winning ties.  A
+     dequeued node's entry [q] is the slot of the best route written
+     into its slots since its last decision (the lower slot among
+     equals), [pend_orig] for an originated route gained this run,
+     [no_pend] if nothing was written, or [rescan] once the standing
+     best may have left its slot ([kill], [store], [reseat]).  Without
+     a rescan mark the standing best is still in its slot and every
+     slot not written since is no better, so the winner is the better
+     of the pending route and the standing best; a tie between the two
+     needs their slot order, so it scans.  Scoped MED keeps its full
+     elimination and ignores the marks, so [store] skips its
+     comparisons there.  Nothing allocates. *)
+  let recompute_best u q =
     if scoped_med then recompute_best_scoped u
+    else if q = no_pend then st.best.(u)
     else begin
-      let best = ref orig.(u) in
-      let slots = if patched then row st u else slab in
-      let base = row_start st u slots in
-      for k = base to base + off.(u + 1) - off.(u) - 1 do
-        let r = slots.(k) in
-        if Rattr.is_route r then
-          if not (Rattr.is_route !best) then best := r
-          else if compare_routes r !best < 0 then best := r
-      done;
-      !best
+      let b = st.best.(u) in
+      let x =
+        if q = rescan then Rattr.no_route
+        else if q = pend_orig then orig.(u)
+        else if patched then slot st u q
+        else slab.(q)
+      in
+      let c =
+        if not (Rattr.is_route x) then 0
+        else if not (Rattr.is_route b) then -1
+        else compare_routes x b
+      in
+      if c < 0 then x
+      else if c > 0 then b
+      else (* a rescan mark, or a tie *)
+        let slots = if patched then row st u else slab in
+        let base = row_start st u slots in
+        scan_best compare_routes orig.(u) slots base
+          (base + off.(u + 1) - off.(u) - 1)
     end
   in
   (* The advertisement died on the session into [p]'s slot [kr]:
-     withdraw the incumbent if there is one. *)
+     withdraw the incumbent if there is one.  Losing the pending route,
+     or the route [p] last chose, sends [p] to a scan. *)
   let kill kr p =
-    if Rattr.is_route (if patched then patched_slot p kr else slab.(kr))
-    then begin
+    let cur = if patched then slot st p kr else slab.(kr) in
+    if Rattr.is_route cur then begin
+      enqueue p;
+      let q = queued.(p) in
+      if q = kr || (q <> rescan && Rattr.same_route cur st.best.(p)) then
+        queued.(p) <- rescan;
       if patched then patched_set p kr Rattr.no_route
-      else slab.(kr) <- Rattr.no_route;
-      enqueue p
+      else slab.(kr) <- Rattr.no_route
     end
   in
   (* [u]'s advertisement survived into [p]'s slot [kr]: compare the
@@ -517,9 +584,12 @@ let drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
      table only retains garbage.  Sharing where reuse is real comes
      from {!Intern.prepend} (paths) and the interned originated
      routes.  [kill] and [store] live here, not in [push_exports], so
-     that no closure is allocated per export. *)
+     that no closure is allocated per export.  A written route becomes
+     [p]'s pending candidate if it beats the one pending; overwriting
+     the pending route, or [p]'s chosen route with one that does not
+     beat it, sends [p] to a scan. *)
   let store u kr p path lpref med igp learned =
-    let cur = if patched then patched_slot p kr else slab.(kr) in
+    let cur = if patched then slot st p kr else slab.(kr) in
     if
       Rattr.is_route cur
       && cur.Rattr.from_node = u
@@ -542,8 +612,26 @@ let drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
           learned_class = classes.(kr);
         }
       in
-      if patched then patched_set p kr x else slab.(kr) <- x;
-      enqueue p
+      enqueue p;
+      let q = queued.(p) in
+      if q <> rescan && not scoped_med then
+        if
+          q = kr
+          || Rattr.is_route cur
+             && Rattr.same_route cur st.best.(p)
+             && compare_routes x st.best.(p) >= 0
+        then queued.(p) <- rescan
+        else if q = no_pend then queued.(p) <- kr
+        else begin
+          let c =
+            compare_routes x
+              (if q = pend_orig then orig.(p)
+               else if patched then slot st p q
+               else slab.(q))
+          in
+          if c < 0 || (c = 0 && kr < q) then queued.(p) <- kr
+        end;
+      if patched then patched_set p kr x else slab.(kr) <- x
     end
   in
   (* Re-export node [u]'s current best over every slot, importing at
@@ -612,9 +700,9 @@ let drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
       end
     done
   in
-  let process u =
+  let process u q =
     st.events <- st.events + 1;
-    let best' = recompute_best u in
+    let best' = recompute_best u q in
     if not (Rattr.same_route st.best.(u) best') then begin
       set_best u best';
       (match on_best_change with
@@ -628,6 +716,7 @@ let drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
     push_exports u st.best.(u)
   in
   seed ~enqueue ~replay;
+  reseat compare_routes st queued orig reseat_nodes;
   (* Fingerprinting every event would tax the common case, so the
      watchdog arms only once half the initial budget is spent — any run
      that deep is already suspect, and a genuine cycle keeps repeating,
@@ -654,8 +743,9 @@ let drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
         end
       else begin
         let u = dequeue () in
-        queued.(u) <- false;
-        process u;
+        let q = queued.(u) in
+        queued.(u) <- unqueued;
+        process u q;
         if st.events >= threshold && not (queue_empty ()) then
           let fp = (incr fingerprinted; fingerprint st fold_queue queued n) in
           let history =
@@ -694,7 +784,7 @@ let drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
       lpref_for.(k) <- min_int);
   List.iter (fun u -> orig.(u) <- Rattr.no_route) st.origins;
   while not (queue_empty ()) do
-    queued.(dequeue ()) <- false
+    queued.(dequeue ()) <- unqueued
   done;
   checkin_scratch sc;
   Obs.Metrics.incr runs_m;
@@ -723,12 +813,12 @@ let drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
 (* A run interns into its net's tables ({!Intern.enter}), entered once
    per run, so the paths it makes die with the net; the domain's prior
    tables come back however the run ends. *)
-let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind ~seed
-    =
+let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
+    ~reseat ~seed =
   let saved = Intern.enter (Net.intern_scope net) in
   match
     drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
-      ~seed
+      ~reseat ~seed
   with
   | st ->
       Intern.leave saved;
@@ -770,7 +860,8 @@ let cold ?max_events ?max_escalations ?on_best_change net ~prefix:pfx
     }
   in
   exec ?max_events ?max_escalations ?on_best_change ~fresh:true net st
-    ~kind:"cold" ~seed:(fun ~enqueue ~replay:_ -> List.iter enqueue originators)
+    ~kind:"cold" ~reseat:originators ~seed:(fun ~enqueue ~replay:_ ->
+      List.iter enqueue originators)
 
 let resumable net prev =
   converged prev
@@ -858,7 +949,7 @@ let warm ?max_events ?max_escalations ?on_best_change net ~prev ~touched
      path is untouched. *)
   let origin_delta = sym_diff prev.origins origins in
   exec ?max_events ?max_escalations ?on_best_change ~fresh net st
-    ~kind:"warm" ~seed:(fun ~enqueue ~replay ->
+    ~kind:"warm" ~reseat:origin_delta ~seed:(fun ~enqueue ~replay ->
       (* Replay every touched node's exports unconditionally: peers
          whose RIB-In changes under the new policy enqueue themselves;
          the touched node itself re-runs its decision process whenever

@@ -542,6 +542,15 @@ let quiet f =
    heap, so minor words alone would not see a slab-sized copy. *)
 let words f = snd (Obs.Metrics.allocated_words f)
 
+(* The words [run] allocates, with [check] applied to its result after
+   the count: an Alcotest check inside the window would count its own
+   formatting, which differs with where the output goes and with
+   whether the process ever spawned a domain. *)
+let words_checked run check =
+  let r, w = Obs.Metrics.allocated_words run in
+  check r;
+  w
+
 let family_model conf =
   Qrmodel.initial
     (Netgen.Gentopo.as_graph
@@ -678,23 +687,24 @@ let noop_resume_cost_is_size_independent () =
     (m, prefix, prev)
   in
   let small = case Netgen.Conf.tiny and large = case (Netgen.Conf.sized 240) in
-  let resume (m, prefix, prev) () =
-    let st =
-      Engine.simulate ~from:prev ~touched:[] m.Qrmodel.net ~prefix
-        ~originators:(Engine.originating prev)
-    in
-    check_int "no events" 0 (Engine.events st);
-    check_bool "same state" true (Engine.same_state prev st)
+  let resume (m, prefix, prev) =
+    words_checked
+      (fun () ->
+        Engine.simulate ~from:prev ~touched:[] m.Qrmodel.net ~prefix
+          ~originators:(Engine.originating prev))
+      (fun st ->
+        check_int "no events" 0 (Engine.events st);
+        check_bool "same state" true (Engine.same_state prev st))
   in
   let size (m, _, _) = Net.session_count m.Qrmodel.net in
   check_bool "models differ 4x in slots" true (size large > 4 * size small);
   (* The first runs build each CSR and size the domain's scratch. *)
-  resume large ();
-  resume small ();
-  let on_small = words (resume small) in
-  let on_large = words (resume large) in
+  ignore (resume large);
+  ignore (resume small);
+  let on_small = resume small in
+  let on_large = resume large in
   check_int "same words on both sizes" on_small on_large;
-  check_int "same words on a repeat" on_large (words (resume large))
+  check_int "same words on a repeat" on_large (resume large)
 
 (* A resume whose deny moves one node's best route copies that node's
    row, the rows index and the best array, never the slot slab: on a
@@ -726,20 +736,21 @@ let deny_resume_cost_follows_nodes () =
     (m, prefix, prev, from)
   in
   let small = case Netgen.Conf.tiny and large = case (Netgen.Conf.sized 240) in
-  let resume (m, prefix, prev, from) () =
-    let st =
-      Engine.simulate ~from:prev ~touched:[ from ] m.Qrmodel.net ~prefix
-        ~originators:(Engine.originating prev)
-    in
-    check_bool "the deny moved a route" false (Engine.same_state prev st)
+  let resume (m, prefix, prev, from) =
+    words_checked
+      (fun () ->
+        Engine.simulate ~from:prev ~touched:[ from ] m.Qrmodel.net ~prefix
+          ~originators:(Engine.originating prev))
+      (fun st ->
+        check_bool "the deny moved a route" false (Engine.same_state prev st))
   in
   let nodes (m, _, _, _) = Net.node_count m.Qrmodel.net in
   let slots (m, _, _, _) = Net.session_count m.Qrmodel.net in
   check_bool "models differ 4x in slots" true (slots large > 4 * slots small);
-  resume large ();
-  resume small ();
-  let on_small = words (resume small) in
-  let on_large = words (resume large) in
+  ignore (resume large);
+  ignore (resume small);
+  let on_small = resume small in
+  let on_large = resume large in
   check_bool
     (Printf.sprintf "words %d -> %d grow by at most 3 per node (%d -> %d)"
        on_small on_large (nodes small) (nodes large))
@@ -772,19 +783,19 @@ let unchanged_reexport_allocates_nothing_per_session () =
   let narrow = List.hd by_degree and wide = List.hd (List.rev by_degree) in
   check_bool "degrees differ" true
     (Net.session_count_of net wide > 4 * Net.session_count_of net narrow);
-  let replay u () =
-    let st =
-      Engine.simulate ~from:prev ~touched:[ u ] net ~prefix
-        ~originators:(Engine.originating prev)
-    in
-    check_int "one replay event" 1 (Engine.events st);
-    check_bool "nothing moved" true (Engine.same_state prev st)
+  let replay u =
+    words_checked
+      (fun () ->
+        Engine.simulate ~from:prev ~touched:[ u ] net ~prefix
+          ~originators:(Engine.originating prev))
+      (fun st ->
+        check_int "one replay event" 1 (Engine.events st);
+        check_bool "nothing moved" true (Engine.same_state prev st))
   in
-  replay wide ();
-  replay narrow ();
-  check_int "same words on a wide and a narrow node"
-    (words (replay narrow))
-    (words (replay wide))
+  ignore (replay wide);
+  ignore (replay narrow);
+  check_int "same words on a wide and a narrow node" (replay narrow)
+    (replay wide)
 
 (* A resume that writes copies before its first write: the parent state
    it started from keeps its routes. *)
@@ -895,6 +906,321 @@ let scratch_reuse_after_non_convergence () =
     (match Engine.outcome cut with Engine.Truncated _ -> true | _ -> false);
   Alcotest.(check (pair int int))
     "next run after a truncation = fresh domain" expected (calm_run net x)
+
+(* -- incremental best-route selection -- *)
+
+(* Every node's best route is the one Decision.select picks from the
+   node's candidates, down to the session it arrived on: the lower slot
+   among equal routes, as in RIB-In order. *)
+let selects_like_decision net st =
+  let steps = Net.decision_steps net and med_scope = Net.med_scope net in
+  List.for_all
+    (fun n ->
+      match
+        ( Engine.best st n,
+          Simulator.Decision.select ~med_scope steps
+            (Engine.candidates st net n) )
+      with
+      | None, None -> true
+      | Some a, Some b ->
+          Simulator.Rattr.same_route a b
+          && a.Simulator.Rattr.from_session = b.Simulator.Rattr.from_session
+      | Some _, None | None, Some _ -> false)
+    (List.init (Net.node_count net) Fun.id)
+
+let check_selects label net st =
+  check_bool (label ^ ": converged") true (Engine.converged st);
+  check_bool (label ^ ": best = Decision.select") true
+    (selects_like_decision net st)
+
+let session net a b =
+  match Net.find_session net a b with
+  | Some s -> s
+  | None -> Alcotest.failf "no session %d-%d" a b
+
+(* X hears AS 4's prefix over B and C at equal length and prefers B by
+   address; D's route is one hop longer.  A MED rule at X on B's session
+   overwrites X's best slot with a route worse than C's, so X must scan:
+   the runner-up C wins, though no write brought it. *)
+let overwritten_best_yields_runner_up () =
+  let m =
+    Qrmodel.initial
+      (Topology.Asgraph.of_edges
+         [ (1, 2); (1, 3); (1, 5); (2, 4); (3, 4); (5, 6); (6, 4) ])
+  in
+  let net = m.Qrmodel.net in
+  let x = node_of net 1 and b = node_of net 2 in
+  let prev = Qrmodel.simulate m p in
+  Net.clear_touched net p;
+  check_selects "cold" net prev;
+  check_bool "X prefers B" true
+    (Engine.best_full_path net prev x = Some [| 1; 2; 4 |]);
+  Net.set_import_med net x (session net x b) p 150;
+  let warm =
+    Engine.simulate ~from:prev net ~prefix:p
+      ~originators:(Qrmodel.originators m p)
+  in
+  check_selects "warm" net warm;
+  check_bool "X falls back to C" true
+    (Engine.best_full_path net warm x = Some [| 1; 3; 4 |]);
+  check_equivalent "worse overwrite" (Qrmodel.simulate m p) warm
+
+(* Without the router-address step, X's routes from B1 and B2 (both
+   one hop from the origin O) are equal, so the lower slot wins, as in
+   the reference engine, whichever of the two reaches X first: O
+   announces to B2 first when [b2_first].  Denying B1's export empties
+   X's best slot and sends X to the upper one; allowing it again brings
+   back an equal route in the lower slot, which wins again.  Denying and
+   allowing B2's export then brings back an equal route in the upper
+   slot, which loses. *)
+let equal_routes_case ~b2_first =
+  let net = Net.create () in
+  let node asn = Net.add_node net ~asn ~ip:(Asn.router_ip asn 0) in
+  let x = node 1 in
+  let b1 = node 2 in
+  let b2 = node 3 in
+  let o = node 4 in
+  let s_b1, _ = Net.connect net x b1 in
+  let s_b2, _ = Net.connect net x b2 in
+  List.iter
+    (fun b -> ignore (Net.connect net o b))
+    (if b2_first then [ b2; b1 ] else [ b1; b2 ]);
+  Net.set_decision_steps net
+    Simulator.Decision.[ Local_pref; Path_length; Med ];
+  let prefix = Asn.origin_prefix 4 and originators = [ o ] in
+  let same_as_reference label st rst =
+    check_selects label net st;
+    check_int (label ^ ": reference fingerprint")
+      (Engine_reference.state_fingerprint rst)
+      (Engine.state_fingerprint st);
+    check_int (label ^ ": reference events") (Engine_reference.events rst)
+      (Engine.events st)
+  in
+  let from_session st =
+    (Option.get (Engine.best st x)).Simulator.Rattr.from_session
+  in
+  let st = Engine.simulate net ~prefix ~originators in
+  let rst = Engine_reference.simulate net ~prefix ~originators in
+  same_as_reference "cold" st rst;
+  check_int "cold: the lower slot" s_b1 (from_session st);
+  let resume label (st, rst) edit want =
+    Net.clear_touched net prefix;
+    edit ();
+    let st = Engine.simulate ~from:st net ~prefix ~originators in
+    let rst = Engine_reference.simulate ~from:rst net ~prefix ~originators in
+    same_as_reference label st rst;
+    check_int (label ^ ": best slot") want (from_session st);
+    (st, rst)
+  in
+  let denied =
+    resume "B1 denied" (st, rst)
+      (fun () -> Net.deny_export net b1 (session net b1 x) prefix)
+      s_b2
+  in
+  let allowed =
+    resume "B1 allowed" denied
+      (fun () -> Net.allow_export net b1 (session net b1 x) prefix)
+      s_b1
+  in
+  let denied =
+    resume "B2 denied" allowed
+      (fun () -> Net.deny_export net b2 (session net b2 x) prefix)
+      s_b1
+  in
+  ignore
+    (resume "B2 allowed" denied
+       (fun () -> Net.allow_export net b2 (session net b2 x) prefix)
+       s_b1)
+
+let equal_routes_lower_slot_wins () =
+  List.iter (fun b2_first -> equal_routes_case ~b2_first) [ true; false ]
+
+(* One decision of X sees three writes: J's replay improves X's slot
+   from J (MED 50), K's replay makes X's slot from K better still (MED
+   0), and K, whose direct route O denied, then re-exports a longer
+   route into that slot.  The route from J, written before the pending
+   one was overwritten, wins.  Replays run in node order and K is
+   queued before X, so all three writes precede X's decision. *)
+let overwritten_pending_yields_earlier_write () =
+  let net = Net.create () in
+  let node asn = Net.add_node net ~asn ~ip:(Asn.router_ip asn 0) in
+  let o = node 4 in
+  let j = node 2 in
+  let k = node 3 in
+  let x = node 1 in
+  ignore (Net.connect net o j);
+  let s_ok, _ = Net.connect net o k in
+  ignore (Net.connect net j k);
+  let _, s_xj = Net.connect net j x in
+  let _, s_xk = Net.connect net k x in
+  let prefix = Asn.origin_prefix 4 and originators = [ o ] in
+  let prev = Engine.simulate net ~prefix ~originators in
+  check_bool "X prefers J" true
+    (Engine.best_full_path net prev x = Some [| 1; 2; 4 |]);
+  Net.clear_touched net prefix;
+  Net.deny_export net o s_ok prefix;
+  Net.set_import_med net x s_xj prefix 50;
+  Net.set_import_med net x s_xk prefix 0;
+  let warm = Engine.simulate ~from:prev net ~prefix ~originators in
+  check_selects "warm" net warm;
+  check_bool "X keeps J's improved route" true
+    (Engine.best_full_path net warm x = Some [| 1; 2; 4 |]);
+  check_equivalent "overwritten pending"
+    (Engine.simulate net ~prefix ~originators)
+    warm
+
+(* A resume that adds an originator re-runs its decision against the
+   originated route; one that drops it rescans the node's slots.  A MED
+   rule at AS 2 makes the replay of AS 3 write a better route into AS
+   2's slots in the same resume that adds AS 2's origination: the
+   originated route still wins. *)
+let resume_changes_originators () =
+  let m, net, prev = diamond_state () in
+  let one = Qrmodel.originators m p in
+  let n2 = node_of net 2 in
+  let two = List.sort_uniq compare (n2 :: one) in
+  Net.set_import_med net n2 (session net n2 (node_of net 3)) p 0;
+  let added = Engine.simulate ~from:prev net ~prefix:p ~originators:two in
+  check_selects "added" net added;
+  check_bool "AS 2 originates" true
+    (Engine.best_full_path net added n2 = Some [| 2 |]);
+  check_equivalent "added"
+    (Engine.simulate net ~prefix:p ~originators:two)
+    added;
+  let dropped = Engine.simulate ~from:added net ~prefix:p ~originators:one in
+  check_selects "dropped" net dropped;
+  check_bool "AS 2 takes AS 3's route" true
+    (Engine.best_full_path net dropped n2 = Some [| 2; 3; 4 |]);
+  check_equivalent "dropped"
+    (Engine.simulate net ~prefix:p ~originators:one)
+    dropped
+
+(* A cold run of one model's prefix and a resume after a deny: what a
+   domain computes on a net of its own. *)
+let run_after_truncation seed =
+  let m = family_model { Netgen.Conf.tiny with Netgen.Conf.seed } in
+  let net = m.Qrmodel.net in
+  let prefix = fst (List.hd m.Qrmodel.prefixes) in
+  let originators = Qrmodel.originators m prefix in
+  let cold = Engine.simulate net ~prefix ~originators in
+  Net.clear_touched net prefix;
+  let o = List.hd originators in
+  Net.deny_export net o (fst (List.hd (Net.sessions_of net o))) prefix;
+  let warm = Engine.simulate ~from:cold net ~prefix ~originators in
+  ( Engine.state_fingerprint cold,
+    Engine.events cold,
+    Engine.state_fingerprint warm,
+    Engine.events warm )
+
+(* A run cut off by [~max_events] leaves queued nodes with pending
+   candidates; the next run, on another net, computes what it computes
+   in a domain that never ran anything. *)
+let truncation_leaves_scratch_clean () =
+  quiet @@ fun () ->
+  let expected = Domain.join (Domain.spawn (fun () -> run_after_truncation 9)) in
+  let m = family_model (Netgen.Conf.sized 120) in
+  let prefix = fst (List.hd m.Qrmodel.prefixes) in
+  let cut =
+    Engine.simulate ~max_events:40 m.Qrmodel.net ~prefix
+      ~originators:(Qrmodel.originators m prefix)
+  in
+  check_bool "truncated" true
+    (match Engine.outcome cut with Engine.Truncated _ -> true | _ -> false);
+  check_bool "same as a fresh domain" true (run_after_truncation 9 = expected)
+
+(* Random per-prefix deny, MED and LOCAL_PREF edits and what-if link
+   denies on the worlds of every family.  After each edit the state
+   resumed from the previous one (a patched state), and at the end the
+   state resumed from the first (a warm state across every edit), pass
+   the audit's best-route check and equal a cold run.  A LOCAL_PREF
+   edit can break the total route order, and with it the unique fixed
+   point (see [duplicate_some]): after one, a resumed state that
+   differs from the cold run must be a stable state of its own, with no
+   audit finding at all, and a run may fail to converge (paper §4.6).
+   Each step is (kind, node or link, session, value). *)
+let prop_incremental_best =
+  let gen =
+    QCheck.Gen.(
+      let* world = int_bound 1_000 in
+      let* prefix = int_bound 1_000 in
+      let* steps =
+        list_size (int_range 1 4)
+          (quad (int_bound 3) (int_bound 1_000_000) (int_bound 1_000_000)
+             (int_bound 1_000_000))
+      in
+      return (world, prefix, steps))
+  in
+  let print (world, prefix, steps) =
+    let graphs = Lazy.force family_graphs in
+    Printf.sprintf "world=%s prefix=%d steps=%s"
+      (fst graphs.(world mod Array.length graphs))
+      prefix
+      (String.concat ","
+         (List.map
+            (fun (k, a, b, v) -> Printf.sprintf "%d/%d/%d/%d" k a b v)
+            steps))
+  in
+  QCheck.Test.make
+    ~name:"incremental best = Decision.select, warm and patched = cold"
+    ~count:300 (QCheck.make ~print gen)
+    (fun (world, pick, steps) ->
+      let graphs = Lazy.force family_graphs in
+      let m = Qrmodel.initial (snd graphs.(world mod Array.length graphs)) in
+      let net = m.Qrmodel.net in
+      let prefix =
+        fst (List.nth m.Qrmodel.prefixes (pick mod List.length m.Qrmodel.prefixes))
+      in
+      let originators = Qrmodel.originators m prefix in
+      let edges = Array.of_list (Topology.Asgraph.edges m.Qrmodel.graph) in
+      let lpref_edited = ref false in
+      let edit (kind, a, b, v) =
+        let n = a mod Net.node_count net in
+        let nsess = Net.session_count_of net n in
+        match kind with
+        | 3 ->
+            let x, y = edges.(a mod Array.length edges) in
+            ignore (Asmodel.Whatif.disable_as_link ~prefixes:[ prefix ] m x y)
+        | _ when nsess = 0 -> ()
+        | 0 -> Net.deny_export net n (b mod nsess) prefix
+        | 1 -> Net.set_import_med net n (b mod nsess) prefix (v mod 200)
+        | _ ->
+            lpref_edited := true;
+            Net.set_import_lpref_for net n (b mod nsess) prefix (v mod 200)
+      in
+      let audited st =
+        not
+          (List.exists
+             (fun f -> f.Analysis.Report.rule = "audit-best")
+             (Analysis.Audit.state net st))
+      in
+      let agrees st =
+        let cold = Qrmodel.simulate m prefix in
+        if !lpref_edited then
+          (not (Engine.converged st))
+          || audited st
+             && (Engine.same_state cold st || Analysis.Audit.state net st = [])
+        else
+          Engine.converged cold && Engine.converged st && audited st
+          && Engine.same_state cold st
+      in
+      let root = Qrmodel.simulate m prefix in
+      Net.clear_touched net prefix;
+      let touched = ref [] in
+      let rec go parent = function
+        | [] -> true
+        | step :: rest ->
+            edit step;
+            touched := Net.touched_nodes net prefix @ !touched;
+            let child = Engine.simulate ~from:parent net ~prefix ~originators in
+            Net.clear_touched net prefix;
+            agrees child && ((not (Engine.converged child)) || go child rest)
+      in
+      (not (Engine.converged root))
+      || go root steps
+         && agrees
+              (Engine.simulate ~from:root
+                 ~touched:(List.sort_uniq compare !touched)
+                 net ~prefix ~originators))
 
 (* -- the refiner under each mode -- *)
 
@@ -1014,6 +1340,17 @@ let suite =
       resume_leaves_parent_unchanged;
     Alcotest.test_case "scratch reuse after a diverged or truncated run" `Quick
       scratch_reuse_after_non_convergence;
+    Alcotest.test_case "an overwritten best yields the runner-up" `Quick
+      overwritten_best_yields_runner_up;
+    Alcotest.test_case "an overwritten pending route yields an earlier write"
+      `Quick overwritten_pending_yields_earlier_write;
+    Alcotest.test_case "equal routes: the lower slot wins" `Quick
+      equal_routes_lower_slot_wins;
+    Alcotest.test_case "resumes that add and drop an originator" `Quick
+      resume_changes_originators;
+    Alcotest.test_case "a truncation leaves the scratch clean" `Quick
+      truncation_leaves_scratch_clean;
+    QCheck_alcotest.to_alcotest prop_incremental_best;
     Alcotest.test_case "refiner mode equivalence" `Quick
       refiner_mode_equivalence;
     Alcotest.test_case "refiner verify is clean" `Quick refiner_verify_clean;
