@@ -1,6 +1,6 @@
 (* Experiment harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md §5 for the experiment index) and runs
-   bechamel micro-benchmarks of the hot paths.
+   evaluation (see DESIGN.md §5 for the experiment index) and the
+   sections CI gates on.
 
    Usage: dune exec bench/main.exe [-- options]
      --quick       run everything on a ~1/3-size world
@@ -13,7 +13,7 @@
      --trace M     tracing off|summary|FILE.json (default: RD_TRACE)
                    (these knob flags are Simulator.Runtime's; README.md
                    "Runtime knobs" has the full table)
-     --warm-only   only run the WARM, CHECK, SERVE and CHURN sections
+     --warm-only   only run the WARM, SERVE and CHURN sections
                      (SERVE holds the CI wall-time gates; the off-mode cost
                      of RD_CHECK and RD_TRACE is checked by dune runtest)
      --scale-only  only run the SCALE flat-vs-reference engine experiment
@@ -518,68 +518,6 @@ let experiment_robustness ~ases =
       ]
     rows
 
-let experiment_parallel prepared =
-  (* The pool's headline: identical results, less wall-clock.  Runs the
-     same refinement + (fresh-state) evaluation at 1 worker and at 4,
-     checking bit-identical outcomes and reporting the speedup. *)
-  section "PAR" "refinement/evaluation wall-clock vs worker domains (Pool)";
-  let cores = Domain.recommended_domain_count () in
-  Format.printf "available cores: %d@." cores;
-  if cores < 2 then
-    Format.printf
-      "NOTE: single-core host — parallel speedup is impossible and extra \
-       domains only add GC-synchronisation overhead; the run below still \
-       checks result equality across job counts.@.";
-  let splits = Core.split ~seed:7 prepared in
-  let run jobs =
-    with_runtime (fun rt -> { rt with jobs = Some jobs }) @@ fun () ->
-    let result, t_refine =
-      wall (fun () ->
-          Core.build
-            ~options:
-              { Refine.Refiner.default_options with max_iterations = Some 14 }
-            prepared ~training:splits.Evaluation.Split.training)
-    in
-    (* Fresh state table so the evaluation phase re-simulates every
-       validation prefix through the pool. *)
-    let prediction, t_eval =
-      wall (fun () ->
-          Evaluation.Predict.evaluate result.Refine.Refiner.model
-            ~states:(Hashtbl.create 256) splits.Evaluation.Split.validation)
-    in
-    (result, prediction, t_refine, t_eval)
-  in
-  let r1, p1, refine1, eval1 = span "PAR jobs=1" (fun () -> run 1) in
-  let r4, p4, refine4, eval4 = span "PAR jobs=4" (fun () -> run 4) in
-  let identical =
-    r1.Refine.Refiner.matched = r4.Refine.Refiner.matched
-    && r1.Refine.Refiner.iterations = r4.Refine.Refiner.iterations
-    && p1.Evaluation.Predict.totals = p4.Evaluation.Predict.totals
-    && p1.Evaluation.Predict.coverage = p4.Evaluation.Predict.coverage
-  in
-  Evaluation.Report.table std
-    ~header:[ "jobs"; "refine"; "evaluate"; "sim events" ]
-    [
-      [
-        "1";
-        Printf.sprintf "%.1fs" refine1;
-        Printf.sprintf "%.1fs" eval1;
-        string_of_int r1.Refine.Refiner.pool.Simulator.Pool.events;
-      ];
-      [
-        "4";
-        Printf.sprintf "%.1fs" refine4;
-        Printf.sprintf "%.1fs" eval4;
-        string_of_int r4.Refine.Refiner.pool.Simulator.Pool.events;
-      ];
-    ];
-  Format.printf
-    "results identical across job counts: %b@.speedup at 4 jobs: refine %.2fx, \
-     evaluate %.2fx@."
-    identical
-    (if refine4 > 0.0 then refine1 /. refine4 else 0.0)
-    (if eval4 > 0.0 then eval1 /. eval4 else 0.0)
-
 let experiment_sweep base_conf =
   (* How prediction accuracy scales with vantage points: train on a
      growing subset of the training observation points. *)
@@ -626,95 +564,15 @@ let experiment_sweep base_conf =
     ~header:[ "train points"; "exact"; "tie-break"; "rib-in bound" ]
     rows
 
-let experiment_faults conf =
-  (* Resilience proof: the full refine + predict pipeline under
-     deterministic fault injection (Simulator.Faultinject).  Three runs
-     over the same world: faults off, transient faults (every injected
-     task failure recovered by the pool's sequential retry — results
-     must be bit-identical to the clean run), and full faults
-     (permanent task failures + shrunk engine budgets — the pipeline
-     must complete and report the damage as quarantine/unresolved
-     tallies instead of raising). *)
-  section "FAULT" "pipeline resilience under injected faults (RD_FAULTS)";
-  let prepared = Core.prepare (snd (Core.generate ~conf ())) in
-  let splits = Core.split ~seed:7 prepared in
-  let validation = splits.Evaluation.Split.validation in
-  let run label faults =
-    with_runtime (fun rt -> { rt with faults }) @@ fun () ->
-    let result =
-      span label (fun () ->
-          Core.build
-            ~options:
-              { Refine.Refiner.default_options with max_iterations = Some 14 }
-            prepared ~training:splits.Evaluation.Split.training)
-    in
-    (* Fresh state table so the prediction batch goes through the pool
-       (and hence through the injector) too. *)
-    let prediction =
-      Evaluation.Predict.evaluate result.Refine.Refiner.model
-        ~states:(Hashtbl.create 256) validation
-    in
-    (result, prediction)
-  in
-  let inject rate scope = Some { Runtime.Fault.rate; seed = 42; scope } in
-  let clean_r, clean_p = run "FAULT off" None in
-  let trans_r, trans_p =
-    run "FAULT transient 0.05:42" (inject 0.05 Runtime.Fault.Transient)
-  in
-  let full_r, full_p =
-    run "FAULT full 0.05:42:full" (inject 0.05 Runtime.Fault.Full)
-  in
-  let row label (r : Refine.Refiner.result) (p : Evaluation.Predict.report) =
-    let pool = Simulator.Pool.merge r.Refine.Refiner.pool p.Evaluation.Predict.pool in
-    [
-      label;
-      Printf.sprintf "%.1f%%" (pct r.Refine.Refiner.matched r.Refine.Refiner.total);
-      string_of_int r.Refine.Refiner.quarantined_prefixes;
-      string_of_int p.Evaluation.Predict.totals.Evaluation.Predict.unresolved;
-      string_of_int pool.Simulator.Pool.retried;
-      string_of_int pool.Simulator.Pool.failed;
-      string_of_int pool.Simulator.Pool.diverged;
-    ]
-  in
-  Evaluation.Report.table std
-    ~header:
-      [ "faults"; "train"; "quarantined"; "unresolved"; "retried"; "failed";
-        "diverged" ]
-    [
-      row "off" clean_r clean_p;
-      row "0.05:42 (transient)" trans_r trans_p;
-      row "0.05:42:full" full_r full_p;
-    ];
-  let transparent =
-    clean_r.Refine.Refiner.matched = trans_r.Refine.Refiner.matched
-    && clean_r.Refine.Refiner.iterations = trans_r.Refine.Refiner.iterations
-    && clean_p.Evaluation.Predict.totals = trans_p.Evaluation.Predict.totals
-    && clean_p.Evaluation.Predict.coverage = trans_p.Evaluation.Predict.coverage
-  in
-  let trans_pool =
-    Simulator.Pool.merge trans_r.Refine.Refiner.pool
-      trans_p.Evaluation.Predict.pool
-  in
-  Format.printf
-    "transient faults recovered transparently (results = clean run): %b@.\
-     transient tasks retried: %d (want > 0)@.full-fault run completed without \
-     raising: true@."
-    transparent trans_pool.Simulator.Pool.retried
-
-(* The 14-iteration refinement of the WARM and CHECK sections, at
-   jobs=1 with warm starts (so engine events and the calling domain's
-   allocated words compare directly), under the ambient knobs as
-   changed by [update]. *)
-let warm_refine ?(update = Fun.id) prepared ~training () =
-  with_runtime (fun rt ->
-      update { rt with Runtime.warm = Runtime.Warm_mode.On; jobs = Some 1 })
+(* The WARM section's 14-iteration refinement under warm-start mode
+   [warm], at jobs=1 so engine events and the calling domain's
+   allocated words compare directly. *)
+let warm_refine warm prepared ~training () =
+  with_runtime (fun rt -> { rt with Runtime.warm; jobs = Some 1 })
   @@ fun () ->
   Core.build
     ~options:{ Refine.Refiner.default_options with max_iterations = Some 14 }
     prepared ~training
-
-let training_of prepared =
-  (Core.split ~seed:7 prepared).Evaluation.Split.training
 
 let ratio a b = if b > 0.0 then a /. b else 0.0
 
@@ -722,18 +580,14 @@ let experiment_warm prepared =
   (* The same refinement run cold (RD_WARM=off) and warm (every
      re-simulation resumes from the previous fixed point). *)
   section "WARM" "warm-start re-simulation vs cold (RD_WARM)";
-  let training = training_of prepared in
+  let training = (Core.split ~seed:7 prepared).Evaluation.Split.training in
   let run label warm =
     (* The warm.* registry counters only go up: a run's counts are the
        difference across it. *)
     let w0 = Simulator.Warm.stats () in
     let (result, wall_s), alloc =
       Obs.Metrics.allocated_words (fun () ->
-          wall (fun () ->
-              span label
-                (warm_refine
-                   ~update:(fun rt -> { rt with warm })
-                   prepared ~training)))
+          wall (fun () -> span label (warm_refine warm prepared ~training)))
     in
     let w1 = Simulator.Warm.stats () in
     ( result.Refine.Refiner.pool.Simulator.Pool.events,
@@ -785,35 +639,6 @@ let experiment_warm prepared =
       ("wall_ratio", Json.Float (ratio warm_wall cold_wall));
       ("warm_runs", Json.Int warm_runs);
       ("cold_runs", Json.Int cold_runs);
-    ]
-
-let experiment_check prepared =
-  (* The checker's price on the warm-start refinement (the race
-     detector serializes every probe behind one mutex).  That the off
-     mode costs nothing is checked as counted allocation by dune
-     runtest, not timed here. *)
-  section "CHECK" "race detector and mutation audit overhead (RD_CHECK=on)";
-  let training = training_of prepared in
-  let run check =
-    Gc.full_major ();
-    snd
-      (wall (fun () ->
-           ignore
-             (warm_refine
-                ~update:(fun rt -> { rt with check })
-                prepared ~training ())))
-  in
-  let off_wall = run Runtime.Check_mode.Off in
-  let on_wall = run Runtime.Check_mode.On in
-  Analysis.Ownership.reset ();
-  Format.printf
-    "RD_CHECK=off wall: %.2fs@.RD_CHECK=on wall: %.2fs (%.2fx of off)@."
-    off_wall on_wall (ratio on_wall off_wall);
-  Json.Obj
-    [
-      ("off_wall_s", Json.Float off_wall);
-      ("on_wall_s", Json.Float on_wall);
-      ("overhead_on_vs_off", Json.Float (ratio on_wall off_wall));
     ]
 
 (* Percentile estimate from a pair of histogram snapshots: the upper
@@ -1090,32 +915,6 @@ let experiment_topo ~ases ~seed =
              rows) );
     ]
 
-(* Peak resident set (VmHWM, in kB) from /proc/self/status; 0 where the
-   proc filesystem is unavailable. *)
-let peak_rss_kb () =
-  match open_in "/proc/self/status" with
-  | exception Sys_error _ -> 0
-  | ic ->
-      let rec go acc =
-        match input_line ic with
-        | exception End_of_file -> acc
-        | line ->
-            let acc =
-              if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then
-                try
-                  Scanf.sscanf
-                    (String.sub line 6 (String.length line - 6))
-                    " %d"
-                    (fun v -> v)
-                with Scanf.Scan_failure _ | Failure _ | End_of_file -> acc
-              else acc
-            in
-            go acc
-      in
-      let v = go 0 in
-      close_in ic;
-      v
-
 let experiment_scale ~ases ~seed =
   (* The flat-slab engine at scale, against the frozen pre-rewrite
      engine (Engine_reference) on the same world: identical routing
@@ -1253,7 +1052,9 @@ let experiment_scale ~ases ~seed =
         samples
         (List.combine ref_states flat_states));
   Obs.Metrics.record_gc ();
-  let rss = peak_rss_kb () in
+  let top_heap_words =
+    Obs.Metrics.gauge_value (Obs.Metrics.gauge "gc.top_heap_words")
+  in
   let per_sec events wall =
     if wall > 0.0 then float_of_int events /. wall else 0.0
   in
@@ -1279,7 +1080,7 @@ let experiment_scale ~ases ~seed =
       ("cold fingerprints identical", string_of_bool cold_identical);
       ( "warm fingerprints identical",
         Printf.sprintf "%b (%d pairs)" !warm_identical !warm_pairs );
-      ("peak RSS", Printf.sprintf "%d kB" rss);
+      ("peak major heap", Printf.sprintf "%d words" top_heap_words);
       ("first flat sweep allocated", Printf.sprintf "%d words" flat_words);
     ];
   let engine wall_s events extra =
@@ -1309,99 +1110,9 @@ let experiment_scale ~ases ~seed =
       ("cold_identical", Json.Bool cold_identical);
       ("warm_identical", Json.Bool !warm_identical);
       ("warm_pairs", Json.Int !warm_pairs);
-      ("peak_rss_kb", Json.Int rss);
+      ("top_heap_words", Json.Int top_heap_words);
       ("flat_allocated_words", Json.Int flat_words);
     ]
-
-(* ------------------------------------------------------------------ *)
-(* Micro-benchmarks                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  let open Bechamel in
-  section "MICRO" "bechamel micro-benchmarks of the hot paths";
-  (* Fixtures. *)
-  let tiny_world =
-    Netgen.Groundtruth.build { Netgen.Conf.tiny with Netgen.Conf.seed = 3 }
-  in
-  let tiny_data = Netgen.Groundtruth.observe tiny_world in
-  let prepared = Core.prepare tiny_data in
-  let model = Asmodel.Qrmodel.initial prepared.Core.graph in
-  let some_prefix = fst (List.hd model.Asmodel.Qrmodel.prefixes) in
-  let line =
-    "TABLE_DUMP2|1131867000|B|12.0.1.63|7018|3.0.0.0/8|7018 701 703|IGP|12.0.1.63|100|0|7018:5000|NAG||"
-  in
-  let routes =
-    List.init 8 (fun i ->
-        {
-          Simulator.Rattr.path = Array.make ((i mod 4) + 1) (i + 2);
-          lpref = 100;
-          med = 100 - i;
-          igp = i;
-          from_node = i;
-          from_ip = 1000 - i;
-          from_session = i;
-          learned = Simulator.Rattr.From_ebgp;
-          learned_class = -1;
-        })
-  in
-  let paths = Rib.all_paths tiny_data in
-  let tests =
-    [
-      Test.make ~name:"decision: select over 8 candidates"
-        (Staged.stage (fun () ->
-             ignore (Simulator.Decision.select Simulator.Decision.full_steps routes)));
-      Test.make ~name:"mrt: parse one dump line"
-        (Staged.stage (fun () -> ignore (Mrt.record_of_line line)));
-      Test.make ~name:"engine: per-prefix convergence (router-level world)"
-        (Staged.stage (fun () ->
-             ignore (Netgen.Groundtruth.simulate tiny_world some_prefix)));
-      Test.make ~name:"engine: per-prefix convergence (quasi-router net)"
-        (Staged.stage (fun () ->
-             ignore (Asmodel.Qrmodel.simulate model some_prefix)));
-      Test.make ~name:"topology: graph extraction from paths"
-        (Staged.stage (fun () -> ignore (Topology.Extract.graph_of_paths paths)));
-      Test.make ~name:"refine: full refinement (tiny training set)"
-        (Staged.stage (fun () ->
-             let m = Asmodel.Qrmodel.initial prepared.Core.graph in
-             ignore (Refine.Refiner.refine m ~training:prepared.Core.data)));
-    ]
-  in
-  let benchmark test =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
-    in
-    let raw = Benchmark.all cfg [ instance ] test in
-    Analyze.all ols instance raw
-  in
-  let results = benchmark (Test.make_grouped ~name:"micro" tests) in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let value =
-        match Analyze.OLS.estimates ols with
-        | Some [ est ] -> est
-        | Some _ | None -> nan
-      in
-      rows := (name, value) :: !rows)
-    results;
-  let rows = List.sort compare !rows in
-  Evaluation.Report.table std ~header:[ "benchmark"; "time/run" ]
-    (List.map
-       (fun (name, ns) ->
-         let human =
-           if Float.is_nan ns then "n/a"
-           else if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-           else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-           else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-           else Printf.sprintf "%.0f ns" ns
-         in
-         [ name; human ])
-       rows)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1480,10 +1191,9 @@ let () =
      wall-time gates. *)
   let warm_sections prepared =
     let warm = experiment_warm prepared in
-    let check = experiment_check prepared in
     let serve = experiment_serve prepared in
     let churn = experiment_churn prepared in
-    [ ("warm", warm); ("check", check); ("serve", serve); ("churn", churn) ]
+    [ ("warm", warm); ("serve", serve); ("churn", churn) ]
   in
   let results, total_s =
     wall (fun () ->
@@ -1502,7 +1212,6 @@ let () =
           experiment_inflation prepared;
           ignore (experiment_t2 prepared);
           ignore (experiment_train_predict prepared ~seed:7);
-          experiment_parallel prepared;
           let warm = warm_sections prepared in
           experiment_t5 prepared ~seed:7;
           experiment_t6 prepared ~seed:7;
@@ -1513,12 +1222,10 @@ let () =
             }
           in
           experiment_ablations ablation_conf;
-          experiment_faults ablation_conf;
           experiment_robustness ~ases:robust_ases;
           if has "--sweep" then experiment_sweep ablation_conf;
           let topo = experiment_topo ~ases:topo_ases ~seed in
           let scale_world = experiment_scale ~ases:scale_ases ~seed in
-          micro ();
           warm @ [ ("topo", topo); ("scale_world", scale_world) ]
         end)
   in

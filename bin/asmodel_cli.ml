@@ -710,7 +710,6 @@ let check_run () model_path strict =
   let findings =
     Analysis.Report.findings (Analysis.Lint.check model)
     @ List.concat_map (fun (_, st) -> Analysis.Audit.state net st) states
-    @ Analysis.Audit.sentinel_lint ()
     @ Analysis.Ownership.findings ()
   in
   let report = Analysis.Report.of_findings findings in
@@ -726,10 +725,9 @@ let check_cmd =
          "Deep-check a saved model: every lint rule, plus the structural \
           audit of the frozen fast-path structures (CSR session index, \
           route slabs, intern tables) against a fresh simulation of every \
-          model prefix, the no_route sentinel source lint, and any \
-          data race or RD_CHECK violation recorded during the run \
-          (enable the checker with --check on).  Exits 4 when \
-          anything is found.")
+          model prefix, and any data race or RD_CHECK violation recorded \
+          during the run (enable the checker with --check on).  Exits 4 \
+          when anything is found.")
     Term.(
       const check_run
       $ knob_flags [ "--check"; "--jobs" ]
@@ -886,7 +884,7 @@ let query_words_arg =
     & info [] ~docv:"QUERY"
         ~doc:
           "One of: $(b,path PREFIX AS); $(b,catchment EGRESS [PREFIX]); \
-           $(b,whatif A B) (alias $(b,deny-link)); $(b,ping); \
+           $(b,whatif A B); $(b,ping); \
            $(b,reload); $(b,shutdown).")
 
 let parse_query_words words =
@@ -913,7 +911,7 @@ let parse_query_words words =
       let* egress = int_of "egress AS" e in
       let* prefix = prefix_of p in
       Ok (Serve.Protocol.Catchment { egress; prefix = Some prefix })
-  | [ ("whatif" | "deny-link"); a; b ] ->
+  | [ "whatif"; a; b ] ->
       let* a = int_of "AS" a in
       let* b = int_of "AS" b in
       Ok (Serve.Protocol.Whatif { a; b })

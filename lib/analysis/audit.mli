@@ -42,14 +42,6 @@ val intern_integrity : unit -> Report.finding list
     {!Simulator.Intern.table_cap}.  Spawns (and joins) one short-lived
     domain.  Rules [audit-intern-*]. *)
 
-val sentinel_lint : ?root:string -> unit -> Report.finding list
-(** Source-scan [lib/simulator] (or [root]) for structural comparison
-    with [no_route] — [=], [<>] or [compare] adjacent to the token,
-    outside comments and strings.  The sentinel contract is [==]-only;
-    a structural compare reads absurd field values and breaks on
-    clones.  Returns [[]] when no sources can be located (installed
-    binaries).  Rule [sentinel-compare]. *)
-
 val net : Simulator.Net.t -> Report.finding list
 (** The net-level audits ({!csr}) — what {!Lint.check_net} folds in. *)
 

@@ -234,12 +234,12 @@ let merge a b =
 
 let simulate_result ?jobs ~sim prefixes =
   let jobs = resolve_jobs jobs in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Trace.now_us () in
   let retried = ref 0 in
   let results =
     map_result ~jobs ~on_recover:(fun _ -> incr retried) sim prefixes
   in
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = float_of_int (Obs.Trace.now_us () - t0) /. 1e6 in
   let stats =
     List.fold_left
       (fun acc r ->

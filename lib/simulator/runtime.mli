@@ -36,8 +36,7 @@ module Check_mode : sig
   type t = Off | On
 
   val parse : string -> (t, string) result
-  (** Accepts [off]/[0]/[false]/empty and [on]/[1]/[true]/[race]/[hb]
-      ([race] and [hb] are older spellings of [on]). *)
+  (** Accepts [off]/[0]/[false]/empty and [on]/[1]/[true]. *)
 
   val to_string : t -> string
 end

@@ -545,7 +545,7 @@ let sentinel_lint_seeded () =
      (* comment: no_route = masked *)\n\
      let s = \"no_route = masked too\"\n\
      let no_route = 3\n";
-  let fs = Audit.sentinel_lint ~root:dir () in
+  let fs = Sentinel_lint.sentinel_lint ~root:dir () in
   check_int "both structural compares flagged" 2 (List.length fs);
   List.iter
     (fun f -> check_bool "rule" true (f.Report.rule = "sentinel-compare"))
@@ -555,8 +555,10 @@ let sentinel_lint_seeded () =
 
 let sentinel_lint_real_sources () =
   (* The simulator sources themselves must be clean; when the walk-up
-     cannot find them (installed test binary) the lint returns []. *)
-  check_int "lib/simulator clean" 0 (List.length (Audit.sentinel_lint ()))
+     cannot find them (a test binary run outside the tree) the lint
+     returns []. *)
+  check_int "lib/simulator clean" 0
+    (List.length (Sentinel_lint.sentinel_lint ()))
 
 let suite =
   [

@@ -145,6 +145,63 @@ let pool_reports_permanent_failure () =
       | exception Failure msg ->
           check_bool "original exception re-raised" true (msg = "boom"))
 
+(* The refine + predict pipeline on a tiny world: transient faults are
+   all recovered by the pool's sequential retry, so every result equals
+   the clean run's.  Full-scope faults must not raise: each stage's pool
+   stats count its retries, and the damage shows as quarantined and
+   unresolved prefixes.  On this world a shrunk engine budget truncates
+   a prefix; no task is killed, because seed 42 first kills batch index
+   169 and every batch here is shorter. *)
+let pipeline_under_faults () =
+  let conf = { Netgen.Conf.tiny with Netgen.Conf.seed = 4 } in
+  let prepared =
+    Core.prepare (Netgen.Groundtruth.observe (Netgen.Groundtruth.build conf))
+  in
+  let splits = Core.split ~seed:7 prepared in
+  let run faults =
+    with_faults faults @@ fun () ->
+    let result =
+      Core.build prepared ~training:splits.Evaluation.Split.training
+    in
+    (* A fresh state table sends the prediction batch through the pool,
+       and so through the injector. *)
+    let prediction =
+      Evaluation.Predict.evaluate result.Refine.Refiner.model
+        ~states:(Hashtbl.create 64) splits.Evaluation.Split.validation
+    in
+    (result, prediction)
+  in
+  let inject scope = Some { Fault.rate = 0.05; seed = 42; scope } in
+  let retried label (r : Refine.Refiner.result)
+      (p : Evaluation.Predict.report) =
+    List.iter
+      (fun (stage, (s : Simulator.Pool.stats)) ->
+        check_bool (Printf.sprintf "%s: %s retried" label stage) true
+          (s.Simulator.Pool.retried > 0))
+      [ ("build", r.Refine.Refiner.pool); ("predict", p.Evaluation.Predict.pool) ]
+  in
+  let clean_r, clean_p = run None in
+  let trans_r, trans_p = run (inject Fault.Transient) in
+  check_int "transient: matched" clean_r.Refine.Refiner.matched
+    trans_r.Refine.Refiner.matched;
+  check_int "transient: iterations" clean_r.Refine.Refiner.iterations
+    trans_r.Refine.Refiner.iterations;
+  check_bool "transient: totals" true
+    (clean_p.Evaluation.Predict.totals = trans_p.Evaluation.Predict.totals);
+  check_bool "transient: coverage" true
+    (clean_p.Evaluation.Predict.coverage
+    = trans_p.Evaluation.Predict.coverage);
+  retried "transient" trans_r trans_p;
+  check_int "transient: nothing lost" 0
+    (Simulator.Pool.merge trans_r.Refine.Refiner.pool
+       trans_p.Evaluation.Predict.pool)
+      .Simulator.Pool.failed;
+  let full_r, full_p = run (inject Fault.Full) in
+  retried "full" full_r full_p;
+  check_bool "full: damage reported" true
+    (full_r.Refine.Refiner.quarantined_prefixes > 0
+    && full_p.Evaluation.Predict.totals.Evaluation.Predict.unresolved > 0)
+
 let suite =
   [
     Alcotest.test_case "parse cases" `Quick parse_cases;
@@ -157,4 +214,5 @@ let suite =
       pool_recovers_transient;
     Alcotest.test_case "pool reports permanent failure" `Quick
       pool_reports_permanent_failure;
+    Alcotest.test_case "pipeline under faults" `Quick pipeline_under_faults;
   ]
