@@ -724,7 +724,7 @@ let check_cmd =
        ~doc:
          "Deep-check a saved model: every lint rule, plus the structural \
           audit of the frozen fast-path structures (CSR session index, \
-          route slabs, intern tables) against a fresh simulation of every \
+          route slabs, prepend memo) against a fresh simulation of every \
           model prefix, and any data race or RD_CHECK violation recorded \
           during the run (enable the checker with --check on).  Exits 4 \
           when anything is found.")

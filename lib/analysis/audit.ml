@@ -459,54 +459,50 @@ let state net st =
 
 (* -- intern-table integrity ------------------------------------------ *)
 
-let intern_integrity () =
+let intern_integrity net =
   let a = acc () in
   let hint =
-    "Intern must return the canonical value for structurally equal \
-     inputs within a domain, and never leak another domain's table"
+    "Intern must return the memoized array for a structurally equal \
+     prepend within a domain and scope, and never leak another \
+     domain's table"
   in
   let sample = [| 64500; 64496; 65001 |] in
-  let p1 = Intern.path (Array.copy sample) in
-  let p2 = Intern.path (Array.copy sample) in
-  if p1 != p2 then
-    err a "audit-intern-share" Report.Network
-      "interning the same AS-path twice returned distinct arrays" hint;
-  if Intern.path_hash p1 <> Intern.path_hash (Array.copy sample) then
-    err a "audit-intern-share" Report.Network
-      "path_hash differs between an interned path and its copy" hint;
-  let q1 = Intern.prepend ~own_as:64499 p1 in
-  let q2 = Intern.prepend ~own_as:64499 p1 in
+  let scope = Intern.scope () in
+  let t = Intern.tables scope in
+  let q1 = Intern.prepend t ~own_as:64499 sample in
+  let q2 = Intern.prepend t ~own_as:64499 (Array.copy sample) in
   if q1 != q2 then
     err a "audit-intern-share" Report.Network
-      "prepending the same AS to the same path twice returned distinct \
+      "prepending the same AS to equal paths twice returned distinct \
        arrays"
       hint;
-  if Array.length q1 = 0 || q1.(0) <> 64499 then
+  if q1 <> Array.append [| 64499 |] sample then
     err a "audit-intern-share" Report.Network
       "prepend did not place the AS at the head of the path" hint;
-  (* DLS isolation: a fresh domain must intern into its own table — the
-     parent's canonical array must not be handed across domains. *)
-  let foreign = ref [||] in
-  let d = Domain.spawn (fun () -> foreign := Intern.path (Array.copy sample)) in
-  Domain.join d;
-  if !foreign == p1 then
+  if Intern.path_hash q1 <> Intern.path_hash (Array.copy q1) then
+    err a "audit-intern-share" Report.Network
+      "path_hash differs between a memoized path and its copy" hint;
+  (* DLS isolation: another domain must prepend into its own table for
+     the same scope — this domain's array must not be handed across. *)
+  let foreign =
+    Domain.join
+      (Domain.spawn (fun () ->
+           Intern.prepend (Intern.tables scope) ~own_as:64499 sample))
+  in
+  if foreign == q1 then
     err a "audit-intern-domain" Report.Network
-      "a fresh domain's intern table returned the parent domain's array \
+      "a fresh domain's prepend memo returned the parent domain's array \
        (DLS table crossed domains)"
       hint
-  else if !foreign <> p1 then
+  else if foreign <> q1 then
     err a "audit-intern-domain" Report.Network
-      "a fresh domain interned the same path to different contents" hint;
-  let s = Intern.stats () in
-  let cap = Intern.table_cap in
-  if
-    s.Intern.paths > cap || s.Intern.prepends > cap || s.Intern.rattrs > cap
-  then
+      "a fresh domain prepended the same path to different contents" hint;
+  let size = Intern.size (Intern.tables (Net.intern_scope net)) in
+  if size > Intern.table_cap then
     err a "audit-intern-cap" Report.Network
       (Printf.sprintf
-         "an intern table exceeds its cap (%d): paths %d, prepends %d, \
-          rattrs %d"
-         cap s.Intern.paths s.Intern.prepends s.Intern.rattrs)
+         "the net's prepend memo holds %d entries, over its cap (%d)" size
+         Intern.table_cap)
       "the table_cap admission check is being bypassed";
   close a
 

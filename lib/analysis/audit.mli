@@ -2,7 +2,7 @@
 
     The flat-memory engine core (PR 8) trades safety for speed: the CSR
     session index, the route slab with its physical [no_route] sentinel
-    and the domain-local intern tables all {e duplicate} information
+    and the per-net prepend memo all {e duplicate} information
     whose ground truth lives in the mutable {!Simulator.Net}.  This
     module cross-validates the copies against the truth — each check
     reads both sides through independent code paths, so a stale cache,
@@ -33,14 +33,13 @@ val state : Simulator.Net.t -> Simulator.Engine.state -> Report.finding list
     [audit-slab-*], [audit-best], [audit-sentinel-clone],
     [audit-stale-*]. *)
 
-val intern_integrity : unit -> Report.finding list
-(** Exercise the hash-consing contract of {!Simulator.Intern} in the
-    calling domain: interning equal values returns physically equal
-    results, a freshly spawned domain gets its own table (no canonical
-    value crosses domains), and none of the calling domain's current
-    tables (its ambient set outside a run) exceeds
-    {!Simulator.Intern.table_cap}.  Spawns (and joins) one short-lived
-    domain.  Rules [audit-intern-*]. *)
+val intern_integrity : Simulator.Net.t -> Report.finding list
+(** Exercise the prepend memo of {!Simulator.Intern} in the calling
+    domain: on a fresh scope, prepending to equal paths returns one
+    array and a freshly spawned domain gets its own table (no memoized
+    array crosses domains); and the calling domain's memo for the net
+    holds no more than {!Simulator.Intern.table_cap} entries.  Spawns
+    (and joins) one short-lived domain.  Rules [audit-intern-*]. *)
 
 val net : Simulator.Net.t -> Report.finding list
 (** The net-level audits ({!csr}) — what {!Lint.check_net} folds in. *)

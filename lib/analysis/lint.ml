@@ -6,4 +6,4 @@ let check model =
     (Rules.structural model.Asmodel.Qrmodel.net
     @ Rules.policy model
     @ Audit.model model
-    @ Audit.intern_integrity ())
+    @ Audit.intern_integrity model.Asmodel.Qrmodel.net)

@@ -196,9 +196,7 @@ let refine ?(options = default_options) ?on_iteration model ~training =
      the top of each iteration (a prefix marked dirty mid-iteration is
      only re-simulated the NEXT iteration), so all of them can be
      simulated in parallel against the frozen network before any policy
-     mutation happens.  [state_of] keeps a sequential fallback for
-     prefixes simulated outside the batch (defensive; the batch covers
-     the whole work list). *)
+     mutation happens. *)
   let pool_total = ref Pool.zero in
   (* Quarantine: a prefix whose simulation did not converge (budget
      truncation, detected oscillation) or failed outright is withheld
@@ -245,28 +243,6 @@ let refine ?(options = default_options) ?on_iteration model ~training =
     pool_total := Pool.merge !pool_total stats;
     stats
   in
-  let state_of prefix =
-    match Hashtbl.find_opt states prefix with
-    | Some st when not (Hashtbl.mem dirty prefix) -> st
-    | Some _ | None ->
-        (* Sequential fallback outside the batch.  Unlike the batch it
-           runs in the mutating phase, so it must apply the same
-           quarantine bookkeeping: a non-converged state here would
-           otherwise feed policy mutation with a partial RIB.  Callers
-           re-check the quarantine after calling. *)
-        let st = simulate prefix in
-        Net.clear_touched net prefix;
-        Hashtbl.replace states prefix st;
-        Hashtbl.remove dirty prefix;
-        if Engine.converged st then Hashtbl.remove quarantine prefix
-        else begin
-          Hashtbl.replace quarantine prefix ();
-          Logs.info (fun m ->
-              m "refiner: quarantining prefix %a (%a)" Prefix.pp prefix
-                Engine.pp_outcome (Engine.outcome st))
-        end;
-        st
-  in
   let history = ref [] in
   let iteration = ref 0 in
   let finished = ref false in
@@ -285,10 +261,9 @@ let refine ?(options = default_options) ?on_iteration model ~training =
       (fun (prefix, suffixes) ->
         if Hashtbl.mem quarantine prefix then ()
         else begin
-        let st = state_of prefix in
-        (* [state_of]'s fallback may just have quarantined the prefix. *)
-        if Hashtbl.mem quarantine prefix then ()
-        else begin
+        (* [presimulate] left every prefix outside quarantine a
+           converged, clean state. *)
+        let st = Hashtbl.find states prefix in
         let reserved = Hashtbl.create 8 in
         let reserve n = Hashtbl.replace reserved n () in
         let unreserved n = not (Hashtbl.mem reserved n) in
@@ -370,7 +345,6 @@ let refine ?(options = default_options) ?on_iteration model ~training =
         if !changed then begin
           Hashtbl.replace dirty prefix ();
           incr prefixes_changed
-        end
         end
         end)
       work;

@@ -15,10 +15,10 @@ let pp_outcome ppf = function
 (* Flat-memory per-prefix state.  The RIB-In is one contiguous route
    slab in the CSR slot order of {!Net.Csr}: node [n]'s slots are
    [off.(n) .. off.(n+1) - 1], and an empty slot holds the physical
-   sentinel {!Rattr.no_route} instead of an option box.  Together with
-   hash-consed routes ({!Intern.rattr}) this keeps a cold run's state in
-   two flat arrays, with no per-node arrays to chase.  A cold run, and a
-   resume across duplications, writes a slab of its own.  A warm resume
+   sentinel {!Rattr.no_route} instead of an option box, so a cold
+   run's state is two flat arrays, with no per-node arrays to chase.
+   A cold run, and a resume across duplications, writes a slab of its
+   own.  A warm resume
    at its parent's generation shares its parent's slab and writes
    per-node rows over it: [rows] stays its parent's (the empty array
    when the parent has none) until the run's first slot write, which
@@ -251,9 +251,9 @@ let watchdog_history_cap = 4096
 
 (* Scratch of a run, sized by the net: the prefix's flattened policy
    rules per slot, the work queue and, per queued node, its pending
-   candidate (which also dedups the queue), the interned
-   originated route per node and the scoped-MED buffers.  At scale a
-   slot-sized array goes straight to the major heap, so each domain
+   candidate (which also dedups the queue), the originated route per
+   node and the scoped-MED buffers.  At scale a slot-sized array goes
+   straight to the major heap, so each domain
    keeps one set in a cell and a run checks it out with
    [Atomic.exchange] and hands it back clean: it writes only the slots
    of its prefix's rules and of its originators, and puts back exactly
@@ -281,12 +281,25 @@ type scratch = {
 
 let scratch_cell = Domain.DLS.new_key (fun () -> Atomic.make None)
 
+(* A scratch too small for the run is replaced by one at least twice
+   as long in the dimension that fell short, so a net that grows a node
+   at a time (quasi-router duplication) reallocates its scratch a
+   logarithmic number of times, not once per duplication. *)
+let grow need have = if need <= have then have else max need (2 * have)
+
 let checkout_scratch ~nslots ~nodes =
   match Atomic.exchange (Domain.DLS.get scratch_cell) None with
   | Some sc when Array.length sc.deny >= nslots && Array.length sc.queued >= nodes
     ->
       sc
-  | _ ->
+  | old ->
+      let nslots, nodes =
+        match old with
+        | Some sc ->
+            ( grow nslots (Array.length sc.deny),
+              grow nodes (Array.length sc.queued) )
+        | None -> (nslots, nodes)
+      in
       {
         deny = Array.make nslots false;
         med_in = Array.make nslots min_int;
@@ -350,8 +363,10 @@ let rec reseat cmp st queued (orig : Rattr.t array) = function
    route record per RIB-In slot it changes.  [fresh] says whether
    [st]'s slab and best arrays are the run's own; when they are not (a
    warm resume at its parent's generation), the run writes per-node
-   rows over the parent's slab and copies [best] on its first write. *)
-let drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
+   rows over the parent's slab and copies [best] on its first write.
+   The run prepends through its net's memo ({!Intern.tables}), fetched
+   once, so the paths it makes die with the net. *)
+let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
     ~reseat:reseat_nodes ~seed =
   let t0 = Obs.Trace.now_us () in
   let escalated = ref 0 in
@@ -385,6 +400,7 @@ let drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
   let carries = Net.Csr.carries c in
   let rrs = Net.Csr.rr_clients c in
   let asns = Net.Csr.asns c in
+  let memo = Intern.tables (Net.intern_scope net) in
   let ips = Net.Csr.ips c in
   let igps = Net.Csr.igp_costs c in
   let export_ok = Net.Csr.export_table c in
@@ -454,12 +470,10 @@ let drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
   end;
   let med_buf = sc.med_buf and med_keys = sc.med_keys in
   let compare_routes = Decision.comparator steps in
-  (* Originated routes are stable for the whole run: intern each
+  (* Originated routes are stable for the whole run: build each
      originator's once instead of allocating per decision process. *)
   let orig = sc.orig in
-  List.iter
-    (fun u -> orig.(u) <- Intern.rattr (Rattr.originated ~own_ip:ips.(u)))
-    st.origins;
+  List.iter (fun u -> orig.(u) <- Rattr.originated ~own_ip:ips.(u)) st.origins;
   (* A fresh run writes its own [slab].  A resume at its parent's
      generation ([patched]) writes rows over the shared slab instead:
      it copies the parent's [rows] index on its first slot write and a
@@ -578,16 +592,16 @@ let drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
      computed fields against the incumbent (the [same_route] criteria,
      inlined) and allocate a record only on an actual change —
      suppressed imports, the vast majority, allocate nothing.  The
-     records are deliberately NOT table-interned either: measured on
-     2k-AS worlds, cold-convergence imports almost never recur, so an
-     {!Intern.rattr} probe per write costs 20-35% throughput while the
-     table only retains garbage.  Sharing where reuse is real comes
-     from {!Intern.prepend} (paths) and the interned originated
-     routes.  [kill] and [store] live here, not in [push_exports], so
-     that no closure is allocated per export.  A written route becomes
-     [p]'s pending candidate if it beats the one pending; overwriting
-     the pending route, or [p]'s chosen route with one that does not
-     beat it, sends [p] to a scan. *)
+     records are deliberately not hash-consed: measured on 2k-AS
+     worlds, cold-convergence imports almost never recur, so a table
+     probe per write cost 20-35% throughput while the table only
+     retained garbage.  Sharing where reuse is real comes from the
+     prepend memo ({!Intern.prepend}).  [kill] and [store] live here,
+     not in [push_exports], so that no closure is allocated per
+     export.  A written route becomes [p]'s pending candidate if it
+     beats the one pending; overwriting the pending route, or [p]'s
+     chosen route with one that does not beat it, sends [p] to a
+     scan. *)
   let store u kr p path lpref med igp learned =
     let cur = if patched then slot st p kr else slab.(kr) in
     if
@@ -637,12 +651,13 @@ let drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
   (* Re-export node [u]'s current best over every slot, importing at
      each peer's mirror slot and enqueueing peers whose RIB-In changed.
      The export and import decisions of the reference engine, fused:
-     the advertisement either dies (sentinel) or becomes one interned
-     route written straight into the peer's slab slot. *)
+     the advertisement either dies (sentinel) or becomes one route
+     record written straight into the peer's slab slot. *)
   let push_exports u best' =
     let has = Rattr.is_route best' in
     let ebgp_path =
-      if has then Intern.prepend ~own_as:asns.(u) best'.Rattr.path else [||]
+      if has then Intern.prepend memo ~own_as:asns.(u) best'.Rattr.path
+      else [||]
     in
     let base = off.(u) in
     for k = base to off.(u + 1) - 1 do
@@ -809,24 +824,6 @@ let drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
       ~dur_us:(Obs.Trace.now_us () - t0)
       ();
   st
-
-(* A run interns into its net's tables ({!Intern.enter}), entered once
-   per run, so the paths it makes die with the net; the domain's prior
-   tables come back however the run ends. *)
-let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
-    ~reseat ~seed =
-  let saved = Intern.enter (Net.intern_scope net) in
-  match
-    drain_run ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
-      ~reseat ~seed
-  with
-  | st ->
-      Intern.leave saved;
-      st
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      Intern.leave saved;
-      Printexc.raise_with_backtrace e bt
 
 (* Slab-install probe: a state slab is written by exactly one run; the
    object is named per (net, prefix) so two unordered runs of the same

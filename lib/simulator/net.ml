@@ -124,7 +124,7 @@ type t = {
      An [Atomic] because Pool workers may race to build it: the value is
      immutable and any winner is equivalent, so the race is benign. *)
   csr_cache : csr option Atomic.t;
-  intern : Intern.scope;  (* the net's AS-path tables; see Intern *)
+  intern : Intern.scope;  (* the net's prepend memo; see Intern *)
 }
 
 let dummy_session =

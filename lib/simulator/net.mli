@@ -22,8 +22,8 @@ val class_none : int
 val create : unit -> t
 
 val intern_scope : t -> Intern.scope
-(** The scope of the net's AS-path tables: [Engine] runs intern into
-    it, so the paths die with the net. *)
+(** The scope of the net's prepend memo: [Engine] runs prepend
+    through it, so the paths die with the net. *)
 
 val add_node : t -> asn:Asn.t -> ip:Ipv4.t -> int
 (** Returns the new node's id. *)

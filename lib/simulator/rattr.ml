@@ -56,10 +56,11 @@ let full_path ~own_as r =
   Array.blit r.path 0 out 1 n;
   out
 
-(* Paths flowing through the engine are interned (Intern.path), so the
-   physical check settles the common case without walking the array;
-   the element loop keeps the comparison correct for arrays from other
-   domains or nets, or built by callers directly, without a [caml_equal] call. *)
+(* Paths flowing through the engine come from the prepend memo
+   (Intern.prepend), so the physical check settles the common case
+   without walking the array; the element loop keeps the comparison
+   correct for arrays from other domains or nets, or built by callers
+   directly, without a [caml_equal] call. *)
 let same_path (a : int array) (b : int array) =
   a == b
   ||

@@ -45,10 +45,10 @@ val full_path : own_as:Asn.t -> t -> int array
     holder would see it: own AS prepended. *)
 
 val same_path : int array -> int array -> bool
-(** Path equality, physical first: engine paths are hash-consed
-    ({!Intern}), so identical paths within a domain usually share one
-    array; structural equality remains the fallback (and the
-    definition). *)
+(** Path equality, physical first: the engine's eBGP prepends are
+    memoized ({!Intern.prepend}), so identical paths within a domain
+    and net usually share one array; structural equality remains the
+    fallback (and the definition). *)
 
 val same_advertisement : t option -> t option -> bool
 (** Do two RIB-In slots hold the same announcement (same sender, same
@@ -56,8 +56,8 @@ val same_advertisement : t option -> t option -> bool
 
 val same_route : t -> t -> bool
 (** {!same_advertisement} over sentinel-boxed values: {!no_route} plays
-    the role of [None].  Tries physical equality first (engine routes
-    are hash-consed per net and domain, see {!Intern.rattr}), then the same
-    structural fields as {!same_advertisement}. *)
+    the role of [None].  Tries physical equality first (a slot that
+    still holds the record the best route was taken from), then the
+    same structural fields as {!same_advertisement}. *)
 
 val pp : own_as:Asn.t -> Format.formatter -> t -> unit

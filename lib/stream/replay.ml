@@ -84,15 +84,15 @@ type persist = {
   p_quarantine : Prefix.t list;
 }
 
-type acc = {
-  mutable a_events : int;
-  mutable a_prefixes : int;
-  mutable a_engine : int;
-  mutable a_warm : int;
-  mutable a_cold : int;
-  mutable a_shifted : int;
-  mutable a_polluted : int;
-  mutable a_wall : float;
+type class_stats = {
+  cs_events : int;
+  cs_prefixes : int;
+  cs_engine_events : int;
+  cs_warm : int;
+  cs_cold : int;
+  cs_ases_shifted : int;
+  cs_polluted : int;
+  cs_wall_s : float;
 }
 
 type t = {
@@ -107,7 +107,7 @@ type t = {
   quarantine : unit Prefix.Table.t;
   downs : (down_key, down) Hashtbl.t;
   mutable journal : jmut list;
-  totals : (cls, acc) Hashtbl.t;
+  totals : (cls, class_stats) Hashtbl.t;
   mutable events_applied : int;
   mutable reconvergences : int;
   mutable retried : int;
@@ -349,24 +349,17 @@ let bring_up t key =
       Hashtbl.remove t.downs key;
       dedup_prefixes (List.map (fun (_, _, p) -> p) d.added)
 
-let acc_of t cls =
-  match Hashtbl.find_opt t.totals cls with
-  | Some a -> a
-  | None ->
-      let a =
-        {
-          a_events = 0;
-          a_prefixes = 0;
-          a_engine = 0;
-          a_warm = 0;
-          a_cold = 0;
-          a_shifted = 0;
-          a_polluted = 0;
-          a_wall = 0.;
-        }
-      in
-      Hashtbl.replace t.totals cls a;
-      a
+let no_stats =
+  {
+    cs_events = 0;
+    cs_prefixes = 0;
+    cs_engine_events = 0;
+    cs_warm = 0;
+    cs_cold = 0;
+    cs_ases_shifted = 0;
+    cs_polluted = 0;
+    cs_wall_s = 0.;
+  }
 
 let pollution t p attacker =
   let net = t.model.Qrmodel.net in
@@ -538,15 +531,18 @@ let apply t (ev : Event.t) =
   Obs.Metrics.incr ~by:engine_events (cls_engine_m cls);
   Obs.Metrics.incr ~by:polluted polluted_m;
   Obs.Metrics.observe event_us_m (Obs.Trace.now_us () - t0);
-  let a = acc_of t cls in
-  a.a_events <- a.a_events + 1;
-  a.a_prefixes <- a.a_prefixes + List.length batch;
-  a.a_engine <- a.a_engine + engine_events;
-  a.a_warm <- a.a_warm + warm;
-  a.a_cold <- a.a_cold + cold;
-  a.a_shifted <- a.a_shifted + ases_shifted;
-  a.a_polluted <- a.a_polluted + polluted;
-  a.a_wall <- a.a_wall +. wall_s;
+  let a = Option.value (Hashtbl.find_opt t.totals cls) ~default:no_stats in
+  Hashtbl.replace t.totals cls
+    {
+      cs_events = a.cs_events + 1;
+      cs_prefixes = a.cs_prefixes + List.length batch;
+      cs_engine_events = a.cs_engine_events + engine_events;
+      cs_warm = a.cs_warm + warm;
+      cs_cold = a.cs_cold + cold;
+      cs_ases_shifted = a.cs_ases_shifted + ases_shifted;
+      cs_polluted = a.cs_polluted + polluted;
+      cs_wall_s = a.cs_wall_s +. wall_s;
+    };
   {
     event = ev;
     cls;
@@ -584,17 +580,6 @@ let rollback_net t =
 
 (* -- reports ------------------------------------------------------- *)
 
-type class_stats = {
-  cs_events : int;
-  cs_prefixes : int;
-  cs_engine_events : int;
-  cs_warm : int;
-  cs_cold : int;
-  cs_ases_shifted : int;
-  cs_polluted : int;
-  cs_wall_s : float;
-}
-
 type report = {
   events : int;
   rejected : int;
@@ -610,21 +595,7 @@ type report = {
 
 let report t ~rejected =
   let classes =
-    Hashtbl.fold
-      (fun cls a acc ->
-        ( cls,
-          {
-            cs_events = a.a_events;
-            cs_prefixes = a.a_prefixes;
-            cs_engine_events = a.a_engine;
-            cs_warm = a.a_warm;
-            cs_cold = a.a_cold;
-            cs_ases_shifted = a.a_shifted;
-            cs_polluted = a.a_polluted;
-            cs_wall_s = a.a_wall;
-          } )
-        :: acc)
-      t.totals []
+    Hashtbl.fold (fun cls a acc -> (cls, a) :: acc) t.totals []
     |> List.sort (fun (a, _) (b, _) -> Int.compare (cls_rank a) (cls_rank b))
   in
   {

@@ -129,12 +129,12 @@ let import net st ~sender:n ~sender_ip ~peer ~peer_as ~peer_session:ps
               learned_class = ri.Net.si_class;
             })
 
-let push_exports net st enqueue u best' =
+let push_exports memo net st enqueue u best' =
   let ebgp_path =
     match best' with
     | None -> [||]
     | Some (r : Rattr.t) ->
-        Intern.prepend ~own_as:(Net.asn_of net u) r.Rattr.path
+        Intern.prepend memo ~own_as:(Net.asn_of net u) r.Rattr.path
   in
   let own_ip = Ipv4.to_int (Net.ip_of net u) in
   Net.iter_sessions net u (fun s _peer ->
@@ -203,6 +203,7 @@ let exec ?max_events ?max_escalations net st ~seed =
       Queue.push u queue
     end
   in
+  let memo = Intern.tables (Net.intern_scope net) in
   let steps = Net.decision_steps net in
   let med_scope = Net.med_scope net in
   let scoped_med =
@@ -246,12 +247,12 @@ let exec ?max_events ?max_escalations net st ~seed =
     let best' = recompute_best u in
     if not (Rattr.same_advertisement st.best.(u) best') then begin
       st.best.(u) <- best';
-      push_exports net st enqueue u best'
+      push_exports memo net st enqueue u best'
     end
   in
   let replay u =
     st.events <- st.events + 1;
-    push_exports net st enqueue u st.best.(u)
+    push_exports memo net st enqueue u st.best.(u)
   in
   seed ~enqueue ~replay;
   let threshold = budget / 2 in

@@ -261,21 +261,22 @@ let per_event_calls_allocate_nothing () =
    [Intern] tables are per domain, so the warm-up and the counted
    calls run in this one. *)
 let prepend_hit_allocates_nothing () =
-  let p = Simulator.Intern.path [| 2; 3; 6 |] in
-  let q = Simulator.Intern.prepend ~own_as:7 p in
+  let t = Simulator.Intern.tables (Simulator.Intern.scope ()) in
+  let p = [| 2; 3; 6 |] in
+  let q = Simulator.Intern.prepend t ~own_as:7 p in
   check_bool "prepend" true (q = [| 7; 2; 3; 6 |]);
   check_bool "hit returns the memoized array" true
-    (Simulator.Intern.prepend ~own_as:7 p == q);
+    (Simulator.Intern.prepend t ~own_as:7 p == q);
   (* An equal path in another array hits too, through the structural
      comparison. *)
   check_bool "structural hit" true
-    (Simulator.Intern.prepend ~own_as:7 [| 2; 3; 6 |] == q);
+    (Simulator.Intern.prepend t ~own_as:7 [| 2; 3; 6 |] == q);
   check_bool "another AS misses" true
-    (Simulator.Intern.prepend ~own_as:8 p != q);
+    (Simulator.Intern.prepend t ~own_as:8 p != q);
   Alcotest.(check int) "prepend hit allocates nothing" 0
     (words (fun () ->
        for _ = 1 to 10_000 do
-         ignore (Simulator.Intern.prepend ~own_as:7 p)
+         ignore (Simulator.Intern.prepend t ~own_as:7 p)
        done))
 
 let suite =

@@ -274,21 +274,27 @@ let resumable_guards () =
 (* -- AS-path interning -- *)
 
 let interning () =
-  let a = Intern.path [| 3; 2; 1 |] in
-  let b = Intern.path [| 3; 2; 1 |] in
-  check_bool "equal paths share one array" true (a == b);
+  let t = Intern.tables (Intern.scope ()) in
+  let a = [| 3; 2; 1 |] and b = [| 3; 2; 1 |] in
+  let pr = Intern.prepend t ~own_as:7 a in
   check_bool "content preserved" true (a = [| 3; 2; 1 |]);
-  let e = Intern.path [||] in
-  check_bool "empty is the shared atom" true (e == Intern.path [||]);
-  let pr = Intern.prepend ~own_as:7 a in
   check_bool "prepend content" true (pr = [| 7; 3; 2; 1 |]);
-  check_bool "prepend memoized" true (pr == Intern.prepend ~own_as:7 b);
-  check_bool "prepend interned" true (pr == Intern.path [| 7; 3; 2; 1 |]);
+  check_bool "prepend memoized" true (pr == Intern.prepend t ~own_as:7 b);
   check_int "hash agrees with fresh array"
     (Intern.path_hash a)
     (Intern.path_hash [| 3; 2; 1 |]);
   check_bool "hash separates lengths" true
-    (Intern.path_hash [| 1 |] <> Intern.path_hash [| 1; 1 |])
+    (Intern.path_hash [| 1 |] <> Intern.path_hash [| 1; 1 |]);
+  (* Past [table_cap] distinct prepends the memo is reset, not grown;
+     it still prepends correctly and memoizes again. *)
+  for i = 0 to Intern.table_cap do
+    ignore (Intern.prepend t ~own_as:7 [| i |])
+  done;
+  check_bool "memo stays within its cap" true
+    (Intern.size t <= Intern.table_cap);
+  let q = Intern.prepend t ~own_as:8 a in
+  check_bool "prepend content past the cap" true (q = [| 8; 3; 2; 1 |]);
+  check_bool "memoized past the cap" true (q == Intern.prepend t ~own_as:8 b)
 
 (* -- randomized warm/cold equivalence -- *)
 
@@ -558,31 +564,20 @@ let family_model conf =
 
 (* -- intern tables scoped per net -- *)
 
-let in_scope net f =
-  let saved = Intern.enter (Net.intern_scope net) in
-  Fun.protect ~finally:(fun () -> Intern.leave saved) f
+let memo net = Intern.tables (Net.intern_scope net)
 
-let stats_t =
-  Alcotest.testable
-    (fun ppf (s : Intern.stats) ->
-      Format.fprintf ppf "{paths %d; prepends %d; rattrs %d}" s.Intern.paths
-        s.Intern.prepends s.Intern.rattrs)
-    ( = )
-
-let fill m = in_scope m.Qrmodel.net Intern.stats
+let fill m = Intern.size (memo m.Qrmodel.net)
 
 (* Cold runs of every prefix, one after another in this domain. *)
 let simulate_each m =
   List.map (fun (p, _) -> (p, Qrmodel.simulate m p)) m.Qrmodel.prefixes
 
-(* Runs on net A and then net B leave B's tables holding exactly what
-   B's runs make in a freshly spawned domain, and the ambient tables
-   untouched. *)
+(* Runs on net A and then net B leave B's memo holding exactly what
+   B's runs make in a freshly spawned domain. *)
 let intern_tables_per_net () =
   quiet @@ fun () ->
   let a = family_model (Netgen.Conf.sized 120)
   and b = family_model Netgen.Conf.tiny in
-  let ambient = Intern.stats () in
   ignore (simulate_each a);
   ignore (simulate_each b);
   let fresh =
@@ -591,11 +586,9 @@ let intern_tables_per_net () =
            ignore (simulate_each b);
            fill b))
   in
-  check_bool "B's runs interned paths" true (fresh.Intern.paths > 0);
-  Alcotest.check stats_t "B's fill equals a fresh domain's" fresh (fill b);
-  check_bool "A's tables are A's own" true (fill a <> fill b);
-  Alcotest.check stats_t "runs leave the ambient tables alone" ambient
-    (Intern.stats ())
+  check_bool "B's runs interned paths" true (fresh > 0);
+  check_int "B's fill equals a fresh domain's" fresh (fill b);
+  check_bool "A's tables are A's own" true (fill a <> fill b)
 
 (* Going back to A after runs on B finds A's tables as A left them:
    A's canonical paths are still canonical, and a resume that replays
@@ -633,7 +626,11 @@ let intern_return_reinterns_nothing () =
            Option.map (fun r -> r.Simulator.Rattr.path) (Engine.best prev u))
          (routed prev))
   in
-  let canonical () = in_scope net (fun () -> Intern.path (Array.copy path)) in
+  (* A non-empty path is an eBGP prepend: its head is the sender's AS. *)
+  let canonical () =
+    Intern.prepend (memo net) ~own_as:path.(0)
+      (Array.sub path 1 (Array.length path - 1))
+  in
   check_bool "a run's paths are its net's canonical arrays" true
     (canonical () == path);
   resume_all ();
@@ -641,12 +638,12 @@ let intern_return_reinterns_nothing () =
   ignore (simulate_each b);
   check_int "the resume allocates what it did before B" settled
     (words resume_all);
-  Alcotest.check stats_t "A's tables unchanged" before (fill a);
+  check_int "A's tables unchanged" before (fill a);
   check_bool "A's paths still canonical" true (canonical () == path)
 
 (* Observing one world after another keeps one world's tables, not the
-   sum: a path interned in a world's scope is collected once the world
-   is, and the ambient tables never grow. *)
+   sum: a path memoized in a world's scope is collected once the world
+   is. *)
 let observe_world seed weak i =
   let world =
     Netgen.Groundtruth.build { Netgen.Conf.tiny with Netgen.Conf.seed }
@@ -654,13 +651,12 @@ let observe_world seed weak i =
   ignore (Netgen.Groundtruth.observe world);
   let net = world.Netgen.Groundtruth.net in
   check_bool "the world's runs interned paths" true
-    ((in_scope net Intern.stats).Intern.paths > 0);
-  Weak.set weak i (Some (in_scope net (fun () -> Intern.path [| 64512; i |])))
+    (Intern.size (memo net) > 0);
+  Weak.set weak i (Some (Intern.prepend (memo net) ~own_as:64512 [| i |]))
 [@@inline never]
 
 let observed_worlds_keep_one_world () =
   quiet @@ fun () ->
-  let ambient = Intern.stats () in
   let worlds = 4 in
   let weak = Weak.create worlds in
   for i = 0 to worlds - 1 do
@@ -671,8 +667,7 @@ let observed_worlds_keep_one_world () =
         (Printf.sprintf "world %d's paths died with it" j)
         false (Weak.check weak j)
     done
-  done;
-  Alcotest.check stats_t "ambient tables unchanged" ambient (Intern.stats ())
+  done
 
 (* A resume with nothing to replay allocates no slab-, node- or
    slot-sized array: the same words on a 4x larger model, and the same
