@@ -23,7 +23,9 @@
                      generator families (graph-level, fast CI path)
      --topo-ases N   AS count of the TOPO worlds (>= 50; default 500)
      --robust-only only run the R1 family x seed refiner-robustness matrix
-     --robust-ases N AS count of the R1 worlds (>= 50; default 500)
+     --robust-ases N AS count of the R1 worlds (>= 50; default
+                     max 50 (round (500 x scale)): 500 at the default
+                     scale)
      --json FILE   machine-readable results (default: BENCH.json)
      --sweep       add the accuracy-vs-vantage-points sweep (slow)
 
@@ -1169,7 +1171,10 @@ let () =
   in
   let scale_ases = ases "--scale-ases" (if quick then "1500" else "5000") in
   let topo_ases = ases "--topo-ases" "500" in
-  let robust_ases = ases "--robust-ases" "500" in
+  let robust_ases =
+    ases "--robust-ases"
+      (string_of_int (max 50 (Float.to_int (Float.round (500. *. scale)))))
+  in
   Format.printf "simulation workers: %d (RD_JOBS/--jobs to change)@."
     (Runtime.jobs ());
   Format.printf "runtime: %a@." Runtime.pp (Runtime.current ());

@@ -47,22 +47,27 @@ let simulate ?max_events t p =
   Engine.simulate ?max_events t.net ~prefix:p
     ~originators:(originators t p)
 
+(* One {!Simulator.Warm.converge} batch that raises its first failure. *)
+let converge table t ~originators prefixes =
+  let batch = Simulator.Warm.converge table t.net ~originators prefixes in
+  ( List.map
+      (function
+        | p, Ok st -> (p, st) | _, Error e -> raise e.Simulator.Pool.exn)
+      batch.Simulator.Warm.results,
+    batch )
+
 let simulate_all t =
-  let prefixes = List.map fst t.prefixes in
-  let states, stats = Simulator.Pool.simulate ~sim:(simulate t) prefixes in
-  (* The states reflect every policy edit made so far: drain the touched
-     sets so the first warm resume replays only later edits. *)
-  List.iter (Net.clear_touched t.net) prefixes;
-  (states, stats)
+  let states, batch =
+    converge (Hashtbl.create 64) t ~originators:(originators t)
+      (List.map fst t.prefixes)
+  in
+  (states, batch.Simulator.Warm.pool)
 
 let resimulate t states =
-  let from = Prefix.Table.create (max 16 (List.length states)) in
-  List.iter (fun (p, st) -> Prefix.Table.replace from p st) states;
-  Simulator.Pool.simulate
-    ~sim:(fun p ->
-      let from = Prefix.Table.find from p in
-      Simulator.Warm.simulate ~from t.net ~prefix:p
-        ~originators:(Engine.originating from))
+  let table = Hashtbl.create (max 16 (List.length states)) in
+  List.iter (fun (p, st) -> Hashtbl.replace table p st) states;
+  converge table t
+    ~originators:(fun p -> Engine.originating (Hashtbl.find table p))
     (List.map fst states)
 
 let quasi_router_count t asn = List.length (Net.nodes_of_as t.net asn)

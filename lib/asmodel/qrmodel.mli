@@ -33,28 +33,28 @@ val originators : t -> Prefix.t -> int list
 val simulate : ?max_events:int -> t -> Prefix.t -> Simulator.Engine.state
 (** Cold converged propagation of one model prefix —
     {!Simulator.Engine.simulate} with the model's originators.  Warm
-    re-simulation goes through {!Simulator.Warm.simulate}. *)
+    re-simulation goes through {!Simulator.Warm.converge}. *)
 
 val simulate_all :
   t -> (Prefix.t * Simulator.Engine.state) list * Simulator.Pool.stats
-(** Simulate every model prefix cold over the {!Simulator.Pool}
-    ({!Simulator.Runtime.jobs} workers), in model-prefix order, then
-    drain the touched sets: the returned states reflect every policy
-    edit so far, so the first warm resume from them replays only later
-    edits.  Raises like {!Simulator.Pool.simulate} if a simulation fails
-    persistently. *)
+(** Simulate every model prefix cold in one {!Simulator.Warm.converge}
+    batch, in model-prefix order, which drains the touched sets: the
+    returned states reflect every policy edit so far, so the first warm
+    resume from them replays only later edits.  Raises the exception of
+    the first prefix whose simulation failed after the pool's retry. *)
 
 val resimulate :
   t ->
   (Prefix.t * Simulator.Engine.state) list ->
-  (Prefix.t * Simulator.Engine.state) list * Simulator.Pool.stats
-(** Re-converge each [(prefix, state)] against the live network through
-    {!Simulator.Warm.simulate}, resuming from that state under the
-    ambient {!Simulator.Runtime.warm} mode, over the {!Simulator.Pool}
-    ({!Simulator.Runtime.jobs} workers), in list order.  Originators
-    come from each state, so prefixes beyond the model's (a churn
-    replay's announcements) keep theirs.  The touched sets are left as
-    they are. *)
+  (Prefix.t * Simulator.Engine.state) list * Simulator.Warm.batch
+(** Re-converge each [(prefix, state)] against the live network, in
+    one {!Simulator.Warm.converge} batch that resumes each from its
+    state under the ambient {!Simulator.Runtime.warm} mode, and drains
+    their touched sets.  Returns the new states in list order with the
+    batch.  Originators come from each state, so prefixes beyond the
+    model's (a churn replay's announcements) keep theirs.  Raises the
+    exception of the first prefix whose simulation failed after the
+    pool's retry. *)
 
 val quasi_router_count : t -> Asn.t -> int
 

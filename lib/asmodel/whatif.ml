@@ -90,6 +90,7 @@ type diff = {
   changes : change list;
   prefixes_affected : int;
   ases_affected : int;
+  resumed : int;
 }
 
 (* An AS's selected paths are a function of its nodes' best paths, so
@@ -139,7 +140,7 @@ let eval (model : Qrmodel.t) states a b =
     List.iter (fun (p, _) -> Net.clear_touched net p) targets
   in
   Fun.protect ~finally @@ fun () ->
-  let fresh, _ = Qrmodel.resimulate model targets in
+  let fresh, batch = Qrmodel.resimulate model targets in
   let changes =
     List.map2
       (fun (prefix, before) (_, after) ->
@@ -156,7 +157,12 @@ let eval (model : Qrmodel.t) states a b =
     |> Asn.Set.cardinal
   in
   ( disabled.half_sessions,
-    { changes; prefixes_affected = List.length changes; ases_affected } )
+    {
+      changes;
+      prefixes_affected = List.length changes;
+      ases_affected;
+      resumed = batch.Simulator.Warm.resumed;
+    } )
 
 let pp_diff ppf d =
   Format.fprintf ppf "prefixes affected: %d, distinct ASes affected: %d@."

@@ -65,6 +65,9 @@ type diff = {
   changes : change list;  (** prefixes with any change, in state order *)
   prefixes_affected : int;
   ases_affected : int;  (** distinct ASes changed over all prefixes *)
+  resumed : int;
+      (** re-converged prefixes that resumed from their states instead
+          of running cold *)
 }
 
 val changed_ases :
@@ -107,8 +110,9 @@ val eval :
     denied on those prefixes only ({!disable_as_link}), each is
     re-converged from its state ({!Qrmodel.resimulate}: warm, cold or
     verified as [RD_WARM] says) and compared with it
-    ({!changed_ases}).  Finally, also on an exception, the denies it
-    placed are lifted and those prefixes' touched sets drained, so the
+    ({!changed_ases}).  Finally, also on an exception (a simulation that
+    failed after the pool's retry raises), the denies it placed are
+    lifted and those prefixes' touched sets drained, so the
     network is left as it was and [states] stay its converged states.
     Mutates the network in between: the caller must hold off every
     other reader and writer (the query service runs it under its

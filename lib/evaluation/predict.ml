@@ -58,34 +58,21 @@ let evaluate model ~states data =
         end)
       (Rib.entries data)
   in
-  let pairs, pool =
-    Simulator.Pool.simulate_result ~sim:(Qrmodel.simulate model) missing
+  let pool =
+    (Simulator.Warm.converge states net
+       ~originators:(Qrmodel.originators model) missing)
+      .Simulator.Warm.pool
   in
   (* Prefixes without a trustworthy converged state: their cases are
      graded [unresolved] below — an explicit "the model could not
-     answer", never a false mismatch. *)
+     answer", never a false mismatch.  A prefix whose simulation failed
+     has no state at all, like one without an origin; the [missing]
+     prefixes tell the two apart. *)
   let unresolved_pfx : (Prefix.t, unit) Hashtbl.t = Hashtbl.create 8 in
   List.iter
-    (fun (p, r) ->
-      match r with
-      | Ok st -> Hashtbl.replace states p st
-      | Error e ->
-          Hashtbl.replace unresolved_pfx p ();
-          Logs.warn (fun m ->
-              m "predict: simulation of prefix %a failed: %a" Prefix.pp p
-                Simulator.Pool.pp_task_error e))
-    pairs;
-  let state_of p =
-    match Hashtbl.find_opt states p with
-    | Some st -> Some st
-    | None -> (
-        match Qrmodel.origin_of model p with
-        | None -> None
-        | Some _ ->
-            let st = Qrmodel.simulate model p in
-            Hashtbl.replace states p st;
-            Some st)
-  in
+    (fun p ->
+      if not (Hashtbl.mem states p) then Hashtbl.replace unresolved_pfx p ())
+    missing;
   let totals =
     ref
       {
@@ -110,7 +97,7 @@ let evaluate model ~states data =
       let unresolved =
         Hashtbl.mem unresolved_pfx p
         ||
-        match state_of p with
+        match Hashtbl.find_opt states p with
         | Some st when not (Simulator.Engine.converged st) ->
             (* A truncated or diverged simulation answers nothing about
                this path; grading against its partial RIBs would report
@@ -132,7 +119,7 @@ let evaluate model ~states data =
           match Hashtbl.find_opt seen key with
           | Some v -> Some v
           | None -> (
-              match state_of e.Rib.prefix with
+              match Hashtbl.find_opt states e.Rib.prefix with
               | None -> None
               | Some st ->
                   let v = Matching.classify net st e.Rib.path in

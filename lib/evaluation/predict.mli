@@ -43,10 +43,12 @@ val evaluate :
   states:(Prefix.t, Simulator.Engine.state) Hashtbl.t ->
   Rib.t ->
   report
-(** Grade against pre-computed states; prefixes without a state are
-    first simulated in one parallel batch ({!Simulator.Runtime.jobs}
-    workers) and memoized into [states].  The report is identical for
-    every job count. *)
+(** Grade against pre-computed states; graded prefixes of the model
+    without a state are first simulated in one
+    {!Simulator.Warm.converge} batch ({!Simulator.Runtime.jobs}
+    workers) and memoized into [states].  A prefix whose state did not
+    converge, or whose simulation failed, grades [unresolved].  The
+    report is identical for every job count. *)
 
 val down_to_tie_break_fraction : report -> float
 (** (RIB-Out + potential RIB-Out) / cases — the paper's ">80% of test

@@ -43,7 +43,7 @@ type result = {
   matched : int;
   total : int;
   history : iter_stat list;
-  states : (Prefix.t, Engine.state) Hashtbl.t;
+  states : Warm.table;
   unstable_prefixes : int;
   quarantined_prefixes : int;
   pool : Pool.stats;
@@ -176,72 +176,39 @@ let refine ?(options = default_options) ?on_iteration model ~training =
     | Some n -> n
     | None -> (6 * max_len) + 4
   in
-  let states : (Prefix.t, Engine.state) Hashtbl.t =
-    Hashtbl.create (List.length work)
-  in
+  let states : Warm.table = Hashtbl.create (List.length work) in
   let dirty : (Prefix.t, unit) Hashtbl.t = Hashtbl.create 64 in
-  (* Warm-start closure, run from pool worker domains.  The [states]
-     table and the network's touched sets are only read here — all
-     writes happen in the sequential phases between pool calls — so the
-     concurrent lookups are safe.  {!Warm.simulate} resumes a prefix
-     from its previous state whenever the RD_WARM mode allows and that
-     state is {!Engine.resumable}: converged, and behind the network by
-     duplications at most.  The first iteration and prefixes whose
-     last run did not converge run cold. *)
-  let simulate prefix =
-    Warm.simulate ?from:(Hashtbl.find_opt states prefix) net ~prefix
-      ~originators:(Qrmodel.originators model prefix)
-  in
+  let originators = Qrmodel.originators model in
   (* Phased loop: the set of prefixes needing re-simulation is fixed at
      the top of each iteration (a prefix marked dirty mid-iteration is
      only re-simulated the NEXT iteration), so all of them can be
      simulated in parallel against the frozen network before any policy
-     mutation happens. *)
+     mutation happens.  {!Warm.converge} resumes each from its previous
+     state where the RD_WARM mode allows; the first iteration runs
+     cold. *)
   let pool_total = ref Pool.zero in
-  (* Quarantine: a prefix whose simulation did not converge (budget
-     truncation, detected oscillation) or failed outright is withheld
-     from policy mutation — mutating against a partial RIB would bake
-     wrong filters into the model.  It stays dirty, so every later
-     iteration retries it against the then-current network (duplications
-     made for other prefixes can unblock it); it leaves quarantine the
-     moment a retry converges. *)
-  let quarantine : (Prefix.t, unit) Hashtbl.t = Hashtbl.create 8 in
+  (* Quarantine: a prefix with no converged state (budget truncation,
+     detected oscillation, or a failed simulation) is withheld from
+     policy mutation — mutating against a partial RIB would bake wrong
+     filters into the model.  Every iteration retries it against the
+     then-current network (duplications made for other prefixes can
+     unblock it); it leaves quarantine the moment a retry converges. *)
+  let quarantined = Warm.quarantined states in
+  let count_quarantined () =
+    List.length (List.filter (fun (p, _) -> quarantined p) work)
+  in
   let presimulate () =
     let missing =
       List.filter_map
         (fun (prefix, _) ->
-          match Hashtbl.find_opt states prefix with
-          | Some _ when not (Hashtbl.mem dirty prefix) -> None
-          | Some _ | None -> Some prefix)
+          if Hashtbl.mem dirty prefix || quarantined prefix then Some prefix
+          else None)
         work
     in
-    let pairs, stats = Pool.simulate_result ~sim:simulate missing in
-    List.iter
-      (fun (prefix, r) ->
-        (* The new state (or quarantine entry) reflects every policy
-           edit recorded so far: drain the touched set so the next warm
-           resume replays only future edits. *)
-        Net.clear_touched net prefix;
-        match r with
-        | Ok st when Engine.converged st ->
-            Hashtbl.replace states prefix st;
-            Hashtbl.remove dirty prefix;
-            Hashtbl.remove quarantine prefix
-        | Ok st ->
-            Hashtbl.replace states prefix st;
-            Hashtbl.replace quarantine prefix ();
-            Logs.info (fun m ->
-                m "refiner: quarantining prefix %a (%a)" Prefix.pp prefix
-                  Engine.pp_outcome (Engine.outcome st))
-        | Error e ->
-            Hashtbl.remove states prefix;
-            Hashtbl.replace quarantine prefix ();
-            Logs.warn (fun m ->
-                m "refiner: quarantining prefix %a (simulation failed: %a)"
-                  Prefix.pp prefix Pool.pp_task_error e))
-      pairs;
-    pool_total := Pool.merge !pool_total stats;
-    stats
+    let batch = Warm.converge states net ~originators missing in
+    Hashtbl.reset dirty;
+    pool_total := Pool.merge !pool_total batch.Warm.pool;
+    batch.Warm.pool
   in
   let history = ref [] in
   let iteration = ref 0 in
@@ -259,7 +226,7 @@ let refine ?(options = default_options) ?on_iteration model ~training =
     let prefixes_changed = ref 0 in
     List.iter
       (fun (prefix, suffixes) ->
-        if Hashtbl.mem quarantine prefix then ()
+        if quarantined prefix then ()
         else begin
         (* [presimulate] left every prefix outside quarantine a
            converged, clean state. *)
@@ -348,6 +315,7 @@ let refine ?(options = default_options) ?on_iteration model ~training =
         end
         end)
       work;
+    let n_quarantined = count_quarantined () in
     let stat =
       {
         iteration = !iteration;
@@ -358,7 +326,7 @@ let refine ?(options = default_options) ?on_iteration model ~training =
         duplications = counters.dups;
         filter_deletions = counters.deletions;
         prefixes_changed = !prefixes_changed;
-        quarantined = Hashtbl.length quarantine;
+        quarantined = n_quarantined;
         pool = pool_stats;
       }
     in
@@ -366,47 +334,27 @@ let refine ?(options = default_options) ?on_iteration model ~training =
     Obs.Metrics.incr iterations_m;
     Obs.Metrics.incr ~by:!prefixes_changed prefixes_changed_m;
     Obs.Metrics.set_gauge discrepancies_m (total - !matched);
-    Obs.Metrics.set_gauge quarantine_m (Hashtbl.length quarantine);
+    Obs.Metrics.set_gauge quarantine_m n_quarantined;
     Obs.Trace.end_span
       ~args:
         [
           ("matched", string_of_int !matched);
           ("changed", string_of_int !prefixes_changed);
-          ("quarantined", string_of_int (Hashtbl.length quarantine));
+          ("quarantined", string_of_int n_quarantined);
         ]
       iter_span;
     (match on_iteration with Some f -> f stat | None -> ());
     if !prefixes_changed = 0 then finished := true
   done;
   (* Final states and final match count over fresh simulations, again
-     fanned out over the pool (the network no longer changes). *)
-  let unstable = ref 0 in
-  let final_quarantined = ref 0 in
-  let final_pairs, final_stats =
-    Pool.simulate_result ~sim:simulate (List.map fst work)
-  in
-  pool_total := Pool.merge !pool_total final_stats;
-  List.iter
-    (fun (prefix, r) ->
-      Net.clear_touched net prefix;
-      match r with
-      | Ok st ->
-          if not (Engine.converged st) then begin
-            incr unstable;
-            incr final_quarantined
-          end;
-          Hashtbl.replace states prefix st;
-          Hashtbl.remove dirty prefix
-      | Error e ->
-          (* No usable state: drop any stale one so downstream consumers
-             (prediction, inspection) see the prefix as unresolved
-             rather than as a leftover of an earlier network. *)
-          incr final_quarantined;
-          Hashtbl.remove states prefix;
-          Logs.warn (fun m ->
-              m "refiner: final simulation of prefix %a failed: %a" Prefix.pp
-                prefix Pool.pp_task_error e))
-    final_pairs;
+     fanned out over the pool (the network no longer changes).  A
+     prefix whose final simulation failed loses its state, so
+     downstream consumers (prediction, inspection) see it as unresolved
+     rather than as a leftover of an earlier network. *)
+  let final = Warm.converge states net ~originators (List.map fst work) in
+  pool_total := Pool.merge !pool_total final.Warm.pool;
+  let unstable = final.Warm.pool.Pool.non_converged in
+  let final_quarantined = count_quarantined () in
   let final_matched = ref 0 in
   List.iter
     (fun (prefix, suffixes) ->
@@ -447,7 +395,7 @@ let refine ?(options = default_options) ?on_iteration model ~training =
             m "refiner: refined model fails lint:@.%a" Analysis.Report.pp
               report));
   Obs.Metrics.set_gauge discrepancies_m (total - !final_matched);
-  Obs.Metrics.set_gauge quarantine_m !final_quarantined;
+  Obs.Metrics.set_gauge quarantine_m final_quarantined;
   Obs.Trace.end_span
     ~args:
       [
@@ -464,7 +412,7 @@ let refine ?(options = default_options) ?on_iteration model ~training =
     total;
     history = List.rev !history;
     states;
-    unstable_prefixes = !unstable;
-    quarantined_prefixes = !final_quarantined;
+    unstable_prefixes = unstable;
+    quarantined_prefixes = final_quarantined;
     pool = !pool_total;
   }

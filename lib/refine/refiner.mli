@@ -66,14 +66,16 @@ type iter_stat = {
   prefixes_changed : int;
   quarantined : int;
       (** prefixes in quarantine at this iteration: their simulation was
-          {!Simulator.Engine.Truncated}, [Diverged] or failed outright,
-          so they were withheld from policy mutation (mutating against a
-          partial RIB would bake wrong filters in).  Quarantined
-          prefixes stay dirty and are retried every later iteration;
-          a converging retry lifts the quarantine. *)
+          {!Simulator.Engine.Truncated}, [Diverged] or failed outright
+          (no converged state, {!Simulator.Warm.quarantined}), so they
+          were withheld from policy mutation (mutating against a
+          partial RIB would bake wrong filters in).  Every later
+          iteration's batch retries them; a converging retry lifts the
+          quarantine. *)
   pool : Simulator.Pool.stats;
-      (** the iteration's pre-simulation batch: prefixes re-simulated,
-          engine events, budget-truncated states, wall time. *)
+      (** the iteration's pre-simulation batch (its dirty and
+          quarantined prefixes): prefixes re-simulated, engine events,
+          budget-truncated states, wall time. *)
 }
 
 type result = {
@@ -83,7 +85,7 @@ type result = {
   matched : int;
   total : int;
   history : iter_stat list;  (** chronological. *)
-  states : (Prefix.t, Simulator.Engine.state) Hashtbl.t;
+  states : Simulator.Warm.table;
       (** final simulation per training prefix (fresh states for every
           prefix, including unchanged ones).  Prefixes whose final
           simulation failed persistently have {e no} entry — consumers

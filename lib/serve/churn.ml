@@ -18,19 +18,14 @@ let reload store =
   | None -> Error "no snapshot published"
   | Some snap -> (
       let t0 = Obs.Trace.now_us () in
-      let hits0 = Obs.Metrics.find_counter "engine.warm_resume_hits" in
       match
         Snapshot.exclusive snap (fun () ->
-            let next = Snapshot.rebuild snap in
+            let next, resume_hits = Snapshot.rebuild snap in
             Snapshot.publish store next;
-            next)
+            (next, resume_hits))
       with
       | exception exn -> Error (Printexc.to_string exn)
-      | next ->
-          let resume_hits =
-            max 0
-              (Obs.Metrics.find_counter "engine.warm_resume_hits" - hits0)
-          in
+      | next, resume_hits ->
           Obs.Metrics.incr reloads_m;
           Obs.Metrics.incr ~by:resume_hits reload_resume_m;
           Ok

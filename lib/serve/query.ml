@@ -64,13 +64,10 @@ let eval_catchment snap egress prefix =
 let eval_whatif snap a b =
   Fun.protect ~finally:Gc.minor @@ fun () ->
   Snapshot.exclusive snap (fun () ->
-      let hits0 = Obs.Metrics.find_counter "engine.warm_resume_hits" in
       let half_sessions, d =
         Whatif.eval (Snapshot.model snap) (Snapshot.states snap) a b
       in
-      let resume_hits =
-        max 0 (Obs.Metrics.find_counter "engine.warm_resume_hits" - hits0)
-      in
+      let resume_hits = d.Whatif.resumed in
       Obs.Metrics.incr ~by:resume_hits whatif_resume_hits_m;
       Ok
         (Protocol.Whatif_summary

@@ -1,6 +1,5 @@
 open Bgp
 module Engine = Simulator.Engine
-module Net = Simulator.Net
 module Qrmodel = Asmodel.Qrmodel
 module Replay = Stream.Replay
 
@@ -69,9 +68,8 @@ let exclusive t f =
 let retire t = Atomic.set t.retired true
 
 let rebuild t =
-  let states, _ = Qrmodel.resimulate t.model t.states in
-  List.iter (fun (p, _) -> Net.clear_touched t.model.Qrmodel.net p) states;
-  of_states ?replay:t.replay t states
+  let states, batch = Qrmodel.resimulate t.model t.states in
+  (of_states ?replay:t.replay t states, batch.Simulator.Warm.resumed)
 
 (* -- atomic swap -- *)
 

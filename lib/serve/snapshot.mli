@@ -38,13 +38,15 @@ val of_states :
     replay ended with; the next {!Churn.apply} resumes from it so
     down/up pairs may span apply calls. *)
 
-val rebuild : t -> t
+val rebuild : t -> t * int
 (** Re-converge every cached state against the (possibly
     churn-mutated) network ({!Asmodel.Qrmodel.resimulate}: each resumes
     from its cached state under the ambient {!Simulator.Runtime.warm}
     mode), drain the touched sets, and return the successor snapshot
-    ({!of_states}) ready to {!publish}.  Run it, and the publish, inside
-    {!exclusive} so no write slips in between. *)
+    ({!of_states}) ready to {!publish}, with the number of prefixes
+    that resumed.  Raises when a simulation fails after the pool's
+    retry.  Run it, and the publish, inside {!exclusive} so no write
+    slips in between. *)
 
 val model : t -> Asmodel.Qrmodel.t
 

@@ -1,5 +1,3 @@
-open Bgp
-
 let resolve_jobs = function
   | Some j -> max 1 j
   | None -> Runtime.jobs ()
@@ -262,22 +260,6 @@ let simulate_result ?jobs ~sim prefixes =
       results
   in
   (List.combine prefixes results, stats)
-
-let simulate ?jobs ~sim prefixes =
-  let pairs, stats = simulate_result ?jobs ~sim prefixes in
-  let pairs =
-    List.map
-      (fun (p, r) ->
-        match r with
-        | Ok st -> (p, st)
-        | Error { index; exn; _ } ->
-            Logs.err (fun m ->
-                m "Pool.simulate: prefix %a (input %d) failed after retry"
-                  Prefix.pp p index);
-            raise exn)
-      pairs
-  in
-  (pairs, stats)
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -91,25 +91,19 @@ val zero : stats
 val merge : stats -> stats -> stats
 (** Componentwise accumulation ([jobs] is the max, the rest sums). *)
 
-val simulate :
-  ?jobs:int ->
-  sim:(Prefix.t -> Engine.state) ->
-  Prefix.t list ->
-  (Prefix.t * Engine.state) list * stats
-(** [simulate ~sim prefixes] runs [sim] on every prefix in parallel and
-    returns the states paired with their prefixes, in input order, plus
-    the batch statistics.  Non-converged (budget-truncated or diverged)
-    states are counted in [stats.non_converged] — see {!Engine.outcome} —
-    so silent truncation shows up in every pool report.  Raises like
-    {!map} if a simulation fails persistently. *)
-
 val simulate_result :
   ?jobs:int ->
   sim:(Prefix.t -> Engine.state) ->
   Prefix.t list ->
   (Prefix.t * (Engine.state, task_error) result) list * stats
-(** Fault-isolating {!simulate}: per-prefix failures come back as
-    [Error] slots (counted in [stats.failed]) instead of raising, and
-    retry recoveries are counted in [stats.retried]. *)
+(** [simulate_result ~sim prefixes] runs [sim] on every prefix in
+    parallel and returns the results paired with their prefixes, in
+    input order, plus the batch statistics.  Per-prefix failures come
+    back as [Error] slots (counted in [stats.failed]) instead of
+    raising, and retry recoveries are counted in [stats.retried].
+    Non-converged (budget-truncated or diverged) states are counted in
+    [stats.non_converged] — see {!Engine.outcome} — so silent
+    truncation shows up in every pool report.  {!Warm.converge} is its
+    one caller in the library. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -1,7 +1,6 @@
 open Bgp
 module Engine = Simulator.Engine
 module Net = Simulator.Net
-module Pool = Simulator.Pool
 module Warm = Simulator.Warm
 module Qrmodel = Asmodel.Qrmodel
 module Whatif = Asmodel.Whatif
@@ -81,7 +80,6 @@ type persist = {
   p_tracked : Prefix.t list;  (* tracking order *)
   p_origins : (Prefix.t * Asn.t list) list;
   p_downs : (down_key * (int * int) list * (int * int * Prefix.t) list) list;
-  p_quarantine : Prefix.t list;
 }
 
 type class_stats = {
@@ -101,10 +99,11 @@ type t = {
       (* probe-object name of the journal/driver tables: under
          RD_CHECK=on every journal mutation is recorded, so a driver
          shared across domains without ordering is a race finding *)
-  states : Engine.state Prefix.Table.t;
+  states : Warm.table;
+      (* the latest state of every tracked prefix that has one; a prefix
+         is quarantined when it holds no converged state here *)
   origins : Asn.Set.t Prefix.Table.t;
   mutable tracked_rev : Prefix.t list;
-  quarantine : unit Prefix.Table.t;
   downs : (down_key, down) Hashtbl.t;
   mutable journal : jmut list;
   totals : (cls, class_stats) Hashtbl.t;
@@ -120,7 +119,12 @@ type t = {
 let tracked t = List.rev t.tracked_rev
 
 let quarantined t =
-  List.filter (Prefix.Table.mem t.quarantine) (tracked t)
+  List.rev (List.filter (Warm.quarantined t.states) t.tracked_rev)
+
+let converged_state t p =
+  match Hashtbl.find_opt t.states p with
+  | Some st when Engine.converged st -> Some st
+  | Some _ | None -> None
 
 let origins t p =
   match Prefix.Table.find_opt t.origins p with
@@ -129,8 +133,7 @@ let origins t p =
 
 let states t =
   List.filter_map
-    (fun p ->
-      Option.map (fun st -> (p, st)) (Prefix.Table.find_opt t.states p))
+    (fun p -> Option.map (fun st -> (p, st)) (converged_state t p))
     (tracked t)
 
 let fingerprint t =
@@ -140,7 +143,7 @@ let fingerprint t =
   |> List.fold_left
        (fun h p ->
          let s =
-           match Prefix.Table.find_opt t.states p with
+           match converged_state t p with
            | Some st -> Engine.state_fingerprint st
            | None -> 0
          in
@@ -177,7 +180,6 @@ let persist t =
     p_origins = List.map (fun p -> (p, origins t p)) prefixes;
     p_downs =
       Hashtbl.fold (fun key d acc -> (key, d.halfs, d.added) :: acc) t.downs [];
-    p_quarantine = quarantined t;
   }
 
 let replay_uid = Atomic.make 0
@@ -190,10 +192,9 @@ let create ?states:seed ?resume (model : Qrmodel.t) =
       o_journal =
         Printf.sprintf "%s/journal#%d" (Net.probe_name net)
           (Atomic.fetch_and_add replay_uid 1);
-      states = Prefix.Table.create 64;
+      states = Hashtbl.create 64;
       origins = Prefix.Table.create 64;
       tracked_rev = [];
-      quarantine = Prefix.Table.create 8;
       downs = Hashtbl.create 8;
       journal = [];
       totals = Hashtbl.create 8;
@@ -210,7 +211,10 @@ let create ?states:seed ?resume (model : Qrmodel.t) =
   | Some prev ->
       (* Pick up a previous driver's tracking/origin/down state; the
          down records are copied so this driver's mutations never leak
-         into the snapshot the persist is still published in. *)
+         into the snapshot the persist is still published in.  A
+         tracked prefix the seed states leave out (the previous
+         driver's quarantine) holds no state, so it stays
+         quarantined. *)
       t.tracked_rev <- List.rev prev.p_tracked;
       List.iter
         (fun (p, ases) ->
@@ -219,8 +223,7 @@ let create ?states:seed ?resume (model : Qrmodel.t) =
       List.iter
         (fun (key, halfs, added) ->
           Hashtbl.replace t.downs key { halfs; added })
-        prev.p_downs;
-      List.iter (fun p -> Prefix.Table.replace t.quarantine p ()) prev.p_quarantine
+        prev.p_downs
   | None ->
       List.iter
         (fun (p, asn) ->
@@ -249,28 +252,16 @@ let create ?states:seed ?resume (model : Qrmodel.t) =
             in
             Prefix.Table.replace t.origins p ases
           end;
-          if Engine.converged st then Prefix.Table.replace t.states p st
-          else Prefix.Table.replace t.quarantine p ())
+          Hashtbl.replace t.states p st)
         states
   | None ->
-      let prefixes = List.map fst model.Qrmodel.prefixes in
-      let results, stats =
-        Pool.simulate_result
-          ~sim:(fun p ->
-            Engine.simulate net ~prefix:p ~originators:(originator_nodes t p))
-          prefixes
+      let b =
+        Warm.converge t.states net ~originators:(originator_nodes t)
+          (List.map fst model.Qrmodel.prefixes)
       in
-      t.retried <- t.retried + stats.Pool.retried;
-      t.failed <- t.failed + stats.Pool.failed;
-      List.iter
-        (fun (p, r) ->
-          match r with
-          | Ok st when Engine.converged st ->
-              Prefix.Table.replace t.states p st;
-              Net.clear_touched net p
-          | Ok _ | Error _ -> Prefix.Table.replace t.quarantine p ())
-        results;
-      Obs.Metrics.set_gauge quarantine_g (Prefix.Table.length t.quarantine));
+      t.retried <- t.retried + b.Warm.pool.retried;
+      t.failed <- t.failed + b.Warm.pool.failed);
+  Obs.Metrics.set_gauge quarantine_g (List.length (quarantined t));
   t
 
 (* -- event application --------------------------------------------- *)
@@ -363,7 +354,7 @@ let no_stats =
 
 let pollution t p attacker =
   let net = t.model.Qrmodel.net in
-  match Prefix.Table.find_opt t.states p with
+  match converged_state t p with
   | None -> 0
   | Some st ->
       List.length
@@ -377,85 +368,52 @@ let pollution t p attacker =
                   (Engine.selected_paths net st asn))
            (Asgraph.nodes t.model.Qrmodel.graph))
 
-(* Reconverge a deduplicated prefix batch over the pool, fold the
-   results back into the cache, and quarantine what failed.  Returns
-   (engine_events, warm, cold, shifted, quarantined, recovered). *)
-let reconverge t batch =
+(* Reconverge a deduplicated prefix batch, count the path shifts
+   against the converged states it replaces, and report the prefixes
+   that entered or left quarantine.  [stuck] is the whole quarantine
+   before the event, all of it in the batch: a prefix the event
+   announced has no state yet either, but it was never quarantined.
+   Returns (engine_events, warm, cold, shifted, quarantined,
+   recovered). *)
+let reconverge t ~stuck batch =
   if batch = [] then (0, 0, 0, 0, [], [])
   else begin
     let net = t.model.Qrmodel.net in
-    let warm_hits0 = Obs.Metrics.find_counter "engine.warm_resume_hits" in
-    let divergences0 = (Warm.stats ()).Warm.divergences in
-    let sim p =
-      (* Runs in pool worker domains: reads the driver tables (no
-         writer is active during the batch) and bumps only atomics.  A
-         quarantined prefix always retries cold. *)
-      let from =
-        if Prefix.Table.mem t.quarantine p then None
-        else Prefix.Table.find_opt t.states p
-      in
-      Warm.simulate ?from net ~prefix:p ~originators:(originator_nodes t p)
+    let before = List.map (converged_state t) batch in
+    let b =
+      Warm.converge t.states net ~originators:(originator_nodes t) batch
     in
-    let results, stats = Pool.simulate_result ~sim batch in
-    let warm =
-      max 0 (Obs.Metrics.find_counter "engine.warm_resume_hits" - warm_hits0)
-    in
-    t.retried <- t.retried + stats.Pool.retried;
-    t.failed <- t.failed + stats.Pool.failed;
-    t.divergences <-
-      t.divergences + (Warm.stats ()).Warm.divergences - divergences0;
+    t.retried <- t.retried + b.Warm.pool.retried;
+    t.failed <- t.failed + b.Warm.pool.failed;
+    t.divergences <- t.divergences + b.Warm.divergences;
     t.reconvergences <- t.reconvergences + List.length batch;
     Obs.Metrics.incr ~by:(List.length batch) reconv_m;
-    let shifted = ref 0 in
-    let newly_quarantined = ref [] in
-    let recovered = ref [] in
-    List.iter
-      (fun (p, r) ->
-        match r with
-        | Ok st when Engine.converged st ->
-            let changed, _ =
-              Whatif.changed_ases net (Prefix.Table.find_opt t.states p) st
-            in
-            shifted := !shifted + List.length changed;
-            Prefix.Table.replace t.states p st;
-            Net.clear_touched net p;
-            if Prefix.Table.mem t.quarantine p then begin
-              Prefix.Table.remove t.quarantine p;
-              t.recovered_n <- t.recovered_n + 1;
-              Obs.Metrics.incr recovered_m;
-              recovered := p :: !recovered
-            end
-        | Ok st ->
-            Logs.warn (fun m ->
-                m "replay: prefix %a %a; quarantined" Prefix.pp p
-                  Engine.pp_outcome (Engine.outcome st));
-            if not (Prefix.Table.mem t.quarantine p) then begin
-              Prefix.Table.replace t.quarantine p ();
-              Obs.Metrics.incr quarantined_m;
-              newly_quarantined := p :: !newly_quarantined
-            end;
-            (* Drop the cache so every retry is a cold rebuild. *)
-            Prefix.Table.remove t.states p
-        | Error err ->
-            Logs.warn (fun m ->
-                m "replay: prefix %a failed (%a); quarantined" Prefix.pp p
-                  Pool.pp_task_error err);
-            if not (Prefix.Table.mem t.quarantine p) then begin
-              Prefix.Table.replace t.quarantine p ();
-              Obs.Metrics.incr quarantined_m;
-              newly_quarantined := p :: !newly_quarantined
-            end;
-            Prefix.Table.remove t.states p)
-      results;
-    Obs.Metrics.set_gauge quarantine_g (Prefix.Table.length t.quarantine);
-    Obs.Metrics.incr ~by:!shifted shifts_m;
-    let cold = List.length batch - warm in
-    ( stats.Pool.events,
-      warm,
-      max 0 cold,
-      !shifted,
-      List.rev !newly_quarantined,
-      List.rev !recovered )
+    let shifted =
+      List.fold_left2
+        (fun n p before ->
+          match converged_state t p with
+          | Some st -> n + List.length (fst (Whatif.changed_ases net before st))
+          | None -> n)
+        0 batch before
+    in
+    let now_stuck = Warm.quarantined t.states in
+    let was = Prefix.Set.of_list stuck in
+    let was_stuck p = Prefix.Set.mem p was in
+    let recovered =
+      List.filter (fun p -> was_stuck p && not (now_stuck p)) batch
+    and newly = List.filter (fun p -> now_stuck p && not (was_stuck p)) batch in
+    t.recovered_n <- t.recovered_n + List.length recovered;
+    Obs.Metrics.incr ~by:(List.length recovered) recovered_m;
+    Obs.Metrics.incr ~by:(List.length newly) quarantined_m;
+    Obs.Metrics.set_gauge quarantine_g
+      (List.length stuck - List.length recovered + List.length newly);
+    Obs.Metrics.incr ~by:shifted shifts_m;
+    ( b.Warm.pool.events,
+      b.Warm.resumed,
+      b.Warm.pool.prefixes - b.Warm.resumed,
+      shifted,
+      newly,
+      recovered )
   end
 
 type event_report = {
@@ -475,6 +433,7 @@ type event_report = {
 let apply t (ev : Event.t) =
   let net = t.model.Qrmodel.net in
   let t0 = Obs.Trace.now_us () in
+  let stuck = quarantined t in
   let cls, affected, hijack_target =
     match ev.Event.action with
     | Event.Announce { prefix; origin } ->
@@ -514,9 +473,9 @@ let apply t (ev : Event.t) =
   in
   (* Quarantined prefixes ride along on every event: sustained churn is
      exactly when they get their cold retries. *)
-  let batch = dedup_prefixes (affected @ quarantined t) in
+  let batch = dedup_prefixes (affected @ stuck) in
   let engine_events, warm, cold, ases_shifted, newly_q, recovered =
-    reconverge t batch
+    reconverge t ~stuck batch
   in
   let polluted =
     match hijack_target with
@@ -561,7 +520,7 @@ let retry_quarantined t =
   match quarantined t with
   | [] -> []
   | stuck ->
-      let _, _, _, _, _, recovered = reconverge t stuck in
+      let _, _, _, _, _, recovered = reconverge t ~stuck stuck in
       recovered
 
 let rollback_net t =

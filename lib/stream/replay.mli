@@ -1,25 +1,25 @@
 (** Replay a churn stream against a live model, reconverging warm.
 
-    The driver keeps a per-prefix cache of converged engine states plus
-    the current originator set of every tracked prefix.  Each event is
-    translated into per-prefix mutations the warm-start machinery
-    understands — export denies with touched-set bookkeeping for
-    session/link state, originator-set changes for announce / withdraw
-    / hijack — and only the affected prefixes are reconverged, via
-    {!Simulator.Warm.simulate} over the {!Simulator.Pool}.
+    The driver keeps a per-prefix {!Simulator.Warm.table} of engine
+    states plus the current originator set of every tracked prefix.
+    Each event is translated into per-prefix mutations the warm-start
+    machinery understands — export denies with touched-set bookkeeping
+    for session/link state, originator-set changes for announce /
+    withdraw / hijack — and only the affected prefixes are reconverged,
+    in one {!Simulator.Warm.converge} batch.
     Structural network mutations are never performed, so the generation
     counter stands still and warm resumption survives the whole
     stream.
 
-    Failure containment reuses the PR-2 machinery: the pool isolates
-    and retries per-prefix faults, and a prefix whose reconvergence
-    still fails (or does not converge) is {e quarantined} — its cached
-    state is dropped, the
-    event replay continues, and the prefix is retried cold on every
-    subsequent event until it recovers.  A poisoned event therefore
-    degrades one prefix instead of killing the replay.
+    Failure containment: the pool isolates and retries per-prefix
+    faults, and a tracked prefix left without a converged state (its
+    reconvergence failed, or did not converge) is {e quarantined}, by
+    {!Simulator.Warm.converge}'s rule.  The replay continues, and the
+    prefix is retried cold on every subsequent event until it recovers.
+    A poisoned event therefore degrades one prefix instead of killing
+    the replay.
 
-    Warm behaviour is {!Simulator.Warm.simulate}'s, under the ambient
+    Warm behaviour is {!Simulator.Warm.converge}'s, under the ambient
     {!Simulator.Runtime.warm} mode: [Off] replays every affected prefix
     cold, [On] resumes from the cache, [Verify] resumes and re-runs
     cold, comparing the two states (a mismatch counts as a divergence
@@ -52,13 +52,16 @@ val cls_name : cls -> string
 type t
 
 type persist
-(** Frozen driver state — per-prefix originator sets, down
-    sessions/links with the exact export denies they placed, and the
-    quarantine — captured by {!persist} and handed back to {!create}
-    via [?resume].  A serve snapshot carries one so churn streams may
-    span multiple [apply] calls: a [Session_up] / [Link_restore] /
-    [Hijack_end] whose matching down/hijack happened in an earlier call
-    still finds it. *)
+(** Frozen driver state — the tracked prefixes with their originator
+    sets, and down sessions/links with the exact export denies they
+    placed — captured by {!persist} and handed back to {!create} via
+    [?resume], together with the driver's {!states}.  A serve snapshot
+    carries one so churn streams may span multiple [apply] calls: a
+    [Session_up] / [Link_restore] / [Hijack_end] whose matching
+    down/hijack happened in an earlier call still finds it.  The
+    quarantine needs no field: a tracked prefix missing from {!states}
+    holds no converged state in the successor either, so it stays
+    quarantined there and is retried on the successor's first event. *)
 
 val create :
   ?states:(Prefix.t * Simulator.Engine.state) list ->
@@ -68,10 +71,11 @@ val create :
 (** A driver over [model].  [states] seeds the cache (e.g. from a
     {e serve} snapshot — prefixes beyond the model's get their
     originators from the state itself); without it every model prefix
-    is simulated cold over the pool first.  [resume] seeds the
-    tracking / origin / down / quarantine tables from a previous
-    driver's {!persist} instead of the model's prefix list, so paired
-    events split across drivers still match up. *)
+    is simulated cold in one {!Simulator.Warm.converge} batch first
+    (counted in [warm.cold]).  [resume] seeds the tracking / origin /
+    down tables from a previous driver's {!persist} instead of the
+    model's prefix list, so paired events split across drivers still
+    match up. *)
 
 val persist : t -> persist
 (** Capture the driver state a successor needs ([create ?resume]).
@@ -133,8 +137,7 @@ type report = {
   quarantine : Prefix.t list;  (** still quarantined at the end *)
   recovered : int;  (** quarantine exits over the whole run *)
   divergences : int;
-      (** verify-mode warm/cold mismatches: how far the
-          [warm.divergences] counter moved across this driver's
+      (** verify-mode warm/cold mismatches in this driver's
           reconvergence batches *)
   wall_s : float;
 }

@@ -385,7 +385,7 @@ let pool_clean_under_race () =
       let net = m.Qrmodel.net in
       let prefixes = List.map fst m.Qrmodel.prefixes in
       let states, _ =
-        Pool.simulate ~jobs:4
+        Pool.simulate_result ~jobs:4
           ~sim:(fun p ->
             Engine.simulate net ~prefix:p
               ~originators:(Qrmodel.originators m p))
@@ -394,10 +394,12 @@ let pool_clean_under_race () =
       check_int "batch raced nothing" 0 (Race.race_count ());
       check_int "all prefixes simulated" (List.length prefixes)
         (List.length states);
+      check_bool "every simulation returned" true
+        (List.for_all (function _, Ok _ -> true | _, Error _ -> false) states);
       (* A second batch reuses worker slots: the join edges must carry
          the first batch's history forward. *)
       let _ =
-        Pool.simulate ~jobs:4
+        Pool.simulate_result ~jobs:4
           ~sim:(fun p ->
             Engine.simulate net ~prefix:p
               ~originators:(Qrmodel.originators m p))

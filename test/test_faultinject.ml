@@ -202,6 +202,53 @@ let pipeline_under_faults () =
     (full_r.Refine.Refiner.quarantined_prefixes > 0
     && full_p.Evaluation.Predict.totals.Evaluation.Predict.unresolved > 0)
 
+(* A quarantined prefix is retried in every refinement iteration.  On
+   the seed-4 tiny world under full faults, a shrunk budget truncates
+   the same prefixes on every run and no task is killed, so each
+   iteration's batch reruns exactly the quarantine: its non-converged
+   results, and the growth of [engine.truncated] over the iteration,
+   both equal the quarantine size.  Quarantined prefixes hold no
+   converged state, so they run cold in every warm mode. *)
+let refiner_retries_quarantine () =
+  let conf = { Netgen.Conf.tiny with Netgen.Conf.seed = 4 } in
+  let prepared =
+    Core.prepare (Netgen.Groundtruth.observe (Netgen.Groundtruth.build conf))
+  in
+  let splits = Core.split ~seed:7 prepared in
+  let truncated () = Obs.Metrics.find_counter "engine.truncated" in
+  let last = ref 0 in
+  let seen = ref [] in
+  let on_iteration (st : Refine.Refiner.iter_stat) =
+    let now = truncated () in
+    seen := (st, now - !last) :: !seen;
+    last := now
+  in
+  let result =
+    with_faults (Some { Fault.rate = 0.05; seed = 42; scope = Fault.Full })
+    @@ fun () ->
+    last := truncated ();
+    Core.build ~on_iteration prepared ~training:splits.Evaluation.Split.training
+  in
+  let history = List.rev !seen in
+  check_bool "several iterations" true (List.length history >= 2);
+  check_bool "quarantine after the run" true
+    (result.Refine.Refiner.quarantined_prefixes > 0);
+  List.iter
+    (fun ((st : Refine.Refiner.iter_stat), grew) ->
+      let label what =
+        Printf.sprintf "iteration %d: %s" st.Refine.Refiner.iteration what
+      in
+      let q = st.Refine.Refiner.quarantined in
+      check_bool (label "a prefix is quarantined") true (q > 0);
+      check_int (label "no task lost") 0
+        st.Refine.Refiner.pool.Simulator.Pool.failed;
+      check_bool (label "the batch holds the quarantine") true
+        (st.Refine.Refiner.pool.Simulator.Pool.prefixes >= q);
+      check_int (label "the batch reran the quarantine") q
+        st.Refine.Refiner.pool.Simulator.Pool.non_converged;
+      check_int (label "engine.truncated grew by the quarantine") q grew)
+    history
+
 let suite =
   [
     Alcotest.test_case "parse cases" `Quick parse_cases;
@@ -215,4 +262,6 @@ let suite =
     Alcotest.test_case "pool reports permanent failure" `Quick
       pool_reports_permanent_failure;
     Alcotest.test_case "pipeline under faults" `Quick pipeline_under_faults;
+    Alcotest.test_case "refiner retries its quarantine" `Quick
+      refiner_retries_quarantine;
   ]

@@ -66,14 +66,16 @@ let truncation_counted () =
   ignore (Net.connect net n2 n3);
   let prefixes = List.init 5 (fun i -> Asn.origin_prefix (10 + i)) in
   let sim prefix = Engine.simulate ~max_events:1 net ~prefix ~originators:[ n3 ] in
-  let pairs, stats = Pool.simulate ~jobs:2 ~sim prefixes in
+  let pairs, stats = Pool.simulate_result ~jobs:2 ~sim prefixes in
   check_int "all prefixes simulated" 5 stats.Pool.prefixes;
   check_int "every state truncated" 5 stats.Pool.non_converged;
   check_bool "states flagged" true
-    (List.for_all (fun (_, st) -> not (Engine.converged st)) pairs);
+    (List.for_all
+       (function _, Ok st -> not (Engine.converged st) | _, Error _ -> false)
+       pairs);
   check_bool "events accounted" true (stats.Pool.events >= 5);
   (* And with a generous budget nothing is truncated. *)
-  let _, ok = Pool.simulate ~jobs:2 ~sim:(fun prefix ->
+  let _, ok = Pool.simulate_result ~jobs:2 ~sim:(fun prefix ->
       Engine.simulate net ~prefix ~originators:[ n3 ]) prefixes in
   check_int "no truncation" 0 ok.Pool.non_converged
 

@@ -294,7 +294,7 @@ let whatif_query_restores () =
         true
         (Net.touched_nodes net p = []))
     (Snapshot.states snap);
-  let rebuilt = Snapshot.exclusive snap (fun () -> Snapshot.rebuild snap) in
+  let rebuilt, _ = Snapshot.exclusive snap (fun () -> Snapshot.rebuild snap) in
   List.iter2
     (fun (p, cached) (p', st) ->
       check_bool
@@ -912,6 +912,55 @@ let whatif_reload_follow_warm_mode () =
   check_bool "verify = off" true (masked verify = masked off);
   Option.iter Snapshot.retire (Snapshot.current store)
 
+(* A what-if or reload whose re-simulation fails after the pool's retry
+   answers with an error and leaves the net and the published snapshot
+   as they were.  Full faults at rate 1.0, seed 1, kill the first task
+   of both batches on this world. *)
+let failed_resimulation_changes_nothing () =
+  let store = Snapshot.store () in
+  let no_faults f = with_runtime (fun rt -> { rt with Runtime.faults = None }) f in
+  let snap = no_faults build_snapshot in
+  Snapshot.publish store snap;
+  let net = (Snapshot.model snap).Qrmodel.net in
+  let fingerprints () =
+    List.map
+      (fun (p, st) -> (p, Simulator.Engine.state_fingerprint st))
+      (Snapshot.states snap)
+  in
+  let denies0 = Net.count_policies net and fps0 = fingerprints () in
+  let whatif () =
+    (Query.eval_timed ~deadline_ms:0 snap (Protocol.Whatif { a = 4; b = 5 }))
+      .Protocol.result
+  in
+  let answer0 = no_faults whatif in
+  with_runtime
+    (fun rt ->
+      {
+        rt with
+        Runtime.faults =
+          Some
+            { Runtime.Fault.rate = 1.0; seed = 1; scope = Runtime.Fault.Full };
+      })
+    (fun () ->
+      check_bool "what-if answers with an error" true
+        (Result.is_error (whatif ()));
+      check_bool "reload answers with an error" true
+        (Result.is_error (Serve.Churn.reload store)));
+  check_bool "policies as they were" true (Net.count_policies net = denies0);
+  List.iter
+    (fun (p, _) ->
+      check_bool
+        (Format.asprintf "%a untouched" Prefix.pp p)
+        true
+        (Net.touched_nodes net p = []))
+    fps0;
+  check_bool "the snapshot stays published" true
+    (match Snapshot.current store with Some s -> s == snap | None -> false);
+  check_bool "its states are unchanged" true (fingerprints () = fps0);
+  check_bool "the next what-if answers as before" true
+    (no_faults whatif = answer0);
+  Snapshot.retire snap
+
 (* -- pruned what-if = brute force -------------------------------------- *)
 
 (* A small model of one generator family.  Every fourth AS gets a
@@ -1221,6 +1270,8 @@ let suite =
       whatif_across_reload_serialized;
     Alcotest.test_case "whatif and reload follow warm mode" `Quick
       whatif_reload_follow_warm_mode;
+    Alcotest.test_case "a failed re-simulation changes nothing" `Quick
+      failed_resimulation_changes_nothing;
     Alcotest.test_case "whatif pruned = brute force, every family" `Quick
       whatif_pruned_equals_brute_force;
     Alcotest.test_case "whatif pruned = brute force after churn" `Quick

@@ -519,6 +519,45 @@ let persist_resumes_across_drivers () =
   let denies1, _ = Net.count_policies net in
   check_int "denies fully lifted" denies0 denies1
 
+(* The quarantine crosses a driver handoff too: a prefix left without a
+   converged state is missing from [Replay.states], so the successor
+   seeded from them holds none for it either, keeps it quarantined, and
+   retries it on its first event.  Full faults quarantine a truncated
+   prefix (seed 1) and a failed one (seed 3) at creation; the successor
+   runs without faults, so its retry recovers. *)
+let quarantine_survives_handoff () =
+  let ambient = Simulator.Runtime.current () in
+  Fun.protect ~finally:(fun () -> Simulator.Runtime.set ambient) @@ fun () ->
+  List.iter
+    (fun (label, seed) ->
+      let m = model () in
+      Simulator.Runtime.set
+        {
+          ambient with
+          faults =
+            Some { Simulator.Runtime.Fault.rate = 0.3; seed; scope = Full };
+        };
+      let rp = Replay.create m in
+      let stuck = Replay.quarantined rp in
+      check_bool (label ^ ": a prefix is quarantined") true (stuck <> []);
+      check_bool (label ^ ": quarantined by a " ^ label ^ " run") true
+        ((Replay.report rp ~rejected:0).Replay.failed > 0 = (label = "failed"));
+      Simulator.Runtime.set { ambient with faults = None };
+      let rp2 =
+        Replay.create ~states:(Replay.states rp) ~resume:(Replay.persist rp) m
+      in
+      check_bool (label ^ ": still quarantined after the handoff") true
+        (Replay.quarantined rp2 = stuck);
+      let r =
+        Replay.apply rp2
+          (Event.make ~ts_ms:0 (Event.Session_down { a = 4; b = 5 }))
+      in
+      check_bool (label ^ ": retried and recovered on the first event") true
+        (r.Replay.recovered = stuck);
+      check_int (label ^ ": quarantine empty") 0
+        (List.length (Replay.quarantined rp2)))
+    [ ("truncated", 1); ("failed", 3) ]
+
 (* The failure path of a churn apply: rollback_net reverse-applies
    exactly the denies one driver placed, restoring the shared net. *)
 let rollback_restores_net () =
@@ -570,5 +609,7 @@ let suite =
       malformed_text_never_crashes;
     Alcotest.test_case "persist resumes across drivers" `Quick
       persist_resumes_across_drivers;
+    Alcotest.test_case "quarantine survives a driver handoff" `Quick
+      quarantine_survives_handoff;
     Alcotest.test_case "rollback restores net" `Quick rollback_restores_net;
   ]

@@ -883,13 +883,21 @@ let scratch_reuse_after_non_convergence () =
   | Engine.Diverged _ -> ()
   | o -> Alcotest.failf "expected a divergence, got %a" Engine.pp_outcome o);
   check_bool "diverged state not resumable" false (Engine.resumable net st);
+  let table : Warm.table = Hashtbl.create 1 in
+  Hashtbl.replace table p_osc st;
+  check_bool "quarantined" true (Warm.quarantined table p_osc);
   let w0 = Warm.stats () in
-  let again = Warm.simulate ~from:st net ~prefix:p_osc ~originators:[ x; y ] in
+  let b = Warm.converge table net ~originators:(fun _ -> [ x; y ]) [ p_osc ] in
   let w1 = Warm.stats () in
-  check_int "Warm.simulate ran it cold" 1 (w1.Warm.cold_runs - w0.Warm.cold_runs);
+  check_int "Warm.converge ran it cold" 1 (w1.Warm.cold_runs - w0.Warm.cold_runs);
   check_int "and did not resume" 0 (w1.Warm.warm_runs - w0.Warm.warm_runs);
+  check_int "the batch counts no resume" 0 b.Warm.resumed;
   check_bool "diverges again" true
-    (match Engine.outcome again with Engine.Diverged _ -> true | _ -> false);
+    (match Hashtbl.find_opt table p_osc with
+    | Some again -> (
+        match Engine.outcome again with Engine.Diverged _ -> true | _ -> false)
+    | None -> false);
+  check_bool "still quarantined" true (Warm.quarantined table p_osc);
   Alcotest.(check (pair int int))
     "next run after a divergence = fresh domain" expected (calm_run net x);
   Net.set_med_scope net Simulator.Decision.Always_compare;
