@@ -16,7 +16,9 @@ let agree_m = Obs.Metrics.counter "agreement.agree"
 
 let not_available_m = Obs.Metrics.counter "agreement.not_available"
 
-let grade model ~states data =
+(* Every observed (prefix, path) is graded inside its prefix's scoped
+   run, so no baseline state outlives its prefix. *)
+let simulate_and_grade ?on_prefix model data =
   Obs.Trace.with_span "agreement.grade" @@ fun () ->
   let net = model.Qrmodel.net in
   let steps = Simulator.Net.decision_steps net in
@@ -26,20 +28,29 @@ let grade model ~states data =
       (1 + Option.value ~default:0 (Hashtbl.find_opt counts step))
   in
   let cases = ref 0 and agree = ref 0 and not_available = ref 0 in
-  List.iter
-    (fun (e : Rib.entry) ->
-      match Hashtbl.find_opt states e.Rib.prefix with
-      | None -> ()
-      | Some st -> (
-          incr cases;
-          match Refine.Matching.classify net st e.Rib.path with
-          | Refine.Matching.Rib_out -> incr agree
-          | Refine.Matching.No_rib_in -> incr not_available
-          | Refine.Matching.Potential_rib_out | Refine.Matching.Rib_in -> (
-              match Refine.Matching.eliminated_at net st e.Rib.path with
-              | Some step -> bump step
-              | None -> incr not_available)))
-    (Rib.entries data);
+  let grade st (e : Rib.entry) =
+    incr cases;
+    match Refine.Matching.classify net st e.Rib.path with
+    | Refine.Matching.Rib_out -> incr agree
+    | Refine.Matching.No_rib_in -> incr not_available
+    | Refine.Matching.Potential_rib_out | Refine.Matching.Rib_in -> (
+        match Refine.Matching.eliminated_at net st e.Rib.path with
+        | Some step -> bump step
+        | None -> incr not_available)
+  in
+  let groups =
+    List.filter
+      (fun (p, _) -> Qrmodel.origin_of model p <> None)
+      (Prefix.Map.bindings (Rib.by_prefix data))
+  in
+  let total = List.length groups in
+  List.iteri
+    (fun i (prefix, entries) ->
+      Simulator.Engine.with_cold net ~prefix
+        ~originators:(Qrmodel.originators model prefix) (fun st ->
+          List.iter (grade st) entries);
+      match on_prefix with Some f -> f (i + 1) total | None -> ())
+    groups;
   Obs.Metrics.incr ~by:!cases cases_m;
   Obs.Metrics.incr ~by:!agree agree_m;
   Obs.Metrics.incr ~by:!not_available not_available_m;
@@ -55,21 +66,6 @@ let grade model ~states data =
           | None -> None)
         steps;
   }
-
-let simulate_and_grade ?on_prefix model data =
-  let states = Hashtbl.create 256 in
-  let prefixes =
-    List.filter
-      (fun p -> Qrmodel.origin_of model p <> None)
-      (Rib.prefixes data)
-  in
-  let total = List.length prefixes in
-  List.iteri
-    (fun i p ->
-      Hashtbl.replace states p (Qrmodel.simulate model p);
-      match on_prefix with Some f -> f (i + 1) total | None -> ())
-    prefixes;
-  grade model ~states data
 
 let agree_fraction b =
   if b.cases = 0 then 0.0 else float_of_int b.agree /. float_of_int b.cases

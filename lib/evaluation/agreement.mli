@@ -20,18 +20,13 @@ type breakdown = {
       (** eliminations per decision step, in step order *)
 }
 
-val grade :
-  Asmodel.Qrmodel.t ->
-  states:(Prefix.t, Simulator.Engine.state) Hashtbl.t ->
-  Rib.t ->
-  breakdown
-(** Grade every entry of the data set against pre-computed simulation
-    states (entries whose prefix has no state are skipped). *)
-
 val simulate_and_grade :
   ?on_prefix:(int -> int -> unit) -> Asmodel.Qrmodel.t -> Rib.t -> breakdown
-(** Simulate every prefix of the data set through the model, then
-    grade. *)
+(** Simulate every prefix of the data set that the model originates
+    and grade its entries inside the prefix's scoped run
+    ({!Simulator.Engine.with_cold}); entries of other prefixes are
+    skipped.  [on_prefix done_count total] reports progress, in prefix
+    order. *)
 
 val agree_fraction : breakdown -> float
 

@@ -38,7 +38,15 @@ val simulate : world -> Prefix.t -> Simulator.Engine.state
 
 val observe : ?on_prefix:(int -> int -> unit) -> world -> Rib.t
 (** Simulate all prefixes and collect the observation points' RIBs.
-    [on_prefix done_count total] reports progress. *)
+    Each prefix runs in a scoped cold run
+    ({!Simulator.Engine.with_cold}) that reads the observation points'
+    paths before its state is emptied, so no converged state outlives
+    its prefix.  The dump is assembled in dump order (observation point,
+    then prefix, as {!Rib.entries} lists it), so {!Rib.of_entries}
+    finds it sorted; entries with equal paths share one path value.
+    The result does not depend on the job count or on transient
+    faults.  [on_prefix done_count total] reports progress
+    once per prefix, in plan order, after the whole batch has run. *)
 
 val observation_points : world -> Rib.obs_point list
 

@@ -29,13 +29,15 @@ let pp_outcome ppf = function
    changes a few nodes costs their rows plus two node-sized arrays, and
    a chain of resumes holds one slab plus at most one row per node.
    The arrays are written only by the run that made the state, before
-   it is returned: a returned state is never written again. *)
+   it is returned: a returned state is never written again, except by
+   [release], which ends a scoped run ({!with_cold}) and leaves the
+   record reading as an empty state of generation -1. *)
 type state = {
   pfx : Prefix.t;
-  gen : int;  (* Net.generation at run time; gates warm resumption *)
-  nodes : int;
+  mutable gen : int;  (* Net.generation at run time; gates warm resumption *)
+  mutable nodes : int;
   off : int array;  (* shared with the Csr of [gen]; length nodes + 1 *)
-  slab : Rattr.t array;  (* RIB-In slots; Rattr.no_route = empty *)
+  mutable slab : Rattr.t array;  (* RIB-In slots; Rattr.no_route = empty *)
   mutable rows : Rattr.t array array;  (* [||] = every slot is in [slab] *)
   mutable best : Rattr.t array;  (* per node; Rattr.no_route = no route *)
   origins : int list;  (* originating nodes, ascending, distinct *)
@@ -265,7 +267,9 @@ let watchdog_history_cap = 4096
    writes rows takes a new [stamp], so the [owner] marks of earlier
    runs go stale without a reset.  Arrays may be
    longer than the current net's slot or node count: only the first
-   [nslots] or [nodes] entries are used. *)
+   [nslots] or [nodes] entries are used.  The cell also keeps the slab
+   and best arrays of the domain's last scoped run ({!with_cold}), empty,
+   for the next one to borrow. *)
 type scratch = {
   deny : bool array;
   med_in : int array;  (* [min_int] = no override *)
@@ -277,6 +281,8 @@ type scratch = {
   mutable stamp : int;
   mutable med_buf : Rattr.t array;
   mutable med_keys : int array;
+  mutable spare_slab : Rattr.t array;  (* [||] = none, or all Rattr.no_route *)
+  mutable spare_best : Rattr.t array;
 }
 
 let scratch_cell = Domain.DLS.new_key (fun () -> Atomic.make None)
@@ -311,9 +317,30 @@ let checkout_scratch ~nslots ~nodes =
         stamp = 0;
         med_buf = [||];
         med_keys = [||];
+        spare_slab = [||];
+        spare_best = [||];
       }
 
 let checkin_scratch sc = Atomic.set (Domain.DLS.get scratch_cell) (Some sc)
+
+(* A scoped run's arrays: the cell's spare pair when its sizes fit the
+   net exactly (a state's [best] length is part of its fingerprint),
+   else new ones.  The spare pair leaves the cell, so a nested scoped
+   run, or a systhread that finds the cell taken, allocates its own. *)
+let borrow_arrays ~nslots ~nodes =
+  let cell = Domain.DLS.get scratch_cell in
+  match Atomic.exchange cell None with
+  | Some sc
+    when Array.length sc.spare_slab = nslots
+         && Array.length sc.spare_best = nodes ->
+      let slab = sc.spare_slab and best = sc.spare_best in
+      sc.spare_slab <- [||];
+      sc.spare_best <- [||];
+      Atomic.set cell (Some sc);
+      (slab, best)
+  | taken ->
+      if Option.is_some taken then Atomic.set cell taken;
+      (Array.make nslots Rattr.no_route, Array.make nodes Rattr.no_route)
 
 (* Node [p]'s slot [k] (a slab index), wherever its row lives. *)
 let slot st p k =
@@ -832,8 +859,8 @@ let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
 let state_obj net pfx =
   Format.asprintf "%s/state/%a" (Net.probe_name net) Prefix.pp pfx
 
-let cold ?max_events ?max_escalations ?on_best_change net ~prefix:pfx
-    ~originators =
+(* A cold run's state on [slab] and [best], which must be empty. *)
+let cold_state net ~prefix:pfx ~originators ~arrays =
   if Obs.Probe.enabled () then
     Obs.Probe.write ~obj:(state_obj net pfx) ~site:"engine.install-cold";
   let c = Net.csr net in
@@ -842,23 +869,61 @@ let cold ?max_events ?max_escalations ?on_best_change net ~prefix:pfx
      originator would not fail an index check there. *)
   List.iter (fun o -> if o < 0 || o >= n then invalid_arg "index out of bounds")
     originators;
-  let st =
-    {
-      pfx;
-      gen = Net.generation net;
-      nodes = n;
-      off = Net.Csr.off c;
-      slab = Array.make (Net.Csr.slot_count c) Rattr.no_route;
-      rows = [||];
-      best = Array.make n Rattr.no_route;
-      origins = List.sort_uniq Int.compare originators;
-      outcome = Converged;
-      events = 0;
-    }
-  in
+  let slab, best = arrays ~nslots:(Net.Csr.slot_count c) ~nodes:n in
+  {
+    pfx;
+    gen = Net.generation net;
+    nodes = n;
+    off = Net.Csr.off c;
+    slab;
+    rows = [||];
+    best;
+    origins = List.sort_uniq Int.compare originators;
+    outcome = Converged;
+    events = 0;
+  }
+
+let run_cold ?max_events ?max_escalations ?on_best_change net st ~originators
+    =
   exec ?max_events ?max_escalations ?on_best_change ~fresh:true net st
     ~kind:"cold" ~reseat:originators ~seed:(fun ~enqueue ~replay:_ ->
       List.iter enqueue originators)
+
+let cold ?max_events ?max_escalations ?on_best_change net ~prefix
+    ~originators =
+  run_cold ?max_events ?max_escalations ?on_best_change net ~originators
+    (cold_state net ~prefix ~originators ~arrays:(fun ~nslots ~nodes ->
+         (Array.make nslots Rattr.no_route, Array.make nodes Rattr.no_route)))
+
+(* End a scoped run.  A cold run never replaces its [best] nor writes
+   [rows], so [st.slab] and [st.best] are the borrowed pair: empty them
+   and make them the cell's spare pair.  Emptying matters even when the
+   pair is dropped: a slab or best array big enough to live in the
+   major heap holds its routes through the remembered set, so a route
+   still in it at the next minor collection is promoted although the
+   state is dead.  Detached from the pair, the record reads as empty
+   (no node, no slot) and, at generation -1, resumes on no net. *)
+let release st =
+  let slab = st.slab and best = st.best in
+  st.slab <- [||];
+  st.best <- [||];
+  st.nodes <- 0;
+  st.gen <- -1;
+  Array.fill slab 0 (Array.length slab) Rattr.no_route;
+  Array.fill best 0 (Array.length best) Rattr.no_route;
+  let cell = Domain.DLS.get scratch_cell in
+  match Atomic.exchange cell None with
+  | Some sc ->
+      sc.spare_slab <- slab;
+      sc.spare_best <- best;
+      Atomic.set cell (Some sc)
+  | None -> ()
+
+let with_cold net ~prefix ~originators f =
+  let st = cold_state net ~prefix ~originators ~arrays:borrow_arrays in
+  Fun.protect
+    ~finally:(fun () -> release st)
+    (fun () -> f (run_cold net st ~originators))
 
 let resumable net prev =
   converged prev
@@ -982,6 +1047,18 @@ let best_full_path net st n =
   match best st n with
   | None -> None
   | Some r -> Some (Rattr.full_path ~own_as:(Net.asn_of net n) r)
+
+(* The memo holds the prepend of every best route the run exported, so
+   reading it back is a hit that allocates nothing. *)
+let advertised_path net st n =
+  if n >= st.nodes then [||]
+  else
+    let r = st.best.(n) in
+    if Rattr.is_route r then
+      Intern.prepend
+        (Intern.tables (Net.intern_scope net))
+        ~own_as:(Net.asn_of net n) r.Rattr.path
+    else [||]
 
 let selected_paths net st asn =
   let paths =

@@ -68,6 +68,24 @@ val simulate :
     {!Faultinject} is enabled in [Full] scope, chosen prefixes have
     their initial budget shrunk to 1. *)
 
+val with_cold :
+  Net.t -> prefix:Prefix.t -> originators:int list -> (state -> 'a) -> 'a
+(** [with_cold net ~prefix ~originators f] is [f] applied to the state
+    {!simulate} computes cold for [prefix] (same routes, outcome,
+    events, budget, fault hooks and [engine.install-cold] probe), for
+    callers that only read the state.  The state lives until [f]
+    returns or raises: then its RIB-In slab and best routes are
+    emptied, and the two arrays are kept for the next scoped run on the
+    same domain, so the run allocates neither array and leaves no route
+    for the collector to promote.
+
+    Neither the state nor a state resumed from it inside [f] may escape
+    [f]: a resumed state shares the recycled slab.  The state itself,
+    if it escapes, reads as released, never as another run's routes: no
+    best route and no RIB-In at any node, {!generation} [-1], and
+    {!resumable} on no net.  Nested calls are allowed; the inner one
+    runs on arrays of its own. *)
+
 val resumable : Net.t -> state -> bool
 (** Can a previous run of this prefix seed a warm restart on [net]?
     True when the state converged, was computed at a generation
@@ -140,6 +158,14 @@ val fold_candidates :
 val best_full_path : Net.t -> state -> int -> int array option
 (** The node's selected AS-level path including its own AS — directly
     comparable with an observed AS-path. *)
+
+val advertised_path : Net.t -> state -> int -> int array
+(** The AS path the node advertises to an eBGP peer for its selected
+    route: {!best_full_path}'s content, or [[||]] when the node has no
+    route.  The array is the entry of [net]'s prepend memo for the
+    calling domain ({!Intern.prepend}), made when the run exported the
+    route, so reading it allocates nothing: never write it, and copy
+    what must outlive the net. *)
 
 val selected_paths : Net.t -> state -> Asn.t -> int array list
 (** All distinct full paths selected by the nodes of an AS (what the AS

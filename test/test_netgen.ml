@@ -129,6 +129,64 @@ let prefix_plan_sanity () =
         anchors)
     world.Netgen.Groundtruth.prefix_plan
 
+(* The dump built the way observation used to build it: keep every
+   prefix's state, then read the observation points' paths. *)
+let observe_reference (w : Netgen.Groundtruth.world) =
+  let net = w.Netgen.Groundtruth.net in
+  let states =
+    List.map
+      (fun (prefix, _, anchors) ->
+        Simulator.Engine.simulate net ~prefix ~originators:anchors)
+      w.Netgen.Groundtruth.prefix_plan
+  in
+  Rib.of_entries
+    (List.concat
+       (List.map2
+          (fun (prefix, _, _) st ->
+            List.filter_map
+              (fun (node, op) ->
+                Option.map
+                  (fun path -> { Rib.op; prefix; path = Aspath.of_array path })
+                  (Simulator.Engine.best_full_path net st node))
+              w.Netgen.Groundtruth.obs)
+          w.Netgen.Groundtruth.prefix_plan states))
+
+let with_faults faults f =
+  let module Runtime = Simulator.Runtime in
+  let prior = Runtime.current () in
+  Runtime.set { prior with faults };
+  Fun.protect ~finally:(fun () -> Runtime.set prior) f
+
+(* On every family, the observed dump is the reference one, with and
+   without transient faults in the observation batch. *)
+let observe_matches_reference () =
+  let transient =
+    Some
+      { Simulator.Runtime.Fault.rate = 0.05; seed = 42; scope = Transient }
+  in
+  let retried = Obs.Metrics.find_counter "pool.retried" in
+  List.iter
+    (fun family ->
+      let name = Netgen.Family.name family in
+      let w =
+        Netgen.Groundtruth.build
+          { Netgen.Conf.tiny with Netgen.Conf.family; seed = 17 }
+      in
+      let want = Rib.entries (observe_reference w) in
+      check_bool (name ^ ": observe = reference") true
+        (Rib.entries (with_faults None (fun () -> Netgen.Groundtruth.observe w))
+        = want);
+      check_bool (name ^ ": under transient faults") true
+        (Rib.entries
+           (with_faults transient (fun () -> Netgen.Groundtruth.observe w))
+        = want))
+    Netgen.Family.
+      [
+        Paper; Waxman default_waxman; Glp default_glp; Fattree default_fattree;
+      ];
+  check_bool "the faults hit some observation task" true
+    (Obs.Metrics.find_counter "pool.retried" > retried)
+
 let suite =
   [
     Alcotest.test_case "structure" `Quick structure;
@@ -141,5 +199,7 @@ let suite =
     Alcotest.test_case "observation points valid" `Quick observation_points_valid;
     Alcotest.test_case "observe consistency" `Slow observe_consistency;
     Alcotest.test_case "observed paths loop-free" `Slow observed_paths_loop_free;
+    Alcotest.test_case "observe matches the keep-every-state reference" `Quick
+      observe_matches_reference;
     Alcotest.test_case "prefix plan sanity" `Quick prefix_plan_sanity;
   ]

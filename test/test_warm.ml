@@ -1313,6 +1313,133 @@ let refiner_resumes_across_duplications () =
     (Asmodel.Serialize.to_lines on.Refiner.model
     = Asmodel.Serialize.to_lines off.Refiner.model)
 
+(* -- scoped cold runs (Engine.with_cold) -- *)
+
+(* A ground-truth world of every generator family at [Conf.tiny]:
+   route reflection and same-neighbour MED on four AS-level shapes. *)
+let scoped_worlds =
+  lazy
+    (List.map
+       (fun family ->
+         ( Netgen.Family.name family,
+           Netgen.Groundtruth.build
+             { Netgen.Conf.tiny with Netgen.Conf.family; seed = 3 } ))
+       Netgen.Family.
+         [
+           Paper;
+           Waxman default_waxman;
+           Glp default_glp;
+           Fattree default_fattree;
+         ])
+
+(* What a caller can read of a state: every node's best route, the
+   outcome, the event count and the routing fingerprint. *)
+let reading net st =
+  ( List.init (Net.node_count net) (Engine.best st),
+    Engine.outcome st,
+    Engine.events st,
+    Engine.state_fingerprint st )
+
+let cold_reading net (prefix, _, anchors) =
+  reading net (Engine.simulate net ~prefix ~originators:anchors)
+
+let scoped_reading net (prefix, _, anchors) =
+  Engine.with_cold net ~prefix ~originators:anchors (reading net)
+
+(* Inside [f], a scoped run reads as the cold run of {!Engine.simulate},
+   for every prefix of every family, inside a pool batch on one worker
+   and on four. *)
+let scoped_run_equals_simulate () =
+  List.iter
+    (fun (name, w) ->
+      let net = w.Netgen.Groundtruth.net
+      and plan = w.Netgen.Groundtruth.prefix_plan in
+      let want = List.map (cold_reading net) plan in
+      List.iter
+        (fun jobs ->
+          check_bool
+            (Printf.sprintf "%s, %d jobs: scoped = simulate" name jobs)
+            true
+            (Simulator.Pool.map ~jobs (scoped_reading net) plan = want))
+        [ 1; 4 ])
+    (Lazy.force scoped_worlds)
+
+(* A scoped run inside another one, and after one whose [f] raised,
+   reads as the cold run; the outer state is intact after the inner
+   run returns its arrays. *)
+let scoped_run_nests_and_unwinds () =
+  let w = List.assoc "paper" (Lazy.force scoped_worlds) in
+  let net = w.Netgen.Groundtruth.net in
+  let outer, inner =
+    match w.Netgen.Groundtruth.prefix_plan with
+    | a :: b :: _ -> (a, b)
+    | _ -> Alcotest.fail "the world plans fewer than two prefixes"
+  in
+  let prefix, _, anchors = outer in
+  Engine.with_cold net ~prefix ~originators:anchors (fun st ->
+      check_bool "outer before" true (reading net st = cold_reading net outer);
+      check_bool "nested" true
+        (scoped_reading net inner = cold_reading net inner);
+      check_bool "outer after" true (reading net st = cold_reading net outer));
+  check_bool "exception propagates" true
+    (match
+       Engine.with_cold net ~prefix ~originators:anchors (fun _ -> raise Exit)
+     with
+    | () -> false
+    | exception Exit -> true);
+  check_bool "next run after a raise" true
+    (scoped_reading net outer = cold_reading net outer);
+  check_bool "next run of another prefix" true
+    (scoped_reading net inner = cold_reading net inner)
+
+(* A state that escapes [f] reads as empty, before and after its arrays
+   serve another run, and resumes on no net. *)
+let escaped_state_reads_empty () =
+  let w = List.assoc "paper" (Lazy.force scoped_worlds) in
+  let net = w.Netgen.Groundtruth.net in
+  let a, b =
+    match w.Netgen.Groundtruth.prefix_plan with
+    | a :: b :: _ -> (a, b)
+    | _ -> Alcotest.fail "the world plans fewer than two prefixes"
+  in
+  let prefix, _, anchors = a in
+  let nodes = List.init (Net.node_count net) Fun.id in
+  let empty st =
+    List.for_all
+      (fun n ->
+        Engine.best st n = None
+        && Engine.rib_in st n = []
+        && Engine.candidates st net n = [])
+      nodes
+  in
+  let esc = Engine.with_cold net ~prefix ~originators:anchors Fun.id in
+  check_bool "escaped state reads empty" true (empty esc);
+  check_int "escaped state's generation" (-1) (Engine.generation esc);
+  check_bool "escaped state is not resumable" false (Engine.resumable net esc);
+  let bp, _, ba = b in
+  Engine.with_cold net ~prefix:bp ~originators:ba (fun st ->
+      check_bool "the recycling run has routes" false (empty st);
+      check_bool "escaped state still reads empty" true (empty esc));
+  check_bool "again, after the recycling run" true (empty esc);
+  check_bool "a resume from it runs cold" true
+    (reading net (Engine.simulate ~from:esc net ~prefix ~originators:anchors)
+    = cold_reading net a)
+
+(* Once its domain holds a spare pair, a scoped run allocates neither a
+   slab nor a best array: it costs more than a slab less than the same
+   run through {!Engine.simulate} (its own closures cost a few words). *)
+let scoped_run_recycles_its_arrays () =
+  quiet @@ fun () ->
+  let w = List.assoc "paper" (Lazy.force scoped_worlds) in
+  let net = w.Netgen.Groundtruth.net in
+  let prefix, _, originators = List.hd w.Netgen.Groundtruth.prefix_plan in
+  let scoped () = Engine.with_cold net ~prefix ~originators ignore in
+  scoped ();
+  let cold = words (fun () -> ignore (Engine.simulate net ~prefix ~originators))
+  and reused = words scoped in
+  check_bool "no slab" true
+    (cold - reused > Net.Csr.slot_count (Net.csr net))
+
 let suite =
   [
     Alcotest.test_case "touched tracking" `Quick touched_tracking;
@@ -1354,6 +1481,14 @@ let suite =
     Alcotest.test_case "a truncation leaves the scratch clean" `Quick
       truncation_leaves_scratch_clean;
     QCheck_alcotest.to_alcotest prop_incremental_best;
+    Alcotest.test_case "a scoped run reads as simulate" `Quick
+      scoped_run_equals_simulate;
+    Alcotest.test_case "scoped runs nest and unwind" `Quick
+      scoped_run_nests_and_unwinds;
+    Alcotest.test_case "an escaped scoped state reads empty" `Quick
+      escaped_state_reads_empty;
+    Alcotest.test_case "a scoped run recycles its arrays" `Quick
+      scoped_run_recycles_its_arrays;
     Alcotest.test_case "refiner mode equivalence" `Quick
       refiner_mode_equivalence;
     Alcotest.test_case "refiner verify is clean" `Quick refiner_verify_clean;
