@@ -385,7 +385,7 @@ let experiment_ablations conf =
       {
         Refine.Refiner.default_options with
         max_iterations = Some 14;
-        use_med = false;
+        ranking = Refine.Refiner.No_ranking;
       }
   in
   let lpref =

@@ -8,16 +8,6 @@
 open Cmdliner
 open Bgp
 
-let progress label =
-  let last = ref (-1) in
-  fun d t ->
-    let pct = if t = 0 then 100 else 100 * d / t in
-    if pct / 10 <> !last / 10 then begin
-      last := pct;
-      Printf.eprintf "\r%s: %d%% (%d/%d)%!" label pct d t;
-      if d = t then prerr_newline ()
-    end
-
 let load_dataset path =
   let data, stats, diagnostics = Rib.load path in
   List.iter (Printf.eprintf "%s\n") diagnostics;
@@ -149,9 +139,7 @@ let generate () seed family scale ases binary out =
     (Format.asprintf "%a" Netgen.Conf.pp conf);
   let world = Netgen.Groundtruth.build conf in
   Format.eprintf "%a@." Netgen.Groundtruth.pp_summary world;
-  let data =
-    Netgen.Groundtruth.observe ~on_prefix:(progress "observing") world
-  in
+  let data = Netgen.Groundtruth.observe world in
   if binary then Mrt_binary.write_file out (Rib.to_records data)
   else Rib.save out data;
   Printf.printf "wrote %d RIB entries from %d observation points to %s (%s)\n"
@@ -534,11 +522,9 @@ let with_model path f =
 let eval_run () model_path input metrics =
   with_model model_path @@ fun model ->
   let data = Rib.collapse_to_origin (load_datasets input) in
-  let states = Hashtbl.create 256 in
-  let report = Evaluation.Predict.evaluate model ~states data in
-  Format.printf "%a@." Evaluation.Predict.pp report;
-  let verification = Refine.Verify.verify model ~states data in
-  Format.printf "%a@." Refine.Verify.pp verification;
+  let walk = Refine.Matching.walk model ~states:(Hashtbl.create 0) data in
+  Format.printf "%a@." Evaluation.Predict.pp (Evaluation.Predict.of_walk walk);
+  Format.printf "%a@." Refine.Verify.pp (Refine.Verify.of_walk walk);
   finish_obs ~metrics ();
   0
 

@@ -1,56 +1,49 @@
-open Bgp
 module Decision = Simulator.Decision
+module Matching = Refine.Matching
 module Qrmodel = Asmodel.Qrmodel
 
 type breakdown = {
   cases : int;
   agree : int;
   not_available : int;
+  unresolved : int;
   by_step : (Decision.step * int) list;
 }
 
-(* Match-grade tallies, flushed once per grade call. *)
+(* Match-grade tallies, flushed once per fold. *)
 let cases_m = Obs.Metrics.counter "agreement.cases"
 
 let agree_m = Obs.Metrics.counter "agreement.agree"
 
 let not_available_m = Obs.Metrics.counter "agreement.not_available"
 
-(* Every observed (prefix, path) is graded inside its prefix's scoped
-   run, so no baseline state outlives its prefix. *)
-let simulate_and_grade ?on_prefix model data =
-  Obs.Trace.with_span "agreement.grade" @@ fun () ->
-  let net = model.Qrmodel.net in
-  let steps = Simulator.Net.decision_steps net in
+(* Every entry of a modelled prefix is a case, graded with its distinct
+   path. *)
+let of_walk model (walk : Matching.walk) =
   let counts = Hashtbl.create 8 in
-  let bump step =
-    Hashtbl.replace counts step
-      (1 + Option.value ~default:0 (Hashtbl.find_opt counts step))
-  in
   let cases = ref 0 and agree = ref 0 and not_available = ref 0 in
-  let grade st (e : Rib.entry) =
-    incr cases;
-    match Refine.Matching.classify net st e.Rib.path with
-    | Refine.Matching.Rib_out -> incr agree
-    | Refine.Matching.No_rib_in -> incr not_available
-    | Refine.Matching.Potential_rib_out | Refine.Matching.Rib_in -> (
-        match Refine.Matching.eliminated_at net st e.Rib.path with
-        | Some step -> bump step
-        | None -> incr not_available)
-  in
-  let groups =
-    List.filter
-      (fun (p, _) -> Qrmodel.origin_of model p <> None)
-      (Prefix.Map.bindings (Rib.by_prefix data))
-  in
-  let total = List.length groups in
-  List.iteri
-    (fun i (prefix, entries) ->
-      Simulator.Engine.with_cold net ~prefix
-        ~originators:(Qrmodel.originators model prefix) (fun st ->
-          List.iter (grade st) entries);
-      match on_prefix with Some f -> f (i + 1) total | None -> ())
-    groups;
+  let unresolved = ref 0 in
+  List.iter
+    (fun (_, observed) ->
+      List.iter
+        (fun (o : Matching.observed) ->
+          let add r = r := !r + o.Matching.entries in
+          match o.Matching.outcome with
+          | Matching.Unmodelled -> ()
+          | Matching.Unresolved ->
+              add cases;
+              add unresolved
+          | Matching.Graded g -> (
+              add cases;
+              match (g.Matching.verdict, g.Matching.eliminated_at) with
+              | Matching.Rib_out, _ -> add agree
+              | _, Some step -> (
+                  match Hashtbl.find_opt counts step with
+                  | Some r -> add r
+                  | None -> Hashtbl.add counts step (ref o.Matching.entries))
+              | _, None -> add not_available))
+        observed)
+    walk.Matching.prefixes;
   Obs.Metrics.incr ~by:!cases cases_m;
   Obs.Metrics.incr ~by:!agree agree_m;
   Obs.Metrics.incr ~by:!not_available not_available_m;
@@ -58,14 +51,19 @@ let simulate_and_grade ?on_prefix model data =
     cases = !cases;
     agree = !agree;
     not_available = !not_available;
+    unresolved = !unresolved;
     by_step =
       List.filter_map
         (fun step ->
           match Hashtbl.find_opt counts step with
-          | Some n -> Some (step, n)
+          | Some n -> Some (step, !n)
           | None -> None)
-        steps;
+        (Simulator.Net.decision_steps model.Qrmodel.net);
   }
+
+let simulate_and_grade model data =
+  Obs.Trace.with_span "agreement.grade" @@ fun () ->
+  of_walk model (Matching.walk model ~states:(Hashtbl.create 0) data)
 
 let agree_fraction b =
   if b.cases = 0 then 0.0 else float_of_int b.agree /. float_of_int b.cases
@@ -76,7 +74,7 @@ let pp ppf b =
   in
   Format.fprintf ppf "@[<v>AS-paths which agree: %6.1f%%@," (pct b.agree);
   Format.fprintf ppf "AS-paths which disagree: %6.1f%%@,"
-    (pct (b.cases - b.agree));
+    (pct (b.cases - b.agree - b.unresolved));
   Format.fprintf ppf "  due to AS-path not available: %6.1f%%@,"
     (pct b.not_available);
   List.iter
@@ -85,4 +83,7 @@ let pp ppf b =
         (Decision.step_to_string step ^ ":")
         (pct n))
     b.by_step;
+  if b.unresolved > 0 then
+    Format.fprintf ppf "unresolved (no converged sim): %6.1f%%@,"
+      (pct b.unresolved);
   Format.fprintf ppf "(%d cases)@]" b.cases

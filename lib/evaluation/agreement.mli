@@ -16,17 +16,20 @@ type breakdown = {
   cases : int;  (** graded (prefix, observed path) cases *)
   agree : int;
   not_available : int;  (** no RIB-In anywhere in the observing AS *)
+  unresolved : int;
+      (** cases whose prefix has no converged simulation (truncated,
+          diverged or failed): neither agreement nor disagreement *)
   by_step : (Simulator.Decision.step * int) list;
       (** eliminations per decision step, in step order *)
 }
 
-val simulate_and_grade :
-  ?on_prefix:(int -> int -> unit) -> Asmodel.Qrmodel.t -> Rib.t -> breakdown
-(** Simulate every prefix of the data set that the model originates
-    and grade its entries inside the prefix's scoped run
-    ({!Simulator.Engine.with_cold}); entries of other prefixes are
-    skipped.  [on_prefix done_count total] reports progress, in prefix
-    order. *)
+val simulate_and_grade : Asmodel.Qrmodel.t -> Rib.t -> breakdown
+(** [of_walk] of a {!Refine.Matching.walk} with no cached states, so
+    every prefix runs scoped.  Every entry of a prefix the model
+    originates is a case; entries of other prefixes are skipped. *)
+
+val of_walk : Asmodel.Qrmodel.t -> Refine.Matching.walk -> breakdown
+(** Fold a walk of the model. *)
 
 val agree_fraction : breakdown -> float
 

@@ -1,5 +1,3 @@
-open Bgp
-module Qrmodel = Asmodel.Qrmodel
 module Matching = Refine.Matching
 
 type totals = {
@@ -20,8 +18,8 @@ type coverage = {
 
 type report = { totals : totals; coverage : coverage; pool : Simulator.Pool.stats }
 
-(* Match-grade tallies (metrics registry).  Flushed once per evaluate
-   call from the computed totals, so they always agree with the
+(* Match-grade tallies (metrics registry).  Flushed once per fold of a
+   walk from the computed totals, so they always agree with the
    report. *)
 let cases_m = Obs.Metrics.counter "predict.cases"
 
@@ -35,146 +33,63 @@ let no_rib_in_m = Obs.Metrics.counter "predict.no_rib_in"
 
 let unresolved_m = Obs.Metrics.counter "predict.unresolved"
 
-let evaluate model ~states data =
-  Obs.Trace.with_span "predict.evaluate" @@ fun () ->
-  let net = model.Qrmodel.net in
-  (* Batch phase: every prefix that will be graded but has no cached
-     state yet is simulated up front, fanned out over the domain pool.
-     Classification below then runs entirely against the cache. *)
-  let missing =
-    let seen = Hashtbl.create 256 in
-    List.filter_map
-      (fun (e : Rib.entry) ->
-        let p = e.Rib.prefix in
-        if Hashtbl.mem seen p then None
-        else begin
-          Hashtbl.add seen p ();
-          match Hashtbl.find_opt states p with
-          | Some _ -> None
-          | None -> (
-              match Qrmodel.origin_of model p with
-              | None -> None
-              | Some _ -> Some p)
-        end)
-      (Rib.entries data)
-  in
-  let pool =
-    (Simulator.Warm.converge states net
-       ~originators:(Qrmodel.originators model) missing)
-      .Simulator.Warm.pool
-  in
-  (* Prefixes without a trustworthy converged state: their cases are
-     graded [unresolved] below — an explicit "the model could not
-     answer", never a false mismatch.  A prefix whose simulation failed
-     has no state at all, like one without an origin; the [missing]
-     prefixes tell the two apart. *)
-  let unresolved_pfx : (Prefix.t, unit) Hashtbl.t = Hashtbl.create 8 in
+(* Every entry of a modelled prefix is a case, counted by verdict rank
+   (4: unresolved); coverage counts each prefix's distinct graded
+   paths. *)
+let of_walk (w : Matching.walk) =
+  let n = Array.make 5 0 in
+  let prefixes = ref 0 and half = ref 0 and ninety = ref 0 and full = ref 0 in
   List.iter
-    (fun p ->
-      if not (Hashtbl.mem states p) then Hashtbl.replace unresolved_pfx p ())
-    missing;
-  let totals =
-    ref
-      {
-        cases = 0;
-        rib_out = 0;
-        potential_rib_out = 0;
-        rib_in = 0;
-        no_rib_in = 0;
-        unresolved = 0;
-      }
+    (fun (_, observed) ->
+      let graded = ref 0 and matched = ref 0 in
+      List.iter
+        (fun (o : Matching.observed) ->
+          let add i = n.(i) <- n.(i) + o.Matching.entries in
+          match o.Matching.outcome with
+          | Matching.Unmodelled -> ()
+          | Matching.Unresolved -> add 4
+          | Matching.Graded g ->
+              add (Matching.verdict_rank g.Matching.verdict);
+              incr graded;
+              if g.Matching.verdict = Matching.Rib_out then incr matched)
+        observed;
+      if !graded > 0 then begin
+        let frac = float_of_int !matched /. float_of_int !graded in
+        incr prefixes;
+        if frac >= 0.5 then incr half;
+        if frac >= 0.9 then incr ninety;
+        if !matched = !graded then incr full
+      end)
+    w.Matching.prefixes;
+  let t =
+    {
+      cases = Array.fold_left ( + ) 0 n;
+      rib_out = n.(0);
+      potential_rib_out = n.(1);
+      rib_in = n.(2);
+      no_rib_in = n.(3);
+      unresolved = n.(4);
+    }
   in
-  (* Distinct paths per prefix with their verdicts, for coverage. *)
-  let per_prefix : (Prefix.t, (Aspath.t * bool) list ref) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let seen : (Prefix.t * Aspath.t, Matching.verdict) Hashtbl.t =
-    Hashtbl.create 4096
-  in
-  List.iter
-    (fun (e : Rib.entry) ->
-      let p = e.Rib.prefix in
-      let unresolved =
-        Hashtbl.mem unresolved_pfx p
-        ||
-        match Hashtbl.find_opt states p with
-        | Some st when not (Simulator.Engine.converged st) ->
-            (* A truncated or diverged simulation answers nothing about
-               this path; grading against its partial RIBs would report
-               false mismatches. *)
-            Hashtbl.replace unresolved_pfx p ();
-            true
-        | Some _ | None -> false
-      in
-      if unresolved then
-        totals :=
-          {
-            !totals with
-            cases = !totals.cases + 1;
-            unresolved = !totals.unresolved + 1;
-          }
-      else
-        let key = (e.Rib.prefix, e.Rib.path) in
-        let verdict =
-          match Hashtbl.find_opt seen key with
-          | Some v -> Some v
-          | None -> (
-              match Hashtbl.find_opt states e.Rib.prefix with
-              | None -> None
-              | Some st ->
-                  let v = Matching.classify net st e.Rib.path in
-                  Hashtbl.add seen key v;
-                  let l =
-                    match Hashtbl.find_opt per_prefix e.Rib.prefix with
-                    | Some l -> l
-                    | None ->
-                        let l = ref [] in
-                        Hashtbl.add per_prefix e.Rib.prefix l;
-                        l
-                  in
-                  l := (e.Rib.path, v = Matching.Rib_out) :: !l;
-                  Some v)
-        in
-        match verdict with
-        | None -> ()
-        | Some v ->
-            let t = !totals in
-            totals :=
-              {
-                t with
-                cases = t.cases + 1;
-                rib_out = (t.rib_out + if v = Matching.Rib_out then 1 else 0);
-                potential_rib_out =
-                  (t.potential_rib_out
-                  + if v = Matching.Potential_rib_out then 1 else 0);
-                rib_in = (t.rib_in + if v = Matching.Rib_in then 1 else 0);
-                no_rib_in =
-                  (t.no_rib_in + if v = Matching.No_rib_in then 1 else 0);
-              })
-    (Rib.entries data);
-  let coverage =
-    Hashtbl.fold
-      (fun _ l acc ->
-        let n = List.length !l in
-        let matched = List.length (List.filter snd !l) in
-        let frac = float_of_int matched /. float_of_int n in
-        {
-          prefixes = acc.prefixes + 1;
-          at_least_half = (acc.at_least_half + if frac >= 0.5 then 1 else 0);
-          at_least_90 = (acc.at_least_90 + if frac >= 0.9 then 1 else 0);
-          full = (acc.full + if matched = n then 1 else 0);
-        })
-      per_prefix
-      { prefixes = 0; at_least_half = 0; at_least_90 = 0; full = 0 }
-  in
-  let t = !totals in
   Obs.Metrics.incr ~by:t.cases cases_m;
   Obs.Metrics.incr ~by:t.rib_out rib_out_m;
   Obs.Metrics.incr ~by:t.potential_rib_out potential_m;
   Obs.Metrics.incr ~by:t.rib_in rib_in_m;
   Obs.Metrics.incr ~by:t.no_rib_in no_rib_in_m;
   Obs.Metrics.incr ~by:t.unresolved unresolved_m;
-  { totals = t; coverage; pool }
+  let coverage =
+    {
+      prefixes = !prefixes;
+      at_least_half = !half;
+      at_least_90 = !ninety;
+      full = !full;
+    }
+  in
+  { totals = t; coverage; pool = w.Matching.pool }
+
+let evaluate model ~states data =
+  Obs.Trace.with_span "predict.evaluate" @@ fun () ->
+  of_walk (Matching.walk model ~states data)
 
 let frac n report =
   if report.totals.cases = 0 then 0.0

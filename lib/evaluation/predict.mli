@@ -34,8 +34,8 @@ type report = {
   totals : totals;
   coverage : coverage;
   pool : Simulator.Pool.stats;
-      (** the batch that simulated the missing prefix states (zero
-          prefixes when everything was cached). *)
+      (** the batch of scoped runs (zero prefixes when everything was
+          cached). *)
 }
 
 val evaluate :
@@ -43,12 +43,12 @@ val evaluate :
   states:(Prefix.t, Simulator.Engine.state) Hashtbl.t ->
   Rib.t ->
   report
-(** Grade against pre-computed states; graded prefixes of the model
-    without a state are first simulated in one
-    {!Simulator.Warm.converge} batch ({!Simulator.Runtime.jobs}
-    workers) and memoized into [states].  A prefix whose state did not
-    converge, or whose simulation failed, grades [unresolved].  The
-    report is identical for every job count. *)
+(** [of_walk] of {!Refine.Matching.walk}: [states] is only read, and a
+    missing prefix runs scoped and is not memoized.  The report is
+    identical for every job count. *)
+
+val of_walk : Refine.Matching.walk -> report
+(** Every entry of a modelled prefix is a case. *)
 
 val down_to_tie_break_fraction : report -> float
 (** (RIB-Out + potential RIB-Out) / cases — the paper's ">80% of test

@@ -292,7 +292,7 @@ let simulate w prefix =
   in
   Engine.simulate w.net ~prefix ~originators:anchors
 
-let observe ?on_prefix w =
+let observe w =
   let plan = Array.of_list w.prefix_plan in
   let total = Array.length plan in
   let obs = Array.of_list w.obs in
@@ -314,9 +314,6 @@ let observe ?on_prefix w =
                  obs))
          w.prefix_plan)
   in
-  for i = 1 to total do
-    match on_prefix with Some f -> f i total | None -> ()
-  done;
   (* The entries in dump order, observation point then prefix, so that
      [Rib.of_entries] finds them sorted.  [obs] is sorted already. *)
   let by_prefix = Array.init total Fun.id in

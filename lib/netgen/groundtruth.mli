@@ -36,7 +36,7 @@ val simulate : world -> Prefix.t -> Simulator.Engine.state
 (** Ground-truth routing for any prefix of the plan.  Raises
     [Not_found] for prefixes outside the plan. *)
 
-val observe : ?on_prefix:(int -> int -> unit) -> world -> Rib.t
+val observe : world -> Rib.t
 (** Simulate all prefixes and collect the observation points' RIBs.
     Each prefix runs in a scoped cold run
     ({!Simulator.Engine.with_cold}) that reads the observation points'
@@ -45,8 +45,7 @@ val observe : ?on_prefix:(int -> int -> unit) -> world -> Rib.t
     then prefix, as {!Rib.entries} lists it), so {!Rib.of_entries}
     finds it sorted; entries with equal paths share one path value.
     The result does not depend on the job count or on transient
-    faults.  [on_prefix done_count total] reports progress
-    once per prefix, in plan order, after the whole batch has run. *)
+    faults. *)
 
 val observation_points : world -> Rib.obs_point list
 

@@ -156,9 +156,7 @@ let compact (model : Qrmodel.t) =
 
 let compact_verified model ~against =
   let compacted, stats = compact model in
-  let states_before = Hashtbl.create 64 in
-  let before = Verify.verify model ~states:states_before against in
-  let states_after = Hashtbl.create 64 in
-  let after = Verify.verify compacted ~states:states_after against in
+  let before = Verify.verify model ~states:(Hashtbl.create 0) against in
+  let after = Verify.verify compacted ~states:(Hashtbl.create 0) against in
   if after.Verify.exact >= before.Verify.exact then Some (compacted, stats)
   else None

@@ -1,5 +1,6 @@
 open Bgp
 module Net = Simulator.Net
+module Qrmodel = Asmodel.Qrmodel
 module Engine = Simulator.Engine
 module Decision = Simulator.Decision
 
@@ -26,7 +27,7 @@ let nodes_selecting net st asn tail =
     (Net.nodes_of_as net asn)
 
 (* Compare a best path against the suffix [arr.(off) ..] in place: the
-   suffix walk of [Verify.blocking_as] probes every position of a path,
+   suffix walk of [blocking_as] probes every position of a path,
    and slicing the tail out per position would cost O(n²) allocation. *)
 let path_matches_at (p : int array) arr ~off =
   let n = Array.length arr - off in
@@ -35,8 +36,8 @@ let path_matches_at (p : int array) arr ~off =
   let rec go i = i >= n || (p.(i) = arr.(off + i) && go (i + 1)) in
   go 0
 
-let nodes_selecting_at net st asn arr ~tail_at =
-  List.filter
+let selects_at net st asn arr ~tail_at =
+  List.exists
     (fun n ->
       match Engine.best st n with
       | Some r -> path_matches_at r.Simulator.Rattr.path arr ~off:tail_at
@@ -106,31 +107,113 @@ let best_elimination net st asn tail =
       | Decision.Not_present, acc -> acc)
     `None (Net.nodes_of_as net asn)
 
-let classify net st path =
-  let arr = Aspath.to_array path in
-  match Array.length arr with
-  | 0 -> No_rib_in
-  | 1 ->
-      (* The observing AS originates the prefix: matched by
-         definition. *)
-      if nodes_selecting net st arr.(0) [||] <> [] then Rib_out else No_rib_in
-  | _ -> (
-      let asn = arr.(0) in
-      let tail = Array.sub arr 1 (Array.length arr - 1) in
-      if nodes_selecting net st asn tail <> [] then Rib_out
-      else
-        match best_elimination net st asn tail with
-        | `Selected -> Rib_out
-        | `Eliminated Decision.Lowest_ip -> Potential_rib_out
-        | `Eliminated _ -> Rib_in
-        | `None -> No_rib_in)
+(* The AS closest to the origin whose suffix of [arr] is selected by no
+   quasi-router: walking from the origin, the first place the model
+   diverges from the observation.  The walk probes every suffix of one
+   array, so it matches in place instead of slicing a tail per step. *)
+let blocking_as net st arr =
+  let rec walk i =
+    if i < 0 then None
+    else if not (selects_at net st arr.(i) arr ~tail_at:(i + 1)) then
+      Some arr.(i)
+    else walk (i - 1)
+  in
+  walk (Array.length arr - 2)
 
-let eliminated_at net st path =
-  let arr = Aspath.to_array path in
-  if Array.length arr < 2 then None
+type grade = {
+  verdict : verdict;
+  eliminated_at : Decision.step option;
+  blocking_as : Asn.t option;
+}
+
+let matched = { verdict = Rib_out; eliminated_at = None; blocking_as = None }
+
+let grade net st (path : Aspath.t) =
+  let arr = (path :> int array) in
+  let missed verdict eliminated_at =
+    { verdict; eliminated_at; blocking_as = blocking_as net st arr }
+  in
+  let n = Array.length arr in
+  (* A single-hop path is matched when the observing AS selects its
+     own originated route. *)
+  if n = 0 then missed No_rib_in None
+  else if selects_at net st arr.(0) arr ~tail_at:1 then matched
+  else if n = 1 then missed No_rib_in None
   else
-    let asn = arr.(0) in
-    let tail = Array.sub arr 1 (Array.length arr - 1) in
-    match best_elimination net st asn tail with
-    | `Eliminated step -> Some step
-    | `Selected | `None -> None
+    match best_elimination net st arr.(0) (Array.sub arr 1 (n - 1)) with
+    | `Selected -> matched
+    | `Eliminated Decision.Lowest_ip ->
+        missed Potential_rib_out (Some Decision.Lowest_ip)
+    | `Eliminated step -> missed Rib_in (Some step)
+    | `None -> missed No_rib_in None
+
+(* -- the grading walk -- *)
+
+type outcome = Graded of grade | Unresolved | Unmodelled
+
+type observed = { path : Aspath.t; entries : int; outcome : outcome }
+
+type walk = {
+  prefixes : (Prefix.t * observed list) list;
+  pool : Simulator.Pool.stats;
+}
+
+(* Each prefix's distinct paths, each with the number of entries that
+   carry it, in reverse order of their first entry. *)
+let distinct data =
+  let counts = Hashtbl.create 256 and groups = Hashtbl.create 64 in
+  List.iter
+    (fun (e : Rib.entry) ->
+      let key = (e.Rib.prefix, e.Rib.path) in
+      match Hashtbl.find_opt counts key with
+      | Some n -> incr n
+      | None ->
+          let n = ref 1 in
+          Hashtbl.add counts key n;
+          let firsts = Hashtbl.find_opt groups e.Rib.prefix in
+          Hashtbl.replace groups e.Rib.prefix
+            ((e.Rib.path, n) :: Option.value ~default:[] firsts))
+    (Rib.entries data);
+  groups
+
+let walk model ~states data =
+  let net = model.Qrmodel.net in
+  let groups = distinct data in
+  (* The prefix's paths in the order of their first entry. *)
+  let observe p outcome =
+    List.rev_map
+      (fun (path, n) -> { path; entries = !n; outcome = outcome path })
+      (Hashtbl.find groups p)
+  in
+  (* A truncated or diverged state answers nothing about a path: grading
+     against its partial RIBs would report false mismatches. *)
+  let grade_in p st =
+    if Engine.converged st then
+      observe p (fun path -> Graded (grade net st path))
+    else observe p (fun _ -> Unresolved)
+  in
+  let prefixes =
+    List.sort Prefix.compare (Hashtbl.fold (fun p _ acc -> p :: acc) groups [])
+  in
+  let missing =
+    List.filter
+      (fun p ->
+        (not (Hashtbl.mem states p)) && Qrmodel.origin_of model p <> None)
+      prefixes
+  in
+  (* Runs in pool worker domains, which only read [groups]: the task
+     grades its prefix inside the scoped run, so no state outlives it. *)
+  let sim p =
+    Engine.with_cold net ~prefix:p ~originators:(Qrmodel.originators model p)
+      (fun st -> (grade_in p st, (Engine.outcome st, Engine.events st)))
+  in
+  let results, pool = Simulator.Pool.simulate_result ~sim ~run:snd missing in
+  let scoped = Hashtbl.of_seq (List.to_seq results) in
+  let graded p =
+    match (Hashtbl.find_opt states p, Hashtbl.find_opt scoped p) with
+    | Some st, _ -> grade_in p st
+    | None, Some (Ok (observed, _)) -> observed
+    | None, Some (Error _) -> observe p (fun _ -> Unresolved)
+    | None, None -> observe p (fun _ -> Unmodelled)
+  in
+  { prefixes = List.map (fun p -> (p, graded p)) prefixes; pool }

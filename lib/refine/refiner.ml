@@ -6,12 +6,11 @@ module Warm = Simulator.Warm
 module Runtime = Simulator.Runtime
 module Qrmodel = Asmodel.Qrmodel
 
-type ranking = Med_ranking | Lpref_ranking
+type ranking = Med_ranking | Lpref_ranking | No_ranking
 
 type options = {
   max_iterations : int option;
   max_quasi_routers : int;
-  use_med : bool;
   ranking : ranking;
 }
 
@@ -19,7 +18,6 @@ let default_options =
   {
     max_iterations = None;
     max_quasi_routers = max_int;
-    use_med = true;
     ranking = Med_ranking;
   }
 
@@ -95,12 +93,14 @@ type counters = {
    With LOCAL_PREF ranking (the paper's abandoned first attempt): a
    per-prefix preference on the desired sessions instead; no filters,
    since LOCAL_PREF already beats path length — the very property that
-   makes this mode divergence-prone. *)
+   makes this mode divergence-prone.
+
+   With no ranking (the ablation): the filters alone. *)
 let apply_policies net counters ~options ~prefix ~receiver ~desired_sessions
     ~rib_entries ~tail =
   let desired s = List.mem s desired_sessions in
-  let use_med = options.use_med && options.ranking = Med_ranking in
-  let use_lpref = options.use_med && options.ranking = Lpref_ranking in
+  let use_med = options.ranking = Med_ranking in
+  let use_lpref = options.ranking = Lpref_ranking in
   List.iter
     (fun s ->
       if use_med then begin

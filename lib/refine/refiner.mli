@@ -40,6 +40,9 @@ type ranking =
           path length, no filters are needed — but preferring longer
           paths this way creates dispute wheels and the simulations can
           diverge, the §4.6 negative result this option reproduces. *)
+  | No_ranking
+      (** no ranking rules at all, egress filters only — the ranking
+          ablation. *)
 
 type options = {
   max_iterations : int option;
@@ -47,9 +50,6 @@ type options = {
   max_quasi_routers : int;
       (** per-AS cap on quasi-routers; [1] disables duplication (the
           single-router ablation).  Default: unlimited. *)
-  use_med : bool;
-      (** when false, no ranking rules are added (filters only) — the
-          ranking ablation.  Default: true. *)
   ranking : ranking;  (** default {!Med_ranking}. *)
 }
 

@@ -19,6 +19,7 @@ type mismatch = {
 type report = {
   checked : int;
   exact : int;
+  unresolved : int;  (** {!Matching.Unresolved}: not a mismatch *)
   mismatches : mismatch list;  (** worst (No_rib_in) first *)
 }
 
@@ -27,8 +28,10 @@ val verify :
   states:(Prefix.t, Simulator.Engine.state) Hashtbl.t ->
   Rib.t ->
   report
-(** Check that every (prefix, observed path) is a RIB-Out match;
-    missing states are simulated on demand and memoized. *)
+(** [of_walk] of {!Matching.walk}: is every distinct (prefix, observed
+    path) a RIB-Out match?  [states] is only read. *)
+
+val of_walk : Matching.walk -> report
 
 val is_exact : report -> bool
 

@@ -230,7 +230,7 @@ let merge a b =
     wall = a.wall +. b.wall;
   }
 
-let simulate_result ?jobs ~sim prefixes =
+let simulate_result ?jobs ~sim ~run prefixes =
   let jobs = resolve_jobs jobs in
   let t0 = Obs.Trace.now_us () in
   let retried = ref 0 in
@@ -243,15 +243,17 @@ let simulate_result ?jobs ~sim prefixes =
       (fun acc r ->
         let acc = { acc with prefixes = acc.prefixes + 1 } in
         match r with
-        | Ok st ->
+        | Ok v ->
+            let outcome, events = run v in
             {
               acc with
-              events = acc.events + Engine.events st;
+              events = acc.events + events;
               non_converged =
-                (acc.non_converged + if Engine.converged st then 0 else 1);
+                (acc.non_converged
+                + if outcome = Engine.Converged then 0 else 1);
               diverged =
                 (acc.diverged
-                + match Engine.outcome st with
+                + match outcome with
                   | Engine.Diverged _ -> 1
                   | Engine.Converged | Engine.Truncated _ -> 0);
             }

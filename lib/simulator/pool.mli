@@ -93,17 +93,19 @@ val merge : stats -> stats -> stats
 
 val simulate_result :
   ?jobs:int ->
-  sim:(Prefix.t -> Engine.state) ->
+  sim:(Prefix.t -> 'a) ->
+  run:('a -> Engine.outcome * int) ->
   Prefix.t list ->
-  (Prefix.t * (Engine.state, task_error) result) list * stats
-(** [simulate_result ~sim prefixes] runs [sim] on every prefix in
+  (Prefix.t * ('a, task_error) result) list * stats
+(** [simulate_result ~sim ~run prefixes] runs [sim] on every prefix in
     parallel and returns the results paired with their prefixes, in
-    input order, plus the batch statistics.  Per-prefix failures come
-    back as [Error] slots (counted in [stats.failed]) instead of
-    raising, and retry recoveries are counted in [stats.retried].
-    Non-converged (budget-truncated or diverged) states are counted in
-    [stats.non_converged] — see {!Engine.outcome} — so silent
-    truncation shows up in every pool report.  {!Warm.converge} is its
-    one caller in the library. *)
+    input order, plus the batch statistics.  [run v] reads the
+    {!Engine.outcome} and {!Engine.events} of the run behind [v], which
+    [sim] takes inside a scoped run ({!Engine.with_cold}).  Per-prefix
+    failures come back as [Error] slots (counted in [stats.failed])
+    instead of raising, and retry recoveries are counted in
+    [stats.retried].  Non-converged runs are counted in
+    [stats.non_converged], so silent truncation shows up in every pool
+    report. *)
 
 val pp_stats : Format.formatter -> stats -> unit

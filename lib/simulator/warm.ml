@@ -80,7 +80,11 @@ let converge table net ~originators prefixes =
     simulate counts ?from:(Hashtbl.find_opt table prefix) net ~prefix
       ~originators:(originators prefix)
   in
-  let results, pool = Pool.simulate_result ~sim prefixes in
+  let results, pool =
+    Pool.simulate_result ~sim
+      ~run:(fun st -> (Engine.outcome st, Engine.events st))
+      prefixes
+  in
   List.iter
     (fun (prefix, r) ->
       (* The new state reflects every policy edit made so far, and a

@@ -1,8 +1,8 @@
 (** The warm-start re-simulation policy, its counters, and {!converge},
     the one batch entry point.
 
-    Refinement, prediction, churn replay, serve what-if queries and
-    serve reloads all re-converge prefixes on a network that changed
+    Refinement, churn replay, serve what-if queries and serve reloads
+    all re-converge prefixes on a network that changed
     only slightly since their last converged state.  Every such
     re-convergence is a {!converge} batch: with warm starts on, a
     prefix whose network is structurally unchanged, or grown only by

@@ -389,6 +389,7 @@ let pool_clean_under_race () =
           ~sim:(fun p ->
             Engine.simulate net ~prefix:p
               ~originators:(Qrmodel.originators m p))
+          ~run:(fun st -> (Engine.outcome st, Engine.events st))
           prefixes
       in
       check_int "batch raced nothing" 0 (Race.race_count ());
@@ -403,6 +404,7 @@ let pool_clean_under_race () =
           ~sim:(fun p ->
             Engine.simulate net ~prefix:p
               ~originators:(Qrmodel.originators m p))
+          ~run:(fun st -> (Engine.outcome st, Engine.events st))
           prefixes
       in
       check_int "second batch clean too" 0 (Race.race_count ()))

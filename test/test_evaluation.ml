@@ -105,6 +105,124 @@ let prediction_report () =
      && c.Evaluation.Predict.at_least_90 <= c.Evaluation.Predict.at_least_half
      && c.Evaluation.Predict.at_least_half <= c.Evaluation.Predict.prefixes)
 
+(* -- the grading walk -- *)
+
+module Matching = Refine.Matching
+module Predict = Evaluation.Predict
+module Verify = Refine.Verify
+module Agreement = Evaluation.Agreement
+
+(* The bad gadget as a model: ASes 1, 2 and 3 in a ring around origin
+   AS 10, each preferring its clockwise neighbour's route to AS 10's
+   prefix, so that prefix never converges. *)
+let gadget_model () =
+  let g =
+    Topology.Asgraph.of_edges
+      [ (1, 10); (2, 10); (3, 10); (1, 2); (2, 3); (3, 1) ]
+  in
+  let m = Asmodel.Qrmodel.initial g in
+  let net = m.Asmodel.Qrmodel.net in
+  let node a = List.hd (Simulator.Net.nodes_of_as net a) in
+  for a = 1 to 3 do
+    match Simulator.Net.find_session net (node a) (node ((a mod 3) + 1)) with
+    | Some s ->
+        Simulator.Net.set_import_lpref_for net (node a) s
+          (Asn.origin_prefix 10) 200
+    | None -> assert false
+  done;
+  m
+
+(* A prefix without a converged state answers nothing: Verify,
+   Agreement and Predict count its paths as unresolved, never as
+   mismatches, whether its state diverged in a scoped run or is a
+   truncated one the caller cached. *)
+let unresolved_not_mismatch () =
+  let m = gadget_model () in
+  let gadget =
+    Rib.of_entries
+      [ entry 1 0 10 [ 1; 10 ]; entry 1 1 10 [ 1; 2; 10 ]; entry 2 0 1 [ 2; 1 ] ]
+  in
+  let states = Hashtbl.create 4 in
+  let v = Verify.verify m ~states gadget in
+  check_int "verify: checked" 3 v.Verify.checked;
+  check_int "verify: exact" 1 v.Verify.exact;
+  check_int "verify: unresolved" 2 v.Verify.unresolved;
+  check_int "verify: no mismatch" 0 (List.length v.Verify.mismatches);
+  check_bool "verify: not exact" false (Verify.is_exact v);
+  check_int "states are only read" 0 (Hashtbl.length states);
+  let b = Agreement.simulate_and_grade m gadget in
+  check_int "agreement: cases" 3 b.Agreement.cases;
+  check_int "agreement: agree" 1 b.Agreement.agree;
+  check_int "agreement: unresolved" 2 b.Agreement.unresolved;
+  check_int "agreement: not available" 0 b.Agreement.not_available;
+  check_bool "agreement: no elimination" true (b.Agreement.by_step = []);
+  let m = Asmodel.Qrmodel.initial graph in
+  let p4 = Asn.origin_prefix 4 in
+  let states = Hashtbl.create 4 in
+  let truncated = Asmodel.Qrmodel.simulate ~max_events:1 m p4 in
+  check_bool "truncated" false (Simulator.Engine.converged truncated);
+  Hashtbl.replace states p4 truncated;
+  let v = Verify.verify m ~states data in
+  check_int "cached: checked" 5 v.Verify.checked;
+  check_int "cached: unresolved" 4 v.Verify.unresolved;
+  check_int "cached: no mismatch" 0 (List.length v.Verify.mismatches);
+  let r = Predict.evaluate m ~states data in
+  check_int "cached: predict unresolved" 4
+    r.Predict.totals.Predict.unresolved;
+  check_int "cached: predict cases" 5 r.Predict.totals.Predict.cases;
+  check_bool "the cached state is kept" true (Hashtbl.find states p4 == truncated)
+
+(* Every state cached or none: the walk grades the same, on every
+   family, at one worker and at four. *)
+let cached_equals_scoped () =
+  let with_jobs j f =
+    let prior = Simulator.Runtime.current () in
+    Simulator.Runtime.set { prior with Simulator.Runtime.jobs = Some j };
+    Fun.protect ~finally:(fun () -> Simulator.Runtime.set prior) f
+  in
+  List.iter
+    (fun family ->
+      let name = Netgen.Family.name family in
+      let raw =
+        Netgen.Groundtruth.observe
+          (Netgen.Groundtruth.build
+             { Netgen.Conf.tiny with Netgen.Conf.family; seed = 17 })
+      in
+      let m = Asmodel.Qrmodel.initial (Core.prepare raw).Core.graph in
+      let data = Rib.collapse_to_origin raw in
+      let cached = Hashtbl.create 64 in
+      List.iter
+        (fun (p, st) -> Hashtbl.replace cached p st)
+        (fst (Asmodel.Qrmodel.simulate_all m));
+      let grade states =
+        let w = Matching.walk m ~states data in
+        (Predict.of_walk w, Verify.of_walk w, Agreement.of_walk m w)
+      in
+      let want_p, want_v, want_a = grade cached in
+      check_int (name ^ ": nothing to simulate") 0
+        want_p.Predict.pool.Simulator.Pool.prefixes;
+      check_bool (name ^ ": some mismatch") true (want_v.Verify.mismatches <> []);
+      List.iter
+        (fun j ->
+          with_jobs j @@ fun () ->
+          let case what = Printf.sprintf "%s, %d jobs: %s" name j what in
+          let p, v, a = grade (Hashtbl.create 0) in
+          check_bool (case "every modelled prefix ran scoped") true
+            (p.Predict.pool.Simulator.Pool.prefixes = Hashtbl.length cached);
+          check_bool (case "predict totals") true
+            (p.Predict.totals = want_p.Predict.totals);
+          check_bool (case "predict coverage") true
+            (p.Predict.coverage = want_p.Predict.coverage);
+          check_bool (case "verify report") true (v = want_v);
+          check_bool (case "agreement breakdown") true (a = want_a);
+          check_bool (case "simulate_and_grade") true
+            (Agreement.simulate_and_grade m data = want_a))
+        [ 1; 4 ])
+    Netgen.Family.
+      [
+        Paper; Waxman default_waxman; Glp default_glp; Fattree default_fattree;
+      ]
+
 let quantile_helpers () =
   let sample = [| 5; 1; 3; 2; 4 |] in
   check_int "median" 3 (Evaluation.Quantiles.percentile sample 50.0);
@@ -139,6 +257,9 @@ let suite =
     Alcotest.test_case "combined split" `Quick combined_split;
     Alcotest.test_case "agreement grading" `Quick agreement_grading;
     Alcotest.test_case "prediction report" `Quick prediction_report;
+    Alcotest.test_case "unresolved is not a mismatch" `Quick
+      unresolved_not_mismatch;
+    Alcotest.test_case "cached = scoped grading" `Quick cached_equals_scoped;
     Alcotest.test_case "quantile helpers" `Quick quantile_helpers;
     QCheck_alcotest.to_alcotest prop_percentile_monotone;
   ]

@@ -66,7 +66,8 @@ let truncation_counted () =
   ignore (Net.connect net n2 n3);
   let prefixes = List.init 5 (fun i -> Asn.origin_prefix (10 + i)) in
   let sim prefix = Engine.simulate ~max_events:1 net ~prefix ~originators:[ n3 ] in
-  let pairs, stats = Pool.simulate_result ~jobs:2 ~sim prefixes in
+  let run st = (Engine.outcome st, Engine.events st) in
+  let pairs, stats = Pool.simulate_result ~jobs:2 ~sim ~run prefixes in
   check_int "all prefixes simulated" 5 stats.Pool.prefixes;
   check_int "every state truncated" 5 stats.Pool.non_converged;
   check_bool "states flagged" true
@@ -76,7 +77,7 @@ let truncation_counted () =
   check_bool "events accounted" true (stats.Pool.events >= 5);
   (* And with a generous budget nothing is truncated. *)
   let _, ok = Pool.simulate_result ~jobs:2 ~sim:(fun prefix ->
-      Engine.simulate net ~prefix ~originators:[ n3 ]) prefixes in
+      Engine.simulate net ~prefix ~originators:[ n3 ]) ~run prefixes in
   check_int "no truncation" 0 ok.Pool.non_converged
 
 (* Jobs-count determinism: the whole train-and-evaluate pipeline must

@@ -31,27 +31,30 @@ let fig5_training =
 
 (* -- matching -- *)
 
+let grade m st path = Matching.grade m.Qrmodel.net st (Aspath.of_list path)
+
+let verdict m st path = (grade m st path).Matching.verdict
+
 let matching_verdicts () =
   let m = Qrmodel.initial fig5_graph in
   let p4 = Asn.origin_prefix 4 in
   let st = Qrmodel.simulate m p4 in
   check_bool "direct path selected" true
-    (Matching.classify m.Qrmodel.net st (Aspath.of_list [ 1; 4 ]) = Matching.Rib_out);
+    (verdict m st [ 1; 4 ] = Matching.Rib_out);
   (* 1-5-4 is received (AS 5 selects 5-4 and exports) but loses on
      length. *)
   check_bool "longer path only in rib-in" true
-    (Matching.classify m.Qrmodel.net st (Aspath.of_list [ 1; 5; 4 ]) = Matching.Rib_in);
+    (verdict m st [ 1; 5; 4 ] = Matching.Rib_in);
   check_bool "eliminated at path length" true
-    (Matching.eliminated_at m.Qrmodel.net st (Aspath.of_list [ 1; 5; 4 ])
+    ((grade m st [ 1; 5; 4 ]).Matching.eliminated_at
     = Some Simulator.Decision.Path_length);
   (* A fantasy path never arrives. *)
   check_bool "absent path" true
-    (Matching.classify m.Qrmodel.net st (Aspath.of_list [ 1; 2; 3; 4 ])
-    = Matching.No_rib_in);
+    (verdict m st [ 1; 2; 3; 4 ] = Matching.No_rib_in);
   (* The origin's own trivial path. *)
   let st3 = Qrmodel.simulate m (Asn.origin_prefix 3) in
   check_bool "origin trivially matches" true
-    (Matching.classify m.Qrmodel.net st3 (Aspath.of_list [ 3 ]) = Matching.Rib_out)
+    (verdict m st3 [ 3 ] = Matching.Rib_out)
 
 let matching_potential () =
   (* Diamond where the observed path loses only the final tie-break:
@@ -61,10 +64,9 @@ let matching_potential () =
   let m = Qrmodel.initial g in
   let st = Qrmodel.simulate m (Asn.origin_prefix 4) in
   check_bool "tie-break winner" true
-    (Matching.classify m.Qrmodel.net st (Aspath.of_list [ 1; 2; 4 ]) = Matching.Rib_out);
+    (verdict m st [ 1; 2; 4 ] = Matching.Rib_out);
   check_bool "tie-break loser is potential" true
-    (Matching.classify m.Qrmodel.net st (Aspath.of_list [ 1; 3; 4 ])
-    = Matching.Potential_rib_out)
+    (verdict m st [ 1; 3; 4 ] = Matching.Potential_rib_out)
 
 let training_suffixes_worklist () =
   let work = Refiner.training_suffixes fig5_training in
@@ -153,7 +155,7 @@ let med_disabled_ablation () =
   let training = Rib.of_entries [ entry 1 4 [ 1; 3; 4 ] ] in
   let with_med = Refiner.refine (Qrmodel.initial g) ~training in
   check_bool "med settles it" true with_med.Refiner.converged;
-  let options = { Refiner.default_options with use_med = false } in
+  let options = { Refiner.default_options with ranking = Refiner.No_ranking } in
   let without = Refiner.refine ~options (Qrmodel.initial g) ~training in
   check_bool "filters alone cannot (same-length rival not filtered)" false
     without.Refiner.converged
