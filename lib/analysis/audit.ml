@@ -215,12 +215,12 @@ let state_hint =
    mutation slipped past the generation/touched bookkeeping (run under \
    RD_CHECK=on to find the unordered writer)"
 
-(* A non-sentinel slab entry whose fields mirror [no_route]'s absurd
-   values is almost certainly a structural copy of the sentinel — the
-   exact bug the [==]-only discipline exists to prevent. *)
-let sentinel_clone r =
-  Rattr.is_route r && r.Rattr.from_node = min_int && r.Rattr.lpref = min_int
-  && r.Rattr.from_session = min_int
+(* A slot whose import attributes mirror [no_import]'s absurd values is
+   almost certainly a structural copy of the sentinel — the exact bug
+   the [==]-only discipline exists to prevent.  A RIB-In route carries
+   its slot's import attributes unchanged. *)
+let sentinel_clone (r : Rattr.t) =
+  r.lpref = min_int && r.med = min_int && r.igp = min_int
 
 let path_mem path asn = Array.exists (fun x -> x = asn) path
 
@@ -263,9 +263,9 @@ let state net st =
             err a "audit-sentinel-clone" loc
               (Printf.sprintf
                  "node %d session %d holds a structural copy of \
-                  Rattr.no_route that is not the sentinel"
+                  Rattr.no_import that is not the sentinel"
                  n s)
-              "never rebuild no_route field-by-field; reuse the sentinel \
+              "never rebuild no_import field-by-field; reuse the sentinel \
                so [==] identifies it"
           else if s < 0 || s >= Net.session_count_of net n then
             err a "audit-slab-session" (Report.Node_prefix (n, pfx))

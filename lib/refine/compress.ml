@@ -11,23 +11,34 @@ type stats = {
 }
 
 (* Behavioural signature of a node: its selected AS-level path (or
-   absence) for every model prefix, in prefix order. *)
+   absence) for every model prefix, in prefix order.  One pool batch
+   runs the prefixes, each in a scoped run that reads its nodes' best
+   paths before its state is recycled. *)
 let signatures (model : Qrmodel.t) =
   let net = model.Qrmodel.net in
   let n = Net.node_count net in
+  let sim p =
+    Engine.with_cold net ~prefix:p ~originators:(Qrmodel.originators model p)
+      (fun st ->
+        ( Array.init n (fun id ->
+              match Engine.best st id with
+              | Some r -> Some r.Simulator.Rattr.path
+              | None -> None),
+          (Engine.outcome st, Engine.events st) ))
+  in
+  let results, _ =
+    Simulator.Pool.simulate_result ~sim ~run:snd
+      (List.map fst model.Qrmodel.prefixes)
+  in
   let sigs = Array.make n [] in
   List.iter
-    (fun (p, _) ->
-      let st = Qrmodel.simulate model p in
-      for id = 0 to n - 1 do
-        let entry =
-          match Engine.best st id with
-          | Some r -> Some r.Simulator.Rattr.path
-          | None -> None
-        in
-        sigs.(id) <- entry :: sigs.(id)
-      done)
-    model.Qrmodel.prefixes;
+    (function
+      | _, Error e -> raise e.Simulator.Pool.exn
+      | _, Ok (bests, _) ->
+          for id = 0 to n - 1 do
+            sigs.(id) <- bests.(id) :: sigs.(id)
+          done)
+    results;
   sigs
 
 let compact (model : Qrmodel.t) =

@@ -18,46 +18,55 @@ let verdict_rank = function
   | Rib_in -> 2
   | No_rib_in -> 3
 
+(* Does [n]'s best route have path [tail]?  Read without boxing the
+   best route in an option, as the suffix walks call this per node. *)
+let selects st tail n =
+  let r = Engine.best_route st n in
+  Simulator.Rattr.is_route r && Simulator.Rattr.same_path r.path tail
+
 let nodes_selecting net st asn tail =
-  List.filter
-    (fun n ->
-      match Engine.best st n with
-      | Some r -> Simulator.Rattr.same_path r.Simulator.Rattr.path tail
-      | None -> false)
-    (Net.nodes_of_as net asn)
+  List.filter (selects st tail) (Net.nodes_of_as net asn)
 
 (* Compare a best path against the suffix [arr.(off) ..] in place: the
    suffix walk of [blocking_as] probes every position of a path,
    and slicing the tail out per position would cost O(n²) allocation. *)
-let path_matches_at (p : int array) arr ~off =
+let path_matches_at (p : int array) (arr : int array) ~off =
   let n = Array.length arr - off in
   Array.length p = n
   &&
-  let rec go i = i >= n || (p.(i) = arr.(off + i) && go (i + 1)) in
-  go 0
+  let i = ref 0 in
+  while !i < n && p.(!i) = arr.(off + !i) do
+    incr i
+  done;
+  !i = n
+
+let rec selects_in st arr ~tail_at = function
+  | [] -> false
+  | n :: rest ->
+      let r = Engine.best_route st n in
+      (Simulator.Rattr.is_route r && path_matches_at r.path arr ~off:tail_at)
+      || selects_in st arr ~tail_at rest
 
 let selects_at net st asn arr ~tail_at =
-  List.exists
-    (fun n ->
-      match Engine.best st n with
-      | Some r -> path_matches_at r.Simulator.Rattr.path arr ~off:tail_at
-      | None -> false)
-    (Net.nodes_of_as net asn)
+  selects_in st arr ~tail_at (Net.nodes_of_as net asn)
+
+(* The sessions of [n]'s RIB-In whose route has path [tail], read from
+   the slots' paths without building the routes. *)
+let sessions_carrying st n tail =
+  let sessions = ref [] in
+  Engine.iter_rib_in_paths st n (fun s path ->
+      if Simulator.Rattr.same_path path tail then sessions := s :: !sessions);
+  List.rev !sessions
 
 let nodes_receiving net st asn tail =
   List.filter_map
     (fun n ->
-      let sessions =
-        List.filter_map
-          (fun (s, r) ->
-            if Simulator.Rattr.same_path r.Simulator.Rattr.path tail then Some s
-            else None)
-          (Engine.rib_in st n)
-      in
       (* The originated route counts as "received" only through RIB-In
          semantics when some session carries it; origination itself is
          handled by the callers via empty tails. *)
-      if sessions = [] then None else Some (n, sessions))
+      match sessions_carrying st n tail with
+      | [] -> None
+      | sessions -> Some (n, sessions))
     (Net.nodes_of_as net asn)
 
 let best_elimination net st asn tail =
@@ -78,12 +87,13 @@ let best_elimination net st asn tail =
   in
   List.fold_left
     (fun acc n ->
-      (* Most nodes never held the observed route at all: screen with
-         the allocation-free candidate fold and only materialize the
-         candidate list for the nodes classify has to grade. *)
+      (* Most nodes never held the observed route at all: screen on the
+         candidates' paths alone (the originated route's is empty) and
+         only build the candidate list for the nodes classify has to
+         grade. *)
       let present =
-        Engine.fold_candidates st net n ~init:false ~f:(fun acc r ->
-            acc || target r)
+        sessions_carrying st n tail <> []
+        || (Array.length tail = 0 && List.mem n (Engine.originating st))
       in
       let verdict =
         if not present then Decision.Not_present

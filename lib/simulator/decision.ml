@@ -25,11 +25,17 @@ let keep_min key candidates =
       in
       List.filter (fun r -> key r = best) candidates
 
-(* The neighbouring AS a route was learned from; originated routes form
-   their own group (RFC 4271 compares MED only between routes "received
-   from the same neighboring AS"). *)
-let neighbor_as (r : Rattr.t) =
-  if Array.length r.Rattr.path = 0 then -1 else r.Rattr.path.(0)
+(* The neighbouring AS a route with [path] was learned from; originated
+   routes form their own group (RFC 4271 compares MED only between
+   routes "received from the same neighboring AS"). *)
+let neighbor_of_path (path : int array) =
+  if Array.length path = 0 then -1 else path.(0)
+
+let neighbor_as (r : Rattr.t) = neighbor_of_path r.Rattr.path
+
+(* The [Prefer_ebgp] key: iBGP-learned routes rank after the rest. *)
+let learned_key (r : Rattr.t) =
+  match r.Rattr.learned with From_ibgp -> 1 | Originated | From_ebgp -> 0
 
 (* RFC 4271 §9.1.2.2 MED: a candidate survives unless another candidate
    from the same neighbouring AS has a strictly lower MED.  Candidate
@@ -55,10 +61,7 @@ let survivors ?(med_scope = Always_compare) step candidates =
       | Always_compare -> keep_min (fun r -> r.Rattr.med) candidates
       | Same_neighbor -> med_survivors_scoped candidates)
   | Path_length -> keep_min (fun r -> Array.length r.Rattr.path) candidates
-  | Prefer_ebgp ->
-      keep_min
-        (fun r -> match r.Rattr.learned with From_ibgp -> 1 | Originated | From_ebgp -> 0)
-        candidates
+  | Prefer_ebgp -> keep_min learned_key candidates
   | Igp_cost -> keep_min (fun r -> r.Rattr.igp) candidates
   | Lowest_ip -> keep_min (fun r -> r.Rattr.from_ip) candidates
 
@@ -67,8 +70,7 @@ let step_key step (r : Rattr.t) =
   | Local_pref -> -r.Rattr.lpref
   | Path_length -> Array.length r.Rattr.path
   | Med -> r.Rattr.med
-  | Prefer_ebgp -> (
-      match r.Rattr.learned with From_ibgp -> 1 | Originated | From_ebgp -> 0)
+  | Prefer_ebgp -> learned_key r
   | Igp_cost -> r.Rattr.igp
   | Lowest_ip -> r.Rattr.from_ip
 
@@ -104,11 +106,8 @@ let comparator steps =
           let c = Int.compare a.Rattr.med b.Rattr.med in
           if c <> 0 then c else next a b
     | Prefer_ebgp ->
-        let key (r : Rattr.t) =
-          match r.Rattr.learned with From_ibgp -> 1 | Originated | From_ebgp -> 0
-        in
         fun a b ->
-          let c = Int.compare (key a) (key b) in
+          let c = Int.compare (learned_key a) (learned_key b) in
           if c <> 0 then c else next a b
     | Igp_cost ->
         fun a b ->
@@ -131,24 +130,122 @@ let select ?(med_scope = Always_compare) steps candidates =
   in
   run steps candidates
 
-(* In-place counterpart of [survivors] for [select_into]: keep the
-   entries of [buf.(0 .. m-1)] minimizing [step_key], compacted to the
-   front, order preserved.  Returns the survivor count.  [keys] is
-   caller-provided scratch so each candidate's key is computed once,
-   not once per pass. *)
-let keep_min_into step (buf : Rattr.t array) (keys : int array) m =
-  let k0 = step_key step buf.(0) in
-  keys.(0) <- k0;
-  let best = ref k0 in
+(* Where a RIB-In slot's provenance comes from; see the interface. *)
+type sessions = { kinds : int array; peer : int array; ips : int array }
+
+(* [comparator]'s chain with slot [ka]'s keys on the left and [kb]'s on
+   the right: [Prefer_ebgp] reads the slot's session kind (1 = iBGP, as
+   [learned_key] ranks it) and [Lowest_ip] the address of its peer. *)
+let slot_comparator steps { kinds; peer; ips } =
+  let link step (next : Rattr.import -> int -> Rattr.import -> int -> int) :
+      Rattr.import -> int -> Rattr.import -> int -> int =
+    match step with
+    | Local_pref ->
+        fun a ka b kb ->
+          let c = Int.compare (-a.lpref) (-b.lpref) in
+          if c <> 0 then c else next a ka b kb
+    | Path_length ->
+        fun a ka b kb ->
+          let c = Int.compare (Array.length a.path) (Array.length b.path) in
+          if c <> 0 then c else next a ka b kb
+    | Med ->
+        fun a ka b kb ->
+          let c = Int.compare a.med b.med in
+          if c <> 0 then c else next a ka b kb
+    | Prefer_ebgp ->
+        fun a ka b kb ->
+          let c = Int.compare kinds.(ka) kinds.(kb) in
+          if c <> 0 then c else next a ka b kb
+    | Igp_cost ->
+        fun a ka b kb ->
+          let c = Int.compare a.igp b.igp in
+          if c <> 0 then c else next a ka b kb
+    | Lowest_ip ->
+        fun a ka b kb ->
+          let c = Int.compare ips.(peer.(ka)) ips.(peer.(kb)) in
+          if c <> 0 then c else next a ka b kb
+  in
+  List.fold_right link steps (fun _ _ _ _ -> 0)
+
+let slot_route_comparator steps { kinds; peer; ips } =
+  let link step (next : Rattr.import -> int -> Rattr.t -> int) :
+      Rattr.import -> int -> Rattr.t -> int =
+    match step with
+    | Local_pref ->
+        fun a ka b ->
+          let c = Int.compare (-a.lpref) (-b.lpref) in
+          if c <> 0 then c else next a ka b
+    | Path_length ->
+        fun a ka b ->
+          let c = Int.compare (Array.length a.path) (Array.length b.path) in
+          if c <> 0 then c else next a ka b
+    | Med ->
+        fun a ka b ->
+          let c = Int.compare a.med b.med in
+          if c <> 0 then c else next a ka b
+    | Prefer_ebgp ->
+        fun a ka b ->
+          let c = Int.compare kinds.(ka) (learned_key b) in
+          if c <> 0 then c else next a ka b
+    | Igp_cost ->
+        fun a ka b ->
+          let c = Int.compare a.igp b.igp in
+          if c <> 0 then c else next a ka b
+    | Lowest_ip ->
+        fun a ka b ->
+          let c = Int.compare ips.(peer.(ka)) b.from_ip in
+          if c <> 0 then c else next a ka b
+  in
+  List.fold_right link steps (fun _ _ _ -> 0)
+
+(* The import of candidate [id]: slot [id]'s, at [slots.(id + shift)],
+   or the originated route's when [id] is negative. *)
+let[@inline] import_at (slots : Rattr.import array) shift id =
+  if id < 0 then Rattr.originated_import else slots.(id + shift)
+
+(* In-place counterpart of [survivors] for [select_slots]: keep the
+   candidates [ids.(0 .. m-1)] minimizing [step_key] of their routes (a
+   negative id standing for the originated route, at address [own_ip]),
+   compacted to the front, order preserved.  Returns the survivor count.
+   [keys] is caller-provided scratch: one pass computes each candidate's
+   key, without a call per candidate, and a second keeps the minimal
+   ones.  Only ints move, so no write pays the heap's write barrier. *)
+let keep_min_slots step { kinds; peer; ips } ~own_ip slots shift ids keys m =
+  (match step with
+  | Local_pref ->
+      for i = 0 to m - 1 do
+        keys.(i) <- -(import_at slots shift ids.(i)).lpref
+      done
+  | Path_length ->
+      for i = 0 to m - 1 do
+        keys.(i) <- Array.length (import_at slots shift ids.(i)).path
+      done
+  | Med ->
+      for i = 0 to m - 1 do
+        keys.(i) <- (import_at slots shift ids.(i)).med
+      done
+  | Prefer_ebgp ->
+      for i = 0 to m - 1 do
+        let id = ids.(i) in
+        keys.(i) <- (if id < 0 then 0 else kinds.(id))
+      done
+  | Igp_cost ->
+      for i = 0 to m - 1 do
+        keys.(i) <- (import_at slots shift ids.(i)).igp
+      done
+  | Lowest_ip ->
+      for i = 0 to m - 1 do
+        let id = ids.(i) in
+        keys.(i) <- (if id < 0 then own_ip else ips.(peer.(id)))
+      done);
+  let best = ref keys.(0) in
   for i = 1 to m - 1 do
-    let k = step_key step buf.(i) in
-    keys.(i) <- k;
-    if k < !best then best := k
+    if keys.(i) < !best then best := keys.(i)
   done;
   let k = ref 0 in
   for i = 0 to m - 1 do
     if keys.(i) = !best then begin
-      buf.(!k) <- buf.(i);
+      ids.(!k) <- ids.(i);
       incr k
     end
   done;
@@ -159,50 +256,51 @@ let keep_min_into step (buf : Rattr.t array) (keys : int array) m =
    checking against the full original set: domination by an eliminated
    candidate implies domination by the minimum-MED survivor of the same
    neighbour group (strictly smaller MED, same group).  [keys] caches
-   each candidate's neighbour AS so the quadratic scan reads ints; the
-   compacted prefix keeps its entries aligned (writes land at [!k <= i],
-   and the tail scan only reads positions [> i], still original). *)
-let scoped_med_into (buf : Rattr.t array) (keys : int array) m =
+   each candidate's neighbour AS so the quadratic scan compares ints
+   before it reads a MED; the compacted prefix keeps its entries
+   aligned (writes land at [!k <= i], and the tail scan only reads
+   positions [> i], still original). *)
+let scoped_med_slots slots shift ids keys m =
   for i = 0 to m - 1 do
-    keys.(i) <- neighbor_as buf.(i)
+    keys.(i) <- neighbor_of_path (import_at slots shift ids.(i)).path
   done;
   let k = ref 0 in
   for i = 0 to m - 1 do
-    let r = buf.(i) in
+    let id = ids.(i) in
     let na = keys.(i) in
-    let med = r.Rattr.med in
+    let med = (import_at slots shift id).med in
     let dominated = ref false in
     for j = 0 to !k - 1 do
-      if keys.(j) = na && buf.(j).Rattr.med < med then dominated := true
+      if keys.(j) = na && (import_at slots shift ids.(j)).med < med then
+        dominated := true
     done;
     for j = i + 1 to m - 1 do
-      if keys.(j) = na && buf.(j).Rattr.med < med then dominated := true
+      if keys.(j) = na && (import_at slots shift ids.(j)).med < med then
+        dominated := true
     done;
     if not !dominated then begin
-      buf.(!k) <- r;
+      ids.(!k) <- id;
       keys.(!k) <- na;
       incr k
     end
   done;
   !k
 
-let select_into ~med_scope steps (buf : Rattr.t array) ~(keys : int array) m =
-  if m = 0 then Rattr.no_route
-  else begin
-    let m = ref m in
-    let steps = ref steps in
-    while !m > 1 && match !steps with [] -> false | _ :: _ -> true do
-      match !steps with
-      | [] -> ()
-      | step :: rest ->
-          steps := rest;
-          m :=
-            (match (step, med_scope) with
-            | Med, Same_neighbor -> scoped_med_into buf keys !m
-            | _ -> keep_min_into step buf keys !m)
-    done;
-    buf.(0)
-  end
+let select_slots ~med_scope steps s ~own_ip slots ~shift ~ids ~keys m =
+  if m <= 0 then invalid_arg "Decision.select_slots: no candidate";
+  let m = ref m in
+  let steps = ref steps in
+  while !m > 1 && match !steps with [] -> false | _ :: _ -> true do
+    match !steps with
+    | [] -> ()
+    | step :: rest ->
+        steps := rest;
+        m :=
+          (match (step, med_scope) with
+          | Med, Same_neighbor -> scoped_med_slots slots shift ids keys !m
+          | _ -> keep_min_slots step s ~own_ip slots shift ids keys !m)
+  done;
+  ids.(0)
 
 type verdict = Selected | Eliminated_at of step | Tied_not_chosen | Not_present
 

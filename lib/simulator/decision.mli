@@ -64,16 +64,56 @@ val select : ?med_scope:med_scope -> step list -> Rattr.t list -> Rattr.t option
     first in list order wins — deterministic because RIB-In order is
     session order. *)
 
-val select_into :
-  med_scope:med_scope -> step list -> Rattr.t array -> keys:int array ->
-  int -> Rattr.t
-(** [select_into ~med_scope steps buf ~keys m] is [select ~med_scope
-    steps] over the candidates [buf.(0 .. m-1)] — same elimination, same
-    tie-breaking — but runs in place over the caller's scratch buffers,
-    destroying their contents and allocating nothing; {!Rattr.no_route}
-    stands for [None].  [keys] is int scratch of at least [m] entries
-    used to cache per-step keys.  The engine's hot path under
-    {!Same_neighbor} MED (where {!compare_routes} does not apply). *)
+(** {2 Comparing RIB-In slots}
+
+    The engine's route slab holds {!Rattr.import} records, one per
+    slot; a slot's remaining route fields come from its session.  These
+    functions run the decision process over slots without building the
+    whole routes. *)
+
+type sessions = {
+  kinds : int array;  (** slot -> [0] eBGP, [1] iBGP ({!Net.Csr.kinds}) *)
+  peer : int array;  (** slot -> announcing node ({!Net.Csr.peer}) *)
+  ips : int array;  (** node -> router address ({!Net.Csr.ips}) *)
+}
+(** Where a slot's provenance comes from: slot [k]'s route was learned
+    over eBGP or iBGP as [kinds.(k)] says, and its [from_ip] is
+    [ips.(peer.(k))]. *)
+
+val slot_comparator :
+  step list -> sessions -> Rattr.import -> int -> Rattr.import -> int -> int
+(** [slot_comparator steps sessions a ka b kb] is [compare_routes
+    steps] over the routes of import [a] in slot [ka] and import [b] in
+    slot [kb].  Compiled once, like {!comparator}; a call allocates
+    nothing. *)
+
+val slot_route_comparator :
+  step list -> sessions -> Rattr.import -> int -> Rattr.t -> int
+(** [slot_route_comparator steps sessions a ka r] is [compare_routes
+    steps] over the route of import [a] in slot [ka] and the route [r].
+    Compiled once; a call allocates nothing. *)
+
+val select_slots :
+  med_scope:med_scope ->
+  step list ->
+  sessions ->
+  own_ip:int ->
+  Rattr.import array ->
+  shift:int ->
+  ids:int array ->
+  keys:int array ->
+  int ->
+  int
+(** [select_slots ~med_scope steps sessions ~own_ip slots ~shift ~ids
+    ~keys m] is [select ~med_scope steps] over [m > 0] candidates —
+    same elimination, same tie-breaking — and returns the winner's id.
+    Candidate [i] is the route in slot [ids.(i)], whose import is
+    [slots.(ids.(i) + shift)], or, when [ids.(i)] is negative, the
+    node's originated route, whose address is [own_ip].  Runs in place
+    over the caller's int buffers, destroying their contents and
+    allocating nothing; [keys] is scratch of at least [m] entries.  The
+    engine's hot path under {!Same_neighbor} MED (where
+    {!compare_routes} does not apply). *)
 
 type verdict =
   | Selected  (** a target route is the best route *)

@@ -12,11 +12,18 @@ let pp_outcome ppf = function
   | Diverged { cycle_len } ->
       Format.fprintf ppf "diverged (cycle of %d events)" cycle_len
 
-(* Flat-memory per-prefix state.  The RIB-In is one contiguous route
-   slab in the CSR slot order of {!Net.Csr}: node [n]'s slots are
-   [off.(n) .. off.(n+1) - 1], and an empty slot holds the physical
-   sentinel {!Rattr.no_route} instead of an option box, so a cold
-   run's state is two flat arrays, with no per-node arrays to chase.
+(* Flat-memory per-prefix state.  The RIB-In is one contiguous slab of
+   import records in the CSR slot order of {!Net.Csr}: node [n]'s slots
+   are [off.(n) .. off.(n+1) - 1], and an empty slot holds the physical
+   sentinel {!Rattr.no_import} instead of an option box, so a cold
+   run's state is two flat arrays, with no per-node arrays to chase.  A
+   slot holds only what its route arrived with (path, LOCAL_PREF, MED,
+   IGP cost), one record shared by every slot of an export that
+   imported it alike; the rest of the route is the slot's session's,
+   read from [csr], the index of the generation the state was computed
+   at: slot [k] of node [p] was announced by [peer.(k)], from address
+   [ips.(peer.(k))], over session [k - off.(p)], of kind [kinds.(k)] and
+   class [classes.(k)] ([view]).
    A cold run, and a resume across duplications, writes a slab of its
    own.  A warm resume
    at its parent's generation shares its parent's slab and writes
@@ -36,14 +43,28 @@ type state = {
   pfx : Prefix.t;
   mutable gen : int;  (* Net.generation at run time; gates warm resumption *)
   mutable nodes : int;
-  off : int array;  (* shared with the Csr of [gen]; length nodes + 1 *)
-  mutable slab : Rattr.t array;  (* RIB-In slots; Rattr.no_route = empty *)
-  mutable rows : Rattr.t array array;  (* [||] = every slot is in [slab] *)
+  csr : Net.Csr.t;  (* the index of [gen]: every slot's session *)
+  off : int array;  (* [Net.Csr.off csr]; length nodes + 1 *)
+  mutable slab : Rattr.import array;  (* RIB-In slots; no_import = empty *)
+  mutable rows : Rattr.import array array;  (* [||] = every slot is in [slab] *)
   mutable best : Rattr.t array;  (* per node; Rattr.no_route = no route *)
   origins : int list;  (* originating nodes, ascending, distinct *)
   mutable outcome : outcome;
   mutable events : int;
 }
+
+(* The sentinel tests, defined here so that the hot loops inline them:
+   the dev build does not inline across modules. *)
+let[@inline] is_import (x : Rattr.import) = x != Rattr.no_import
+
+let[@inline] is_route (r : Rattr.t) = r != Rattr.no_route
+
+(* Would a slot holding [x] on a session from [from_node] read as
+   [Rattr.same_route] to [r]?  [x] must be a route. *)
+let same_import (x : Rattr.import) from_node (r : Rattr.t) =
+  is_route r && r.from_node = from_node
+  && (x.path == r.path || Rattr.same_path x.path r.path)
+  && x.lpref = r.lpref && x.med = r.med && x.igp = r.igp
 
 (* Metrics are flushed once per run from locally accumulated counts —
    never touched per event — so the instrumented engine is the
@@ -76,11 +97,11 @@ let events st = st.events
 
 (* Nodes created after a run (the refiner's duplicates) have no state
    yet: report them as empty rather than out of bounds. *)
+let best_route st n = if n >= st.nodes then Rattr.no_route else st.best.(n)
+
 let best st n =
-  if n >= st.nodes then None
-  else
-    let r = st.best.(n) in
-    if Rattr.is_route r then Some r else None
+  let r = best_route st n in
+  if is_route r then Some r else None
 
 (* The one slot accessor: node [u]'s slots are [row st u] from index
    [row_start st u (row st u)] on, in session order. *)
@@ -92,18 +113,47 @@ let row st u =
 
 let row_start st u r = if r == st.slab then st.off.(u) else 0
 
-let rib_in st n =
-  if n >= st.nodes then []
-  else begin
+let learned_of_kind kind = if kind = 1 then Rattr.From_ibgp else Rattr.From_ebgp
+
+(* The whole route of node [p]'s slot [k] (a slab index), which holds
+   [x]: the slot's import attributes and its session's provenance, from
+   the CSR arrays of the state's generation. *)
+let slot_route ~peer ~ips ~kinds ~classes ~off p k (x : Rattr.import) =
+  {
+    Rattr.path = x.path;
+    lpref = x.lpref;
+    med = x.med;
+    igp = x.igp;
+    from_node = peer.(k);
+    from_ip = ips.(peer.(k));
+    from_session = k - off.(p);
+    learned = learned_of_kind kinds.(k);
+    learned_class = classes.(k);
+  }
+
+let view st p k x =
+  let c = st.csr in
+  slot_route ~peer:(Net.Csr.peer c) ~ips:(Net.Csr.ips c)
+    ~kinds:(Net.Csr.kinds c) ~classes:(Net.Csr.classes c) ~off:st.off p k x
+
+(* [f s x] for every route [x] in node [n]'s slots, [s] its session
+   index, in session order. *)
+let iter_slots st n f =
+  if n < st.nodes then begin
     let r = row st n in
     let base = row_start st n r in
-    let acc = ref [] in
-    for s = st.off.(n + 1) - st.off.(n) - 1 downto 0 do
+    for s = 0 to st.off.(n + 1) - st.off.(n) - 1 do
       let x = r.(base + s) in
-      if Rattr.is_route x then acc := (s, x) :: !acc
-    done;
-    !acc
+      if is_import x then f s x
+    done
   end
+
+let rib_in st n =
+  let acc = ref [] in
+  iter_slots st n (fun s x -> acc := (s, view st n (st.off.(n) + s) x) :: !acc);
+  List.rev !acc
+
+let iter_rib_in_paths st n f = iter_slots st n (fun s x -> f s x.Rattr.path)
 
 let rec int_mem (x : int) = function
   | [] -> false
@@ -113,16 +163,9 @@ let rec int_mem (x : int) = function
    (if any) first, then the RIB-In slots in session order — exactly the
    decision-process input order. *)
 let iter_candidates st net n f =
-  if n < st.nodes then begin
-    if int_mem n st.origins then
-      f (Rattr.originated ~own_ip:(Ipv4.to_int (Net.ip_of net n)));
-    let r = row st n in
-    let base = row_start st n r in
-    for k = base to base + st.off.(n + 1) - st.off.(n) - 1 do
-      let x = r.(k) in
-      if Rattr.is_route x then f x
-    done
-  end
+  if n < st.nodes && int_mem n st.origins then
+    f (Rattr.originated ~own_ip:(Ipv4.to_int (Net.ip_of net n)));
+  iter_slots st n (fun s x -> f (view st n (st.off.(n) + s) x))
 
 let fold_candidates st net n ~init ~f =
   let acc = ref init in
@@ -142,24 +185,33 @@ let ebgp_h = Hashtbl.hash Rattr.From_ebgp
 
 let ibgp_h = Hashtbl.hash Rattr.From_ibgp
 
+let empty_h = 0x5bd1e995
+
+(* A route's fields in [Rattr.t] order, the provenance given apart so
+   that a slot mixes as its [view] would without building it. *)
+let mix_fields h path lpref med igp ~from_node ~from_ip ~from_session
+    ~learned_h ~learned_class =
+  let h = mix h (Intern.path_hash path) in
+  let h = mix h lpref in
+  let h = mix h med in
+  let h = mix h igp in
+  let h = mix h from_node in
+  let h = mix h from_ip in
+  let h = mix h from_session in
+  let h = mix h learned_h in
+  mix h (Hashtbl.hash (learned_class : int))
+
 let mix_route h (r : Rattr.t) =
-  if Rattr.is_route r then
-    let h = mix h (Intern.path_hash r.Rattr.path) in
-    let h = mix h r.Rattr.lpref in
-    let h = mix h r.Rattr.med in
-    let h = mix h r.Rattr.igp in
-    let h = mix h r.Rattr.from_node in
-    let h = mix h r.Rattr.from_ip in
-    let h = mix h r.Rattr.from_session in
-    let h =
-      mix h
-        (match r.Rattr.learned with
+  if is_route r then
+    mix_fields h r.path r.lpref r.med r.igp ~from_node:r.from_node
+      ~from_ip:r.from_ip ~from_session:r.from_session
+      ~learned_h:
+        (match r.learned with
         | Rattr.Originated -> originated_h
         | Rattr.From_ebgp -> ebgp_h
         | Rattr.From_ibgp -> ibgp_h)
-    in
-    mix h (Hashtbl.hash r.Rattr.learned_class)
-  else mix h 0x5bd1e995
+      ~learned_class:r.learned_class
+  else mix h empty_h
 
 (* The accumulator is a local ref no closure captures, so folding a
    whole state allocates nothing. *)
@@ -171,14 +223,26 @@ let mix_routes h (rs : Rattr.t array) =
   !h
 
 (* Every RIB-In slot, node by node in session order: the slab's linear
-   order whichever rows a state has. *)
+   order whichever rows a state has.  A slot mixes as its [view]. *)
 let mix_slots h st =
+  let c = st.csr in
+  let peer = Net.Csr.peer c and ips = Net.Csr.ips c in
+  let kinds = Net.Csr.kinds c and classes = Net.Csr.classes c in
   let h = ref h in
   for u = 0 to st.nodes - 1 do
     let r = row st u in
     let base = row_start st u r in
-    for k = base to base + st.off.(u + 1) - st.off.(u) - 1 do
-      h := mix_route !h r.(k)
+    let o = st.off.(u) in
+    for s = 0 to st.off.(u + 1) - o - 1 do
+      let x = r.(base + s) in
+      h :=
+        if is_import x then
+          let k = o + s in
+          mix_fields !h x.path x.lpref x.med x.igp ~from_node:peer.(k)
+            ~from_ip:ips.(peer.(k)) ~from_session:s
+            ~learned_h:(if kinds.(k) = 1 then ibgp_h else ebgp_h)
+            ~learned_class:classes.(k)
+        else mix !h empty_h
     done
   done;
   !h
@@ -219,6 +283,16 @@ let fingerprint st fold_queue queued n =
    reached. *)
 let state_fingerprint st = mix_slots (mix_routes 0x42 st.best) st
 
+(* [Rattr.same_route] over the views of two slots, given their
+   senders. *)
+let same_slot (xa : Rattr.import) from_a (xb : Rattr.import) from_b =
+  if is_import xa && is_import xb then
+    from_a = from_b
+    && (xa == xb
+       || Rattr.same_path xa.path xb.path
+          && xa.lpref = xb.lpref && xa.med = xb.med && xa.igp = xb.igp)
+  else xa == xb
+
 let same_state a b =
   a.pfx = b.pfx && a.nodes = b.nodes
   && a.off = b.off
@@ -226,11 +300,14 @@ let same_state a b =
       Array.iteri
         (fun i r -> if not (Rattr.same_route r b.best.(i)) then ok := false)
         a.best;
+      let pa = Net.Csr.peer a.csr and pb = Net.Csr.peer b.csr in
       for u = 0 to a.nodes - 1 do
         let ra = row a u and rb = row b u in
         let ba = row_start a u ra and bb = row_start b u rb in
         for s = 0 to a.off.(u + 1) - a.off.(u) - 1 do
-          if not (Rattr.same_route ra.(ba + s) rb.(bb + s)) then ok := false
+          let k = a.off.(u) + s in
+          if not (same_slot ra.(ba + s) pa.(k) rb.(bb + s) pb.(k)) then
+            ok := false
         done
       done;
       !ok)
@@ -279,9 +356,9 @@ type scratch = {
   orig : Rattr.t array;  (* per node; Rattr.no_route = not originating *)
   owner : int array;  (* per node: the [stamp] of the last run to copy its row *)
   mutable stamp : int;
-  mutable med_buf : Rattr.t array;
+  mutable med_ids : int array;
   mutable med_keys : int array;
-  mutable spare_slab : Rattr.t array;  (* [||] = none, or all Rattr.no_route *)
+  mutable spare_slab : Rattr.import array;  (* [||] = none, or all no_import *)
   mutable spare_best : Rattr.t array;
 }
 
@@ -315,7 +392,7 @@ let checkout_scratch ~nslots ~nodes =
         orig = Array.make nodes Rattr.no_route;
         owner = Array.make nodes 0;
         stamp = 0;
-        med_buf = [||];
+        med_ids = [||];
         med_keys = [||];
         spare_slab = [||];
         spare_best = [||];
@@ -340,39 +417,12 @@ let borrow_arrays ~nslots ~nodes =
       (slab, best)
   | taken ->
       if Option.is_some taken then Atomic.set cell taken;
-      (Array.make nslots Rattr.no_route, Array.make nodes Rattr.no_route)
+      (Array.make nslots Rattr.no_import, Array.make nodes Rattr.no_route)
 
 (* Node [p]'s slot [k] (a slab index), wherever its row lives. *)
 let slot st p k =
   let r = row st p in
   if r == st.slab then st.slab.(k) else r.(k - st.off.(p))
-
-(* The first minimum of [init] and the routes in [slots.(lo .. hi)] under
-   [cmp]: the decision process over a node's candidates in RIB-In order.
-   Top-level, so that a run passes its comparator without a closure. *)
-let scan_best cmp (init : Rattr.t) (slots : Rattr.t array) lo hi =
-  let best = ref init in
-  for k = lo to hi do
-    let r = slots.(k) in
-    if Rattr.is_route r then
-      if not (Rattr.is_route !best) then best := r
-      else if cmp r !best < 0 then best := r
-  done;
-  !best
-
-(* Mark the queued nodes whose originated route came or went.  A gained
-   originated route is a candidate ahead of every slot: it becomes the
-   pending one unless a strictly better route is pending.  A lost one
-   sends the node to a scan. *)
-let rec reseat cmp st queued (orig : Rattr.t array) = function
-  | [] -> ()
-  | u :: rest ->
-      let q = queued.(u) in
-      assert (q <> unqueued);
-      if not (Rattr.is_route orig.(u)) then queued.(u) <- rescan
-      else if q = no_pend || (q >= 0 && cmp orig.(u) (slot st u q) <= 0) then
-        queued.(u) <- pend_orig;
-      reseat cmp st queued orig rest
 
 (* Shared drain core: seed the queue (cold start: the originators; warm
    start: peers disturbed by replayed exports), then process nodes
@@ -491,12 +541,19 @@ let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
     med_scope = Decision.Same_neighbor && List.mem Decision.Med steps
   in
   let width = Net.Csr.max_degree c + 1 in
-  if scoped_med && Array.length sc.med_buf < width then begin
-    sc.med_buf <- Array.make width Rattr.no_route;
+  if scoped_med && Array.length sc.med_ids < width then begin
+    sc.med_ids <- Array.make width 0;
     sc.med_keys <- Array.make width 0
   end;
-  let med_buf = sc.med_buf and med_keys = sc.med_keys in
+  let med_ids = sc.med_ids and med_keys = sc.med_keys in
+  (* Three compiled forms of one preference order: between whole routes
+     (an originated route against a best), between a slot and a whole
+     route, and between two slots, whose session fields come from the
+     CSR arrays. *)
+  let sessions = { Decision.kinds; peer; ips } in
   let compare_routes = Decision.comparator steps in
+  let compare_slot = Decision.slot_route_comparator steps sessions in
+  let compare_slots = Decision.slot_comparator steps sessions in
   (* Originated routes are stable for the whole run: build each
      originator's once instead of allocating per decision process. *)
   let orig = sc.orig in
@@ -520,6 +577,7 @@ let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
   in
   let owner = sc.owner in
   let own_rows = ref fresh and own_best = ref fresh in
+  let slot_at p k = if patched then slot st p k else slab.(k) in
   let patched_set p k x =
     if not !own_rows then begin
       st.rows <-
@@ -544,23 +602,51 @@ let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
     end;
     st.best.(u) <- r
   in
+  (* A decision's winner: a slot index, or one of these. *)
+  let win_orig = -1 and win_none = -2 and win_kept = -3 in
   let recompute_best_scoped u =
     let m = ref 0 in
-    let o = orig.(u) in
-    if Rattr.is_route o then begin
-      med_buf.(0) <- o;
+    if is_route orig.(u) then begin
+      med_ids.(0) <- win_orig;
       m := 1
     end;
     let slots = if patched then row st u else slab in
     let base = row_start st u slots in
-    for k = base to base + off.(u + 1) - off.(u) - 1 do
-      let r = slots.(k) in
-      if Rattr.is_route r then begin
-        med_buf.(!m) <- r;
+    let o = off.(u) in
+    for s = 0 to off.(u + 1) - o - 1 do
+      if is_import slots.(base + s) then begin
+        med_ids.(!m) <- o + s;
         incr m
       end
     done;
-    Decision.select_into ~med_scope steps med_buf ~keys:med_keys !m
+    if !m = 0 then win_none
+    else
+      Decision.select_slots ~med_scope steps sessions ~own_ip:ips.(u) slots
+        ~shift:(base - o) ~ids:med_ids ~keys:med_keys !m
+  in
+  (* The first minimum of [u]'s originated route and its slots, in
+     RIB-In order: the decision process over all its candidates. *)
+  let scan u =
+    let slots = if patched then row st u else slab in
+    let base = row_start st u slots in
+    let o = off.(u) in
+    let w = ref (if is_route orig.(u) then win_orig else win_none) in
+    let wx = ref Rattr.no_import in
+    for s = 0 to off.(u + 1) - o - 1 do
+      let x = slots.(base + s) in
+      if is_import x then begin
+        let k = o + s in
+        if
+          !w = win_none
+          || (if !w = win_orig then compare_slot x k orig.(u) < 0
+              else compare_slots x k !wx !w < 0)
+        then begin
+          w := k;
+          wx := x
+        end
+      end
+    done;
+    !w
   in
   (* Incremental best computation, as a BGP speaker runs it.  The
      elimination process equals the lexicographic minimum under
@@ -575,30 +661,24 @@ let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
      of the pending route and the standing best; a tie between the two
      needs their slot order, so it scans.  Scoped MED keeps its full
      elimination and ignores the marks, so [store] skips its
-     comparisons there.  Nothing allocates. *)
+     comparisons there.  Returns the winner ([win_kept]: the standing
+     best).  Nothing allocates. *)
   let recompute_best u q =
     if scoped_med then recompute_best_scoped u
-    else if q = no_pend then st.best.(u)
+    else if q = no_pend then win_kept
     else begin
       let b = st.best.(u) in
-      let x =
-        if q = rescan then Rattr.no_route
-        else if q = pend_orig then orig.(u)
-        else if patched then slot st u q
-        else slab.(q)
-      in
       let c =
-        if not (Rattr.is_route x) then 0
-        else if not (Rattr.is_route b) then -1
-        else compare_routes x b
+        if q = rescan then 0
+        else if q = pend_orig then
+          if is_route b then compare_routes orig.(u) b else -1
+        else if not (is_import (slot_at u q)) then 0
+        else if is_route b then compare_slot (slot_at u q) q b
+        else -1
       in
-      if c < 0 then x
-      else if c > 0 then b
-      else (* a rescan mark, or a tie *)
-        let slots = if patched then row st u else slab in
-        let base = row_start st u slots in
-        scan_best compare_routes orig.(u) slots base
-          (base + off.(u + 1) - off.(u) - 1)
+      if c < 0 then (if q = pend_orig then win_orig else q)
+      else if c > 0 then win_kept
+      else (* a rescan mark, or a tie *) scan u
     end
   in
   (* The advertisement died on the session into [p]'s slot [kr]:
@@ -606,86 +686,89 @@ let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
      or the route [p] last chose, sends [p] to a scan. *)
   let kill kr p =
     let cur = if patched then slot st p kr else slab.(kr) in
-    if Rattr.is_route cur then begin
+    if is_import cur then begin
       enqueue p;
       let q = queued.(p) in
-      if q = kr || (q <> rescan && Rattr.same_route cur st.best.(p)) then
-        queued.(p) <- rescan;
-      if patched then patched_set p kr Rattr.no_route
-      else slab.(kr) <- Rattr.no_route
+      if q = kr || (q <> rescan && same_import cur peer.(kr) st.best.(p))
+      then queued.(p) <- rescan;
+      if patched then patched_set p kr Rattr.no_import
+      else slab.(kr) <- Rattr.no_import
     end
   in
   (* [u]'s advertisement survived into [p]'s slot [kr]: compare the
      computed fields against the incumbent (the [same_route] criteria,
-     inlined) and allocate a record only on an actual change —
-     suppressed imports, the vast majority, allocate nothing.  The
-     records are deliberately not hash-consed: measured on 2k-AS
-     worlds, cold-convergence imports almost never recur, so a table
-     probe per write cost 20-35% throughput while the table only
-     retained garbage.  Sharing where reuse is real comes from the
-     prepend memo ({!Intern.prepend}).  [kill] and [store] live here,
-     not in [push_exports], so that no closure is allocated per
-     export.  A written route becomes [p]'s pending candidate if it
-     beats the one pending; overwriting the pending route, or [p]'s
-     chosen route with one that does not beat it, sends [p] to a
-     scan. *)
-  let store u kr p path lpref med igp learned =
+     inlined; the sender is the slot's) and write a record only on an
+     actual change — suppressed imports, the vast majority, allocate
+     nothing.  The record written is [m1] or [m2] when one holds the
+     same path, by identity, and the same attributes, else a new one;
+     the slot's record is returned, for the caller to offer to the next
+     [store].  Records are not hash-consed beyond that: measured on 2k-AS worlds,
+     cold-convergence imports almost never recur across exports, so a
+     table probe per write cost 20-35% throughput while the table only
+     retained garbage.  [kill] and [store] live here, not in
+     [push_exports], so that no closure is allocated per export.  A
+     written route becomes [p]'s pending candidate if it beats the one
+     pending; overwriting the pending route, or [p]'s chosen route with
+     one that does not beat it, sends [p] to a scan. *)
+  let store u kr p path lpref med igp (m1 : Rattr.import) (m2 : Rattr.import)
+      =
     let cur = if patched then slot st p kr else slab.(kr) in
     if
-      Rattr.is_route cur
-      && cur.Rattr.from_node = u
-      && Rattr.same_path cur.Rattr.path path
-      && cur.Rattr.lpref = lpref
-      && cur.Rattr.med = med
-      && cur.Rattr.igp = igp
-    then ()
+      is_import cur
+      && Rattr.same_path cur.path path
+      && cur.lpref = lpref && cur.med = med && cur.igp = igp
+    then cur
     else begin
       let x =
-        {
-          Rattr.path;
-          lpref;
-          med;
-          igp;
-          from_node = u;
-          from_ip = ips.(u);
-          from_session = kr - off.(p);
-          learned;
-          learned_class = classes.(kr);
-        }
+        if m1.path == path && m1.lpref = lpref && m1.med = med && m1.igp = igp
+        then m1
+        else if
+          m2.path == path && m2.lpref = lpref && m2.med = med && m2.igp = igp
+        then m2
+        else { Rattr.path; lpref; med; igp }
       in
       enqueue p;
       let q = queued.(p) in
-      if q <> rescan && not scoped_med then
+      if q <> rescan && not scoped_med then begin
+        let b = st.best.(p) in
         if
           q = kr
-          || Rattr.is_route cur
-             && Rattr.same_route cur st.best.(p)
-             && compare_routes x st.best.(p) >= 0
+          || is_import cur
+             && same_import cur u b
+             && compare_slot x kr b >= 0
         then queued.(p) <- rescan
         else if q = no_pend then queued.(p) <- kr
         else begin
           let c =
-            compare_routes x
-              (if q = pend_orig then orig.(p)
-               else if patched then slot st p q
-               else slab.(q))
+            if q = pend_orig then compare_slot x kr orig.(p)
+            else compare_slots x kr (slot_at p q) q
           in
           if c < 0 || (c = 0 && kr < q) then queued.(p) <- kr
-        end;
-      if patched then patched_set p kr x else slab.(kr) <- x
+        end
+      end;
+      if patched then patched_set p kr x else slab.(kr) <- x;
+      x
     end
   in
   (* Re-export node [u]'s current best over every slot, importing at
      each peer's mirror slot and enqueueing peers whose RIB-In changed.
      The export and import decisions of the reference engine, fused:
-     the advertisement either dies (sentinel) or becomes one route
-     record written straight into the peer's slab slot. *)
+     the advertisement either dies (sentinel) or becomes an import
+     record written straight into the peer's slab slot.  An export's
+     eBGP imports all carry its prepended path and its iBGP imports the
+     best's own path, LOCAL_PREF and MED, so consecutive imports of one
+     kind often come out equal: [store] is offered the last two records
+     of the export's eBGP imports, or the last of its iBGP imports
+     (whose IGP costs tend to differ per session), and shares one that
+     matches. *)
   let push_exports u best' =
-    let has = Rattr.is_route best' in
+    let has = is_route best' in
     let ebgp_path =
       if has then Intern.prepend memo ~own_as:asns.(u) best'.Rattr.path
       else [||]
     in
+    let last_ebgp = ref Rattr.no_import and prev_ebgp = ref Rattr.no_import in
+    let last_ibgp = ref Rattr.no_import in
     let base = off.(u) in
     for k = base to off.(u + 1) - 1 do
       let p = peer.(k) in
@@ -729,36 +812,68 @@ let exec ?max_events ?max_escalations ?on_best_change ~fresh net st ~kind
                 let m = med_in.(kr) in
                 if m <> min_int then m else med_default
               in
-              store u kr p path lpref med 0 Rattr.From_ebgp
+              let x = store u kr p path lpref med 0 !last_ebgp !prev_ebgp in
+              if x != !last_ebgp then begin
+                prev_ebgp := !last_ebgp;
+                last_ebgp := x
+              end
             end
           end
           else
             (* LOCAL_PREF and MED travel unchanged inside the AS; the
                IGP cost to the egress (the announcing router)
                implements hot-potato ranking. *)
-            store u kr p path r.Rattr.lpref r.Rattr.med igps.(kr)
-              Rattr.From_ibgp
+            last_ibgp :=
+              store u kr p path r.Rattr.lpref r.Rattr.med igps.(kr) !last_ibgp
+                Rattr.no_import
         end
       end
     done
   in
-  let process u q =
-    st.events <- st.events + 1;
-    let best' = recompute_best u q in
-    if not (Rattr.same_route st.best.(u) best') then begin
+  (* Adopt a decision's winner as [u]'s best unless it reads the same
+     as the standing one; a slot's winner becomes a whole route here,
+     once per change. *)
+  let adopt u w =
+    let b = st.best.(u) in
+    let best' =
+      if w >= 0 then
+        let x = slot_at u w in
+        if same_import x peer.(w) b then b
+        else slot_route ~peer ~ips ~kinds ~classes ~off u w x
+      else if w = win_orig then
+        if Rattr.same_route b orig.(u) then b else orig.(u)
+      else if w = win_none then Rattr.no_route
+      else b
+    in
+    if best' != b then begin
       set_best u best';
       (match on_best_change with
-      | Some f -> f u (if Rattr.is_route best' then Some best' else None)
+      | Some f -> f u (if is_route best' then Some best' else None)
       | None -> ());
       push_exports u best'
     end
+  in
+  let process u q =
+    st.events <- st.events + 1;
+    adopt u (recompute_best u q)
   in
   let replay u =
     st.events <- st.events + 1;
     push_exports u st.best.(u)
   in
   seed ~enqueue ~replay;
-  reseat compare_routes st queued orig reseat_nodes;
+  (* Mark the queued nodes whose originated route came or went.  A
+     gained originated route is a candidate ahead of every slot: it
+     becomes the pending one unless a strictly better route is pending.
+     A lost one sends the node to a scan. *)
+  List.iter
+    (fun u ->
+      let q = queued.(u) in
+      assert (q <> unqueued);
+      if not (is_route orig.(u)) then queued.(u) <- rescan
+      else if q = no_pend || (q >= 0 && compare_slot (slot_at u q) q orig.(u) >= 0)
+      then queued.(u) <- pend_orig)
+    reseat_nodes;
   (* Fingerprinting every event would tax the common case, so the
      watchdog arms only once half the initial budget is spent — any run
      that deep is already suspect, and a genuine cycle keeps repeating,
@@ -874,6 +989,7 @@ let cold_state net ~prefix:pfx ~originators ~arrays =
     pfx;
     gen = Net.generation net;
     nodes = n;
+    csr = c;
     off = Net.Csr.off c;
     slab;
     rows = [||];
@@ -893,7 +1009,7 @@ let cold ?max_events ?max_escalations ?on_best_change net ~prefix
     ~originators =
   run_cold ?max_events ?max_escalations ?on_best_change net ~originators
     (cold_state net ~prefix ~originators ~arrays:(fun ~nslots ~nodes ->
-         (Array.make nslots Rattr.no_route, Array.make nodes Rattr.no_route)))
+         (Array.make nslots Rattr.no_import, Array.make nodes Rattr.no_route)))
 
 (* End a scoped run.  A cold run never replaces its [best] nor writes
    [rows], so [st.slab] and [st.best] are the borrowed pair: empty them
@@ -909,7 +1025,7 @@ let release st =
   st.best <- [||];
   st.nodes <- 0;
   st.gen <- -1;
-  Array.fill slab 0 (Array.length slab) Rattr.no_route;
+  Array.fill slab 0 (Array.length slab) Rattr.no_import;
   Array.fill best 0 (Array.length best) Rattr.no_route;
   let cell = Domain.DLS.get scratch_cell in
   match Atomic.exchange cell None with
@@ -949,7 +1065,7 @@ let rec sym_diff a b =
 let append_remap net prev ~origins =
   let c = Net.csr net in
   let off = Net.Csr.off c in
-  let slab = Array.make (Net.Csr.slot_count c) Rattr.no_route in
+  let slab = Array.make (Net.Csr.slot_count c) Rattr.no_import in
   let best = Array.make (Net.Csr.node_count c) Rattr.no_route in
   Array.blit prev.best 0 best 0 prev.nodes;
   let grown = ref [] in
@@ -963,6 +1079,7 @@ let append_remap net prev ~origins =
       prev with
       gen = Net.Csr.generation c;
       nodes = Array.length best;
+      csr = c;
       off;
       slab;
       rows = [||];
@@ -1054,7 +1171,7 @@ let advertised_path net st n =
   if n >= st.nodes then [||]
   else
     let r = st.best.(n) in
-    if Rattr.is_route r then
+    if is_route r then
       Intern.prepend
         (Intern.tables (Net.intern_scope net))
         ~own_as:(Net.asn_of net n) r.Rattr.path

@@ -131,6 +131,10 @@ val events : state -> int
 val best : state -> int -> Rattr.t option
 (** The node's selected route ([None]: no route). *)
 
+val best_route : state -> int -> Rattr.t
+(** {!best} without the option box: {!Rattr.no_route} when the node has
+    no route.  Allocates nothing, for readers that scan many nodes. *)
+
 val originating : state -> int list
 (** The nodes that originated the prefix in this run, ascending — the
     [originators] the state was computed with (including any warm-resume
@@ -139,7 +143,24 @@ val originating : state -> int list
 
 val rib_in : state -> int -> (int * Rattr.t) list
 (** [(session_index, route)] for every session currently delivering a
-    route to the node, in session order. *)
+    route to the node, in session order.
+
+    The state stores one {!Rattr.import} per RIB-In slot — path,
+    LOCAL_PREF, MED and IGP cost as imported, one record shared by the
+    slots an export reached with equal results — and reads the rest of
+    each route from the slot's session in the {!Net.Csr} index of the
+    state's {!generation}: [from_node] is the session's peer,
+    [from_ip] that peer's address, [from_session] the session index,
+    [learned] the session's kind and [learned_class] its class.  So
+    this function, {!candidates}, {!iter_candidates} and
+    {!fold_candidates} build each route they return; {!best} does not,
+    a node's best route being a whole record already. *)
+
+val iter_rib_in_paths : state -> int -> (int -> int array -> unit) -> unit
+(** [iter_rib_in_paths st n f] calls [f session_index path] for every
+    route in the node's RIB-In, in session order, where [path] is the
+    route's [Rattr.path]: {!rib_in} for readers that compare paths
+    alone, without building a route per slot.  Never write [path]. *)
 
 val candidates : state -> Net.t -> int -> Rattr.t list
 (** The decision-process input at a node: originated route (if the node
@@ -147,9 +168,10 @@ val candidates : state -> Net.t -> int -> Rattr.t list
 
 val iter_candidates : state -> Net.t -> int -> (Rattr.t -> unit) -> unit
 (** Visit the node's candidates in {!candidates} order without building
-    a list — the allocation-free traversal {!fold_candidates} runs on.
-    The tests check that it visits exactly {!candidates}' list, the
-    decision process's input order. *)
+    a list — the traversal {!fold_candidates} runs on.  It builds each
+    route it visits (see {!rib_in}); {!iter_rib_in_paths} reads paths
+    without building any.  The tests check that it visits exactly
+    {!candidates}' list, the decision process's input order. *)
 
 val fold_candidates :
   state -> Net.t -> int -> init:'a -> f:('a -> Rattr.t -> 'a) -> 'a

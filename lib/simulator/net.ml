@@ -97,7 +97,7 @@ end)
 type t = {
   uid : int;  (* process-unique; names the Obs.Probe shared objects *)
   nodes : node Vec.t;
-  by_as : (Asn.t, int list ref) Hashtbl.t;  (* node ids, reverse order *)
+  by_as : (Asn.t, int list ref) Hashtbl.t;  (* node ids, ascending *)
   mutable export_ok : learned_class:int -> to_class:int -> bool;
   mutable igp : int -> int -> int;
   mutable med_default : int;
@@ -247,8 +247,12 @@ let add_node t ~asn ~ip =
   let id =
     Vec.push t.nodes { asn; ip; sessions = Vec.create dummy_session }
   in
+  (* [id] is the largest node id yet, so appending keeps the list
+     ascending; an AS holds few nodes, so the append is short, and
+     [nodes_of_as], called per suffix by the matching walk, allocates
+     nothing. *)
   (match Hashtbl.find_opt t.by_as asn with
-  | Some l -> l := id :: !l
+  | Some l -> l := !l @ [ id ]
   | None -> Hashtbl.add t.by_as asn (ref [ id ]));
   notify_structural t "add-node";
   id
@@ -264,9 +268,7 @@ let asn_of t n = (node t n).asn
 let ip_of t n = (node t n).ip
 
 let nodes_of_as t asn =
-  match Hashtbl.find_opt t.by_as asn with
-  | Some l -> List.rev !l
-  | None -> []
+  match Hashtbl.find t.by_as asn with l -> !l | exception Not_found -> []
 
 let find_session t a b =
   let na = node t a in

@@ -39,7 +39,9 @@ val ip_of : t -> int -> Ipv4.t
 
 val nodes_of_as : t -> Asn.t -> int list
 (** Node ids of an AS, in creation order (lowest quasi-router id — and
-    hence lowest address — first); [] for unknown ASes. *)
+    hence lowest address — first); [] for unknown ASes.  The list is
+    kept in that order as nodes are added, so reading it allocates
+    nothing. *)
 
 val connect :
   ?kind:session_kind ->

@@ -2,6 +2,8 @@ open Bgp
 
 type learned = Originated | From_ebgp | From_ibgp
 
+type import = { path : int array; lpref : int; med : int; igp : int }
+
 type t = {
   path : int array;
   lpref : int;
@@ -17,6 +19,9 @@ type t = {
 (* LOCAL_PREF given to locally-originated routes; higher than any
    policy-assigned preference so origination always wins locally. *)
 let originated_lpref = 1_000_000
+
+let originated_import : import =
+  { path = [||]; lpref = originated_lpref; med = 0; igp = 0 }
 
 let originated ~own_ip =
   {
@@ -49,6 +54,10 @@ let no_route =
   }
 
 let is_route r = r != no_route
+
+(* The slab's sentinel, as absurd as [no_route]. *)
+let no_import : import =
+  { path = [| -1 |]; lpref = min_int; med = min_int; igp = min_int }
 
 let full_path ~own_as r =
   let n = Array.length r.path in

@@ -4,11 +4,29 @@
     node's own AS (the first element is the announcing neighbour's AS,
     the last is the origin; an originated route has an empty path), plus
     the attributes the decision process compares and enough provenance
-    to know where it came from. *)
+    to know where it came from.
+
+    The engine keeps the two halves of a RIB-In route apart.  A slot of
+    its route slab holds an {!import}: the attributes the route arrived
+    with, one record shared by the slots an export reached with equal
+    import results.  The provenance fields of {!t}
+    ([from_node], [from_ip], [from_session], [learned],
+    [learned_class]) are fixed by the session the slot belongs to, so
+    they are read from the slot's position and filled in only when a
+    reader asks for a whole route. *)
 
 open Bgp
 
 type learned = Originated | From_ebgp | From_ibgp
+
+type import = {
+  path : int array;
+      (** AS path without the holder's own AS; [ [||] ] iff originated. *)
+  lpref : int;  (** LOCAL_PREF after import policy. *)
+  med : int;  (** MED after import policy. *)
+  igp : int;  (** IGP cost to the egress router; 0 for eBGP/originated. *)
+}
+(** What a RIB-In slot holds: the route's attributes after import. *)
 
 type t = {
   path : int array;
@@ -29,16 +47,24 @@ type t = {
           originated); input to relationship-based export rules. *)
 }
 
+val originated_import : import
+(** The attributes of a locally originated route: empty path, a
+    LOCAL_PREF above any policy's, MED and IGP cost 0. *)
+
 val originated : own_ip:int -> t
 
 val no_route : t
-(** Physical sentinel meaning "no route in this slot", used by the
-    engine's flat route slab instead of [option] boxing.  Identity is
-    [==] only ({!is_route}); never compare it structurally and never
-    read its fields. *)
+(** Physical sentinel meaning "no route", used by the engine's best
+    route arrays instead of [option] boxing.  Identity is [==] only
+    ({!is_route}); never compare it structurally and never read its
+    fields. *)
 
 val is_route : t -> bool
 (** [is_route r] is [r != no_route]. *)
+
+val no_import : import
+(** {!no_route}'s counterpart in the route slab: "no route in this
+    slot".  Identity is [==] only: test a slot with [x != no_import]. *)
 
 val full_path : own_as:Asn.t -> t -> int array
 (** The complete AS-level path as an observation point peering with the
@@ -56,8 +82,7 @@ val same_advertisement : t option -> t option -> bool
 
 val same_route : t -> t -> bool
 (** {!same_advertisement} over sentinel-boxed values: {!no_route} plays
-    the role of [None].  Tries physical equality first (a slot that
-    still holds the record the best route was taken from), then the
-    same structural fields as {!same_advertisement}. *)
+    the role of [None].  Tries physical equality first, then the same
+    structural fields as {!same_advertisement}. *)
 
 val pp : own_as:Asn.t -> Format.formatter -> t -> unit

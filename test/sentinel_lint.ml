@@ -1,10 +1,11 @@
-(* Source lint for the [no_route] sentinel.  [Rattr.no_route] is a
-   physical sentinel: structural comparison with it is always a bug ([=]
-   on it reads absurd field values; worse, a structurally equal clone
-   would satisfy it).  Scan the simulator sources and flag any
-   token-level structural comparison.  This is a line lexer, not a
-   parser: comments and string literals are masked first, then the
-   tokens adjacent to each [no_route] occurrence are inspected. *)
+(* Source lint for the [no_route] and [no_import] sentinels.
+   [Rattr.no_route] and [Rattr.no_import] are physical sentinels:
+   structural comparison with either is always a bug ([=] on it reads
+   absurd field values; worse, a structurally equal clone would satisfy
+   it).  Scan the simulator sources and flag any token-level structural
+   comparison.  This is a line lexer, not a parser: comments and string
+   literals are masked first, then the tokens adjacent to each sentinel
+   occurrence are inspected. *)
 
 module Report = Analysis.Report
 
@@ -95,9 +96,10 @@ let around line start stop =
 
 let structural_ops = [ "="; "<>"; "compare"; "Stdlib.compare" ]
 
-let scan_line file lineno line =
+let sentinels = [ "no_route"; "no_import" ]
+
+let scan_word file lineno line word =
   let n = String.length line in
-  let word = "no_route" in
   let wl = String.length word in
   let found = ref [] in
   let i = ref 0 in
@@ -109,7 +111,7 @@ let scan_line file lineno line =
     then begin
       let prev, next = around line !i (!i + wl) in
       let flagged =
-        (* [let no_route =] / [and no_route =] is the definition site *)
+        (* [let no_route =] / [and no_route =] is a definition site *)
         if prev = "let" || prev = "and" then false
         else
           List.mem prev structural_ops
@@ -124,14 +126,14 @@ let scan_line file lineno line =
             location = Report.Network;
             message =
               Printf.sprintf
-                "%s:%d: structural comparison with Rattr.no_route (token \
+                "%s:%d: structural comparison with Rattr.%s (token \
                  context: %s ... %s)"
-                file lineno
+                file lineno word
                 (if prev = "" then "<line start>" else prev)
                 (if next = "" then "<line end>" else next);
             hint =
-              "no_route is a physical sentinel: test it with == / != (or \
-               Rattr.is_route), never = / <> / compare";
+              "no_route and no_import are physical sentinels: test them \
+               with == / != (or Rattr.is_route), never = / <> / compare";
           }
           :: !found;
       i := !i + wl
@@ -139,6 +141,9 @@ let scan_line file lineno line =
     else incr i
   done;
   List.rev !found
+
+let scan_line file lineno line =
+  List.concat_map (scan_word file lineno line) sentinels
 
 let scan_file file =
   match

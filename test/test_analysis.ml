@@ -551,9 +551,11 @@ let sentinel_lint_seeded () =
      let fine2 r = r != no_route\n\
      (* comment: no_route = masked *)\n\
      let s = \"no_route = masked too\"\n\
-     let no_route = 3\n";
+     let no_route = 3\n\
+     let bad_slot x = x = Rattr.no_import\n\
+     let fine_slot x = x != Rattr.no_import\n";
   let fs = Sentinel_lint.sentinel_lint ~root:dir () in
-  check_int "both structural compares flagged" 2 (List.length fs);
+  check_int "every structural compare flagged" 3 (List.length fs);
   List.iter
     (fun f -> check_bool "rule" true (f.Report.rule = "sentinel-compare"))
     fs;

@@ -12,6 +12,25 @@ let route ?(path = [| 2; 6 |]) ?(lpref = 100) ?(med = 100) ?(igp = 0)
 
 let steps = D.model_steps
 
+(* [routes] as RIB-In slots: slot [i] holds route [i]'s import
+   attributes on a session from node [i], whose kind and address are the
+   route's ([Originated] reads as eBGP, which ranks the same). *)
+let slots_of (routes : R.t array) =
+  let imps =
+    Array.map
+      (fun (r : R.t) -> { R.path = r.path; lpref = r.lpref; med = r.med; igp = r.igp })
+      routes
+  in
+  let sessions =
+    {
+      D.kinds =
+        Array.map (fun (r : R.t) -> if r.learned = R.From_ibgp then 1 else 0) routes;
+      peer = Array.init (Array.length routes) Fun.id;
+      ips = Array.map (fun (r : R.t) -> r.from_ip) routes;
+    }
+  in
+  (sessions, (imps : R.import array))
+
 let local_pref_wins () =
   let a = route ~lpref:120 ~path:[| 2; 3; 4; 6 |] () in
   let b = route ~lpref:100 ~path:[| 2; 6 |] () in
@@ -206,6 +225,44 @@ let prop_comparator_is_compare_routes =
       cmp a b = D.compare_routes steps a b
       && cmp b a = D.compare_routes steps b a)
 
+(* The slot forms of the order agree with [compare_routes] over the
+   routes the slots stand for. *)
+let prop_slot_comparators =
+  QCheck.Test.make ~name:"slot comparators = compare_routes" ~count:1000
+    arb_tied_pair (fun (steps, a, b) ->
+      let sessions, imps = slots_of [| a; b |] in
+      let cmp_slots = D.slot_comparator steps sessions
+      and cmp_slot = D.slot_route_comparator steps sessions in
+      cmp_slots imps.(0) 0 imps.(1) 1 = D.compare_routes steps a b
+      && cmp_slots imps.(1) 1 imps.(0) 0 = D.compare_routes steps b a
+      && cmp_slot imps.(0) 0 b = D.compare_routes steps a b
+      && cmp_slot imps.(1) 1 a = D.compare_routes steps b a)
+
+(* [select_slots] picks the candidate [select] picks, the originated
+   route (id -1) included, under either MED scope. *)
+let prop_select_slots =
+  QCheck.Test.make ~name:"select_slots = select" ~count:300
+    QCheck.(pair bool (list_of_size (QCheck.Gen.int_range 1 8) arb_route))
+    (fun (originates, learned) ->
+      let own_ip = 500 in
+      let cands =
+        (if originates then [ R.originated ~own_ip ] else []) @ learned
+      in
+      let sessions, imps = slots_of (Array.of_list learned) in
+      let m = List.length cands in
+      List.for_all
+        (fun med_scope ->
+          let ids = Array.init m (fun i -> if originates then i - 1 else i) in
+          let w =
+            D.select_slots ~med_scope D.full_steps sessions ~own_ip imps
+              ~shift:0 ~ids ~keys:(Array.make m 0) m
+          in
+          let picked = List.nth cands (if originates then w + 1 else w) in
+          match D.select ~med_scope D.full_steps cands with
+          | Some r -> r == picked
+          | None -> false)
+        [ D.Always_compare; D.Same_neighbor ])
+
 let words f = snd (Obs.Metrics.allocated_words f)
 
 (* The engine calls these once per candidate, per decision or per
@@ -230,18 +287,30 @@ let per_event_calls_allocate_nothing () =
   (* The scoped-MED selection runs in place over caller buffers. *)
   let c = route ~path:[| 2; 3; 6 |] ~med:0 ~from_ip:8 () in
   let cands = [| a; b; c |] in
-  let buf = Array.copy cands and keys = Array.make 3 0 in
+  let sessions, imps = slots_of cands in
+  let ids = Array.make 3 0 and keys = Array.make 3 0 in
   let select () =
-    Array.blit cands 0 buf 0 3;
-    D.select_into ~med_scope:D.Same_neighbor D.full_steps buf ~keys 3
+    for i = 0 to 2 do
+      ids.(i) <- i
+    done;
+    D.select_slots ~med_scope:D.Same_neighbor D.full_steps sessions ~own_ip:0
+      imps ~shift:0 ~ids ~keys 3
   in
-  check_bool "select_into = select" true
+  check_bool "select_slots = select" true
     (D.select ~med_scope:D.Same_neighbor D.full_steps (Array.to_list cands)
-    = Some (select ()));
-  Alcotest.(check int) "select_into allocates nothing" 0
+    = Some cands.(select ()));
+  Alcotest.(check int) "select_slots allocates nothing" 0
     (words (fun () ->
        for _ = 1 to 10_000 do
          ignore (select ())
+       done));
+  let cmp_slots = D.slot_comparator D.full_steps sessions
+  and cmp_slot = D.slot_route_comparator D.full_steps sessions in
+  Alcotest.(check int) "slot comparators allocate nothing" 0
+    (words (fun () ->
+       for _ = 1 to 10_000 do
+         ignore (cmp_slots imps.(0) 0 imps.(1) 1);
+         ignore (cmp_slot imps.(0) 0 b)
        done));
   (* Equal contents in distinct arrays: the element loop, not the
      physical check, decides. *)
@@ -295,6 +364,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_select_is_minimum;
     QCheck_alcotest.to_alcotest prop_selected_never_dominated;
     QCheck_alcotest.to_alcotest prop_comparator_is_compare_routes;
+    QCheck_alcotest.to_alcotest prop_slot_comparators;
+    QCheck_alcotest.to_alcotest prop_select_slots;
     Alcotest.test_case "per-event decision calls allocate nothing" `Quick
       per_event_calls_allocate_nothing;
     Alcotest.test_case "prepend hit allocates nothing" `Quick

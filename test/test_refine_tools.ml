@@ -72,6 +72,29 @@ let suffix_walk_equivalence () =
       = Refine.Matching.selects_at net st arr.(i) arr ~tail_at:(i + 1))
   done
 
+(* The walk probes every suffix of every observed path against every
+   quasi-router of an AS: reading the AS's nodes and their best paths
+   allocates nothing. *)
+let suffix_reads_allocate_nothing () =
+  let m, r = refined () in
+  let net = m.Qrmodel.net in
+  let st = Hashtbl.find r.Refiner.states (Asn.origin_prefix 4) in
+  let arr = [| 1; 5; 4 |] in
+  let probe () =
+    for i = 0 to Array.length arr - 1 do
+      ignore (Refine.Matching.selects_at net st arr.(i) arr ~tail_at:(i + 1))
+    done
+  in
+  probe ();
+  check_bool "AS 1 selects 5 4" true
+    (Refine.Matching.selects_at net st 1 arr ~tail_at:1);
+  check_int "selects_at allocates nothing" 0
+    (snd
+       (Obs.Metrics.allocated_words (fun () ->
+            for _ = 1 to 10_000 do
+              probe ()
+            done)))
+
 let verify_unknown_prefix () =
   let m = Qrmodel.initial graph in
   let stray =
@@ -234,6 +257,8 @@ let suite =
     Alcotest.test_case "verify: unknown prefix" `Quick verify_unknown_prefix;
     Alcotest.test_case "verify: suffix walk equivalence" `Quick
       suffix_walk_equivalence;
+    Alcotest.test_case "verify: suffix reads allocate nothing" `Quick
+      suffix_reads_allocate_nothing;
     Alcotest.test_case "incremental: extension" `Quick incremental_extension;
     Alcotest.test_case "incremental: growth counting" `Quick incremental_counts_growth;
     Alcotest.test_case "incremental: delta added" `Quick incremental_delta_added;

@@ -120,6 +120,112 @@ let prop_flat_matches_reference =
           flat_matches_reference (Netgen.Groundtruth.build conf))
         families)
 
+(* Refined quasi-router models carry what ground-truth worlds do not:
+   the refiner's duplicates, whose sessions mirror their original's,
+   per-prefix import MED rules and export denies.  [refined_model]
+   refines the initial model of a tiny world of [family] against that
+   world's own observations. *)
+let refined_model family seed =
+  let world =
+    Netgen.Groundtruth.build { Netgen.Conf.tiny with Netgen.Conf.family; seed }
+  in
+  let prepared = Core.prepare (Netgen.Groundtruth.observe world) in
+  let model = Asmodel.Qrmodel.initial prepared.Core.graph in
+  (Refine.Refiner.refine model ~training:prepared.Core.data).Refine.Refiner.model
+
+(* Every node's RIB-In and best route, field by field, so the slot
+   routes the flat engine builds from their sessions must equal the
+   routes the reference engine stores. *)
+let same_views net rs fs =
+  Engine_reference.state_fingerprint rs = Engine.state_fingerprint fs
+  && Engine_reference.events rs = Engine.events fs
+  && Engine_reference.converged rs = Engine.converged fs
+  && List.for_all
+       (fun n ->
+         Engine_reference.best rs n = Engine.best fs n
+         && Engine_reference.rib_in rs n = Engine.rib_in fs n)
+       (List.init (Net.node_count net) Fun.id)
+
+(* On the refined models of each family and three seeds, sampled
+   prefixes run cold on both engines, then resume at the same
+   generation after a MED rule and after a deny on the session a node's
+   best route arrived on, then resume across a duplication of that
+   node. *)
+let test_refined_matches_reference () =
+  let rules = ref 0 and denies = ref 0 in
+  List.iter
+    (fun (family, seed) ->
+      let m = refined_model family seed in
+      let net = m.Asmodel.Qrmodel.net in
+      let name = Printf.sprintf "%s seed %d" (Netgen.Family.to_string family) seed in
+      let check what ok =
+        Alcotest.(check bool) (Printf.sprintf "%s: %s" name what) true ok
+      in
+      check "the refiner duplicated quasi-routers" (Net.node_count net
+        > Topology.Asgraph.num_nodes m.Asmodel.Qrmodel.graph);
+      let prefixes = List.map fst m.Asmodel.Qrmodel.prefixes in
+      List.iter
+        (fun p ->
+          Net.iter_prefix_policies net p (fun _ _ ~deny ~med ~lpref:_ ->
+              if deny then incr denies;
+              if med <> min_int then incr rules))
+        prefixes;
+      let step = max 1 (List.length prefixes / 4) in
+      let samples = List.filteri (fun i _ -> i mod step = 0) prefixes in
+      let runs =
+        List.map
+          (fun p ->
+            let originators = Asmodel.Qrmodel.originators m p in
+            let rc = Engine_reference.simulate net ~prefix:p ~originators in
+            let fc = Engine.simulate net ~prefix:p ~originators in
+            check "cold" (same_views net rc fc);
+            (p, originators, rc, fc))
+          samples
+      in
+      let resume (p, originators, rc, fc) =
+        let rw = Engine_reference.simulate net ~from:rc ~prefix:p ~originators in
+        let fw = Engine.simulate net ~from:fc ~prefix:p ~originators in
+        Net.clear_touched net p;
+        (rw, fw)
+      in
+      (* The last node with a learned best route, and that route. *)
+      let learned (_, _, _, fc) =
+        List.find_map
+          (fun u ->
+            match Engine.best fc u with
+            | Some r when r.Rattr.from_session >= 0 -> Some (u, r)
+            | _ -> None)
+          (List.rev (List.init (Net.node_count net) Fun.id))
+      in
+      List.iter
+        (fun ((p, _, _, _) as run) ->
+          match learned run with
+          | None -> ()
+          | Some (u, r) ->
+              let s = r.Rattr.from_session in
+              Net.set_import_med net u s p 7;
+              let rw, fw = resume run in
+              check "resume after a MED rule" (same_views net rw fw);
+              Net.clear_import_med net u s p;
+              let back = Net.session_reverse net u s in
+              Net.deny_export net r.Rattr.from_node back p;
+              let rw, fw = resume run in
+              check "resume after a deny" (same_views net rw fw);
+              Net.allow_export net r.Rattr.from_node back p;
+              Net.clear_touched net p)
+        runs;
+      (match Option.bind (List.nth_opt runs 0) learned with
+      | Some (u, _) -> ignore (Net.duplicate_node net u)
+      | None -> ignore (Net.duplicate_node net 0));
+      List.iter
+        (fun run ->
+          let rw, fw = resume run in
+          check "resume across a duplication" (same_views net rw fw))
+        runs)
+    (List.concat_map (fun seed -> List.map (fun f -> (f, seed)) families) [ 1; 2; 3 ]);
+  Alcotest.(check bool) "the models carry MED rules" true (!rules > 0);
+  Alcotest.(check bool) "the models carry denies" true (!denies > 0)
+
 (* The fold/iter candidate walks agree with the allocating list
    variant at every node of a converged state. *)
 let test_candidates_fold_iter () =
@@ -157,5 +263,7 @@ let suite =
       test_sized_rejects_small;
     Alcotest.test_case "candidates fold/iter match list" `Quick
       test_candidates_fold_iter;
+    Alcotest.test_case "refined models: flat = reference" `Quick
+      test_refined_matches_reference;
     QCheck_alcotest.to_alcotest prop_flat_matches_reference;
   ]

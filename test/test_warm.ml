@@ -792,6 +792,54 @@ let unchanged_reexport_allocates_nothing_per_session () =
   check_int "same words on a wide and a narrow node" (replay narrow)
     (replay wide)
 
+(* One export shares its import records: AS 2's router [h] learns the
+   prefix from AS 1's [x] and exports it to [k] receivers, each of which
+   also peers with [x] and keeps [x]'s shorter route, so the MED a
+   receiver assigns to [h]'s route ([meds i]) changes the records [h]'s
+   export writes and nothing else.  Returns the words of a cold run,
+   after one run that warmed the prepend memo and the scratch. *)
+let fan_out_words ~k meds =
+  let net = Net.create () in
+  let node asn = Net.add_node net ~asn ~ip:(Asn.router_ip asn 0) in
+  let x = node 1 and h = node 2 in
+  ignore (Net.connect net x h);
+  let p = Asn.origin_prefix 1 in
+  let receivers =
+    List.init k (fun i ->
+        let r = node (10 + i) in
+        ignore (Net.connect net x r);
+        let _, s = Net.connect net h r in
+        Net.set_import_med net r s p (meds i);
+        r)
+  in
+  let run () = Engine.simulate net ~prefix:p ~originators:[ x ] in
+  ignore (run ());
+  words_checked run (fun st ->
+      check_bool "converged" true (Engine.converged st);
+      List.iter
+        (fun r ->
+          check_bool "a receiver keeps the direct route" true
+            (match Engine.best st r with
+            | Some b -> b.Simulator.Rattr.from_node = x
+            | None -> false);
+          check_int "a receiver holds h's route" 2
+            (List.length (Engine.rib_in st r)))
+        receivers)
+
+(* An import record is a 4-field block: 5 words.  With every receiver's
+   MED equal, [h]'s export over its [k] sessions writes one record; a
+   receiver whose MED differs gets a record of its own; [k] distinct
+   MEDs make [k] records. *)
+let equal_imports_share_one_record () =
+  quiet @@ fun () ->
+  let k = 16 and record = 5 in
+  let equal = fan_out_words ~k (fun _ -> 5) in
+  let one_differs = fan_out_words ~k (fun i -> if i = k / 2 then 6 else 5) in
+  let all_differ = fan_out_words ~k (fun i -> 10 + i) in
+  check_int "one differing MED costs one record" record (one_differs - equal);
+  check_int "k distinct MEDs cost k records" ((k - 1) * record)
+    (all_differ - equal)
+
 (* A resume that writes copies before its first write: the parent state
    it started from keeps its routes. *)
 let resume_leaves_parent_unchanged () =
@@ -1466,6 +1514,8 @@ let suite =
       deny_resume_cost_follows_nodes;
     Alcotest.test_case "unchanged re-export allocates nothing per session"
       `Quick unchanged_reexport_allocates_nothing_per_session;
+    Alcotest.test_case "equal imports share one record" `Quick
+      equal_imports_share_one_record;
     Alcotest.test_case "resume leaves its parent unchanged" `Quick
       resume_leaves_parent_unchanged;
     Alcotest.test_case "scratch reuse after a diverged or truncated run" `Quick
